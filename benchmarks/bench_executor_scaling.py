@@ -1,26 +1,20 @@
-"""Executor scaling: chunked backend dispatch vs the PR-1 per-unit executor.
+"""Executor scaling: the registered backends over many-tiny-unit batches.
 
 The workload class that motivated the ``repro.exec`` subsystem is the
 *many-tiny-unit sweep*: adversary × algorithm × seed grids and
 tail-statistics replication studies explode into hundreds or thousands of
 ``(spec, seed)`` work units that each run for milliseconds.  There, per-unit
-dispatch cost — one IPC round-trip, one payload pickle (including the full
-spec dict, seeds list and all) and one ``ScenarioSpec.from_dict`` re-parse
-per unit — rivals the simulation itself.
+dispatch cost — IPC, payload pickling and spec re-parsing — rivals the
+simulation itself, which is why every backend dispatches same-spec chunks.
 
-This benchmark times four executors over the same unit batches:
+This benchmark times the three registered backends over the same unit
+batches:
 
 * ``serial`` — the in-process reference loop (and byte-identity yardstick);
-* ``pr1-unchunked`` — a faithful re-implementation of the PR-1 batch engine:
-  ``ProcessPoolExecutor.map`` at chunksize 1, one ``(spec-dict, seed)``
-  payload and one spec re-parse per unit;
-* ``process`` — the new chunked process backend (spec sent once per chunk,
-  parsed once per worker via the spec cache);
-* ``thread`` / ``local-cluster`` / ``remote`` — the other registered
-  backends, for coverage (the GIL caps ``thread`` on CPU-bound units;
-  ``local-cluster`` pays a JSON round-trip for its distribution-ready
-  contract; ``remote`` adds the loopback-transport dispatcher on top —
-  heartbeats, deadlines and adaptive sizing included in its number).
+* ``process`` — the chunked process pool (spec sent once per chunk, parsed
+  once per worker via the spec cache);
+* ``remote`` — the wire-form worker fleet on its ``loopback`` transport
+  (heartbeats, deadlines and adaptive sizing included in its number).
 
 Workloads:
 
@@ -29,10 +23,10 @@ Workloads:
 * ``grid-matrix`` — a registered-adversary × seed grid on n=32: the pattern
   of the ROADMAP's scenario-matrix expansion.
 
-Every path's rows are asserted byte-identical to ``serial`` before any
-timing is reported.  Worker pools are started and warmed before the clock
-runs, so the numbers measure steady-state dispatch throughput, not process
-start-up.
+Every backend's rows are asserted byte-identical to ``serial`` before any
+timing is reported; that identity is the gate, in both modes.  Workers are
+started and warmed before the clock runs, so the numbers measure
+steady-state dispatch throughput, not process start-up.
 
 Usage::
 
@@ -40,11 +34,8 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_executor_scaling.py --smoke    # CI gate
     PYTHONPATH=src python benchmarks/bench_executor_scaling.py --json out.json
 
-Full mode writes ``benchmarks/results/BENCH_exec.json`` and *asserts* the
-acceptance bar: chunked ``process`` dispatch at least 2x the rows/sec of
-``pr1-unchunked`` on the many-tiny-unit workload.  ``--smoke`` runs a small
-batch and asserts byte-identity plus chunked >= unchunked (with tolerance
-for CI scheduler noise).
+Full mode writes ``benchmarks/results/BENCH_exec.json``; ``--smoke`` runs
+small batches and writes nothing unless ``--json`` is given.
 """
 
 from __future__ import annotations
@@ -54,11 +45,9 @@ import json
 import pathlib
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.exec import build_chunks, make_backend, units_for_spec
-from repro.exec.backends import LocalClusterBackend
 from repro.exec.units import WorkUnit, auto_chunk_size
 from repro.scenarios import ScenarioSpec, component
 from repro.scenarios.executor import run_scenario_seed
@@ -69,8 +58,8 @@ RESULTS_PATH = pathlib.Path(__file__).resolve().parent / "results" / "BENCH_exec
 #: Worker count for every pooled path (identical across paths for fairness).
 WORKERS = 2
 
-#: The acceptance bar of the full run (chunked process vs pr1-unchunked).
-TARGET_SPEEDUP = 2.0
+#: The pooled backends timed against the serial loop.
+POOLED_BACKENDS = ("process", "remote")
 
 #: Adversaries of the grid workload (registered names, default parameters).
 GRID_ADVERSARIES = (
@@ -114,28 +103,6 @@ def _grid_units(seeds_per_point: int) -> List[WorkUnit]:
     return units
 
 
-# ---------------------------------------------------------------------------
-# the executors under test
-# ---------------------------------------------------------------------------
-
-
-def _pr1_execute_payload(payload: Tuple[Dict, int]) -> Dict[str, float]:
-    """The PR-1 work-unit entry point: re-parse the spec for every unit."""
-    spec_dict, seed = payload
-    return run_scenario_seed(ScenarioSpec.from_dict(spec_dict), seed)
-
-
-def _run_pr1_unchunked(units: Sequence[WorkUnit]) -> Tuple[List[Dict], float]:
-    """The PR-1 batch engine, verbatim: per-unit payloads, map chunksize 1."""
-    payloads = [(unit.spec_dict, unit.seed) for unit in units]
-    with ProcessPoolExecutor(max_workers=WORKERS) as pool:
-        list(pool.map(_pr1_execute_payload, payloads[:WORKERS]))  # warm the pool
-        started = time.perf_counter()
-        rows = list(pool.map(_pr1_execute_payload, payloads))
-        elapsed = time.perf_counter() - started
-    return rows, elapsed
-
-
 def _run_backend(
     name: str, units: Sequence[WorkUnit], chunk_size: Optional[int]
 ) -> Tuple[List[Dict], float]:
@@ -143,8 +110,6 @@ def _run_backend(
     chunks = build_chunks(units, chunk_size or auto_chunk_size(len(units), WORKERS))
     backend = make_backend(name, WORKERS)
     with backend:
-        if isinstance(backend, LocalClusterBackend):
-            backend.wait_ready()
         warm = build_chunks(units[:WORKERS], 1)  # exercise import + spec cache
         for _ in backend.submit_batch(warm):
             pass
@@ -169,14 +134,10 @@ def run_workload(
     timings: Dict[str, float] = {"serial": len(units) / serial_elapsed}
     identical: Dict[str, bool] = {"serial": True}
 
-    pr1_rows, pr1_elapsed = _run_pr1_unchunked(units)
-    timings["pr1_unchunked"] = len(units) / pr1_elapsed
-    identical["pr1_unchunked"] = canonical_json(pr1_rows) == reference
-
-    for backend in ("process", "thread", "local-cluster", "remote"):
+    for backend in POOLED_BACKENDS:
         rows, elapsed = _run_backend(backend, units, chunk_size)
-        timings[backend.replace("-", "_")] = len(units) / elapsed
-        identical[backend.replace("-", "_")] = canonical_json(rows) == reference
+        timings[backend] = len(units) / elapsed
+        identical[backend] = canonical_json(rows) == reference
 
     row: Dict[str, object] = {
         "workload": label,
@@ -184,18 +145,11 @@ def run_workload(
         "chunk_size": chunk_size or auto_chunk_size(len(units), WORKERS),
         "workers": WORKERS,
         "rows_per_sec": {k: round(v, 1) for k, v in timings.items()},
-        "speedup_chunked_vs_unchunked": round(timings["process"] / timings["pr1_unchunked"], 2),
         "identical_to_serial": identical,
     }
     print(
         f"{label:<18} units={len(units):<5} "
-        f"serial={timings['serial']:7.1f} r/s  "
-        f"pr1-unchunked={timings['pr1_unchunked']:7.1f} r/s  "
-        f"process-chunked={timings['process']:7.1f} r/s  "
-        f"thread={timings['thread']:7.1f} r/s  "
-        f"local-cluster={timings['local_cluster']:7.1f} r/s  "
-        f"remote={timings['remote']:7.1f} r/s  "
-        f"speedup={row['speedup_chunked_vs_unchunked']}x"
+        + "  ".join(f"{name}={rate:7.1f} r/s" for name, rate in timings.items())
     )
     mismatched = [name for name, same in identical.items() if not same]
     if mismatched:
@@ -208,7 +162,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="small batches; assert byte-identity and chunked >= unchunked",
+        help="small batches (byte-identity gate only, no result file)",
     )
     parser.add_argument(
         "--json",
@@ -218,41 +172,25 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    if args.smoke:
-        rows = [
-            run_workload("replication-tail", units_for_spec(_replication_spec(160))),
-            run_workload("grid-matrix", _grid_units(4)),
-        ]
-        # CI gate: identity is already asserted inside run_workload; chunked
-        # dispatch must additionally not be slower than per-unit dispatch
-        # (0.9 tolerance absorbs scheduler noise on small CI batches).
-        headline = rows[0]["speedup_chunked_vs_unchunked"]
-        if headline < 0.9:
-            print(f"FAIL: chunked dispatch slower than unchunked ({headline}x)")
-            return 1
-        print(f"smoke ok: all backends byte-identical; chunked/unchunked = {headline}x")
-        return 0
-
+    # run_workload raises on any backend whose rows differ from serial.
+    replications, grid_seeds = (160, 4) if args.smoke else (1000, 25)
     rows = [
-        run_workload("replication-tail", units_for_spec(_replication_spec(1000))),
-        run_workload("grid-matrix", _grid_units(25)),
+        run_workload("replication-tail", units_for_spec(_replication_spec(replications))),
+        run_workload("grid-matrix", _grid_units(grid_seeds)),
     ]
-    payload = {
-        "benchmark": "executor-scaling",
-        "unit": "rows/sec",
-        "workers": WORKERS,
-        "target": f"process chunked >= {TARGET_SPEEDUP}x pr1-unchunked on replication-tail",
-        "rows": rows,
-    }
-    out_path = args.json or RESULTS_PATH
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    out_path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-    print(f"wrote {out_path}")
-
-    headline = rows[0]["speedup_chunked_vs_unchunked"]
-    if headline < TARGET_SPEEDUP:
-        print(f"FAIL: replication-tail speedup {headline}x < {TARGET_SPEEDUP}x")
-        return 1
+    out_path = args.json or (None if args.smoke else RESULTS_PATH)
+    if out_path is not None:
+        payload = {
+            "benchmark": "executor-scaling",
+            "unit": "rows/sec",
+            "workers": WORKERS,
+            "target": "every backend byte-identical to serial",
+            "rows": rows,
+        }
+        out_path.parent.mkdir(parents=True, exist_ok=True)
+        out_path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+        print(f"wrote {out_path}")
+    print(f"ok: {', '.join(POOLED_BACKENDS)} byte-identical to serial")
     return 0
 
 

@@ -8,8 +8,8 @@ independent work units, so they run on the parallel batch executor by default
 — set ``REPRO_BENCH_SERIAL=1`` to force the (row-identical) serial path.
 
 The execution backend is selectable without touching the benchmark modules:
-``REPRO_BENCH_BACKEND`` (``process`` default / ``thread`` /
-``local-cluster``), ``REPRO_BENCH_CHUNK_SIZE`` and ``REPRO_BENCH_WORKERS``
+``REPRO_BENCH_BACKEND`` (``process`` default / ``remote``),
+``REPRO_BENCH_CHUNK_SIZE`` and ``REPRO_BENCH_WORKERS``
 map onto an :class:`repro.exec.ExecutionPolicy` installed for the duration of
 the run — every backend produces byte-identical rows, so the regenerated
 tables are the same whichever transport computed them.

@@ -14,7 +14,7 @@ from repro.types import Assignment
 from repro.dynamics.adversary import Adversary
 from repro.problems.dynamic_problem import TDynamicSpec
 from repro.problems.packing_covering import ProblemPair
-from repro.runtime.simulator import _UNSET, _merge_deprecated_input, run_simulation
+from repro.runtime.simulator import run_simulation
 from repro.runtime.trace import ExecutionTrace
 from repro.core.concat import Concat
 from repro.core.interfaces import DynamicAlgorithm, NetworkStaticAlgorithm
@@ -48,14 +48,8 @@ def run_combined(
     seed: int = 0,
     window: Optional[int] = None,
     input_assignment: Optional[Assignment] = None,
-    input=_UNSET,
 ) -> CombinedRunResult:
-    """Run ``Concat(SAlg, DAlg)`` against ``adversary`` and summarise validity.
-
-    The removed ``input`` keyword (superseded by ``input_assignment``) is
-    still declared so stale call sites get the loud
-    :class:`~repro.errors.ConfigurationError` instead of a ``TypeError``.
-    """
+    """Run ``Concat(SAlg, DAlg)`` against ``adversary`` and summarise validity."""
     T1 = window if window is not None else default_window(n)
     algorithm = Concat(static_factory, dynamic_factory, T1)
     trace = run_simulation(
@@ -64,7 +58,7 @@ def run_combined(
         adversary=adversary,
         rounds=rounds,
         seed=seed,
-        input_assignment=_merge_deprecated_input(input_assignment, input),
+        input_assignment=input_assignment,
     )
     pair = algorithm.problem_pair()
     spec = TDynamicSpec(pair, T1)
@@ -86,7 +80,6 @@ def run_dynamic_problem(
     seed: int = 0,
     window: Optional[int] = None,
     input_assignment: Optional[Assignment] = None,
-    input=_UNSET,
 ) -> CombinedRunResult:
     """Run any algorithm (combined, baseline or ablation) and summarise T-dynamic validity.
 
@@ -101,7 +94,7 @@ def run_dynamic_problem(
         adversary=adversary,
         rounds=rounds,
         seed=seed,
-        input_assignment=_merge_deprecated_input(input_assignment, input),
+        input_assignment=input_assignment,
     )
     spec = TDynamicSpec(pair, T)
     return CombinedRunResult(

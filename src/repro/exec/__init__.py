@@ -11,7 +11,7 @@ benchmarks all execute through it.
 
 >>> from repro.exec import BACKENDS
 >>> sorted(BACKENDS)
-['local-cluster', 'process', 'remote', 'serial', 'thread']
+['process', 'remote', 'serial']
 
 Backends are a registry like every other scenario component, so a remote or
 cluster-scale runner plugs in without touching the pipeline::
@@ -24,10 +24,9 @@ cluster-scale runner plugs in without touching the pipeline::
 
 The distributed-ready seam is the JSON wire contract
 (:meth:`~repro.exec.units.Chunk.to_wire` /
-:func:`~repro.exec.units.execute_chunk_wire`): the bundled ``local-cluster``
-backend speaks nothing else, and the ``remote`` backend
-(:mod:`repro.exec.remote`) carries the same strings over pluggable
-transports to long-lived workers on other machines.
+:meth:`~repro.exec.units.Chunk.from_wire`): the ``remote`` backend
+(:mod:`repro.exec.remote`) carries those strings over pluggable transports
+to long-lived workers, on this machine (``loopback``) or others (``ssh``).
 """
 
 from repro.exec.units import (
@@ -37,7 +36,6 @@ from repro.exec.units import (
     batch_key,
     build_chunks,
     execute_chunk,
-    execute_chunk_wire,
     execute_unit,
     units_for_spec,
 )
@@ -98,7 +96,6 @@ __all__ = [
     "collect_stats",
     "current_policy",
     "execute_chunk",
-    "execute_chunk_wire",
     "execute_unit",
     "make_backend",
     "parse_hosts",

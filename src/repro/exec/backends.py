@@ -1,4 +1,4 @@
-"""Pluggable execution backends: one dispatch contract, four transports.
+"""Pluggable execution backends: one dispatch contract, three transports.
 
 A :class:`Backend` turns a list of :class:`~repro.exec.units.Chunk` objects
 into per-chunk row lists.  ``submit_batch`` yields ``(chunk_index, rows)``
@@ -15,23 +15,13 @@ Registered backends (``BACKENDS``):
 ``process``
     ``concurrent.futures.ProcessPoolExecutor`` fan-out with chunk-level
     dispatch — the default parallel backend for CPU-bound sweeps.
-``thread``
-    ``ThreadPoolExecutor`` fan-out.  The GIL serialises simulation bytecode,
-    so this only helps I/O-heavy units (store replay, trace export), but it
-    needs no picklable state and never forks.
-``local-cluster``
-    A ``spawn``-started multi-process queue backend that speaks *only* the
-    JSON wire form of the work-unit contract
-    (:meth:`~repro.exec.units.Chunk.to_wire` in,
-    ``{"index", "rows"}`` JSON out).  It is deliberately the stepping stone
-    to a remote/distributed runner: replace the two queues with any transport
-    that moves strings and the contract — and the rows — stay identical.
 ``remote``
-    The distributed sweep fabric built on exactly that seam
-    (:mod:`repro.exec.remote`): long-lived workers behind a pluggable
-    transport (``loopback`` subprocesses or ``ssh``), with fault-tolerant
-    re-dispatch, heartbeats, per-worker in-flight limits and adaptive chunk
-    re-sizing.  Registered on import of :mod:`repro.exec.remote`.
+    The distributed sweep fabric (:mod:`repro.exec.remote`): long-lived
+    workers that speak *only* the JSON wire form of the work-unit contract
+    (:meth:`~repro.exec.units.Chunk.to_wire`), behind a pluggable transport
+    (``loopback`` subprocesses or ``ssh``), with fault-tolerant re-dispatch,
+    heartbeats, per-worker in-flight limits and adaptive chunk re-sizing.
+    Registered on import of :mod:`repro.exec.remote`.
 
 New backends register with the usual decorator::
 
@@ -44,15 +34,12 @@ New backends register with the usual decorator::
 
 from __future__ import annotations
 
-import json
-import multiprocessing
-import queue as queue_module
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, ThreadPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError, ReproError
 from repro.scenarios.registry import Registry
-from repro.exec.units import Chunk, Row, execute_chunk, execute_chunk_wire
+from repro.exec.units import Chunk, Row, execute_chunk
 
 __all__ = [
     "BACKENDS",
@@ -112,18 +99,17 @@ class SerialBackend(Backend):
             yield chunk.index, execute_chunk((chunk.spec_key, chunk.spec_dict, chunk.seeds))
 
 
-class _PoolBackend(Backend):
-    """Shared machinery of the ``concurrent.futures`` backends."""
-
-    _executor_cls = None  # type: ignore[assignment]
+@BACKENDS.register("process", doc="Chunked ProcessPoolExecutor fan-out (default parallel backend).")
+class ProcessBackend(Backend):
+    name = "process"
 
     def __init__(self, max_workers: int) -> None:
         self._max_workers = max(1, int(max_workers))
-        self._pool = None
+        self._pool: Optional[ProcessPoolExecutor] = None
 
     def start(self) -> None:
         if self._pool is None:
-            self._pool = self._executor_cls(max_workers=self._max_workers)
+            self._pool = ProcessPoolExecutor(max_workers=self._max_workers)
 
     def close(self) -> None:
         if self._pool is not None:
@@ -145,153 +131,6 @@ class _PoolBackend(Backend):
         finally:
             for future in pending:
                 future.cancel()
-
-
-@BACKENDS.register("process", doc="Chunked ProcessPoolExecutor fan-out (default parallel backend).")
-class ProcessBackend(_PoolBackend):
-    name = "process"
-    _executor_cls = ProcessPoolExecutor
-
-
-@BACKENDS.register("thread", doc="ThreadPoolExecutor fan-out for I/O-bound units (store replay).")
-class ThreadBackend(_PoolBackend):
-    name = "thread"
-    _executor_cls = ThreadPoolExecutor
-
-
-# ---------------------------------------------------------------------------
-# the local cluster
-# ---------------------------------------------------------------------------
-
-
-def _cluster_worker(task_queue, result_queue) -> None:
-    """Worker loop: JSON request in, JSON response out, ``None`` to stop.
-
-    Runs in a ``spawn``-started process: nothing is inherited from the parent
-    beyond the two queues, exactly the situation of a remote worker that only
-    shares the package installation.
-    """
-    result_queue.put(json.dumps({"ready": True}))
-    while True:
-        text = task_queue.get()
-        if text is None:
-            return
-        try:
-            result_queue.put(execute_chunk_wire(text))
-        except BaseException as exc:  # noqa: BLE001 - reported to the parent
-            result_queue.put(json.dumps({"error": f"{type(exc).__name__}: {exc}"}))
-
-
-@BACKENDS.register(
-    "local-cluster",
-    doc="spawn-safe multi-process queue backend speaking the JSON work-unit contract.",
-)
-class LocalClusterBackend(Backend):
-    """Queue-fed worker processes exchanging only JSON strings.
-
-    The parent never pickles live objects into the workers: requests are
-    :meth:`Chunk.to_wire` strings, responses are ``{"index", "rows"}`` (or
-    ``{"error"}``) strings.  Workers start via the ``spawn`` method, so they
-    import ``repro`` from scratch like any remote process would — ad-hoc
-    components registered only in the parent are invisible to them (the
-    runner's serial fallback covers that case, same as for ``process``).
-    """
-
-    name = "local-cluster"
-
-    #: Seconds between liveness checks while waiting for results.
-    _POLL_SECONDS = 0.5
-
-    def __init__(self, max_workers: int, *, start_method: str = "spawn") -> None:
-        self._max_workers = max(1, int(max_workers))
-        self._ctx = multiprocessing.get_context(start_method)
-        self._workers: List = []
-        self._task_queue = None
-        self._result_queue = None
-        self._ready = 0
-
-    def start(self) -> None:
-        if self._workers:
-            return
-        self._task_queue = self._ctx.Queue()
-        self._result_queue = self._ctx.Queue()
-        self._ready = 0
-        for _ in range(self._max_workers):
-            process = self._ctx.Process(
-                target=_cluster_worker,
-                args=(self._task_queue, self._result_queue),
-                daemon=True,
-            )
-            process.start()
-            self._workers.append(process)
-
-    def wait_ready(self, timeout: float = 120.0) -> None:
-        """Block until every worker has imported the package and reported in.
-
-        Lets callers (benchmarks, tests) separate worker cold-start from
-        steady-state dispatch throughput.
-        """
-        self.start()
-        waited = 0.0
-        while self._ready < len(self._workers):
-            message = self._take_message(timeout=min(self._POLL_SECONDS, timeout))
-            if message is None:
-                waited += self._POLL_SECONDS
-                if waited >= timeout:
-                    raise BackendError("local-cluster workers did not become ready in time")
-                self._check_alive()
-
-    def close(self) -> None:
-        for _ in self._workers:
-            try:
-                self._task_queue.put(None)
-            except (OSError, ValueError):  # queue already torn down
-                break
-        for process in self._workers:
-            process.join(timeout=5)
-            if process.is_alive():
-                process.terminate()
-        self._workers = []
-        self._task_queue = None
-        self._result_queue = None
-        self._ready = 0
-
-    # -- result plumbing ----------------------------------------------------
-
-    def _check_alive(self) -> None:
-        dead = [p for p in self._workers if not p.is_alive()]
-        if dead:
-            raise BackendError(
-                f"{len(dead)} local-cluster worker(s) died "
-                f"(exit codes {[p.exitcode for p in dead]})"
-            )
-
-    def _take_message(self, timeout: float) -> Optional[Dict]:
-        """One decoded message off the result queue (``None`` on timeout)."""
-        try:
-            text = self._result_queue.get(timeout=timeout)
-        except queue_module.Empty:
-            return None
-        message = json.loads(text)
-        if message.get("ready"):
-            self._ready += 1
-            return self._take_message(timeout=0.001) or None
-        if "error" in message:
-            raise BackendError(f"local-cluster worker failed: {message['error']}")
-        return message
-
-    def submit_batch(self, chunks: Sequence[Chunk]) -> Iterator[Tuple[int, List[Row]]]:
-        self.start()
-        for chunk in chunks:
-            self._task_queue.put(chunk.to_wire())
-        remaining = len(chunks)
-        while remaining:
-            message = self._take_message(timeout=self._POLL_SECONDS)
-            if message is None:
-                self._check_alive()
-                continue
-            remaining -= 1
-            yield int(message["index"]), list(message["rows"])
 
 
 def make_backend(

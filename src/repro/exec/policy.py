@@ -13,7 +13,7 @@ from three places, in increasing precedence:
 :func:`use_policy` installs a policy as the *ambient* policy for a code
 region.  ``run_scenario(..., parallel=True)`` deep inside an experiment
 function then picks it up without every call site growing new parameters —
-that is how ``repro experiments --backend local-cluster`` reaches the
+that is how ``repro experiments --backend remote`` reaches the
 scenario runs of the E1–E13 implementations unchanged.
 
 :class:`repro.verify.policy.VerificationPolicy` is the verification sibling
@@ -60,15 +60,15 @@ class ExecutionPolicy:
     Parameters
     ----------
     backend:
-        Registered backend name (``serial`` / ``process`` / ``thread`` /
-        ``local-cluster`` / plugins).
+        Registered backend name (``serial`` / ``process`` / ``remote`` /
+        plugins).
     chunk_size:
         Units per dispatch chunk; ``None`` auto-sizes from the batch and
         worker count (see :func:`~repro.exec.units.auto_chunk_size`).
     max_workers:
         Worker count for pooled backends; ``None`` uses the CPU count.  When
-        left at ``None`` on a single-CPU host, pooled CPU-bound backends
-        degrade to ``serial`` (pools cannot beat the serial loop there).
+        left at ``None`` on a single-CPU host, the ``process`` backend
+        degrades to ``serial`` (a pool cannot beat the serial loop there).
     resume:
         Reuse a matching sweep journal's completed units instead of
         recomputing them.

@@ -1,7 +1,7 @@
 """``repro.exec.remote`` — the distributed sweep fabric.
 
-The ``remote`` execution backend ships work-unit chunks, in the exact JSON
-wire form the ``local-cluster`` backend pioneered, to a fleet of long-lived
+The ``remote`` execution backend ships work-unit chunks, in the JSON wire
+form of :meth:`~repro.exec.units.Chunk.to_wire`, to a fleet of long-lived
 workers on the far side of a pluggable :class:`~.transport.Transport`
 (``loopback`` subprocesses for tests/CI, ``ssh`` for real machines), with
 fault-tolerant re-dispatch, per-worker in-flight limits, adaptive chunk

@@ -3,8 +3,8 @@
 A :class:`Transport` launches a fleet of long-lived worker processes and
 returns one :class:`WorkerLink` per worker.  Everything that crosses a link
 is a newline-terminated JSON string — chunk requests in the exact
-:meth:`~repro.exec.units.Chunk.to_wire` form the ``local-cluster`` backend
-already speaks, responses as ``{"index", "rows", ...}`` — so a transport
+:meth:`~repro.exec.units.Chunk.to_wire` form, responses as
+``{"index", "rows", ...}`` — so a transport
 never needs to know anything about specs, seeds or rows.  Incoming lines are
 pushed, tagged with the worker id, onto the dispatcher's shared inbox queue
 by one reader thread per worker; worker death surfaces as a ``None`` line.

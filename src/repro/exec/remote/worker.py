@@ -20,7 +20,7 @@ newline-delimited JSON responses to stdout:
 
 Unit-level failures are reported as ``{"index", "error"}`` — the dispatcher
 raises a transport error and the runner's serial fallback re-raises the real
-traceback, exactly like the ``local-cluster`` backend.
+traceback.
 
 Fault injection (how tests and CI kill a *worker*, not the dispatcher):
 

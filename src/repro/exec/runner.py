@@ -74,7 +74,7 @@ def _effective_backend(policy: ExecutionPolicy, n_pending: int) -> tuple[str, in
     name = policy.backend
     if n_pending <= 1:
         return "serial", 1
-    if policy.max_workers is None and workers <= 1 and name in ("process", "local-cluster"):
+    if policy.max_workers is None and workers <= 1 and name == "process":
         return "serial", 1
     return name, workers
 
@@ -170,7 +170,7 @@ def run_units(
     # The runner owns the segments: they are unlinked when the batch ends,
     # whatever way it ends.
     shm_pool = None
-    if backend_name in ("process", "local-cluster", "remote") and len(chunks) > 1:
+    if backend_name in ("process", "remote") and len(chunks) > 1:
         from repro.exec.shm import publish_for_chunks
 
         shm_pool = publish_for_chunks(chunks)

@@ -8,10 +8,11 @@ ambient :class:`StatsCollector` installed with :func:`collect_stats`.
 
 Reporting is strictly opt-in and in-process: without an active collector
 :func:`record_phase` is a no-op costing one global read, so steady-state
-sweeps pay nothing.  Phase totals recorded inside pooled worker *processes*
-stay in those processes — the dispatch phase then accounts for their wall
-time — while the ``serial`` and ``thread`` backends yield complete per-unit
-splits (``repro bench --serial`` for the full breakdown).
+sweeps pay nothing.  Phase totals recorded inside ``process``-backend
+workers stay in those processes — the dispatch phase then accounts for their
+wall time — while the ``serial`` backend yields complete per-unit splits
+(``repro bench --serial`` for the full breakdown) and ``remote`` workers
+ship theirs back with every chunk.
 """
 
 from __future__ import annotations
@@ -132,8 +133,8 @@ class RateEstimator:
 
 
 #: The active collector (None = reporting disabled).  A plain global, not a
-#: context-var: worker threads of the thread backend must report into the
-#: collector installed by the main thread.
+#: context-var, so every thread of the process reports into the collector
+#: the main thread installed.
 _ACTIVE: Optional[StatsCollector] = None
 
 

@@ -5,9 +5,8 @@ A *work unit* is the atomic, relocatable job of the execution subsystem: one
 :class:`~repro.scenarios.spec.ScenarioSpec` (``ScenarioSpec.to_dict()``), so a
 unit survives JSON round-trips and can be executed by any process — or any
 machine — that has the ``repro`` package installed.  Every backend, from the
-in-process serial loop to the ``spawn``-based local cluster (and any future
-remote runner), speaks exactly this contract; nothing else crosses the
-dispatch boundary.
+in-process serial loop to the ``remote`` worker fleet, speaks exactly this
+contract; nothing else crosses the dispatch boundary.
 
 Units are dispatched in :class:`Chunk` groups to amortise per-unit dispatch
 cost (IPC, pickling, spec re-hydration) over many tiny units.  A chunk never
@@ -120,7 +119,7 @@ class Chunk:
     def __len__(self) -> int:
         return len(self.seeds)
 
-    # -- the JSON wire form (what the local-cluster workers speak) ----------
+    # -- the JSON wire form (what the remote workers speak) -----------------
 
     def to_wire(self) -> str:
         """Encode for a JSON-only transport (queues, sockets, job files)."""
@@ -196,8 +195,8 @@ def build_chunks(units: Sequence[WorkUnit], chunk_size: int) -> List[Chunk]:
 #: dispatch re-sends the same spec dict with every chunk; without the cache a
 #: worker re-parses the identical spec once per *unit* (the dominant fixed
 #: cost of many-tiny-unit sweeps next to IPC).  FIFO-bounded so pathological
-#: grids cannot grow it without limit; the lock keeps eviction safe under the
-#: thread backend, where worker threads share this process's cache.
+#: grids cannot grow it without limit; the lock keeps eviction safe when
+#: several threads share this process's cache.
 _SPEC_CACHE: Dict[str, ScenarioSpec] = {}
 _SPEC_CACHE_MAX = 64
 _SPEC_CACHE_LOCK = threading.Lock()
@@ -234,18 +233,6 @@ def execute_chunk(payload: Tuple[str, Mapping[str, Any], Tuple[int, ...]]) -> Li
     spec_key, spec_dict, seeds = payload
     spec = _cached_spec(spec_key, spec_dict)
     return [run_scenario_seed(spec, seed) for seed in seeds]
-
-
-def execute_chunk_wire(text: str) -> str:
-    """JSON-in / JSON-out chunk execution (the local-cluster worker loop body).
-
-    This is deliberately the *only* code path of the cluster contract: a
-    remote runner that can deliver the request string and return the response
-    string is a complete backend.
-    """
-    chunk = Chunk.from_wire(text)
-    rows = execute_chunk((chunk.spec_key, chunk.spec_dict, chunk.seeds))
-    return json.dumps({"index": chunk.index, "rows": rows})
 
 
 def spec_cache_info() -> Tuple[int, int]:

@@ -51,10 +51,10 @@ when only the algorithm's ``"pure"`` contract holds, and the full path
 otherwise.  ``REPRO_DELIVERY=full|incremental|kernel|auto`` (or the
 :func:`delivery_mode` context manager) overrides the automatic choice; a
 :class:`~repro.verify.policy.VerificationPolicy` (``--verify
-incremental,kernel``, a config ``"verification"`` block, or the deprecated
-``REPRO_VERIFY_INCREMENTAL=1`` / ``REPRO_VERIFY_KERNEL=1`` aliases) makes
-the scenario executor run the chosen path against the full path and assert
-row equality (see :func:`repro.scenarios.executor.run_scenario_seed`).
+incremental,kernel``, a config ``"verification"`` block, or
+``REPRO_VERIFY=incremental,kernel``) makes the scenario executor run the
+chosen path against the full path and assert row equality (see
+:func:`repro.scenarios.executor.run_scenario_seed`).
 """
 
 from __future__ import annotations
@@ -82,9 +82,6 @@ __all__ = [
     "delivery_mode",
     "run_simulation",
 ]
-
-#: Sentinel distinguishing "``input`` not passed" from an explicit ``None``.
-_UNSET: Any = object()
 
 #: Sentinel for "no cached message yet" (``None`` is a valid message).
 _NO_MESSAGE: Any = object()
@@ -210,23 +207,6 @@ class RoundActivity:
         return len(self._delivered)
 
 
-def _merge_deprecated_input(
-    input_assignment: Optional[Assignment], input: Any
-) -> Optional[Assignment]:
-    """Reject the removed ``input`` keyword (deprecation cycle completed).
-
-    ``input`` shadowed the builtin and spent a release emitting
-    :class:`DeprecationWarning`; it now fails loudly so stale call sites
-    surface instead of silently diverging from the documented API.
-    """
-    if input is _UNSET:
-        return input_assignment
-    raise ConfigurationError(
-        "the 'input' parameter was removed after its deprecation cycle; "
-        "pass 'input_assignment' instead"
-    )
-
-
 class Simulator:
     """Run one algorithm against one adversary for a number of rounds.
 
@@ -246,9 +226,6 @@ class Simulator:
         same experiment seed via ``RngFactory.stream("adversary", …)``.)
     input_assignment:
         Optional input vector ``φ`` forwarded to the algorithm's setup.
-        (The former name ``input`` shadowed the builtin and was removed
-        after its deprecation cycle; passing it raises
-        :class:`ConfigurationError`.)
     expose_state_to_adversary:
         If true, adaptive adversaries (obliviousness 0) may inspect
         ``algorithm.state_summary()`` when choosing the next graph.
@@ -286,7 +263,6 @@ class Simulator:
         seed: int = 0,
         rng_factory: Optional[RngFactory] = None,
         input_assignment: Optional[Assignment] = None,
-        input: Any = _UNSET,
         expose_state_to_adversary: bool = False,
         stop_when: Optional[Callable[[ExecutionTrace], bool]] = None,
         checkpoint_interval: int = DEFAULT_CHECKPOINT_INTERVAL,
@@ -308,7 +284,7 @@ class Simulator:
         self._algorithm = algorithm
         self._adversary = adversary
         self._rng_factory = rng_factory if rng_factory is not None else RngFactory(seed)
-        self._input = _merge_deprecated_input(input_assignment, input)
+        self._input = input_assignment
         self._expose_state = expose_state_to_adversary
         self._stop_when = stop_when
         requested = _requested_delivery(delivery)
@@ -766,7 +742,6 @@ def run_simulation(
     rounds: int,
     seed: int = 0,
     input_assignment: Optional[Assignment] = None,
-    input: Any = _UNSET,
     expose_state_to_adversary: bool = False,
     stop_when: Optional[Callable[[ExecutionTrace], bool]] = None,
     delivery: str = "auto",
@@ -796,7 +771,7 @@ def run_simulation(
         algorithm=algorithm,
         adversary=adversary,
         seed=seed,
-        input_assignment=_merge_deprecated_input(input_assignment, input),
+        input_assignment=input_assignment,
         expose_state_to_adversary=expose_state_to_adversary,
         stop_when=stop_when,
         delivery=delivery,

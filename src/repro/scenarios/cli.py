@@ -32,8 +32,8 @@ missing units of every interrupted batch it can match back to a committed
 config (resume semantics make the reassembled entries byte-identical to an
 uninterrupted run).
 
-Execution is controlled per run by ``--backend`` (serial / process / thread /
-local-cluster / remote), ``--chunk-size``, ``--workers``, ``--progress`` and
+Execution is controlled per run by ``--backend`` (serial / process /
+remote), ``--chunk-size``, ``--workers``, ``--progress`` and
 ``--resume`` — plus ``--transport``/``--hosts`` for the distributed
 ``remote`` backend — or per config by an ``"execution"`` block (CLI flags
 win); see :mod:`repro.exec`.  Store-backed runs keep a sweep journal under
@@ -185,9 +185,8 @@ def _build_verification(
 
     Precedence mirrors :func:`_build_policy`: the config's ``"verification"``
     block sets the baseline and ``--verify`` wins wholesale.  ``None`` (no
-    flag, no block) leaves the ambient policy untouched, so the deprecated
-    ``REPRO_VERIFY_*`` environment aliases keep working for callers that
-    still rely on them.
+    flag, no block) leaves the ambient policy untouched, so a
+    ``REPRO_VERIFY`` environment variable still applies.
     """
     flag = getattr(args, "verify", None)
     if flag is not None:
@@ -479,9 +478,9 @@ def _run_experiments(args: argparse.Namespace, *, scale: str, timings: bool) -> 
                     "rows": float(len(stored.rows)),
                     "status": status,
                     "seconds": round(elapsed, 2),
-                    # Phase splits (see repro.exec.stats): in-process unit phases
-                    # are complete under serial/thread execution; under pooled
-                    # backends the worker-side time shows up in dispatch_s.
+                    # Phase splits (see repro.exec.stats): unit phases are complete
+                    # under serial execution and from remote workers; under the
+                    # process backend the worker-side time shows up in dispatch_s.
                     "setup_s": round(stats.seconds(UNIT_SETUP), 2),
                     "rounds_s": round(stats.seconds(UNIT_ROUNDS), 2),
                     "metrics_s": round(stats.seconds(UNIT_METRICS), 2),
@@ -494,7 +493,7 @@ def _run_experiments(args: argparse.Namespace, *, scale: str, timings: bool) -> 
         _print(format_table(summary, title=f"{len(summary)} experiments ({scale} scale)").rstrip())
         _print(
             "[timing splits: setup/rounds/metrics are in-process unit phases "
-            "(complete with --serial or --backend thread); dispatch is backend "
+            "(complete with --serial or --backend remote); dispatch is backend "
             "wall time incl. pooled workers; journal/store are checkpoint + "
             "results-store writes]"
         )

@@ -5,8 +5,8 @@ into per-seed result rows; :func:`sweep` expands a spec into a grid of
 scenarios via dotted-path overrides and runs them all.  Execution is
 delegated to the :mod:`repro.exec` subsystem: the independent work units —
 one ``(scenario point, seed)`` pair each — are dispatched in chunks through
-a pluggable backend (``serial`` / ``process`` / ``thread`` /
-``local-cluster``) selected by an :class:`~repro.exec.policy.ExecutionPolicy`.
+a pluggable backend (``serial`` / ``process`` / ``remote``) selected by an
+:class:`~repro.exec.policy.ExecutionPolicy`.
 ``parallel=True`` remains the ergonomic switch for "fan out over cores"
 (the ``process`` backend); the ``execution=`` parameter — or an ambient
 policy installed with :func:`repro.exec.use_policy`, which is how the CLI's
@@ -36,12 +36,7 @@ from repro.errors import ConfigurationError, SimulationError
 from repro.utils.rng import RngFactory
 from repro.analysis.sweep import Replication, aggregate_rows
 from repro.runtime.simulator import Simulator, delivery_mode
-from repro.verify.policy import (
-    VERIFY_INCREMENTAL_ENV,
-    VERIFY_KERNEL_ENV,
-    VerificationPolicy,
-    active_verification,
-)
+from repro.verify.policy import VerificationPolicy, active_verification
 from repro.scenarios.registry import (
     ADVERSARIES,
     ALGORITHMS,
@@ -56,8 +51,6 @@ from repro.scenarios.spec import ScenarioSpec
 __all__ = [
     "ScenarioContext",
     "ScenarioResult",
-    "VERIFY_INCREMENTAL_ENV",
-    "VERIFY_KERNEL_ENV",
     "expand_sweep",
     "run_scenario",
     "run_scenario_seed",
@@ -65,13 +58,6 @@ __all__ = [
 ]
 
 Row = Dict[str, float]
-
-# VERIFY_INCREMENTAL_ENV / VERIFY_KERNEL_ENV are re-exported for backward
-# compatibility: the in-run verification gate is now configured through
-# :class:`repro.verify.policy.VerificationPolicy` (the ``--verify`` CLI flag,
-# a config's ``"verification"`` block, or ``REPRO_VERIFY``); the two historic
-# env vars keep working as deprecated aliases resolved by
-# :func:`repro.verify.policy.active_verification`.
 
 
 @dataclass
@@ -293,9 +279,8 @@ def run_scenario_seed(spec: ScenarioSpec, seed: int) -> Row:
     ``(spec, seed)`` pair always yields the same row, in any process.
 
     When the active :class:`~repro.verify.policy.VerificationPolicy` (the
-    ``--verify`` CLI flag, a config's ``"verification"`` block, the
-    ``REPRO_VERIFY`` environment variable, or the deprecated
-    ``REPRO_VERIFY_INCREMENTAL``/``REPRO_VERIFY_KERNEL`` aliases) covers the
+    ``--verify`` CLI flag, a config's ``"verification"`` block, or the
+    ``REPRO_VERIFY`` environment variable) covers the
     delivery path this seed ran on, the seed is re-executed on the full path
     and the two traces must match row for row — the gate that catches an
     algorithm declaring a ``"pure"`` contract it does not honour, or a

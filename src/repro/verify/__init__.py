@@ -5,7 +5,7 @@ Two layers live here:
 * :mod:`repro.verify.policy` — *in-run* verification: which delivery paths
   every seed execution re-checks against the authoritative full path
   (``--verify incremental,kernel``, the ``"verification"`` config block, the
-  ``REPRO_VERIFY`` environment variable and its deprecated per-path aliases).
+  ``REPRO_VERIFY`` environment variable).
 * :mod:`repro.verify.contracts` / :mod:`repro.verify.harness` — *offline*
   validation: the observational-equivalence contracts and metamorphic
   properties behind ``repro verify``.
@@ -17,8 +17,6 @@ importing :mod:`repro.scenarios` never drags in the full harness.
 
 from repro.verify.policy import (
     VERIFY_ENV,
-    VERIFY_INCREMENTAL_ENV,
-    VERIFY_KERNEL_ENV,
     VerificationPolicy,
     active_verification,
     current_verification,
@@ -30,8 +28,6 @@ from repro.verify.policy import (
 __all__ = [
     "CONTRACTS",
     "VERIFY_ENV",
-    "VERIFY_INCREMENTAL_ENV",
-    "VERIFY_KERNEL_ENV",
     "Verdict",
     "VerificationPolicy",
     "VerifyContext",

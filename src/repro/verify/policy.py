@@ -3,33 +3,29 @@
 The scenario executor can re-run any seed that executed on a fast delivery
 path (``incremental`` / ``kernel``) on the authoritative full path and demand
 byte-identical traces (see
-:func:`repro.scenarios.executor.run_scenario_seed`).  Historically that gate
-was switched on through two ad-hoc environment variables
-(``REPRO_VERIFY_INCREMENTAL`` / ``REPRO_VERIFY_KERNEL``); this module
-replaces them with a first-class policy object, mirroring how
-:class:`repro.exec.policy.ExecutionPolicy` replaced ad-hoc execution knobs.
+:func:`repro.scenarios.executor.run_scenario_seed`).  This module holds that
+switch as a first-class policy object, mirroring how
+:class:`repro.exec.policy.ExecutionPolicy` holds the execution knobs.
 
-Policies come from three places, in increasing precedence:
+Policies come from two places, in increasing precedence:
 
-1. the deprecated environment aliases (``REPRO_VERIFY_INCREMENTAL=1`` /
-   ``REPRO_VERIFY_KERNEL=1`` — still honoured, with a
-   :class:`DeprecationWarning`),
-2. the canonical ``REPRO_VERIFY`` environment variable (a comma-separated
-   subset of ``incremental,kernel``, or ``none``) — this is also the
-   transport that carries an installed policy into pooled/spawned worker
-   processes,
-3. an ambient policy installed with :func:`use_verification` — which is how
+1. the ``REPRO_VERIFY`` environment variable (a comma-separated subset of
+   ``incremental,kernel``, or ``none``) — this is also the transport that
+   carries an installed policy into pooled/spawned worker processes,
+2. an ambient policy installed with :func:`use_verification` — which is how
    the CLI's ``--verify`` flag and a config's ``"verification"`` block reach
    every seed of a run.
 
 :func:`active_verification` resolves that precedence; the executor calls it
-once per seed, in whichever process the seed runs.
+once per seed, in whichever process the seed runs.  The retired per-path
+variables ``REPRO_VERIFY_INCREMENTAL`` / ``REPRO_VERIFY_KERNEL`` raise a
+:class:`~repro.errors.ConfigurationError` naming their replacement: ignoring
+a stale one would silently switch the gate off.
 """
 
 from __future__ import annotations
 
 import os
-import warnings
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, replace
@@ -39,8 +35,6 @@ from repro.errors import ConfigurationError
 
 __all__ = [
     "VERIFY_ENV",
-    "VERIFY_INCREMENTAL_ENV",
-    "VERIFY_KERNEL_ENV",
     "VerificationPolicy",
     "active_verification",
     "current_verification",
@@ -53,11 +47,8 @@ __all__ = [
 #: verifiable paths (``"incremental,kernel"``), or ``"none"``.
 VERIFY_ENV = "REPRO_VERIFY"
 
-#: Deprecated alias: ``REPRO_VERIFY_INCREMENTAL=1`` ≙ ``--verify incremental``.
-VERIFY_INCREMENTAL_ENV = "REPRO_VERIFY_INCREMENTAL"
-
-#: Deprecated alias: ``REPRO_VERIFY_KERNEL=1`` ≙ ``--verify kernel``.
-VERIFY_KERNEL_ENV = "REPRO_VERIFY_KERNEL"
+#: Retired per-path variables, by the path each one switched on.
+_RETIRED_ENV = {"REPRO_VERIFY_INCREMENTAL": "incremental", "REPRO_VERIFY_KERNEL": "kernel"}
 
 #: The delivery paths an in-run equivalence gate exists for (the full path
 #: is the reference, so there is nothing to verify it against).
@@ -128,9 +119,8 @@ def parse_verify_spec(value: str, *, where: str = "--verify") -> VerificationPol
     """Parse a ``--verify`` flag / ``REPRO_VERIFY`` value into a policy.
 
     Accepts a comma-separated subset of ``incremental,kernel`` or the single
-    token ``none`` (an explicit "verify nothing", which beats the deprecated
-    environment aliases).  Unknown tokens fail loudly with near-miss
-    suggestions, matching the config-validation story.
+    token ``none`` (an explicit "verify nothing").  Unknown tokens fail
+    loudly with near-miss suggestions, matching the config-validation story.
     """
     if not isinstance(value, str):
         raise ConfigurationError(f"{where} must be a string, got {value!r}")
@@ -216,43 +206,34 @@ def use_verification(policy: VerificationPolicy) -> Iterator[VerificationPolicy]
             os.environ[VERIFY_ENV] = previous
 
 
-def _flag(env: str) -> bool:
-    return os.environ.get(env, "").strip() not in ("", "0")
+def _reject_retired_env() -> None:
+    """Fail on a leftover ``REPRO_VERIFY_INCREMENTAL``/``REPRO_VERIFY_KERNEL``.
+
+    Only a value that used to switch the gate on counts (``""`` and ``"0"``
+    never did), so the message can name the exact replacement.
+    """
+    stale = [env for env in _RETIRED_ENV if os.environ.get(env, "").strip() not in ("", "0")]
+    if stale:
+        spec = ",".join(_RETIRED_ENV[env] for env in stale)
+        raise ConfigurationError(
+            f"{' and '.join(stale)} {'is' if len(stale) == 1 else 'are'} no longer "
+            f"supported; use {VERIFY_ENV}={spec} (or --verify {spec}, or a config's "
+            f"\"verification\" block) instead"
+        )
 
 
 def active_verification() -> VerificationPolicy:
     """The policy in force for the current seed execution.
 
     Precedence, highest first: the ambient :func:`use_verification` policy,
-    the canonical ``REPRO_VERIFY`` environment variable, then the deprecated
-    per-path aliases (which emit a :class:`DeprecationWarning` and map onto
-    the equivalent policy — behaviourally identical to the old env gates).
+    then the ``REPRO_VERIFY`` environment variable.  A retired per-path
+    variable raises :class:`~repro.errors.ConfigurationError` in either case.
     """
+    _reject_retired_env()
     ambient = current_verification()
     if ambient is not None:
         return ambient
     raw = os.environ.get(VERIFY_ENV, "").strip()
     if raw:
         return parse_verify_spec(raw, where=VERIFY_ENV)
-    incremental = _flag(VERIFY_INCREMENTAL_ENV)
-    kernel = _flag(VERIFY_KERNEL_ENV)
-    if incremental or kernel:
-        aliases = [
-            env
-            for env, set_ in (
-                (VERIFY_INCREMENTAL_ENV, incremental),
-                (VERIFY_KERNEL_ENV, kernel),
-            )
-            if set_
-        ]
-        policy = VerificationPolicy(incremental=incremental, kernel=kernel)
-        verb = "is a deprecated alias" if len(aliases) == 1 else "are deprecated aliases"
-        warnings.warn(
-            f"{' and '.join(aliases)} {verb}; use the --verify "
-            f"{policy.to_spec()} CLI flag, a config's \"verification\" block, or "
-            f"{VERIFY_ENV}={policy.to_spec()} instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return policy
     return VerificationPolicy()

@@ -7,7 +7,7 @@ Hard gates of the incremental-delivery refactor:
   produce **byte-identical trace rows for the full registered algorithm ×
   adversary matrix**;
 * an algorithm that *wrongly* declares the ``"pure"`` contract is caught by
-  the ``REPRO_VERIFY_INCREMENTAL=1`` debug harness;
+  the ``REPRO_VERIFY=incremental`` debug harness;
 * the engine's delta-native surface (``RoundActivity``, stored changed-node
   sets, the ``activity`` probe and ``output-activity`` metric) reports the
   real dirty set;
@@ -23,12 +23,8 @@ from repro.dynamics.adversaries.scripted import StaticAdversary
 from repro.runtime.algorithm import DistributedAlgorithm, VOLATILE
 from repro.runtime.simulator import DELIVERY_ENV, Simulator, delivery_mode
 from repro.scenarios import ALGORITHMS, ScenarioSpec, available, component
-from repro.scenarios.executor import (
-    VERIFY_INCREMENTAL_ENV,
-    _build_context,
-    run_scenario,
-    run_scenario_seed,
-)
+from repro.scenarios.executor import _build_context, run_scenario, run_scenario_seed
+from repro.verify.policy import VERIFY_ENV
 
 # ---------------------------------------------------------------------------
 # the full algorithm × adversary equivalence matrix
@@ -276,7 +272,7 @@ class TestVerificationHarness:
     def test_verify_flag_catches_wrong_declaration(
         self, impure_algorithm_registered, monkeypatch
     ):
-        monkeypatch.setenv(VERIFY_INCREMENTAL_ENV, "1")
+        monkeypatch.setenv(VERIFY_ENV, "incremental")
         spec = ScenarioSpec(
             n=12,
             algorithm="impure-declared-pure",
@@ -288,7 +284,7 @@ class TestVerificationHarness:
             run_scenario_seed(spec, 0)
 
     def test_verify_flag_passes_honest_declarations(self, monkeypatch):
-        monkeypatch.setenv(VERIFY_INCREMENTAL_ENV, "1")
+        monkeypatch.setenv(VERIFY_ENV, "incremental")
         spec = ScenarioSpec(
             n=16,
             algorithm="dcolor",
@@ -297,7 +293,7 @@ class TestVerificationHarness:
             metrics=("trace-summary", "stability"),
         )
         verified = run_scenario_seed(spec, 1)
-        monkeypatch.delenv(VERIFY_INCREMENTAL_ENV)
+        monkeypatch.delenv(VERIFY_ENV)
         assert verified == run_scenario_seed(spec, 1)
 
 

@@ -6,7 +6,7 @@ Hard gates of the kernel PR:
   authoritative full path for every kernel-capable algorithm × every
   registered adversary (both the array engine, when the adversary ships a
   :class:`KernelPlan`, and the generic CSR engine when it does not);
-* ``REPRO_VERIFY_KERNEL=1`` catches a kernel whose semantics drift from
+* ``--verify kernel`` catches a kernel whose semantics drift from
   the python algorithm it claims to mirror;
 * kernel selection honours the eligibility rules (pure contract, no input
   vector, explicit requests degrade — never silently corrupt);
@@ -34,11 +34,8 @@ from repro.kernel.mis import SMisKernel
 from repro.runtime.algorithm import DistributedAlgorithm
 from repro.runtime.simulator import Simulator, delivery_mode
 from repro.scenarios import ScenarioSpec, component
-from repro.scenarios.executor import (
-    VERIFY_KERNEL_ENV,
-    _build_context,
-    run_scenario_seed,
-)
+from repro.scenarios.executor import _build_context, run_scenario_seed
+from repro.verify.policy import VerificationPolicy, use_verification
 
 from test_incremental_delivery import _ADVERSARY_SPECS, _trace_rows
 
@@ -213,7 +210,7 @@ class TestKernelSelection:
 
 
 # ---------------------------------------------------------------------------
-# REPRO_VERIFY_KERNEL catches drifting kernels
+# --verify kernel catches drifting kernels
 # ---------------------------------------------------------------------------
 
 
@@ -229,17 +226,16 @@ class TestKernelVerificationHarness:
         )
 
     def test_verify_flag_catches_a_broken_kernel(self, monkeypatch):
-        monkeypatch.setenv(VERIFY_KERNEL_ENV, "1")
         # A kernel that silently drops every delivery drifts from the python
         # SMis semantics; the harness must blame the kernel path.
         monkeypatch.setattr(SMisKernel, "deliver", lambda *args, **kwargs: None)
-        with pytest.raises(SimulationError, match="kernel"):
-            run_scenario_seed(self._spec(), 0)
+        with use_verification(VerificationPolicy(kernel=True)):
+            with pytest.raises(SimulationError, match="kernel"):
+                run_scenario_seed(self._spec(), 0)
 
-    def test_verify_flag_passes_the_honest_kernels(self, monkeypatch):
-        monkeypatch.setenv(VERIFY_KERNEL_ENV, "1")
-        verified = run_scenario_seed(self._spec(), 1)
-        monkeypatch.delenv(VERIFY_KERNEL_ENV)
+    def test_verify_flag_passes_the_honest_kernels(self):
+        with use_verification(VerificationPolicy(kernel=True)):
+            verified = run_scenario_seed(self._spec(), 1)
         assert verified == run_scenario_seed(self._spec(), 1)
 
 

@@ -320,7 +320,7 @@ class TestMigratedExperiments:
 
 
 # ---------------------------------------------------------------------------
-# the input -> input_assignment rename (deprecation cycle completed)
+# the input -> input_assignment rename (the old keyword no longer exists)
 # ---------------------------------------------------------------------------
 
 
@@ -349,7 +349,7 @@ class TestInputAssignmentRename:
         assert trace.num_rounds >= 1
 
     def test_old_name_raises(self):
-        with pytest.raises(ConfigurationError, match="input_assignment"):
+        with pytest.raises(TypeError, match="'input'"):
             self._run(input={0: 2})
 
     def test_old_name_raises_in_combined_runner(self):
@@ -358,7 +358,7 @@ class TestInputAssignmentRename:
         from repro.dynamics import generators
         from repro.dynamics.adversaries import StaticAdversary
 
-        with pytest.raises(ConfigurationError, match="input_assignment"):
+        with pytest.raises(TypeError, match="'input'"):
             run_combined(
                 n=4,
                 static_factory=SColor,
@@ -369,5 +369,5 @@ class TestInputAssignmentRename:
             )
 
     def test_both_names_rejected(self):
-        with pytest.raises(ConfigurationError, match="input_assignment"):
+        with pytest.raises(TypeError, match="'input'"):
             self._run(input={0: 2}, input_assignment={0: 2})

@@ -3,8 +3,9 @@
 Three layers under test:
 
 * the policy object itself — parsing, the ``"verification"`` config block,
-  the ambient context manager, and the deprecated ``REPRO_VERIFY_*``
-  environment aliases (which must stay byte-equivalent to ``--verify``);
+  the ambient context manager, the ``REPRO_VERIFY`` environment variable
+  (byte-equivalent to ``--verify``), and the retired per-path variables
+  (which must fail loudly, never be ignored);
 * the executor integration — the in-run gate fires on the verified path and
   degrades *loudly* when the requested path is unavailable;
 * the contract suite — a mutation rehearsal proving a deliberately broken
@@ -26,8 +27,6 @@ from repro.scenarios.registry import ADVERSARIES, available
 from repro.scenarios.spec import ScenarioSpec, component
 from repro.verify.policy import (
     VERIFY_ENV,
-    VERIFY_INCREMENTAL_ENV,
-    VERIFY_KERNEL_ENV,
     VerificationPolicy,
     active_verification,
     current_verification,
@@ -39,11 +38,14 @@ from repro.verify.policy import (
 REPO_ROOT = Path(__file__).resolve().parent.parent
 CONFIGS_DIR = REPO_ROOT / "configs"
 
+#: The per-path variables ``REPRO_VERIFY`` replaced.
+RETIRED_ENVS = ("REPRO_VERIFY_INCREMENTAL", "REPRO_VERIFY_KERNEL")
+
 
 @pytest.fixture(autouse=True)
 def _clean_verification_env(monkeypatch):
     """Isolate every test from ambient policies and real environment flags."""
-    for env in (VERIFY_ENV, VERIFY_INCREMENTAL_ENV, VERIFY_KERNEL_ENV):
+    for env in (VERIFY_ENV,) + RETIRED_ENVS:
         monkeypatch.delenv(env, raising=False)
     # The degradation warning deduplicates process-wide; reset per test.
     executor._DEGRADED_WARNED.clear()
@@ -128,7 +130,7 @@ class TestVerificationConfigBlock:
 
 
 # ---------------------------------------------------------------------------
-# ambient policy and the deprecated environment aliases
+# ambient policy and the environment
 # ---------------------------------------------------------------------------
 
 
@@ -152,20 +154,29 @@ class TestActiveVerification:
         monkeypatch.setenv(VERIFY_ENV, "incremental,kernel")
         assert active_verification() == VerificationPolicy(incremental=True, kernel=True)
 
-    def test_deprecated_aliases_warn_and_map(self, monkeypatch):
-        monkeypatch.setenv(VERIFY_KERNEL_ENV, "1")
-        with pytest.warns(DeprecationWarning, match="REPRO_VERIFY_KERNEL"):
-            assert active_verification() == VerificationPolicy(kernel=True)
+    def test_retired_alias_raises_naming_replacement(self, monkeypatch):
+        monkeypatch.setenv("REPRO_VERIFY_KERNEL", "1")
+        with pytest.raises(ConfigurationError, match="REPRO_VERIFY=kernel"):
+            active_verification()
 
-    def test_explicit_none_beats_aliases(self, monkeypatch):
-        monkeypatch.setenv(VERIFY_KERNEL_ENV, "1")
+    def test_retired_aliases_never_ignored(self, monkeypatch):
+        # Neither the canonical variable nor an ambient policy may mask a
+        # stale alias: ignoring it would silently switch the gate off.
+        for env in RETIRED_ENVS:
+            monkeypatch.setenv(env, "1")
         monkeypatch.setenv(VERIFY_ENV, "none")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            assert not active_verification().enabled
+        with pytest.raises(ConfigurationError, match="REPRO_VERIFY=incremental,kernel"):
+            active_verification()
+        with use_verification(VerificationPolicy()):
+            with pytest.raises(ConfigurationError, match="REPRO_VERIFY_INCREMENTAL"):
+                active_verification()
 
-    def test_alias_byte_equivalent_to_policy(self, monkeypatch):
-        """REPRO_VERIFY_KERNEL=1 and --verify kernel run the identical gate."""
+    def test_retired_alias_set_to_zero_is_inert(self, monkeypatch):
+        monkeypatch.setenv("REPRO_VERIFY_KERNEL", "0")
+        assert not active_verification().enabled
+
+    def test_env_byte_equivalent_to_policy(self, monkeypatch):
+        """REPRO_VERIFY=kernel and --verify kernel run the identical gate."""
         spec = ScenarioSpec(
             n=16,
             algorithm="scolor",
@@ -173,13 +184,12 @@ class TestActiveVerification:
             rounds=6,
             seeds=(0,),
         )
-        monkeypatch.setenv(VERIFY_KERNEL_ENV, "1")
-        with pytest.warns(DeprecationWarning):
-            via_alias = executor.run_scenario_seed(spec, 0)
-        monkeypatch.delenv(VERIFY_KERNEL_ENV)
+        monkeypatch.setenv(VERIFY_ENV, "kernel")
+        via_env = executor.run_scenario_seed(spec, 0)
+        monkeypatch.delenv(VERIFY_ENV)
         with use_verification(VerificationPolicy(kernel=True)):
             via_policy = executor.run_scenario_seed(spec, 0)
-        assert via_alias == via_policy
+        assert via_env == via_policy
 
 
 class TestLoudDegradation:
