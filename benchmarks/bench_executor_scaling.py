@@ -144,7 +144,7 @@ def run_workload(
         "units": len(units),
         "chunk_size": chunk_size or auto_chunk_size(len(units), WORKERS),
         "workers": WORKERS,
-        "rows_per_sec": {k: round(v, 1) for k, v in timings.items()},
+        **{f"{name}_rps": round(rate, 1) for name, rate in timings.items()},
         "identical_to_serial": identical,
     }
     print(

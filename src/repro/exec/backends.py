@@ -5,7 +5,9 @@ into per-chunk row lists.  ``submit_batch`` yields ``(chunk_index, rows)``
 pairs *in completion order* — the runner re-assembles batch order from the
 chunk's ``start`` offset, journals finished units immediately (that is what
 makes checkpoint/resume possible) and guarantees byte-identical rows across
-backends because every unit is a pure function of ``(spec, seed)``.
+backends because every unit is a pure function of ``(spec, seed)``.  Before
+yielding a chunk, a backend folds the phase totals its worker measured into
+the caller's collector (:func:`~repro.exec.stats.replay_phases`).
 
 Registered backends (``BACKENDS``):
 
@@ -39,6 +41,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError, ReproError
 from repro.scenarios.registry import Registry
+from repro.exec.stats import replay_phases
 from repro.exec.units import Chunk, Row, execute_chunk
 
 __all__ = [
@@ -96,7 +99,9 @@ class SerialBackend(Backend):
 
     def submit_batch(self, chunks: Sequence[Chunk]) -> Iterator[Tuple[int, List[Row]]]:
         for chunk in chunks:
-            yield chunk.index, execute_chunk((chunk.spec_key, chunk.spec_dict, chunk.seeds))
+            rows, phases = execute_chunk((chunk.spec_key, chunk.spec_dict, chunk.seeds))
+            replay_phases(phases)
+            yield chunk.index, rows
 
 
 @BACKENDS.register("process", doc="Chunked ProcessPoolExecutor fan-out (default parallel backend).")
@@ -127,7 +132,9 @@ class ProcessBackend(Backend):
             while pending:
                 done, pending = wait(pending, return_when=FIRST_COMPLETED)
                 for future in done:
-                    yield futures[future], future.result()
+                    rows, phases = future.result()
+                    replay_phases(phases)
+                    yield futures[future], rows
         finally:
             for future in pending:
                 future.cancel()

@@ -25,11 +25,11 @@ contract it adds what a real fleet needs:
   minutes is split across the fleet.  Splitting is internal: rows are
   re-assembled per original chunk before they are yielded, so the runner's
   journal and ordering logic see exactly the chunks it built.
-* **Worker-side phase timings.**  Responses include the
-  :mod:`repro.exec.stats` phase splits measured *inside* the worker, which
-  the dispatcher replays into the ambient collector — ``repro bench
-  --backend remote`` reports real setup/rounds/metrics numbers instead of
-  one opaque dispatch total.
+* **Worker-side phase timings.**  Responses carry the worker's
+  ``{phase: (seconds, events)}`` totals — the form every local backend
+  gets from :func:`~repro.exec.units.execute_chunk` — and the dispatcher
+  replays them into the ambient collector once their chunk is complete,
+  so a chunk recomputed by the serial fallback is never counted twice.
 """
 
 from __future__ import annotations
@@ -44,9 +44,8 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from repro.errors import ConfigurationError
 from repro.exec.backends import BACKENDS, Backend, BackendError
 from repro.exec.remote.transport import TRANSPORTS, WorkerLink
-from repro.exec.stats import RateEstimator, record_phase
+from repro.exec.stats import PhaseTotals, RateEstimator, metric_inc, replay_phases
 from repro.exec.units import Chunk, Row
-from repro.obs.metrics import metric_inc
 from repro.obs.trace import emit as trace_emit
 
 __all__ = ["RemoteBackend"]
@@ -84,13 +83,16 @@ class _Assembly:
     chunk: Chunk
     rows: List[Optional[Row]] = field(default_factory=list)
     remaining: int = 0
+    #: Phase totals of the absorbed pieces, replayed when the chunk completes.
+    phases: List[PhaseTotals] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         self.rows = [None] * len(self.chunk.seeds)
         self.remaining = len(self.chunk.seeds)
 
-    def absorb(self, offset: int, rows: Sequence[Row]) -> bool:
+    def absorb(self, offset: int, rows: Sequence[Row], phases: PhaseTotals) -> bool:
         """Place ``rows`` at ``offset``; True when the chunk is complete."""
+        self.phases.append(phases)
         for i, row in enumerate(rows):
             if self.rows[offset + i] is None:
                 self.remaining -= 1
@@ -150,13 +152,6 @@ class RemoteBackend(Backend):
         self._cost = cost_estimator if cost_estimator is not None else RateEstimator()
         self._inbox: "queue.Queue" = queue.Queue()
         self._workers: Dict[int, _WorkerState] = {}
-        #: Operational counters (surfaced to tests and `--progress` debugging).
-        self.stats: Dict[str, int] = {
-            "workers_lost": 0,
-            "redispatched": 0,
-            "tasks_dispatched": 0,
-            "splits": 0,
-        }
 
     # -- fleet lifecycle ----------------------------------------------------
 
@@ -192,7 +187,6 @@ class RemoteBackend(Backend):
         """Kill ``state``'s worker and requeue whatever it was running."""
         state.link.kill()
         self._workers.pop(state.link.worker_id, None)
-        self.stats["workers_lost"] += 1
         metric_inc("exec.remote.workers_lost")
         trace_emit(
             "worker_lost",
@@ -214,7 +208,6 @@ class RemoteBackend(Backend):
                 )
             backoff = self._backoff_base * 2 ** (task.attempts - 1)
             task.not_before = time.monotonic() + backoff
-            self.stats["redispatched"] += 1
             metric_inc("exec.remote.redispatched")
             trace_emit(
                 "redispatch",
@@ -287,7 +280,6 @@ class RemoteBackend(Backend):
                     not_before=task.not_before,
                 )
             )
-        self.stats["splits"] += len(pieces) - 1
         metric_inc("exec.remote.splits", len(pieces) - 1)
         trace_emit(
             "split",
@@ -323,7 +315,6 @@ class RemoteBackend(Backend):
                     break  # the EOF/deadline path reaps this worker
                 tasks[task.task_id] = task
                 state.inflight[task.task_id] = self._deadline_for(len(task.seeds))
-                self.stats["tasks_dispatched"] += 1
                 metric_inc("exec.remote.tasks_dispatched")
                 trace_emit(
                     "dispatch",
@@ -355,12 +346,10 @@ class RemoteBackend(Backend):
         seconds = message.get("seconds")
         if isinstance(seconds, (int, float)) and seconds > 0:
             self._cost.observe_cost(len(rows), float(seconds))
-        timings = {
-            str(phase): float(phase_seconds)
-            for phase, phase_seconds in (message.get("timings") or {}).items()
+        phases = {
+            str(phase): (float(phase_seconds), int(events))
+            for phase, (phase_seconds, events) in (message.get("phases") or {}).items()
         }
-        for phase, phase_seconds in timings.items():
-            record_phase(phase, phase_seconds)
         trace_emit(
             "chunk_result",
             task=task.task_id,
@@ -368,11 +357,13 @@ class RemoteBackend(Backend):
             worker=state.link.name,
             units=len(rows),
             seconds=float(seconds) if isinstance(seconds, (int, float)) else 0.0,
-            timings=timings,
+            timings={phase: phase_seconds for phase, (phase_seconds, _) in phases.items()},
         )
         assembly = assemblies[task.chunk.index]
-        if assembly.absorb(task.offset, rows):
+        if assembly.absorb(task.offset, rows, phases):
             del assemblies[task.chunk.index]
+            for totals in assembly.phases:
+                replay_phases(totals)
             return task.chunk.index, assembly.rows  # type: ignore[return-value]
         return None
 

@@ -1,4 +1,4 @@
-"""The remote worker loop: wire-form chunks in, rows + phase timings out.
+"""The remote worker loop: wire-form chunks in, rows + phase totals out.
 
 Run as ``python -m repro.exec.remote.worker`` (every transport starts exactly
 this), the worker reads newline-delimited JSON requests from stdin and writes
@@ -7,11 +7,12 @@ newline-delimited JSON responses to stdout:
 * ``{"ready": true, "pid": ...}`` — sent once after the package has imported,
   so the dispatcher can separate cold-start from dispatch latency;
 * :meth:`~repro.exec.units.Chunk.to_wire` request →
-  ``{"index", "rows", "units", "seconds", "timings"}`` response, where
+  ``{"index", "rows", "units", "seconds", "phases"}`` response, where
   ``seconds`` is the worker-side wall time of the chunk (what adaptive
-  chunk sizing feeds on) and ``timings`` are the per-phase splits from
-  :mod:`repro.exec.stats` (setup / rounds / metrics), reported back over the
-  wire so ``repro bench --backend remote`` keeps its timing table.  The
+  chunk sizing feeds on) and ``phases`` are the units'
+  ``{phase: [seconds, events]}`` totals from :mod:`repro.exec.stats`
+  (setup / rounds / metrics) — the same form
+  :func:`~repro.exec.units.execute_chunk` returns to the local backends.  The
   first chunk of each spec also carries ``prewarm_seconds``: the spec parse
   and base-topology build are paid *before* the timed window (see
   :func:`_prewarm_chunk`), so ``seconds`` stays a steady-state cost;
@@ -139,7 +140,7 @@ def main(stdin: Optional[TextIO] = None, stdout: Optional[TextIO] = None) -> int
                 "rows": rows,
                 "units": len(rows),
                 "seconds": time.perf_counter() - started,
-                "timings": stats.as_dict(),
+                "phases": stats.phase_totals(),
             }
             if prewarm_seconds:
                 response["prewarm_seconds"] = prewarm_seconds

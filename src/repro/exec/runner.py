@@ -40,9 +40,16 @@ from repro.exec.backends import Backend, BackendError, make_backend
 from repro.exec.journal import SweepJournal
 from repro.exec.policy import ExecutionPolicy, default_workers, resolve_policy
 from repro.exec.progress import ProgressReporter
-from repro.exec.stats import EXEC_DISPATCH, EXEC_JOURNAL, RateEstimator, timed_phase
+from repro.exec.stats import (
+    EXEC_DISPATCH,
+    EXEC_JOURNAL,
+    RateEstimator,
+    metric_gauge,
+    metric_inc,
+    metric_observe,
+    timed_phase,
+)
 from repro.exec.units import Chunk, Row, WorkUnit, auto_chunk_size, build_chunks
-from repro.obs.metrics import metric_gauge, metric_inc, metric_observe
 from repro.obs.trace import emit as trace_emit
 
 __all__ = ["INTERRUPT_ENV", "run_units"]

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
+from repro.exec.stats import PhaseTotals, collect_stats
 from repro.scenarios.spec import ScenarioSpec
 from repro.scenarios.store import content_key
 
@@ -226,13 +227,22 @@ def execute_unit(spec_dict: Mapping[str, Any], seed: int, spec_key: Optional[str
     return run_scenario_seed(_cached_spec(spec_key, spec_dict), seed)
 
 
-def execute_chunk(payload: Tuple[str, Mapping[str, Any], Tuple[int, ...]]) -> List[Row]:
-    """Top-level (hence picklable) chunk entry point for pooled workers."""
+def execute_chunk(
+    payload: Tuple[str, Mapping[str, Any], Tuple[int, ...]],
+) -> Tuple[List[Row], PhaseTotals]:
+    """Top-level (hence picklable) chunk entry point of every local backend.
+
+    Returns the rows and the units' phase totals, timed under a collector of
+    the chunk's own; the backend folds them into the caller's collector with
+    :func:`~repro.exec.stats.replay_phases`, wherever the chunk ran.
+    """
     from repro.scenarios.executor import run_scenario_seed
 
     spec_key, spec_dict, seeds = payload
     spec = _cached_spec(spec_key, spec_dict)
-    return [run_scenario_seed(spec, seed) for seed in seeds]
+    with collect_stats() as stats:
+        rows = [run_scenario_seed(spec, seed) for seed in seeds]
+    return rows, stats.phase_totals()
 
 
 def spec_cache_info() -> Tuple[int, int]:

@@ -1,20 +1,13 @@
-"""Observability: structured tracing, run telemetry, store-backed reporting.
+"""Observability: structured tracing and store-backed reporting.
 
-Only the stdlib-dependency layers (:mod:`repro.obs.trace`,
-:mod:`repro.obs.metrics`) are re-exported here — the simulator and the
+Run telemetry — phase totals, counters, gauges and histograms — lives in
+one collector, :mod:`repro.exec.stats`.  Only the stdlib-dependency trace
+layer (:mod:`repro.obs.trace`) is re-exported here — the simulator and the
 exec runner import this package, so pulling in :mod:`repro.obs.report`
 (which reads the scenarios store) would create an import cycle.  Consumers
 of the report renderer import it directly.
 """
 
-from repro.obs.metrics import (
-    MetricsRegistry,
-    active_registry,
-    collect_metrics,
-    metric_gauge,
-    metric_inc,
-    metric_observe,
-)
 from repro.obs.trace import (
     EVENT_SCHEMA,
     SCHEMA_VERSION,
@@ -35,16 +28,10 @@ __all__ = [
     "EVENT_SCHEMA",
     "SCHEMA_VERSION",
     "TRACE_ENV",
-    "MetricsRegistry",
     "TelemetryConfig",
     "TraceSink",
-    "active_registry",
     "active_sink",
-    "collect_metrics",
     "emit",
-    "metric_gauge",
-    "metric_inc",
-    "metric_observe",
     "read_trace",
     "refresh_from_env",
     "telemetry_from_mapping",

@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import argparse
 import datetime as _datetime
+import functools
 import json
 import os
 import sys
@@ -72,7 +73,6 @@ from repro.exec import (
     use_policy,
 )
 from repro.exec.stats import EXEC_DISPATCH, EXEC_JOURNAL, UNIT_METRICS, UNIT_ROUNDS, UNIT_SETUP
-from repro.obs.metrics import collect_metrics
 from repro.obs.trace import telemetry_from_mapping, trace_to
 from repro.scenarios.audit import audit_store, journal_status
 from repro.scenarios.configs import (
@@ -272,90 +272,63 @@ def _rows_for_config(config, policy: ExecutionPolicy) -> List[Dict[str, Any]]:
     raise ReproError(f"cannot build rows for {config!r}")
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    config = load_config(args.config)
-    if not isinstance(config, ScenarioConfig):
-        return _fail(
-            f"{args.config} is a {config.kind} config; "
-            f"use 'repro {_KIND_COMMANDS[config.kind]}'"
-        )
-    code = _validate_or_fail(config)
-    if code:
-        return code
-    policy = _build_policy(args, config.execution, parallel=args.parallel)
-    with (
-        _trace_scope(args, config.telemetry),
-        collect_stats() as stats,
-        collect_metrics() as registry,
-    ):
-        with _verification_scope(_build_verification(args, config.verification)):
-            rows = _rows_for_config(config, policy)
-    kind, label, key = _store_target(config)
-    return _store_and_emit(
-        args,
-        kind,
-        label,
-        key,
-        rows,
-        title=config.label,
-        telemetry=registry.as_provenance(stats),
-    )
-
-
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    config = load_config(args.config)
-    if not isinstance(config, SweepConfig):
-        return _fail(
-            f"{args.config} is a {config.kind} config; "
-            f"use 'repro {_KIND_COMMANDS[config.kind]}'"
-        )
-    code = _validate_or_fail(config)
-    if code:
-        return code
-    policy = _build_policy(args, config.execution, parallel=args.parallel)
-    with (
-        _trace_scope(args, config.telemetry),
-        collect_stats() as stats,
-        collect_metrics() as registry,
-    ):
-        with _verification_scope(_build_verification(args, config.verification)):
-            rows = _rows_for_config(config, policy)
-    kind, label, key = _store_target(config)
-    return _store_and_emit(
-        args,
-        kind,
-        label,
-        key,
-        rows,
-        title=config.label,
-        telemetry=registry.as_provenance(stats),
-    )
-
-
-def _store_and_emit(
-    args: argparse.Namespace,
-    kind: str,
-    label: str,
-    key: Mapping[str, Any],
+def _put_with_telemetry(
+    store: ResultsStore,
+    config,
     rows: Sequence[Dict[str, Any]],
+    telemetry: Mapping[str, Any],
     *,
-    title: str,
-    telemetry: Optional[Mapping[str, Any]] = None,
-) -> int:
-    if args.no_store:
-        _print(format_table(list(rows), title=title).rstrip("\n"))
+    scale: Optional[str] = None,
+):
+    """Store ``rows`` at ``config``'s target with the run's telemetry in provenance."""
+    kind, label, key = _store_target(config, scale=scale)
+    return store.put(
+        kind,
+        label,
+        key,
+        rows,
+        extra_provenance={"telemetry": telemetry} if telemetry else None,
+    )
+
+
+def _execute_config(args: argparse.Namespace, config, policy: ExecutionPolicy):
+    """Run a scenario/sweep config and store its rows; ``(rows, entry, status)``.
+
+    The one execution path of ``repro run``, ``repro sweep`` and ``repro
+    repair``: trace scope, run telemetry and verification scope around the
+    rows, then the store write with the telemetry block in its provenance.
+    With ``--no-store`` nothing is written and ``entry`` is ``None``.
+    """
+    with _trace_scope(args, config.telemetry), collect_stats() as stats:
+        with _verification_scope(_build_verification(args, config.verification)):
+            rows = _rows_for_config(config, policy)
+    if getattr(args, "no_store", False):
+        return rows, None, ""
+    entry, status = _put_with_telemetry(
+        ResultsStore(args.store), config, rows, stats.as_provenance()
+    )
+    return rows, entry, status
+
+
+def _cmd_execute(args: argparse.Namespace, config_type: type) -> int:
+    """``repro run`` (scenario configs) and ``repro sweep`` (sweep configs)."""
+    config = load_config(args.config)
+    if not isinstance(config, config_type):
+        return _fail(
+            f"{args.config} is a {config.kind} config; "
+            f"use 'repro {_KIND_COMMANDS[config.kind]}'"
+        )
+    code = _validate_or_fail(config)
+    if code:
+        return code
+    policy = _build_policy(args, config.execution, parallel=args.parallel)
+    rows, entry, status = _execute_config(args, config, policy)
+    if entry is None:
+        _print(format_table(list(rows), title=config.label).rstrip("\n"))
         _print()
         return 0
-    store = ResultsStore(args.store)
-    entry, status = store.put(
-        kind,
-        label,
-        key,
-        rows,
-        extra_provenance={"telemetry": dict(telemetry)} if telemetry else None,
-    )
     # Re-read from disk: the table is rendered from what was persisted.
-    _emit_entry(store.load(entry.path), title=title, status=status)
+    _emit_entry(ResultsStore.load(entry.path), title=config.label, status=status)
     return 0
 
 
@@ -440,7 +413,7 @@ def _run_experiments(args: argparse.Namespace, *, scale: str, timings: bool) -> 
             )
             started = time.perf_counter()
             profiler = None
-            with config_scope, collect_stats() as stats, collect_metrics() as registry:
+            with config_scope, collect_stats() as stats:
                 with use_policy(policy), _verification_scope(verification):
                     if profile:
                         import cProfile
@@ -453,19 +426,11 @@ def _run_experiments(args: argparse.Namespace, *, scale: str, timings: bool) -> 
                         if profiler is not None:
                             profiler.disable()
             elapsed = time.perf_counter() - started
-            kind, label, key = _store_target(config, scale=scale)
-            telemetry = registry.as_provenance(stats)
+            telemetry = stats.as_provenance()
             if profiler is not None:
-                telemetry = dict(telemetry)
                 telemetry["profile"] = _profile_top(profiler)
             store_started = time.perf_counter()
-            entry, status = store.put(
-                kind,
-                label,
-                key,
-                rows,
-                extra_provenance={"telemetry": telemetry} if telemetry else None,
-            )
+            entry, status = _put_with_telemetry(store, config, rows, telemetry, scale=scale)
             stored = store.load(entry.path)
             store_elapsed = time.perf_counter() - store_started
             title = f"{config.title}  [{scale}]"
@@ -478,9 +443,9 @@ def _run_experiments(args: argparse.Namespace, *, scale: str, timings: bool) -> 
                     "rows": float(len(stored.rows)),
                     "status": status,
                     "seconds": round(elapsed, 2),
-                    # Phase splits (see repro.exec.stats): unit phases are complete
-                    # under serial execution and from remote workers; under the
-                    # process backend the worker-side time shows up in dispatch_s.
+                    # Phase splits (see repro.exec.stats): unit phases are summed
+                    # over every unit, wherever it ran; dispatch_s is the
+                    # backend's wall time around them.
                     "setup_s": round(stats.seconds(UNIT_SETUP), 2),
                     "rounds_s": round(stats.seconds(UNIT_ROUNDS), 2),
                     "metrics_s": round(stats.seconds(UNIT_METRICS), 2),
@@ -492,10 +457,9 @@ def _run_experiments(args: argparse.Namespace, *, scale: str, timings: bool) -> 
     if timings and summary:
         _print(format_table(summary, title=f"{len(summary)} experiments ({scale} scale)").rstrip())
         _print(
-            "[timing splits: setup/rounds/metrics are in-process unit phases "
-            "(complete with --serial or --backend remote); dispatch is backend "
-            "wall time incl. pooled workers; journal/store are checkpoint + "
-            "results-store writes]"
+            "[timing splits: setup/rounds/metrics are unit phases summed over "
+            "every worker; dispatch is backend wall time incl. pooled workers; "
+            "journal/store are checkpoint + results-store writes]"
         )
         _print()
     if args.tables:
@@ -567,6 +531,9 @@ def _diff_bench(reference: Path, candidate: Path) -> int:
     compared as a new/old throughput ratio.  A workload that vanished from
     the candidate is a failure — a silently dropped row must not read as
     clean — and so is any throughput ratio below 0.9 (a >10% regression).
+    A reference row with no numeric ``*_rps`` field fails too: a row the
+    gate cannot compare (say, rates nested under another key) must not
+    read as within bounds.
     """
     payloads = []
     for role, path in (("reference", reference), ("candidate", candidate)):
@@ -593,6 +560,7 @@ def _diff_bench(reference: Path, candidate: Path) -> int:
                 {"workload": workload, "field": "(all)", "note": "MISSING"}
             )
             continue
+        gated = 0
         for field in sorted(ref_row):
             if not field.endswith("_rps"):
                 continue
@@ -607,6 +575,7 @@ def _diff_bench(reference: Path, candidate: Path) -> int:
                 note = "n/a" if new in (None, old) else f"new value {new}"
                 table_rows.append({"workload": workload, "field": field, "note": note})
                 continue
+            gated += 1
             if not isinstance(new, (int, float)):
                 failures.append(f"{workload}: {field} missing from candidate row")
                 table_rows.append(
@@ -628,6 +597,9 @@ def _diff_bench(reference: Path, candidate: Path) -> int:
                     f"{workload}: {field} regressed {old:.1f} -> {new:.1f} "
                     f"({ratio:.2f}x < 0.90x)"
                 )
+        if not gated:
+            failures.append(f"{workload}: reference row has no numeric *_rps field to compare")
+            table_rows.append({"workload": workload, "field": "(none)", "note": "NO *_rps"})
     for workload in cand_rows:
         if workload not in ref_rows:
             table_rows.append({"workload": workload, "field": "(new row)"})
@@ -761,19 +733,7 @@ def _cmd_repair(args: argparse.Namespace) -> int:
             continue
         _print(f"repairing {config_path}: {done}/{total} units journalled, resuming")
         policy = _build_policy(args, config.execution).replace(resume=True)
-        with _trace_scope(args, config.telemetry), collect_stats() as stats:
-            with collect_metrics() as registry:
-                with _verification_scope(_build_verification(args, config.verification)):
-                    rows = _rows_for_config(config, policy)
-        telemetry = registry.as_provenance(stats)
-        kind, label, key = _store_target(config)
-        entry, put_status = ResultsStore(args.store).put(
-            kind,
-            label,
-            key,
-            rows,
-            extra_provenance={"telemetry": telemetry} if telemetry else None,
-        )
+        rows, entry, put_status = _execute_config(args, config, policy)
         # "unchanged" is the byte-identity verification: the reassembled rows
         # equal the previously stored entry exactly.
         _print(f"{put_status}: {entry.path} ({len(rows)} rows)")
@@ -1123,7 +1083,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_execution_options(run)
     _add_verification_options(run)
     _add_telemetry_options(run)
-    run.set_defaults(fn=_cmd_run)
+    run.set_defaults(fn=functools.partial(_cmd_execute, config_type=ScenarioConfig))
 
     sweep_cmd = sub.add_parser("sweep", help="run a committed spec + override-grid config")
     sweep_cmd.add_argument("config", help="path to a sweep config (JSON)")
@@ -1135,7 +1095,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_execution_options(sweep_cmd)
     _add_verification_options(sweep_cmd)
     _add_telemetry_options(sweep_cmd)
-    sweep_cmd.set_defaults(fn=_cmd_sweep)
+    sweep_cmd.set_defaults(fn=functools.partial(_cmd_execute, config_type=SweepConfig))
 
     experiments = sub.add_parser(
         "experiments", help="regenerate E1–E13 tables from committed configs"

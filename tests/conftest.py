@@ -37,3 +37,21 @@ def small_gnp(rng_factory: RngFactory) -> Topology:
 def medium_gnp(rng_factory: RngFactory) -> Topology:
     """A medium random graph for convergence tests."""
     return generators.gnp(48, 0.12, rng_factory.stream("medium_gnp"))
+
+
+@pytest.fixture
+def fleet_ready():
+    """Block until every worker of a ``RemoteBackend`` has sent its ready line.
+
+    A small batch can finish on the first ready worker before a slower one
+    has imported the package, so a fault injected into worker 0 would never
+    fire.  The ready lines are put back on the inbox for the dispatcher.
+    """
+
+    def wait(backend) -> None:
+        backend.start()
+        lines = [backend._inbox.get(timeout=120) for _ in backend._workers]
+        for line in lines:
+            backend._inbox.put(line)
+
+    return wait

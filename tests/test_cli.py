@@ -214,6 +214,37 @@ class TestDriftGate:
         assert "does not exist" in capsys.readouterr().err
 
 
+class TestBenchDiff:
+    """``repro diff --bench``: the throughput gate over committed BENCH rows."""
+
+    COMMITTED_EXEC = REPO_ROOT / "benchmarks" / "results" / "BENCH_exec.json"
+
+    def _diff(self, reference, candidate):
+        return main(["diff", str(reference), str(candidate), "--bench"])
+
+    def test_committed_bench_files_diff_clean_against_themselves(self, capsys):
+        for path in sorted((REPO_ROOT / "benchmarks" / "results").glob("BENCH_*.json")):
+            assert self._diff(path, path) == 0, path.name
+        assert "bench diff clean" in capsys.readouterr().out
+
+    def test_reference_without_rps_fields_fails(self, tmp_path, capsys):
+        # The nested shape the gate used to read as clean.
+        payload = {"rows": [{"workload": "w", "rows_per_sec": {"serial": 10.0, "process": 20.0}}]}
+        bench = write_config(tmp_path, payload, name="nested.json")
+        assert self._diff(bench, bench) != 0
+        assert "no numeric *_rps field" in capsys.readouterr().err
+
+    def test_exec_shaped_regression_exits_one(self, tmp_path, capsys):
+        payload = json.loads(self.COMMITTED_EXEC.read_text())
+        for row in payload["rows"]:
+            for field in [name for name in row if name.endswith("_rps")]:
+                row[field] *= 0.5
+        candidate = write_config(tmp_path, payload, name="slow.json")
+        assert self._diff(self.COMMITTED_EXEC, candidate) == 1
+        err = capsys.readouterr().err
+        assert "process_rps regressed" in err and "remote_rps regressed" in err
+
+
 class TestComponents:
     def test_lists_every_registry_family(self, capsys):
         assert main(["components"]) == 0

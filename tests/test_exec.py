@@ -186,9 +186,8 @@ class TestFallback:
                     done += 1
                     from repro.exec.units import execute_chunk
 
-                    yield chunk.index, execute_chunk(
-                        (chunk.spec_key, chunk.spec_dict, chunk.seeds)
-                    )
+                    rows, _ = execute_chunk((chunk.spec_key, chunk.spec_dict, chunk.seeds))
+                    yield chunk.index, rows
 
         try:
             units = units_for_spec(tiny_spec(seeds=tuple(range(6))))

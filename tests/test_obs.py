@@ -1,10 +1,11 @@
-"""Observability layer: structured tracing, metrics registry, reporting.
+"""Observability layer: structured tracing, run telemetry, reporting.
 
-Covers the trace sink and its schema, the ambient metrics registry, the
-instrumented simulator/runner/dispatcher paths, the worker-timings
-aggregation under re-dispatch, and the consumer verbs (``repro trace``,
-``repro report``) — including the house invariant that tracing on/off
-leaves store rows byte-identical.
+Covers the trace sink and its schema, the run-telemetry collector's
+counters/gauges/histograms and provenance block, the instrumented
+simulator/runner/dispatcher paths, phase parity across backends, the
+worker-timings aggregation under re-dispatch, and the consumer verbs
+(``repro trace``, ``repro report``) — including the house invariant that
+tracing on/off leaves store rows byte-identical.
 """
 
 import io
@@ -17,16 +18,20 @@ from repro.exec import ExecutionPolicy, run_units, units_for_spec
 from repro.exec.remote import RemoteBackend
 from repro.exec.remote.worker import WORKER_INTERRUPT_ENV
 from repro.exec.runner import INTERRUPT_ENV
-from repro.exec.stats import UNIT_ROUNDS, StatsCollector, collect_stats
-from repro.exec.units import build_chunks
-from repro.obs.metrics import (
-    MetricsRegistry,
-    active_registry,
-    collect_metrics,
+from repro.exec.stats import (
+    EXEC_DISPATCH,
+    UNIT_METRICS,
+    UNIT_ROUNDS,
+    UNIT_SETUP,
+    StatsCollector,
+    collect_stats,
     metric_gauge,
     metric_inc,
     metric_observe,
+    record_phase,
+    replay_phases,
 )
+from repro.exec.units import build_chunks
 from repro.obs.trace import (
     TRACE_ENV,
     TraceSink,
@@ -210,55 +215,93 @@ class TestValidation:
 
 
 # ---------------------------------------------------------------------------
-# metrics registry
+# run telemetry: counters, gauges, histograms and the provenance block
 # ---------------------------------------------------------------------------
 
 
-class TestMetricsRegistry:
+class TestRunTelemetry:
     def test_counters_gauges_histograms(self):
-        registry = MetricsRegistry()
-        registry.inc("a")
-        registry.inc("a", 4)
-        registry.set_gauge("g", 1.25)
+        stats = StatsCollector()
+        stats.inc("a")
+        stats.inc("a", 4)
+        stats.set_gauge("g", 1.25)
         for value in (1.0, 3.0, 2.0):
-            registry.observe("h", value)
-        assert registry.counter("a") == 5
-        assert registry.gauge("g") == 1.25
-        assert registry.histogram("h") == {
+            stats.observe("h", value)
+        assert stats.counter("a") == 5
+        assert stats.gauge("g") == 1.25
+        assert stats.histogram("h") == {
             "count": 3,
             "total": 6.0,
             "min": 1.0,
             "max": 3.0,
         }
-        block = registry.as_provenance()
+        block = stats.as_provenance()
         assert block["counters"] == {"a": 5}
         assert block["gauges"] == {"g": 1.25}
         assert block["histograms"]["h"]["mean"] == 2.0
         assert "phases" not in block
 
-    def test_empty_registry_yields_empty_block(self):
-        assert MetricsRegistry().as_provenance() == {}
+    def test_empty_collector_yields_empty_block(self):
+        assert StatsCollector().as_provenance() == {}
 
-    def test_as_provenance_folds_in_stats(self):
+    def test_as_provenance_carries_phases(self):
         stats = StatsCollector()
         stats.add(UNIT_ROUNDS, 0.5)
-        block = MetricsRegistry().as_provenance(stats)
-        assert block["phases"][UNIT_ROUNDS] == {"seconds": 0.5, "events": 1}
+        block = stats.as_provenance()
+        assert block == {"phases": {UNIT_ROUNDS: {"seconds": 0.5, "events": 1}}}
+
+    def test_provenance_block_layout(self):
+        """Section order, key order and rounding of the stored block."""
+        stats = StatsCollector()
+        stats.add("z_phase", 0.123456)
+        stats.add("a_phase", 1.0, events=3)
+        stats.inc("z.count")
+        stats.inc("a.count", 2)
+        stats.set_gauge("rate", 1 / 3)
+        stats.observe("h", 1 / 3)
+        block = stats.as_provenance()
+        assert list(block) == ["phases", "counters", "gauges", "histograms"]
+        assert list(block["phases"]) == ["a_phase", "z_phase"]
+        assert block["phases"]["z_phase"] == {"seconds": 0.1235, "events": 1}
+        assert block["phases"]["a_phase"] == {"seconds": 1.0, "events": 3}
+        assert list(block["counters"]) == ["a.count", "z.count"]
+        assert block["gauges"] == {"rate": 0.333333}
+        assert block["histograms"]["h"] == {
+            "count": 1,
+            "total": 0.333333,
+            "min": 0.333333,
+            "max": 0.333333,
+            "mean": 0.333333,
+        }
+
+    def test_replay_phases_folds_worker_totals(self):
+        with collect_stats() as worker:
+            record_phase(UNIT_ROUNDS, 0.25)
+            record_phase(UNIT_ROUNDS, 0.5)
+        with collect_stats() as stats:
+            replay_phases(worker.phase_totals())
+            replay_phases({UNIT_ROUNDS: [1.0, 2]})  # the JSON wire form
+        assert stats.seconds(UNIT_ROUNDS) == pytest.approx(1.75)
+        assert stats.events(UNIT_ROUNDS) == 4
+        replay_phases({UNIT_ROUNDS: (1.0, 1)})  # no collector: a no-op
 
     def test_ambient_helpers_are_noops_when_off(self):
-        assert active_registry() is None
-        metric_inc("x")
+        metric_inc("x")  # none of these may raise without a collector
         metric_gauge("y", 1.0)
         metric_observe("z", 2.0)
 
-    def test_collect_metrics_installs_and_restores(self):
-        with collect_metrics() as registry:
-            assert active_registry() is registry
-            metric_inc("exec.units", 2)
-            metric_gauge("rate", 4.0)
-            metric_observe("chunk", 3.0)
-        assert active_registry() is None
-        assert registry.counter("exec.units") == 2
+    def test_collect_stats_installs_and_restores(self):
+        with collect_stats() as outer:
+            with collect_stats() as stats:
+                metric_inc("exec.units", 2)
+                metric_gauge("rate", 4.0)
+                metric_observe("chunk", 3.0)
+            metric_inc("exec.units")  # lands in the restored outer collector
+        metric_inc("exec.units")  # no collector: dropped
+        assert stats.counter("exec.units") == 2
+        assert stats.gauge("rate") == 4.0
+        assert stats.histogram("chunk")["count"] == 1
+        assert outer.as_provenance() == {"counters": {"exec.units": 1}}
 
 
 # ---------------------------------------------------------------------------
@@ -334,13 +377,13 @@ class TestPipelineEvents:
         (begin,) = _events(path, "batch_begin")
         assert begin["restored"] == restore["restored"]
 
-    def test_metrics_registry_captures_runner_counters(self):
+    def test_collector_captures_runner_counters(self):
         units = units_for_spec(tiny_spec())
-        with collect_metrics() as registry:
+        with collect_stats() as stats:
             run_units(units, ExecutionPolicy(backend="serial"))
-        assert registry.counter("exec.units") == 3
-        assert registry.counter("exec.chunks") >= 1
-        block = registry.as_provenance()
+        assert stats.counter("exec.units") == 3
+        assert stats.counter("exec.chunks") >= 1
+        block = stats.as_provenance()
         assert block["histograms"]["exec.chunk_units"]["count"] >= 1
 
 
@@ -349,9 +392,23 @@ class TestPipelineEvents:
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("backend", ["serial", "process", "remote"])
+def test_backend_telemetry_parity(backend):
+    """Every backend reports the same phase keys, one unit-phase event per unit."""
+    units = units_for_spec(tiny_spec(seeds=tuple(range(6))))
+    policy = ExecutionPolicy(backend=backend, max_workers=2, chunk_size=2)
+    with collect_stats() as stats:
+        run_units(units, policy)
+    assert stats.counter("exec.serial_fallbacks") == 0  # the named backend did the work
+    phases = stats.as_provenance()["phases"]
+    assert set(phases) == {UNIT_SETUP, UNIT_ROUNDS, UNIT_METRICS, EXEC_DISPATCH}
+    for phase in (UNIT_SETUP, UNIT_ROUNDS, UNIT_METRICS):
+        assert phases[phase]["events"] == len(units)
+
+
 class TestRemoteTimings:
     def test_redispatch_after_worker_death_does_not_double_count(
-        self, tmp_path, monkeypatch
+        self, tmp_path, monkeypatch, fleet_ready
     ):
         """Worker 0 dies mid-chunk; its chunk is re-dispatched.  The dead
         attempt must contribute neither rows, nor a chunk_result event, nor
@@ -363,58 +420,60 @@ class TestRemoteTimings:
         monkeypatch.setenv(WORKER_INTERRUPT_ENV, "2")
         backend = RemoteBackend(2, adaptive=False)
         with trace_to(path), collect_stats() as stats, backend:
+            fleet_ready(backend)
             got = dict(backend.submit_batch(build_chunks(units, 3)))
         monkeypatch.delenv(WORKER_INTERRUPT_ENV)
 
         rows = [row for index in sorted(got) for row in got[index]]
         assert canonical_json(rows) == expected
-        assert backend.stats["workers_lost"] >= 1
-        assert backend.stats["redispatched"] >= 1
+        workers_lost = stats.counter("exec.remote.workers_lost")
+        redispatched = stats.counter("exec.remote.redispatched")
+        assert workers_lost >= 1
+        assert redispatched >= 1
 
         assert validate_trace(path) == []
-        assert len(_events(path, "worker_lost")) == backend.stats["workers_lost"]
-        assert len(_events(path, "redispatch")) == backend.stats["redispatched"]
+        assert len(_events(path, "worker_lost")) == workers_lost
+        assert len(_events(path, "redispatch")) == redispatched
         results = _events(path, "chunk_result")
         # Exactly one absorbed result per unit: a duplicate or dead attempt
         # never lands a second chunk_result for the same work.
         assert sum(event["units"] for event in results) == len(units)
-        # Worker-side timings arrived and were replayed into ambient stats
-        # once per absorbed result.
+        # Worker-side timings arrived and were replayed into ambient stats:
+        # the seconds of the absorbed results, one event per unit.
         assert all(event["timings"] for event in results)
         expected_rounds = sum(
             event["timings"].get(UNIT_ROUNDS, 0.0) for event in results
         )
         assert stats.as_dict()[UNIT_ROUNDS] == pytest.approx(expected_rounds)
-        assert stats.events(UNIT_ROUNDS) == len(results)
+        assert stats.events(UNIT_ROUNDS) == len(units)
 
     def test_duplicate_result_is_dropped_before_timings_replay(self, tmp_path):
         """A slow worker answering for an already re-dispatched task is a
         duplicate: no rows, no timings replay, no chunk_result event."""
         path = tmp_path / "dup.ndjson"
         backend = RemoteBackend(1)
-        message = {"index": 99, "rows": [], "timings": {UNIT_ROUNDS: 1.0}}
+        message = {"index": 99, "rows": [], "phases": {UNIT_ROUNDS: [1.0, 1]}}
         with trace_to(path), collect_stats() as stats:
             outcome = backend._absorb_result(None, message, tasks={}, assemblies={})
         assert outcome is None
         assert stats.events(UNIT_ROUNDS) == 0
         assert _events(path, "chunk_result") == []
 
-    def test_fleet_stats_mirror_into_metrics(self, monkeypatch):
+    def test_fleet_counters_match_trace_events(self, tmp_path, monkeypatch, fleet_ready):
+        """Each fleet counter is counted once, in the collector, and agrees
+        with the dispatcher's trace events."""
         units = units_for_spec(tiny_spec(seeds=tuple(range(8))))
+        path = tmp_path / "fleet.ndjson"
         monkeypatch.setenv(WORKER_INTERRUPT_ENV, "2")
         backend = RemoteBackend(2, adaptive=False)
-        with collect_metrics() as registry, backend:
+        with trace_to(path), collect_stats() as stats, backend:
+            fleet_ready(backend)
             list(backend.submit_batch(build_chunks(units, 2)))
         monkeypatch.delenv(WORKER_INTERRUPT_ENV)
-        assert registry.counter("exec.remote.tasks_dispatched") == backend.stats[
-            "tasks_dispatched"
-        ]
-        assert registry.counter("exec.remote.workers_lost") == backend.stats[
-            "workers_lost"
-        ]
-        assert registry.counter("exec.remote.redispatched") == backend.stats[
-            "redispatched"
-        ]
+        counters = stats.as_provenance()["counters"]
+        assert counters["exec.remote.tasks_dispatched"] == len(_events(path, "dispatch"))
+        assert counters["exec.remote.workers_lost"] == len(_events(path, "worker_lost")) >= 1
+        assert counters["exec.remote.redispatched"] == len(_events(path, "redispatch")) >= 1
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from repro.exec.remote import (
 )
 from repro.exec.remote.transport import SshTransport, worker_fault_env
 from repro.exec.runner import INTERRUPT_ENV
+from repro.exec.stats import collect_stats
 from repro.exec.units import execute_chunk
 from repro.scenarios import ScenarioSpec, component
 from repro.scenarios.audit import Finding, audit_store, journal_status
@@ -117,9 +118,9 @@ class TestRemoteByteIdentity:
         estimator = RateEstimator()
         estimator.observe_cost(1, 1.0)  # known cost: splitting kicks in at once
         backend = RemoteBackend(2, target_seconds=1e-9, cost_estimator=estimator)
-        with backend:
+        with collect_stats() as stats, backend:
             got = dict(backend.submit_batch(chunks))
-        assert backend.stats["splits"] > 0
+        assert stats.counter("exec.remote.splits") > 0
         rows = [row for index in sorted(got) for row in got[index]]
         assert canonical_json(rows) == expected
 
@@ -132,11 +133,11 @@ class TestRemoteByteIdentity:
         estimator = RateEstimator()
         estimator.observe_cost(1, 1.0)  # known cost: splitting kicks in at once
         backend = RemoteBackend(2, target_seconds=1e-9, cost_estimator=estimator)
-        with backend:
+        with collect_stats() as stats, backend:
             got = dict(backend.submit_batch(chunks))
-        assert backend.stats["splits"] > 0
+        assert stats.counter("exec.remote.splits") > 0
         for chunk in chunks:
-            serial = execute_chunk((chunk.spec_key, chunk.spec_dict, chunk.seeds))
+            serial, _ = execute_chunk((chunk.spec_key, chunk.spec_dict, chunk.seeds))
             assert canonical_json(got[chunk.index]) == canonical_json(serial)
 
 
@@ -146,27 +147,29 @@ class TestRemoteByteIdentity:
 
 
 class TestFaultTolerance:
-    def test_killed_worker_chunks_are_redispatched(self, reference, monkeypatch):
+    def test_killed_worker_chunks_are_redispatched(self, reference, monkeypatch, fleet_ready):
         """Worker 0 hard-exits mid-chunk; the survivor absorbs its work."""
         units, expected = reference
         monkeypatch.setenv(WORKER_INTERRUPT_ENV, "2")
         backend = RemoteBackend(2)
-        with backend:
+        with collect_stats() as stats, backend:
+            fleet_ready(backend)
             got = dict(backend.submit_batch(build_chunks(units, 3)))
-        assert backend.stats["workers_lost"] >= 1
-        assert backend.stats["redispatched"] >= 1
+        assert stats.counter("exec.remote.workers_lost") >= 1
+        assert stats.counter("exec.remote.redispatched") >= 1
         rows = [row for index in sorted(got) for row in got[index]]
         assert canonical_json(rows) == expected
 
-    def test_hung_worker_times_out_and_is_replaced(self, reference, monkeypatch):
+    def test_hung_worker_times_out_and_is_replaced(self, reference, monkeypatch, fleet_ready):
         """Worker 0 wedges (alive but silent); the deadline detector kills it
         and re-dispatches its in-flight chunk."""
         units, expected = reference
         monkeypatch.setenv(WORKER_HANG_ENV, "1")
         backend = RemoteBackend(2, task_timeout=5.0, heartbeat_interval=0.5)
-        with backend:
+        with collect_stats() as stats, backend:
+            fleet_ready(backend)
             got = dict(backend.submit_batch(build_chunks(units, 3)))
-        assert backend.stats["workers_lost"] >= 1
+        assert stats.counter("exec.remote.workers_lost") >= 1
         rows = [row for index in sorted(got) for row in got[index]]
         assert canonical_json(rows) == expected
 
@@ -219,12 +222,13 @@ class TestFaultTolerance:
         state = _WorkerState(link)
         state.ready = True
         backend._workers = {0: state}
-        backend._heartbeat({}, [])  # idle past the interval: ping goes out
-        assert link.sent and state.pong_deadline is not None
-        state.pong_deadline = 0.0  # the grace lapsed with no line at all
-        backend._heartbeat({}, [])
+        with collect_stats() as stats:
+            backend._heartbeat({}, [])  # idle past the interval: ping goes out
+            assert link.sent and state.pong_deadline is not None
+            state.pong_deadline = 0.0  # the grace lapsed with no line at all
+            backend._heartbeat({}, [])
         assert 0 not in backend._workers
-        assert backend.stats["workers_lost"] == 1
+        assert stats.counter("exec.remote.workers_lost") == 1
 
     def test_worker_side_unit_error_reaches_the_caller(self, reference):
         """A genuine unit failure (unknown component in the worker) is a
