@@ -30,8 +30,8 @@ Two delivery paths implement that structure:
     that just woke — and runs compose/deliver/output-recording only for that
     set.  Quiescent nodes keep their cached message and output untouched.
     Per-round cost is O(#active + #changes); the recorded trace is
-    byte-identical to the full path (hard-gated by the test matrix and the
-    ``--smoke`` delivery benchmark).
+    byte-identical to the full path (hard-gated by the test matrix and
+    ``benchmarks/bench_paths.py --smoke``).
 
 ``kernel``
     The array-native path (see :mod:`repro.kernel`): dense numpy state

@@ -524,8 +524,39 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _bench_rows(role: str, path: Path) -> Dict[str, Dict[str, Any]]:
+    """The rows of one benchmark file keyed by ``workload``.
+
+    Raises :class:`ReproError` naming the file (and the row index) when
+    the file is missing, is not JSON, is not an object with a ``rows``
+    list, or has a row without a string ``workload`` or a repeated one.
+    """
+    if not path.is_file():
+        raise ReproError(f"{role} benchmark file {path} does not exist")
+    try:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ReproError(f"{role} benchmark file {path} is not valid JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise ReproError(f"{role} benchmark file {path}: top level must be an object")
+    rows = payload.get("rows", [])
+    if not isinstance(rows, list):
+        raise ReproError(f"{role} benchmark file {path}: 'rows' must be a list")
+    keyed: Dict[str, Dict[str, Any]] = {}
+    for index, row in enumerate(rows):
+        workload = row.get("workload") if isinstance(row, dict) else None
+        if not isinstance(workload, str):
+            raise ReproError(f"{role} benchmark file {path}: row {index} has no string 'workload'")
+        if workload in keyed:
+            raise ReproError(
+                f"{role} benchmark file {path}: row {index} repeats workload {workload!r}"
+            )
+        keyed[workload] = row
+    return keyed
+
+
 def _diff_bench(reference: Path, candidate: Path) -> int:
-    """Compare two benchmark JSON files (``BENCH_*.json``) per workload.
+    """Compare two benchmark JSON files (``BENCH.json``) per workload.
 
     Rows are matched on their ``workload`` key and every ``*_rps`` field is
     compared as a new/old throughput ratio.  A workload that vanished from
@@ -535,16 +566,8 @@ def _diff_bench(reference: Path, candidate: Path) -> int:
     gate cannot compare (say, rates nested under another key) must not
     read as within bounds.
     """
-    payloads = []
-    for role, path in (("reference", reference), ("candidate", candidate)):
-        if not path.is_file():
-            return _fail(f"{role} benchmark file {path} does not exist")
-        try:
-            payloads.append(json.loads(path.read_text(encoding="utf-8")))
-        except json.JSONDecodeError as exc:
-            return _fail(f"{role} benchmark file {path} is not valid JSON: {exc}")
-    ref_rows = {row["workload"]: row for row in payloads[0].get("rows", [])}
-    cand_rows = {row["workload"]: row for row in payloads[1].get("rows", [])}
+    ref_rows = _bench_rows("reference", reference)
+    cand_rows = _bench_rows("candidate", candidate)
     if not ref_rows:
         return _fail(f"reference benchmark file {reference} has no rows")
 
@@ -1161,7 +1184,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--bench",
         action="store_true",
         help=(
-            "treat the two paths as benchmark JSON files (BENCH_*.json): "
+            "treat the two paths as benchmark JSON files (BENCH.json): "
             "compare *_rps fields per workload, exit 1 on a >10%% regression "
             "or a vanished workload"
         ),

@@ -6,9 +6,12 @@ diff`` it against the committed fixtures, and assert the exit code flips to 1
 when a fixture is mutated.
 """
 
+import importlib
 import json
 import shutil
 from pathlib import Path
+
+import pytest
 
 from repro.analysis.experiments import experiment_e04_tdynamic_coloring
 from repro.scenarios.cli import main
@@ -217,15 +220,26 @@ class TestDriftGate:
 class TestBenchDiff:
     """``repro diff --bench``: the throughput gate over committed BENCH rows."""
 
-    COMMITTED_EXEC = REPO_ROOT / "benchmarks" / "results" / "BENCH_exec.json"
+    COMMITTED = REPO_ROOT / "benchmarks" / "results" / "BENCH.json"
 
     def _diff(self, reference, candidate):
         return main(["diff", str(reference), str(candidate), "--bench"])
 
     def test_committed_bench_files_diff_clean_against_themselves(self, capsys):
-        for path in sorted((REPO_ROOT / "benchmarks" / "results").glob("BENCH_*.json")):
-            assert self._diff(path, path) == 0, path.name
-        assert "bench diff clean" in capsys.readouterr().out
+        assert self._diff(self.COMMITTED, self.COMMITTED) == 0
+        assert "bench diff clean: 23 workloads" in capsys.readouterr().out
+
+    def test_committed_bench_rows_match_harness_schema(self, monkeypatch):
+        # The harness's comparison table and the committed file must not
+        # drift apart: same workload names, same key set on every row.
+        monkeypatch.syspath_prepend(str(REPO_ROOT / "benchmarks"))
+        bench_paths = importlib.import_module("bench_paths")
+        rows = json.loads(self.COMMITTED.read_text())["rows"]
+        names = [row["workload"] for row in rows]
+        assert len(set(names)) == len(names)
+        assert names == bench_paths.workload_names()
+        for row in rows:
+            assert set(row) == set(bench_paths.row_keys(row["paths"])), row["workload"]
 
     def test_reference_without_rps_fields_fails(self, tmp_path, capsys):
         # The nested shape the gate used to read as clean.
@@ -235,14 +249,32 @@ class TestBenchDiff:
         assert "no numeric *_rps field" in capsys.readouterr().err
 
     def test_exec_shaped_regression_exits_one(self, tmp_path, capsys):
-        payload = json.loads(self.COMMITTED_EXEC.read_text())
+        payload = json.loads(self.COMMITTED.read_text())
         for row in payload["rows"]:
-            for field in [name for name in row if name.endswith("_rps")]:
-                row[field] *= 0.5
+            if row["workload"].startswith("exec/"):
+                for field in [name for name in row if name.endswith("_rps")]:
+                    row[field] *= 0.5
         candidate = write_config(tmp_path, payload, name="slow.json")
-        assert self._diff(self.COMMITTED_EXEC, candidate) == 1
+        assert self._diff(self.COMMITTED, candidate) == 1
         err = capsys.readouterr().err
         assert "process_rps regressed" in err and "remote_rps regressed" in err
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ([{"workload": "w", "a_rps": 1.0}], "top level must be an object"),
+            ({"rows": {"w": {"a_rps": 1.0}}}, "'rows' must be a list"),
+            ({"rows": [{"workload": "w", "a_rps": 1.0}, {"a_rps": 2.0}]}, "row 1 has no string"),
+            (
+                {"rows": [{"workload": "w", "a_rps": 1.0}, {"workload": "w", "a_rps": 2.0}]},
+                "row 1 repeats workload 'w'",
+            ),
+        ],
+    )
+    def test_malformed_file_fails_without_traceback(self, tmp_path, capsys, payload, message):
+        bench = write_config(tmp_path, payload, name="bad.json")
+        assert self._diff(bench, bench) == 1
+        assert f"bad.json: {message}" in capsys.readouterr().err
 
 
 class TestComponents:
