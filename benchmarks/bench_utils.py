@@ -33,7 +33,7 @@ __all__ = ["CONFIGS_DIR", "RESULTS_DIR", "regenerate_from_config"]
 CONFIGS_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs" / "experiments"
 
 #: Directory in which every benchmark appends the table it regenerated, so the
-#: experiment tables survive pytest's output capturing (see EXPERIMENTS.md).
+#: experiment tables survive pytest's output capturing.
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent / "results"
 
 

@@ -4,10 +4,11 @@ Run with::
 
     pytest benchmarks/ --benchmark-only
 
-Every benchmark regenerates one experiment from DESIGN.md §3 (E1–E13) and
-prints the resulting table (visible with ``-s`` or in the captured output on
-failure); the row data is also attached to the pytest-benchmark ``extra_info``
-so it ends up in ``--benchmark-json`` exports.
+Every benchmark regenerates one experiment (E1–E13, indexed in
+``repro.analysis.experiments.catalog``) and prints the resulting table
+(visible with ``-s`` or in the captured output on failure); the row data is
+also attached to the pytest-benchmark ``extra_info`` so it ends up in
+``--benchmark-json`` exports.
 """
 
 import pathlib

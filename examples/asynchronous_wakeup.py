@@ -6,14 +6,10 @@ Section 2 of the paper models gradual deployment by a growing awake-node set
 type precisely so that late-waking nodes can simply start executing without a
 global clock.  This example deploys a sensor field in batches — declared as a
 ``staggered`` wake-up component on the scenario spec — lets the links churn
-mildly, and runs both combined algorithms:
+mildly, and runs ``dynamic-coloring`` to assign the sensors' TDMA slots.
 
-* ``dynamic-coloring`` — slot assignment for the sensors' TDMA schedule;
-* ``dynamic-matching`` — pairing sensors for mutual health-checks (the §7.1
-  recipe extension).
-
-For each it reports the sliding-window validity and when the last-deployed
-batch converged to a stable output (the ``last-wakers-convergence`` metric).
+It reports the sliding-window validity and when the last-deployed batch
+converged to a stable output (the ``last-wakers-convergence`` metric).
 
 Run with::
 
@@ -29,42 +25,33 @@ from repro.analysis.report import format_table
 
 
 def main(n: int = 96, rounds: int | None = None, seed: int = 3) -> int:
-    base = ScenarioSpec(
+    spec = ScenarioSpec(
         n=n,
+        name="dynamic-coloring (TDMA slots)",
         topology=component("random_geometric", radius=0.2),
         adversary=component("flip-churn", flip_prob=0.01),
         wakeup=component("staggered", batch_size=8, interval=3),
         algorithm="dynamic-coloring",
         rounds=rounds if rounds is not None else "6*T1",
         seeds=(seed,),
+        metrics=(
+            component("validity", problem="coloring"),
+            component("last-wakers-convergence", tail=8),
+        ),
     )
-
-    rows = []
-    for label, algorithm, problem in (
-        ("dynamic-coloring (TDMA slots)", "dynamic-coloring", "coloring"),
-        ("dynamic-matching (health-check pairs)", "dynamic-matching", "matching"),
-    ):
-        spec = base.replace(
-            name=label,
-            algorithm=component(algorithm),
-            metrics=(
-                component("validity", problem=problem),
-                component("last-wakers-convergence", tail=8),
-            ),
-        )
-        row = run_scenario(spec).rows[0]
-        rows.append(
-            {
-                "algorithm": label,
-                "valid_fraction": row["valid_fraction"],
-                "last_batch_wake_round": row["last_batch_wake_round"],
-                "last_batch_decided_round": row["last_batch_decided_round"],
-                "rounds_to_decide_after_wake": row["rounds_to_decide_after_wake"],
-            }
-        )
+    row = run_scenario(spec).rows[0]
+    rows = [
+        {
+            "algorithm": spec.name,
+            "valid_fraction": row["valid_fraction"],
+            "last_batch_wake_round": row["last_batch_wake_round"],
+            "last_batch_decided_round": row["last_batch_decided_round"],
+            "rounds_to_decide_after_wake": row["rounds_to_decide_after_wake"],
+        }
+    ]
 
     print(f"staggered deployment of {n} sensors (8 per batch, every 3 rounds), "
-          f"window T1={base.resolved_window()}, {base.resolved_rounds()} rounds\n")
+          f"window T1={spec.resolved_window()}, {spec.resolved_rounds()} rounds\n")
     print(format_table(rows, title="guarantees under asynchronous wake-up"))
     print("Nodes awake for fewer than T1 rounds are unconstrained by the sliding-window\n"
           "definition (Definition 2.1), which is why validity stays at 1 even while batches join.")

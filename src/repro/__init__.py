@@ -18,8 +18,7 @@ The package provides:
   (:mod:`repro.core`);
 * the paper's **algorithms** — ``DColor``/``SColor`` for (degree+1)-colouring
   (Corollary 1.2), ``DMis``/``SMis`` for MIS (Corollary 1.3), their static
-  ancestors, recovery-style baselines, ablations, and a maximal-matching
-  extension built by the Section 7.1 recipe (:mod:`repro.algorithms`);
+  ancestors, recovery-style baselines and ablations (:mod:`repro.algorithms`);
 * an **experiment harness** regenerating every guarantee the paper states
   (:mod:`repro.analysis`, driven by ``benchmarks/``).
 
@@ -48,7 +47,6 @@ from repro.runtime.simulator import Simulator, run_simulation
 from repro.runtime.trace import ExecutionTrace
 from repro.problems import (
     coloring_problem_pair,
-    matching_problem_pair,
     mis_problem_pair,
     TDynamicSpec,
 )
@@ -77,7 +75,6 @@ __all__ = [
     "ExecutionTrace",
     "coloring_problem_pair",
     "mis_problem_pair",
-    "matching_problem_pair",
     "TDynamicSpec",
     "Concat",
     "default_window",

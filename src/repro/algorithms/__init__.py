@@ -7,13 +7,11 @@
 * :mod:`repro.algorithms.mis` — Section 5 (MIS): pipelined Luby, a Ghaffari
   style static algorithm, ``DMis`` (Algorithm 4), ``SMis`` (Algorithm 5), the
   combined ``DynamicMIS`` (Corollary 1.3), baselines and ablations.
-* :mod:`repro.algorithms.matching` — the Section 7.1 recipe applied to maximal
-  matching (an extension beyond the paper's two worked examples).
 * :mod:`repro.algorithms.common` — shared helpers (the ⊥-backbone used by the
   Concat ablation).
 """
 
-from repro.algorithms import coloring, mis, matching
+from repro.algorithms import coloring, mis
 from repro.algorithms.common import NullBackbone
 
-__all__ = ["coloring", "mis", "matching", "NullBackbone"]
+__all__ = ["coloring", "mis", "NullBackbone"]

@@ -51,7 +51,7 @@ class DMis(DynamicAlgorithm):
         combiner can be fed a backbone snapshot containing a *transient
         domination hole* — a node marked ``dominated`` whose only dominator
         left the MIS in the very same round (see the "observed deviation" note
-        in EXPERIMENTS.md).  With this flag, a node whose *input* is
+        in README.md).  With this flag, a node whose *input* is
         ``dominated`` re-validates that decision in the instance's first
         round: if no mark arrives from an intersection-graph neighbour, it
         reverts to ``undecided`` and participates normally.  This removes the

@@ -33,7 +33,7 @@ class DynamicMIS(Concat):
     revalidate_dominated:
         Forwarded to every :class:`~repro.algorithms.mis.dmis.DMis` instance.
         Off by default (paper-faithful); switching it on removes the transient
-        domination holes documented in EXPERIMENTS.md at the cost of weakening
+        domination holes documented in README.md at the cost of weakening
         the literal input-extension property A.1 for stale input values.
     """
 

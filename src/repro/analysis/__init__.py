@@ -4,12 +4,13 @@
 * :mod:`repro.analysis.stability` — output-change statistics over traces.
 * :mod:`repro.analysis.convergence` — rounds-to-completion measurements.
 * :mod:`repro.analysis.quality` — solution-quality yardsticks (colour counts,
-  MIS size, matching size) against sequential greedy references.
+  MIS size) against sequential greedy references.
 * :mod:`repro.analysis.sweep` — replicated parameter sweeps with aggregation.
 * :mod:`repro.analysis.report` — plain-text tables for experiment rows.
 * :mod:`repro.analysis.experiments` — the E1–E13 experiment implementations
-  indexed in DESIGN.md / EXPERIMENTS.md (each returns structured rows; the
-  ``benchmarks/`` tree wraps them in pytest-benchmark targets).
+  indexed in :mod:`repro.analysis.experiments.catalog` (each returns
+  structured rows; the ``benchmarks/`` tree wraps them in pytest-benchmark
+  targets).
 """
 
 from repro.analysis.conflicts import (
@@ -28,7 +29,7 @@ from repro.analysis.convergence import (
     rounds_to_completion,
     completion_round_for_nodes,
 )
-from repro.analysis.quality import coloring_quality, mis_quality, matching_quality
+from repro.analysis.quality import coloring_quality, mis_quality
 from repro.analysis.sweep import Replication, aggregate_rows, replicate
 from repro.analysis.report import format_table, rows_to_csv
 
@@ -45,7 +46,6 @@ __all__ = [
     "completion_round_for_nodes",
     "coloring_quality",
     "mis_quality",
-    "matching_quality",
     "Replication",
     "replicate",
     "aggregate_rows",

@@ -1,10 +1,10 @@
-"""The E1–E13 experiment implementations (see DESIGN.md §3 for the index).
+"""The E1–E13 experiment implementations (indexed in :mod:`.catalog`).
 
 Every experiment is an ordinary function that returns a list of row dicts; the
 ``benchmarks/`` tree wraps each one in a pytest-benchmark target that runs it
 and prints the regenerated table.  Default parameters are sized so the whole
 suite completes on a laptop in minutes; every knob (sizes, rounds, seeds,
-churn rates) is exposed so EXPERIMENTS.md-scale runs just pass bigger values.
+churn rates) is exposed so larger runs just pass bigger values.
 """
 
 from repro.analysis.experiments.coloring import (

@@ -1,7 +1,8 @@
 """Colouring experiments E1–E4 (Lemmas 4.3/4.4/6.1/6.2, Corollary 1.2).
 
-Each function returns a list of row dicts; see DESIGN.md §3 for the mapping
-from experiment id to paper claim, and EXPERIMENTS.md for recorded outcomes.
+Each function returns a list of row dicts; see
+:mod:`repro.analysis.experiments.catalog` for the mapping from experiment id
+to paper claim, and ``results/TABLES.txt`` for recorded outcomes.
 
 All four experiments are expressed through the declarative scenario API
 (:mod:`repro.scenarios`): a workload is a :class:`ScenarioSpec` whose

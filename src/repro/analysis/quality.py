@@ -3,9 +3,8 @@
 The paper's guarantees are about feasibility and stability, not optimality,
 but a reproduction should still show that the produced solutions are sensible:
 the number of colours stays near the (degree+1) bound of a sequential greedy,
-the MIS is comparable in size to a greedy MIS, and the matching covers a
-similar number of nodes.  These helpers compute those comparisons for the
-experiment reports.
+and the MIS is comparable in size to a greedy MIS.  These helpers compute
+those comparisons for the experiment reports.
 """
 
 from __future__ import annotations
@@ -15,11 +14,10 @@ from typing import Dict
 from repro.types import Assignment
 from repro.dynamics.topology import Topology
 from repro.problems.coloring import num_colors_used
-from repro.problems.matching import UNMATCHED, matched_pairs
 from repro.algorithms.coloring.greedy import greedy_coloring
 from repro.algorithms.mis.greedy import greedy_mis
 
-__all__ = ["coloring_quality", "mis_quality", "matching_quality"]
+__all__ = ["coloring_quality", "mis_quality"]
 
 
 def coloring_quality(graph: Topology, assignment: Assignment) -> Dict[str, float]:
@@ -44,19 +42,5 @@ def mis_quality(graph: Topology, assignment: Assignment) -> Dict[str, float]:
         "mis_size": float(members),
         "greedy_size": float(len(greedy)),
         "undecided": float(sum(1 for v in graph.nodes if assignment.get(v) is None)),
-        "nodes": float(graph.num_nodes),
-    }
-
-
-def matching_quality(graph: Topology, assignment: Assignment) -> Dict[str, float]:
-    """Matching-size statistics (matched pairs, unmatched and undecided nodes)."""
-    pairs = matched_pairs(assignment)
-    unmatched = sum(1 for v in graph.nodes if assignment.get(v) == UNMATCHED)
-    undecided = sum(1 for v in graph.nodes if assignment.get(v) is None)
-    return {
-        "matched_pairs": float(len(pairs)),
-        "matched_nodes": float(2 * len(pairs)),
-        "unmatched": float(unmatched),
-        "undecided": float(undecided),
         "nodes": float(graph.num_nodes),
     }

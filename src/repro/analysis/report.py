@@ -1,9 +1,9 @@
 """Plain-text rendering of experiment rows.
 
 The benchmark harness prints, for every experiment, the rows it regenerated —
-the moral equivalent of the paper's tables/figures (the paper itself has none;
-see DESIGN.md).  Keeping the renderer tiny and dependency-free means the same
-tables show up in CI logs, EXPERIMENTS.md and interactive use.
+the moral equivalent of the paper's tables/figures (the paper itself has
+none).  Keeping the renderer tiny and dependency-free means the same tables
+show up in CI logs, ``results/TABLES.txt`` and interactive use.
 """
 
 from __future__ import annotations

@@ -11,8 +11,8 @@ For the experiments we therefore use a *practical* default window
 with ``multiplier = 4`` and ``additive = 4`` — comfortably above every
 empirically observed convergence time at the evaluated sizes while still
 ``Θ(log n)``.  Every experiment that depends on the window size exposes it as
-a parameter, and EXPERIMENTS.md records both the default and the measured
-convergence times so the slack is visible.
+a parameter, and the committed E1/E7 rows (``results/TABLES.txt``) record both
+the default and the measured convergence times so the slack is visible.
 """
 
 from __future__ import annotations

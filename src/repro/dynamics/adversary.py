@@ -15,8 +15,7 @@ round.  Its power is graded by *obliviousness* (Section 2):
   :meth:`AdversaryView.algorithm_state`.  Every attack used by the paper's
   remarks (inserting a conflict edge against the current colouring, cutting
   the edge over which a fresh MIS node would notify its neighbour) only needs
-  this online power, so the distinction does not weaken the experiments; it
-  is documented in DESIGN.md.
+  this online power, so the distinction does not weaken the experiments.
 
 Since the delta-engine refactor, :meth:`Adversary.step` may return either a
 full :class:`~repro.dynamics.topology.Topology` snapshot (the original
@@ -208,7 +207,7 @@ class Adversary(ABC):
         may return a plan here; the simulator's ``delivery="kernel"`` path
         then bypasses :meth:`step` entirely while consuming identical
         randomness.  Returning ``None`` keeps the adversary on the classic
-        step path (a kernel-mode run then uses the generic CSR engine).
+        step path (a kernel-mode request then runs the incremental loop).
         """
         return None
 

@@ -39,12 +39,11 @@ def _check_numpy_version() -> None:
 _check_numpy_version()
 
 from .base import AlgorithmKernel, DeliverContext  # noqa: E402
-from .csr import CSRAdjacency, EdgeUniverse  # noqa: E402
+from .csr import EdgeUniverse  # noqa: E402
 from .plan import KernelPlan  # noqa: E402
 
 __all__ = [
     "AlgorithmKernel",
-    "CSRAdjacency",
     "DeliverContext",
     "EdgeUniverse",
     "KernelPlan",

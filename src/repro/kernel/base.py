@@ -17,7 +17,7 @@ whose change schedules a recompose — exactly the classic
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -27,11 +27,10 @@ _EMPTY_I8 = np.empty(0, dtype=np.int64)
 
 
 class DeliverContext:
-    """Array-mode extras handed to :meth:`AlgorithmKernel.deliver`.
+    """Per-round extras handed to :meth:`AlgorithmKernel.deliver`.
 
-    ``None`` is passed on the generic (dict-adjacency) path; kernels that
-    keep per-edge state (DMis) use the universe layout carried here and
-    fall back to python structures otherwise.
+    Kernels that keep per-edge state (DMis) use the universe layout carried
+    here.
     """
 
     __slots__ = ("universe", "eff_d", "slots")
@@ -81,7 +80,7 @@ class AlgorithmKernel:
         ids: np.ndarray,
         seg: np.ndarray,
         nbrs: np.ndarray,
-        ctx: Optional[DeliverContext],
+        ctx: DeliverContext,
     ) -> None:  # pragma: no cover - abstract
         raise NotImplementedError
 
@@ -98,23 +97,6 @@ class AlgorithmKernel:
         raise NotImplementedError
 
     # -- shared helpers ------------------------------------------------------
-
-    def drop(self, ids: np.ndarray) -> np.ndarray:
-        """Forget removed nodes' caches (generic mode); returns their old bit sizes.
-
-        Mirrors the classic ``_drop_node``: only the engine-side caches are
-        cleared — the algorithm state (and ``woken``) survives, because a
-        re-added node resumes from its old state (``wake`` is guarded).
-        """
-
-        old_bits = self.bits[ids].copy()
-        self.volatile[ids] = False
-        self.recompose_next[ids] = False
-        self.bits[ids] = 0
-        self._has_msg[ids] = False
-        self._fset[ids] = False
-        self._has_out[ids] = False
-        return old_bits
 
     def _post_fingerprints(self, ids: np.ndarray, vol_rows: np.ndarray, fval_rows: np.ndarray) -> None:
         """Classic post-deliver fingerprint pass, vectorised.

@@ -154,7 +154,7 @@ class ColoringKernel(AlgorithmKernel):
         ids: np.ndarray,
         seg: np.ndarray,
         nbrs: np.ndarray,
-        ctx: Optional[DeliverContext],
+        ctx: DeliverContext,
     ) -> None:
         k = ids.size
         if k == 0:
@@ -169,16 +169,10 @@ class ColoringKernel(AlgorithmKernel):
 
         fixed_slots = ntag == _T_FIXED
 
-        # "some neighbor picked my choice" is one scatter: on the array path
-        # (``ctx`` set) every delivered slot carries a composed message
-        # (``ntag != 0``: FIXED or TENT); the generic path can hand us slots
-        # to sleeping neighbors, which must not count
-        same = nval == own_choice[seg]
+        # "some neighbor picked my choice" is one scatter: every delivered
+        # slot carries a composed message (``ntag != 0``: FIXED or TENT)
         conflict = np.zeros(k, dtype=bool)
-        if ctx is not None:
-            conflict[seg[same]] = True
-        else:
-            conflict[seg[same & (ntag != 0)]] = True
+        conflict[seg[nval == own_choice[seg]]] = True
 
         adopt = (
             uncolored

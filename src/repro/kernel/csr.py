@@ -1,29 +1,20 @@
-"""CSR adjacency structures for the array kernel.
+"""CSR adjacency over a static edge universe for the array kernel.
 
-Two structures live here:
-
-* :class:`EdgeUniverse` — the array engine's view of a *static* edge
-  universe (see :class:`repro.kernel.plan.KernelPlan`).  Both directions of
-  every universe edge are stored once, lexicographically sorted by
-  ``(src, dst)``, giving a CSR layout whose ``indptr`` never changes; the
-  per-round "which edges exist" information is a boolean mask indexed by
-  universe-edge id.  Row gathers therefore never rebuild ``indices``.
-
-* :class:`CSRAdjacency` — a per-node sorted-neighbor-array adjacency
-  maintained incrementally from :class:`TopologyDelta`\\ s.  This backs the
-  generic kernel path (adversaries without a :class:`KernelPlan`) and the
-  CSR round-trip property tests.
+:class:`EdgeUniverse` is the array engine's view of a *static* edge universe
+(see :class:`repro.kernel.plan.KernelPlan`).  Both directions of every
+universe edge are stored once, lexicographically sorted by ``(src, dst)``,
+giving a CSR layout whose ``indptr`` never changes; the per-round "which
+edges exist" information is a boolean mask indexed by universe-edge id.
+Row gathers therefore never rebuild ``indices``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from repro.dynamics.topology import Topology, TopologyDelta
-
-__all__ = ["EdgeUniverse", "CSRAdjacency"]
+__all__ = ["EdgeUniverse"]
 
 _EMPTY_I8 = np.empty(0, dtype=np.int64)
 
@@ -80,97 +71,3 @@ class EdgeUniverse:
         slots = np.repeat(starts - offsets, counts) + np.arange(total, dtype=np.int64)
         seg = np.repeat(np.arange(ids.size, dtype=np.int64), counts)
         return slots, seg
-
-
-def _as_sorted_array(values: Iterable[int]) -> np.ndarray:
-    arr = np.fromiter(values, dtype=np.int64)
-    arr.sort()
-    return arr
-
-
-class CSRAdjacency:
-    """Dict-of-sorted-arrays adjacency maintained from ``TopologyDelta``\\ s.
-
-    Rows exist exactly for the nodes of the current topology; each row is a
-    sorted ``int64`` array of neighbor ids.  ``apply_delta`` mirrors the
-    exactness contract of :meth:`Topology.apply` (it assumes the delta was
-    validated there — the simulator applies every delta to the real
-    topology first, so invalid deltas never reach this structure).
-    """
-
-    __slots__ = ("n", "_rows")
-
-    def __init__(self, n: int) -> None:
-        self.n = int(n)
-        self._rows: Dict[int, np.ndarray] = {}
-
-    @classmethod
-    def from_topology(cls, n: int, topology: Topology) -> "CSRAdjacency":
-        adj = cls(n)
-        for v in topology.nodes:
-            adj._rows[v] = _as_sorted_array(topology.neighbors(v))
-        return adj
-
-    @property
-    def nodes(self) -> Iterable[int]:
-        return self._rows.keys()
-
-    def neighbors(self, v: int) -> np.ndarray:
-        return self._rows.get(v, _EMPTY_I8)
-
-    def apply_delta(self, delta: TopologyDelta) -> None:
-        for v in delta.removed_nodes:
-            self._rows.pop(v, None)
-        for v in delta.added_nodes:
-            self._rows.setdefault(v, _EMPTY_I8)
-        if not (delta.added_edges or delta.removed_edges):
-            return
-        adds: Dict[int, list] = {}
-        removes: Dict[int, list] = {}
-        for u, v in delta.removed_edges:
-            removes.setdefault(u, []).append(v)
-            removes.setdefault(v, []).append(u)
-        for u, v in delta.added_edges:
-            adds.setdefault(u, []).append(v)
-            adds.setdefault(v, []).append(u)
-        for v in removes.keys() | adds.keys():
-            row = self._rows.get(v, _EMPTY_I8)
-            rem = removes.get(v)
-            if rem:
-                row = np.setdiff1d(row, np.asarray(rem, dtype=np.int64), assume_unique=True)
-            add = adds.get(v)
-            if add:
-                row = np.union1d(row, np.asarray(add, dtype=np.int64))
-            self._rows[v] = row
-
-    def gather(self, ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Concatenated neighbor rows for ``ids`` as ``(seg, nbrs)``.
-
-        ``seg`` maps each entry of ``nbrs`` back to its position in ``ids``;
-        within a row, neighbors are ascending.
-        """
-
-        if ids.size == 0:
-            return _EMPTY_I8, _EMPTY_I8
-        rows = [self._rows.get(v, _EMPTY_I8) for v in ids.tolist()]
-        counts = np.fromiter((row.size for row in rows), dtype=np.int64, count=len(rows))
-        total = int(counts.sum())
-        if total == 0:
-            return _EMPTY_I8, _EMPTY_I8
-        seg = np.repeat(np.arange(ids.size, dtype=np.int64), counts)
-        nbrs = np.concatenate([row for row in rows if row.size])
-        return seg, nbrs
-
-    def to_indptr_indices(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Dense ``(row_ids, indptr, indices)`` snapshot for the property tests."""
-
-        row_ids = _as_sorted_array(self._rows.keys()) if self._rows else _EMPTY_I8
-        counts = np.fromiter(
-            (self._rows[v].size for v in row_ids.tolist()), dtype=np.int64, count=row_ids.size
-        )
-        indptr = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
-        if int(indptr[-1]):
-            indices = np.concatenate([self._rows[v] for v in row_ids.tolist() if self._rows[v].size])
-        else:
-            indices = _EMPTY_I8
-        return row_ids, indptr, indices

@@ -1,29 +1,21 @@
-"""Round engines executing pure algorithms over numpy state arrays.
+"""The round engine executing pure algorithms over numpy state arrays.
 
-Two engines share the per-algorithm kernels:
+:class:`ArrayKernelEngine` requires a :class:`~repro.kernel.plan.KernelPlan`
+from the adversary: the round loop never materialises python topologies,
+never calls ``Adversary.step`` and records the trace lazily (deltas only).
+Topology evolution is a boolean presence mask over a static edge universe;
+the engine diffs successive masks to recover the exact deltas the classic
+path would have stored.  Adversaries without a plan run on the classic
+incremental loop instead.
 
-* :class:`ArrayKernelEngine` — the fast path.  Requires a
-  :class:`~repro.kernel.plan.KernelPlan` from the adversary: the round loop
-  never materialises python topologies, never calls ``Adversary.step`` and
-  records the trace lazily (deltas only).  Topology evolution is a boolean
-  presence mask over a static edge universe; the engine diffs successive
-  masks to recover the exact deltas the classic path would have stored.
-
-* :class:`GenericKernelEngine` — the compatibility path.  Runs inside the
-  classic ``Simulator._run_round`` structure (real ``Adversary.step``,
-  real topologies, eager trace recording) but replaces the per-node
-  compose/deliver/output loops with the vectorised kernels over a
-  :class:`~repro.kernel.csr.CSRAdjacency` maintained from deltas.  Any
-  adversary works here, including ones that remove nodes.
-
-Both paths are byte-identical to the classic full/incremental loops —
+The engine is byte-identical to the classic full/incremental loops —
 ``--verify kernel`` (:mod:`repro.verify.policy`) asserts it at runtime, and
 the equivalence tests cover the full algorithm × adversary × wakeup matrix.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, Optional
 
 import numpy as np
 
@@ -32,21 +24,18 @@ from repro.obs.trace import active_sink
 from repro.dynamics.topology import (
     EMPTY_DELTA,
     ArrayDelta,
-    Topology,
     TopologyDelta,
 )
 from repro.runtime.metrics import RoundMetrics
 from repro.runtime.simulator import RoundActivity
 
 from .base import AlgorithmKernel, DeliverContext
-from .csr import CSRAdjacency
 from .plan import KernelPlan
 
-__all__ = ["ArrayKernelEngine", "GenericKernelEngine"]
+__all__ = ["ArrayKernelEngine"]
 
 _EMPTY_I8 = np.empty(0, dtype=np.int64)
 _EMPTY_BOOL = np.empty(0, dtype=bool)
-_EMPTY_FROZEN: FrozenSet[int] = frozenset()
 
 
 class _BitsAccounting:
@@ -83,14 +72,6 @@ class _BitsAccounting:
         if self.count <= 0:
             self._rescan(kernel)
 
-    def drop(self, kernel: AlgorithmKernel, old_bits: np.ndarray) -> None:
-        if old_bits.size == 0:
-            return
-        self.total -= int(old_bits.sum())
-        self.count -= int((old_bits == self.max).sum())
-        if self.count <= 0:
-            self._rescan(kernel)
-
     def _rescan(self, kernel: AlgorithmKernel) -> None:
         if kernel.bits.size:
             self.max = int(kernel.bits.max())
@@ -102,8 +83,6 @@ class _BitsAccounting:
 
 class ArrayKernelEngine:
     """Plan-driven array execution: no python topologies in the round loop."""
-
-    is_array = True
 
     def __init__(self, simulator, kernel: AlgorithmKernel, plan: KernelPlan) -> None:
         self._sim = simulator
@@ -335,7 +314,6 @@ class ArrayKernelEngine:
             delivered=dirty_ids,
             changed_outputs=changed_out,
         )
-        sim._last_activity_builder = None
 
         sink = active_sink()
         if sink is not None:
@@ -352,102 +330,6 @@ class ArrayKernelEngine:
                 changed=int(changed_out.size),
                 quiescent=int(dirty_ids.size) == 0,
             )
-
-    def finalize(self) -> None:
-        self._kernel.finalize()
-
-
-class GenericKernelEngine:
-    """Kernel compose/deliver over a delta-maintained CSR, classic round shell."""
-
-    is_array = False
-
-    def __init__(self, simulator, kernel: AlgorithmKernel) -> None:
-        self._sim = simulator
-        self._kernel = kernel
-        self._adj = CSRAdjacency(simulator._n)
-        self._bits = _BitsAccounting()
-        self._running: Dict[int, Optional[int]] = {}
-        self._outputs_obj: Dict[int, Optional[int]] = {}
-
-    def round(
-        self,
-        round_index: int,
-        previous: Topology,
-        topology: Topology,
-        delta: Optional[TopologyDelta],
-        newly_awake: FrozenSet[int],
-    ) -> Tuple[Dict[int, Optional[int]], RoundMetrics, FrozenSet[int], object]:
-        kernel = self._kernel
-        effective_delta = (
-            delta if delta is not None else TopologyDelta.between(previous, topology)
-        )
-        removed = effective_delta.removed_nodes
-        if removed:
-            removed_arr = np.fromiter(sorted(removed), dtype=np.int64, count=len(removed))
-            old = kernel.drop(removed_arr)
-            self._bits.drop(kernel, old)
-            running = self._running
-            for v in removed:
-                running.pop(v, None)
-        self._adj.apply_delta(effective_delta)
-
-        if newly_awake:
-            kernel.wake(np.fromiter(sorted(newly_awake), dtype=np.int64, count=len(newly_awake)))
-
-        recompose_mask = kernel.volatile | kernel.recompose_next
-        kernel.recompose_next[:] = False
-        recompose_ids = np.flatnonzero(recompose_mask)
-        changed_ids, old_bits = kernel.compose(recompose_ids)
-        self._bits.account(kernel, changed_ids, old_bits)
-
-        nodes = topology.nodes
-        if 4 * changed_ids.size >= len(nodes):
-            dirty = set(nodes)
-        else:
-            dirty = set(effective_delta.touched_nodes())
-            dirty.update(np.flatnonzero(kernel.volatile).tolist())
-            changed_list = changed_ids.tolist()
-            dirty.update(changed_list)
-            for v in changed_list:
-                dirty.update(topology.neighbors(v))
-            dirty &= nodes
-        dirty_ids = np.fromiter(sorted(dirty), dtype=np.int64, count=len(dirty))
-
-        seg, nbrs = self._adj.gather(dirty_ids)
-        kernel.deliver(dirty_ids, seg, nbrs, None)
-
-        changed_out, values = kernel.post_round(dirty_ids)
-        if changed_out.size or removed:
-            running = self._running
-            for v, value in zip(changed_out.tolist(), values):
-                running[v] = value
-            outputs = dict(running)
-        else:
-            outputs = self._outputs_obj
-        self._outputs_obj = outputs
-
-        changed_frozen = frozenset(changed_out.tolist()) if changed_out.size else _EMPTY_FROZEN
-        metrics = RoundMetrics(
-            round_index=round_index,
-            num_awake=topology.num_nodes,
-            num_edges=topology.num_edges,
-            messages_sent=topology.num_nodes,
-            messages_delivered=2 * topology.num_edges,
-            max_message_bits=self._bits.max,
-            total_message_bits=self._bits.total,
-            outputs_changed=len(changed_frozen),
-            algorithm_counters=kernel.counters(),
-        )
-        activity = RoundActivity(
-            round_index=round_index,
-            mode="kernel",
-            delta=delta,
-            composed=frozenset(recompose_ids.tolist()),
-            delivered=frozenset(dirty_ids.tolist()),
-            changed_outputs=changed_frozen,
-        )
-        return outputs, metrics, changed_frozen, activity
 
     def finalize(self) -> None:
         self._kernel.finalize()

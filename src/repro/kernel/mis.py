@@ -11,8 +11,7 @@ lexsort orders by neighbor) — the classic ``deliver`` iterates its inbox
 in sorted key order for exactly this reason.
 
 DMis keeps the per-instance intersection graph ("live" sets) as a boolean
-mask over doubled universe slots in array mode, or python frozensets on
-the generic path.
+mask over doubled universe slots.
 """
 
 from __future__ import annotations
@@ -132,7 +131,7 @@ class SMisKernel(AlgorithmKernel):
         ids: np.ndarray,
         seg: np.ndarray,
         nbrs: np.ndarray,
-        ctx: Optional[DeliverContext],
+        ctx: DeliverContext,
     ) -> None:
         k = ids.size
         if k == 0:
@@ -214,13 +213,12 @@ class DMisKernel(AlgorithmKernel):
         self._undecided = 0
         #: vectorised per-node streams, byte-identical to ``alg.rng(v)``
         self._pool = NodeStreamPool(n, algorithm.config.rng_factory.seed, algorithm.name)
-        # live-set storage: doubled-slot mask in array mode, frozensets otherwise
-        self._live_dir: Optional[np.ndarray] = None
+        #: live-set storage: a doubled-universe slot mask, sized by ``set_array_mode``
+        self._live_dir = np.zeros(0, dtype=bool)
         self._live_init = np.zeros(n, dtype=bool)
-        self._live_py: Dict[int, Optional[frozenset]] = {}
 
     def set_array_mode(self, universe) -> None:
-        """Switch live-set bookkeeping to a doubled-universe slot mask."""
+        """Size the live-set bookkeeping to the engine's edge universe."""
 
         self._universe = universe
         self._live_dir = np.zeros(universe.usrc.size, dtype=bool)
@@ -291,15 +289,7 @@ class DMisKernel(AlgorithmKernel):
         ids: np.ndarray,
         seg: np.ndarray,
         nbrs: np.ndarray,
-        ctx: Optional[DeliverContext],
-    ) -> None:
-        if ctx is not None:
-            self._deliver_array(ids, seg, nbrs, ctx)
-        else:
-            self._deliver_generic(ids, seg, nbrs)
-
-    def _deliver_array(
-        self, ids: np.ndarray, seg: np.ndarray, nbrs: np.ndarray, ctx: DeliverContext
+        ctx: DeliverContext,
     ) -> None:
         k = ids.size
         if k == 0:
@@ -336,49 +326,6 @@ class DMisKernel(AlgorithmKernel):
         to_mis = undm & ~mark & (self._drawn[ids] < minr)
         self._apply_transitions(ids[to_dom], ids[to_mis])
 
-    def _deliver_generic(self, ids: np.ndarray, seg: np.ndarray, nbrs: np.ndarray) -> None:
-        k = ids.size
-        if k == 0:
-            return
-        bounds = np.searchsorted(seg, np.arange(k + 1))
-        state = self._state
-        mtag = self._mtag
-        mp = self._mp
-        drawn = self._drawn
-        live_py = self._live_py
-        restrict = self._restrict
-        dom: List[int] = []
-        mis: List[int] = []
-        for i, v in enumerate(ids.tolist()):
-            keys = frozenset(nbrs[bounds[i] : bounds[i + 1]].tolist())
-            previous = live_py.get(v)
-            if previous is None:
-                live = keys
-            elif restrict:
-                live = previous & keys
-            else:
-                live = keys
-            live_py[v] = live
-            if state[v] != _S_UND:
-                continue
-            mark = False
-            minr = float("inf")
-            for u in live:
-                tag = mtag[u]
-                if tag == _T_MARK:
-                    mark = True
-                elif tag == _T_RAND:
-                    val = float(mp[u])
-                    if val < minr:
-                        minr = val
-            if mark:
-                dom.append(v)
-            elif float(drawn[v]) < minr:
-                mis.append(v)
-        self._apply_transitions(
-            np.asarray(dom, dtype=np.int64), np.asarray(mis, dtype=np.int64)
-        )
-
     def _apply_transitions(self, dom_ids: np.ndarray, mis_ids: np.ndarray) -> None:
         self._state[dom_ids] = _S_DOM
         self._state[mis_ids] = _S_MIS
@@ -399,22 +346,16 @@ class DMisKernel(AlgorithmKernel):
         alg._state = {v: _STATE_ENUMS[int(self._state[v])] for v in woken}
         alg._drawn = {v: float(self._drawn[v]) for v in woken}
         live: Dict[int, Optional[frozenset]] = {v: None for v in woken}
-        if self._live_dir is not None:
-            init_ids = np.asarray(
-                [v for v in woken if self._live_init[v]], dtype=np.int64
-            )
-            if init_ids.size:
-                uni = self._universe
-                slots, seg = uni.row_slots(init_ids)
-                kept = self._live_dir[slots]
-                kept_seg = seg[kept]
-                kept_dst = uni.udst[slots[kept]]
-                bounds = np.searchsorted(kept_seg, np.arange(init_ids.size + 1))
-                for i, v in enumerate(init_ids.tolist()):
-                    live[v] = frozenset(kept_dst[bounds[i] : bounds[i + 1]].tolist())
-        else:
-            for v in woken:
-                live[v] = self._live_py.get(v)
+        init_ids = np.asarray([v for v in woken if self._live_init[v]], dtype=np.int64)
+        if init_ids.size:
+            uni = self._universe
+            slots, seg = uni.row_slots(init_ids)
+            kept = self._live_dir[slots]
+            kept_seg = seg[kept]
+            kept_dst = uni.udst[slots[kept]]
+            bounds = np.searchsorted(kept_seg, np.arange(init_ids.size + 1))
+            for i, v in enumerate(init_ids.tolist()):
+                live[v] = frozenset(kept_dst[bounds[i] : bounds[i + 1]].tolist())
         alg._live = live
         alg._undecided_n = int(self._undecided)
         alg._node_rng_skips = self._pool.draw_skips()

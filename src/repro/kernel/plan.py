@@ -10,7 +10,7 @@ materialising python ``frozenset`` topologies.
 
 Adversaries that cannot express their behaviour this way simply return
 ``None`` from :meth:`Adversary.kernel_plan` and the simulator falls back to
-the generic (dict-adjacency) kernel path or the classic loops.
+the classic incremental (or full) loop.
 """
 
 from __future__ import annotations

@@ -9,11 +9,7 @@ Concrete problems shipped here:
 
 * independent set (packing) + dominating set (covering) = **MIS**;
 * proper colouring (packing) + degree+1 colour range (covering) =
-  **(degree+1)-colouring**;
-* matching validity (covering) + matching maximality (packing) =
-  **maximal matching** (the §7.1 recipe exercise);
-* vertex-cover coverage (packing) + minimality (covering) =
-  **minimal vertex cover** (extra).
+  **(degree+1)-colouring**.
 """
 
 from repro.problems.base import DistributedGraphProblem
@@ -26,17 +22,6 @@ from repro.problems.coloring import (
     ProperColoringProblem,
     coloring_problem_pair,
     is_proper_coloring,
-)
-from repro.problems.matching import (
-    MatchingMaximalityProblem,
-    MatchingValidityProblem,
-    matching_problem_pair,
-    UNMATCHED,
-)
-from repro.problems.vertex_cover import (
-    VertexCoverCoverageProblem,
-    VertexCoverMinimalityProblem,
-    vertex_cover_problem_pair,
 )
 from repro.problems.dynamic_problem import TDynamicCheckResult, TDynamicSpec
 
@@ -53,13 +38,6 @@ __all__ = [
     "DegreePlusOneRangeProblem",
     "coloring_problem_pair",
     "is_proper_coloring",
-    "MatchingValidityProblem",
-    "MatchingMaximalityProblem",
-    "matching_problem_pair",
-    "UNMATCHED",
-    "VertexCoverCoverageProblem",
-    "VertexCoverMinimalityProblem",
-    "vertex_cover_problem_pair",
     "TDynamicSpec",
     "TDynamicCheckResult",
 ]

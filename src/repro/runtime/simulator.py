@@ -38,17 +38,17 @@ Two delivery paths implement that structure:
     arrays, CSR adjacency over a static edge universe, vectorised
     compose/deliver/output.  Requires the ``"pure"`` contract plus a
     hand-vectorised kernel for the algorithm
-    (:meth:`~repro.runtime.algorithm.DistributedAlgorithm.as_kernel`).
-    When the adversary also offers a
-    :class:`~repro.kernel.plan.KernelPlan`, the round loop never
-    materialises python topologies at all and the trace is recorded lazily
-    (deltas only); otherwise a generic CSR engine runs inside the classic
-    round shell.  Byte-identical to both classic paths.
+    (:meth:`~repro.runtime.algorithm.DistributedAlgorithm.as_kernel`) and a
+    :class:`~repro.kernel.plan.KernelPlan` from the adversary.  The round
+    loop never materialises python topologies at all and the trace is
+    recorded lazily (deltas only).  Byte-identical to both classic paths.
 
 The default mode ``"auto"`` selects the kernel path when algorithm,
 adversary and wake-up schedule are all kernel-eligible, incremental delivery
 when only the algorithm's ``"pure"`` contract holds, and the full path
-otherwise.  ``REPRO_DELIVERY=full|incremental|kernel|auto`` (or the
+otherwise.  An explicit ``"kernel"`` request follows the same rule: without
+a kernel or a plan it degrades to incremental (or full).
+``REPRO_DELIVERY=full|incremental|kernel|auto`` (or the
 :func:`delivery_mode` context manager) overrides the automatic choice; a
 :class:`~repro.verify.policy.VerificationPolicy` (``--verify
 incremental,kernel``, a config ``"verification"`` block, or
@@ -239,7 +239,9 @@ class Simulator:
         otherwise; ``"full"``/``"incremental"``/``"kernel"`` force a path.
         Forcing a path the algorithm has not declared safe falls back to the
         strongest available one (the engine cannot skip work the algorithm
-        has not declared skippable).
+        has not declared skippable); ``"kernel"`` without an algorithm
+        kernel or an adversary :class:`~repro.kernel.plan.KernelPlan`
+        degrades to ``"incremental"``.
     allow_kernel:
         Set to false to exclude the kernel path from ``"auto"``/``"kernel"``
         resolution (used e.g. when per-round probes will read live
@@ -320,17 +322,14 @@ class Simulator:
                     kernel_plan = plan
         if requested == "full":
             self._delivery = "full"
-        elif requested == "kernel" and kernel_factory is not None:
-            self._delivery = "kernel"
-        elif requested == "auto" and kernel_factory is not None and kernel_plan is not None:
-            # auto only picks the kernel when the fast array path is
-            # available end-to-end; a plan-less adversary stays on the
-            # incremental loop (the generic kernel engine is opt-in).
+        elif requested in ("auto", "kernel") and kernel_plan is not None:
+            # the kernel needs the array path end-to-end: a kernel for the
+            # algorithm and a plan from the adversary
             self._delivery = "kernel"
         else:  # remaining "incremental"/"auto"/"kernel" need the contract
             self._delivery = "incremental" if pure else "full"
         self._kernel_factory = kernel_factory
-        self._kernel_plan = kernel_plan if self._delivery == "kernel" else None
+        self._kernel_plan = kernel_plan
         self._kernel_engine: Optional[Any] = None
         self._trace = ExecutionTrace(
             n,
@@ -344,9 +343,6 @@ class Simulator:
         self._current_topology: Topology = empty_topology()
         self._started = False
         self._last_activity: Optional[RoundActivity] = None
-        #: deferred activity constructor (set by the array kernel engine so
-        #: rounds that nobody inspects never pay the frozenset conversions)
-        self._last_activity_builder: Optional[Callable[[], RoundActivity]] = None
         # -- incremental-delivery caches (unused on the full path) ----------
         #: node -> last composed message / its estimated bit size.
         self._messages: Dict[NodeId, Message] = {}
@@ -383,10 +379,6 @@ class Simulator:
     @property
     def last_round_activity(self) -> Optional[RoundActivity]:
         """The :class:`RoundActivity` of the most recent round (``None`` before round 1)."""
-        builder = self._last_activity_builder
-        if builder is not None:
-            self._last_activity = builder()
-            self._last_activity_builder = None
         return self._last_activity
 
     def run(self, rounds: int) -> ExecutionTrace:
@@ -404,25 +396,18 @@ class Simulator:
             self._started = True
         if self._delivery == "kernel" and self._kernel_engine is None:
             # Built after setup: kernels size their arrays from algorithm.n.
-            from repro.kernel.engine import ArrayKernelEngine, GenericKernelEngine
+            from repro.kernel.engine import ArrayKernelEngine
 
-            kernel = self._kernel_factory()
-            if self._kernel_plan is not None:
-                self._kernel_engine = ArrayKernelEngine(self, kernel, self._kernel_plan)
-            else:
-                self._kernel_engine = GenericKernelEngine(self, kernel)
+            self._kernel_engine = ArrayKernelEngine(
+                self, self._kernel_factory(), self._kernel_plan
+            )
         engine = self._kernel_engine
-        if engine is not None and engine.is_array:
-            # Plan-driven fast path: the engine owns the whole round.
-            for _ in range(rounds):
-                engine.run_round()
-                if self._stop_when is not None and self._stop_when(self._trace):
-                    break
-        else:
-            for _ in range(rounds):
-                self._run_round()
-                if self._stop_when is not None and self._stop_when(self._trace):
-                    break
+        # On the kernel path the engine owns the whole round.
+        run_round = engine.run_round if engine is not None else self._run_round
+        for _ in range(rounds):
+            run_round()
+            if self._stop_when is not None and self._stop_when(self._trace):
+                break
         if engine is not None:
             # Write the kernel state back so post-run introspection of the
             # algorithm instance (outputs(), state_of(), …) works as usual.
@@ -475,20 +460,13 @@ class Simulator:
             )
 
         # (2) Wake-ups — nodes awake for the first time initialise their state.
-        #     On the delta path only the newly added nodes are visited.  The
-        #     kernel engine wakes nodes itself (vectorised state init); its
-        #     algorithms never override the begin/end_round no-op hooks.
+        #     On the delta path only the newly added nodes are visited.
         newly_awake = delta.added_nodes if delta is not None else topology.nodes - previous.nodes
-        if self._delivery != "kernel":
-            for v in sorted(newly_awake):
-                self._algorithm.wake(v)
-            self._algorithm.begin_round(round_index)
+        for v in sorted(newly_awake):
+            self._algorithm.wake(v)
+        self._algorithm.begin_round(round_index)
 
-        if self._delivery == "kernel":
-            outputs, metrics, changed, activity = self._kernel_engine.round(
-                round_index, previous, topology, delta, newly_awake
-            )
-        elif self._delivery == "incremental":
+        if self._delivery == "incremental":
             outputs, metrics, changed, activity = self._incremental_round(
                 round_index, previous, topology, delta, newly_awake
             )
@@ -502,7 +480,6 @@ class Simulator:
         self._previous_outputs = outputs
         self._current_topology = topology
         self._last_activity = activity
-        self._last_activity_builder = None
 
         sink = active_sink()
         if sink is not None:

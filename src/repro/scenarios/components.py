@@ -29,6 +29,7 @@ numbers bit for bit.
 from __future__ import annotations
 
 import math
+import numbers
 from typing import Dict, Optional
 
 from repro.errors import ConfigurationError
@@ -64,9 +65,6 @@ from repro.algorithms.coloring.basic_static import BasicColoring
 from repro.algorithms.coloring.dcolor import DColor
 from repro.algorithms.coloring.dynamic_coloring import DynamicColoring
 from repro.algorithms.coloring.scolor import SColor
-from repro.algorithms.matching.dmatch import DMatch
-from repro.algorithms.matching.dynamic_matching import DynamicMatching
-from repro.algorithms.matching.smatch import SMatch
 from repro.algorithms.mis.ablations import (
     DMisCurrentGraphAblation,
     SMisNoUndecideAblation,
@@ -81,12 +79,11 @@ from repro.algorithms.mis.smis import SMis
 from repro.core.concat import Concat
 from repro.analysis.conflicts import conflict_resolution_times
 from repro.analysis.convergence import completion_round_for_nodes, rounds_to_completion
-from repro.analysis.quality import coloring_quality, matching_quality, mis_quality
+from repro.analysis.quality import coloring_quality, mis_quality
 from repro.analysis.stability import region_change_count, stability_summary
 from repro.core.properties import verify_partial_solution_every_round
 from repro.problems.coloring import coloring_problem_pair
 from repro.problems.dynamic_problem import TDynamicSpec
-from repro.problems.matching import matching_problem_pair
 from repro.problems.mis import mis_problem_pair
 from repro.types import Interval
 from repro.scenarios.registry import (
@@ -150,6 +147,8 @@ def _topology_gnp(n, rng, *, p: float = 0.1):
 @TOPOLOGIES.register("gnp_degree")
 def _topology_gnp_degree(n, rng, *, degree: float = 8.0):
     """Erdős–Rényi G(n, p) parameterised by expected degree."""
+    if isinstance(degree, bool) or not isinstance(degree, numbers.Real) or not degree >= 0:
+        raise ConfigurationError(f"degree must be a real number >= 0, got {degree!r}")
     return generators.gnp(n, min(1.0, degree / max(n - 1, 1)), rng)
 
 
@@ -419,8 +418,6 @@ for _name, _cls in (
     ("dmis-current-graph", DMisCurrentGraphAblation),
     ("luby-mis", LubyMIS),
     ("ghaffari-mis", GhaffariMIS),
-    ("smatch", SMatch),
-    ("dmatch", DMatch),
 ):
     _register_plain_algorithm(_name, _cls)
 
@@ -442,12 +439,6 @@ def _algorithm_dynamic_mis(ctx, *, window=None, revalidate_dominated: bool = Fal
     """Concat(SMis, DMis): the paper's dynamic MIS."""
     T1 = ctx.T1 if window is None else _resolve(ctx, window)
     return DynamicMIS(T1, revalidate_dominated=revalidate_dominated)
-
-
-@ALGORITHMS.register("dynamic-matching")
-def _algorithm_dynamic_matching(ctx, *, window=None):
-    """Concat(SMatch, DMatch): dynamic maximal matching via the MIS reduction."""
-    return DynamicMatching(ctx.T1 if window is None else _resolve(ctx, window))
 
 
 @ALGORITHMS.register("restart-coloring")
@@ -487,12 +478,9 @@ _ALGORITHM_CLASSES = {
     "dmis-current-graph": DMisCurrentGraphAblation,
     "luby-mis": LubyMIS,
     "ghaffari-mis": GhaffariMIS,
-    "smatch": SMatch,
-    "dmatch": DMatch,
     "dmis": DMis,
     "dynamic-coloring": DynamicColoring,
     "dynamic-mis": DynamicMIS,
-    "dynamic-matching": DynamicMatching,
     "restart-coloring": RestartColoring,
     "restart-mis": RestartMis,
     "coloring-no-backbone": Concat,
@@ -545,7 +533,6 @@ def _stop_after_round(ctx, *, round):
 _PROBLEM_PAIRS = {
     "coloring": coloring_problem_pair,
     "mis": mis_problem_pair,
-    "matching": matching_problem_pair,
 }
 
 
@@ -604,13 +591,6 @@ def _metric_mis_quality(ctx):
     """MIS size of the final output vs a sequential greedy reference."""
     trace = ctx.trace
     return mis_quality(trace.topology(trace.num_rounds), trace.outputs(trace.num_rounds))
-
-
-@METRICS.register("matching-quality")
-def _metric_matching_quality(ctx):
-    """Matching size of the final output vs a sequential greedy reference."""
-    trace = ctx.trace
-    return matching_quality(trace.topology(trace.num_rounds), trace.outputs(trace.num_rounds))
 
 
 @METRICS.register("message-size")

@@ -19,7 +19,9 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
@@ -120,6 +122,16 @@ def component(name: str, **params: Any) -> ComponentSpec:
     return ComponentSpec(name, params)
 
 
+def _coerce_seeds(seeds: Any) -> Tuple[int, ...]:
+    """Validate ``seeds`` as a non-string sequence of integers (``bool`` excluded)."""
+    if isinstance(seeds, (str, bytes)) or not isinstance(seeds, Sequence):
+        raise ConfigurationError(f"seeds must be a list of integers, got {seeds!r}")
+    for i, seed in enumerate(seeds):
+        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+            raise ConfigurationError(f"seeds[{i}] must be an integer, got {seed!r}")
+    return tuple(int(seed) for seed in seeds)
+
+
 def _coerce_optional(value: Any) -> Optional[ComponentSpec]:
     return None if value is None else ComponentSpec.coerce(value)
 
@@ -165,8 +177,9 @@ class ScenarioSpec:
     delivery:
         Optional delivery-path override forwarded to the simulator:
         ``"auto"`` (the default when ``None``), ``"full"``,
-        ``"incremental"`` or ``"kernel"``.  ``"kernel"`` raises at
-        simulator construction when the algorithm has no array kernel.
+        ``"incremental"`` or ``"kernel"``.  ``"kernel"`` degrades to
+        ``"incremental"`` when the algorithm has no array kernel or the
+        adversary offers no :class:`~repro.kernel.plan.KernelPlan`.
     trace_retention:
         Optional trace memory knob forwarded to the simulator: ``"full"``
         (the default when ``None``) keeps every round's complete output
@@ -209,7 +222,7 @@ class ScenarioSpec:
         if isinstance(metrics, (str, Mapping)) or isinstance(metrics, ComponentSpec):
             metrics = (metrics,)
         object.__setattr__(self, "metrics", tuple(ComponentSpec.coerce(m) for m in metrics))
-        seeds = tuple(int(s) for s in self.seeds)
+        seeds = _coerce_seeds(self.seeds)
         if not seeds:
             raise ConfigurationError("a scenario needs at least one seed")
         object.__setattr__(self, "seeds", seeds)
@@ -320,8 +333,6 @@ class ScenarioSpec:
         if "n" not in data or "algorithm" not in data:
             raise ConfigurationError("a scenario spec needs at least 'n' and 'algorithm'")
         kwargs: Dict[str, Any] = dict(data)
-        if "seeds" in kwargs:
-            kwargs["seeds"] = tuple(kwargs["seeds"])
         if "metrics" in kwargs and kwargs["metrics"] is not None:
             kwargs["metrics"] = tuple(kwargs["metrics"])
         return cls(**kwargs)

@@ -19,7 +19,7 @@ from repro.analysis.convergence import (
     first_round_all_decided,
     rounds_to_completion,
 )
-from repro.analysis.quality import coloring_quality, matching_quality, mis_quality
+from repro.analysis.quality import coloring_quality, mis_quality
 from repro.analysis.report import format_table, rows_to_csv
 from repro.analysis.stability import (
     changes_per_round,
@@ -124,13 +124,6 @@ class TestQuality:
     def test_mis_quality(self, path4):
         stats = mis_quality(path4, {0: 1, 1: 0, 2: 1, 3: 0})
         assert stats["mis_size"] == 2.0 and stats["undecided"] == 0.0
-
-    def test_matching_quality(self, path4):
-        from repro.problems.matching import UNMATCHED
-
-        stats = matching_quality(path4, {0: 1, 1: 0, 2: UNMATCHED, 3: None})
-        assert stats["matched_pairs"] == 1.0
-        assert stats["unmatched"] == 1.0 and stats["undecided"] == 1.0
 
 
 class TestSweep:

@@ -8,7 +8,10 @@ when a fixture is mutated.
 
 import importlib
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -81,6 +84,29 @@ class TestRun:
         assert main(["run", str(config), "--store", str(tmp_path / "store")]) == 2
         err = capsys.readouterr().err
         assert "did you mean" in err and "dynamic-coloring" in err
+
+    @pytest.mark.parametrize(
+        "key, value, field",
+        [
+            ("seeds", "x", "seeds"),
+            ("seeds", [0, 1.5], "seeds[1]"),
+            ("topology", {"name": "gnp_degree", "params": {"degree": -1}}, "degree"),
+        ],
+    )
+    def test_malformed_field_exits_1_naming_it(self, tmp_path, key, value, field):
+        bad = json.loads(json.dumps(SCENARIO_CONFIG))
+        bad["spec"][key] = value
+        config = write_config(tmp_path, bad)
+        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "run", str(config), "--no-store"],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == 1
+        assert f"{field} must be" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_wrong_config_kind_is_rejected(self, tmp_path, capsys):
         config = write_config(

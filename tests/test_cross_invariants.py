@@ -21,9 +21,7 @@ from repro.dynamics.topology import Topology
 from repro.problems import (
     TDynamicSpec,
     coloring_problem_pair,
-    matching_problem_pair,
     mis_problem_pair,
-    vertex_cover_problem_pair,
 )
 from repro.problems.mis import mis_assignment_from_set
 from repro.algorithms.mis.greedy import greedy_mis
@@ -41,14 +39,6 @@ def small_topologies(draw):
 
 
 class TestProblemDuality:
-    @settings(max_examples=40)
-    @given(small_topologies())
-    def test_mis_complement_is_minimal_vertex_cover(self, topo):
-        """The complement of any MIS is a minimal vertex cover (classic duality)."""
-        mis = greedy_mis(topo)
-        cover_assignment = {v: (0 if v in mis else 1) for v in topo.nodes}
-        assert vertex_cover_problem_pair().is_full_solution(topo, cover_assignment)
-
     @settings(max_examples=40)
     @given(small_topologies())
     def test_color_class_one_is_an_independent_dominating_like_set(self, topo):
@@ -153,5 +143,3 @@ class TestProblemPairNaming:
     def test_pair_names_are_informative(self):
         assert "independent-set" in mis_problem_pair().name
         assert "degree-plus-one" in coloring_problem_pair().name
-        assert "matching" in matching_problem_pair().name
-        assert "vertex-cover" in vertex_cover_problem_pair().name

@@ -1,8 +1,8 @@
 """Smoke tests for the E1–E13 experiment implementations (tiny parameters).
 
 These do not validate the scientific claims (the full-size benchmark harness
-and EXPERIMENTS.md do); they pin down the row schema every experiment returns
-and make sure the harness code paths stay runnable.
+does); they pin down the row schema every experiment returns and make sure
+the harness code paths stay runnable.
 """
 
 import math

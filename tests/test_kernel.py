@@ -4,16 +4,17 @@ Hard gates of the kernel PR:
 
 * the kernel delivery path produces **byte-identical trace rows** to the
   authoritative full path for every kernel-capable algorithm × every
-  registered adversary (both the array engine, when the adversary ships a
-  :class:`KernelPlan`, and the generic CSR engine when it does not);
+  registered adversary (the array engine when the adversary ships a
+  :class:`KernelPlan`; a plan-less adversary degrades to incremental);
 * ``--verify kernel`` catches a kernel whose semantics drift from
   the python algorithm it claims to mirror;
 * kernel selection honours the eligibility rules (pure contract, no input
   vector, explicit requests degrade — never silently corrupt);
 * the satellites: quiescence-aware churn skipping is observationally
-  invisible, CSR build + delta round-trips match a from-scratch rebuild
-  for every topology family × adversary stream, and the numpy floor is
-  enforced at import time and consistent with ``pyproject.toml``.
+  invisible, every plan's presence masks reproduce the classic ``step``
+  topologies round by round, the edge-universe CSR layout enumerates every
+  row in ascending-neighbor order, and the numpy floor is enforced at import
+  time and consistent with ``pyproject.toml``.
 """
 
 import pathlib
@@ -27,9 +28,7 @@ from repro.errors import ConfigurationError, SimulationError
 from repro.dynamics import generators
 from repro.dynamics.adversaries.scripted import StaticAdversary
 from repro.dynamics.churn import MarkovEdgeChurn, StaticChurn, quiescence_skip
-from repro.dynamics.topology import TopologyDelta
-from repro.kernel import CSRAdjacency, EdgeUniverse
-from repro.kernel.engine import ArrayKernelEngine, GenericKernelEngine
+from repro.kernel import EdgeUniverse
 from repro.kernel.mis import SMisKernel
 from repro.runtime.algorithm import DistributedAlgorithm
 from repro.runtime.simulator import Simulator, delivery_mode
@@ -42,6 +41,9 @@ from test_incremental_delivery import _ADVERSARY_SPECS, _trace_rows
 #: the four algorithms that ship a hand-vectorised kernel (``as_kernel()``).
 KERNEL_ALGORITHMS = ("basic-coloring", "scolor", "smis", "dmis")
 
+#: the adversaries that ship a :class:`KernelPlan` (the others degrade).
+PLAN_ADVERSARIES = {"static", "markov-churn", "flip-churn"}
+
 
 # ---------------------------------------------------------------------------
 # kernel × adversary equivalence matrix
@@ -53,9 +55,8 @@ class TestKernelEquivalenceMatrix:
     def test_kernel_and_full_rows_identical(self, algorithm):
         """Every kernel algorithm × every registered adversary: byte-identical.
 
-        Forcing ``delivery="kernel"`` exercises the array engine for
-        plan-capable adversaries and the generic CSR engine for the rest,
-        so the whole matrix covers both engines.
+        Forcing ``delivery="kernel"`` runs the array engine exactly for the
+        plan-capable adversaries and degrades to incremental for the rest.
         """
         for adversary in sorted(_ADVERSARY_SPECS):
             spec = ScenarioSpec(
@@ -67,26 +68,11 @@ class TestKernelEquivalenceMatrix:
             )
             full_rows, _ = _trace_rows(spec, seed=7, mode="full")
             kernel_rows, sim = _trace_rows(spec, seed=7, mode="kernel")
-            assert sim.delivery == "kernel", f"{algorithm} × {adversary} degraded"
+            expected = "kernel" if adversary in PLAN_ADVERSARIES else "incremental"
+            assert sim.delivery == expected, f"{algorithm} × {adversary} ran {sim.delivery}"
             assert kernel_rows == full_rows, (
                 f"kernel delivery diverged for {algorithm} × {adversary}"
             )
-
-    def test_matrix_exercises_both_engines(self):
-        """The matrix above must cover the array AND the generic engine."""
-        engines = {}
-        for adversary in ("markov-churn", "mobility"):
-            spec = ScenarioSpec(
-                n=16,
-                algorithm="smis",
-                adversary=_ADVERSARY_SPECS[adversary],
-                topology="gnp",
-                rounds=4,
-            )
-            _, sim = _trace_rows(spec, seed=7, mode="kernel")
-            engines[adversary] = type(sim._kernel_engine)
-        assert engines["markov-churn"] is ArrayKernelEngine
-        assert engines["mobility"] is GenericKernelEngine
 
     @pytest.mark.parametrize("wakeup", ["staggered", "uniform-random"])
     def test_equivalence_under_async_wakeup(self, wakeup):
@@ -199,13 +185,33 @@ class TestKernelSelection:
         )
         assert base.to_dict()["delivery"] is None
         assert base.replace(delivery="kernel").to_dict()["delivery"] == "kernel"
-        for requested, expected in (
-            (None, "kernel"),  # auto: markov-churn ships a KernelPlan
-            ("full", "full"),
-            ("incremental", "incremental"),
-            ("kernel", "kernel"),
+        for requested, adversary, expected in (
+            (None, base.adversary, "kernel"),  # auto: markov-churn ships a KernelPlan
+            ("full", base.adversary, "full"),
+            ("incremental", base.adversary, "incremental"),
+            ("kernel", base.adversary, "kernel"),
+            ("kernel", _ADVERSARY_SPECS["mobility"], "incremental"),  # no KernelPlan
         ):
-            _, sim = _execute_seed(base.replace(delivery=requested), 0)
+            spec = base.replace(delivery=requested, adversary=adversary)
+            _, sim = _execute_seed(spec, 0)
+            assert sim.delivery == expected, f"delivery={requested!r} × {adversary.name}"
+
+    @pytest.mark.parametrize("adversary", sorted(_ADVERSARY_SPECS))
+    def test_kernel_runs_exactly_when_the_adversary_ships_a_plan(self, adversary):
+        """``auto`` and ``kernel`` pick the array engine iff a valid plan exists."""
+        spec = ScenarioSpec(
+            n=12, algorithm="smis", adversary=_ADVERSARY_SPECS[adversary], rounds=1
+        )
+        ctx = _build_context(spec, 0)
+        plan = ctx.adversary.kernel_plan()
+        assert (plan is not None) == (adversary in PLAN_ADVERSARIES)
+        if plan is not None:
+            assert plan.validate(ctx.n)
+        expected = "kernel" if plan is not None else "incremental"
+        for requested in ("auto", "kernel"):
+            sim = Simulator(
+                n=ctx.n, algorithm=ctx.algorithm, adversary=ctx.adversary, delivery=requested
+            )
             assert sim.delivery == expected, f"delivery={requested!r}"
 
 
@@ -283,67 +289,41 @@ class TestQuiescence:
 
 
 # ---------------------------------------------------------------------------
-# CSR structures: build + incremental delta round-trip
+# CSR structures: the static edge-universe layout
 # ---------------------------------------------------------------------------
 
 
-def _assert_same_adjacency(maintained: CSRAdjacency, rebuilt: CSRAdjacency):
-    m_rows, m_ptr, m_idx = maintained.to_indptr_indices()
-    r_rows, r_ptr, r_idx = rebuilt.to_indptr_indices()
-    assert np.array_equal(m_rows, r_rows)
-    assert np.array_equal(m_ptr, r_ptr)
-    assert np.array_equal(m_idx, r_idx)
-
-
 class TestCSRProperties:
+    """The edge-universe CSR layout the array engine gathers rows from."""
+
+    @pytest.mark.parametrize("wakeup", [None, "staggered"])
     @pytest.mark.parametrize("topology", ["gnp", "ring", "geometric"])
-    @pytest.mark.parametrize(
-        "adversary", ["flip-churn", "edge-insertion", "burst-churn", "mobility"]
-    )
-    def test_delta_maintenance_matches_rebuild(self, topology, adversary):
-        """``apply_delta`` over a real adversary stream == from-scratch build."""
+    @pytest.mark.parametrize("adversary", sorted(PLAN_ADVERSARIES))
+    def test_plan_masks_match_the_step_stream(self, adversary, topology, wakeup):
+        """Presence masks over the universe, cut to awake nodes, == ``step`` topologies."""
         spec = ScenarioSpec(
             n=20,
             algorithm="smis",
             adversary=_ADVERSARY_SPECS[adversary],
             topology=topology,
             rounds=10,
+            wakeup=wakeup,
         )
         _, sim = _trace_rows(spec, seed=11, mode="full")
-        records = list(sim.trace)
-        maintained = CSRAdjacency.from_topology(20, records[0].topology)
-        previous = records[0].topology
-        for record in records[1:]:
-            maintained.apply_delta(TopologyDelta.between(previous, record.topology))
-            previous = record.topology
-            _assert_same_adjacency(
-                maintained, CSRAdjacency.from_topology(20, record.topology)
-            )
-        # the final adjacency answers the same neighbor queries as the topology
-        assert set(maintained.nodes) == set(previous.nodes)
-        for v in previous.nodes:
-            assert set(maintained.neighbors(v).tolist()) == set(previous.neighbors(v))
-
-    def test_gather_concatenates_sorted_rows(self):
-        topo = generators.gnp(12, 0.4, np.random.default_rng(3))
-        adj = CSRAdjacency.from_topology(12, topo)
-        ids = np.asarray(sorted(topo.nodes), dtype=np.int64)
-        seg, nbrs = adj.gather(ids)
-        for j, v in enumerate(ids.tolist()):
-            row = nbrs[seg == j]
-            assert row.tolist() == sorted(topo.neighbors(v))
-
-    def test_empty_and_node_only_deltas(self):
-        adj = CSRAdjacency(4)
-        assert list(adj.nodes) == []
-        seg, nbrs = adj.gather(np.asarray([0, 1], dtype=np.int64))
-        assert seg.size == 0 and nbrs.size == 0
-        adj.apply_delta(TopologyDelta(added_nodes=(0, 1, 2)))
-        adj.apply_delta(TopologyDelta(added_edges=((0, 1), (1, 2))))
-        assert adj.neighbors(1).tolist() == [0, 2]
-        adj.apply_delta(TopologyDelta(removed_nodes=(2,), removed_edges=((1, 2),)))
-        assert adj.neighbors(1).tolist() == [0]
-        assert adj.neighbors(2).size == 0
+        plan = _build_context(spec, 11).adversary.kernel_plan()
+        universe = np.asarray(plan.universe_edges, dtype=np.int64).reshape(-1, 2)
+        awake = set()
+        for record in sim.trace:
+            r = record.round_index
+            if plan.wakeup is None:
+                current = set(plan.nodes)
+            else:
+                current = set(plan.wakeup.awake_at(r)) & plan.nodes
+            awake = awake | current if plan.cumulative_awake else current
+            present = universe[plan.advance(r)].tolist()
+            edges = {(u, v) for u, v in present if u in awake and v in awake}
+            assert set(record.topology.nodes) == awake, f"round {r}"
+            assert set(record.topology.edges) == edges, f"round {r}"
 
     def test_edge_universe_row_slots(self):
         topo = generators.gnp(16, 0.3, np.random.default_rng(9))
@@ -414,7 +394,7 @@ class TestKernelActivity:
         activity = sim.last_round_activity
         assert activity.mode == "kernel"
         assert activity.round_index == 3
-        # the builder is consumed once; repeated reads return the same object
+        # repeated reads return the same object
         assert sim.last_round_activity is activity
         # outputs can only change for nodes that were delivered to
         assert activity.changed_outputs <= activity.delivered

@@ -196,7 +196,7 @@ class TestDynamicMIS:
         trace = run_simulation(n=n, algorithm=DynamicMIS(T1), adversary=adversary, rounds=3 * T1, seed=15)
         violations = verify_t_dynamic(trace, mis_problem_pair(), T1)
         # The strict per-round check admits rare transient domination holes
-        # (see EXPERIMENTS.md, observed deviation for MIS); the overwhelming
+        # (see README.md, observed deviation for MIS); the overwhelming
         # majority of rounds must be valid.
         assert len(violations) <= 0.1 * trace.num_rounds
 

@@ -1,4 +1,4 @@
-"""Tests for the domination-hole re-validation extension (see EXPERIMENTS.md).
+"""Tests for the domination-hole re-validation extension (see README.md).
 
 The paper-faithful combined MIS algorithm admits rare one-round "domination
 holes" in its backbone under edge re-insertion churn; the

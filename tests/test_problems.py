@@ -1,29 +1,20 @@
-"""Tests of the problem framework: LCL base, MIS pair, colouring pair, matching, vertex cover."""
+"""Tests of the problem framework: LCL base, MIS pair, colouring pair."""
 
 import pytest
 
-from repro.dynamics.topology import Topology
 from repro.dynamics import generators
 from repro.problems import (
     DominatingSetProblem,
     IndependentSetProblem,
     DegreePlusOneRangeProblem,
     ProperColoringProblem,
-    MatchingMaximalityProblem,
-    MatchingValidityProblem,
-    UNMATCHED,
-    VertexCoverCoverageProblem,
-    VertexCoverMinimalityProblem,
     coloring_problem_pair,
     is_maximal_independent_set,
     is_proper_coloring,
-    matching_problem_pair,
     mis_problem_pair,
-    vertex_cover_problem_pair,
 )
 from repro.problems.mis import mis_assignment_from_set
 from repro.problems.coloring import num_colors_used
-from repro.problems.matching import matched_pairs
 
 
 @pytest.fixture
@@ -120,73 +111,3 @@ class TestColoringPair:
 
     def test_num_colors_used(self):
         assert num_colors_used({0: 1, 1: 2, 2: 1, 3: None}) == 2
-
-
-class TestMatchingPair:
-    def test_valid_matching(self, path5):
-        validity = MatchingValidityProblem()
-        maximality = MatchingMaximalityProblem()
-        assignment = {0: 1, 1: 0, 2: 3, 3: 2, 4: UNMATCHED}
-        assert validity.is_solution(path5, assignment)
-        assert maximality.is_solution(path5, assignment)
-        assert matching_problem_pair().is_full_solution(path5, assignment)
-        assert matched_pairs(assignment) == frozenset({(0, 1), (2, 3)})
-
-    def test_non_mutual_pointer_invalid(self, path5):
-        validity = MatchingValidityProblem()
-        assert not validity.check_node(path5, {0: 1, 1: UNMATCHED}, 0)
-
-    def test_non_edge_partner_invalid(self, path5):
-        validity = MatchingValidityProblem()
-        assert not validity.check_node(path5, {0: 3, 3: 0}, 0)
-
-    def test_maximality_violated_by_uncovered_edge(self, path5):
-        maximality = MatchingMaximalityProblem()
-        assignment = {0: UNMATCHED, 1: UNMATCHED, 2: 3, 3: 2, 4: UNMATCHED}
-        assert not maximality.check_node(path5, assignment, 0)
-
-    def test_partial_semantics(self, path5):
-        validity = MatchingValidityProblem()
-        maximality = MatchingMaximalityProblem()
-        # Pointing at an undecided partner is not partial covering.
-        assert not validity.check_node_partial(path5, {0: 1}, 0)
-        assert validity.check_node_partial(path5, {0: 1, 1: 0}, 0)
-        # Unmatched next to an undecided node is still fine for partial packing.
-        assert maximality.check_node_partial(path5, {0: UNMATCHED}, 0)
-        assert not maximality.check_node_partial(path5, {0: UNMATCHED, 1: UNMATCHED}, 0)
-
-
-class TestVertexCoverPair:
-    def test_cover_and_minimality(self, path5):
-        coverage = VertexCoverCoverageProblem()
-        minimality = VertexCoverMinimalityProblem()
-        assignment = {0: 0, 1: 1, 2: 0, 3: 1, 4: 0}
-        assert coverage.is_solution(path5, assignment)
-        assert minimality.is_solution(path5, assignment)
-        assert vertex_cover_problem_pair().is_full_solution(path5, assignment)
-
-    def test_uncovered_edge_detected(self, path5):
-        coverage = VertexCoverCoverageProblem()
-        assert not coverage.check_node(path5, {0: 0, 1: 0}, 0)
-
-    def test_redundant_cover_node_detected(self):
-        triangle = Topology([0, 1, 2], [(0, 1), (1, 2), (0, 2)])
-        minimality = VertexCoverMinimalityProblem()
-        all_in = {0: 1, 1: 1, 2: 1}
-        assert not minimality.check_node(triangle, all_in, 0)
-
-    def test_complement_of_mis_is_minimal_cover(self, medium_gnp):
-        """Cross-validation: V minus a greedy MIS is a minimal vertex cover."""
-        from repro.algorithms.mis.greedy import greedy_mis
-
-        mis = greedy_mis(medium_gnp)
-        assignment = {v: (0 if v in mis else 1) for v in medium_gnp.nodes}
-        assert vertex_cover_problem_pair().is_full_solution(medium_gnp, assignment)
-
-    def test_partial_semantics(self, path5):
-        coverage = VertexCoverCoverageProblem()
-        minimality = VertexCoverMinimalityProblem()
-        assert coverage.check_node_partial(path5, {0: 0}, 0)
-        assert not coverage.check_node_partial(path5, {0: 0, 1: 0}, 0)
-        assert not minimality.check_node_partial(path5, {0: 1}, 0)
-        assert minimality.check_node_partial(path5, {0: 1, 1: 0}, 0)

@@ -8,8 +8,10 @@ one migrated experiment smoke test.
 
 import json
 
+import numpy as np
 import pytest
 
+from repro.dynamics import generators
 from repro.errors import ConfigurationError, RegistryError
 from repro.scenarios import (
     ADVERSARIES,
@@ -90,6 +92,18 @@ class TestRegistry:
         assert "staggered" in WAKEUPS
         assert "validity" in METRICS
 
+    @pytest.mark.parametrize("degree", [-1, "abc", True, float("nan")])
+    def test_gnp_degree_rejects_bad_degree_naming_the_field(self, degree):
+        build = TOPOLOGIES.get("gnp_degree")
+        with pytest.raises(ConfigurationError, match="^degree must be"):
+            build(16, np.random.default_rng(0), degree=degree)
+
+    @pytest.mark.parametrize("degree", [0, 3, 2.5, 40])
+    def test_gnp_degree_valid_inputs_draw_the_same_graph(self, degree):
+        build = TOPOLOGIES.get("gnp_degree")
+        expected = generators.gnp(16, min(1.0, degree / 15), np.random.default_rng(4))
+        assert build(16, np.random.default_rng(4), degree=degree) == expected
+
     def test_available_discovery_surface(self):
         everything = available()
         assert set(everything) == {
@@ -160,6 +174,29 @@ class TestScenarioSpec:
             demo_spec(rounds=-1)
         with pytest.raises(ConfigurationError):
             demo_spec(window=0)
+
+    @pytest.mark.parametrize(
+        "seeds, field",
+        [
+            ("12", "seeds"),
+            ("x", "seeds"),
+            (-1, "seeds"),
+            ([1.5], "seeds[0]"),
+            ([True, False], "seeds[0]"),
+            (["a"], "seeds[0]"),
+            ([0, "1"], "seeds[1]"),
+        ],
+    )
+    def test_seeds_must_be_a_sequence_of_integers(self, seeds, field):
+        data = {"n": 8, "algorithm": "smis", "seeds": seeds}
+        with pytest.raises(ConfigurationError) as excinfo:
+            ScenarioSpec.from_dict(data)
+        assert str(excinfo.value).startswith(f"{field} must be")
+
+    def test_seeds_accept_numpy_and_negative_integers(self):
+        spec = demo_spec(seeds=[np.int64(3), -1])
+        assert spec.seeds == (3, -1)
+        assert all(type(seed) is int for seed in spec.seeds)
 
     def test_with_overrides_dotted_paths(self):
         spec = demo_spec()

@@ -69,9 +69,9 @@ class TestLazyEqualsEager:
         """kernel algorithm × plan-adversary matrix: lazy accessors == eager.
 
         ``delivery="kernel"`` exercises the array engine's ``record_stats``
-        path for plan-capable adversaries and the generic engine's
-        ``record_lazy`` path for the rest — both must replay to the values
-        full retention stored eagerly.
+        path for plan-capable adversaries and the degraded incremental path
+        for the rest — both must replay to the values full retention stored
+        eagerly.
         """
         spec = _spec(algorithm, _ADVERSARY_SPECS[adversary_name])
         assert _rows(spec, "kernel", "stats") == _rows(spec, "kernel", "full")
