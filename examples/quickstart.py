@@ -8,7 +8,7 @@ the ``repro.scenarios`` registries.  This script
 1. declares the paper's flagship workload (sparse random network, 1% edge
    flip churn, the combined ``DynamicColoring = Concat(SColor, DColor)``),
 2. runs it over three seeds with :func:`repro.run_scenario` (the seed
-   replications fan out across cores with ``parallel=True``),
+   replications fan out across cores with ``execution="process"``),
 3. sweeps the churn rate with :func:`repro.sweep` to show that the
    sliding-window guarantee is churn-rate independent, and
 4. prints the spec's JSON form — the exact artefact you would commit to a
@@ -49,7 +49,7 @@ def main(n: int = 96, rounds: int | None = None, seed: int = 1) -> int:
     print()
 
     # One scenario, three seeds, all cores.
-    result = run_scenario(spec, parallel=True)
+    result = run_scenario(spec, execution="process")
     print(format_table(
         list(result.rows),
         title="per-seed rows (validity · stability · colouring quality)",
@@ -62,7 +62,9 @@ def main(n: int = 96, rounds: int | None = None, seed: int = 1) -> int:
     print(format_table([aggregate], title="aggregated over seeds"))
 
     # The paper's claim is churn-rate independent — sweep the flip probability.
-    grid = sweep(spec, over={"adversary.params.flip_prob": [0.001, 0.01, 0.05]}, parallel=True)
+    grid = sweep(
+        spec, over={"adversary.params.flip_prob": [0.001, 0.01, 0.05]}, execution="process"
+    )
     sweep_rows = [
         {"flip_prob": point.overrides["adversary.params.flip_prob"]}
         | point.aggregate(mean_keys=("valid_fraction", "mean_changes"))

@@ -43,7 +43,7 @@ def main(store_dir: str | None = None) -> int:
     workdir = Path(store_dir) if store_dir else Path(tempfile.mkdtemp(prefix="repro-store-"))
     store = ResultsStore(workdir / "reference")
 
-    result = run_scenario(config.spec, parallel=True)
+    result = run_scenario(config.spec, execution="process")
     rows = [{"seed": float(s), **row} for s, row in zip(config.spec.seeds, result.rows)]
     key = {"kind": "scenario", "spec": config.spec.to_dict()}
     entry, status = store.put("scenarios", config.label, key, rows)

@@ -20,7 +20,7 @@ The package provides:
   (Corollary 1.2), ``DMis``/``SMis`` for MIS (Corollary 1.3), their static
   ancestors, recovery-style baselines and ablations (:mod:`repro.algorithms`);
 * an **experiment harness** regenerating every guarantee the paper states
-  (:mod:`repro.analysis`, driven by ``benchmarks/``).
+  (:mod:`repro.analysis`, driven by ``repro experiments``/``repro bench``).
 
 Quickstart
 ----------

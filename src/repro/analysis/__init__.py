@@ -9,8 +9,7 @@
 * :mod:`repro.analysis.report` — plain-text tables for experiment rows.
 * :mod:`repro.analysis.experiments` — the E1–E13 experiment implementations
   indexed in :mod:`repro.analysis.experiments.catalog` (each returns
-  structured rows; the ``benchmarks/`` tree wraps them in pytest-benchmark
-  targets).
+  structured rows; the catalog pairs each with its paper claim).
 """
 
 from repro.analysis.conflicts import (

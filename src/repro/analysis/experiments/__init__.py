@@ -1,8 +1,9 @@
 """The E1–E13 experiment implementations (indexed in :mod:`.catalog`).
 
-Every experiment is an ordinary function that returns a list of row dicts; the
-``benchmarks/`` tree wraps each one in a pytest-benchmark target that runs it
-and prints the regenerated table.  Default parameters are sized so the whole
+Every experiment is an ordinary function that returns a list of row dicts;
+``repro experiments``/``repro bench`` run each one from its committed config,
+and ``repro bench`` checks its catalog claim on the benchmark-scale rows.
+Default parameters are sized so the whole
 suite completes on a laptop in minutes; every knob (sizes, rounds, seeds,
 churn rates) is exposed so larger runs just pass bigger values.
 """

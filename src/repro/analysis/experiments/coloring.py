@@ -39,7 +39,6 @@ def experiment_e01_coloring_convergence(
     seeds: Sequence[int] = (0, 1, 2),
     flip_prob: float = 0.01,
     max_round_factor: int = 20,
-    parallel: bool = False,
 ) -> List[Row]:
     """E1: completion rounds of BasicColoring (static) and DColor (under churn) vs ``n``.
 
@@ -63,8 +62,8 @@ def experiment_e01_coloring_convergence(
         algorithm=component("dcolor"),
         adversary=component("flip-churn", flip_prob=flip_prob),
     )
-    static_results = sweep(static_spec, over={"n": list(sizes)}, parallel=parallel)
-    dynamic_results = sweep(dynamic_spec, over={"n": list(sizes)}, parallel=parallel)
+    static_results = sweep(static_spec, over={"n": list(sizes)})
+    dynamic_results = sweep(dynamic_spec, over={"n": list(sizes)})
 
     rows: List[Row] = []
     for static_res, dynamic_res in zip(static_results, dynamic_results):
@@ -98,7 +97,6 @@ def experiment_e02_palette_lemma(
     seeds: Sequence[int] = (0, 1, 2, 3),
     rounds: int = 40,
     flip_prob: float = 0.01,
-    parallel: bool = False,
 ) -> List[Row]:
     """E2: per-round, an uncoloured node either gets coloured or its palette shrinks by ≥ 1/4.
 
@@ -123,7 +121,7 @@ def experiment_e02_palette_lemma(
             seeds=tuple(seeds),
             probe="palette-shrink",
         )
-        result = run_scenario(spec, parallel=parallel)
+        result = run_scenario(spec)
         shrink_events = sum(r["node_rounds_shrink"] for r in result.rows)
         no_shrink_events = sum(r["node_rounds_no_shrink"] for r in result.rows)
         colored_given_no_shrink = sum(r["colored_given_no_shrink"] for r in result.rows)
@@ -152,7 +150,6 @@ def experiment_e03_conflict_resolution(
     seeds: Sequence[int] = (0, 1, 2),
     attacks_per_round: int = 2,
     rounds_factor: int = 6,
-    parallel: bool = False,
 ) -> List[Row]:
     """E3: a targeted adversary keeps inserting monochromatic edges; measure conflict duration.
 
@@ -173,7 +170,7 @@ def experiment_e03_conflict_resolution(
         metrics=(component("conflict-durations", max_wait="2*T1"),),
     )
     rows: List[Row] = []
-    for result in sweep(spec, over={"n": list(sizes)}, parallel=parallel):
+    for result in sweep(spec, over={"n": list(sizes)}):
         n = result.spec.n
         rows.append(
             result.aggregate(
@@ -200,7 +197,6 @@ def experiment_e04_tdynamic_coloring(
     seeds: Sequence[int] = (0, 1, 2),
     rounds_factor: int = 5,
     window: Optional[int] = None,
-    parallel: bool = False,
 ) -> List[Row]:
     """E4: fraction of rounds whose output is a valid T-dynamic colouring, per churn rate.
 
@@ -223,9 +219,7 @@ def experiment_e04_tdynamic_coloring(
         ),
     )
     rows: List[Row] = []
-    for result in sweep(
-        spec, over={"adversary.params.flip_prob": list(flip_probs)}, parallel=parallel
-    ):
+    for result in sweep(spec, over={"adversary.params.flip_prob": list(flip_probs)}):
         flip_prob = result.overrides["adversary.params.flip_prob"]
         rows.append(
             result.aggregate(

@@ -39,7 +39,6 @@ def experiment_e05_local_stability(
     protected_radius: int = 3,
     rounds_factor: int = 6,
     family: str = "grid",
-    parallel: bool = False,
 ) -> List[Row]:
     """E5: freeze a ball around a centre node, churn everything else, measure output changes.
 
@@ -63,7 +62,7 @@ def experiment_e05_local_stability(
             seeds=tuple(seeds),
             metrics=(component("region-stability", grace="2*T1+2"),),
         )
-        result = run_scenario(spec, parallel=parallel)
+        result = run_scenario(spec)
         T1 = spec.resolved_window()
         rows.append(
             result.aggregate(
@@ -86,7 +85,6 @@ def experiment_e09_baseline_comparison(
     seeds: Sequence[int] = (0, 1, 2),
     flip_prob: float = 0.02,
     rounds_factor: int = 6,
-    parallel: bool = False,
 ) -> List[Row]:
     """E9: T-dynamic validity and output churn of the framework vs restart / repair baselines.
 
@@ -120,7 +118,7 @@ def experiment_e09_baseline_comparison(
                 component("stability", warmup="T1"),
             ),
         )
-        result = run_scenario(spec, parallel=parallel)
+        result = run_scenario(spec)
         rows.append(
             result.aggregate(
                 mean_keys=("valid_fraction", "mean_violations", "mean_changes", "change_rate"),
@@ -145,7 +143,6 @@ def experiment_e10_adversary_sensitivity(
     seeds: Sequence[int] = (0, 1, 2),
     attacks_per_round: int = 4,
     max_round_factor: int = 30,
-    parallel: bool = False,
 ) -> List[Row]:
     """E10: DMis convergence under an oblivious churn adversary vs adaptive attackers.
 
@@ -181,7 +178,7 @@ def experiment_e10_adversary_sensitivity(
             stop="all-decided",
             metrics=(component("convergence", on_incomplete="rounds"),),
         )
-        result = run_scenario(spec, parallel=parallel)
+        result = run_scenario(spec)
         rows.append(
             result.aggregate(
                 mean_keys=("rounds", "completed"),
@@ -207,7 +204,7 @@ def experiment_e10_adversary_sensitivity(
             component("stability", warmup="T1"),
         ),
     )
-    join = run_scenario(join_spec, parallel=parallel)
+    join = run_scenario(join_spec)
     agg = join.aggregate(
         mean_keys=("valid_fraction", "mean_changes"),
         extra={"n": float(n), "log2_n": log2(n)},
@@ -229,7 +226,6 @@ def experiment_e11_async_wakeup(
     seeds: Sequence[int] = (0, 1, 2),
     flip_prob: float = 0.01,
     rounds_factor: int = 8,
-    parallel: bool = False,
 ) -> List[Row]:
     """E11: the combined algorithms keep their guarantees under gradual wake-up schedules.
 
@@ -256,7 +252,7 @@ def experiment_e11_async_wakeup(
                 seeds=tuple(seeds),
                 metrics=(component("validity", problem=problem),),
             )
-            result = run_scenario(spec, parallel=parallel)
+            result = run_scenario(spec)
             rows.append(
                 result.aggregate(
                     mean_keys=("valid_fraction", "mean_violations"),
@@ -277,7 +273,6 @@ def experiment_e12_message_size(
     seed: int = 0,
     flip_prob: float = 0.01,
     rounds_factor: int = 3,
-    parallel: bool = False,
 ) -> List[Row]:
     """E12: maximum estimated message size (bits) per algorithm vs ``n``.
 
@@ -299,7 +294,7 @@ def experiment_e12_message_size(
                 seeds=(seed,),
                 metrics=(component("message-size"),),
             )
-            result = run_scenario(spec, parallel=parallel)
+            result = run_scenario(spec)
             max_bits = result.rows[0]["max_message_bits"]
             rows.append(
                 {
@@ -324,7 +319,6 @@ def experiment_e13_ablations(
     seeds: Sequence[int] = (0, 1, 2),
     rounds_factor: int = 5,
     insertions_per_round: int = 3,
-    parallel: bool = False,
 ) -> List[Row]:
     """E13: remove one design choice at a time and measure what breaks.
 
@@ -357,7 +351,7 @@ def experiment_e13_ablations(
             seeds=tuple(seeds),
             probe=component("palette-invariant", restricted=restricted),
         )
-        result = run_scenario(spec, parallel=parallel)
+        result = run_scenario(spec)
         rows.append(
             result.aggregate(
                 mean_keys=("palette_invariant_violation_fraction", "uncolored_fraction"),
@@ -383,7 +377,7 @@ def experiment_e13_ablations(
             seeds=tuple(seeds),
             metrics=(component("b1-violations", problem=problem, start_round="T1"),),
         )
-        result = run_scenario(spec, parallel=parallel)
+        result = run_scenario(spec)
         rows.append(
             result.aggregate(mean_keys=("b1_violation_fraction",), extra={"n": float(n)})
             | {"ablation": "b:un-decide-rule", "variant": label}
@@ -404,7 +398,7 @@ def experiment_e13_ablations(
             seeds=tuple(seeds),
             metrics=(component("stability", warmup="2*T1"),),
         )
-        result = run_scenario(spec, parallel=parallel)
+        result = run_scenario(spec)
         rows.append(
             result.aggregate(mean_keys=("mean_changes", "change_rate"), extra={"n": float(n)})
             | {"ablation": "c:backbone", "variant": label}

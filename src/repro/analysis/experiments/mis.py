@@ -30,7 +30,6 @@ def experiment_e06_mis_edge_decay(
     seeds: Sequence[int] = (0, 1, 2, 3, 4, 5),
     flip_prob: float = 0.01,
     rounds: int = 30,
-    parallel: bool = False,
 ) -> List[Row]:
     """E6: measure ``|E(H_{r+2})| / |E(H_r)|`` for DMis under an oblivious churn adversary.
 
@@ -49,7 +48,7 @@ def experiment_e06_mis_edge_decay(
         seeds=tuple(seeds),
         metrics=(component("mis-edge-decay"),),
     )
-    result = run_scenario(spec, parallel=parallel)
+    result = run_scenario(spec)
     ratio_sum = sum(row["ratio_sum"] for row in result.rows)
     ratio_count = sum(row["ratio_count"] for row in result.rows)
     mean_ratio = ratio_sum / ratio_count if ratio_count else float("nan")
@@ -76,7 +75,6 @@ def experiment_e07_mis_convergence(
     flip_prob: float = 0.01,
     max_round_factor: int = 20,
     validity_rounds_factor: int = 4,
-    parallel: bool = False,
 ) -> List[Row]:
     """E7: DMis completion rounds vs ``n`` and the T-dynamic validity of DynamicMIS under churn."""
     convergence_spec = ScenarioSpec(
@@ -100,8 +98,8 @@ def experiment_e07_mis_convergence(
         seeds=tuple(seeds),
         metrics=(component("validity", problem="mis"),),
     )
-    convergence_results = sweep(convergence_spec, over={"n": list(sizes)}, parallel=parallel)
-    validity_results = sweep(validity_spec, over={"n": list(sizes)}, parallel=parallel)
+    convergence_results = sweep(convergence_spec, over={"n": list(sizes)})
+    validity_results = sweep(validity_spec, over={"n": list(sizes)})
 
     rows: List[Row] = []
     for conv, valid in zip(convergence_results, validity_results):
@@ -136,7 +134,6 @@ def experiment_e08_smis_freeze_decision(
     churn_rounds: int = 20,
     flip_prob: float = 0.05,
     max_round_factor: int = 25,
-    parallel: bool = False,
 ) -> List[Row]:
     """E8: run SMis under churn, freeze the graph, measure rounds-to-all-decided after the freeze.
 
@@ -162,7 +159,7 @@ def experiment_e08_smis_freeze_decision(
         metrics=(component("freeze-decision", churn_rounds=churn_rounds),),
     )
     rows: List[Row] = []
-    for result in sweep(spec, over={"n": list(sizes)}, parallel=parallel):
+    for result in sweep(spec, over={"n": list(sizes)}):
         n = result.spec.n
         rows.append(
             result.aggregate(

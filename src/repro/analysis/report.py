@@ -1,6 +1,6 @@
 """Plain-text rendering of experiment rows.
 
-The benchmark harness prints, for every experiment, the rows it regenerated —
+``repro experiments`` prints, for every experiment, the rows it regenerated —
 the moral equivalent of the paper's tables/figures (the paper itself has
 none).  Keeping the renderer tiny and dependency-free means the same tables
 show up in CI logs, ``results/TABLES.txt`` and interactive use.

@@ -11,10 +11,11 @@ from three places, in increasing precedence:
    ``--progress``).
 
 :func:`use_policy` installs a policy as the *ambient* policy for a code
-region.  ``run_scenario(..., parallel=True)`` deep inside an experiment
-function then picks it up without every call site growing new parameters —
-that is how ``repro experiments --backend remote`` reaches the
-scenario runs of the E1–E13 implementations unchanged.
+region.  A ``run_scenario``/``sweep`` call without an ``execution=``
+argument deep inside an experiment function then picks it up without every
+call site growing new parameters — that is how ``repro experiments
+--backend remote`` reaches the scenario runs of the E1–E13 implementations
+unchanged.  Outside any ``use_policy`` region such a call runs serially.
 
 :class:`repro.verify.policy.VerificationPolicy` is the verification sibling
 of this module: same defaults < config block < CLI flags precedence, same
@@ -153,6 +154,9 @@ def policy_from_mapping(
         raise ConfigurationError(
             f"{where} has unknown keys {sorted(unknown)} (accepted: {sorted(_POLICY_KEYS)})"
         )
+    for name in ("backend", "transport"):
+        if name in data and not isinstance(data[name], str):
+            raise ConfigurationError(f"{where}: {name!r} must be a string, got {data[name]!r}")
     backend = data.get("backend", "serial")
     if backend not in BACKENDS:
         hint = suggestion_hint(backend, BACKENDS.available())
@@ -223,41 +227,21 @@ def use_policy(policy: ExecutionPolicy) -> Iterator[ExecutionPolicy]:
         _CURRENT.reset(token)
 
 
-def resolve_policy(
-    *,
-    parallel: bool = False,
-    max_workers: Optional[int] = None,
-    execution: Optional[Any] = None,
-) -> ExecutionPolicy:
+def resolve_policy(execution: Optional[Any] = None) -> ExecutionPolicy:
     """The policy a ``run_scenario``/``sweep`` call actually runs under.
 
     Precedence: an explicit ``execution`` argument (policy object, backend
-    name, or config-block mapping) wins; otherwise the ambient policy applies
-    (gated to ``serial`` when ``parallel=False`` — the ``--serial`` escape
-    hatch must win over an ambient parallel backend); otherwise the legacy
-    flags map exactly onto PR-1 behaviour (``parallel=True`` → ``process``).
+    name, or config-block mapping); otherwise the ambient policy installed
+    by :func:`use_policy`; otherwise ``serial``.
     """
-    if execution is not None:
-        if isinstance(execution, ExecutionPolicy):
-            policy = execution
-        elif isinstance(execution, str):
-            policy = ExecutionPolicy(backend=execution)
-        elif isinstance(execution, Mapping):
-            policy = policy_from_mapping(execution)
-        else:
-            raise ConfigurationError(
-                f"execution must be an ExecutionPolicy, backend name or mapping, "
-                f"got {execution!r}"
-            )
-        if max_workers is not None and policy.max_workers is None:
-            policy = policy.replace(max_workers=max_workers)
-        return policy
-    ambient = current_policy()
-    if ambient is not None:
-        if parallel:
-            return ambient
-        # The serial gate also drops transport options: they belong to the
-        # remote backend the gate just overrode, and make_backend rejects
-        # them on any other backend by design.
-        return ambient.replace(backend="serial", transport=None, hosts=None)
-    return ExecutionPolicy(backend="process" if parallel else "serial", max_workers=max_workers)
+    if execution is None:
+        return current_policy() or ExecutionPolicy()
+    if isinstance(execution, ExecutionPolicy):
+        return execution
+    if isinstance(execution, str):
+        return ExecutionPolicy(backend=execution)
+    if isinstance(execution, Mapping):
+        return policy_from_mapping(execution)
+    raise ConfigurationError(
+        f"execution must be an ExecutionPolicy, backend name or mapping, got {execution!r}"
+    )

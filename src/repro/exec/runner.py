@@ -73,8 +73,7 @@ _FALLBACK_ERRORS = (
 def _effective_backend(policy: ExecutionPolicy, n_pending: int) -> tuple[str, int]:
     """Resolve ``(backend name, worker count)`` for this batch.
 
-    Mirrors the PR-1 executor's pragmatics: one-unit batches and
-    single-CPU hosts (when no explicit worker count forces a pool) run
+    One-unit batches and single-CPU hosts (when no explicit worker count forces a pool) run
     serially, because a process pool cannot beat the in-process loop there.
     """
     workers = policy.max_workers or default_workers(n_pending)

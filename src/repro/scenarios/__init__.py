@@ -17,7 +17,7 @@ multi-core fan-out:
 ...     metrics=(component("validity", problem="coloring"),),
 ... )
 >>> result = run_scenario(spec)                      # serial
->>> result = run_scenario(spec, parallel=True)       # fan seeds out over cores
+>>> result = run_scenario(spec, execution="process")  # fan seeds out over cores
 >>> grid = sweep(spec, over={"adversary.params.flip_prob": [0.001, 0.1]})
 >>> spec == ScenarioSpec.from_json(spec.to_json())   # specs are plain data
 True

@@ -14,7 +14,7 @@ Subcommands::
     repro sweep configs/sweeps/churn-rate.json --resume   # continue a killed run
     repro experiments --all            # regenerate every E1–E13 table
     repro experiments e01 e07 --smoke  # CI-sized parameter sets
-    repro bench --all                  # benchmark-scale runs with timings
+    repro bench --all                  # benchmark-scale runs, timings, claim checks
     repro validate                     # check every committed config
     repro verify --suite smoke         # run the validation-contract suite
     repro diff results /tmp/fresh      # exit 1 on any row drift
@@ -143,20 +143,17 @@ def _build_policy(
     args: argparse.Namespace,
     config_execution: Optional[Mapping[str, Any]] = None,
     *,
-    parallel: bool = False,
+    backend: str = "serial",
 ) -> ExecutionPolicy:
     """The effective policy: defaults < config ``execution`` block < CLI flags.
 
-    ``parallel`` is the legacy ergonomic switch (``--parallel`` / the absence
-    of ``--serial``): it upgrades an otherwise-default ``serial`` backend to
-    ``process``, but never overrides an explicit backend choice.
+    ``backend`` is the command's default (``serial`` for run/sweep/repair,
+    ``process`` for experiments/bench); the block's and ``--backend``'s
+    choice win over it.
     """
-    if config_execution is not None:
-        policy = policy_from_mapping(config_execution, where="'execution' block")
-    else:
-        policy = ExecutionPolicy()
-    if parallel and policy.backend == "serial" and (config_execution or {}).get("backend") is None:
-        policy = policy.replace(backend="process")
+    policy = policy_from_mapping(
+        {"backend": backend, **(config_execution or {})}, where="'execution' block"
+    )
     if getattr(args, "backend", None) is not None:
         policy = policy.replace(backend=args.backend)
     if getattr(args, "chunk_size", None) is not None:
@@ -321,7 +318,7 @@ def _cmd_execute(args: argparse.Namespace, config_type: type) -> int:
     code = _validate_or_fail(config)
     if code:
         return code
-    policy = _build_policy(args, config.execution, parallel=args.parallel)
+    policy = _build_policy(args, config.execution)
     rows, entry, status = _execute_config(args, config, policy)
     if entry is None:
         _print(format_table(list(rows), title=config.label).rstrip("\n"))
@@ -377,11 +374,9 @@ def _profile_top(profiler, limit: int = 15) -> List[Dict[str, Any]]:
 
 
 def _run_experiments(args: argparse.Namespace, *, scale: str, timings: bool) -> int:
-    from repro.analysis.experiments.catalog import run_experiment
+    from repro.analysis.experiments.catalog import EXPERIMENTS, run_experiment
 
     configs = _select_experiments(args)
-    # Profiling is in-process by definition: pooled workers would hide the
-    # hot loop from the parent's profiler, so --profile forces serial.
     profile = bool(getattr(args, "profile", False))
     code = 0
     for config in configs.values():
@@ -396,6 +391,7 @@ def _run_experiments(args: argparse.Namespace, *, scale: str, timings: bool) -> 
     store = ResultsStore(args.store)
     tables: List[str] = []
     summary: List[Dict[str, Any]] = []
+    failed_claims: List[str] = []
     # A --trace flag covers the whole selection in one file; opening it per
     # experiment would truncate the previous experiment's events.  Without
     # the flag, each config's own "telemetry" block scopes its experiment.
@@ -403,8 +399,12 @@ def _run_experiments(args: argparse.Namespace, *, scale: str, timings: bool) -> 
     with flag_scope:
         for experiment_id, config in sorted(configs.items()):
             params = config.params_for(scale)
-            serial = args.serial or profile
-            policy = _build_policy(args, config.execution, parallel=not serial)
+            policy = _build_policy(args, config.execution, backend="process")
+            if profile:
+                # Profiling is in-process by definition: pooled workers would
+                # hide the hot loop from the parent's profiler.  The transport
+                # options belong to the remote backend this overrides.
+                policy = policy.replace(backend="serial", transport=None, hosts=None)
             verification = _build_verification(args, config.verification)
             config_scope = (
                 nullcontext()
@@ -421,7 +421,7 @@ def _run_experiments(args: argparse.Namespace, *, scale: str, timings: bool) -> 
                         profiler = cProfile.Profile()
                         profiler.enable()
                     try:
-                        rows = run_experiment(experiment_id, params, parallel=not serial)
+                        rows = run_experiment(experiment_id, params)
                     finally:
                         if profiler is not None:
                             profiler.disable()
@@ -437,6 +437,8 @@ def _run_experiments(args: argparse.Namespace, *, scale: str, timings: bool) -> 
             tables.append(
                 _emit_entry(stored, title=title, columns=config.columns, status=status)
             )
+            if scale == "bench":
+                failed_claims += EXPERIMENTS[experiment_id].check(stored.rows)
             summary.append(
                 {
                     "experiment": experiment_id,
@@ -466,7 +468,9 @@ def _run_experiments(args: argparse.Namespace, *, scale: str, timings: bool) -> 
         Path(args.tables).parent.mkdir(parents=True, exist_ok=True)
         Path(args.tables).write_text("\n".join(tables), encoding="utf-8")
         _print(f"tables written to {args.tables}")
-    return 0
+    for problem in failed_claims:
+        print(f"claim failed: {problem}", file=sys.stderr)
+    return 1 if failed_claims else 0
 
 
 def _cmd_experiments(args: argparse.Namespace) -> int:
@@ -1030,7 +1034,8 @@ def _add_execution_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--backend",
         choices=list(BACKENDS.available()),
-        help="execution backend (default: from the config's 'execution' block, else serial)",
+        help="execution backend (default: from the config's 'execution' block, else "
+        "process for experiments/bench and serial otherwise)",
     )
     parser.add_argument(
         "--chunk-size",
@@ -1100,7 +1105,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run one committed ScenarioSpec config")
     run.add_argument("config", help="path to a scenario config (JSON)")
-    run.add_argument("--parallel", action="store_true", help="fan seeds out over cores")
     run.add_argument("--no-store", action="store_true", help="print only, skip the results store")
     _add_store_options(run)
     _add_execution_options(run)
@@ -1110,7 +1114,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep_cmd = sub.add_parser("sweep", help="run a committed spec + override-grid config")
     sweep_cmd.add_argument("config", help="path to a sweep config (JSON)")
-    sweep_cmd.add_argument("--parallel", action="store_true", help="fan units out over cores")
     sweep_cmd.add_argument(
         "--no-store", action="store_true", help="print only, skip the results store"
     )
@@ -1129,7 +1132,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--smoke", action="store_true", help="use the CI-sized smoke parameter sets"
     )
     experiments.add_argument("--list", action="store_true", help="list committed experiments")
-    experiments.add_argument("--serial", action="store_true", help="disable the process pool")
     experiments.add_argument("--tables", help="also write all tables to this file")
     experiments.add_argument(
         "--configs",
@@ -1142,11 +1144,17 @@ def build_parser() -> argparse.ArgumentParser:
     _add_telemetry_options(experiments)
     experiments.set_defaults(fn=_cmd_experiments)
 
-    bench = sub.add_parser("bench", help="benchmark-scale experiment runs with wall times")
+    bench = sub.add_parser(
+        "bench",
+        help="benchmark-scale experiment runs with wall times; exit 1 on a failed paper claim",
+    )
     bench.add_argument("ids", nargs="*", help="experiment ids (e01 … e13)")
     bench.add_argument("--all", action="store_true", help="run every committed experiment")
-    bench.add_argument("--smoke", action="store_true", help="smoke-sized dry run of the harness")
-    bench.add_argument("--serial", action="store_true", help="disable the process pool")
+    bench.add_argument(
+        "--smoke",
+        action="store_true",
+        help="smoke-sized dry run of the harness (claims are checked at bench scale only)",
+    )
     bench.add_argument(
         "--profile",
         action="store_true",

@@ -7,11 +7,10 @@ delegated to the :mod:`repro.exec` subsystem: the independent work units —
 one ``(scenario point, seed)`` pair each — are dispatched in chunks through
 a pluggable backend (``serial`` / ``process`` / ``remote``) selected by an
 :class:`~repro.exec.policy.ExecutionPolicy`.
-``parallel=True`` remains the ergonomic switch for "fan out over cores"
-(the ``process`` backend); the ``execution=`` parameter — or an ambient
-policy installed with :func:`repro.exec.use_policy`, which is how the CLI's
-``--backend``/``--chunk-size``/``--resume`` flags reach the experiment
-entry points — takes full control.
+The ``execution=`` parameter picks the policy; without it a call runs
+under the ambient policy installed with :func:`repro.exec.use_policy`
+(which is how the CLI's ``--backend``/``--chunk-size``/``--resume`` flags
+reach the experiment entry points), and serially outside one.
 
 Determinism is a hard requirement: a work unit is a pure function of
 ``(spec, seed)`` (every random stream derives from the seed through
@@ -353,23 +352,21 @@ class ScenarioResult:
 def run_scenario(
     spec: ScenarioSpec,
     *,
-    parallel: bool = False,
-    max_workers: Optional[int] = None,
     execution: Optional[Any] = None,
 ) -> ScenarioResult:
     """Run every seed of ``spec`` and collect the per-seed rows.
 
-    With ``parallel=True`` the seed replications run in worker processes;
     ``execution`` (an :class:`~repro.exec.policy.ExecutionPolicy`, a backend
-    name, or an ``"execution"`` config mapping) selects the backend, chunking
-    and checkpointing explicitly.  Every execution mode produces rows
-    identical to the serial run (see module docstring).
+    name such as ``"process"``, or an ``"execution"`` config mapping) selects
+    the backend, chunking and checkpointing; ``None`` uses the ambient
+    policy, else serial (see :func:`repro.exec.resolve_policy`).  Every
+    execution mode produces rows identical to the serial run (see module
+    docstring).
     """
     from repro.exec import resolve_policy, run_units, units_for_spec
 
     units = units_for_spec(spec)
-    policy = resolve_policy(parallel=parallel, max_workers=max_workers, execution=execution)
-    rows = run_units(units, policy, label=spec.label)
+    rows = run_units(units, resolve_policy(execution), label=spec.label)
     return ScenarioResult(spec=spec, rows=tuple(rows))
 
 
@@ -413,8 +410,6 @@ def sweep(
     spec: ScenarioSpec,
     over: Mapping[str, Sequence[Any]],
     *,
-    parallel: bool = False,
-    max_workers: Optional[int] = None,
     execution: Optional[Any] = None,
 ) -> List[ScenarioResult]:
     """Run the cartesian grid of ``over`` overrides applied to ``spec``.
@@ -425,7 +420,7 @@ def sweep(
         sweep(spec, over={
             "n": [64, 128, 256],
             "adversary.params.flip_prob": [0.001, 0.01, 0.1],
-        }, parallel=True)
+        }, execution="process")
 
     Returns one :class:`ScenarioResult` per grid point, in row-major order of
     the ``over`` mapping; every point carries the overrides that produced it.
@@ -436,8 +431,7 @@ def sweep(
     from repro.exec import resolve_policy, run_units
 
     points, units, bounds = expand_sweep(spec, over)
-    policy = resolve_policy(parallel=parallel, max_workers=max_workers, execution=execution)
-    rows = run_units(units, policy, label=spec.label if spec.name else "sweep")
+    rows = run_units(units, resolve_policy(execution), label=spec.label if spec.name else "sweep")
     return [
         ScenarioResult(spec=point_spec, rows=tuple(rows[start:end]), overrides=overrides)
         for (overrides, point_spec), (start, end) in zip(points, bounds)

@@ -6,6 +6,7 @@ diff`` it against the committed fixtures, and assert the exit code flips to 1
 when a fixture is mutated.
 """
 
+import dataclasses
 import importlib
 import json
 import os
@@ -50,13 +51,22 @@ def experiments_cmd(*ids, store, extra=()):
         "experiments",
         *ids,
         "--smoke",
-        "--serial",
+        "--backend",
+        "serial",
         "--configs",
         str(CONFIGS_DIR),
         "--store",
         str(store),
         *extra,
     ]
+
+
+def run_cli(*argv):
+    """``python -m repro *argv`` in a subprocess (stderr and exit code are real)."""
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    return subprocess.run(
+        [sys.executable, "-m", "repro", *argv], capture_output=True, text=True, env=env
+    )
 
 
 class TestRun:
@@ -97,16 +107,39 @@ class TestRun:
         bad = json.loads(json.dumps(SCENARIO_CONFIG))
         bad["spec"][key] = value
         config = write_config(tmp_path, bad)
-        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro", "run", str(config), "--no-store"],
-            capture_output=True,
-            text=True,
-            env=env,
-        )
+        proc = run_cli("run", str(config), "--no-store")
         assert proc.returncode == 1
         assert f"{field} must be" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize(
+        "block, field",
+        [({"backend": ["process"]}, "backend"), ({"transport": ["x"]}, "transport")],
+    )
+    def test_non_string_execution_field_fails_naming_it(self, tmp_path, command, block, field):
+        config = write_config(tmp_path, {**SCENARIO_CONFIG, "execution": block})
+        argv = [command, str(config)] + (["--no-store"] if command == "run" else [])
+        proc = run_cli(*argv)
+        assert proc.returncode != 0
+        assert f"'execution' block: '{field}'" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "config.json", "--parallel"],
+            ["sweep", "config.json", "--parallel"],
+            ["experiments", "e04", "--serial"],
+            ["bench", "e04", "--serial"],
+        ],
+    )
+    def test_deleted_backend_switches_are_rejected(self, argv, capsys):
+        # --backend is the one backend selector; the old switches are gone.
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_wrong_config_kind_is_rejected(self, tmp_path, capsys):
         config = write_config(
@@ -190,7 +223,8 @@ class TestBench:
                     "bench",
                     "e04",
                     "--smoke",
-                    "--serial",
+                    "--backend",
+                    "serial",
                     "--configs",
                     str(CONFIGS_DIR),
                     "--store",
@@ -202,6 +236,51 @@ class TestBench:
         out = capsys.readouterr().out
         assert "seconds" in out
         assert list(ResultsStore(tmp_path / "store").entries("smoke"))
+
+    @staticmethod
+    def _e04_tree(tmp_path, **overrides):
+        """A config tree holding only e04, with some parameter sets replaced."""
+        payload = json.loads((CONFIGS_DIR / "experiments" / "e04.json").read_text())
+        payload.update(overrides)
+        (tmp_path / "configs" / "experiments").mkdir(parents=True)
+        write_config(tmp_path / "configs" / "experiments", payload, name="e04.json")
+        return tmp_path / "configs"
+
+    def test_failed_claim_exits_1_naming_it_and_keeps_the_rows(self, tmp_path, capsys, monkeypatch):
+        from repro.analysis.experiments.catalog import EXPERIMENTS
+
+        smoke = json.loads((CONFIGS_DIR / "experiments" / "e04.json").read_text())
+        configs = self._e04_tree(tmp_path, bench_params=smoke["smoke_params"])
+        store = tmp_path / "store"
+        argv = ["bench", "e04", "--backend", "serial", "--configs", str(configs)]
+        argv += ["--store", str(store)]
+        failing = dataclasses.replace(
+            EXPERIMENTS["e04"], claim=lambda rows: ["row 0 valid_fraction_mean = 0.5"]
+        )
+        monkeypatch.setitem(EXPERIMENTS, "e04", failing)
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert "claim failed: e04: row 0 valid_fraction_mean = 0.5" in captured.err
+        assert "[created:" in captured.out  # the rows are stored before the check
+        (entry,) = ResultsStore(store).entries("bench")
+        assert entry.rows and entry.rows[0]["valid_fraction_mean"] == 1.0
+
+        monkeypatch.undo()
+        assert main(argv) == 0  # the real claim holds on these rows
+
+    def test_profile_runs_in_process_on_a_pooled_backend(self, tmp_path):
+        # Two units and two workers: without --profile this batch would run
+        # in a real process pool, out of the profiler's sight.
+        smoke = {"n": 24, "flip_probs": [0.01], "seeds": [0, 1], "rounds_factor": 2}
+        configs = self._e04_tree(tmp_path, smoke_params=smoke)
+        store = tmp_path / "store"
+        argv = ["bench", "e04", "--smoke", "--profile", "--backend", "process"]
+        argv += ["--workers", "2", "--configs", str(configs), "--store", str(store)]
+        assert main(argv) == 0
+        (entry,) = ResultsStore(store).entries("smoke")
+        profile = entry.provenance["telemetry"]["profile"]
+        assert profile
+        assert any("run_scenario_seed" in item["function"] for item in profile)
 
 
 class TestDriftGate:

@@ -361,23 +361,21 @@ class TestSpecCache:
 
 
 class TestPolicies:
-    def test_legacy_flags_map_to_pr1_behaviour(self):
-        assert resolve_policy().backend == "serial"
-        assert resolve_policy(parallel=True).backend == "process"
-        assert resolve_policy(parallel=True, max_workers=3).max_workers == 3
+    def test_default_is_serial(self):
+        assert resolve_policy() == ExecutionPolicy(backend="serial")
+        assert resolve_policy("process").backend == "process"
+        assert resolve_policy({"backend": "process", "max_workers": 3}).max_workers == 3
 
     def test_ambient_policy_reaches_nested_calls(self):
         ambient = ExecutionPolicy(backend="process", chunk_size=5)
         with use_policy(ambient):
             assert current_policy() is ambient
-            assert resolve_policy(parallel=True) is ambient
-            # --serial must defeat an ambient parallel backend.
-            assert resolve_policy(parallel=False).backend == "serial"
+            assert resolve_policy() is ambient
         assert current_policy() is None
 
     def test_explicit_execution_beats_ambient(self):
         with use_policy(ExecutionPolicy(backend="process")):
-            assert resolve_policy(parallel=True, execution="serial").backend == "serial"
+            assert resolve_policy("serial").backend == "serial"
 
     def test_policy_validation(self):
         with pytest.raises(ConfigurationError):
@@ -403,8 +401,8 @@ class TestPolicies:
         with pytest.raises(ConfigurationError, match="unknown execution backend 'thread'"):
             policy_from_mapping({"backend": "thread"})
 
-    def test_parallel_survives_backendless_execution_block(self):
-        """A config block that only tunes chunking must not eat --parallel."""
+    def test_command_default_backend_yields_to_the_block(self):
+        """A block that only tunes chunking keeps the command's default backend."""
         import argparse
 
         from repro.scenarios.cli import _build_policy
@@ -413,12 +411,21 @@ class TestPolicies:
             backend=None, chunk_size=None, workers=None, resume=False,
             progress=False, no_store=True, store="results",
         )
-        policy = _build_policy(args, {"chunk_size": 4}, parallel=True)
+        assert _build_policy(args).backend == "serial"
+        policy = _build_policy(args, {"chunk_size": 4}, backend="process")
         assert policy.backend == "process"
         assert policy.chunk_size == 4
-        # An explicit backend choice in the block still wins over --parallel.
-        policy = _build_policy(args, {"backend": "remote"}, parallel=True)
+        # An explicit backend choice in the block wins over the command default.
+        policy = _build_policy(args, {"backend": "remote"}, backend="process")
         assert policy.backend == "remote"
+        # ... and --backend wins over both.
+        args.backend = "serial"
+        assert _build_policy(args, {"backend": "remote"}, backend="process").backend == "serial"
+
+    @pytest.mark.parametrize("field", ["backend", "transport"])
+    def test_non_string_backend_or_transport_names_the_field(self, field):
+        with pytest.raises(ConfigurationError, match=f"'{field}' must be a string"):
+            policy_from_mapping({field: ["process"]}, where="'execution' block")
 
 
 # ---------------------------------------------------------------------------

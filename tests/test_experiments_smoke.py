@@ -1,16 +1,22 @@
 """Smoke tests for the E1–E13 experiment implementations (tiny parameters).
 
-These do not validate the scientific claims (the full-size benchmark harness
-does); they pin down the row schema every experiment returns and make sure
-the harness code paths stay runnable.
+These do not validate the scientific claims (``repro bench`` checks each
+catalog claim on benchmark-scale rows; :class:`TestClaims` checks them on the
+committed full-scale rows); they pin down the row schema every experiment
+returns and make sure the experiment code paths stay runnable.
 """
 
 import math
+from pathlib import Path
 
 import pytest
 
 from repro.analysis import experiments as E
+from repro.analysis.experiments.catalog import EXPERIMENTS
 from repro.analysis.report import format_table
+from repro.scenarios.store import ResultsStore
+
+COMMITTED_EXPERIMENTS = Path(__file__).resolve().parent.parent / "results" / "experiments"
 
 
 def assert_rows(rows, required_keys):
@@ -99,3 +105,28 @@ class TestFrameworkExperiments:
         by_variant = {row["variant"]: row for row in rows}
         assert by_variant["scolor"]["b1_violation_fraction_mean"] <= by_variant["scolor-no-uncolor"]["b1_violation_fraction_mean"]
         assert by_variant["dynamic-coloring"]["mean_changes_mean"] <= by_variant["coloring-no-backbone"]["mean_changes_mean"]
+
+
+def committed_rows(experiment_id):
+    (path,) = COMMITTED_EXPERIMENTS.glob(f"{experiment_id}-*.json")
+    return [dict(row) for row in ResultsStore.load(path).rows]
+
+
+class TestClaims:
+    """Every catalog claim on the committed ``results/experiments`` rows."""
+
+    @pytest.mark.parametrize("experiment_id", sorted(EXPERIMENTS))
+    def test_claim_holds_on_committed_rows(self, experiment_id):
+        assert EXPERIMENTS[experiment_id].check(committed_rows(experiment_id)) == []
+
+    @pytest.mark.parametrize(
+        "experiment_id, key, value",
+        [("e07", "valid_fraction_mean", 0.5), ("e05", "changes_protected_mean", 1.0)],
+    )
+    def test_mutated_row_fails_naming_experiment_and_key(self, experiment_id, key, value):
+        rows = committed_rows(experiment_id)
+        rows[-1][key] = value
+        problems = EXPERIMENTS[experiment_id].check(rows)
+        assert len(problems) == 1
+        assert problems[0].startswith(f"{experiment_id}: ")
+        assert key in problems[0] and repr(value) in problems[0]

@@ -22,7 +22,7 @@ from repro.exec import (
     run_units,
     units_for_spec,
 )
-from repro.exec.policy import policy_from_mapping, resolve_policy, use_policy
+from repro.exec.policy import policy_from_mapping
 from repro.exec.progress import ProgressReporter
 from repro.exec.remote import (
     WORKER_HANG_ENV,
@@ -286,18 +286,6 @@ class TestPolicyPlumbing:
             backend="remote", transport="loopback", hosts=("a", "b=2")
         )
         assert canonical_json(run_units(units, policy)) == expected
-
-    def test_serial_gate_drops_transport_options(self):
-        # An ambient remote policy gated to serial (parallel=False) must not
-        # carry transport/hosts into make_backend — serial rejects them.
-        ambient = ExecutionPolicy(
-            backend="remote", max_workers=2, transport="loopback", hosts=("a", "b=2")
-        )
-        with use_policy(ambient):
-            gated = resolve_policy(parallel=False)
-            assert gated.backend == "serial"
-            assert gated.backend_options() == {}
-            assert resolve_policy(parallel=True) is ambient
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ import pytest
 
 from repro.dynamics import generators
 from repro.errors import ConfigurationError, RegistryError
+from repro.exec import ExecutionPolicy, use_policy
 from repro.scenarios import (
     ADVERSARIES,
     ALGORITHMS,
@@ -261,9 +262,9 @@ class TestExecutor:
 
     def test_parallel_equals_serial_run_scenario(self):
         spec = demo_spec()
-        serial = run_scenario(spec, parallel=False)
+        serial = run_scenario(spec, execution="serial")
         # max_workers=2 forces a real process pool even on single-core runners
-        parallel = run_scenario(spec, parallel=True, max_workers=2)
+        parallel = run_scenario(spec, execution=ExecutionPolicy(backend="process", max_workers=2))
         assert serial.rows == parallel.rows
         # byte-identical, aggregation included
         keys = ("valid_fraction", "mean_changes")
@@ -274,8 +275,10 @@ class TestExecutor:
     def test_parallel_equals_serial_sweep(self):
         spec = demo_spec()
         over = {"adversary.params.flip_prob": [0.0, 0.05], "n": [16, 24]}
-        serial = sweep(spec, over=over, parallel=False)
-        parallel = sweep(spec, over=over, parallel=True, max_workers=2)
+        serial = sweep(spec, over=over, execution="serial")
+        parallel = sweep(
+            spec, over=over, execution=ExecutionPolicy(backend="process", max_workers=2)
+        )
         assert len(serial) == len(parallel) == 4
         for s_point, p_point in zip(serial, parallel):
             assert s_point.overrides == p_point.overrides
@@ -338,12 +341,10 @@ class TestMigratedExperiments:
     def test_e04_runs_through_scenarios_and_parallel_matches(self):
         from repro.analysis.experiments import experiment_e04_tdynamic_coloring
 
-        serial = experiment_e04_tdynamic_coloring(
-            n=20, flip_probs=(0.01, 0.05), seeds=(0, 1, 2), rounds_factor=2, parallel=False
-        )
-        parallel = experiment_e04_tdynamic_coloring(
-            n=20, flip_probs=(0.01, 0.05), seeds=(0, 1, 2), rounds_factor=2, parallel=True
-        )
+        params = dict(n=20, flip_probs=(0.01, 0.05), seeds=(0, 1, 2), rounds_factor=2)
+        serial = experiment_e04_tdynamic_coloring(**params)
+        with use_policy(ExecutionPolicy(backend="process", max_workers=2)):
+            parallel = experiment_e04_tdynamic_coloring(**params)
         assert json.dumps(serial, sort_keys=True) == json.dumps(parallel, sort_keys=True)
         assert serial[0]["valid_fraction_mean"] == 1.0
 
