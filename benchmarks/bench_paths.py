@@ -66,7 +66,7 @@ from repro.dynamics.churn import MarkovEdgeChurn
 from repro.exec import build_chunks, make_backend, units_for_spec
 from repro.exec.units import WorkUnit, auto_chunk_size
 from repro.runtime.algorithm import DistributedAlgorithm
-from repro.runtime.simulator import Simulator, delivery_mode
+from repro.runtime.simulator import Simulator
 from repro.scenarios import ScenarioSpec, component
 from repro.scenarios.executor import run_scenario_seed
 from repro.scenarios.store import canonical_json
@@ -299,14 +299,14 @@ def _run(
         np.random.default_rng(seed + 1),
         emit_deltas=path != "snapshot",
     )
-    with delivery_mode("full" if path == "snapshot" else path):
-        sim = Simulator(
-            n=n,
-            algorithm=ALGORITHMS[algorithm](),
-            adversary=adversary,
-            seed=seed,
-            trace_retention=retention,
-        )
+    sim = Simulator(
+        n=n,
+        algorithm=ALGORITHMS[algorithm](),
+        adversary=adversary,
+        seed=seed,
+        trace_retention=retention,
+        delivery="full" if path == "snapshot" else path,
+    )
     start = time.perf_counter()
     sim.run(rounds)
     elapsed = time.perf_counter() - start

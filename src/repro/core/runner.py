@@ -83,9 +83,11 @@ def run_dynamic_problem(
 ) -> CombinedRunResult:
     """Run any algorithm (combined, baseline or ablation) and summarise T-dynamic validity.
 
-    Unlike :func:`run_combined` this does not construct the algorithm — it is
-    the entry point the baseline-comparison experiment (E9) uses so baselines
-    are judged by exactly the same checker as the framework algorithms.
+    Unlike :func:`run_combined` this does not construct the algorithm, so a
+    baseline or ablation is judged by exactly the same checker as the
+    framework algorithms.  Only the tests call it; the experiments (E9
+    included) run scenario specs and read validity from the ``validity``
+    metric.
     """
     T = window if window is not None else default_window(n)
     trace = run_simulation(

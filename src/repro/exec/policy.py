@@ -16,11 +16,6 @@ argument deep inside an experiment function then picks it up without every
 call site growing new parameters — that is how ``repro experiments
 --backend remote`` reaches the scenario runs of the E1–E13 implementations
 unchanged.  Outside any ``use_policy`` region such a call runs serially.
-
-:class:`repro.verify.policy.VerificationPolicy` is the verification sibling
-of this module: same defaults < config block < CLI flags precedence, same
-ambient-context installation (``use_verification``), applied to the in-run
-equivalence gates instead of the execution backend.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@
 ``message_stability = "pure"`` over dense numpy state arrays and a CSR
 adjacency, byte-identical to the classic per-node loops (see
 ``delivery="kernel"`` on :class:`repro.runtime.simulator.Simulator` and the
-``--verify kernel`` runtime gate, :mod:`repro.verify.policy`).
+``delivery-equivalence`` contract, :mod:`repro.verify.contracts`).
 
 The package requires numpy >= 1.26 (vectorised ufunc paths the kernels
 rely on); the import fails fast with a clear message otherwise.

@@ -8,9 +8,10 @@ the engine diffs successive masks to recover the exact deltas the classic
 path would have stored.  Adversaries without a plan run on the classic
 incremental loop instead.
 
-The engine is byte-identical to the classic full/incremental loops —
-``--verify kernel`` (:mod:`repro.verify.policy`) asserts it at runtime, and
-the equivalence tests cover the full algorithm × adversary × wakeup matrix.
+The engine is byte-identical to the classic full/incremental loops — the
+``delivery-equivalence`` contract (:mod:`repro.verify.contracts`) checks it
+on every committed scenario config, and the equivalence tests cover the full
+algorithm × adversary × wakeup matrix.
 """
 
 from __future__ import annotations

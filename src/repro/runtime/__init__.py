@@ -6,7 +6,8 @@
   including the ``message_stability`` purity contract.
 * :mod:`repro.runtime.simulator` — the round engine that couples an adversary
   with an algorithm and records an execution trace; quiescence-aware
-  incremental delivery for algorithms declaring the ``"pure"`` contract.
+  incremental delivery for algorithms declaring the ``"pure"`` contract,
+  and the array-kernel path, picked by its ``delivery`` argument alone.
 * :mod:`repro.runtime.trace` — :class:`RoundRecord` / :class:`ExecutionTrace`.
 * :mod:`repro.runtime.metrics` — per-round message statistics.
 * :mod:`repro.runtime.scheduler` — re-exports the wake-up schedules.
@@ -20,18 +21,11 @@ from repro.runtime.algorithm import (
 )
 from repro.runtime.messages import Message, estimate_bits
 from repro.runtime.metrics import RoundMetrics
-from repro.runtime.simulator import (
-    DELIVERY_ENV,
-    RoundActivity,
-    Simulator,
-    delivery_mode,
-    run_simulation,
-)
+from repro.runtime.simulator import RoundActivity, Simulator, run_simulation
 from repro.runtime.trace import ExecutionTrace, RoundRecord
 
 __all__ = [
     "AlgorithmSetup",
-    "DELIVERY_ENV",
     "DistributedAlgorithm",
     "MESSAGE_STABILITY_LEVELS",
     "Message",
@@ -39,7 +33,6 @@ __all__ = [
     "RoundMetrics",
     "Simulator",
     "VOLATILE",
-    "delivery_mode",
     "estimate_bits",
     "run_simulation",
     "ExecutionTrace",

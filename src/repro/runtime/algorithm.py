@@ -142,8 +142,8 @@ class DistributedAlgorithm(ABC):
     #:     for quiescent nodes and reuse cached messages, inboxes and outputs
     #:     — per-round cost O(#active nodes + #topology changes) instead of
     #:     O(n + m) — while producing byte-identical traces.  Declarations
-    #:     are verified empirically by the equivalence test matrix and, per
-    #:     run, by ``--verify incremental`` (see :mod:`repro.verify.policy`).
+    #:     are verified empirically by the equivalence test matrix and by the
+    #:     ``delivery-equivalence`` contract of ``repro verify``.
     message_stability: str = "none"
 
     def __init__(self) -> None:
@@ -255,7 +255,7 @@ class DistributedAlgorithm(ABC):
         factory after :meth:`setup` (kernels need ``n``) when resolving
         ``delivery="kernel"``.  The kernel must be byte-identical to the
         per-node methods — verified by the equivalence matrix and the
-        ``--verify kernel`` runtime gate (:mod:`repro.verify.policy`).
+        ``delivery-equivalence`` contract of ``repro verify``.
         Subclasses of an accelerated
         algorithm are *not* accelerated automatically: overrides must check
         ``type(self)`` so that a subclass with changed round logic silently

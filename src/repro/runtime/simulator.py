@@ -47,21 +47,16 @@ The default mode ``"auto"`` selects the kernel path when algorithm,
 adversary and wake-up schedule are all kernel-eligible, incremental delivery
 when only the algorithm's ``"pure"`` contract holds, and the full path
 otherwise.  An explicit ``"kernel"`` request follows the same rule: without
-a kernel or a plan it degrades to incremental (or full).
-``REPRO_DELIVERY=full|incremental|kernel|auto`` (or the
-:func:`delivery_mode` context manager) overrides the automatic choice; a
-:class:`~repro.verify.policy.VerificationPolicy` (``--verify
-incremental,kernel``, a config ``"verification"`` block, or
-``REPRO_VERIFY=incremental,kernel``) makes the scenario executor run the
-chosen path against the full path and assert row equality (see
-:func:`repro.scenarios.executor.run_scenario_seed`).
+a kernel or a plan it degrades to incremental (or full).  The ``delivery``
+argument (a scenario's ``delivery`` field) is the only way to pick a path;
+``repro verify --contracts delivery-equivalence --configs configs`` checks
+that every fast path reproduces the full path's trace for the built-in cases
+and every committed scenario config (see :mod:`repro.verify.contracts`).
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-from typing import Any, Callable, Dict, FrozenSet, Iterator, Mapping, Optional
+from typing import Any, Callable, Dict, FrozenSet, Mapping, Optional
 
 from repro.errors import ConfigurationError, SimulationError, TopologyError
 from repro.obs.trace import active_sink
@@ -76,71 +71,15 @@ from repro.runtime.metrics import RoundMetrics
 from repro.runtime.trace import ExecutionTrace
 
 __all__ = [
-    "DELIVERY_ENV",
     "RoundActivity",
     "Simulator",
-    "delivery_mode",
     "run_simulation",
 ]
 
 #: Sentinel for "no cached message yet" (``None`` is a valid message).
 _NO_MESSAGE: Any = object()
 
-#: Environment override for the delivery path
-#: (``full`` / ``incremental`` / ``kernel`` / ``auto``).
-DELIVERY_ENV = "REPRO_DELIVERY"
-
 _DELIVERY_MODES = ("auto", "full", "incremental", "kernel")
-
-#: Ambient override installed by :func:`delivery_mode` (beats the env var).
-_DELIVERY_OVERRIDE: Optional[str] = None
-
-
-@contextmanager
-def delivery_mode(mode: str) -> Iterator[None]:
-    """Force the delivery path of every :class:`Simulator` built in the block.
-
-    ``mode`` is ``"full"``, ``"incremental"``, ``"kernel"`` or ``"auto"``.
-    Used by the
-    equivalence tests and benchmarks to time both paths on identical seeds::
-
-        with delivery_mode("full"):
-            trace_full = run_simulation(...)
-    """
-    global _DELIVERY_OVERRIDE
-    if mode not in _DELIVERY_MODES:
-        raise ConfigurationError(f"delivery mode must be one of {_DELIVERY_MODES}, got {mode!r}")
-    previous = _DELIVERY_OVERRIDE
-    _DELIVERY_OVERRIDE = mode
-    try:
-        yield
-    finally:
-        _DELIVERY_OVERRIDE = previous
-
-
-def _requested_delivery(explicit: str) -> str:
-    """Resolve the requested mode.
-
-    Precedence, highest first: a non-``"auto"`` explicit argument, then the
-    ambient :func:`delivery_mode` override, then the ``REPRO_DELIVERY``
-    environment variable; ``"auto"`` otherwise.
-    """
-    if explicit not in _DELIVERY_MODES:
-        raise ConfigurationError(
-            f"delivery must be one of {_DELIVERY_MODES}, got {explicit!r}"
-        )
-    if explicit != "auto":
-        return explicit
-    if _DELIVERY_OVERRIDE is not None:
-        return _DELIVERY_OVERRIDE
-    env = os.environ.get(DELIVERY_ENV, "").strip().lower()
-    if env:
-        if env not in _DELIVERY_MODES:
-            raise ConfigurationError(
-                f"{DELIVERY_ENV} must be one of {_DELIVERY_MODES}, got {env!r}"
-            )
-        return env
-    return "auto"
 
 
 class RoundActivity:
@@ -241,12 +180,8 @@ class Simulator:
         strongest available one (the engine cannot skip work the algorithm
         has not declared skippable); ``"kernel"`` without an algorithm
         kernel or an adversary :class:`~repro.kernel.plan.KernelPlan`
-        degrades to ``"incremental"``.
-    allow_kernel:
-        Set to false to exclude the kernel path from ``"auto"``/``"kernel"``
-        resolution (used e.g. when per-round probes will read live
-        algorithm state, which array kernels only write back at the end of
-        a run).
+        degrades to ``"incremental"``.  This argument is the only path
+        selector.
     trace_retention:
         ``"full"`` (default) keeps every round's complete output vector in
         the trace; ``"stats"`` keeps only O(#changes) per-round output
@@ -269,7 +204,6 @@ class Simulator:
         stop_when: Optional[Callable[[ExecutionTrace], bool]] = None,
         checkpoint_interval: int = DEFAULT_CHECKPOINT_INTERVAL,
         delivery: str = "auto",
-        allow_kernel: bool = True,
         trace_retention: str = "full",
     ) -> None:
         if not isinstance(n, int) or n < 1:
@@ -289,7 +223,8 @@ class Simulator:
         self._input = input_assignment
         self._expose_state = expose_state_to_adversary
         self._stop_when = stop_when
-        requested = _requested_delivery(delivery)
+        if delivery not in _DELIVERY_MODES:
+            raise ConfigurationError(f"delivery must be one of {_DELIVERY_MODES}, got {delivery!r}")
         pure = algorithm.message_stability == "pure"
         # Kernel eligibility: the pure contract, a hand-vectorised kernel for
         # the exact algorithm type, no input vector (kernels initialise wake
@@ -297,8 +232,7 @@ class Simulator:
         # exposure (state_summary would read stale instance state mid-run —
         # kernels write back only at the end of a run).
         kernel_ok = (
-            allow_kernel
-            and pure
+            pure
             and self._input is None
             and not (expose_state_to_adversary and adversary.obliviousness == ADAPTIVE_OFFLINE)
         )
@@ -310,7 +244,7 @@ class Simulator:
             except ImportError:
                 # numpy below the kernel floor: an explicit request should
                 # surface the clear version error, auto falls back silently.
-                if requested == "kernel":
+                if delivery == "kernel":
                     raise
                 kernel_factory = None
             if kernel_factory is not None:
@@ -320,9 +254,9 @@ class Simulator:
                     plan = None
                 if plan is not None and plan.validate(n):
                     kernel_plan = plan
-        if requested == "full":
+        if delivery == "full":
             self._delivery = "full"
-        elif requested in ("auto", "kernel") and kernel_plan is not None:
+        elif delivery in ("auto", "kernel") and kernel_plan is not None:
             # the kernel needs the array path end-to-end: a kernel for the
             # algorithm and a plan from the adversary
             self._delivery = "kernel"
@@ -722,7 +656,6 @@ def run_simulation(
     expose_state_to_adversary: bool = False,
     stop_when: Optional[Callable[[ExecutionTrace], bool]] = None,
     delivery: str = "auto",
-    allow_kernel: bool = True,
     trace_retention: str = "full",
 ) -> ExecutionTrace:
     """One-shot convenience wrapper around :class:`Simulator`.
@@ -752,7 +685,6 @@ def run_simulation(
         expose_state_to_adversary=expose_state_to_adversary,
         stop_when=stop_when,
         delivery=delivery,
-        allow_kernel=allow_kernel,
         trace_retention=trace_retention,
     )
     return sim.run(rounds)

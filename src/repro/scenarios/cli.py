@@ -39,11 +39,10 @@ remote), ``--chunk-size``, ``--workers``, ``--progress`` and
 win); see :mod:`repro.exec`.  Store-backed runs keep a sweep journal under
 ``<store>/.journals`` so a killed sweep resumes exactly where it stopped.
 
-In-run verification — re-checking every seed executed on the incremental or
-kernel delivery path against the authoritative full engine — is controlled
-the same way: ``--verify incremental,kernel`` per invocation or a
-``"verification"`` block per config (CLI flag wins); see
-:mod:`repro.verify`.  ``repro verify`` runs the offline contract suite.
+A scenario's delivery path is its spec's ``delivery`` field.  ``repro
+verify`` runs the contract suite; its ``delivery-equivalence`` contract runs
+every scenario config under ``--configs`` on the incremental and kernel
+paths against the full path (see :mod:`repro.verify`).
 """
 
 from __future__ import annotations
@@ -86,12 +85,6 @@ from repro.scenarios.configs import (
 from repro.scenarios.executor import expand_sweep, run_scenario, sweep
 from repro.scenarios.registry import available
 from repro.scenarios.store import ResultsStore, StoreEntry, diff_stores
-from repro.verify.policy import (
-    VerificationPolicy,
-    parse_verify_spec,
-    use_verification,
-    verification_from_mapping,
-)
 
 __all__ = ["main"]
 
@@ -172,30 +165,6 @@ def _build_policy(
     if not getattr(args, "no_store", False):
         policy = policy.replace(journal_dir=str(Path(args.store) / JOURNALS_SUBDIR))
     return policy
-
-
-def _build_verification(
-    args: argparse.Namespace,
-    config_verification: Optional[Mapping[str, Any]] = None,
-) -> Optional[VerificationPolicy]:
-    """The effective verification policy, or ``None`` for "no explicit choice".
-
-    Precedence mirrors :func:`_build_policy`: the config's ``"verification"``
-    block sets the baseline and ``--verify`` wins wholesale.  ``None`` (no
-    flag, no block) leaves the ambient policy untouched, so a
-    ``REPRO_VERIFY`` environment variable still applies.
-    """
-    flag = getattr(args, "verify", None)
-    if flag is not None:
-        return parse_verify_spec(flag, where="--verify")
-    if config_verification is not None:
-        return verification_from_mapping(config_verification, where="'verification' block")
-    return None
-
-
-def _verification_scope(policy: Optional[VerificationPolicy]):
-    """Context manager installing ``policy`` for the run (no-op for ``None``)."""
-    return nullcontext() if policy is None else use_verification(policy)
 
 
 def _trace_scope(
@@ -292,13 +261,12 @@ def _execute_config(args: argparse.Namespace, config, policy: ExecutionPolicy):
     """Run a scenario/sweep config and store its rows; ``(rows, entry, status)``.
 
     The one execution path of ``repro run``, ``repro sweep`` and ``repro
-    repair``: trace scope, run telemetry and verification scope around the
-    rows, then the store write with the telemetry block in its provenance.
-    With ``--no-store`` nothing is written and ``entry`` is ``None``.
+    repair``: trace scope and run telemetry around the rows, then the store
+    write with the telemetry block in its provenance.  With ``--no-store``
+    nothing is written and ``entry`` is ``None``.
     """
     with _trace_scope(args, config.telemetry), collect_stats() as stats:
-        with _verification_scope(_build_verification(args, config.verification)):
-            rows = _rows_for_config(config, policy)
+        rows = _rows_for_config(config, policy)
     if getattr(args, "no_store", False):
         return rows, None, ""
     entry, status = _put_with_telemetry(
@@ -405,7 +373,6 @@ def _run_experiments(args: argparse.Namespace, *, scale: str, timings: bool) -> 
                 # hide the hot loop from the parent's profiler.  The transport
                 # options belong to the remote backend this overrides.
                 policy = policy.replace(backend="serial", transport=None, hosts=None)
-            verification = _build_verification(args, config.verification)
             config_scope = (
                 nullcontext()
                 if getattr(args, "trace", None)
@@ -414,7 +381,7 @@ def _run_experiments(args: argparse.Namespace, *, scale: str, timings: bool) -> 
             started = time.perf_counter()
             profiler = None
             with config_scope, collect_stats() as stats:
-                with use_policy(policy), _verification_scope(verification):
+                with use_policy(policy):
                     if profile:
                         import cProfile
 
@@ -1084,17 +1051,6 @@ def _add_telemetry_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_verification_options(parser: argparse.ArgumentParser) -> None:
-    """The in-run verification flag shared by every executing subcommand."""
-    parser.add_argument(
-        "--verify",
-        metavar="MODES",
-        help="delivery paths to re-check against the full engine per seed: "
-        "comma-separated from incremental,kernel, or 'none' to disable "
-        "(default: from the config's 'verification' block, else off)",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -1108,7 +1064,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--no-store", action="store_true", help="print only, skip the results store")
     _add_store_options(run)
     _add_execution_options(run)
-    _add_verification_options(run)
     _add_telemetry_options(run)
     run.set_defaults(fn=functools.partial(_cmd_execute, config_type=ScenarioConfig))
 
@@ -1119,7 +1074,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_store_options(sweep_cmd)
     _add_execution_options(sweep_cmd)
-    _add_verification_options(sweep_cmd)
     _add_telemetry_options(sweep_cmd)
     sweep_cmd.set_defaults(fn=functools.partial(_cmd_execute, config_type=SweepConfig))
 
@@ -1140,7 +1094,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_store_options(experiments)
     _add_execution_options(experiments)
-    _add_verification_options(experiments)
     _add_telemetry_options(experiments)
     experiments.set_defaults(fn=_cmd_experiments)
 
@@ -1169,7 +1122,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_store_options(bench)
     _add_execution_options(bench)
-    _add_verification_options(bench)
     _add_telemetry_options(bench)
     bench.set_defaults(fn=_cmd_bench)
 
@@ -1222,7 +1174,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_store_options(repair)
     _add_execution_options(repair)
-    _add_verification_options(repair)
     _add_telemetry_options(repair)
     repair.set_defaults(fn=_cmd_repair)
 
@@ -1247,7 +1198,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument(
         "--configs",
         default=str(DEFAULT_CONFIGS_DIR),
-        help=f"config tree the manipulation-exists contract scans (default: {DEFAULT_CONFIGS_DIR})",
+        help="config tree the manipulation-exists and delivery-equivalence contracts scan "
+        f"(default: {DEFAULT_CONFIGS_DIR})",
     )
     verify.add_argument(
         "--no-store", action="store_true", help="print only, skip the results store"

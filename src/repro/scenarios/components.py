@@ -86,6 +86,7 @@ from repro.problems.coloring import coloring_problem_pair
 from repro.problems.dynamic_problem import TDynamicSpec
 from repro.problems.mis import mis_problem_pair
 from repro.types import Interval
+from repro.utils.validation import check_probability
 from repro.scenarios.registry import (
     ADVERSARIES,
     ALGORITHMS,
@@ -219,6 +220,7 @@ def _adversary_static(ctx):
 @ADVERSARIES.register("flip-churn")
 def _adversary_flip(ctx, *, flip_prob: float = 0.01):
     """Every base edge flips its presence with probability `flip_prob` per round."""
+    flip_prob = check_probability("flip_prob", flip_prob)
     churn = FlipChurn(ctx.base, flip_prob) if flip_prob > 0 else StaticChurn(ctx.base)
     return ChurnAdversary(ctx.n, churn, ctx.stream("adversary", "churn"), wakeup=ctx.wakeup)
 

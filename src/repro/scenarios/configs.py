@@ -62,7 +62,6 @@ class ScenarioConfig:
     spec: ScenarioSpec
     path: Optional[Path] = None
     execution: Optional[Mapping[str, Any]] = None
-    verification: Optional[Mapping[str, Any]] = None
     telemetry: Optional[Mapping[str, Any]] = None
 
     kind = "scenario"
@@ -80,7 +79,6 @@ class SweepConfig:
     over: Mapping[str, Sequence[Any]]
     path: Optional[Path] = None
     execution: Optional[Mapping[str, Any]] = None
-    verification: Optional[Mapping[str, Any]] = None
     telemetry: Optional[Mapping[str, Any]] = None
 
     kind = "sweep"
@@ -102,7 +100,6 @@ class ExperimentConfig:
     columns: Optional[Tuple[str, ...]] = None
     path: Optional[Path] = None
     execution: Optional[Mapping[str, Any]] = None
-    verification: Optional[Mapping[str, Any]] = None
     telemetry: Optional[Mapping[str, Any]] = None
 
     kind = "experiment"
@@ -156,12 +153,6 @@ def load_config(path: Union[str, Path]) -> Config:
             f"config {path}: 'execution' must be a JSON object, got {execution!r}"
         )
     execution = None if execution is None else dict(execution)
-    verification = data.get("verification")
-    if verification is not None and not isinstance(verification, Mapping):
-        raise ConfigurationError(
-            f"config {path}: 'verification' must be a JSON object, got {verification!r}"
-        )
-    verification = None if verification is None else dict(verification)
     telemetry = data.get("telemetry")
     if telemetry is not None and not isinstance(telemetry, Mapping):
         raise ConfigurationError(
@@ -171,21 +162,18 @@ def load_config(path: Union[str, Path]) -> Config:
     if kind == "scenario":
         if "spec" not in data:
             raise ConfigurationError(f"scenario config {path} is missing its 'spec'")
-        _reject_unknown(path, data, {"kind", "spec", "execution", "verification", "telemetry"})
+        _reject_unknown(path, data, {"kind", "spec", "execution", "telemetry"})
         return ScenarioConfig(
             spec=ScenarioSpec.from_dict(data["spec"]),
             path=path,
             execution=execution,
-            verification=verification,
             telemetry=telemetry,
         )
     if kind == "sweep":
         for required in ("spec", "over"):
             if required not in data:
                 raise ConfigurationError(f"sweep config {path} is missing its {required!r}")
-        _reject_unknown(
-            path, data, {"kind", "spec", "over", "execution", "verification", "telemetry"}
-        )
+        _reject_unknown(path, data, {"kind", "spec", "over", "execution", "telemetry"})
         over = data["over"]
         if not isinstance(over, Mapping) or not over:
             raise ConfigurationError(f"sweep config {path}: 'over' must be a non-empty object")
@@ -202,7 +190,6 @@ def load_config(path: Union[str, Path]) -> Config:
             over={str(k): list(v) for k, v in over.items()},
             path=path,
             execution=execution,
-            verification=verification,
             telemetry=telemetry,
         )
     if kind == "experiment":
@@ -221,7 +208,6 @@ def load_config(path: Union[str, Path]) -> Config:
                 "smoke_params",
                 "columns",
                 "execution",
-                "verification",
                 "telemetry",
             },
         )
@@ -235,7 +221,6 @@ def load_config(path: Union[str, Path]) -> Config:
             columns=None if columns is None else tuple(columns),
             path=path,
             execution=execution,
-            verification=verification,
             telemetry=telemetry,
         )
     raise ConfigurationError(
@@ -322,19 +307,6 @@ def _validate_execution(config: Config, where: str) -> List[str]:
     return []
 
 
-def _validate_verification(config: Config, where: str) -> List[str]:
-    """Problems with a config's optional ``"verification"`` block."""
-    if config.verification is None:
-        return []
-    from repro.verify.policy import verification_from_mapping
-
-    try:
-        verification_from_mapping(config.verification, where="'verification' block")
-    except ConfigurationError as exc:
-        return [f"{where}{exc}"]
-    return []
-
-
 def _validate_telemetry(config: Config, where: str) -> List[str]:
     """Problems with a config's optional ``"telemetry"`` block."""
     if config.telemetry is None:
@@ -354,13 +326,11 @@ def validate_config(config: Config) -> List[str]:
     if isinstance(config, ScenarioConfig):
         problems = [where + problem for problem in validate_spec(config.spec)]
         problems.extend(_validate_execution(config, where))
-        problems.extend(_validate_verification(config, where))
         problems.extend(_validate_telemetry(config, where))
         return problems
     if isinstance(config, SweepConfig):
         problems = [where + problem for problem in validate_spec(config.spec)]
         problems.extend(_validate_execution(config, where))
-        problems.extend(_validate_verification(config, where))
         problems.extend(_validate_telemetry(config, where))
         for axis, values in config.over.items():
             if not values:
@@ -380,7 +350,6 @@ def validate_config(config: Config) -> List[str]:
         from repro.analysis.experiments.catalog import EXPERIMENTS, experiment_defaults
 
         problems = _validate_execution(config, where)
-        problems.extend(_validate_verification(config, where))
         problems.extend(_validate_telemetry(config, where))
         if config.experiment not in EXPERIMENTS:
             hint = suggestion_hint(config.experiment, EXPERIMENTS)

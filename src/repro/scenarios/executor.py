@@ -25,17 +25,16 @@ third-party components).
 from __future__ import annotations
 
 import itertools
-import warnings
+import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError
 from repro.utils.rng import RngFactory
 from repro.analysis.sweep import Replication, aggregate_rows
-from repro.runtime.simulator import Simulator, delivery_mode
-from repro.verify.policy import VerificationPolicy, active_verification
+from repro.runtime.simulator import Simulator
 from repro.scenarios.registry import (
     ADVERSARIES,
     ALGORITHMS,
@@ -185,114 +184,40 @@ def _execute_seed(spec: ScenarioSpec, seed: int) -> Tuple[Row, Simulator]:
     return row, sim
 
 
-def _comparable_trace_rows(trace) -> List[tuple]:
-    """Flatten a trace into the tuples the incremental-verification gate compares."""
-    return [
-        (
-            record.round_index,
-            record.topology.nodes,
-            record.topology.edges,
-            dict(record.outputs),
-            record.metrics.as_dict(),
-        )
-        for record in trace
-    ]
+_VERIFY_INSTEAD = "repro verify --contracts delivery-equivalence --configs <dir>"
+
+#: Environment variables that once picked a delivery path or switched on an
+#: in-run fast-vs-full gate, by what replaced them.
+_RETIRED_ENV = {
+    "REPRO_DELIVERY": "the scenario spec's 'delivery' field",
+    "REPRO_VERIFY": _VERIFY_INSTEAD,
+    "REPRO_VERIFY_INCREMENTAL": _VERIFY_INSTEAD,
+    "REPRO_VERIFY_KERNEL": _VERIFY_INSTEAD,
+}
 
 
-def _verify_against_full(spec: ScenarioSpec, seed: int, row: Row, sim: Simulator) -> None:
-    """Re-run ``(spec, seed)`` on the full path and demand identical traces."""
-    from repro.exec.stats import collect_stats
+def _reject_retired_env() -> None:
+    """Fail on a leftover delivery/verification variable instead of ignoring it.
 
-    path = sim.delivery
-    blame = (
-        "the algorithm's message_stability='pure' declaration is wrong"
-        if path == "incremental"
-        else "the array kernel diverges from its reference algorithm"
-    )
-    # The throwaway collector keeps the verification re-run's phase
-    # timings out of the caller's stats — `repro bench` splits must
-    # reflect one execution per seed, not the debug double-run.  The spec's
-    # own delivery override is dropped: an explicit ``delivery="kernel"``
-    # would beat the ambient delivery_mode() and verify against itself.
-    # The retention knob is reset too, so a "stats" run is checked against
-    # an independently-recorded full-retention reference trace.
-    with delivery_mode("full"), collect_stats():
-        full_row, full_sim = _execute_seed(
-            spec.replace(delivery=None, trace_retention=None), seed
-        )
-    fast_rows = _comparable_trace_rows(sim.trace)
-    full_rows = _comparable_trace_rows(full_sim.trace)
-    # Metric rows are compared only for probe-less runs: a probe may
-    # legitimately report the *engine's* per-round activity (e.g. the
-    # "activity" probe reads the dirty set), which differs between
-    # delivery paths by design.  The model-level record — every round's
-    # topology, outputs and metrics — must always match.
-    rows_comparable = spec.probe is None
-    if fast_rows != full_rows or (rows_comparable and row != full_row):
-        if len(fast_rows) != len(full_rows):
-            raise SimulationError(
-                f"{path} delivery simulated {len(fast_rows)} rounds but "
-                f"the full path {len(full_rows)} for algorithm {spec.algorithm.name!r} "
-                f"(seed {seed}): {blame}"
-            )
-        for fast, full in zip(fast_rows, full_rows):
-            if fast != full:
-                raise SimulationError(
-                    f"{path} delivery diverged from the full path at round "
-                    f"{fast[0]} for algorithm {spec.algorithm.name!r} (seed {seed}): "
-                    f"{blame}"
-                )
-        raise SimulationError(
-            f"{path} delivery produced a different metric row than the "
-            f"full path for algorithm {spec.algorithm.name!r} (seed {seed}): "
-            f"{blame}"
-        )
-
-
-#: (modes, delivery, algorithm) triples already warned about — the loud
-#: degradation warning fires once per distinct situation, not once per seed.
-_DEGRADED_WARNED: Set[Tuple[Tuple[str, ...], str, str]] = set()
-
-
-def _warn_degraded(policy: VerificationPolicy, spec: ScenarioSpec, sim: Simulator) -> None:
-    """A verified path was requested but the seed ran elsewhere — say so loudly."""
-    key = (policy.modes(), sim.delivery, spec.algorithm.name)
-    if key in _DEGRADED_WARNED:
-        return
-    _DEGRADED_WARNED.add(key)
-    wanted = " and ".join(repr(mode) for mode in policy.modes())
-    warnings.warn(
-        f"verification of the {wanted} delivery path was requested, but this "
-        f"seed of algorithm {spec.algorithm.name!r} executed on the "
-        f"{sim.delivery!r} path (not kernel-eligible, or delivery pinned "
-        f"elsewhere) — the requested gate did not run",
-        UserWarning,
-        stacklevel=3,
-    )
+    Only a value that used to do something counts (``""`` and ``"0"`` never
+    did): silently ignoring a stale switch would turn a gate off unseen.
+    """
+    for env, replacement in _RETIRED_ENV.items():
+        if os.environ.get(env, "").strip() not in ("", "0"):
+            raise ConfigurationError(f"{env} is no longer supported; use {replacement} instead")
 
 
 def run_scenario_seed(spec: ScenarioSpec, seed: int) -> Row:
     """Run one seed-replication of ``spec`` and return its metric row.
 
     This is the deterministic work unit of the batch executor: the same
-    ``(spec, seed)`` pair always yields the same row, in any process.
-
-    When the active :class:`~repro.verify.policy.VerificationPolicy` (the
-    ``--verify`` CLI flag, a config's ``"verification"`` block, or the
-    ``REPRO_VERIFY`` environment variable) covers the
-    delivery path this seed ran on, the seed is re-executed on the full path
-    and the two traces must match row for row — the gate that catches an
-    algorithm declaring a ``"pure"`` contract it does not honour, or a
-    vectorised kernel drifting from its reference.  Requesting a path the
-    seed did not run on warns loudly instead of silently passing.
+    ``(spec, seed)`` pair always yields the same row, in any process.  The
+    delivery path is the spec's ``delivery`` field; whether a fast path
+    reproduces the full one is checked by the ``delivery-equivalence``
+    contract of ``repro verify``, not per seed.
     """
-    row, sim = _execute_seed(spec, seed)
-    policy = active_verification()
-    if policy.enabled:
-        if policy.wants(sim.delivery):
-            _verify_against_full(spec, seed, row, sim)
-        else:
-            _warn_degraded(policy, spec, sim)
+    _reject_retired_env()
+    row, _ = _execute_seed(spec, seed)
     return row
 
 

@@ -210,8 +210,15 @@ class ScenarioSpec:
     name: str = ""
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
+        if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 1:
             raise ConfigurationError(f"n must be a positive integer, got {self.n!r}")
+        if not isinstance(self.name, str):
+            raise ConfigurationError(f"name must be a string, got {self.name!r}")
+        if not isinstance(self.expose_state_to_adversary, bool):
+            raise ConfigurationError(
+                "expose_state_to_adversary must be a boolean, "
+                f"got {self.expose_state_to_adversary!r}"
+            )
         object.__setattr__(self, "algorithm", ComponentSpec.coerce(self.algorithm))
         object.__setattr__(self, "adversary", ComponentSpec.coerce(self.adversary))
         object.__setattr__(self, "topology", ComponentSpec.coerce(self.topology))
@@ -230,7 +237,9 @@ class ScenarioSpec:
             raise ConfigurationError(f"rounds must be an int or expression, got {self.rounds!r}")
         if isinstance(self.rounds, int) and self.rounds < 0:
             raise ConfigurationError(f"rounds must be >= 0, got {self.rounds}")
-        if self.window is not None and (not isinstance(self.window, int) or self.window < 1):
+        if self.window is not None and (
+            isinstance(self.window, bool) or not isinstance(self.window, int) or self.window < 1
+        ):
             raise ConfigurationError(f"window must be a positive integer, got {self.window!r}")
         if self.window_scale is not None:
             if isinstance(self.window_scale, bool) or not isinstance(
@@ -333,8 +342,14 @@ class ScenarioSpec:
         if "n" not in data or "algorithm" not in data:
             raise ConfigurationError("a scenario spec needs at least 'n' and 'algorithm'")
         kwargs: Dict[str, Any] = dict(data)
-        if "metrics" in kwargs and kwargs["metrics"] is not None:
-            kwargs["metrics"] = tuple(kwargs["metrics"])
+        if "metrics" in kwargs:
+            metrics = kwargs["metrics"]
+            # A bare string would be read one character at a time.
+            if isinstance(metrics, (str, bytes)) or not isinstance(metrics, Sequence):
+                raise ConfigurationError(
+                    f"metrics must be a list of metric components, got {metrics!r}"
+                )
+            kwargs["metrics"] = tuple(metrics)
         return cls(**kwargs)
 
     def to_json(self, **dumps_kwargs: Any) -> str:

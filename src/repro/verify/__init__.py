@@ -1,42 +1,21 @@
-"""Verification: the :class:`VerificationPolicy` API and the contract suite.
+"""Verification: the contract suite behind ``repro verify``.
 
-Two layers live here:
+* :mod:`repro.verify.contracts` — the observational-equivalence contracts
+  and metamorphic properties.  ``delivery-equivalence`` is the one
+  fast-vs-full gate: it runs the built-in cases and every committed scenario
+  config on the incremental and kernel paths against the full path.
+* :mod:`repro.verify.harness` — drives the contracts and shapes their
+  verdicts for the results store.
 
-* :mod:`repro.verify.policy` — *in-run* verification: which delivery paths
-  every seed execution re-checks against the authoritative full path
-  (``--verify incremental,kernel``, the ``"verification"`` config block, the
-  ``REPRO_VERIFY`` environment variable).
-* :mod:`repro.verify.contracts` / :mod:`repro.verify.harness` — *offline*
-  validation: the observational-equivalence contracts and metamorphic
-  properties behind ``repro verify``.
-
-The policy symbols are imported eagerly (the scenario executor needs them on
-its hot path); the contract suite loads lazily on first attribute access so
-importing :mod:`repro.scenarios` never drags in the full harness.
+Both modules load lazily on first attribute access, so importing
+:mod:`repro.scenarios` never drags in the full harness.
 """
-
-from repro.verify.policy import (
-    VERIFY_ENV,
-    VerificationPolicy,
-    active_verification,
-    current_verification,
-    parse_verify_spec,
-    use_verification,
-    verification_from_mapping,
-)
 
 __all__ = [
     "CONTRACTS",
-    "VERIFY_ENV",
     "Verdict",
-    "VerificationPolicy",
     "VerifyContext",
-    "active_verification",
-    "current_verification",
-    "parse_verify_spec",
     "run_verify",
-    "use_verification",
-    "verification_from_mapping",
     "verify_store_target",
 ]
 

@@ -12,7 +12,9 @@ manipulation under test, not replication noise — the confound the
 paired-run design exists to kill.
 
 * ``delta-vs-snapshot`` — every registered adversary, delta emission on vs off;
-* ``delivery-equivalence`` — full vs incremental vs kernel delivery;
+* ``delivery-equivalence`` — full vs incremental vs kernel delivery, on
+  built-in cases and on every committed scenario config (the one
+  fast-vs-full gate);
 * ``backend-equivalence`` — the serial loop vs every execution backend;
 * ``scale-equivalence`` — halved churn rate vs doubled ``window_scale``
   (statistical: per-window exposure must be indistinguishable).
@@ -34,10 +36,22 @@ rows through the content-addressed results store.
 
 from __future__ import annotations
 
+import functools
 import inspect
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.errors import ConfigurationError
 from repro.types import NodeId, canonical_edge
@@ -46,14 +60,9 @@ from repro.dynamics.adversary import FULLY_OBLIVIOUS, Adversary, AdversaryView, 
 from repro.dynamics.topology import Topology
 from repro.runtime.algorithm import DistributedAlgorithm
 from repro.runtime.messages import Message
-from repro.runtime.simulator import Simulator, delivery_mode
+from repro.runtime.simulator import Simulator
 from repro.scenarios.configs import load_config, validate_config
-from repro.scenarios.executor import (
-    _build_context,
-    _comparable_trace_rows,
-    _execute_seed,
-    run_scenario,
-)
+from repro.scenarios.executor import _build_context, _execute_seed, run_scenario
 from repro.scenarios.registry import (
     ADVERSARIES,
     ALGORITHMS,
@@ -131,8 +140,18 @@ def _skipped(contract: str, case: str, detail: str) -> Verdict:
 # ---------------------------------------------------------------------------
 
 
-def _trace_fingerprint(sim: Simulator) -> List[tuple]:
-    return _comparable_trace_rows(sim.trace)
+def _comparable_trace_rows(sim: Simulator) -> List[tuple]:
+    """Flatten a run's trace into the per-round tuples the contracts compare."""
+    return [
+        (
+            record.round_index,
+            record.topology.nodes,
+            record.topology.edges,
+            dict(record.outputs),
+            record.metrics.as_dict(),
+        )
+        for record in sim.trace
+    ]
 
 
 def _first_divergence(rows_a: List[tuple], rows_b: List[tuple]) -> str:
@@ -233,8 +252,8 @@ def _compare_emission_paths(contract: str, case: str, spec: ScenarioSpec) -> Ver
             row_delta, sim_delta = _execute_seed(spec, seed)
         with delta_emission(False):
             row_snapshot, sim_snapshot = _execute_seed(spec, seed)
-        rows_delta = _trace_fingerprint(sim_delta)
-        rows_snapshot = _trace_fingerprint(sim_snapshot)
+        rows_delta = _comparable_trace_rows(sim_delta)
+        rows_snapshot = _comparable_trace_rows(sim_snapshot)
         if rows_delta != rows_snapshot or row_delta != row_snapshot:
             return _failed(
                 contract,
@@ -248,6 +267,13 @@ def _compare_emission_paths(contract: str, case: str, spec: ScenarioSpec) -> Ver
 # ---------------------------------------------------------------------------
 # delivery-equivalence: full vs incremental vs kernel
 # ---------------------------------------------------------------------------
+
+
+#: What a fast path diverging from the full path says about the code.
+_BLAME = {
+    "incremental": "the algorithm's message_stability='pure' declaration is wrong",
+    "kernel": "the array kernel diverges from its reference algorithm",
+}
 
 
 @CONTRACTS.register("delivery-equivalence")
@@ -265,36 +291,83 @@ def _contract_delivery_equivalence(ctx: VerifyContext) -> Iterator[Verdict]:
         spec = ScenarioSpec(
             n=n, algorithm=algorithm, adversary=adversary, rounds=rounds, seeds=seeds
         )
-        for path in ("incremental", "kernel"):
-            case = f"{algorithm}/{adversary.name}:{path}"
-            yield _compare_delivery(name, case, spec, path)
+        yield from _compare_delivery(name, f"{algorithm}/{adversary.name}", spec)
+    # Every committed scenario config, at its own size and seeds.
+    configs_dir = Path(ctx.configs_dir)
+    if not configs_dir.is_dir():
+        yield _skipped(name, str(configs_dir), "configs directory does not exist")
+        return
+    for config_path in sorted(configs_dir.rglob("*.json")):
+        try:
+            config = load_config(config_path)
+        except ConfigurationError as exc:
+            yield _failed(name, str(config_path), f"does not load: {exc}")
+            continue
+        if config.kind == "scenario":
+            yield from _compare_delivery(name, config.label, config.spec)
 
 
-def _compare_delivery(contract: str, case: str, spec: ScenarioSpec, path: str) -> Verdict:
-    for seed in spec.seeds:
-        with delivery_mode("full"):
-            row_full, sim_full = _execute_seed(spec, seed)
-        with delivery_mode(path):
-            row_fast, sim_fast = _execute_seed(spec, seed)
-        if sim_fast.delivery != path:
+def _engine_path(spec: ScenarioSpec) -> str:
+    """The delivery path the engine resolves for ``spec`` (built, not run)."""
+    ctx = _build_context(spec, spec.seeds[0])
+    return Simulator(
+        n=ctx.n,
+        algorithm=ctx.algorithm,
+        adversary=ctx.adversary,
+        seed=ctx.seed,
+        delivery=spec.delivery,
+        expose_state_to_adversary=spec.expose_state_to_adversary,
+    ).delivery
+
+
+def _compare_delivery(contract: str, label: str, spec: ScenarioSpec) -> Iterator[Verdict]:
+    """One verdict per fast path: ``spec`` on that path vs on the full path."""
+    # The reference drops the retention knob too, so a "stats" run is checked
+    # against an independently recorded full-retention trace.  It runs once
+    # per seed, shared by both fast paths.
+    reference = spec.replace(delivery="full", trace_retention=None)
+
+    @functools.lru_cache(maxsize=None)
+    def full_run(seed: int) -> Tuple[Dict[str, Any], List[tuple]]:
+        row, sim = _execute_seed(reference, seed)
+        return row, _comparable_trace_rows(sim)
+
+    for path, blame in _BLAME.items():
+        case = f"{label}:{path}"
+        candidate = spec.replace(delivery=path)
+        resolved = _engine_path(candidate)
+        if resolved != path:
             # Loud, not silent: the candidate path was refused (no pure
             # contract / no kernel) and the comparison would be vacuous.
-            return _skipped(
+            yield _skipped(
                 contract,
                 case,
                 f"{path!r} delivery unavailable for {spec.algorithm.name!r} "
-                f"— engine degraded to {sim_fast.delivery!r}",
+                f"— engine degraded to {resolved!r}",
             )
-        rows_full = _trace_fingerprint(sim_full)
-        rows_fast = _trace_fingerprint(sim_fast)
-        if rows_full != rows_fast or row_full != row_fast:
+            continue
+        yield _compare_path(contract, case, candidate, full_run, blame)
+
+
+def _compare_path(
+    contract: str, case: str, candidate: ScenarioSpec, full_run: Callable, blame: str
+) -> Verdict:
+    for seed in candidate.seeds:
+        row_full, rows_full = full_run(seed)
+        row_fast, sim_fast = _execute_seed(candidate, seed)
+        rows_fast = _comparable_trace_rows(sim_fast)
+        # Metric rows are compared only without a probe: a probe may report
+        # the engine's own per-round activity (the "activity" probe reads the
+        # dirty set), which differs between paths by design.
+        if rows_full != rows_fast or (candidate.probe is None and row_full != row_fast):
             return _failed(
                 contract,
                 case,
-                f"{path} delivery diverges from the full path (seed {seed}): "
-                + _first_divergence(rows_fast, rows_full),
+                f"{candidate.delivery} delivery diverges from the full path for algorithm "
+                f"{candidate.algorithm.name!r} (seed {seed}): "
+                f"{_first_divergence(rows_fast, rows_full)}; {blame}",
             )
-    return _passed(contract, case, f"{len(spec.seeds)} shared seeds byte-identical")
+    return _passed(contract, case, f"{len(candidate.seeds)} shared seeds byte-identical")
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +515,7 @@ def _compare_relabeled(contract: str, case: str, spec: ScenarioSpec) -> Verdict:
             delivery="full",
         )
         base_sim.run(base_ctx.rounds)
-        base_rows = _trace_fingerprint(base_sim)
+        base_rows = _comparable_trace_rows(base_sim)
 
         permutation = base_ctx.stream("verify", "relabel").permutation(spec.n)
         to_permuted = {v: int(permutation[v]) for v in range(spec.n)}
@@ -468,7 +541,7 @@ def _compare_relabeled(contract: str, case: str, spec: ScenarioSpec) -> Verdict:
         relabeled_sim.run(len(relabeled_topologies))
 
         expected = _permute_rows(base_rows, to_permuted)
-        actual = _trace_fingerprint(relabeled_sim)
+        actual = _comparable_trace_rows(relabeled_sim)
         if actual != expected:
             return _failed(
                 contract,

@@ -101,6 +101,12 @@ class TestRun:
             ("seeds", "x", "seeds"),
             ("seeds", [0, 1.5], "seeds[1]"),
             ("topology", {"name": "gnp_degree", "params": {"degree": -1}}, "degree"),
+            ("name", 5, "name"),
+            ("n", True, "n"),
+            ("window", True, "window"),
+            ("expose_state_to_adversary", "yes", "expose_state_to_adversary"),
+            ("metrics", "validity", "metrics"),
+            ("adversary", {"name": "flip-churn", "params": {"flip_prob": "x"}}, "flip_prob"),
         ],
     )
     def test_malformed_field_exits_1_naming_it(self, tmp_path, key, value, field):
@@ -132,14 +138,30 @@ class TestRun:
             ["sweep", "config.json", "--parallel"],
             ["experiments", "e04", "--serial"],
             ["bench", "e04", "--serial"],
+            ["run", "config.json", "--verify", "kernel"],
+            ["sweep", "config.json", "--verify", "kernel"],
+            ["experiments", "e04", "--verify", "kernel"],
+            ["bench", "e04", "--verify", "kernel"],
+            ["repair", "--verify", "incremental"],
         ],
     )
     def test_deleted_backend_switches_are_rejected(self, argv, capsys):
-        # --backend is the one backend selector; the old switches are gone.
+        # --backend is the one backend selector and a spec's "delivery" the
+        # one path selector; the old switches (and in-run --verify) are gone.
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_verification_block_is_rejected(self, tmp_path, command):
+        # The in-run gate is gone; `repro verify --configs` checks the paths.
+        config = write_config(tmp_path, {**SCENARIO_CONFIG, "verification": {"kernel": True}})
+        argv = [command, str(config)] + (["--no-store"] if command == "run" else [])
+        proc = run_cli(*argv)
+        assert proc.returncode == 1
+        assert "unknown keys ['verification']" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_wrong_config_kind_is_rejected(self, tmp_path, capsys):
         config = write_config(

@@ -7,7 +7,7 @@ Hard gates of the incremental-delivery refactor:
   produce **byte-identical trace rows for the full registered algorithm ×
   adversary matrix**;
 * an algorithm that *wrongly* declares the ``"pure"`` contract is caught by
-  the ``REPRO_VERIFY=incremental`` debug harness;
+  the ``delivery-equivalence`` contract of ``repro verify``;
 * the engine's delta-native surface (``RoundActivity``, stored changed-node
   sets, the ``activity`` probe and ``output-activity`` metric) reports the
   real dirty set;
@@ -15,16 +15,19 @@ Hard gates of the incremental-delivery refactor:
   topology cache, and the exec phase-timing collector.
 """
 
+import json
+
 import pytest
 
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError
 from repro.dynamics import generators
 from repro.dynamics.adversaries.scripted import StaticAdversary
 from repro.runtime.algorithm import DistributedAlgorithm, VOLATILE
-from repro.runtime.simulator import DELIVERY_ENV, Simulator, delivery_mode
+from repro.runtime.simulator import Simulator
 from repro.scenarios import ALGORITHMS, ScenarioSpec, available, component
-from repro.scenarios.executor import _build_context, run_scenario, run_scenario_seed
-from repro.verify.policy import VERIFY_ENV
+from repro.scenarios.cli import main
+from repro.scenarios.executor import _build_context, run_scenario
+from repro.verify.harness import run_verify
 
 # ---------------------------------------------------------------------------
 # the full algorithm × adversary equivalence matrix
@@ -56,12 +59,11 @@ _ADVERSARY_SPECS = {
 
 def _trace_rows(spec: ScenarioSpec, seed: int, mode: str):
     """Run one seed with the forced delivery mode; flatten into comparable rows."""
-    with delivery_mode(mode):
-        ctx = _build_context(spec, seed)
-        sim = Simulator(
-            n=ctx.n, algorithm=ctx.algorithm, adversary=ctx.adversary, seed=ctx.seed
-        )
-        sim.run(ctx.rounds)
+    ctx = _build_context(spec, seed)
+    sim = Simulator(
+        n=ctx.n, algorithm=ctx.algorithm, adversary=ctx.adversary, seed=ctx.seed, delivery=mode
+    )
+    sim.run(ctx.rounds)
     return [
         (
             record.round_index,
@@ -72,6 +74,15 @@ def _trace_rows(spec: ScenarioSpec, seed: int, mode: str):
         )
         for record in sim.trace
     ], sim
+
+
+def _scenario_tree(tmp_path, spec: ScenarioSpec):
+    """A config tree holding ``spec`` as its one scenario config."""
+    scenarios = tmp_path / "configs" / "scenarios"
+    scenarios.mkdir(parents=True)
+    config = {"kind": "scenario", "spec": spec.to_dict()}
+    (scenarios / f"{spec.name}.json").write_text(json.dumps(config), encoding="utf-8")
+    return tmp_path / "configs"
 
 
 class TestEquivalenceMatrix:
@@ -191,21 +202,9 @@ class TestModeSelection:
         # the engine may not skip work the algorithm has not marked skippable.
         assert self._sim(Legacy(), delivery="incremental").delivery == "full"
 
-    def test_context_manager_and_env_override(self, monkeypatch):
-        with delivery_mode("full"):
-            assert self._sim(_PureNull()).delivery == "full"
-        monkeypatch.setenv(DELIVERY_ENV, "full")
-        assert self._sim(_PureNull()).delivery == "full"
-        monkeypatch.setenv(DELIVERY_ENV, "bogus")
-        with pytest.raises(ConfigurationError):
-            self._sim(_PureNull())
-
     def test_invalid_mode_rejected(self):
         with pytest.raises(ConfigurationError):
             self._sim(_PureNull(), delivery="sometimes")
-        with pytest.raises(ConfigurationError):
-            with delivery_mode("sometimes"):
-                pass
 
     def test_checkpoint_interval_validation(self):
         for bad in (0, -3, 1.5, None, True):
@@ -269,32 +268,38 @@ class TestVerificationHarness:
         incremental_rows, _ = _trace_rows(spec, seed=0, mode="incremental")
         assert incremental_rows != full_rows
 
-    def test_verify_flag_catches_wrong_declaration(
-        self, impure_algorithm_registered, monkeypatch
-    ):
-        monkeypatch.setenv(VERIFY_ENV, "incremental")
+    def test_contract_catches_wrong_declaration(self, impure_algorithm_registered, tmp_path):
         spec = ScenarioSpec(
             n=12,
             algorithm="impure-declared-pure",
             adversary=component("flip-churn", flip_prob=0.05),
             rounds=10,
+            seeds=(0,),
             metrics=("trace-summary",),
+            name="impure",
         )
-        with pytest.raises(SimulationError, match="pure"):
-            run_scenario_seed(spec, 0)
+        configs = _scenario_tree(tmp_path, spec)
+        verdicts = run_verify(contracts=["delivery-equivalence"], configs_dir=configs)
+        (verdict,) = [v for v in verdicts if v.case == "impure:incremental"]
+        assert verdict.status == "fail"
+        assert "message_stability='pure' declaration is wrong" in verdict.detail
+        argv = ["verify", "--contracts", "delivery-equivalence", "--configs", str(configs)]
+        assert main([*argv, "--no-store"]) == 1
 
-    def test_verify_flag_passes_honest_declarations(self, monkeypatch):
-        monkeypatch.setenv(VERIFY_ENV, "incremental")
+    def test_contract_passes_honest_declarations(self, tmp_path):
         spec = ScenarioSpec(
             n=16,
             algorithm="dcolor",
             adversary=component("flip-churn", flip_prob=0.1),
             rounds=12,
+            seeds=(1,),
             metrics=("trace-summary", "stability"),
+            name="honest",
         )
-        verified = run_scenario_seed(spec, 1)
-        monkeypatch.delenv(VERIFY_ENV)
-        assert verified == run_scenario_seed(spec, 1)
+        verdicts = run_verify(
+            contracts=["delivery-equivalence"], configs_dir=_scenario_tree(tmp_path, spec)
+        )
+        assert [v.status for v in verdicts if v.case == "honest:incremental"] == ["pass"]
 
 
 # ---------------------------------------------------------------------------
@@ -325,12 +330,12 @@ class TestActivitySurface:
         assert sim.trace.metrics(1).outputs_changed == 12
 
     def test_full_path_reports_all_nodes_active(self):
-        with delivery_mode("full"):
-            sim = Simulator(
-                n=6,
-                algorithm=_PureNull(),
-                adversary=StaticAdversary(generators.ring(6)),
-            )
+        sim = Simulator(
+            n=6,
+            algorithm=_PureNull(),
+            adversary=StaticAdversary(generators.ring(6)),
+            delivery="full",
+        )
         sim.run(2)
         activity = sim.last_round_activity
         assert activity.mode == "full"
@@ -548,11 +553,13 @@ class TestEngineInternals:
                     return TopologyDelta(removed_edges=[(0, 1)])
                 return EMPTY_DELTA
 
-        with delivery_mode("incremental"):
-            sim = Simulator(n=8, algorithm=ShrinkingMessages(), adversary=Script())
+        sim = Simulator(
+            n=8, algorithm=ShrinkingMessages(), adversary=Script(), delivery="incremental"
+        )
         trace = sim.run(4)
-        with delivery_mode("full"):
-            sim_full = Simulator(n=8, algorithm=ShrinkingMessages(), adversary=Script())
+        sim_full = Simulator(
+            n=8, algorithm=ShrinkingMessages(), adversary=Script(), delivery="full"
+        )
         trace_full = sim_full.run(4)
         for r in range(1, 5):
             assert trace.metrics(r).as_dict() == trace_full.metrics(r).as_dict()
@@ -567,11 +574,16 @@ class TestEngineInternals:
             adversary=component("flip-churn", flip_prob=0.1),
             rounds=16,
         )
-        with delivery_mode("incremental"):
-            ctx = _build_context(spec, 9)
-            sim = Simulator(n=ctx.n, algorithm=ctx.algorithm, adversary=ctx.adversary, seed=9)
-            for _ in range(16):  # one round per run() call, like probe loops
-                sim.run(1)
+        ctx = _build_context(spec, 9)
+        sim = Simulator(
+            n=ctx.n,
+            algorithm=ctx.algorithm,
+            adversary=ctx.adversary,
+            seed=9,
+            delivery="incremental",
+        )
+        for _ in range(16):  # one round per run() call, like probe loops
+            sim.run(1)
         chunked = [
             (r, dict(sim.trace.outputs(r)), sim.trace.metrics(r).as_dict())
             for r in sim.trace.rounds()
@@ -588,12 +600,17 @@ class TestEngineInternals:
             topology="gnp_sparse",
             rounds=60,
         )
-        with delivery_mode("incremental"):
-            ctx = _build_context(spec, 1)
-            sim = Simulator(n=ctx.n, algorithm=ctx.algorithm, adversary=ctx.adversary, seed=1)
-            active = []
-            for _ in range(60):
-                sim.run(1)
-                active.append(sim.last_round_activity.num_active)
+        ctx = _build_context(spec, 1)
+        sim = Simulator(
+            n=ctx.n,
+            algorithm=ctx.algorithm,
+            adversary=ctx.adversary,
+            seed=1,
+            delivery="incremental",
+        )
+        active = []
+        for _ in range(60):
+            sim.run(1)
+            active.append(sim.last_round_activity.num_active)
         tail = active[30:]
         assert sum(tail) / len(tail) < 0.25 * 400

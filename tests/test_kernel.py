@@ -6,8 +6,8 @@ Hard gates of the kernel PR:
   authoritative full path for every kernel-capable algorithm × every
   registered adversary (the array engine when the adversary ships a
   :class:`KernelPlan`; a plan-less adversary degrades to incremental);
-* ``--verify kernel`` catches a kernel whose semantics drift from
-  the python algorithm it claims to mirror;
+* the ``delivery-equivalence`` contract of ``repro verify`` catches a
+  kernel whose semantics drift from the python algorithm it claims to mirror;
 * kernel selection honours the eligibility rules (pure contract, no input
   vector, explicit requests degrade — never silently corrupt);
 * the satellites: quiescence-aware churn skipping is observationally
@@ -24,19 +24,20 @@ import numpy as np
 import pytest
 
 import repro.kernel as kernel_pkg
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError
 from repro.dynamics import generators
 from repro.dynamics.adversaries.scripted import StaticAdversary
 from repro.dynamics.churn import MarkovEdgeChurn, StaticChurn, quiescence_skip
 from repro.kernel import EdgeUniverse
 from repro.kernel.mis import SMisKernel
 from repro.runtime.algorithm import DistributedAlgorithm
-from repro.runtime.simulator import Simulator, delivery_mode
+from repro.runtime.simulator import Simulator
 from repro.scenarios import ScenarioSpec, component
-from repro.scenarios.executor import _build_context, run_scenario_seed
-from repro.verify.policy import VerificationPolicy, use_verification
+from repro.scenarios.cli import main
+from repro.scenarios.executor import _build_context
+from repro.verify.harness import run_verify
 
-from test_incremental_delivery import _ADVERSARY_SPECS, _trace_rows
+from test_incremental_delivery import _ADVERSARY_SPECS, _scenario_tree, _trace_rows
 
 #: the four algorithms that ship a hand-vectorised kernel (``as_kernel()``).
 KERNEL_ALGORITHMS = ("basic-coloring", "scolor", "smis", "dmis")
@@ -99,13 +100,16 @@ class TestKernelEquivalenceMatrix:
             rounds=12,
         )
         whole_rows, _ = _trace_rows(spec, seed=3, mode="kernel")
-        with delivery_mode("kernel"):
-            ctx = _build_context(spec, 3)
-            sim = Simulator(
-                n=ctx.n, algorithm=ctx.algorithm, adversary=ctx.adversary, seed=ctx.seed
-            )
-            for _ in range(ctx.rounds):
-                sim.run(1)
+        ctx = _build_context(spec, 3)
+        sim = Simulator(
+            n=ctx.n,
+            algorithm=ctx.algorithm,
+            adversary=ctx.adversary,
+            seed=ctx.seed,
+            delivery="kernel",
+        )
+        for _ in range(ctx.rounds):
+            sim.run(1)
         chunk_rows = [
             (
                 record.round_index,
@@ -216,33 +220,45 @@ class TestKernelSelection:
 
 
 # ---------------------------------------------------------------------------
-# --verify kernel catches drifting kernels
+# the delivery-equivalence contract catches drifting kernels
 # ---------------------------------------------------------------------------
 
 
 class TestKernelVerificationHarness:
-    def _spec(self):
-        return ScenarioSpec(
+    def _configs(self, tmp_path):
+        spec = ScenarioSpec(
             n=12,
             algorithm="smis",
             adversary=component("markov-churn", p_off=0.05, p_on=0.05),
             rounds=10,
+            seeds=(0, 1),
             delivery="kernel",
             metrics=("trace-summary",),
+            name="smis-kernel",
         )
+        return _scenario_tree(tmp_path, spec)
 
-    def test_verify_flag_catches_a_broken_kernel(self, monkeypatch):
+    def test_contract_catches_a_broken_kernel(self, monkeypatch, tmp_path):
         # A kernel that silently drops every delivery drifts from the python
-        # SMis semantics; the harness must blame the kernel path.
+        # SMis semantics; the contract must blame the kernel path.
         monkeypatch.setattr(SMisKernel, "deliver", lambda *args, **kwargs: None)
-        with use_verification(VerificationPolicy(kernel=True)):
-            with pytest.raises(SimulationError, match="kernel"):
-                run_scenario_seed(self._spec(), 0)
+        configs = self._configs(tmp_path)
+        verdicts = run_verify(contracts=["delivery-equivalence"], configs_dir=configs)
+        status = {verdict.case: verdict for verdict in verdicts}
+        assert status["smis-kernel:incremental"].status == "pass"
+        assert status["smis-kernel:kernel"].status == "fail"
+        assert "array kernel diverges" in status["smis-kernel:kernel"].detail
+        argv = ["verify", "--contracts", "delivery-equivalence", "--configs", str(configs)]
+        assert main([*argv, "--no-store"]) == 1
 
-    def test_verify_flag_passes_the_honest_kernels(self):
-        with use_verification(VerificationPolicy(kernel=True)):
-            verified = run_scenario_seed(self._spec(), 1)
-        assert verified == run_scenario_seed(self._spec(), 1)
+    def test_contract_passes_the_honest_kernels(self, tmp_path):
+        verdicts = run_verify(
+            contracts=["delivery-equivalence"], configs_dir=self._configs(tmp_path)
+        )
+        assert [v.status for v in verdicts if v.case.startswith("smis-kernel:")] == [
+            "pass",
+            "pass",
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -385,11 +401,14 @@ class TestKernelActivity:
             topology="gnp",
             rounds=5,
         )
-        with delivery_mode("kernel"):
-            ctx = _build_context(spec, 4)
-            sim = Simulator(
-                n=ctx.n, algorithm=ctx.algorithm, adversary=ctx.adversary, seed=ctx.seed
-            )
+        ctx = _build_context(spec, 4)
+        sim = Simulator(
+            n=ctx.n,
+            algorithm=ctx.algorithm,
+            adversary=ctx.adversary,
+            seed=ctx.seed,
+            delivery="kernel",
+        )
         sim.run(3)
         activity = sim.last_round_activity
         assert activity.mode == "kernel"

@@ -67,7 +67,7 @@ class TestAlgorithmHandoff:
         from repro.dynamics import generators
         from repro.dynamics.adversaries.random_churn import ChurnAdversary
         from repro.dynamics.churn import MarkovEdgeChurn
-        from repro.runtime.simulator import Simulator, delivery_mode
+        from repro.runtime.simulator import Simulator
         from repro.algorithms.mis.smis import SMis
 
         n, seed = 24, 11
@@ -75,8 +75,7 @@ class TestAlgorithmHandoff:
         adversary = ChurnAdversary(
             n, MarkovEdgeChurn(base, p_off=0.2, p_on=0.2), np.random.default_rng(seed + 1)
         )
-        with delivery_mode("kernel"):
-            sim = Simulator(n=n, algorithm=SMis(), adversary=adversary, seed=seed)
+        sim = Simulator(n=n, algorithm=SMis(), adversary=adversary, seed=seed, delivery="kernel")
         sim.run(10)
         alg = sim.algorithm
         skips = dict(alg._node_rng_skips)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, SimulationError
-from repro.runtime.simulator import Simulator, delivery_mode
+from repro.runtime.simulator import Simulator
 from repro.runtime.trace import ExecutionTrace
 from repro.scenarios import ScenarioSpec, component
 from repro.scenarios.executor import _build_context, run_scenario_seed
@@ -39,16 +39,16 @@ def _spec(algorithm: str, adversary, *, n: int = 24, rounds: int = 12) -> Scenar
 
 def _rows(spec: ScenarioSpec, mode: str, retention: str):
     """Flattened comparable rows of one run under a forced delivery mode."""
-    with delivery_mode(mode):
-        ctx = _build_context(spec, 3)
-        sim = Simulator(
-            n=ctx.n,
-            algorithm=ctx.algorithm,
-            adversary=ctx.adversary,
-            seed=ctx.seed,
-            trace_retention=retention,
-        )
-        sim.run(ctx.rounds)
+    ctx = _build_context(spec, 3)
+    sim = Simulator(
+        n=ctx.n,
+        algorithm=ctx.algorithm,
+        adversary=ctx.adversary,
+        seed=ctx.seed,
+        trace_retention=retention,
+        delivery=mode,
+    )
+    sim.run(ctx.rounds)
     return [
         (
             record.round_index,
@@ -84,21 +84,25 @@ class TestLazyEqualsEager:
     def test_random_access_replay(self):
         """Out-of-order ``outputs`` access replays correctly from any base."""
         spec = _spec("dmis", _ADVERSARY_SPECS["flip-churn"], rounds=15)
-        with delivery_mode("kernel"):
-            ctx = _build_context(spec, 3)
-            stats_sim = Simulator(
-                n=ctx.n,
-                algorithm=ctx.algorithm,
-                adversary=ctx.adversary,
-                seed=ctx.seed,
-                trace_retention="stats",
-            )
-            stats_sim.run(ctx.rounds)
-            ctx2 = _build_context(spec, 3)
-            full_sim = Simulator(
-                n=ctx2.n, algorithm=ctx2.algorithm, adversary=ctx2.adversary, seed=ctx2.seed
-            )
-            full_sim.run(ctx2.rounds)
+        ctx = _build_context(spec, 3)
+        stats_sim = Simulator(
+            n=ctx.n,
+            algorithm=ctx.algorithm,
+            adversary=ctx.adversary,
+            seed=ctx.seed,
+            trace_retention="stats",
+            delivery="kernel",
+        )
+        stats_sim.run(ctx.rounds)
+        ctx2 = _build_context(spec, 3)
+        full_sim = Simulator(
+            n=ctx2.n,
+            algorithm=ctx2.algorithm,
+            adversary=ctx2.adversary,
+            seed=ctx2.seed,
+            delivery="kernel",
+        )
+        full_sim.run(ctx2.rounds)
         reference = {r.round_index: dict(r.outputs) for r in full_sim.trace}
         trace = stats_sim.trace
         for round_index in (15, 1, 8, 3, 14, 8, 2, 15):
@@ -154,12 +158,15 @@ class TestValidation:
 class TestActivityLaziness:
     def test_kernel_activity_views_are_frozensets(self):
         spec = _spec("smis", _ADVERSARY_SPECS["markov-churn"], rounds=6)
-        with delivery_mode("kernel"):
-            ctx = _build_context(spec, 3)
-            sim = Simulator(
-                n=ctx.n, algorithm=ctx.algorithm, adversary=ctx.adversary, seed=ctx.seed
-            )
-            sim.run(ctx.rounds)
+        ctx = _build_context(spec, 3)
+        sim = Simulator(
+            n=ctx.n,
+            algorithm=ctx.algorithm,
+            adversary=ctx.adversary,
+            seed=ctx.seed,
+            delivery="kernel",
+        )
+        sim.run(ctx.rounds)
         activity = sim.last_round_activity
         assert activity.mode == "kernel"
         assert isinstance(activity.composed, frozenset)

@@ -1,20 +1,16 @@
-"""The verification surface: VerificationPolicy plumbing and ``repro verify``.
+"""The verification surface: ``repro verify`` and the retired switches.
 
-Three layers under test:
+Two layers under test:
 
-* the policy object itself — parsing, the ``"verification"`` config block,
-  the ambient context manager, the ``REPRO_VERIFY`` environment variable
-  (byte-equivalent to ``--verify``), and the retired per-path variables
-  (which must fail loudly, never be ignored);
-* the executor integration — the in-run gate fires on the verified path and
-  degrades *loudly* when the requested path is unavailable;
+* the leftover-variable guard — a ``REPRO_DELIVERY`` / ``REPRO_VERIFY*``
+  variable left in the environment must fail loudly naming its
+  replacement, never be ignored;
 * the contract suite — a mutation rehearsal proving a deliberately broken
   contract makes ``repro verify`` exit 1 naming the offender (a gate that
-  cannot fail is not a gate).
+  cannot fail is not a gate), and the ``delivery-equivalence`` contract
+  passing on every committed scenario config.
 """
 
-import json
-import warnings
 from pathlib import Path
 
 import pytest
@@ -22,233 +18,51 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.scenarios import executor
 from repro.scenarios.cli import main
-from repro.scenarios.configs import load_config, validate_config
 from repro.scenarios.registry import ADVERSARIES, available
 from repro.scenarios.spec import ScenarioSpec, component
-from repro.verify.policy import (
-    VERIFY_ENV,
-    VerificationPolicy,
-    active_verification,
-    current_verification,
-    parse_verify_spec,
-    use_verification,
-    verification_from_mapping,
-)
+from repro.verify.harness import run_verify
+from test_incremental_delivery import _scenario_tree
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 CONFIGS_DIR = REPO_ROOT / "configs"
 
-#: The per-path variables ``REPRO_VERIFY`` replaced.
-RETIRED_ENVS = ("REPRO_VERIFY_INCREMENTAL", "REPRO_VERIFY_KERNEL")
+#: The retired switches, by the replacement their error must name.
+RETIRED_ENVS = {
+    "REPRO_DELIVERY": "'delivery' field",
+    "REPRO_VERIFY": "repro verify --contracts delivery-equivalence",
+    "REPRO_VERIFY_INCREMENTAL": "repro verify --contracts delivery-equivalence",
+    "REPRO_VERIFY_KERNEL": "repro verify --contracts delivery-equivalence",
+}
 
 
-@pytest.fixture(autouse=True)
-def _clean_verification_env(monkeypatch):
-    """Isolate every test from ambient policies and real environment flags."""
-    for env in (VERIFY_ENV,) + RETIRED_ENVS:
-        monkeypatch.delenv(env, raising=False)
-    # The degradation warning deduplicates process-wide; reset per test.
-    executor._DEGRADED_WARNED.clear()
-    yield
+class TestRetiredSwitches:
+    SPEC = ScenarioSpec(
+        n=8, algorithm="scolor", adversary=component("flip-churn", flip_prob=0.1), rounds=2
+    )
 
+    @pytest.mark.parametrize("env", sorted(RETIRED_ENVS))
+    def test_leftover_variable_raises_naming_its_replacement(self, monkeypatch, env):
+        monkeypatch.setenv(env, "1")
+        with pytest.raises(ConfigurationError) as raised:
+            executor.run_scenario_seed(self.SPEC, 0)
+        assert f"{env} is no longer supported" in str(raised.value)
+        assert RETIRED_ENVS[env] in str(raised.value)
 
-# ---------------------------------------------------------------------------
-# VerificationPolicy: parsing and the "verification" config block
-# ---------------------------------------------------------------------------
-
-
-class TestPolicyParsing:
-    def test_spec_round_trip(self):
-        assert parse_verify_spec("incremental").modes() == ("incremental",)
-        assert parse_verify_spec("kernel,incremental").modes() == ("incremental", "kernel")
-        assert parse_verify_spec("none") == VerificationPolicy()
-        for spec in ("none", "incremental", "kernel", "incremental,kernel"):
-            assert parse_verify_spec(spec).to_spec() == spec
-
-    def test_unknown_mode_suggests_near_miss(self):
-        with pytest.raises(ConfigurationError, match="did you mean.*kernel"):
-            parse_verify_spec("kernal")
-
-    def test_none_cannot_be_combined(self):
-        with pytest.raises(ConfigurationError, match="'none' cannot be combined"):
-            parse_verify_spec("none,kernel")
-
-    def test_empty_spec_rejected(self):
-        with pytest.raises(ConfigurationError, match="at least one"):
-            parse_verify_spec(" , ")
-
-    def test_mapping_accepts_booleans(self):
-        policy = verification_from_mapping({"kernel": True})
-        assert policy == VerificationPolicy(kernel=True)
-        assert policy.wants("kernel") and not policy.wants("incremental")
-        assert not policy.wants("full")
-
-    def test_mapping_rejects_unknown_keys_with_suggestion(self):
-        with pytest.raises(ConfigurationError, match="did you mean.*kernel"):
-            verification_from_mapping({"kernels": True})
-
-    def test_mapping_rejects_non_boolean(self):
-        with pytest.raises(ConfigurationError, match="must be a boolean"):
-            verification_from_mapping({"kernel": 1})
-
-    def test_policy_rejects_non_boolean_fields(self):
-        with pytest.raises(ConfigurationError, match="must be a boolean"):
-            VerificationPolicy(incremental="yes")
-
-
-class TestVerificationConfigBlock:
-    def _write_config(self, tmp_path, verification):
-        payload = {
-            "kind": "scenario",
-            "spec": {
-                "name": "verify-block-demo",
-                "n": 12,
-                "adversary": {"name": "flip-churn", "params": {"flip_prob": 0.05}},
-                "algorithm": {"name": "scolor", "params": {}},
-                "rounds": 4,
-                "seeds": [0],
-            },
-            "verification": verification,
-        }
-        path = tmp_path / "scenario.json"
-        path.write_text(json.dumps(payload), encoding="utf-8")
-        return path
-
-    def test_valid_block_loads_and_validates(self, tmp_path):
-        config = load_config(self._write_config(tmp_path, {"kernel": True}))
-        assert config.verification == {"kernel": True}
-        assert validate_config(config) == []
-
-    def test_unknown_key_is_a_validation_problem(self, tmp_path):
-        config = load_config(self._write_config(tmp_path, {"kernle": True}))
-        problems = validate_config(config)
-        assert problems and any("did you mean" in problem for problem in problems)
-
-    def test_non_object_block_rejected_at_load(self, tmp_path):
-        with pytest.raises(ConfigurationError, match="verification"):
-            load_config(self._write_config(tmp_path, "kernel"))
-
-
-# ---------------------------------------------------------------------------
-# ambient policy and the environment
-# ---------------------------------------------------------------------------
-
-
-class TestActiveVerification:
-    def test_disabled_by_default(self):
-        policy = active_verification()
-        assert not policy.enabled and policy.modes() == ()
-
-    def test_use_verification_wins_and_restores(self, monkeypatch):
-        monkeypatch.setenv(VERIFY_ENV, "incremental")
-        with use_verification(VerificationPolicy(kernel=True)) as installed:
-            assert active_verification() is installed
-            # The env transport carries the policy into spawned workers.
-            import os
-
-            assert os.environ[VERIFY_ENV] == "kernel"
-        assert current_verification() is None
-        assert active_verification() == VerificationPolicy(incremental=True)
-
-    def test_canonical_env_parsed(self, monkeypatch):
-        monkeypatch.setenv(VERIFY_ENV, "incremental,kernel")
-        assert active_verification() == VerificationPolicy(incremental=True, kernel=True)
-
-    def test_retired_alias_raises_naming_replacement(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VERIFY_KERNEL", "1")
-        with pytest.raises(ConfigurationError, match="REPRO_VERIFY=kernel"):
-            active_verification()
-
-    def test_retired_aliases_never_ignored(self, monkeypatch):
-        # Neither the canonical variable nor an ambient policy may mask a
-        # stale alias: ignoring it would silently switch the gate off.
+    @pytest.mark.parametrize("inert", ["", "0"])
+    def test_values_that_never_switched_anything_on_stay_inert(self, monkeypatch, inert):
         for env in RETIRED_ENVS:
-            monkeypatch.setenv(env, "1")
-        monkeypatch.setenv(VERIFY_ENV, "none")
-        with pytest.raises(ConfigurationError, match="REPRO_VERIFY=incremental,kernel"):
-            active_verification()
-        with use_verification(VerificationPolicy()):
-            with pytest.raises(ConfigurationError, match="REPRO_VERIFY_INCREMENTAL"):
-                active_verification()
+            monkeypatch.setenv(env, inert)
+        row = executor.run_scenario_seed(self.SPEC, 0)
+        monkeypatch.undo()
+        assert row == executor.run_scenario_seed(self.SPEC, 0)
 
-    def test_retired_alias_set_to_zero_is_inert(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VERIFY_KERNEL", "0")
-        assert not active_verification().enabled
-
-    def test_env_byte_equivalent_to_policy(self, monkeypatch):
-        """REPRO_VERIFY=kernel and --verify kernel run the identical gate."""
-        spec = ScenarioSpec(
-            n=16,
-            algorithm="scolor",
-            adversary=component("flip-churn", flip_prob=0.1),
-            rounds=6,
-            seeds=(0,),
-        )
-        monkeypatch.setenv(VERIFY_ENV, "kernel")
-        via_env = executor.run_scenario_seed(spec, 0)
-        monkeypatch.delenv(VERIFY_ENV)
-        with use_verification(VerificationPolicy(kernel=True)):
-            via_policy = executor.run_scenario_seed(spec, 0)
-        assert via_env == via_policy
-
-
-class TestLoudDegradation:
-    def test_unverifiable_path_warns(self):
-        # dynamic-coloring has no pure contract: it executes on the full
-        # path, so a kernel gate cannot run — that must be loud.
-        spec = ScenarioSpec(
-            n=12,
-            algorithm="dynamic-coloring",
-            adversary=component("flip-churn", flip_prob=0.05),
-            rounds=4,
-            seeds=(0,),
-        )
-        with use_verification(VerificationPolicy(kernel=True)):
-            with pytest.warns(UserWarning, match="requested gate did not run"):
-                executor.run_scenario_seed(spec, 0)
-
-    def test_verified_path_stays_silent(self):
-        spec = ScenarioSpec(
-            n=12,
-            algorithm="scolor",
-            adversary=component("flip-churn", flip_prob=0.05),
-            rounds=4,
-            seeds=(0,),
-        )
-        with use_verification(VerificationPolicy(incremental=True, kernel=True)):
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", UserWarning)
-                executor.run_scenario_seed(spec, 0)
-
-
-# ---------------------------------------------------------------------------
-# the CLI flag
-# ---------------------------------------------------------------------------
-
-
-class TestVerifyFlag:
-    def test_bad_mode_fails_with_suggestion(self, capsys):
-        config = str(CONFIGS_DIR / "scenarios" / "quickstart-coloring.json")
-        code = main(["run", config, "--no-store", "--verify", "kernal"])
-        assert code == 1
-        assert "did you mean" in capsys.readouterr().err
-
-    def test_verify_none_runs_clean(self, capsys, tmp_path):
-        payload = {
-            "kind": "scenario",
-            "spec": {
-                "name": "tiny",
-                "n": 8,
-                "adversary": {"name": "static", "params": {}},
-                "algorithm": {"name": "scolor", "params": {}},
-                "rounds": 3,
-                "seeds": [0],
-            },
-        }
-        path = tmp_path / "tiny.json"
-        path.write_text(json.dumps(payload), encoding="utf-8")
-        code = main(["run", str(path), "--no-store", "--verify", "none"])
-        assert code == 0
+    def test_leftover_variable_fails_repro_run_cleanly(self, monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_VERIFY", "incremental")
+        config = CONFIGS_DIR / "scenarios" / "kernel-scolor.json"
+        assert main(["run", str(config), "--no-store"]) == 1
+        err = capsys.readouterr().err
+        assert "REPRO_VERIFY is no longer supported" in err
+        assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------
@@ -266,22 +80,16 @@ class TestContractSuite:
         assert all(doc for doc in docs.values())
 
     def test_manipulation_exists_passes_on_committed_configs(self):
-        from repro.verify.harness import run_verify
-
         verdicts = run_verify(
             suite="smoke", contracts=["manipulation-exists"], configs_dir=CONFIGS_DIR
         )
         assert verdicts and all(v.status == "pass" for v in verdicts)
 
     def test_unknown_contract_fails_with_suggestion(self):
-        from repro.verify.harness import run_verify
-
         with pytest.raises(Exception, match="did you mean"):
             run_verify(suite="smoke", contracts=["delta-vs-snapshots"])
 
     def test_unknown_suite_rejected(self):
-        from repro.verify.harness import run_verify
-
         with pytest.raises(ConfigurationError, match="unknown verify suite"):
             run_verify(suite="smoky")
 
@@ -313,6 +121,101 @@ class TestContractSuite:
         assert "time-scaling" in out and "0 failed" in out
         stored = list((store / "verify").glob("*.json"))
         assert len(stored) == 1
+
+    def test_delivery_equivalence_passes_on_committed_configs(self):
+        verdicts = run_verify(contracts=["delivery-equivalence"], configs_dir=CONFIGS_DIR)
+        status = {verdict.case: verdict.status for verdict in verdicts}
+        for case in (
+            "quiescence-smis:incremental",
+            "quiescence-smis:kernel",
+            "kernel-scolor:kernel",
+        ):
+            assert status[case] == "pass", case
+        assert "fail" not in status.values()
+
+
+class TestDeliveryEquivalenceConfigScan:
+    """How the ``delivery-equivalence`` contract treats the configs it scans."""
+
+    @staticmethod
+    def _config_cases(verdicts, label):
+        return {v.case: v for v in verdicts if v.case.startswith(f"{label}:")}
+
+    def test_probe_spec_compares_traces_not_metric_rows(self, tmp_path):
+        spec = ScenarioSpec(
+            n=16,
+            algorithm="smis",
+            adversary=component("flip-churn", flip_prob=0.1),
+            rounds=8,
+            seeds=(0,),
+            probe=component("activity"),
+            name="probed",
+        )
+        # The activity probe reads the engine's dirty set, so its rows differ
+        # between paths by design ...
+        row_full, _ = executor._execute_seed(spec.replace(delivery="full"), 0)
+        row_fast, _ = executor._execute_seed(spec.replace(delivery="incremental"), 0)
+        assert row_full != row_fast
+        # ... while the traces must not.
+        verdicts = run_verify(
+            contracts=["delivery-equivalence"], configs_dir=_scenario_tree(tmp_path, spec)
+        )
+        cases = self._config_cases(verdicts, "probed")
+        assert {case: v.status for case, v in cases.items()} == {
+            "probed:incremental": "pass",
+            "probed:kernel": "pass",
+        }
+
+    def test_degraded_path_is_skipped_naming_the_fallback(self, tmp_path):
+        spec = ScenarioSpec(
+            n=12,
+            algorithm="dynamic-coloring",
+            adversary=component("flip-churn", flip_prob=0.05),
+            rounds=4,
+            seeds=(0,),
+            name="unverifiable",
+        )
+        verdicts = run_verify(
+            contracts=["delivery-equivalence"], configs_dir=_scenario_tree(tmp_path, spec)
+        )
+        cases = self._config_cases(verdicts, "unverifiable")
+        assert set(cases) == {"unverifiable:incremental", "unverifiable:kernel"}
+        for verdict in cases.values():
+            assert verdict.status == "skip"
+            assert "engine degraded to 'full'" in verdict.detail
+
+    def test_unloadable_config_fails_naming_the_file(self, tmp_path):
+        scenarios = tmp_path / "configs" / "scenarios"
+        scenarios.mkdir(parents=True)
+        broken = scenarios / "broken.json"
+        broken.write_text('{"kind": "scenario", "spec": {"n": 8', encoding="utf-8")
+        verdicts = run_verify(
+            contracts=["delivery-equivalence"], configs_dir=tmp_path / "configs"
+        )
+        (verdict,) = [v for v in verdicts if v.case == str(broken)]
+        assert verdict.status == "fail"
+        assert "does not load" in verdict.detail
+
+    def test_only_scenario_configs_are_run(self, tmp_path):
+        configs = tmp_path / "configs"
+        (configs / "sweeps").mkdir(parents=True)
+        sweep = CONFIGS_DIR / "sweeps" / "churn-rate.json"
+        (configs / "sweeps" / sweep.name).write_text(sweep.read_text(), encoding="utf-8")
+        verdicts = run_verify(contracts=["delivery-equivalence"], configs_dir=configs)
+        # Only the built-in matrix cases: the sweep contributes no case.
+        assert {v.case for v in verdicts} == {
+            f"{pair}:{path}"
+            for pair in ("scolor/markov-churn", "smis/flip-churn")
+            for path in ("incremental", "kernel")
+        }
+        assert "fail" not in {v.status for v in verdicts}
+
+    def test_missing_configs_dir_is_skipped_loudly(self, tmp_path):
+        missing = tmp_path / "nowhere"
+        verdicts = run_verify(contracts=["delivery-equivalence"], configs_dir=missing)
+        (verdict,) = [v for v in verdicts if v.case == str(missing)]
+        assert verdict.status == "skip"
+        assert "does not exist" in verdict.detail
 
 
 class TestMutationRehearsal:
