@@ -25,8 +25,8 @@ contract it adds what a real fleet needs:
   minutes is split across the fleet.  Splitting is internal: rows are
   re-assembled per original chunk before they are yielded, so the runner's
   journal and ordering logic see exactly the chunks it built.
-* **Worker-side phase timings.**  Responses carry the worker's
-  ``{phase: (seconds, events)}`` totals — the form every local backend
+* **Worker-side phase timings and event counts.**  Responses carry the
+  worker's ``{name: (seconds, count)}`` recorder table — the form every local backend
   gets from :func:`~repro.exec.units.execute_chunk` — and the dispatcher
   replays them into the ambient collector once their chunk is complete,
   so a chunk recomputed by the serial fallback is never counted twice.
@@ -44,9 +44,9 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from repro.errors import ConfigurationError
 from repro.exec.backends import BACKENDS, Backend, BackendError
 from repro.exec.remote.transport import TRANSPORTS, WorkerLink
-from repro.exec.stats import PhaseTotals, RateEstimator, metric_inc, replay_phases
+from repro.exec.stats import PhaseTotals, RateEstimator, replay_phases
 from repro.exec.units import Chunk, Row
-from repro.obs.trace import emit as trace_emit
+from repro.obs.trace import EVENT_SCHEMA, emit
 
 __all__ = ["RemoteBackend"]
 
@@ -187,8 +187,7 @@ class RemoteBackend(Backend):
         """Kill ``state``'s worker and requeue whatever it was running."""
         state.link.kill()
         self._workers.pop(state.link.worker_id, None)
-        metric_inc("exec.remote.workers_lost")
-        trace_emit(
+        emit(
             "worker_lost",
             worker=state.link.name,
             reason=reason,
@@ -208,8 +207,7 @@ class RemoteBackend(Backend):
                 )
             backoff = self._backoff_base * 2 ** (task.attempts - 1)
             task.not_before = time.monotonic() + backoff
-            metric_inc("exec.remote.redispatched")
-            trace_emit(
+            emit(
                 "redispatch",
                 task=task.task_id,
                 chunk=task.chunk.index,
@@ -247,7 +245,7 @@ class RemoteBackend(Backend):
                     state.link.send(json.dumps({"ping": state.next_ping}))
                 except OSError:
                     continue  # the deadline/EOF path reaps it
-                trace_emit("ping", worker=state.link.name)
+                emit("ping", worker=state.link.name)
                 state.pong_deadline = now + max(self._heartbeat_interval, 10.0)
 
     # -- adaptive sizing ----------------------------------------------------
@@ -280,8 +278,7 @@ class RemoteBackend(Backend):
                     not_before=task.not_before,
                 )
             )
-        metric_inc("exec.remote.splits", len(pieces) - 1)
-        trace_emit(
+        emit(
             "split",
             chunk=task.chunk.index,
             pieces=len(pieces),
@@ -315,8 +312,7 @@ class RemoteBackend(Backend):
                     break  # the EOF/deadline path reaps this worker
                 tasks[task.task_id] = task
                 state.inflight[task.task_id] = self._deadline_for(len(task.seeds))
-                metric_inc("exec.remote.tasks_dispatched")
-                trace_emit(
+                emit(
                     "dispatch",
                     task=task.task_id,
                     chunk=task.chunk.index,
@@ -350,14 +346,18 @@ class RemoteBackend(Backend):
             str(phase): (float(phase_seconds), int(events))
             for phase, (phase_seconds, events) in (message.get("phases") or {}).items()
         }
-        trace_emit(
+        emit(
             "chunk_result",
             task=task.task_id,
             chunk=task.chunk.index,
             worker=state.link.name,
             units=len(rows),
             seconds=float(seconds) if isinstance(seconds, (int, float)) else 0.0,
-            timings={phase: phase_seconds for phase, (phase_seconds, _) in phases.items()},
+            timings={
+                name: seconds
+                for name, (seconds, _) in phases.items()
+                if name not in EVENT_SCHEMA  # events are counts, not timings
+            },
         )
         assembly = assemblies[task.chunk.index]
         if assembly.absorb(task.offset, rows, phases):

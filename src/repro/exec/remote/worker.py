@@ -9,9 +9,9 @@ newline-delimited JSON responses to stdout:
 * :meth:`~repro.exec.units.Chunk.to_wire` request →
   ``{"index", "rows", "units", "seconds", "phases"}`` response, where
   ``seconds`` is the worker-side wall time of the chunk (what adaptive
-  chunk sizing feeds on) and ``phases`` are the units'
-  ``{phase: [seconds, events]}`` totals from :mod:`repro.exec.stats`
-  (setup / rounds / metrics) — the same form
+  chunk sizing feeds on) and ``phases`` is the units' recorder table
+  ``{name: [seconds, count]}`` (setup / rounds / metrics phases and the
+  ``unit_begin`` / ``unit_end`` event counts) — the same form
   :func:`~repro.exec.units.execute_chunk` returns to the local backends.  The
   first chunk of each spec also carries ``prewarm_seconds``: the spec parse
   and base-topology build are paid *before* the timed window (see

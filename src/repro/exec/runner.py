@@ -40,17 +40,9 @@ from repro.exec.backends import Backend, BackendError, make_backend
 from repro.exec.journal import SweepJournal
 from repro.exec.policy import ExecutionPolicy, default_workers, resolve_policy
 from repro.exec.progress import ProgressReporter
-from repro.exec.stats import (
-    EXEC_DISPATCH,
-    EXEC_JOURNAL,
-    RateEstimator,
-    metric_gauge,
-    metric_inc,
-    metric_observe,
-    timed_phase,
-)
+from repro.exec.stats import EXEC_DISPATCH, EXEC_JOURNAL, RateEstimator, timed_phase
 from repro.exec.units import Chunk, Row, WorkUnit, auto_chunk_size, build_chunks
-from repro.obs.trace import emit as trace_emit
+from repro.obs.trace import emit
 
 __all__ = ["INTERRUPT_ENV", "run_units"]
 
@@ -120,7 +112,7 @@ def run_units(
             journal = SweepJournal.for_batch(policy.journal_dir, units)
             completed = journal.begin(resume=policy.resume)
         if completed:
-            trace_emit("journal_restore", restored=len(completed))
+            emit("journal_restore", restored=len(completed))
 
     rows: List[Optional[Row]] = [completed.get(i) for i in range(len(units))]
     pending = [i for i in range(len(units)) if i not in completed]
@@ -138,7 +130,7 @@ def run_units(
     chunk_size = policy.chunk_size or auto_chunk_size(len(pending), workers)
     pending_units = [units[i] for i in pending]
     chunks = build_chunks(pending_units, chunk_size)
-    trace_emit(
+    emit(
         "batch_begin",
         label=label,
         units=len(units),
@@ -163,10 +155,7 @@ def run_units(
                     journal.record(index, row)
         received.add(chunk.index)
         estimator.observe_batch(len(chunk.seeds))
-        trace_emit("chunk_done", chunk=chunk.index, units=len(chunk.seeds))
-        metric_inc("exec.units", len(chunk.seeds))
-        metric_inc("exec.chunks")
-        metric_observe("exec.chunk_units", len(chunk.seeds))
+        emit("chunk_done", chunk=chunk.index, units=len(chunk.seeds))
         progress.update(len(chunk.seeds))
         interrupter.tick(len(chunk.seeds))
 
@@ -181,13 +170,11 @@ def run_units(
 
         shm_pool = publish_for_chunks(chunks)
         if shm_pool is not None:
-            trace_emit(
+            emit(
                 "shm_publish",
                 segments=shm_pool.segments,
                 bytes=shm_pool.published_bytes,
             )
-            metric_gauge("exec.shm_segments", shm_pool.segments)
-            metric_gauge("exec.shm_bytes", shm_pool.published_bytes)
 
     try:
         # An explicit chunk size is a promise: the remote dispatcher must not
@@ -211,12 +198,11 @@ def run_units(
             # genuine unit errors re-raise from it with their real traceback.
             serial = make_backend("serial", 1)
             remaining = [chunk for chunk in chunks if chunk.index not in received]
-            trace_emit(
+            emit(
                 "serial_fallback",
                 error=type(exc).__name__,
                 chunks_left=len(remaining),
             )
-            metric_inc("exec.serial_fallbacks")
             with timed_phase(EXEC_DISPATCH):
                 for chunk_index, chunk_rows in serial.submit_batch(remaining):
                     absorb(chunks[chunk_index], chunk_rows)
@@ -233,16 +219,10 @@ def run_units(
         raise BackendError(f"{len(missing)} of {len(units)} units produced no row: {missing[:10]}")
     if journal is not None:
         journal.complete()
-    trace_emit(
+    emit(
         "batch_end",
         label=label,
         units=len(units),
         seconds=round(time.perf_counter() - started, 6),
     )
-    rate = estimator.rate
-    if rate is not None:
-        metric_gauge("exec.rate_units_per_s", rate)
-    cost = estimator.seconds_per_unit
-    if cost is not None:
-        metric_gauge("exec.seconds_per_unit", cost)
     return rows  # type: ignore[return-value]

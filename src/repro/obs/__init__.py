@@ -1,24 +1,29 @@
-"""Observability: structured tracing and store-backed reporting.
+"""Observability: one run recorder, the NDJSON trace, store-backed reporting.
 
-Run telemetry — phase totals, counters, gauges and histograms — lives in
-one collector, :mod:`repro.exec.stats`.  Only the stdlib-dependency trace
-layer (:mod:`repro.obs.trace`) is re-exported here — the simulator and the
-exec runner import this package, so pulling in :mod:`repro.obs.report`
-(which reads the scenarios store) would create an import cycle.  Consumers
-of the report renderer import it directly.
+Run telemetry — phase times and event counts, plus the optional NDJSON
+trace of the same events — goes through one recorder,
+:mod:`repro.obs.trace`; :mod:`repro.exec.stats` re-exports it beside exec's
+phase names.  Only that stdlib-dependency layer is re-exported here — the
+simulator and the exec runner import this package, so pulling in
+:mod:`repro.obs.report` (which reads the scenarios store) would create an
+import cycle.  Consumers of the report renderer import it directly.
 """
 
 from repro.obs.trace import (
     EVENT_SCHEMA,
     SCHEMA_VERSION,
     TRACE_ENV,
-    TelemetryConfig,
+    PhaseTotals,
+    StatsCollector,
     TraceSink,
     active_sink,
+    collect_stats,
     emit,
     read_trace,
+    record_phase,
     refresh_from_env,
-    telemetry_from_mapping,
+    replay_phases,
+    timed_phase,
     trace_to,
     validate_event,
     validate_trace,
@@ -26,15 +31,19 @@ from repro.obs.trace import (
 
 __all__ = [
     "EVENT_SCHEMA",
+    "PhaseTotals",
     "SCHEMA_VERSION",
+    "StatsCollector",
     "TRACE_ENV",
-    "TelemetryConfig",
     "TraceSink",
     "active_sink",
+    "collect_stats",
     "emit",
     "read_trace",
+    "record_phase",
     "refresh_from_env",
-    "telemetry_from_mapping",
+    "replay_phases",
+    "timed_phase",
     "trace_to",
     "validate_event",
     "validate_trace",

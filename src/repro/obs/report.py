@@ -3,7 +3,7 @@
 The store holds provenance-rich rows; this module turns them into something
 a human reads.  :func:`render_study` aggregates every entry of a store (or
 one kind) into a Markdown study summary — per-adversary metric heat tables,
-phase-time splits and fleet counters from the telemetry provenance block —
+phase-time splits and event counts from the telemetry provenance block —
 with no network access and no re-execution.  :func:`summarize_trace`
 condenses an NDJSON trace into round/chunk/fleet statistics.
 
@@ -242,9 +242,9 @@ def render_study(store: ResultsStore, *, kind: Optional[str] = None) -> str:
         for block in _entry_tables(entry):
             lines.append(block)
 
-    # Phase-time splits from the telemetry provenance of every entry.
+    # Phase-time splits and event counts from the telemetry provenance.
     phase_rows: List[Dict[str, Any]] = []
-    fleet_rows: List[Dict[str, Any]] = []
+    event_rows: List[Dict[str, Any]] = []
     for entry in entries:
         telemetry = entry.provenance.get("telemetry") or {}
         phases = telemetry.get("phases") or {}
@@ -253,12 +253,9 @@ def render_study(store: ResultsStore, *, kind: Optional[str] = None) -> str:
             for name, block in phases.items():
                 row[name] = float(block.get("seconds", 0.0))
             phase_rows.append(row)
-        counters = dict(telemetry.get("counters") or {})
-        gauges = dict(telemetry.get("gauges") or {})
-        if counters or gauges:
-            fleet_rows.append(
-                {"entry": f"{entry.kind}/{entry.label}", **counters, **gauges}
-            )
+        events = telemetry.get("events") or {}
+        if events:
+            event_rows.append({"entry": f"{entry.kind}/{entry.label}", **events})
 
     lines.append("## Phase-time splits")
     lines.append("")
@@ -267,10 +264,10 @@ def render_study(store: ResultsStore, *, kind: Optional[str] = None) -> str:
     else:
         lines.append("(none recorded — run with telemetry enabled)\n")
 
-    lines.append("## Fleet utilization")
+    lines.append("## Event counts")
     lines.append("")
-    if fleet_rows:
-        lines.append(markdown_table(fleet_rows))
+    if event_rows:
+        lines.append(markdown_table(event_rows))
     else:
         lines.append("(none recorded)\n")
 

@@ -1,26 +1,42 @@
-"""Structured NDJSON tracing: the when/where of a run, not just the end row.
+"""Run telemetry: one recorder for phase times, event counts and the trace.
 
-The store records *outcomes*; this module records *events* — round
-lifecycle from the simulator and the array kernel, chunk lifecycle from the
+Everything a run reports about itself goes through this module, and each
+fact is recorded once:
+
+* :func:`timed_phase` / :func:`record_phase` add ``(seconds, 1)`` under a
+  phase name (component setup per work unit, the round loop, metric
+  extraction, journal writes, backend dispatch);
+* :func:`emit` adds ``(0, 1)`` under an event name and, when tracing is on,
+  writes the event as one NDJSON line.
+
+The ambient :class:`StatsCollector` installed by :func:`collect_stats` holds
+the ``{name: (seconds, count)}`` table; :meth:`StatsCollector.as_provenance`
+folds it into the ``{"phases": …, "events": …}`` block ``ResultsStore.put``
+attaches to an entry's provenance.  Worker processes run their units under
+a collector of their own and ship the table home
+(:meth:`StatsCollector.phase_totals`), and the backend folds it into the
+caller's collector with :func:`replay_phases` — so ``serial``, ``process``
+and ``remote`` report the same phase and event counts.
+
+Trace lines are the *when/where* of a run: round lifecycle from the
+simulator and the array kernel (the per-round ``round`` event is trace-only
+and is not counted), unit and chunk lifecycle from the executor and the
 runner, dispatch/heartbeat/re-dispatch decisions from the remote fabric.
-Each event is one JSON line (sorted keys, compact separators) with a
-monotonic per-sink sequence number, the emitting pid, and a wall-clock
-timestamp, so traces from several processes appending to the same file can
-be interleaved and re-ordered afterwards.
+Each line (sorted keys, compact separators) carries a per-process sequence
+number, the emitting pid and a wall-clock timestamp, so traces from several
+processes appending to one file can be interleaved and re-ordered.
 
-The house invariant holds: tracing never touches RNG state, iteration
+Tracing has one switch, the ``REPRO_TRACE=path`` environment variable: each
+process probes it lazily once and appends to ``path``.  :func:`trace_to`
+(what the CLI ``--trace`` flag installs) truncates ``path`` and sets the
+variable for the block, so pooled and remote workers started inside it
+append to the same file.
+
+The house invariant holds: recording never touches RNG state, iteration
 order, or any value that lands in a store row — store entries are
-byte-identical with tracing on or off.  When no sink is active,
-:func:`emit` costs one global read plus (once per process) one environment
-probe, so steady-state sweeps pay nothing.
-
-Enablement, in precedence order:
-
-1. ``trace_to(path)`` — installed by the CLI ``--trace`` flag or a config's
-   ``"telemetry"`` block; truncates ``path``.
-2. ``REPRO_TRACE=path`` in the environment — probed lazily once per
-   process; opens ``path`` in *append* mode so pooled/remote worker
-   processes inheriting the variable interleave into one file.
+byte-identical with tracing on or off.  Without a collector and a sink,
+:func:`emit` and :func:`timed_phase` cost a couple of global reads, so
+steady-state sweeps pay nothing.
 """
 
 from __future__ import annotations
@@ -30,23 +46,26 @@ import os
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Mapping, Optional
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 
 __all__ = [
     "EVENT_SCHEMA",
+    "PhaseTotals",
     "SCHEMA_VERSION",
+    "StatsCollector",
     "TRACE_ENV",
-    "TelemetryConfig",
     "TraceSink",
     "active_sink",
+    "collect_stats",
     "emit",
     "read_trace",
+    "record_phase",
     "refresh_from_env",
-    "telemetry_from_mapping",
+    "replay_phases",
+    "timed_phase",
     "trace_to",
     "validate_event",
     "validate_trace",
@@ -85,6 +104,7 @@ EVENT_SCHEMA: Dict[str, Dict[str, type]] = {
     "batch_end": {"label": str, "units": int, "seconds": float},
     "journal_restore": {"restored": int},
     "chunk_done": {"chunk": int, "units": int},
+    "shm_publish": {"segments": int, "bytes": int},
     "serial_fallback": {"error": str, "chunks_left": int},
     # remote dispatcher decisions
     "dispatch": {"task": int, "chunk": int, "units": int, "worker": str, "attempt": int},
@@ -114,17 +134,19 @@ def _jsonable(value: Any) -> Any:
 
 
 class TraceSink:
-    """A thread-safe NDJSON event writer bound to one file handle.
+    """A thread-safe NDJSON event writer appending to one file.
 
     Every :meth:`emit` writes one line and flushes, so a killed process
     loses at most the line being written — the same torn-line tolerance
-    the exec journal already has.
+    the exec journal already has.  The file is always opened for append:
+    worker processes write to the same path, and a truncating handle in the
+    parent would overwrite their lines.
     """
 
-    def __init__(self, path: "str | Path", append: bool = False) -> None:
+    def __init__(self, path: "str | Path") -> None:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._handle = self.path.open("a" if append else "w", encoding="utf-8")
+        self._handle = self.path.open("a", encoding="utf-8")
         self._lock = threading.Lock()
         self._seq = 0
 
@@ -149,54 +171,168 @@ class TraceSink:
                 self._handle.close()
 
 
-#: Explicitly installed sink (``trace_to`` / the CLI flag): wins over env.
-_OVERRIDE: Optional[TraceSink] = None
-#: Env-derived sink, probed lazily exactly once per process.
+#: The sink of this process, opened lazily from ``REPRO_TRACE`` on first use.
 _ENV_SINK: Optional[TraceSink] = None
 _ENV_PROBED = False
 
 
 def active_sink() -> Optional[TraceSink]:
     """The sink events should go to, or ``None`` when tracing is off."""
-    if _OVERRIDE is not None:
-        return _OVERRIDE
     global _ENV_PROBED, _ENV_SINK
     if not _ENV_PROBED:
         _ENV_PROBED = True
         path = os.environ.get(TRACE_ENV)
         if path:
-            _ENV_SINK = TraceSink(path, append=True)
+            _ENV_SINK = TraceSink(path)
     return _ENV_SINK
 
 
-def emit(event: str, **fields: Any) -> None:
-    """Emit ``event`` to the active sink; no-op when tracing is off."""
-    sink = active_sink()
-    if sink is not None:
-        sink.emit(event, **fields)
-
-
 @contextmanager
-def trace_to(path: "str | Path") -> Iterator[TraceSink]:
-    """Install a truncating sink on ``path`` for the duration of the block."""
-    global _OVERRIDE
-    sink = TraceSink(path, append=False)
-    previous = _OVERRIDE
-    _OVERRIDE = sink
+def trace_to(path: "str | Path") -> Iterator[None]:
+    """Trace the block to ``path``, worker processes included.
+
+    Truncates ``path`` and sets ``REPRO_TRACE`` for the block, so this
+    process and the pooled and remote workers started inside it append to
+    the same file; the previous value is restored on exit.
+    """
+    path = Path(path).resolve()
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text("", encoding="utf-8")
+    previous = os.environ.get(TRACE_ENV)
+    os.environ[TRACE_ENV] = str(path)
+    refresh_from_env()
     try:
-        yield sink
+        yield
     finally:
-        _OVERRIDE = previous
-        sink.close()
+        if previous is None:
+            os.environ.pop(TRACE_ENV, None)
+        else:
+            os.environ[TRACE_ENV] = previous
+        refresh_from_env()
 
 
 def refresh_from_env() -> None:
-    """Drop the cached env probe (tests that set/unset ``REPRO_TRACE``)."""
+    """Close this process's sink and probe ``REPRO_TRACE`` again on next use."""
     global _ENV_PROBED, _ENV_SINK
     if _ENV_SINK is not None:
         _ENV_SINK.close()
     _ENV_SINK = None
     _ENV_PROBED = False
+
+
+# ---------------------------------------------------------------------------
+# the recorder: one {name: (seconds, count)} table per run
+# ---------------------------------------------------------------------------
+
+#: A recorder table as a worker ships it home: ``{name: (seconds, count)}``.
+PhaseTotals = Dict[str, Tuple[float, int]]
+
+
+class StatsCollector:
+    """Thread-safe ``{name: (seconds, count)}`` table of one run.
+
+    Phases and events share the table; :meth:`as_provenance` tells them
+    apart by :data:`EVENT_SCHEMA` membership.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._table: Dict[str, List[float]] = {}
+
+    def add(self, name: str, seconds: float, count: int = 1) -> None:
+        with self._lock:
+            entry = self._table.setdefault(name, [0.0, 0])
+            entry[0] += seconds
+            entry[1] += count
+
+    def seconds(self, name: str) -> float:
+        """Total seconds recorded for ``name`` (0.0 if never reported)."""
+        return self._table.get(name, (0.0, 0))[0]
+
+    def events(self, name: str) -> int:
+        """Number of times ``name`` was reported."""
+        return self._table.get(name, (0.0, 0))[1]
+
+    def phase_totals(self) -> PhaseTotals:
+        """``{name: (seconds, count)}`` snapshot, the form :func:`replay_phases` folds in."""
+        with self._lock:
+            return {name: (seconds, count) for name, (seconds, count) in self._table.items()}
+
+    def as_provenance(self) -> Dict[str, Any]:
+        """The JSON-able ``{"phases": …, "events": …}`` block; empty sections are omitted."""
+        phases: Dict[str, Any] = {}
+        events: Dict[str, int] = {}
+        for name, (seconds, count) in sorted(self.phase_totals().items()):
+            if name in EVENT_SCHEMA:
+                events[name] = count
+            else:
+                phases[name] = {"seconds": round(seconds, 4), "events": count}
+        block: Dict[str, Any] = {}
+        if phases:
+            block["phases"] = phases
+        if events:
+            block["events"] = events
+        return block
+
+
+#: The active collector (None = reporting disabled).  A plain global, not a
+#: context-var, so every thread of the process reports into the collector
+#: the main thread installed.
+_ACTIVE: Optional[StatsCollector] = None
+
+
+@contextmanager
+def collect_stats() -> Iterator[StatsCollector]:
+    """Install a collector for the duration of the block and yield it.
+
+    Nested blocks stack: the innermost collector receives the reports.
+    """
+    global _ACTIVE
+    collector = StatsCollector()
+    previous = _ACTIVE
+    _ACTIVE = collector
+    try:
+        yield collector
+    finally:
+        _ACTIVE = previous
+
+
+def record_phase(phase: str, seconds: float) -> None:
+    """Report ``seconds`` spent in ``phase`` (no-op without a collector)."""
+    collector = _ACTIVE
+    if collector is not None:
+        collector.add(phase, seconds)
+
+
+@contextmanager
+def timed_phase(phase: str) -> Iterator[None]:
+    """Time the block and report it (near-zero cost without a collector)."""
+    if _ACTIVE is None:
+        yield
+        return
+    start = time.perf_counter()
+    try:
+        yield
+    finally:
+        record_phase(phase, time.perf_counter() - start)
+
+
+def emit(event: str, **fields: Any) -> None:
+    """Record ``event``: count it, and write its NDJSON line when tracing is on."""
+    collector = _ACTIVE
+    if collector is not None:
+        collector.add(event, 0.0)
+    sink = active_sink()
+    if sink is not None:
+        sink.emit(event, **fields)
+
+
+def replay_phases(totals: Mapping[str, Sequence[float]]) -> None:
+    """Fold a worker's ``{name: (seconds, count)}`` table into the active collector."""
+    collector = _ACTIVE
+    if collector is not None:
+        for name, (seconds, count) in totals.items():
+            collector.add(name, seconds, int(count))
 
 
 # ---------------------------------------------------------------------------
@@ -270,30 +406,3 @@ def validate_trace(path: "str | Path") -> List[str]:
                 problems.append(f"line {lineno}: {problem}")
     return problems
 
-
-# ---------------------------------------------------------------------------
-# the config "telemetry" block
-# ---------------------------------------------------------------------------
-
-_TELEMETRY_KEYS = {"trace"}
-
-
-@dataclass(frozen=True)
-class TelemetryConfig:
-    """Parsed form of a config file's ``"telemetry"`` block."""
-
-    trace: Optional[str] = None
-
-
-def telemetry_from_mapping(
-    data: Mapping[str, Any], *, where: str = "telemetry"
-) -> TelemetryConfig:
-    """Validate and parse a ``"telemetry"`` mapping from a config file."""
-    unknown = sorted(set(data) - _TELEMETRY_KEYS)
-    if unknown:
-        raise ConfigurationError(f"{where}: unknown keys: {', '.join(unknown)}")
-    trace = data.get("trace")
-    if trace is not None:
-        if not isinstance(trace, str) or not trace:
-            raise ConfigurationError(f"{where}: 'trace' must be a non-empty string path")
-    return TelemetryConfig(trace=trace)

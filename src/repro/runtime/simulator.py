@@ -415,6 +415,7 @@ class Simulator:
         self._current_topology = topology
         self._last_activity = activity
 
+        # Trace-only, never counted: an untraced round pays one active_sink() call.
         sink = active_sink()
         if sink is not None:
             sink.emit(

@@ -39,6 +39,13 @@ remote), ``--chunk-size``, ``--workers``, ``--progress`` and
 win); see :mod:`repro.exec`.  Store-backed runs keep a sweep journal under
 ``<store>/.journals`` so a killed sweep resumes exactly where it stopped.
 
+Every run records its phase times and event counts in the stored entry's
+provenance (``repro log`` / ``repro report`` show them).  ``--trace PATH``
+also writes the run's NDJSON event trace, worker processes included: it
+truncates ``PATH`` and sets ``REPRO_TRACE`` for the run (see
+:mod:`repro.obs.trace`).  For a function-level profile use the stdlib:
+``python -m cProfile -s cumtime -m repro bench e04 --backend serial``.
+
 A scenario's delivery path is its spec's ``delivery`` field.  ``repro
 verify`` runs the contract suite; its ``delivery-equivalence`` contract runs
 every scenario config under ``--configs`` on the incremental and kernel
@@ -72,7 +79,7 @@ from repro.exec import (
     use_policy,
 )
 from repro.exec.stats import EXEC_DISPATCH, EXEC_JOURNAL, UNIT_METRICS, UNIT_ROUNDS, UNIT_SETUP
-from repro.obs.trace import telemetry_from_mapping, trace_to
+from repro.obs.trace import trace_to
 from repro.scenarios.audit import audit_store, journal_status
 from repro.scenarios.configs import (
     ExperimentConfig,
@@ -167,27 +174,6 @@ def _build_policy(
     return policy
 
 
-def _trace_scope(
-    args: argparse.Namespace,
-    config_telemetry: Optional[Mapping[str, Any]] = None,
-):
-    """Context manager installing the run's trace sink (no-op when off).
-
-    Precedence mirrors the policy builders: the ``--trace`` flag wins over a
-    config's ``"telemetry"`` block; the ``REPRO_TRACE`` environment variable
-    is handled ambiently by :func:`repro.obs.trace.active_sink` and needs no
-    scope here.  Tracing never changes stored rows — the sink only observes.
-    """
-    flag = getattr(args, "trace", None)
-    if flag:
-        return trace_to(flag)
-    if config_telemetry is not None:
-        telemetry = telemetry_from_mapping(config_telemetry, where="'telemetry' block")
-        if telemetry.trace:
-            return trace_to(telemetry.trace)
-    return nullcontext()
-
-
 # ---------------------------------------------------------------------------
 # run / sweep
 # ---------------------------------------------------------------------------
@@ -261,11 +247,11 @@ def _execute_config(args: argparse.Namespace, config, policy: ExecutionPolicy):
     """Run a scenario/sweep config and store its rows; ``(rows, entry, status)``.
 
     The one execution path of ``repro run``, ``repro sweep`` and ``repro
-    repair``: trace scope and run telemetry around the rows, then the store
-    write with the telemetry block in its provenance.  With ``--no-store``
-    nothing is written and ``entry`` is ``None``.
+    repair``: run telemetry around the rows, then the store write with the
+    telemetry block in its provenance.  With ``--no-store`` nothing is
+    written and ``entry`` is ``None``.
     """
-    with _trace_scope(args, config.telemetry), collect_stats() as stats:
+    with collect_stats() as stats:
         rows = _rows_for_config(config, policy)
     if getattr(args, "no_store", False):
         return rows, None, ""
@@ -317,35 +303,10 @@ def _select_experiments(args: argparse.Namespace) -> Dict[str, ExperimentConfig]
     return selected
 
 
-def _profile_top(profiler, limit: int = 15) -> List[Dict[str, Any]]:
-    """The ``limit`` highest-cumulative-time entries of a cProfile run.
-
-    JSON-shaped for the telemetry provenance block: ``repro log --json``
-    surfaces the full list, the table view the top function.
-    """
-    import pstats
-
-    entries: List[Dict[str, Any]] = []
-    for (filename, line, name), (cc, nc, tt, ct, _callers) in pstats.Stats(
-        profiler
-    ).stats.items():
-        entries.append(
-            {
-                "function": f"{Path(filename).name}:{line}({name})",
-                "calls": int(nc),
-                "tottime": round(tt, 4),
-                "cumtime": round(ct, 4),
-            }
-        )
-    entries.sort(key=lambda entry: -entry["cumtime"])
-    return entries[:limit]
-
-
 def _run_experiments(args: argparse.Namespace, *, scale: str, timings: bool) -> int:
     from repro.analysis.experiments.catalog import EXPERIMENTS, run_experiment
 
     configs = _select_experiments(args)
-    profile = bool(getattr(args, "profile", False))
     code = 0
     for config in configs.values():
         problems = validate_config(config)
@@ -360,69 +321,38 @@ def _run_experiments(args: argparse.Namespace, *, scale: str, timings: bool) -> 
     tables: List[str] = []
     summary: List[Dict[str, Any]] = []
     failed_claims: List[str] = []
-    # A --trace flag covers the whole selection in one file; opening it per
-    # experiment would truncate the previous experiment's events.  Without
-    # the flag, each config's own "telemetry" block scopes its experiment.
-    flag_scope = trace_to(args.trace) if getattr(args, "trace", None) else nullcontext()
-    with flag_scope:
-        for experiment_id, config in sorted(configs.items()):
-            params = config.params_for(scale)
-            policy = _build_policy(args, config.execution, backend="process")
-            if profile:
-                # Profiling is in-process by definition: pooled workers would
-                # hide the hot loop from the parent's profiler.  The transport
-                # options belong to the remote backend this overrides.
-                policy = policy.replace(backend="serial", transport=None, hosts=None)
-            config_scope = (
-                nullcontext()
-                if getattr(args, "trace", None)
-                else _trace_scope(args, config.telemetry)
-            )
-            started = time.perf_counter()
-            profiler = None
-            with config_scope, collect_stats() as stats:
-                with use_policy(policy):
-                    if profile:
-                        import cProfile
-
-                        profiler = cProfile.Profile()
-                        profiler.enable()
-                    try:
-                        rows = run_experiment(experiment_id, params)
-                    finally:
-                        if profiler is not None:
-                            profiler.disable()
-            elapsed = time.perf_counter() - started
-            telemetry = stats.as_provenance()
-            if profiler is not None:
-                telemetry["profile"] = _profile_top(profiler)
-            store_started = time.perf_counter()
-            entry, status = _put_with_telemetry(store, config, rows, telemetry, scale=scale)
-            stored = store.load(entry.path)
-            store_elapsed = time.perf_counter() - store_started
-            title = f"{config.title}  [{scale}]"
-            tables.append(
-                _emit_entry(stored, title=title, columns=config.columns, status=status)
-            )
-            if scale == "bench":
-                failed_claims += EXPERIMENTS[experiment_id].check(stored.rows)
-            summary.append(
-                {
-                    "experiment": experiment_id,
-                    "rows": float(len(stored.rows)),
-                    "status": status,
-                    "seconds": round(elapsed, 2),
-                    # Phase splits (see repro.exec.stats): unit phases are summed
-                    # over every unit, wherever it ran; dispatch_s is the
-                    # backend's wall time around them.
-                    "setup_s": round(stats.seconds(UNIT_SETUP), 2),
-                    "rounds_s": round(stats.seconds(UNIT_ROUNDS), 2),
-                    "metrics_s": round(stats.seconds(UNIT_METRICS), 2),
-                    "dispatch_s": round(stats.seconds(EXEC_DISPATCH), 2),
-                    "journal_s": round(stats.seconds(EXEC_JOURNAL), 3),
-                    "store_s": round(store_elapsed, 3),
-                }
-            )
+    for experiment_id, config in sorted(configs.items()):
+        params = config.params_for(scale)
+        policy = _build_policy(args, config.execution, backend="process")
+        started = time.perf_counter()
+        with collect_stats() as stats, use_policy(policy):
+            rows = run_experiment(experiment_id, params)
+        elapsed = time.perf_counter() - started
+        store_started = time.perf_counter()
+        entry, status = _put_with_telemetry(store, config, rows, stats.as_provenance(), scale=scale)
+        stored = store.load(entry.path)
+        store_elapsed = time.perf_counter() - store_started
+        title = f"{config.title}  [{scale}]"
+        tables.append(_emit_entry(stored, title=title, columns=config.columns, status=status))
+        if scale == "bench":
+            failed_claims += EXPERIMENTS[experiment_id].check(stored.rows)
+        summary.append(
+            {
+                "experiment": experiment_id,
+                "rows": float(len(stored.rows)),
+                "status": status,
+                "seconds": round(elapsed, 2),
+                # Phase splits (see repro.exec.stats): unit phases are summed
+                # over every unit, wherever it ran; dispatch_s is the
+                # backend's wall time around them.
+                "setup_s": round(stats.seconds(UNIT_SETUP), 2),
+                "rounds_s": round(stats.seconds(UNIT_ROUNDS), 2),
+                "metrics_s": round(stats.seconds(UNIT_METRICS), 2),
+                "dispatch_s": round(stats.seconds(EXEC_DISPATCH), 2),
+                "journal_s": round(stats.seconds(EXEC_JOURNAL), 3),
+                "store_s": round(store_elapsed, 3),
+            }
+        )
     if timings and summary:
         _print(format_table(summary, title=f"{len(summary)} experiments ({scale} scale)").rstrip())
         _print(
@@ -905,10 +835,6 @@ def _cmd_log(args: argparse.Namespace) -> int:
                 f"{name}={block.get('seconds', 0.0):.2f}s" for name, block in top
             ),
         }
-        hotspots = telemetry.get("profile") or []
-        if hotspots:
-            head = hotspots[0]
-            row["hotspot"] = f"{head.get('function')} {head.get('cumtime', 0.0):.2f}s"
         if args.json and telemetry:
             row["telemetry"] = telemetry
         rows.append(row)
@@ -1044,10 +970,10 @@ def _add_telemetry_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--trace",
         metavar="PATH",
-        help="write an NDJSON structured-event trace of the run to PATH "
-        "(round/chunk/dispatch lifecycle; store rows are unaffected). "
-        "Default: from the config's 'telemetry' block, else the REPRO_TRACE "
-        "environment variable, else off",
+        help="write an NDJSON structured-event trace of the run, worker "
+        "processes included, to PATH (round/unit/chunk/dispatch lifecycle; "
+        "store rows are unaffected). Default: the REPRO_TRACE environment "
+        "variable, else off",
     )
 
 
@@ -1107,12 +1033,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--smoke",
         action="store_true",
         help="smoke-sized dry run of the harness (claims are checked at bench scale only)",
-    )
-    bench.add_argument(
-        "--profile",
-        action="store_true",
-        help="cProfile the run (forces serial) and store the top cumulative "
-        "entries in the telemetry provenance ('repro log' shows the hotspot)",
     )
     bench.add_argument("--tables", help="also write all tables to this file")
     bench.add_argument(
@@ -1279,8 +1199,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point of ``repro`` / ``python -m repro``; returns the exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    trace = getattr(args, "trace", None)
     try:
-        return args.fn(args)
+        with trace_to(trace) if trace else nullcontext():
+            return args.fn(args)
     except ReproError as exc:
         return _fail(f"error: {exc}")
     except KeyboardInterrupt:

@@ -19,6 +19,10 @@ name must exist in its registry (unknown names produce a message listing
 near-miss suggestions from ``available()`` instead of a raw lookup error deep
 inside the registry), sweep grids must expand to constructible specs, and
 experiment parameters must match the experiment function's signature.
+
+A config carries no tracing switch: tracing is per run (``--trace PATH`` or
+``REPRO_TRACE``), and a retired ``"telemetry"`` block fails to load with a
+:class:`~repro.errors.ConfigurationError` that says so.
 """
 
 from __future__ import annotations
@@ -62,7 +66,6 @@ class ScenarioConfig:
     spec: ScenarioSpec
     path: Optional[Path] = None
     execution: Optional[Mapping[str, Any]] = None
-    telemetry: Optional[Mapping[str, Any]] = None
 
     kind = "scenario"
 
@@ -79,7 +82,6 @@ class SweepConfig:
     over: Mapping[str, Sequence[Any]]
     path: Optional[Path] = None
     execution: Optional[Mapping[str, Any]] = None
-    telemetry: Optional[Mapping[str, Any]] = None
 
     kind = "sweep"
 
@@ -100,7 +102,6 @@ class ExperimentConfig:
     columns: Optional[Tuple[str, ...]] = None
     path: Optional[Path] = None
     execution: Optional[Mapping[str, Any]] = None
-    telemetry: Optional[Mapping[str, Any]] = None
 
     kind = "experiment"
 
@@ -153,27 +154,25 @@ def load_config(path: Union[str, Path]) -> Config:
             f"config {path}: 'execution' must be a JSON object, got {execution!r}"
         )
     execution = None if execution is None else dict(execution)
-    telemetry = data.get("telemetry")
-    if telemetry is not None and not isinstance(telemetry, Mapping):
+    if "telemetry" in data:
         raise ConfigurationError(
-            f"config {path}: 'telemetry' must be a JSON object, got {telemetry!r}"
+            f"config {path}: the 'telemetry' block is retired; trace a run with "
+            "'--trace PATH' or the REPRO_TRACE=PATH environment variable"
         )
-    telemetry = None if telemetry is None else dict(telemetry)
     if kind == "scenario":
         if "spec" not in data:
             raise ConfigurationError(f"scenario config {path} is missing its 'spec'")
-        _reject_unknown(path, data, {"kind", "spec", "execution", "telemetry"})
+        _reject_unknown(path, data, {"kind", "spec", "execution"})
         return ScenarioConfig(
             spec=ScenarioSpec.from_dict(data["spec"]),
             path=path,
             execution=execution,
-            telemetry=telemetry,
         )
     if kind == "sweep":
         for required in ("spec", "over"):
             if required not in data:
                 raise ConfigurationError(f"sweep config {path} is missing its {required!r}")
-        _reject_unknown(path, data, {"kind", "spec", "over", "execution", "telemetry"})
+        _reject_unknown(path, data, {"kind", "spec", "over", "execution"})
         over = data["over"]
         if not isinstance(over, Mapping) or not over:
             raise ConfigurationError(f"sweep config {path}: 'over' must be a non-empty object")
@@ -190,7 +189,6 @@ def load_config(path: Union[str, Path]) -> Config:
             over={str(k): list(v) for k, v in over.items()},
             path=path,
             execution=execution,
-            telemetry=telemetry,
         )
     if kind == "experiment":
         for required in ("experiment", "title"):
@@ -208,7 +206,6 @@ def load_config(path: Union[str, Path]) -> Config:
                 "smoke_params",
                 "columns",
                 "execution",
-                "telemetry",
             },
         )
         columns = data.get("columns")
@@ -221,7 +218,6 @@ def load_config(path: Union[str, Path]) -> Config:
             columns=None if columns is None else tuple(columns),
             path=path,
             execution=execution,
-            telemetry=telemetry,
         )
     raise ConfigurationError(
         f"config {path} has unknown kind {kind!r} (expected scenario, sweep or experiment)"
@@ -307,31 +303,16 @@ def _validate_execution(config: Config, where: str) -> List[str]:
     return []
 
 
-def _validate_telemetry(config: Config, where: str) -> List[str]:
-    """Problems with a config's optional ``"telemetry"`` block."""
-    if config.telemetry is None:
-        return []
-    from repro.obs.trace import telemetry_from_mapping
-
-    try:
-        telemetry_from_mapping(config.telemetry, where="'telemetry' block")
-    except ConfigurationError as exc:
-        return [f"{where}{exc}"]
-    return []
-
-
 def validate_config(config: Config) -> List[str]:
     """Validate one loaded config; returns problem messages ([] when clean)."""
     where = f"{config.path}: " if config.path is not None else ""
     if isinstance(config, ScenarioConfig):
         problems = [where + problem for problem in validate_spec(config.spec)]
         problems.extend(_validate_execution(config, where))
-        problems.extend(_validate_telemetry(config, where))
         return problems
     if isinstance(config, SweepConfig):
         problems = [where + problem for problem in validate_spec(config.spec)]
         problems.extend(_validate_execution(config, where))
-        problems.extend(_validate_telemetry(config, where))
         for axis, values in config.over.items():
             if not values:
                 problems.append(f"{where}sweep axis {axis!r} has no values")
@@ -350,7 +331,6 @@ def validate_config(config: Config) -> List[str]:
         from repro.analysis.experiments.catalog import EXPERIMENTS, experiment_defaults
 
         problems = _validate_execution(config, where)
-        problems.extend(_validate_telemetry(config, where))
         if config.experiment not in EXPERIMENTS:
             hint = suggestion_hint(config.experiment, EXPERIMENTS)
             problems.append(

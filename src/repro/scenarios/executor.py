@@ -120,22 +120,21 @@ def _build_context(spec: ScenarioSpec, seed: int) -> ScenarioContext:
 def _execute_seed(spec: ScenarioSpec, seed: int) -> Tuple[Row, Simulator]:
     """Run one seed-replication and return its metric row plus the simulator.
 
-    Reports per-phase timings (setup / round loop / metric extraction) into
-    the ambient :mod:`repro.exec.stats` collector when one is installed —
-    that is where ``repro bench``'s timing splits come from.
+    Records per-phase timings (setup / round loop / metric extraction) and
+    the ``unit_begin`` / ``unit_end`` events with the run recorder
+    (:mod:`repro.obs.trace`) — that is where ``repro bench``'s timing splits
+    come from.
     """
     from repro.exec.stats import UNIT_METRICS, UNIT_ROUNDS, UNIT_SETUP, timed_phase
-    from repro.obs.trace import active_sink
+    from repro.obs.trace import emit
 
-    sink = active_sink()
-    if sink is not None:
-        sink.emit(
-            "unit_begin",
-            label=spec.label,
-            seed=int(seed),
-            algorithm=spec.algorithm.name,
-            adversary=spec.adversary.name,
-        )
+    emit(
+        "unit_begin",
+        label=spec.label,
+        seed=int(seed),
+        algorithm=spec.algorithm.name,
+        adversary=spec.adversary.name,
+    )
     with timed_phase(UNIT_SETUP):
         ctx = _build_context(spec, seed)
         stop_when = None
@@ -174,13 +173,7 @@ def _execute_seed(spec: ScenarioSpec, seed: int) -> Tuple[Row, Simulator]:
             row.update(METRICS.get(metric.name)(ctx, **metric.params))
         if probe is not None:
             row.update(probe.finish())
-    if sink is not None:
-        sink.emit(
-            "unit_end",
-            seed=int(seed),
-            rounds=sim.trace.num_rounds,
-            delivery=sim.delivery,
-        )
+    emit("unit_end", seed=int(seed), rounds=sim.trace.num_rounds, delivery=sim.delivery)
     return row, sim
 
 

@@ -143,11 +143,13 @@ class TestRun:
             ["experiments", "e04", "--verify", "kernel"],
             ["bench", "e04", "--verify", "kernel"],
             ["repair", "--verify", "incremental"],
+            ["bench", "e04", "--profile"],
         ],
     )
     def test_deleted_backend_switches_are_rejected(self, argv, capsys):
         # --backend is the one backend selector and a spec's "delivery" the
-        # one path selector; the old switches (and in-run --verify) are gone.
+        # one path selector; the old switches (in-run --verify, and --profile,
+        # which `python -m cProfile -m repro bench` replaces) are gone.
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
@@ -162,6 +164,33 @@ class TestRun:
         assert proc.returncode == 1
         assert "unknown keys ['verification']" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("kind", ["scenario", "sweep", "experiment"])
+    def test_telemetry_block_is_rejected(self, tmp_path, kind):
+        # Tracing is per run (--trace / REPRO_TRACE); a config block no longer turns it on.
+        payloads = {
+            "scenario": SCENARIO_CONFIG,
+            "sweep": {"kind": "sweep", "spec": SCENARIO_CONFIG["spec"], "over": {"n": [8]}},
+            "experiment": json.loads((CONFIGS_DIR / "experiments" / "e04.json").read_text()),
+        }
+        (tmp_path / "experiments").mkdir()
+        config = write_config(
+            tmp_path / "experiments",
+            {**payloads[kind], "telemetry": {"trace": str(tmp_path / "t.ndjson")}},
+            name="e04.json",
+        )
+        execute = {
+            "scenario": ["run", str(config)],
+            "sweep": ["sweep", str(config)],
+            "experiment": ["experiments", "e04", "--smoke", "--configs", str(tmp_path)],
+        }[kind]
+        for argv in (["validate", str(config)], [*execute, "--store", str(tmp_path / "store")]):
+            proc = run_cli(*argv)
+            assert proc.returncode == 1, argv
+            assert "'telemetry' block is retired" in proc.stderr
+            assert "--trace PATH" in proc.stderr and "REPRO_TRACE" in proc.stderr
+            assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "t.ndjson").exists()
 
     def test_wrong_config_kind_is_rejected(self, tmp_path, capsys):
         config = write_config(
@@ -289,20 +318,6 @@ class TestBench:
 
         monkeypatch.undo()
         assert main(argv) == 0  # the real claim holds on these rows
-
-    def test_profile_runs_in_process_on_a_pooled_backend(self, tmp_path):
-        # Two units and two workers: without --profile this batch would run
-        # in a real process pool, out of the profiler's sight.
-        smoke = {"n": 24, "flip_probs": [0.01], "seeds": [0, 1], "rounds_factor": 2}
-        configs = self._e04_tree(tmp_path, smoke_params=smoke)
-        store = tmp_path / "store"
-        argv = ["bench", "e04", "--smoke", "--profile", "--backend", "process"]
-        argv += ["--workers", "2", "--configs", str(configs), "--store", str(store)]
-        assert main(argv) == 0
-        (entry,) = ResultsStore(store).entries("smoke")
-        profile = entry.provenance["telemetry"]["profile"]
-        assert profile
-        assert any("run_scenario_seed" in item["function"] for item in profile)
 
 
 class TestDriftGate:

@@ -482,7 +482,7 @@ class TestExecStats:
         assert stats.events(UNIT_ROUNDS) == 3
         assert stats.seconds(UNIT_ROUNDS) > 0.0
         assert stats.seconds(EXEC_DISPATCH) >= stats.seconds(UNIT_ROUNDS)
-        snapshot = stats.as_dict()
+        snapshot = stats.phase_totals()
         assert UNIT_SETUP in snapshot and UNIT_ROUNDS in snapshot
 
     def test_reporting_is_noop_without_collector(self):

@@ -1,15 +1,18 @@
-"""Observability layer: structured tracing, run telemetry, reporting.
+"""Observability layer: the run recorder, structured tracing, reporting.
 
-Covers the trace sink and its schema, the run-telemetry collector's
-counters/gauges/histograms and provenance block, the instrumented
-simulator/runner/dispatcher paths, phase parity across backends, the
-worker-timings aggregation under re-dispatch, and the consumer verbs
-(``repro trace``, ``repro report``) — including the house invariant that
-tracing on/off leaves store rows byte-identical.
+Covers the trace sink and its schema, the recorder's one
+``{name: (seconds, count)}`` table and its provenance block, the
+instrumented simulator/runner/dispatcher paths, phase, event and trace
+parity across backends, the worker-timings aggregation under re-dispatch,
+and the consumer verbs (``repro trace``, ``repro report``) — including the
+house invariant that tracing on/off leaves store rows byte-identical.
 """
 
 import io
 import json
+import os
+import re
+from pathlib import Path
 
 import pytest
 
@@ -25,26 +28,23 @@ from repro.exec.stats import (
     UNIT_SETUP,
     StatsCollector,
     collect_stats,
-    metric_gauge,
-    metric_inc,
-    metric_observe,
     record_phase,
     replay_phases,
 )
 from repro.exec.units import build_chunks
 from repro.obs.trace import (
+    EVENT_SCHEMA,
     TRACE_ENV,
     TraceSink,
     active_sink,
     emit,
     read_trace,
     refresh_from_env,
-    telemetry_from_mapping,
     trace_to,
     validate_event,
     validate_trace,
 )
-from repro.scenarios import ScenarioSpec, component
+from repro.scenarios import ScenarioSpec, component, sweep
 from repro.scenarios.store import canonical_json
 
 
@@ -205,41 +205,23 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="invalid trace line"):
             read_trace(path)
 
-    def test_telemetry_block_parsing(self):
-        assert telemetry_from_mapping({}).trace is None
-        assert telemetry_from_mapping({"trace": "runs/t.ndjson"}).trace == "runs/t.ndjson"
-        with pytest.raises(ConfigurationError, match="unknown keys: tarce"):
-            telemetry_from_mapping({"tarce": "x"})
-        with pytest.raises(ConfigurationError, match="non-empty string"):
-            telemetry_from_mapping({"trace": 5})
-
 
 # ---------------------------------------------------------------------------
-# run telemetry: counters, gauges, histograms and the provenance block
+# the recorder: one {name: (seconds, count)} table and its provenance block
 # ---------------------------------------------------------------------------
 
 
 class TestRunTelemetry:
-    def test_counters_gauges_histograms(self):
-        stats = StatsCollector()
-        stats.inc("a")
-        stats.inc("a", 4)
-        stats.set_gauge("g", 1.25)
-        for value in (1.0, 3.0, 2.0):
-            stats.observe("h", value)
-        assert stats.counter("a") == 5
-        assert stats.gauge("g") == 1.25
-        assert stats.histogram("h") == {
-            "count": 3,
-            "total": 6.0,
-            "min": 1.0,
-            "max": 3.0,
-        }
-        block = stats.as_provenance()
-        assert block["counters"] == {"a": 5}
-        assert block["gauges"] == {"g": 1.25}
-        assert block["histograms"]["h"]["mean"] == 2.0
-        assert "phases" not in block
+    def test_emit_counts_the_event_once(self, tmp_path):
+        with collect_stats() as stats:
+            emit("chunk_done", chunk=0, units=2)  # no sink: counted only
+            path = tmp_path / "t.ndjson"
+            with trace_to(path):
+                emit("chunk_done", chunk=1, units=3)  # counted and written
+        assert stats.events("chunk_done") == 2
+        assert stats.seconds("chunk_done") == 0.0
+        assert len(_events(path, "chunk_done")) == 1
+        assert stats.as_provenance() == {"events": {"chunk_done": 2}}
 
     def test_empty_collector_yields_empty_block(self):
         assert StatsCollector().as_provenance() == {}
@@ -254,54 +236,55 @@ class TestRunTelemetry:
         """Section order, key order and rounding of the stored block."""
         stats = StatsCollector()
         stats.add("z_phase", 0.123456)
-        stats.add("a_phase", 1.0, events=3)
-        stats.inc("z.count")
-        stats.inc("a.count", 2)
-        stats.set_gauge("rate", 1 / 3)
-        stats.observe("h", 1 / 3)
+        stats.add("a_phase", 1.0, count=3)
+        stats.add("unit_end", 0.0)
+        stats.add("chunk_done", 0.0, count=2)
         block = stats.as_provenance()
-        assert list(block) == ["phases", "counters", "gauges", "histograms"]
+        assert list(block) == ["phases", "events"]
         assert list(block["phases"]) == ["a_phase", "z_phase"]
         assert block["phases"]["z_phase"] == {"seconds": 0.1235, "events": 1}
         assert block["phases"]["a_phase"] == {"seconds": 1.0, "events": 3}
-        assert list(block["counters"]) == ["a.count", "z.count"]
-        assert block["gauges"] == {"rate": 0.333333}
-        assert block["histograms"]["h"] == {
-            "count": 1,
-            "total": 0.333333,
-            "min": 0.333333,
-            "max": 0.333333,
-            "mean": 0.333333,
-        }
+        assert block["events"] == {"chunk_done": 2, "unit_end": 1}
+        assert list(block["events"]) == ["chunk_done", "unit_end"]
 
     def test_replay_phases_folds_worker_totals(self):
         with collect_stats() as worker:
             record_phase(UNIT_ROUNDS, 0.25)
             record_phase(UNIT_ROUNDS, 0.5)
+            emit("unit_end", seed=0, rounds=1, delivery="full")
         with collect_stats() as stats:
             replay_phases(worker.phase_totals())
             replay_phases({UNIT_ROUNDS: [1.0, 2]})  # the JSON wire form
         assert stats.seconds(UNIT_ROUNDS) == pytest.approx(1.75)
         assert stats.events(UNIT_ROUNDS) == 4
+        assert stats.events("unit_end") == 1  # events ride the same table home
         replay_phases({UNIT_ROUNDS: (1.0, 1)})  # no collector: a no-op
 
-    def test_ambient_helpers_are_noops_when_off(self):
-        metric_inc("x")  # none of these may raise without a collector
-        metric_gauge("y", 1.0)
-        metric_observe("z", 2.0)
+    def test_recording_is_a_noop_when_off(self):
+        record_phase("x", 1.0)  # none of these may raise without a collector
+        emit("ping", worker="nowhere")
 
     def test_collect_stats_installs_and_restores(self):
         with collect_stats() as outer:
             with collect_stats() as stats:
-                metric_inc("exec.units", 2)
-                metric_gauge("rate", 4.0)
-                metric_observe("chunk", 3.0)
-            metric_inc("exec.units")  # lands in the restored outer collector
-        metric_inc("exec.units")  # no collector: dropped
-        assert stats.counter("exec.units") == 2
-        assert stats.gauge("rate") == 4.0
-        assert stats.histogram("chunk")["count"] == 1
-        assert outer.as_provenance() == {"counters": {"exec.units": 1}}
+                emit("chunk_done", chunk=0, units=2)
+                emit("chunk_done", chunk=1, units=2)
+            emit("chunk_done", chunk=2, units=1)  # lands in the restored outer collector
+        emit("chunk_done", chunk=3, units=1)  # no collector: dropped
+        assert stats.events("chunk_done") == 2
+        assert outer.as_provenance() == {"events": {"chunk_done": 1}}
+
+    def test_every_emitted_event_is_in_the_schema(self):
+        """A literal ``emit("name", …)`` anywhere in the package names a schema
+        event — an unlisted one would fail ``repro trace --validate`` and be
+        filed under phases in the provenance block."""
+        src = Path(__file__).resolve().parents[1] / "src" / "repro"
+        pattern = re.compile(r"\bemit\(\s*\"([a-z_]+)\"")
+        names = set()
+        for path in src.rglob("*.py"):
+            names.update(pattern.findall(path.read_text(encoding="utf-8")))
+        assert {"round", "unit_begin", "chunk_done", "shm_publish", "dispatch"} <= names
+        assert sorted(names - set(EVENT_SCHEMA)) == []
 
 
 # ---------------------------------------------------------------------------
@@ -377,14 +360,28 @@ class TestPipelineEvents:
         (begin,) = _events(path, "batch_begin")
         assert begin["restored"] == restore["restored"]
 
-    def test_collector_captures_runner_counters(self):
+    def test_collector_counts_runner_events(self):
         units = units_for_spec(tiny_spec())
         with collect_stats() as stats:
             run_units(units, ExecutionPolicy(backend="serial"))
-        assert stats.counter("exec.units") == 3
-        assert stats.counter("exec.chunks") >= 1
-        block = stats.as_provenance()
-        assert block["histograms"]["exec.chunk_units"]["count"] >= 1
+        events = stats.as_provenance()["events"]
+        assert events["batch_begin"] == events["batch_end"] == 1
+        assert events["unit_begin"] == events["unit_end"] == 3
+        assert events["chunk_done"] >= 1
+        assert "round" not in events  # per-round events are trace-only
+
+    def test_traced_process_sweep_with_shared_topology_validates(self, tmp_path):
+        """Two grid points share every seed, so the pooled batch publishes
+        their topology to shared memory; the trace must stay schema-valid."""
+        spec = tiny_spec(seeds=(0, 1))
+        policy = ExecutionPolicy(backend="process", max_workers=2, chunk_size=1)
+        path = tmp_path / "sweep.ndjson"
+        with trace_to(path), collect_stats() as stats:
+            sweep(spec, over={"algorithm": ["dynamic-coloring", "dynamic-mis"]}, execution=policy)
+        assert validate_trace(path) == []
+        published = _events(path, "shm_publish")
+        assert published and published[0]["segments"] >= 1
+        assert stats.events("shm_publish") == len(published)
 
 
 # ---------------------------------------------------------------------------
@@ -392,18 +389,49 @@ class TestPipelineEvents:
 # ---------------------------------------------------------------------------
 
 
+#: Events only some transports emit: the shared-memory publication of pooled
+#: batches and the remote dispatcher's decisions.
+_TRANSPORT_EVENTS = {"shm_publish", "dispatch", "chunk_result", "ping", "split"}
+
+
 @pytest.mark.parametrize("backend", ["serial", "process", "remote"])
 def test_backend_telemetry_parity(backend):
-    """Every backend reports the same phase keys, one unit-phase event per unit."""
+    """Every backend reports the same phase keys and the same pipeline
+    events, one unit-phase and one unit event per unit."""
     units = units_for_spec(tiny_spec(seeds=tuple(range(6))))
     policy = ExecutionPolicy(backend=backend, max_workers=2, chunk_size=2)
     with collect_stats() as stats:
         run_units(units, policy)
-    assert stats.counter("exec.serial_fallbacks") == 0  # the named backend did the work
-    phases = stats.as_provenance()["phases"]
+    block = stats.as_provenance()
+    phases, events = block["phases"], block["events"]
     assert set(phases) == {UNIT_SETUP, UNIT_ROUNDS, UNIT_METRICS, EXEC_DISPATCH}
     for phase in (UNIT_SETUP, UNIT_ROUNDS, UNIT_METRICS):
         assert phases[phase]["events"] == len(units)
+    # No serial_fallback: the named backend did the work.
+    assert set(events) - _TRANSPORT_EVENTS == {
+        "batch_begin",
+        "batch_end",
+        "chunk_done",
+        "unit_begin",
+        "unit_end",
+    }
+    assert events["unit_begin"] == events["unit_end"] == len(units)
+    assert events["chunk_done"] == 3
+
+
+@pytest.mark.parametrize("backend", ["serial", "process", "remote"])
+def test_trace_reaches_every_worker(backend, tmp_path):
+    """``trace_to`` (what ``--trace`` installs) records the worker-side
+    unit and round events on every backend, pooled and remote included."""
+    units = units_for_spec(tiny_spec(seeds=tuple(range(4)), rounds=5))
+    policy = ExecutionPolicy(backend=backend, max_workers=2, chunk_size=2)
+    path = tmp_path / f"{backend}.ndjson"
+    with trace_to(path):
+        run_units(units, policy)
+    assert os.environ.get(TRACE_ENV) is None  # restored after the block
+    assert validate_trace(path) == []
+    counts = {name: len(_events(path, name)) for name in ("unit_begin", "round", "unit_end")}
+    assert counts == {"unit_begin": 4, "round": 4 * 5, "unit_end": 4}
 
 
 class TestRemoteTimings:
@@ -426,8 +454,8 @@ class TestRemoteTimings:
 
         rows = [row for index in sorted(got) for row in got[index]]
         assert canonical_json(rows) == expected
-        workers_lost = stats.counter("exec.remote.workers_lost")
-        redispatched = stats.counter("exec.remote.redispatched")
+        workers_lost = stats.events("worker_lost")
+        redispatched = stats.events("redispatch")
         assert workers_lost >= 1
         assert redispatched >= 1
 
@@ -444,7 +472,7 @@ class TestRemoteTimings:
         expected_rounds = sum(
             event["timings"].get(UNIT_ROUNDS, 0.0) for event in results
         )
-        assert stats.as_dict()[UNIT_ROUNDS] == pytest.approx(expected_rounds)
+        assert stats.seconds(UNIT_ROUNDS) == pytest.approx(expected_rounds)
         assert stats.events(UNIT_ROUNDS) == len(units)
 
     def test_duplicate_result_is_dropped_before_timings_replay(self, tmp_path):
@@ -459,9 +487,11 @@ class TestRemoteTimings:
         assert stats.events(UNIT_ROUNDS) == 0
         assert _events(path, "chunk_result") == []
 
-    def test_fleet_counters_match_trace_events(self, tmp_path, monkeypatch, fleet_ready):
-        """Each fleet counter is counted once, in the collector, and agrees
-        with the dispatcher's trace events."""
+    def test_event_counts_match_trace_lines(self, tmp_path, monkeypatch, fleet_ready):
+        """Each event is recorded once: for every event the dispatcher
+        emitted, the provenance count equals the trace's line count.  Worker
+        events come home only with absorbed results, so the dead attempt's
+        unit lines are in the trace but not in the counts."""
         units = units_for_spec(tiny_spec(seeds=tuple(range(8))))
         path = tmp_path / "fleet.ndjson"
         monkeypatch.setenv(WORKER_INTERRUPT_ENV, "2")
@@ -470,24 +500,27 @@ class TestRemoteTimings:
             fleet_ready(backend)
             list(backend.submit_batch(build_chunks(units, 2)))
         monkeypatch.delenv(WORKER_INTERRUPT_ENV)
-        counters = stats.as_provenance()["counters"]
-        assert counters["exec.remote.tasks_dispatched"] == len(_events(path, "dispatch"))
-        assert counters["exec.remote.workers_lost"] == len(_events(path, "worker_lost")) >= 1
-        assert counters["exec.remote.redispatched"] == len(_events(path, "redispatch")) >= 1
+        events = stats.as_provenance()["events"]
+        lines = read_trace(path)
+        here = {line["event"] for line in lines if line["pid"] == os.getpid()}
+        assert {"dispatch", "worker_lost", "redispatch", "chunk_result"} <= here
+        for name in here:
+            assert events[name] == len(_events(path, name)), name
+        assert events["worker_lost"] >= 1 and events["redispatch"] >= 1
+        assert events["unit_begin"] == events["unit_end"] == len(units)
+        assert len(_events(path, "unit_end")) >= len(units)
 
 
 # ---------------------------------------------------------------------------
-# CLI: --trace, the telemetry config block, trace/report/log verbs
+# CLI: --trace, the trace/report/log verbs
 # ---------------------------------------------------------------------------
 
 
-def _scenario_config(tmp_path, telemetry=None):
+def _scenario_config(tmp_path):
     config = {
         "kind": "scenario",
         "spec": tiny_spec(name="obs-demo", seeds=(0, 1)).to_dict(),
     }
-    if telemetry is not None:
-        config["telemetry"] = telemetry
     path = tmp_path / "obs-demo.json"
     path.write_text(json.dumps(config), encoding="utf-8")
     return path
@@ -533,39 +566,6 @@ class TestCli:
         ) == 0
         assert path.read_bytes() == before  # unchanged put: bytes untouched
 
-    def test_config_telemetry_block_enables_tracing(self, tmp_path):
-        from repro.scenarios.cli import main
-
-        trace_path = tmp_path / "from-config.ndjson"
-        config = _scenario_config(tmp_path, telemetry={"trace": str(trace_path)})
-        assert main(["run", str(config), "--store", str(tmp_path / "store")]) == 0
-        assert trace_path.is_file()
-        assert validate_trace(trace_path) == []
-        assert _events(trace_path, "unit_end")
-
-    def test_cli_flag_wins_over_config_telemetry(self, tmp_path):
-        from repro.scenarios.cli import main
-
-        config_path_trace = tmp_path / "config-trace.ndjson"
-        flag_trace = tmp_path / "flag-trace.ndjson"
-        config = _scenario_config(tmp_path, telemetry={"trace": str(config_path_trace)})
-        assert main(
-            ["run", str(config), "--store", str(tmp_path / "store"),
-             "--trace", str(flag_trace)]
-        ) == 0
-        assert flag_trace.is_file() and not config_path_trace.exists()
-
-    def test_validate_rejects_bad_telemetry_block(self, tmp_path):
-        from repro.scenarios.cli import main
-
-        good = _scenario_config(tmp_path, telemetry={"trace": "runs/t.ndjson"})
-        assert main(["validate", str(good)]) == 0
-        bad = tmp_path / "bad.json"
-        config = json.loads(good.read_text(encoding="utf-8"))
-        config["telemetry"] = {"trace": 5}
-        bad.write_text(json.dumps(config), encoding="utf-8")
-        assert main(["validate", str(bad)]) == 1
-
     def test_trace_verb_summarises_filters_and_validates(self, tmp_path, capsys):
         from repro.scenarios.cli import main
 
@@ -610,7 +610,8 @@ class TestCli:
         out = capsys.readouterr().out
         assert "# Study report" in out
         assert "## Phase-time splits" in out
-        assert "## Fleet utilization" in out
+        assert "## Event counts" in out
+        assert "unit_begin" in out
         assert "| scenarios/obs-demo |" in out
 
         out_file = tmp_path / "report.md"

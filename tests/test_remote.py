@@ -120,7 +120,7 @@ class TestRemoteByteIdentity:
         backend = RemoteBackend(2, target_seconds=1e-9, cost_estimator=estimator)
         with collect_stats() as stats, backend:
             got = dict(backend.submit_batch(chunks))
-        assert stats.counter("exec.remote.splits") > 0
+        assert stats.events("split") > 0
         rows = [row for index in sorted(got) for row in got[index]]
         assert canonical_json(rows) == expected
 
@@ -135,7 +135,7 @@ class TestRemoteByteIdentity:
         backend = RemoteBackend(2, target_seconds=1e-9, cost_estimator=estimator)
         with collect_stats() as stats, backend:
             got = dict(backend.submit_batch(chunks))
-        assert stats.counter("exec.remote.splits") > 0
+        assert stats.events("split") > 0
         for chunk in chunks:
             serial, _ = execute_chunk((chunk.spec_key, chunk.spec_dict, chunk.seeds))
             assert canonical_json(got[chunk.index]) == canonical_json(serial)
@@ -155,8 +155,8 @@ class TestFaultTolerance:
         with collect_stats() as stats, backend:
             fleet_ready(backend)
             got = dict(backend.submit_batch(build_chunks(units, 3)))
-        assert stats.counter("exec.remote.workers_lost") >= 1
-        assert stats.counter("exec.remote.redispatched") >= 1
+        assert stats.events("worker_lost") >= 1
+        assert stats.events("redispatch") >= 1
         rows = [row for index in sorted(got) for row in got[index]]
         assert canonical_json(rows) == expected
 
@@ -169,7 +169,7 @@ class TestFaultTolerance:
         with collect_stats() as stats, backend:
             fleet_ready(backend)
             got = dict(backend.submit_batch(build_chunks(units, 3)))
-        assert stats.counter("exec.remote.workers_lost") >= 1
+        assert stats.events("worker_lost") >= 1
         rows = [row for index in sorted(got) for row in got[index]]
         assert canonical_json(rows) == expected
 
@@ -228,7 +228,7 @@ class TestFaultTolerance:
             state.pong_deadline = 0.0  # the grace lapsed with no line at all
             backend._heartbeat({}, [])
         assert 0 not in backend._workers
-        assert stats.counter("exec.remote.workers_lost") == 1
+        assert stats.events("worker_lost") == 1
 
     def test_worker_side_unit_error_reaches_the_caller(self, reference):
         """A genuine unit failure (unknown component in the worker) is a
