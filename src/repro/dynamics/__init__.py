@@ -7,9 +7,8 @@ This subpackage provides everything "below" the distributed algorithms:
   materialises a successor graph with structural sharing).
 * :mod:`repro.dynamics.dynamic_graph` — the recorded graph sequence
   ``G_1, G_2, …`` stored as deltas with periodic checkpoint snapshots, plus
-  sliding-window intersection / union graphs (Definition 2.1).
-* :mod:`repro.dynamics.window` — the incremental sliding-window view that
-  backs the T-intersection / T-union queries.
+  the sliding-window intersection / union graphs of Definition 2.1 (their
+  only implementation).
 * :mod:`repro.dynamics.generators` — static base topologies.
 * :mod:`repro.dynamics.churn` — per-edge Markov churn and flip churn models.
 * :mod:`repro.dynamics.mobility` — random-waypoint mobility over a unit square.
@@ -27,7 +26,6 @@ from repro.dynamics.topology import (
     topology_from_networkx,
 )
 from repro.dynamics.dynamic_graph import DynamicGraph
-from repro.dynamics.window import SlidingWindow, WindowSnapshot
 from repro.dynamics.adversary import (
     Adversary,
     AdversaryView,
@@ -52,8 +50,6 @@ __all__ = [
     "empty_topology",
     "topology_from_networkx",
     "DynamicGraph",
-    "SlidingWindow",
-    "WindowSnapshot",
     "Adversary",
     "AdversaryView",
     "IncrementalAdversary",

@@ -118,16 +118,6 @@ class AdversaryView:
             return self._topologies.latest_topology()
         return self._topologies[-1] if self._topologies else None
 
-    def topology_history(self) -> Sequence[Topology]:
-        """All previously provided topologies ``G_1 … G_{r-1}``.
-
-        With a delta-encoded trace this materialises every round — prefer
-        :meth:`previous_topology` on hot paths.
-        """
-        if isinstance(self._topologies, DynamicGraph):
-            return self._topologies.topologies()
-        return tuple(self._topologies)
-
     # -- output history (filtered by obliviousness) --------------------------
 
     def visible_rounds(self) -> int:
@@ -281,11 +271,6 @@ class IncrementalAdversary(Adversary):
             default_delta_emission() if emit_deltas is None else bool(emit_deltas)
         )
         self._last_step_round: Optional[Round] = None
-
-    @property
-    def emits_deltas(self) -> bool:
-        """Whether this instance is on the delta path."""
-        return self._emit_deltas
 
     def reset(self) -> None:
         """Reset the delta chain (subclasses must call ``super().reset()``)."""

@@ -20,19 +20,17 @@ cache makes sequential scans — by far the dominant access pattern of the
 checkers — cost one delta application per step.
 
 On top of the raw sequence it offers the sliding-window queries of
-Definition 2.1 (``G^{T∩}_r``, ``G^{T∪}_r``) either directly (recomputed from
-the stored history) or through an attached :class:`~repro.dynamics.window.SlidingWindow`
-for the window size the experiment cares about.
+Definition 2.1 (``G^{T∩}_r``, ``G^{T∪}_r``), recomputed from the stored
+history; they are the only implementation of that definition.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Union
+from typing import FrozenSet, Iterable, Iterator, List, Optional, Sequence, Union
 
 from repro.errors import TopologyError
 from repro.types import Edge, Interval, NodeId
 from repro.dynamics.topology import Topology, TopologyDelta, empty_topology
-from repro.dynamics.window import SlidingWindow, WindowSnapshot
 
 __all__ = ["DynamicGraph", "DEFAULT_CHECKPOINT_INTERVAL"]
 
@@ -71,7 +69,6 @@ class DynamicGraph:
         # One-entry materialisation cursor (round, topology) for sequential scans.
         self._cursor_round = 0
         self._cursor_topo = empty_topology()
-        self._windows: Dict[int, SlidingWindow] = {}
 
     # -- recording ---------------------------------------------------------
 
@@ -90,19 +87,8 @@ class DynamicGraph:
         """The index of the most recently recorded round (0 if none)."""
         return len(self._entries)
 
-    def _push_windows(
-        self, topology: Topology, delta: Optional[TopologyDelta] = None
-    ) -> Dict[int, WindowSnapshot]:
-        if delta is not None:
-            # Delta-aware push: the window updates its union/intersection
-            # sets in O(#changes) instead of re-scanning the new topology.
-            return {T: window.push(delta, topology) for T, window in self._windows.items()}
-        return {T: window.push(topology) for T, window in self._windows.items()}
-
-    def append(self, topology: Topology) -> Dict[int, WindowSnapshot]:
-        """Record the next round's topology (as a snapshot) and update windows.
-
-        Returns the snapshot of every attached window keyed by window size.
+    def append(self, topology: Topology) -> None:
+        """Record the next round's topology (as a snapshot).
 
         Raises
         ------
@@ -122,11 +108,8 @@ class DynamicGraph:
             )
         self._entries.append(topology)
         self._latest = topology
-        return self._push_windows(topology)
 
-    def append_delta(
-        self, delta: TopologyDelta, topology: Optional[Topology] = None
-    ) -> Dict[int, WindowSnapshot]:
+    def append_delta(self, delta: TopologyDelta, topology: Optional[Topology] = None) -> None:
         """Record the next round as a delta relative to the previous round.
 
         Validation is O(#changes): only the added nodes are range-checked and
@@ -154,18 +137,15 @@ class DynamicGraph:
         else:
             self._entries.append(delta)
         self._latest = topology
-        return self._push_windows(topology, delta)
 
-    def append_lazy(self, delta: TopologyDelta) -> Dict[int, WindowSnapshot]:
+    def append_lazy(self, delta: TopologyDelta) -> None:
         """Record the next round as a delta *without* materialising it.
 
         The array kernel's recording path: validation stays O(#changes) but
         no Topology object is built and no checkpoint snapshots are stored —
         the round graph is only materialised when someone asks for it
         (``topology(r)`` walks the delta chain; sequential scans are O(1)
-        per round thanks to the cursor, cold random access is O(r)).  When
-        windows are attached the round must be materialised anyway to feed
-        them, so this degrades gracefully to ``append_delta`` behaviour.
+        per round thanks to the cursor, cold random access is O(r)).
         """
         for v in delta.added_nodes:
             if not 0 <= v < self._n:
@@ -175,27 +155,8 @@ class DynamicGraph:
                 "awake node set must be non-decreasing; nodes disappeared: "
                 f"{sorted(delta.removed_nodes)[:10]}"
             )
-        if self._windows:
-            previous = self._ensure_latest()
-            if previous is None:
-                previous = empty_topology()
-            topology = previous.apply(delta)
-            self._entries.append(delta)
-            self._latest = topology
-            return self._push_windows(topology, delta)
         self._entries.append(delta)
         self._latest = None
-        return {}
-
-    def attach_window(self, T: int) -> SlidingWindow:
-        """Attach (or return the existing) incremental window of size ``T``.
-
-        The window is replayed over the already recorded history so attaching
-        late is equivalent to attaching before the first round.
-        """
-        if T not in self._windows:
-            self._windows[T] = SlidingWindow.over(self.iter_topologies(), T)
-        return self._windows[T]
 
     # -- access to recorded rounds -------------------------------------------
 
@@ -268,7 +229,14 @@ class DynamicGraph:
         Definition 2.1 sets ``r0 = max(0, r - T + 1)`` and ``G_0`` is the empty
         graph (all nodes asleep, ``V_0 = ∅``).  Whenever the window reaches
         back to round 0 the intersection node set is therefore empty.
+
+        Raises
+        ------
+        TopologyError
+            If ``T`` is not an integer ``>= 1`` or round ``r`` is not recorded.
         """
+        if not isinstance(T, int) or isinstance(T, bool) or T < 1:
+            raise TopologyError(f"window size T must be an integer >= 1, got T={T!r}")
         if not 1 <= r <= len(self._entries):
             raise TopologyError(f"round {r} has not been recorded (last = {self.last_round})")
         r0 = max(0, r - T + 1)
@@ -320,15 +288,6 @@ class DynamicGraph:
             node_set.add(u)
             node_set.add(v)
         return Topology(node_set, edges)
-
-    def window_snapshot(self, r: int, T: int) -> WindowSnapshot:
-        """Both window graphs of round ``r`` for window size ``T``."""
-        return WindowSnapshot(
-            round_index=r,
-            window_length=min(T, r),
-            intersection=self.intersection_graph(r, T),
-            union=self.union_graph(r, T),
-        )
 
     # -- stability predicates ---------------------------------------------
 

@@ -69,8 +69,8 @@ class TDynamicSpec:
     """A problem pair together with a window size ``T``."""
 
     def __init__(self, pair: ProblemPair, T: int) -> None:
-        if T < 1:
-            raise ConfigurationError(f"window size T must be >= 1, got {T}")
+        if not isinstance(T, int) or isinstance(T, bool) or T < 1:
+            raise ConfigurationError(f"window size T must be an integer >= 1, got T={T!r}")
         self._pair = pair
         self._T = T
 

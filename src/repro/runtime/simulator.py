@@ -63,7 +63,6 @@ from repro.obs.trace import active_sink
 from repro.types import Assignment, NodeId, Value
 from repro.utils.rng import RngFactory
 from repro.dynamics.adversary import Adversary, AdversaryView, ADAPTIVE_OFFLINE
-from repro.dynamics.dynamic_graph import DEFAULT_CHECKPOINT_INTERVAL
 from repro.dynamics.topology import EMPTY_DELTA, Topology, TopologyDelta, empty_topology
 from repro.runtime.algorithm import AlgorithmSetup, DistributedAlgorithm, VOLATILE
 from repro.runtime.messages import Message, estimate_bits
@@ -202,20 +201,11 @@ class Simulator:
         input_assignment: Optional[Assignment] = None,
         expose_state_to_adversary: bool = False,
         stop_when: Optional[Callable[[ExecutionTrace], bool]] = None,
-        checkpoint_interval: int = DEFAULT_CHECKPOINT_INTERVAL,
         delivery: str = "auto",
         trace_retention: str = "full",
     ) -> None:
         if not isinstance(n, int) or n < 1:
             raise ConfigurationError(f"n must be a positive integer, got {n!r}")
-        if (
-            not isinstance(checkpoint_interval, int)
-            or isinstance(checkpoint_interval, bool)
-            or checkpoint_interval < 1
-        ):
-            raise ConfigurationError(
-                f"checkpoint_interval must be an integer >= 1, got {checkpoint_interval!r}"
-            )
         self._n = n
         self._algorithm = algorithm
         self._adversary = adversary
@@ -269,7 +259,6 @@ class Simulator:
             n,
             algorithm.name,
             adversary.describe(),
-            checkpoint_interval=checkpoint_interval,
             retention=trace_retention,
         )
         self._output_history: list[Assignment] = []

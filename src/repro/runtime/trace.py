@@ -13,7 +13,7 @@ from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.types import Assignment, Interval, NodeId, Round, Value
-from repro.dynamics.dynamic_graph import DEFAULT_CHECKPOINT_INTERVAL, DynamicGraph
+from repro.dynamics.dynamic_graph import DynamicGraph
 from repro.dynamics.topology import Topology, TopologyDelta
 from repro.runtime.metrics import RoundMetrics
 
@@ -95,9 +95,9 @@ RETENTION_MODES = ("full", "stats")
 class ExecutionTrace:
     """The chronological record of a simulation run.
 
-    ``checkpoint_interval`` controls how often the underlying dynamic graph
-    materialises a full snapshot between delta-encoded rounds (see
-    :class:`~repro.dynamics.dynamic_graph.DynamicGraph`).
+    The underlying dynamic graph materialises a full snapshot every 32
+    rounds (``DEFAULT_CHECKPOINT_INTERVAL``) between delta-encoded rounds
+    (see :class:`~repro.dynamics.dynamic_graph.DynamicGraph`).
 
     ``retention`` bounds the memory of the per-round output vectors:
 
@@ -123,14 +123,13 @@ class ExecutionTrace:
         algorithm_name: str,
         adversary_description: str,
         *,
-        checkpoint_interval: int = DEFAULT_CHECKPOINT_INTERVAL,
         retention: str = "full",
     ) -> None:
         if retention not in RETENTION_MODES:
             raise ConfigurationError(
                 f"trace retention must be one of {RETENTION_MODES}, got {retention!r}"
             )
-        self._graph = DynamicGraph(n, checkpoint_interval=checkpoint_interval)
+        self._graph = DynamicGraph(n)
         self._records: List[RoundRecord] = []
         self._algorithm_name = algorithm_name
         self._adversary_description = adversary_description

@@ -187,18 +187,6 @@ class TestDeltaStorage:
         assert latest == Topology(range(3), [(0, 1)])
         assert graph.topology(1) is latest
 
-    def test_attached_window_replays_delta_history(self):
-        evolution = _random_evolution(rounds=20, seed=3)
-        graph = DynamicGraph(32, checkpoint_interval=6)
-        for delta, _ in evolution[:15]:
-            graph.append_delta(delta)
-        window = graph.attach_window(4)
-        assert window.round_index == 15
-        for delta, _ in evolution[15:]:
-            snapshots = graph.append_delta(delta)
-            assert snapshots[4].intersection == graph.intersection_graph(graph.last_round, 4)
-            assert snapshots[4].union == graph.union_graph(graph.last_round, 4)
-
 
 # ---------------------------------------------------------------------------
 # full-trace equivalence: delta path vs snapshot path
@@ -375,9 +363,7 @@ class TestSimulatorDeltaPath:
     def test_same_topology_object_is_stored_as_empty_delta(self):
         base = generators.ring(5)
         script = [base, base, base]
-        sim = Simulator(
-            n=5, algorithm=_null_algorithm(), adversary=_DeltaScript(script), checkpoint_interval=8
-        )
+        sim = Simulator(n=5, algorithm=_null_algorithm(), adversary=_DeltaScript(script))
         trace = sim.run(3)
         # Rounds 2 and 3 re-returned the identical object: stored incrementally.
         assert trace.graph.edge_changes(2) == (frozenset(), frozenset())

@@ -1,11 +1,14 @@
 """Unit tests for :mod:`repro.dynamics.dynamic_graph` (Definition 2.1 semantics)."""
 
+import re
+
 import pytest
 
-from repro.errors import TopologyError
+from repro.errors import ConfigurationError, TopologyError
 from repro.types import Interval
 from repro.dynamics.dynamic_graph import DynamicGraph
 from repro.dynamics.topology import Topology
+from repro.problems import TDynamicSpec, coloring_problem_pair
 
 
 def topo(edges, nodes=range(4)):
@@ -67,32 +70,109 @@ class TestWindowQueries:
         assert union.edges == frozenset({(0, 1), (1, 2), (2, 3)})
 
     def test_union_edges_include_recently_woken_neighbours(self):
-        graph = DynamicGraph(5)
-        graph.append(Topology([0, 1], [(0, 1)]))
-        graph.append(Topology([0, 1, 2], [(0, 1), (1, 2)]))
-        union = graph.union_graph(2, 2)
-        # Node 2 woke mid-window: it is not constrained (not in V^{T∩}), but the
-        # edge it contributed counts towards node 1's union degree.
-        assert graph.intersection_graph(2, 2).nodes == frozenset({0, 1})
-        assert (1, 2) in union.edges
-        assert union.degree(1) == 2
+        # Round 2 keeps (0, 1), or drops it: a neighbour seen only in round 1
+        # still counts, so the union edge set is the plain union of the rounds.
+        for second_round in ([(0, 1), (1, 2)], [(1, 2)]):
+            graph = DynamicGraph(5)
+            graph.append(Topology([0, 1], [(0, 1)]))
+            graph.append(Topology([0, 1, 2], second_round))
+            union = graph.union_graph(2, 2)
+            # Node 2 woke mid-window: it is not constrained (not in V^{T∩}), but the
+            # edge it contributed counts towards node 1's union degree.
+            assert graph.intersection_graph(2, 2).nodes == frozenset({0, 1})
+            assert union.edges == frozenset({(0, 1), (1, 2)})
+            assert union.degree(1) == 2
 
-    def test_window_snapshot(self):
+    @pytest.mark.parametrize("T", [0, -1, 2.5, True])
+    def test_window_size_must_be_a_positive_int(self, T):
         graph = DynamicGraph(4)
         graph.append(topo([(0, 1)]))
-        snap = graph.window_snapshot(1, 1)
-        assert snap.intersection.edges == frozenset({(0, 1)})
-        assert snap.round_index == 1
+        names_value = re.escape(f"T={T!r}")
+        for query in (graph.intersection_graph, graph.union_graph):
+            with pytest.raises(TopologyError, match=names_value):
+                query(1, T)
+        with pytest.raises(ConfigurationError, match=names_value):
+            TDynamicSpec(coloring_problem_pair(), T)
 
-    def test_attached_window_matches_direct(self):
-        graph = DynamicGraph(4)
-        graph.append(topo([(0, 1), (1, 2)]))
-        window = graph.attach_window(2)
-        graph.append(topo([(1, 2), (2, 3)]))
-        assert window.intersection_edges() == frozenset({(1, 2)})
-        # Direct query with T = 2 at round 2 does not reach round 0, so both agree.
-        assert graph.intersection_graph(2, 2).edges == frozenset({(1, 2)})
 
+
+def _record(topologies, path, n=8):
+    """``topologies`` recorded by ``append``, ``append_delta`` or ``append_lazy``."""
+    if path == "append":
+        graph = DynamicGraph(n)
+        for topology in topologies:
+            graph.append(topology)
+        return graph
+    kind, _, interval = path.partition("-")
+    graph = DynamicGraph(n, checkpoint_interval=int(interval or 1))
+    previous = Topology([], [])
+    for topology in topologies:
+        delta = previous.delta_to(topology)
+        if kind == "lazy":
+            graph.append_lazy(delta)
+        else:
+            graph.append_delta(delta)
+        previous = topology
+    return graph
+
+
+def _growing_topologies(rng, *, n=8, rounds=16):
+    """Random rounds with edge churn and a non-decreasing awake set."""
+    awake = {0}
+    topologies = []
+    for _ in range(rounds):
+        awake |= {v for v in range(n) if rng.random() < 0.25}
+        candidates = [(u, v) for u in sorted(awake) for v in sorted(awake) if u < v]
+        mask = rng.random(len(candidates)) < 0.35
+        topologies.append(Topology(awake, [e for e, keep in zip(candidates, mask) if keep]))
+    return topologies
+
+
+STORAGE_PATHS = ["append", "delta-1", "delta-3", "delta-32", "lazy"]
+
+
+@pytest.mark.parametrize("path", STORAGE_PATHS)
+class TestWindowStoragePaths:
+    """The window queries give one answer whichever way the rounds were stored."""
+
+    def test_single_round(self, path):
+        graph = _record([topo([(0, 1), (2, 3)])], path)
+        assert graph.intersection_graph(1, 1).edges == frozenset({(0, 1), (2, 3)})
+        assert graph.union_graph(1, 1).edges == frozenset({(0, 1), (2, 3)})
+
+    def test_eviction(self, path):
+        graph = _record([topo([(0, 1)]), topo([(1, 2)]), topo([(2, 3)])], path)
+        # Round 1's edge (0, 1) has left the window of round 3.
+        assert graph.union_graph(3, 2).edges == frozenset({(1, 2), (2, 3)})
+        assert graph.intersection_graph(3, 2).edges == frozenset()
+        assert graph.union_graph(2, 2).edges == frozenset({(0, 1), (1, 2)})
+
+    def test_union_degree_counts_every_neighbour_seen(self, path):
+        graph = _record(
+            [topo([(0, 1)]), topo([(0, 2)]), topo([(0, 3)]), topo([(0, 3)])], path
+        )
+        union = graph.union_graph(3, 3)
+        assert union.degree(0) == 3
+        assert union.degree(1) == 1
+        assert union.degree(99) == 0
+        # (0, 1)'s last presence (round 1) leaves the window of round 4.
+        assert graph.union_graph(4, 3).degree(0) == 2
+
+    @pytest.mark.parametrize("T", [1, 2, 3, 5])
+    def test_matches_direct_computation(self, rng_factory, path, T):
+        topologies = _growing_topologies(rng_factory.stream("window-brute", T))
+        graph = _record(topologies, path)
+        for r in range(1, len(topologies) + 1):
+            inter, union = graph.intersection_graph(r, T), graph.union_graph(r, T)
+            if r < T:  # the window reaches the empty G_0
+                assert inter.num_nodes == 0 and union.num_nodes == 0
+                continue
+            window = topologies[r - T : r]
+            nodes = frozenset.intersection(*(t.nodes for t in window))
+            assert inter.nodes == nodes
+            assert inter.edges == frozenset.intersection(*(t.edges for t in window))
+            assert union.edges == frozenset().union(*(t.edges for t in window))
+            assert nodes <= union.nodes
 
 class TestStabilityPredicates:
     def test_is_static_on(self):

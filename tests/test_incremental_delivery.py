@@ -11,8 +11,8 @@ Hard gates of the incremental-delivery refactor:
 * the engine's delta-native surface (``RoundActivity``, stored changed-node
   sets, the ``activity`` probe and ``output-activity`` metric) reports the
   real dirty set;
-* the satellites: ``checkpoint_interval`` validation, the per-worker base
-  topology cache, and the exec phase-timing collector.
+* the satellites: the per-worker base topology cache and the exec
+  phase-timing collector.
 """
 
 import json
@@ -205,12 +205,6 @@ class TestModeSelection:
     def test_invalid_mode_rejected(self):
         with pytest.raises(ConfigurationError):
             self._sim(_PureNull(), delivery="sometimes")
-
-    def test_checkpoint_interval_validation(self):
-        for bad in (0, -3, 1.5, None, True):
-            with pytest.raises(ConfigurationError):
-                self._sim(_PureNull(), checkpoint_interval=bad)
-        assert self._sim(_PureNull(), checkpoint_interval=1).run(2).num_rounds == 2
 
 
 # ---------------------------------------------------------------------------

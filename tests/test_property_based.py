@@ -3,8 +3,8 @@
 from hypothesis import given, settings, strategies as st
 
 from repro.types import canonical_edge
+from repro.dynamics.dynamic_graph import DynamicGraph
 from repro.dynamics.topology import Topology
-from repro.dynamics.window import SlidingWindow
 from repro.problems.coloring import coloring_problem_pair, is_proper_coloring
 from repro.problems.mis import mis_assignment_from_set, mis_problem_pair
 from repro.runtime.messages import estimate_bits
@@ -27,12 +27,16 @@ def topologies(draw, min_nodes=2, max_nodes=12):
 
 
 @st.composite
-def topology_sequences(draw, length=6, n=8):
-    possible = [(i, j) for i in range(n) for j in range(i + 1, n)]
+def growing_topology_sequences(draw, max_length=7, n=8):
+    """``G_1 … G_L`` with a non-decreasing awake set (nodes wake up late)."""
+    length = draw(st.integers(min_value=1, max_value=max_length))
+    awake: frozenset = frozenset()
     sequence = []
     for _ in range(length):
-        edges = draw(st.lists(st.sampled_from(possible), unique=True, max_size=len(possible)))
-        sequence.append(Topology(range(n), edges))
+        awake |= draw(st.frozensets(st.integers(0, n - 1), max_size=3))
+        possible = [(i, j) for i in sorted(awake) for j in sorted(awake) if i < j]
+        edges = draw(st.lists(st.sampled_from(possible), unique=True)) if possible else []
+        sequence.append(Topology(awake, edges))
     return sequence
 
 
@@ -65,30 +69,43 @@ def test_subgraph_of_all_nodes_is_identity(topo):
     assert topo.subgraph(topo.nodes) == topo
 
 
-@settings(max_examples=30)
-@given(topology_sequences(), st.integers(1, 6))
-def test_sliding_window_matches_bruteforce(sequence, T):
-    window = SlidingWindow(T)
-    for r, topo in enumerate(sequence, start=1):
-        snap = window.push(topo)
-        lo = max(0, r - T)
-        expected_union = set()
-        expected_inter = set(sequence[lo].edges)
-        for t in sequence[lo:r]:
-            expected_union |= t.edges
-            expected_inter &= t.edges
-        assert snap.union.edges == frozenset(expected_union)
-        assert snap.intersection.edges == frozenset(expected_inter)
-
-
-@settings(max_examples=30)
-@given(topology_sequences(length=5))
-def test_intersection_subset_of_union(sequence):
-    window = SlidingWindow(3)
+def _recorded(sequence, checkpoint_interval=None):
+    """``sequence`` recorded by ``append`` (``None``) or by ``append_delta``."""
+    if checkpoint_interval is None:
+        graph = DynamicGraph(8)
+        for topo in sequence:
+            graph.append(topo)
+        return graph
+    graph = DynamicGraph(8, checkpoint_interval=checkpoint_interval)
+    previous = Topology([], [])
     for topo in sequence:
-        snap = window.push(topo)
-        assert snap.intersection.edges <= snap.union.edges
-        assert snap.intersection.nodes == snap.union.nodes
+        graph.append_delta(previous.delta_to(topo))
+        previous = topo
+    return graph
+
+
+@settings(max_examples=30)
+@given(growing_topology_sequences())
+def test_window_graphs_match_bruteforce(sequence):
+    """Definition 2.1 recomputed from scratch, on both storage paths."""
+    graphs = [_recorded(sequence)] + [_recorded(sequence, k) for k in (1, 3, 32)]
+    # T outer, r inner: every T restarts at round 1, so the delta graphs
+    # walk back to a checkpoint instead of only advancing the cursor.
+    for T in range(1, len(sequence) + 2):
+        for r in range(1, len(sequence) + 1):
+            if r < T:  # the window reaches the empty G_0
+                expected_inter = expected_union = Topology([], [])
+            else:
+                window = sequence[r - T : r]
+                nodes = frozenset.intersection(*(t.nodes for t in window))
+                union_edges = frozenset().union(*(t.edges for t in window))
+                expected_inter = Topology(nodes, frozenset.intersection(*(t.edges for t in window)))
+                expected_union = Topology(nodes.union(*union_edges), union_edges)
+            for graph in graphs:
+                inter, union = graph.intersection_graph(r, T), graph.union_graph(r, T)
+                assert inter == expected_inter
+                assert union == expected_union
+                assert inter.nodes <= union.nodes and inter.edges <= union.edges
 
 
 # ---------------------------------------------------------------------------
