@@ -91,7 +91,7 @@ class StaticAdversary(Adversary):
         mask = np.ones(self._base.num_edges, dtype=bool)
         return KernelPlan(
             nodes=self._base.nodes,
-            universe_edges=tuple(sorted(self._base.edges)),
+            universe_edges=self._base.sorted_edges(),
             advance=lambda round_index: mask,
             wakeup=self._wakeup if self._use_wakeup else None,
             cumulative_awake=False,

@@ -158,17 +158,17 @@ class StaticChurn(ChurnProcess):
     """No churn at all: the base edge set is returned every round."""
 
     def __init__(self, base: Topology) -> None:
-        self._edges = base.edges
+        self._base = base
         self._primed = False
         self._all_present: Optional[np.ndarray] = None
 
     def step(self, round_index: int, rng: np.random.Generator) -> FrozenSet[Edge]:
-        return self._edges
+        return self._base.edges
 
     def step_delta(self, round_index: int, rng: np.random.Generator) -> EdgeDelta:
         if not self._primed:
             self._primed = True
-            return self._edges, frozenset()
+            return self._base.edges, frozenset()
         return frozenset(), frozenset()
 
     def reset(self) -> None:
@@ -180,7 +180,7 @@ class StaticChurn(ChurnProcess):
 
     def kernel_universe(self) -> Tuple[Edge, ...]:
         """The fixed edge universe, canonically sorted (array-kernel hook)."""
-        return tuple(sorted(self._edges))
+        return self._base.sorted_edges()
 
     def kernel_advance(self, round_index: int, rng: np.random.Generator) -> np.ndarray:
         """Presence mask over :meth:`kernel_universe` for this round.
@@ -189,7 +189,7 @@ class StaticChurn(ChurnProcess):
         identity short-circuit recognises the unchanged round.
         """
         if self._all_present is None:
-            self._all_present = np.ones(len(self._edges), dtype=bool)
+            self._all_present = np.ones(len(self._base.edges), dtype=bool)
         self._primed = True
         return self._all_present
 
@@ -222,7 +222,7 @@ class MarkovEdgeChurn(ChurnProcess):
     ) -> None:
         check_probability("p_off", p_off)
         check_probability("p_on", p_on)
-        self._base_edges: Sequence[Edge] = tuple(sorted(base.edges))
+        self._base_edges: Sequence[Edge] = base.sorted_edges()
         self._p_off = float(p_off)
         self._p_on = float(p_on)
         self._start_present = bool(start_present)
@@ -337,7 +337,7 @@ class BurstChurn(ChurnProcess):
     def __init__(self, base: Topology, burst_prob: float, drop_fraction: float) -> None:
         check_probability("burst_prob", burst_prob)
         check_probability("drop_fraction", drop_fraction)
-        self._base_edges: Sequence[Edge] = tuple(sorted(base.edges))
+        self._base_edges: Sequence[Edge] = base.sorted_edges()
         self._burst_prob = float(burst_prob)
         self._drop_fraction = float(drop_fraction)
 

@@ -8,13 +8,19 @@ none for deterministic families) and return a
 The families cover the settings the paper motivates (wireless/ad-hoc networks
 → random geometric graphs; overlay / peer-to-peer networks → Gnp, power-law;
 structured testbeds → rings, grids, tori, cliques, stars, regular graphs).
+
+:func:`gnp` builds no networkx graph: it replays networkx's own draws for
+``fast_gnp_random_graph`` straight into int64 edge arrays and hands them to
+:meth:`Topology.from_arrays`, so its graphs are networkx's, edge for edge and
+in iteration order.  The other random families still go through networkx.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Callable, Dict, FrozenSet, Optional
+import random
+from typing import Callable, Dict, FrozenSet, Optional, Tuple
 
 import networkx as nx
 import numpy as np
@@ -26,6 +32,7 @@ from repro.dynamics.topology import Topology, topology_from_networkx
 
 __all__ = [
     "gnp",
+    "gnp_edge_arrays",
     "random_regular",
     "random_geometric",
     "barabasi_albert",
@@ -53,11 +60,61 @@ def empty(n: int) -> Topology:
 
 
 def gnp(n: int, p: float, rng: np.random.Generator) -> Topology:
-    """Erdős–Rényi ``G(n, p)`` graph."""
+    """Erdős–Rényi ``G(n, p)`` graph, equal to ``nx.fast_gnp_random_graph``'s.
+
+    No networkx graph is built.  The edges come from :func:`gnp_edge_arrays`,
+    which makes networkx's draws on the same seed, and the topology equals
+    ``topology_from_networkx(nx.fast_gnp_random_graph(n, p, seed))`` in
+    content and iteration order (the ``gnp-networkx-identity`` contract of
+    ``repro verify`` checks it).  A ``p`` so small that ``1 - p`` rounds to 1
+    gives the edgeless graph, the limit of an infinite skip, where networkx
+    divides by zero.
+    """
     _require_n(n)
     check_probability("p", p)
     seed = int(rng.integers(0, 2**31 - 1))
-    return topology_from_networkx(nx.fast_gnp_random_graph(n, p, seed=seed))
+    u, v = gnp_edge_arrays(n, p, seed)
+    return Topology.from_arrays(range(n), u, v)
+
+
+def gnp_edge_arrays(n: int, p: float, seed: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The edges ``(u, v)``, ``u < v``, of networkx's ``G(n, p)`` on ``seed``, sorted.
+
+    Replays ``nx.fast_gnp_random_graph`` (Batagelj–Brandes): one
+    ``random.Random(seed).random()`` draw per geometric skip, the skip
+    ``1 + int(math.log(1.0 - r) / math.log(1.0 - p))`` over the linear index
+    of the pairs ``(w, v)``, ``w < v``, ordered by ``v`` then ``w``.  The
+    logarithm is libm's ``math.log``: ``np.log`` may round differently.
+    ``p >= 1`` gives every pair, as ``nx.complete_graph`` does.
+    """
+    if p >= 1.0:
+        u, v = np.triu_indices(n, 1)
+        return u.astype(np.int64), v.astype(np.int64)
+    lp = math.log(1.0 - p)
+    if lp == 0.0:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    total = n * (n - 1) // 2
+    rand = random.Random(seed).random
+    log = math.log
+    picks = []
+    append = picks.append
+    index = -1
+    while True:
+        index += 1 + int(log(1.0 - rand()) / lp)
+        if index >= total:
+            break
+        append(index)
+    index = np.array(picks, dtype=np.int64)
+    # index = v (v - 1) / 2 + w with 0 <= w < v: invert with a float sqrt,
+    # then fix the at most one-off floor with exact integer arithmetic.
+    v = ((1.0 + np.sqrt(1.0 + 8.0 * index)) / 2.0).astype(np.int64)
+    v -= v * (v - 1) // 2 > index
+    v += (v + 1) * v // 2 <= index
+    w = index - v * (v - 1) // 2
+    # networkx's G.edges() lists the pairs by w, then v: the order in which
+    # topology_from_networkx inserted them, and the one from_arrays replays.
+    order = np.lexsort((v, w))
+    return w[order], v[order]
 
 
 def random_regular(n: int, degree: int, rng: np.random.Generator) -> Topology:

@@ -24,6 +24,7 @@ from types import MappingProxyType
 from typing import AbstractSet, Dict, FrozenSet, Iterable, Iterator, Mapping, Tuple
 
 import networkx as nx
+import numpy as np
 
 from repro.errors import TopologyError
 from repro.types import Edge, NodeId, canonical_edge
@@ -278,7 +279,7 @@ class Topology:
     nodes are rejected.
     """
 
-    __slots__ = ("_nodes", "_edges", "_adjacency", "_hash")
+    __slots__ = ("_nodes", "_edges", "_adjacency", "_hash", "_sorted_edges")
 
     def __init__(self, nodes: Iterable[NodeId], edges: Iterable[Tuple[NodeId, NodeId]]) -> None:
         node_set = frozenset(int(v) for v in nodes)
@@ -300,6 +301,89 @@ class Topology:
             v: frozenset(neigh) for v, neigh in adjacency.items()
         }
         self._hash: int | None = None
+        self._sorted_edges: Tuple[Edge, ...] | None = None
+
+    @classmethod
+    def from_arrays(cls, nodes: Iterable[NodeId], u: np.ndarray, v: np.ndarray) -> "Topology":
+        """Build from integer edge arrays, one canonical edge ``(u[i], v[i])`` each.
+
+        The result equals ``Topology(nodes, sorted(zip(u, v)))`` in content
+        *and* in the iteration order of :attr:`nodes`, :attr:`edges` and every
+        :meth:`neighbors` set, and :meth:`sorted_edges` comes for free.  The
+        checks are array-wide numpy passes instead of per-edge Python work.
+
+        Raises
+        ------
+        TopologyError
+            If an array is not a 1-D integer array, the lengths differ, an
+            edge is not canonical (``u >= v``), an endpoint is negative or not
+            in ``nodes``, or a pair occurs twice.
+        """
+        u = np.asarray(u)
+        v = np.asarray(v)
+        for name, arr in (("u", u), ("v", v)):
+            if arr.ndim != 1 or arr.dtype.kind not in "iu":
+                raise TopologyError(
+                    f"edge array {name} must be a 1-D integer array, "
+                    f"got dtype {arr.dtype} with shape {arr.shape}"
+                )
+        if u.size != v.size:
+            raise TopologyError(f"edge arrays differ in length: {u.size} != {v.size}")
+        u = u.astype(np.int64, copy=False)
+        v = v.astype(np.int64, copy=False)
+        bad = np.flatnonzero(u >= v)
+        if bad.size:
+            i = int(bad[0])
+            raise TopologyError(f"edge {i} is not canonical: u >= v in ({u[i]}, {v[i]})")
+        if u.size and int(u.min()) < 0:
+            raise TopologyError(f"negative endpoint {int(u.min())} in the edge arrays")
+        if isinstance(nodes, np.ndarray):
+            nodes = nodes.tolist()
+        node_set = frozenset(int(x) for x in nodes)
+        node_arr = np.fromiter(node_set, dtype=np.int64, count=len(node_set))
+        outside = np.flatnonzero(~(np.isin(u, node_arr) & np.isin(v, node_arr)))
+        if outside.size:
+            i = int(outside[0])
+            raise TopologyError(
+                f"edge ({u[i]}, {v[i]}) references a node outside the awake node set"
+            )
+        if u.size > 1:
+            du = np.diff(u)
+            if not np.all((du > 0) | ((du == 0) & (np.diff(v) > 0))):
+                order = np.lexsort((v, u))
+                u, v = u[order], v[order]
+                dup = np.flatnonzero((u[1:] == u[:-1]) & (v[1:] == v[:-1]))
+                if dup.size:
+                    i = int(dup[0])
+                    raise TopologyError(f"duplicate edge ({u[i]}, {v[i]}) in the edge arrays")
+
+        # Set iteration order is visible in the rows (TargetedMisAdversary
+        # iterates base.neighbors(v) before its shuffle), and a set's order
+        # depends on its insertion history, not only on its content.  So
+        # every set is built by the insertion sequence __init__ performs over
+        # sorted edges: set(list) adds one element at a time exactly like
+        # set.add, and frozenset(set) is the same final copy.  Over sorted
+        # edges each node receives its neighbours in ascending order: first
+        # the smaller ones (as the v of earlier edges), then the larger ones.
+        edge_list = list(zip(u.tolist(), v.tolist()))
+        adjacency: Dict[NodeId, FrozenSet[NodeId]] = dict.fromkeys(node_set, _EMPTY_NODES)
+        if edge_list:
+            src = np.concatenate((v, u))
+            order = np.argsort(src, kind="stable")
+            src = src[order]
+            dst = np.concatenate((u, v))[order].tolist()
+            cuts = (np.flatnonzero(src[1:] != src[:-1]) + 1).tolist()
+            starts = [0] + cuts
+            ends = cuts + [len(dst)]
+            for node, a, b in zip(src[starts].tolist(), starts, ends):
+                adjacency[node] = frozenset(set(dst[a:b]))
+        topology = cls.__new__(cls)
+        topology._nodes = node_set
+        topology._edges = frozenset(set(edge_list))
+        topology._adjacency = adjacency
+        topology._hash = None
+        topology._sorted_edges = tuple(edge_list)
+        return topology
 
     # -- basic accessors -------------------------------------------------
 
@@ -341,6 +425,12 @@ class Topology:
         if u == v:
             return False
         return canonical_edge(u, v) in self._edges
+
+    def sorted_edges(self) -> Tuple[Edge, ...]:
+        """The edges in lexicographic order (cached; the kernel universe order)."""
+        if self._sorted_edges is None:
+            self._sorted_edges = tuple(sorted(self._edges))
+        return self._sorted_edges
 
     def neighbors(self, v: NodeId) -> FrozenSet[NodeId]:
         """The neighbour set ``N_{G_r}(v)``; empty for sleeping nodes."""
@@ -507,6 +597,7 @@ class Topology:
         successor._edges = new_edges
         successor._adjacency = adjacency
         successor._hash = None
+        successor._sorted_edges = None
         return successor
 
     def delta_to(self, other: "Topology") -> TopologyDelta:
@@ -527,6 +618,21 @@ class Topology:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Topology(n={self.num_nodes}, m={self.num_edges})"
+
+    def iterates_like(self, other: "Topology") -> bool:
+        """Whether ``other`` equals this topology and iterates like it.
+
+        Compares the order of the nodes, the edges and every neighbour set:
+        a set's order depends on how it was built, and rows can see it.
+        """
+        return (
+            list(self._nodes) == list(other._nodes)
+            and list(self._edges) == list(other._edges)
+            and all(
+                list(neigh) == list(other._adjacency.get(v, ()))
+                for v, neigh in self._adjacency.items()
+            )
+        )
 
     def restricted_equals(self, other: "Topology", nodes: AbstractSet[NodeId]) -> bool:
         """Whether this topology and ``other`` agree on the subgraph induced by ``nodes``.

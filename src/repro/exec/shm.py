@@ -28,9 +28,15 @@ Lifecycle and correctness rules:
   both its local cache and the registry simply regenerates — shm is a pure
   accelerator, never a correctness dependency.
 * **Byte-identity.**  The published arrays come from a topology built by the
-  real generator on the real derived stream, so an attached topology is
-  content-identical to a regenerated one; the kernel-vs-full equivalence
-  gates and the store drift gate run unchanged over shm-backed runs.
+  real generator on the real derived stream, and workers rebuild it with
+  :meth:`Topology.from_arrays`, so an attached topology equals a regenerated
+  one and iterates its sets in the same order (rows can see set order:
+  targeted-mis iterates ``neighbors(v)``).  ``from_arrays`` replays the
+  insertion order of a build over sorted edges, as :func:`generators.gnp`
+  makes; a topology a generator built in another order (geometric, grid)
+  is published as its edge universe only, and workers regenerate it.  The
+  kernel-vs-full equivalence gates and the store drift gate run unchanged
+  over shm-backed runs.
 * **Attached arrays are read-only.**  Views handed to the engine have their
   ``writeable`` flag cleared; segments stay mapped for the lifetime of the
   attaching process (traces may hold :class:`ArrayDelta` references into
@@ -78,8 +84,9 @@ _MAX_SEGMENTS = 32
 _MAX_TOTAL_BYTES = 4 << 30
 
 #: ``int64`` header words at the start of every segment:
-#: ``[n, num_nodes, m, um]`` (``um == usrc.size == 2 * m``).
-_HEADER_WORDS = 4
+#: ``[n, num_nodes, m, um, exact]`` (``um == usrc.size == 2 * m``; ``exact``
+#: is 1 when :meth:`Topology.from_arrays` rebuilds the topology exactly).
+_HEADER_WORDS = 5
 
 # -- process-local state ----------------------------------------------------
 
@@ -146,12 +153,12 @@ def _write_registry(mapping: Dict[str, str]) -> None:
 def _pack(topology: Topology, n: int):
     """``(total_bytes, writer)`` for one topology + its derived universe."""
     nodes = np.fromiter(sorted(topology.nodes), dtype=np.int64, count=topology.num_nodes)
-    edges = tuple(sorted(topology.edges))
-    universe = EdgeUniverse(n, edges)
+    universe = EdgeUniverse(n, topology.sorted_edges())
+    exact = Topology.from_arrays(nodes, universe.eu, universe.ev).iterates_like(topology)
     m = universe.m
     um = universe.usrc.size
     arrays = [
-        np.array([n, nodes.size, m, um], dtype=np.int64),
+        np.array([n, nodes.size, m, um, exact], dtype=np.int64),
         nodes,
         universe.eu,
         universe.ev,
@@ -173,9 +180,9 @@ def _pack(topology: Topology, n: int):
 
 
 def _unpack(buf: memoryview):
-    """``(n, nodes, eu, ev, usrc, udst, uedge, indptr)`` read-only views."""
+    """``(n, exact, nodes, eu, ev, usrc, udst, uedge, indptr)``, arrays as read-only views."""
     header = np.ndarray((_HEADER_WORDS,), dtype=np.int64, buffer=buf)
-    n, num_nodes, m, um = (int(x) for x in header)
+    n, num_nodes, m, um, exact = (int(x) for x in header)
     offset = _HEADER_WORDS * 8
     views = []
     for size in (num_nodes, m, m, um, um, um, n + 1):
@@ -183,7 +190,7 @@ def _unpack(buf: memoryview):
         view.flags.writeable = False
         views.append(view)
         offset += size * 8
-    return (n, *views)
+    return (n, bool(exact), *views)
 
 
 # ---------------------------------------------------------------------------
@@ -305,28 +312,6 @@ def publish_for_chunks(chunks: Sequence[Any]) -> Optional[SharedTopologyPool]:
 # ---------------------------------------------------------------------------
 
 
-def _topology_from_arrays(nodes: np.ndarray, eu: np.ndarray, ev: np.ndarray) -> Topology:
-    """Trusted reconstruction from published canonical arrays.
-
-    The publisher packed a topology the real constructor already validated
-    (canonical edges, endpoints awake), so this skips re-validation and
-    rebuilds the frozenset/adjacency representation directly.
-    """
-    node_list = nodes.tolist()
-    eu_list = eu.tolist()
-    ev_list = ev.tolist()
-    adjacency: Dict[int, list] = {v: [] for v in node_list}
-    for u, v in zip(eu_list, ev_list):
-        adjacency[u].append(v)
-        adjacency[v].append(u)
-    topology = Topology.__new__(Topology)
-    topology._nodes = frozenset(node_list)
-    topology._edges = frozenset(zip(eu_list, ev_list))
-    topology._adjacency = {v: frozenset(neigh) for v, neigh in adjacency.items()}
-    topology._hash = None
-    return topology
-
-
 def _universe_from_views(n, m, eu, ev, usrc, udst, uedge, indptr) -> EdgeUniverse:
     universe = EdgeUniverse.__new__(EdgeUniverse)
     universe.n = n
@@ -349,6 +334,8 @@ def _cache_universe(n: int, edges: Tuple[Tuple[int, int], ...], universe: EdgeUn
 def attach_topology(key: str) -> Optional[Topology]:
     """Map the registered segment for ``key``; ``None`` when unavailable.
 
+    ``None`` too when the segment carries only the edge universe (the
+    topology is not rebuilt exactly from arrays, see the module notes).
     Also primes the process-local edge-universe cache with the segment's
     zero-copy CSR arrays, so the array kernel over the same base graph maps
     the adjacency instead of rebuilding it.
@@ -377,11 +364,16 @@ def attach_topology(key: str) -> Optional[Topology]:
             except Exception:
                 pass
         _ATTACHED[key] = segment
-    n, nodes, eu, ev, usrc, udst, uedge, indptr = _unpack(segment.buf)
-    topology = _topology_from_arrays(nodes, eu, ev)
-    edges = tuple(zip(eu.tolist(), ev.tolist()))
+    n, exact, nodes, eu, ev, usrc, udst, uedge, indptr = _unpack(segment.buf)
+    if exact:
+        topology = Topology.from_arrays(nodes, eu, ev)
+        edges = topology.sorted_edges()
+    else:
+        topology = None
+        edges = tuple(zip(eu.tolist(), ev.tolist()))
     _cache_universe(n, edges, _universe_from_views(n, len(edges), eu, ev, usrc, udst, uedge, indptr))
-    _ATTACH_HITS += 1
+    if topology is not None:
+        _ATTACH_HITS += 1
     return topology
 
 

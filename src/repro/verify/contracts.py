@@ -16,6 +16,9 @@ paired-run design exists to kill.
   built-in cases and on every committed scenario config (the one
   fast-vs-full gate);
 * ``backend-equivalence`` — the serial loop vs every execution backend;
+* ``gnp-networkx-identity`` — the array ``G(n, p)`` generator vs networkx's
+  ``fast_gnp_random_graph`` on the same seed, in content and set iteration
+  order (fails if a future networkx changes its draw sequence);
 * ``scale-equivalence`` — halved churn rate vs doubled ``window_scale``
   (statistical: per-window exposure must be indistinguishable).
 
@@ -53,11 +56,14 @@ from typing import (
     Tuple,
 )
 
+import networkx as nx
+
 from repro.errors import ConfigurationError
 from repro.types import NodeId, canonical_edge
 from repro.core.windows import default_window, window_for
 from repro.dynamics.adversary import FULLY_OBLIVIOUS, Adversary, AdversaryView, delta_emission
-from repro.dynamics.topology import Topology
+from repro.dynamics.generators import gnp_edge_arrays
+from repro.dynamics.topology import Topology, topology_from_networkx
 from repro.runtime.algorithm import DistributedAlgorithm
 from repro.runtime.messages import Message
 from repro.runtime.simulator import Simulator
@@ -400,6 +406,37 @@ def _contract_backend_equivalence(ctx: VerifyContext) -> Iterator[Verdict]:
     if ctx.smoke:
         # No silent caps: say why the smoke suite leaves remote out.
         yield _skipped(name, "remote", "worker cold start — covered by the full suite")
+
+
+# ---------------------------------------------------------------------------
+# gnp-networkx-identity: the array generator builds networkx's graphs
+# ---------------------------------------------------------------------------
+
+
+@CONTRACTS.register("gnp-networkx-identity")
+def _contract_gnp_networkx_identity(ctx: VerifyContext) -> Iterator[Verdict]:
+    """The array G(n, p) equals networkx's fast_gnp_random_graph, set order included."""
+    name = "gnp-networkx-identity"
+    for n in (1, 2, 64, 2000):
+        for p in dict.fromkeys((1e-6, min(1.0, 8.0 / max(n - 1, 1)), 0.5, 0.999, 1.0)):
+            if ctx.smoke and n * (n - 1) / 2 * p > 100_000:
+                continue  # the dense n=2000 graphs (10^6 edges each): full suite only
+            for seed in (0, 1, 2):
+                yield _compare_gnp(name, n, p, seed)
+    if ctx.smoke:
+        yield _skipped(name, "n=2000/p>=0.5", "10^6-edge graphs — covered by the full suite")
+
+
+def _compare_gnp(contract: str, n: int, p: float, seed: int) -> Verdict:
+    # One case per call, so a dense case's graphs are freed before the next.
+    case = f"n={n}/p={p:g}/seed={seed}"
+    theirs = topology_from_networkx(nx.fast_gnp_random_graph(n, p, seed=seed))
+    ours = Topology.from_arrays(range(n), *gnp_edge_arrays(n, p, seed))
+    if ours != theirs:
+        return _failed(contract, case, f"different graphs: m={ours.num_edges} vs {theirs.num_edges}")
+    if not ours.iterates_like(theirs):
+        return _failed(contract, case, "same graph, different set iteration order")
+    return _passed(contract, case, f"m={ours.num_edges}")
 
 
 # ---------------------------------------------------------------------------

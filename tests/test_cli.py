@@ -87,6 +87,16 @@ class TestRun:
         assert "valid_fraction" in capsys.readouterr().out
         assert not (tmp_path / "s").exists()
 
+    def test_vanishing_gnp_degree_runs_on_the_edgeless_graph(self, tmp_path, capsys):
+        # p = 1e-15 / 63 < 2**-54: 1 - p rounds to 1 and networkx's skip
+        # divided by zero; the limit of an infinite skip is no edges
+        config = json.loads(json.dumps(SCENARIO_CONFIG))
+        config["spec"]["n"] = 64
+        config["spec"]["topology"] = {"name": "gnp_degree", "params": {"degree": 1e-15}}
+        path = write_config(tmp_path, config)
+        assert main(["run", str(path), "--no-store"]) == 0
+        assert "valid_fraction" in capsys.readouterr().out
+
     def test_typo_fails_validation_with_suggestion(self, tmp_path, capsys):
         bad = json.loads(json.dumps(SCENARIO_CONFIG))
         bad["spec"]["algorithm"] = "dynamic-colorng"

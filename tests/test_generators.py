@@ -1,9 +1,11 @@
 """Unit tests for the topology generators."""
 
+import networkx as nx
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.dynamics import generators
+from repro.dynamics.topology import Topology, topology_from_networkx
 
 
 class TestDeterministicFamilies:
@@ -47,6 +49,20 @@ class TestRandomFamilies:
         a = generators.gnp(30, 0.2, rng_factory.stream("g"))
         b = generators.gnp(30, 0.2, rng_factory.stream("g"))
         assert a == b
+
+    @pytest.mark.parametrize("n, p", [(1, 0.5), (2, 0.5), (40, 0.1), (40, 0.0), (40, 1.0), (300, 0.02)])
+    def test_gnp_is_networkx_graph(self, n, p):
+        # content and iteration order; the repro verify contract covers more
+        reference = topology_from_networkx(nx.fast_gnp_random_graph(n, p, seed=11))
+        built = Topology.from_arrays(range(n), *generators.gnp_edge_arrays(n, p, 11))
+        assert built == reference
+        assert built.iterates_like(reference)
+
+    @pytest.mark.parametrize("p", [1e-17, 2.0**-54, 5e-324])
+    def test_gnp_vanishing_p_is_edgeless(self, p, rng_factory):
+        # 1 - p rounds to 1, so networkx's skip would divide by zero
+        topo = generators.gnp(64, p, rng_factory.stream("g"))
+        assert topo.num_nodes == 64 and topo.num_edges == 0
 
     def test_gnp_rejects_bad_probability(self, rng_factory):
         with pytest.raises(ConfigurationError):

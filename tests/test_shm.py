@@ -3,21 +3,27 @@
 Gates:
 
 * publish → attach round-trips a base topology content-identically (nodes,
-  edges, adjacency) and primes the zero-copy edge-universe cache;
+  edges, adjacency), in the same set iteration order, and primes the
+  zero-copy edge-universe cache; a topology whose order cannot be rebuilt
+  from arrays is published as its edge universe only;
 * the runner publishes exactly the topologies shared by >= 2 units of a
-  pooled batch, pooled rows stay byte-identical to serial rows, and every
-  segment is unlinked when the batch ends — crash or not;
+  pooled batch, pooled rows stay byte-identical to serial rows — also with
+  spawned workers, which always attach — and every segment is unlinked
+  when the batch ends — crash or not;
 * ``repro audit`` reports segments whose owning process died, and
   ``repro repair`` unlinks them.
 """
 
+import functools
 import json
+import multiprocessing
 import os
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
-from repro.exec import shm
+from repro.exec import backends, shm
 from repro.exec.cache import cached_base_topology, topology_cache_clear
 from repro.exec.policy import ExecutionPolicy
 from repro.exec.runner import run_units
@@ -63,9 +69,13 @@ class TestPublishAttach:
             shm._UNIVERSE_CACHE.clear()
             topology_cache_clear()
             attached = cached_base_topology("gnp", {"p": 0.1}, 200, 7)
+            assert attached is not built
             assert attached.nodes == built.nodes
-            assert attached.edges == built.edges
             assert attached.adjacency() == built.adjacency()
+            # iteration order too: targeted-mis iterates neighbors(v)
+            assert list(attached.edges) == list(built.edges)
+            for v in built.nodes:
+                assert list(attached.neighbors(v)) == list(built.neighbors(v))
             assert shm.shm_info()["attach_hits"] == 1
 
     def test_attach_primes_zero_copy_universe(self):
@@ -84,6 +94,20 @@ class TestPublishAttach:
                 np.testing.assert_array_equal(
                     getattr(universe, field), getattr(reference, field)
                 )
+
+    def test_inexact_build_publishes_the_universe_only(self):
+        # geometric inserts edges in frozenset order, which from_arrays
+        # cannot replay: workers regenerate it but still map its universe
+        built = cached_base_topology("geometric", {}, 120, 4)
+        key = shm.topology_key("geometric", {}, 120, 4)
+        with shm.SharedTopologyPool() as pool:
+            assert pool.publish(key, built, 120)
+            shm._ATTACHED.clear()
+            shm._UNIVERSE_CACHE.clear()
+            assert shm.attach_topology(key) is None
+            universe = shm.shared_edge_universe(120, built.sorted_edges())
+            assert not universe.usrc.flags.writeable
+            assert shm.shm_info()["attach_hits"] == 0
 
     def test_unregistered_key_attaches_nothing(self):
         assert shm.attach_topology("deadbeefdeadbeef") is None
@@ -134,6 +158,51 @@ class TestRunnerIntegration:
         )
         assert not _segments_on_disk()
         assert not shm._registry()
+
+
+def _spawn_pool(monkeypatch):
+    """Make the process backend start its workers with ``spawn``.
+
+    Forked workers inherit the runner's topology cache and never attach a
+    segment; spawned ones (the macOS/Windows default) always do.
+    """
+    context = multiprocessing.get_context("spawn")
+    monkeypatch.setattr(
+        backends, "ProcessPoolExecutor", functools.partial(ProcessPoolExecutor, mp_context=context)
+    )
+
+
+class TestStartMethods:
+    # gnp is rebuilt from its arrays; geometric's build order is not
+    # reproducible, so its segment carries the edge universe only.
+    @pytest.mark.parametrize(
+        "topology",
+        [component("gnp_degree", degree=8), component("geometric")],
+        ids=["gnp_degree", "geometric"],
+    )
+    def test_spawned_workers_match_serial_rows(self, monkeypatch, topology):
+        # targeted-mis iterates base.neighbors(v) before it shuffles, so an
+        # attached topology must iterate like a local build, not only equal
+        # it.  The static spec shares the base graph, so it gets published.
+        base = ScenarioSpec(
+            n=64,
+            algorithm=component("smis"),
+            adversary=component("targeted-mis"),
+            topology=topology,
+            rounds="2*T1",
+            seeds=(0, 1),
+            metrics=(component("stability"),),
+            name="shm-spawn",
+        )
+        units = units_for_spec(base) + units_for_spec(
+            base.with_overrides({"adversary": {"name": "static", "params": {}}})
+        )
+        serial_rows = run_units(units, ExecutionPolicy(backend="serial", progress=False))
+        _spawn_pool(monkeypatch)
+        pooled_rows = run_units(
+            units, ExecutionPolicy(backend="process", max_workers=2, progress=False)
+        )
+        assert json.dumps(pooled_rows, sort_keys=True) == json.dumps(serial_rows, sort_keys=True)
 
 
 class TestAuditRepair:

@@ -1,7 +1,9 @@
 """Unit tests for :mod:`repro.dynamics.topology`."""
 
 import networkx as nx
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import TopologyError
 from repro.dynamics.topology import Topology, empty_topology, topology_from_networkx
@@ -116,3 +118,70 @@ class TestConversions:
         graph = triangle.to_networkx()
         assert isinstance(graph, nx.Graph)
         assert topology_from_networkx(graph) == triangle
+
+
+@st.composite
+def edge_arrays(draw):
+    """Awake node ids (sparse, in draw order) and a sorted canonical edge list."""
+    nodes = draw(st.lists(st.integers(0, 5000), min_size=1, max_size=40, unique=True))
+    ordered = sorted(nodes)
+    possible = [(a, b) for i, a in enumerate(ordered) for b in ordered[i + 1 :]]
+    edges = draw(st.lists(st.sampled_from(possible), unique=True, max_size=200)) if possible else []
+    return nodes, sorted(edges)
+
+
+def _arrays(edges):
+    u = np.array([a for a, _ in edges], dtype=np.int64)
+    v = np.array([b for _, b in edges], dtype=np.int64)
+    return u, v
+
+
+class TestFromArrays:
+    @settings(max_examples=150, deadline=None)
+    @given(edge_arrays(), st.randoms(use_true_random=False))
+    def test_equals_the_constructor_in_content_and_order(self, graph, shuffler):
+        nodes, edges = graph
+        u, v = _arrays(edges)
+        built = Topology.from_arrays(nodes, u, v)
+        reference = Topology(nodes, zip(u.tolist(), v.tolist()))
+        assert built == reference
+        assert list(built.nodes) == list(reference.nodes)
+        assert list(built.edges) == list(reference.edges)
+        for x in reference.nodes:
+            assert list(built.neighbors(x)) == list(reference.neighbors(x))
+        assert list(built.adjacency()) == list(reference.adjacency())
+        assert built.sorted_edges() == tuple(sorted(reference.edges))
+        assert built.iterates_like(reference)
+        # unsorted input gives the topology of the sorted edges
+        order = list(range(len(edges)))
+        shuffler.shuffle(order)
+        assert Topology.from_arrays(nodes, u[order], v[order]).iterates_like(reference)
+
+    def test_node_array_and_no_edges(self):
+        empty = np.empty(0, dtype=np.int64)
+        built = Topology.from_arrays(np.array([3, 1, 2]), empty, empty)
+        assert built == Topology([3, 1, 2], ())
+        assert built.sorted_edges() == ()
+        assert built.neighbors(1) == frozenset()
+
+    @pytest.mark.parametrize(
+        "nodes, u, v, message",
+        [
+            (range(3), [1, 0], [1, 2], "not canonical"),
+            (range(3), [2], [1], "not canonical"),
+            (range(3), [-1], [0], "negative endpoint"),
+            (range(3), [0], [5], "outside the awake node set"),
+            ([0, 2], [0], [1], "outside the awake node set"),
+            (range(3), [0, 1, 0], [1, 2, 1], "duplicate edge"),
+            (range(3), [0], [1, 2], "differ in length"),
+            (range(3), np.array([0.0]), [1], "integer array"),
+            (range(3), [0], np.array([[1]]), "1-D integer array"),
+        ],
+    )
+    def test_malformed_input_names_the_problem(self, nodes, u, v, message):
+        with pytest.raises(TopologyError, match=message):
+            Topology.from_arrays(nodes, np.asarray(u), np.asarray(v))
+
+    def test_sorted_edges_is_cached_and_sorted(self, triangle):
+        assert triangle.sorted_edges() == ((0, 1), (0, 2), (1, 2))
+        assert triangle.sorted_edges() is triangle.sorted_edges()
