@@ -4,8 +4,6 @@ The repo answers the paper's "frequent but local changes" regime with a
 chain of interchangeable round paths, each step justified by a throughput
 row here:
 
-* ``snapshot`` — the adversary emits full topologies (``emit_deltas=False``)
-  into the ``full`` round loop;
 * ``full`` — topology deltas, every node composed and delivered each round;
 * ``incremental`` — dirty-set delivery (quiescent nodes skipped);
 * ``kernel`` — the array-native round kernel over CSR adjacency.
@@ -146,19 +144,6 @@ class Group:
 
 
 GROUPS = (
-    # topology deltas vs per-round snapshots, engine cost only
-    Group(
-        name="engine",
-        paths=("snapshot", "full"),
-        algorithms=("null",),
-        degree=8.0,
-        sizes=(Size("small", 200, 400), Size("medium", 800, 200), Size("large", 2000, 120)),
-        smoke_sizes=(Size("small", 64, 120), Size("medium", 128, 80)),
-        churn=(Churn("sparse", 0.01, (1, 3)), Churn("dense", 0.2, (1, 3))),
-        gates=(("large-sparse", "speedup", 2.0),),
-        smoke_gates=(("*", "speedup", 0.9),),
-        name_fmt="{size}-{churn}",
-    ),
     # dirty-set delivery: sparse churn (~1-2 % of nodes touched) is the
     # regime it exists for; dense churn bounds its bookkeeping overhead,
     # so dense cells get more pairs to cancel host drift
@@ -297,7 +282,6 @@ def _run(
         n,
         MarkovEdgeChurn(base, p_off=churn_prob, p_on=churn_prob),
         np.random.default_rng(seed + 1),
-        emit_deltas=path != "snapshot",
     )
     sim = Simulator(
         n=n,
@@ -305,7 +289,7 @@ def _run(
         adversary=adversary,
         seed=seed,
         trace_retention=retention,
-        delivery="full" if path == "snapshot" else path,
+        delivery=path,
     )
     start = time.perf_counter()
     sim.run(rounds)

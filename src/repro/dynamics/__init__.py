@@ -10,7 +10,8 @@ This subpackage provides everything "below" the distributed algorithms:
   the sliding-window intersection / union graphs of Definition 2.1 (their
   only implementation).
 * :mod:`repro.dynamics.generators` — static base topologies.
-* :mod:`repro.dynamics.churn` — per-edge Markov churn and flip churn models.
+* :mod:`repro.dynamics.churn` — edge-churn processes (Markov, flip, burst,
+  edge insertion and their union), each stepped as a per-round edge delta.
 * :mod:`repro.dynamics.mobility` — random-waypoint mobility over a unit square.
 * :mod:`repro.dynamics.adversary` — the adversary interface (obliviousness,
   adaptive-offline) and the :class:`AdversaryView` handed to adversaries.
@@ -32,7 +33,6 @@ from repro.dynamics.adversary import (
     IncrementalAdversary,
     ADAPTIVE_OFFLINE,
     FULLY_OBLIVIOUS,
-    delta_emission,
 )
 from repro.dynamics.wakeup import (
     AllAwake,
@@ -55,7 +55,6 @@ __all__ = [
     "IncrementalAdversary",
     "ADAPTIVE_OFFLINE",
     "FULLY_OBLIVIOUS",
-    "delta_emission",
     "WakeupSchedule",
     "AllAwake",
     "StaggeredWakeup",

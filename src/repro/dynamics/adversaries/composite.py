@@ -87,18 +87,12 @@ class FreezeAfterAdversary(IncrementalAdversary):
     quickly SMis decides every node once the whole graph becomes static after
     a period of churn.
 
-    Once frozen, every round on the delta path is an *empty* delta — the
-    cheapest round the engine can execute.
+    Once frozen, every round is an *empty* delta — the cheapest round the
+    engine can execute.
     """
 
-    def __init__(
-        self,
-        inner: Adversary,
-        freeze_round: int,
-        *,
-        emit_deltas: Optional[bool] = None,
-    ) -> None:
-        super().__init__(emit_deltas=emit_deltas)
+    def __init__(self, inner: Adversary, freeze_round: int) -> None:
+        super().__init__()
         if freeze_round < 1:
             raise ConfigurationError(f"freeze_round must be >= 1, got {freeze_round}")
         self._inner = inner

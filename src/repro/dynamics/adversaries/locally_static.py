@@ -14,7 +14,7 @@ static for the entire run.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Optional
+from typing import FrozenSet
 
 import numpy as np
 
@@ -64,10 +64,8 @@ class LocallyStaticAdversary(IncrementalAdversary):
         protected_radius: int,
         churn: ChurnProcess,
         rng: np.random.Generator,
-        *,
-        emit_deltas: Optional[bool] = None,
     ) -> None:
-        super().__init__(emit_deltas=emit_deltas)
+        super().__init__()
         if center not in base.nodes:
             raise ConfigurationError(f"center {center} is not a node of the base topology")
         if protected_radius < 0:

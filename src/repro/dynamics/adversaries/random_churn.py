@@ -1,10 +1,9 @@
 """Stochastic (oblivious) adversaries: edge churn and mobility.
 
 Both adversaries emit :class:`~repro.dynamics.topology.TopologyDelta` change
-sets by default (see :class:`~repro.dynamics.adversary.IncrementalAdversary`),
-falling back to full snapshots on round 1, after a phase switch, or when
-constructed with ``emit_deltas=False``.  The snapshot and delta paths consume
-identical randomness, so a run is bit-reproducible on either path.
+sets, with a full snapshot only where the delta chain is broken: on round 1
+and right after a phase switch (see
+:class:`~repro.dynamics.adversary.IncrementalAdversary`).
 """
 
 from __future__ import annotations
@@ -40,9 +39,9 @@ class ChurnAdversary(IncrementalAdversary):
     fully oblivious (and in particular 2-oblivious, as required by the DMis
     analysis).
 
-    On the delta path the per-round Python work is proportional to the number
-    of churned edges (plus, on rounds with wake-ups, one scan over the present
-    edge set to attach the newly awake nodes' edges).
+    The per-round Python work is proportional to the number of churned edges
+    (plus, on rounds with wake-ups, one scan over the present edge set to
+    attach the newly awake nodes' edges).
     """
 
     obliviousness = FULLY_OBLIVIOUS
@@ -54,9 +53,8 @@ class ChurnAdversary(IncrementalAdversary):
         rng: np.random.Generator,
         *,
         wakeup: Optional[WakeupSchedule] = None,
-        emit_deltas: Optional[bool] = None,
     ) -> None:
-        super().__init__(emit_deltas=emit_deltas)
+        super().__init__()
         self._n = int(nodes)
         self._all_nodes = frozenset(range(self._n))
         self._churn = churn
@@ -154,9 +152,9 @@ class ChurnAdversary(IncrementalAdversary):
 class MobilityAdversary(IncrementalAdversary):
     """Random-waypoint mobility: the graph is the geometric graph of moving nodes.
 
-    On the delta path each round advances the mobility model, computes the new
-    edge set and diffs it against the previous round with C-speed frozenset
-    operations — no per-round topology construction.
+    Each round advances the mobility model, computes the new edge set and
+    diffs it against the previous round with C-speed frozenset operations —
+    no per-round topology construction.
     """
 
     obliviousness = FULLY_OBLIVIOUS
@@ -166,9 +164,8 @@ class MobilityAdversary(IncrementalAdversary):
         mobility: RandomWaypointMobility,
         *,
         wakeup: Optional[WakeupSchedule] = None,
-        emit_deltas: Optional[bool] = None,
     ) -> None:
-        super().__init__(emit_deltas=emit_deltas)
+        super().__init__()
         self._mobility = mobility
         self._all_nodes = frozenset(range(mobility.n))
         self._wakeup = wakeup

@@ -13,7 +13,7 @@ its declared obliviousness is 1 (it uses outputs of round ``r - 1``).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -54,9 +54,8 @@ class TargetedColoringAdversary(IncrementalAdversary):
         rng: np.random.Generator,
         *,
         color_of=None,
-        emit_deltas: Optional[bool] = None,
     ) -> None:
-        super().__init__(emit_deltas=emit_deltas)
+        super().__init__()
         self._base = base
         self._attacks = max(0, int(attacks_per_round))
         self._lifetime = max(1, int(lifetime))

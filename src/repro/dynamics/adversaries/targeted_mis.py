@@ -21,7 +21,7 @@ which is exactly the point of experiment E10.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -63,9 +63,8 @@ class TargetedMisAdversary(IncrementalAdversary):
         rng: np.random.Generator,
         *,
         lifetime: int = 1,
-        emit_deltas: Optional[bool] = None,
     ) -> None:
-        super().__init__(emit_deltas=emit_deltas)
+        super().__init__()
         if mode not in _MODES:
             raise ConfigurationError(f"mode must be one of {_MODES}, got {mode!r}")
         self._base = base

@@ -17,13 +17,16 @@ round.  Its power is graded by *obliviousness* (Section 2):
   the edge over which a fresh MIS node would notify its neighbour) only needs
   this online power, so the distinction does not weaken the experiments.
 
-Since the delta-engine refactor, :meth:`Adversary.step` may return either a
-full :class:`~repro.dynamics.topology.Topology` snapshot (the original
-contract) or a :class:`~repro.dynamics.topology.TopologyDelta` describing the
-changes relative to the previous round — the round-cost of a delta-emitting
-adversary is proportional to the amount of change, not the graph size.  See
-:class:`IncrementalAdversary` for the bookkeeping that makes delta emission
-safe under composition.
+:meth:`Adversary.step` returns the change from ``G_{r-1}`` as a
+:class:`~repro.dynamics.topology.TopologyDelta`, so the round-cost of an
+adversary is proportional to the amount of change, not the graph size.  A
+full :class:`~repro.dynamics.topology.Topology` snapshot is returned only
+where no delta can be sound: by an adversary that did not produce
+``G_{r-1}`` itself (round 1, or right after a
+:class:`~repro.dynamics.adversaries.composite.PhaseAdversary` switch — see
+:class:`IncrementalAdversary`), and by the replay adversaries of
+:mod:`repro.dynamics.adversaries.scripted`, whose topologies are
+precomputed objects.
 
 Concrete adversaries live in :mod:`repro.dynamics.adversaries`.
 """
@@ -31,7 +34,6 @@ Concrete adversaries live in :mod:`repro.dynamics.adversaries`.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from contextlib import contextmanager
 from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence, Union
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle / optional-dep guard
@@ -49,9 +51,6 @@ __all__ = [
     "StepResult",
     "ADAPTIVE_OFFLINE",
     "FULLY_OBLIVIOUS",
-    "default_delta_emission",
-    "set_default_delta_emission",
-    "delta_emission",
 ]
 
 #: What :meth:`Adversary.step` may return: a full snapshot, or the change set
@@ -209,44 +208,8 @@ class Adversary(ABC):
 
 
 # ---------------------------------------------------------------------------
-# delta emission
+# the delta chain
 # ---------------------------------------------------------------------------
-
-#: Process-wide default for :class:`IncrementalAdversary` instances that do
-#: not pass ``emit_deltas`` explicitly.  The snapshot path is kept primarily
-#: for equivalence testing and benchmarking against the delta path.
-_EMIT_DELTAS_DEFAULT = True
-
-
-def default_delta_emission() -> bool:
-    """The process-wide default for ``emit_deltas`` (see :func:`delta_emission`)."""
-    return _EMIT_DELTAS_DEFAULT
-
-
-def set_default_delta_emission(enabled: bool) -> bool:
-    """Set the process-wide ``emit_deltas`` default; returns the previous value."""
-    global _EMIT_DELTAS_DEFAULT
-    previous = _EMIT_DELTAS_DEFAULT
-    _EMIT_DELTAS_DEFAULT = bool(enabled)
-    return previous
-
-
-@contextmanager
-def delta_emission(enabled: bool):
-    """Context manager forcing the snapshot (``False``) or delta (``True``) path.
-
-    Only affects :class:`IncrementalAdversary` instances *constructed* inside
-    the context that did not pass ``emit_deltas`` explicitly.  Used by the
-    equivalence tests, the engine benchmark and the ``delta-vs-snapshot``
-    contract of ``repro verify`` (:mod:`repro.verify.contracts`), which runs
-    every registered adversary on both paths and gates on byte-identical
-    traces.
-    """
-    previous = set_default_delta_emission(enabled)
-    try:
-        yield
-    finally:
-        set_default_delta_emission(previous)
 
 
 class IncrementalAdversary(Adversary):
@@ -257,19 +220,12 @@ class IncrementalAdversary(Adversary):
     earlier.  This base class tracks that "delta chain": subclasses call
     :meth:`_delta_chain_intact` exactly once at the top of :meth:`step` and
     emit a full snapshot whenever it returns ``False`` (round 1, after a
-    phase switch, or when driven out of order by a test).
-
-    Parameters
-    ----------
-    emit_deltas:
-        ``True``/``False`` forces the delta/snapshot path; ``None`` (default)
-        follows the process-wide default (see :func:`delta_emission`).
+    phase switch, or when driven out of order by a test).  That resync
+    snapshot is the only way an adversary that did not produce ``G_{r-1}``
+    can emit a round.
     """
 
-    def __init__(self, *, emit_deltas: Optional[bool] = None) -> None:
-        self._emit_deltas = (
-            default_delta_emission() if emit_deltas is None else bool(emit_deltas)
-        )
+    def __init__(self) -> None:
         self._last_step_round: Optional[Round] = None
 
     def reset(self) -> None:
@@ -283,8 +239,7 @@ class IncrementalAdversary(Adversary):
         this adversary's most recent step).
         """
         intact = (
-            self._emit_deltas
-            and self._last_step_round == view.round_index - 1
+            self._last_step_round == view.round_index - 1
             and view.previous_topology() is not None
         )
         self._last_step_round = view.round_index

@@ -15,17 +15,21 @@ that the churn *rate* is a controllable experiment parameter:
   currently present edges for one round (models link-failure bursts).
 * :class:`EdgeInsertionChurn` — repeatedly inserts a batch of random
   *non-base* edges for a configurable lifetime (models fleeting contacts).
+* :class:`CompositeChurn` — the union of several processes.
 
 Each process is a :class:`ChurnProcess`: it is stepped once per round and
-returns the edge set of that round (always among awake nodes handled by the
-adversary layer).
+returns the round's edge *change* ``(added, removed)`` relative to the
+previous round, as in the paper's model where the adversary fixes ``G_r``
+once per round and only the change from ``G_{r-1}`` matters.  ``G_0`` is
+empty, so the first call returns the whole initial edge set as ``added``.
+Awake-node filtering is the adversary layer's job.
 """
 
 from __future__ import annotations
 
+import numbers
 from abc import ABC, abstractmethod
-from contextlib import contextmanager
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -38,7 +42,6 @@ __all__ = [
     "ChurnProcess",
     "EdgeDelta",
     "advance_churn",
-    "quiescence_skip",
     "StaticChurn",
     "MarkovEdgeChurn",
     "FlipChurn",
@@ -47,62 +50,25 @@ __all__ = [
     "CompositeChurn",
 ]
 
-#: Whether provably-inert churn rounds may skip their RNG draw (see
-#: :func:`quiescence_skip` and :meth:`ChurnProcess.quiescent`).
-_QUIESCENCE_SKIP = True
-
-
-@contextmanager
-def quiescence_skip(enabled: bool) -> Iterator[None]:
-    """Toggle the quiescent-round RNG-draw skip (equivalence-test hook).
-
-    Skipping is *provably unobservable* — a process only reports quiescent
-    from an absorbing state, where the skipped draws could never change any
-    future delta — but the equivalence tests still run both settings on
-    shared seeds and byte-compare the traces.  Default: enabled.
-    """
-    global _QUIESCENCE_SKIP
-    previous = _QUIESCENCE_SKIP
-    _QUIESCENCE_SKIP = bool(enabled)
-    try:
-        yield
-    finally:
-        _QUIESCENCE_SKIP = previous
-
-
 #: The ``(added, removed)`` edge change of one churn round.
 EdgeDelta = Tuple[FrozenSet[Edge], FrozenSet[Edge]]
 
+_NO_EDGES: FrozenSet[Edge] = frozenset()
+
 
 class ChurnProcess(ABC):
-    """A per-round stochastic process producing the round's edge set.
+    """A per-round stochastic process producing the round's edge change.
 
-    A process is driven through exactly one of two APIs per run:
-
-    * :meth:`step` — the original bulk API returning the full edge set; or
-    * :meth:`step_delta` — the incremental API returning the ``(added,
-      removed)`` change relative to the previous ``step_delta`` call (the
-      state before the first call counts as the empty edge set, so the first
-      delta carries the whole initial edge set as ``added``).
-
-    Both consume identical randomness for identical seeds, so a run is
-    bit-reproducible regardless of which API drives it.  ``step_delta``
-    returns ``None`` for processes without native delta support (bulk
-    processes like :class:`BurstChurn`); callers then fall back to diffing
-    consecutive :meth:`step` results.
+    :meth:`step_delta` returns the ``(added, removed)`` change relative to
+    the previous call; the state before the first call counts as the empty
+    edge set, so the first delta carries the whole initial edge set as
+    ``added``.  A delta is exact: ``added`` edges were absent and ``removed``
+    edges present.
     """
 
     @abstractmethod
-    def step(self, round_index: int, rng: np.random.Generator) -> FrozenSet[Edge]:
-        """Advance one round and return the edges present this round."""
-
-    def step_delta(self, round_index: int, rng: np.random.Generator) -> Optional[EdgeDelta]:
-        """Advance one round and return the edge changes, or ``None``.
-
-        ``None`` means "no native delta support — and no state was consumed";
-        the caller must then drive the process through :meth:`step` instead.
-        """
-        return None
+    def step_delta(self, round_index: int, rng: np.random.Generator) -> EdgeDelta:
+        """Advance one round and return the ``(added, removed)`` edge change."""
 
     @abstractmethod
     def reset(self) -> None:
@@ -129,24 +95,17 @@ def advance_churn(
 ) -> Tuple[FrozenSet[Edge], FrozenSet[Edge], FrozenSet[Edge]]:
     """Advance ``churn`` one round and return ``(added, removed, new_present)``.
 
-    Uses the native :meth:`ChurnProcess.step_delta` when the process supports
-    it and falls back to diffing consecutive :meth:`ChurnProcess.step` results
-    otherwise; ``present`` is the caller-maintained edge set from the previous
-    round.  Shared by every delta-emitting adversary that drives a churn
-    process, so the delta contract lives in one place.
+    ``present`` is the caller-maintained edge set from the previous round.
+    Shared by every adversary that drives a churn process, so the delta
+    contract lives in one place.
 
-    When the process reports itself :meth:`ChurnProcess.quiescent` (and the
-    skip is enabled — see :func:`quiescence_skip`), the RNG draw is skipped
-    and the empty delta returned directly; byte-identical by the absorbing
-    argument in :meth:`ChurnProcess.quiescent`.
+    When the process reports itself :meth:`ChurnProcess.quiescent`, the RNG
+    draw is skipped and the empty delta returned directly; byte-identical by
+    the absorbing argument in :meth:`ChurnProcess.quiescent`.
     """
-    if _QUIESCENCE_SKIP and churn.quiescent():
-        return frozenset(), frozenset(), present
-    native = churn.step_delta(round_index, rng)
-    if native is None:
-        edges = churn.step(round_index, rng)
-        return edges - present, present - edges, edges
-    added, removed = native
+    if churn.quiescent():
+        return _NO_EDGES, _NO_EDGES, present
+    added, removed = churn.step_delta(round_index, rng)
     if removed:
         present = present - removed
     if added:
@@ -161,9 +120,6 @@ class StaticChurn(ChurnProcess):
         self._base = base
         self._primed = False
         self._all_present: Optional[np.ndarray] = None
-
-    def step(self, round_index: int, rng: np.random.Generator) -> FrozenSet[Edge]:
-        return self._base.edges
 
     def step_delta(self, round_index: int, rng: np.random.Generator) -> EdgeDelta:
         if not self._primed:
@@ -282,19 +238,11 @@ class MarkovEdgeChurn(ChurnProcess):
         if len(self._base_edges) == 0:
             # Mirror step_delta's early return: no draw, no priming.
             return self._present
-        if _QUIESCENCE_SKIP and self.quiescent():
+        if self.quiescent():
             return self._present
         self._advance(rng)
         self._primed = True
         return self._present
-
-    def step(self, round_index: int, rng: np.random.Generator) -> FrozenSet[Edge]:
-        if len(self._base_edges) == 0:
-            return frozenset()
-        self._advance(rng)
-        return frozenset(
-            e for e, present in zip(self._base_edges, self._present) if present
-        )
 
     def step_delta(self, round_index: int, rng: np.random.Generator) -> EdgeDelta:
         if len(self._base_edges) == 0:
@@ -332,6 +280,10 @@ class BurstChurn(ChurnProcess):
     Between bursts the full base edge set is present.  With probability
     ``burst_prob`` per round, a fraction ``drop_fraction`` of the edges is
     removed for exactly that round.
+
+    The process keeps only the set of edges missing this round, so the delta
+    between two calm rounds is empty and costs O(1); a burst round and the
+    round after it cost O(m).
     """
 
     def __init__(self, base: Topology, burst_prob: float, drop_fraction: float) -> None:
@@ -340,18 +292,35 @@ class BurstChurn(ChurnProcess):
         self._base_edges: Sequence[Edge] = base.sorted_edges()
         self._burst_prob = float(burst_prob)
         self._drop_fraction = float(drop_fraction)
+        self._dropped: FrozenSet[Edge] = _NO_EDGES
+        self._primed = False
 
     def reset(self) -> None:
-        return None
+        self._dropped = _NO_EDGES
+        self._primed = False
 
-    def step(self, round_index: int, rng: np.random.Generator) -> FrozenSet[Edge]:
-        if not self._base_edges or rng.random() >= self._burst_prob:
-            return frozenset(self._base_edges)
-        keep = max(0, int(round(len(self._base_edges) * (1.0 - self._drop_fraction))))
-        if keep >= len(self._base_edges):
-            return frozenset(self._base_edges)
-        indices = rng.choice(len(self._base_edges), size=keep, replace=False)
-        return frozenset(self._base_edges[int(i)] for i in indices)
+    def _draw_dropped(self, rng: np.random.Generator) -> FrozenSet[Edge]:
+        """The edges missing this round: one uniform, plus the kept sample on a burst."""
+        m = len(self._base_edges)
+        if not m or rng.random() >= self._burst_prob:
+            return _NO_EDGES
+        keep = max(0, int(round(m * (1.0 - self._drop_fraction))))
+        if keep >= m:
+            return _NO_EDGES
+        dropped = np.ones(m, dtype=bool)
+        dropped[rng.choice(m, size=keep, replace=False)] = False
+        edges = self._base_edges
+        return frozenset(edges[int(i)] for i in np.flatnonzero(dropped))
+
+    def step_delta(self, round_index: int, rng: np.random.Generator) -> EdgeDelta:
+        dropped = self._draw_dropped(rng)
+        previous, self._dropped = self._dropped, dropped
+        if not self._primed:
+            self._primed = True
+            return frozenset(self._base_edges) - dropped, _NO_EDGES
+        if not (previous or dropped):
+            return _NO_EDGES, _NO_EDGES
+        return previous - dropped, dropped - previous
 
 
 class EdgeInsertionChurn(ChurnProcess):
@@ -371,6 +340,12 @@ class EdgeInsertionChurn(ChurnProcess):
         insertions_per_round: int,
         lifetime: int,
     ) -> None:
+        if isinstance(insertions_per_round, bool) or not isinstance(
+            insertions_per_round, numbers.Integral
+        ):
+            raise ConfigurationError(
+                f"insertions_per_round must be an integer, got {insertions_per_round!r}"
+            )
         check_non_negative("insertions_per_round", insertions_per_round)
         if lifetime < 1:
             raise ConfigurationError(f"lifetime must be >= 1, got {lifetime}")
@@ -405,10 +380,6 @@ class EdgeInsertionChurn(ChurnProcess):
                 self._active[e] = round_index + self._lifetime
         return expired, fresh
 
-    def step(self, round_index: int, rng: np.random.Generator) -> FrozenSet[Edge]:
-        self._advance(round_index, rng)
-        return frozenset(self._base.edges) | frozenset(self._active)
-
     def step_delta(self, round_index: int, rng: np.random.Generator) -> EdgeDelta:
         expired, fresh = self._advance(round_index, rng)
         if not self._primed:
@@ -422,16 +393,25 @@ class EdgeInsertionChurn(ChurnProcess):
 
 
 class CompositeChurn(ChurnProcess):
-    """Union of the edge sets produced by several churn processes."""
+    """Union of the edge sets produced by several churn processes.
+
+    The sub-processes are stepped in order on the shared ``rng``.  A per-edge
+    count of the sub-processes holding each edge turns their deltas into the
+    union's delta: an edge is added when its count leaves zero and removed
+    when it returns to zero, so an edge two processes hold survives while
+    one of them drops it.
+    """
 
     def __init__(self, processes: Sequence[ChurnProcess]) -> None:
         if not processes:
             raise ConfigurationError("CompositeChurn needs at least one process")
         self._processes: List[ChurnProcess] = list(processes)
+        self._holders: Dict[Edge, int] = {}
 
     def reset(self) -> None:
         for proc in self._processes:
             proc.reset()
+        self._holders.clear()
 
     def quiescent(self) -> bool:
         # Only the composite as a whole may be skipped: skipping a single
@@ -439,8 +419,26 @@ class CompositeChurn(ChurnProcess):
         # its non-quiescent siblings.
         return all(proc.quiescent() for proc in self._processes)
 
-    def step(self, round_index: int, rng: np.random.Generator) -> FrozenSet[Edge]:
-        edges: Set[Edge] = set()
+    def step_delta(self, round_index: int, rng: np.random.Generator) -> EdgeDelta:
+        holders = self._holders
+        # Whether each edge touched this round was in the union before it.
+        was_present: Dict[Edge, bool] = {}
         for proc in self._processes:
-            edges |= proc.step(round_index, rng)
-        return frozenset(edges)
+            added, removed = proc.step_delta(round_index, rng)
+            for e in removed:
+                was_present.setdefault(e, True)
+                count = holders[e] - 1
+                if count:
+                    holders[e] = count
+                else:
+                    del holders[e]
+            for e in added:
+                count = holders.get(e, 0)
+                was_present.setdefault(e, count > 0)
+                holders[e] = count + 1
+        if not was_present:
+            return _NO_EDGES, _NO_EDGES
+        return (
+            frozenset(e for e, was in was_present.items() if not was and e in holders),
+            frozenset(e for e, was in was_present.items() if was and e not in holders),
+        )

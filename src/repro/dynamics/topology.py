@@ -619,6 +619,11 @@ class Topology:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Topology(n={self.num_nodes}, m={self.num_edges})"
 
+    def __deepcopy__(self, memo: dict) -> "Topology":
+        # Immutable, so a copy is the object itself.  A rebuilt frozenset may
+        # iterate in another order, and rows can see the order.
+        return self
+
     def iterates_like(self, other: "Topology") -> bool:
         """Whether ``other`` equals this topology and iterates like it.
 

@@ -30,7 +30,8 @@ from __future__ import annotations
 
 import math
 import numbers
-from typing import Dict, Optional
+from collections.abc import Mapping, Sequence
+from typing import Any, Dict, List, Optional
 
 from repro.errors import ConfigurationError
 from repro.dynamics import generators
@@ -95,6 +96,8 @@ from repro.scenarios.registry import (
     STOP_CONDITIONS,
     TOPOLOGIES,
     WAKEUPS,
+    Registry,
+    suggestion_hint,
 )
 __all__ = ["problem_pair_by_name"]
 
@@ -290,7 +293,36 @@ def _adversary_locally_static(
     )
 
 
-@ADVERSARIES.register("freeze-after")
+def _adversary_ref_problems(ref: Any, where: str) -> List[str]:
+    """Problems with a nested adversary reference (name or ``{"name", "params"}``)."""
+    from repro.scenarios.spec import ComponentSpec
+
+    try:
+        spec = ComponentSpec.coerce(ref)
+    except ConfigurationError as exc:
+        return [f"{where}: {exc}"]
+    if spec.name not in ADVERSARIES:
+        hint = suggestion_hint(spec.name, ADVERSARIES.available())
+        return [f"{where}.name: unknown adversary {spec.name!r}{hint}"]
+    return ADVERSARIES.param_problems(spec.name, spec.params, f"{where}.params")
+
+
+def _freeze_after_problems(params: Mapping[str, Any], where: str) -> List[str]:
+    return _adversary_ref_problems(params["inner"], f"{where}.inner")
+
+
+def _phase_problems(params: Mapping[str, Any], where: str) -> List[str]:
+    problems = []
+    for index, entry in enumerate(params["phases"]):
+        at = f"{where}.phases[{index}]"
+        if not isinstance(entry, (list, tuple)) or len(entry) != 2:
+            problems.append(f"{at}: must be a [duration, adversary] pair, got {entry!r}")
+        else:
+            problems.extend(_adversary_ref_problems(entry[1], f"{at}[1]"))
+    return problems
+
+
+@ADVERSARIES.register("freeze-after", check=_freeze_after_problems)
 def _adversary_freeze_after(ctx, *, inner, freeze_round):
     """Runs `inner` until `freeze_round`, then repeats the last graph forever."""
     from repro.scenarios.spec import ComponentSpec
@@ -315,7 +347,7 @@ def _adversary_mobility(
     return MobilityAdversary(mobility, wakeup=ctx.wakeup)
 
 
-@ADVERSARIES.register("phase")
+@ADVERSARIES.register("phase", check=_phase_problems)
 def _adversary_phase(ctx, *, phases):
     """Phase script: switch between registered adversaries at fixed round boundaries.
 
@@ -356,22 +388,56 @@ def _adversary_phase(ctx, *, phases):
 
 
 #: Churn-process kinds available to the "composite-churn" adversary.
-_CHURN_KINDS = {
-    "static": lambda base: StaticChurn(base),
-    "flip": lambda base, *, flip_prob=0.01, **params: FlipChurn(base, flip_prob, **params),
-    "markov": lambda base, *, p_off=0.0, p_on=0.0, **params: MarkovEdgeChurn(
-        base, p_off=p_off, p_on=p_on, **params
+_CHURN_KINDS = Registry("churn kind")
+_CHURN_KINDS.register("static", lambda base: StaticChurn(base))
+_CHURN_KINDS.register(
+    "flip",
+    lambda base, *, flip_prob=0.01, start_present=True: FlipChurn(
+        base, flip_prob, start_present=start_present
     ),
-    "burst": lambda base, *, burst_prob=0.1, drop_fraction=0.5: BurstChurn(
-        base, burst_prob, drop_fraction
+)
+_CHURN_KINDS.register(
+    "markov",
+    lambda base, *, p_off=0.0, p_on=0.0, start_present=True: MarkovEdgeChurn(
+        base, p_off=p_off, p_on=p_on, start_present=start_present
     ),
-    "edge-insertion": lambda base, *, insertions_per_round=3, lifetime=3: EdgeInsertionChurn(
+)
+_CHURN_KINDS.register(
+    "burst",
+    lambda base, *, burst_prob=0.1, drop_fraction=0.5: BurstChurn(base, burst_prob, drop_fraction),
+)
+_CHURN_KINDS.register(
+    "edge-insertion",
+    lambda base, *, insertions_per_round=3, lifetime=3: EdgeInsertionChurn(
         base, insertions_per_round=insertions_per_round, lifetime=lifetime
     ),
-}
+)
 
 
-@ADVERSARIES.register("composite-churn")
+def _churn_process_problems(params: Mapping[str, Any], where: str) -> List[str]:
+    """Problems with composite-churn's ``processes`` list, each naming ``processes[i]``."""
+    processes = params["processes"]
+    if isinstance(processes, (str, bytes)) or not isinstance(processes, Sequence) or not processes:
+        return [f"{where}.processes: must be a non-empty list of mappings with a 'kind'"]
+    problems = []
+    for index, entry in enumerate(processes):
+        at = f"{where}.processes[{index}]"
+        if not isinstance(entry, Mapping):
+            problems.append(f"{at}: must be a mapping with a 'kind', got {entry!r}")
+            continue
+        kind = entry.get("kind")
+        if not isinstance(kind, str) or kind not in _CHURN_KINDS:
+            problems.append(
+                f"{at}.kind: unknown churn kind {kind!r}{suggestion_hint(kind, _CHURN_KINDS)}; "
+                f"available: {list(_CHURN_KINDS)}"
+            )
+            continue
+        kind_params = {key: value for key, value in entry.items() if key != "kind"}
+        problems.extend(_CHURN_KINDS.param_problems(kind, kind_params, at))
+    return problems
+
+
+@ADVERSARIES.register("composite-churn", check=_churn_process_problems)
 def _adversary_composite_churn(ctx, *, processes):
     """Union of several churn processes animating the base topology.
 
@@ -383,17 +449,14 @@ def _adversary_composite_churn(ctx, *, processes):
             {"kind": "edge-insertion", "insertions_per_round": 2, "lifetime": 3},
         ])
     """
-    if not processes:
-        raise ConfigurationError("composite-churn needs at least one process")
+    problems = _churn_process_problems({"processes": processes}, "composite-churn")
+    if problems:
+        raise ConfigurationError("; ".join(problems))
     built = []
     for entry in processes:
         params = dict(entry)
-        kind = params.pop("kind", None)
-        if kind not in _CHURN_KINDS:
-            raise ConfigurationError(
-                f"unknown churn kind {kind!r}; available: {sorted(_CHURN_KINDS)}"
-            )
-        built.append(_CHURN_KINDS[kind](ctx.base, **params))
+        kind = params.pop("kind")
+        built.append(_CHURN_KINDS.get(kind)(ctx.base, **params))
     return ChurnAdversary(
         ctx.n, CompositeChurn(built), ctx.stream("adversary", "composite"), wakeup=ctx.wakeup
     )
@@ -406,7 +469,11 @@ def _adversary_composite_churn(ctx, *, processes):
 
 def _register_plain_algorithm(name: str, cls):
     doc = (cls.__doc__ or "").strip().splitlines()
-    ALGORITHMS.register(name, lambda ctx, _cls=cls: _cls(), doc=doc[0] if doc else "")
+
+    def build(ctx):
+        return cls()
+
+    ALGORITHMS.register(name, build, doc=doc[0] if doc else "")
 
 
 for _name, _cls in (

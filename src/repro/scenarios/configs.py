@@ -164,7 +164,7 @@ def load_config(path: Union[str, Path]) -> Config:
             raise ConfigurationError(f"scenario config {path} is missing its 'spec'")
         _reject_unknown(path, data, {"kind", "spec", "execution"})
         return ScenarioConfig(
-            spec=ScenarioSpec.from_dict(data["spec"]),
+            spec=_load_spec(path, data["spec"]),
             path=path,
             execution=execution,
         )
@@ -185,7 +185,7 @@ def load_config(path: Union[str, Path]) -> Config:
                     f"got {values!r}"
                 )
         return SweepConfig(
-            spec=ScenarioSpec.from_dict(data["spec"]),
+            spec=_load_spec(path, data["spec"]),
             over={str(k): list(v) for k, v in over.items()},
             path=path,
             execution=execution,
@@ -222,6 +222,15 @@ def load_config(path: Union[str, Path]) -> Config:
     raise ConfigurationError(
         f"config {path} has unknown kind {kind!r} (expected scenario, sweep or experiment)"
     )
+
+
+def _load_spec(path: Path, data: Any) -> ScenarioSpec:
+    """Build a config's spec, rejecting component parameters nothing accepts."""
+    spec = ScenarioSpec.from_dict(data)
+    problems = _spec_param_problems(spec)
+    if problems:
+        raise ConfigurationError(f"config {path}: " + "; ".join(problems))
+    return spec
 
 
 def _reject_unknown(path: Path, data: Mapping[str, Any], allowed: set) -> None:
@@ -287,6 +296,29 @@ def validate_spec(spec: ScenarioSpec) -> List[str]:
         _check_component(METRICS, "metrics", metric, f"metrics[{index}]", problems)
     _check_component(PROBES, "probes", spec.probe, "probe", problems)
     _check_component(STOP_CONDITIONS, "stop_conditions", spec.stop, "stop condition", problems)
+    return problems
+
+
+def _spec_param_problems(spec: ScenarioSpec) -> List[str]:
+    """Parameter problems of every registered component ``spec`` names.
+
+    Each problem names its field as ``spec.<slot>.params.<key>`` (see
+    :meth:`Registry.param_problems`); unknown component names are left to
+    :func:`validate_spec`.
+    """
+    slots = [
+        ("topology", TOPOLOGIES, spec.topology),
+        ("adversary", ADVERSARIES, spec.adversary),
+        ("algorithm", ALGORITHMS, spec.algorithm),
+        ("wakeup", WAKEUPS, spec.wakeup),
+        ("probe", PROBES, spec.probe),
+        ("stop", STOP_CONDITIONS, spec.stop),
+    ]
+    slots.extend((f"metrics[{i}]", METRICS, metric) for i, metric in enumerate(spec.metrics))
+    problems: List[str] = []
+    for slot, registry, ref in slots:
+        if ref is not None and ref.name in registry:
+            problems.extend(registry.param_problems(ref.name, ref.params, f"spec.{slot}.params"))
     return problems
 
 

@@ -35,12 +35,14 @@ The built-in components are registered in
 from __future__ import annotations
 
 import difflib
-from typing import Callable, Dict, Iterator, Optional, Tuple, TypeVar
+import inspect
+from typing import Any, Callable, Dict, FrozenSet, Iterator, List, Mapping, Optional, Tuple, TypeVar
 
 from repro.errors import RegistryError
 
 __all__ = [
     "Registry",
+    "accepted_parameters",
     "suggestion_hint",
     "TOPOLOGIES",
     "ADVERSARIES",
@@ -67,6 +69,42 @@ def suggestion_hint(name: object, candidates) -> str:
     return f"; did you mean {', '.join(suggestions)}?" if suggestions else ""
 
 
+def accepted_parameters(factory: Callable) -> Optional[FrozenSet[str]]:
+    """Keyword parameters a component factory accepts (``None`` = unverifiable).
+
+    The leading context arguments (``ctx`` / ``n, rng``) are positional by
+    convention; a spec's ``params`` arrive as keywords, so the accepted set is
+    every keyword-only parameter plus positional-or-keyword parameters with
+    defaults.  A ``**kwargs`` factory can absorb anything — unverifiable.
+    """
+    try:
+        signature = inspect.signature(factory)
+    except (TypeError, ValueError):
+        return None
+    accepted = set()
+    for parameter in signature.parameters.values():
+        if parameter.kind is inspect.Parameter.VAR_KEYWORD:
+            return None
+        if parameter.kind is inspect.Parameter.KEYWORD_ONLY:
+            accepted.add(parameter.name)
+        elif (
+            parameter.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
+            and parameter.default is not inspect.Parameter.empty
+        ):
+            accepted.add(parameter.name)
+    return frozenset(accepted)
+
+
+def _required_parameters(factory: Callable) -> FrozenSet[str]:
+    """Keyword-only parameters of ``factory`` without a default."""
+    try:
+        parameters = inspect.signature(factory).parameters.values()
+    except (TypeError, ValueError):
+        return frozenset()
+    keyword_only = [p for p in parameters if p.kind is inspect.Parameter.KEYWORD_ONLY]
+    return frozenset(p.name for p in keyword_only if p.default is inspect.Parameter.empty)
+
+
 class Registry:
     """A named mapping from string keys to component factories.
 
@@ -79,6 +117,7 @@ class Registry:
         self._kind = kind
         self._entries: Dict[str, Callable] = {}
         self._docs: Dict[str, str] = {}
+        self._checks: Dict[str, Callable[[Mapping[str, Any], str], List[str]]] = {}
 
     @property
     def kind(self) -> str:
@@ -92,6 +131,7 @@ class Registry:
         *,
         overwrite: bool = False,
         doc: Optional[str] = None,
+        check: Optional[Callable[[Mapping[str, Any], str], List[str]]] = None,
     ):
         """Register ``factory`` under ``name``.
 
@@ -99,7 +139,9 @@ class Registry:
         directly (``REGISTRY.register("name", factory)``); returns the factory
         either way.  ``doc`` overrides the component description surfaced by
         :meth:`describe` / ``available(docs=True)``; by default the first line
-        of the factory's docstring is used.
+        of the factory's docstring is used.  ``check(params, where)`` returns
+        problems with parameter *values* that the factory's signature cannot
+        express (see :meth:`param_problems`).
         """
         if not isinstance(name, str) or not name:
             raise RegistryError(f"{self._kind} registry keys must be non-empty strings, got {name!r}")
@@ -114,6 +156,9 @@ class Registry:
                     f"{self._kind} {name!r} is already registered; pass overwrite=True to replace it"
                 )
             self._entries[name] = target
+            self._checks.pop(name, None)
+            if check is not None:
+                self._checks[name] = check
             if doc is not None:
                 self._docs[name] = doc.strip()
             else:
@@ -129,6 +174,31 @@ class Registry:
         """Remove ``name`` (no-op if absent); mainly for test isolation."""
         self._entries.pop(name, None)
         self._docs.pop(name, None)
+        self._checks.pop(name, None)
+
+    def param_problems(self, name: str, params: Mapping[str, Any], where: str) -> List[str]:
+        """Problems with ``params`` for component ``name``, each naming ``where.<key>``.
+
+        Flags keys the factory does not accept, keyword-only parameters it
+        requires but ``params`` lacks, and whatever the ``check`` given to
+        :meth:`register` reports.  Run before the factory is called, so a bad
+        parameter is a message rather than a ``TypeError`` deep inside it.
+        """
+        factory = self.get(name)
+        problems: List[str] = []
+        accepted = accepted_parameters(factory)
+        if accepted is not None:
+            for key in sorted(set(params) - accepted):
+                problems.append(
+                    f"{where}.{key}: {self._kind} {name!r} accepts no parameter {key!r}"
+                    f"{suggestion_hint(key, accepted)} (accepted: {sorted(accepted) or 'none'})"
+                )
+        for key in sorted(_required_parameters(factory) - set(params)):
+            problems.append(f"{where}.{key}: {self._kind} {name!r} requires this parameter")
+        check = self._checks.get(name)
+        if check is not None and not problems:
+            problems.extend(check(params, where))
+        return problems
 
     def set_doc(self, name: str, doc: str) -> None:
         """Replace the one-line description of an already-registered component.

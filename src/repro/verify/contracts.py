@@ -11,7 +11,6 @@ seed variance from the comparison entirely, so any divergence is the
 manipulation under test, not replication noise — the confound the
 paired-run design exists to kill.
 
-* ``delta-vs-snapshot`` — every registered adversary, delta emission on vs off;
 * ``delivery-equivalence`` — full vs incremental vs kernel delivery, on
   built-in cases and on every committed scenario config (the one
   fast-vs-full gate);
@@ -40,18 +39,15 @@ rows through the content-addressed results store.
 from __future__ import annotations
 
 import functools
-import inspect
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (
     Any,
     Callable,
     Dict,
-    Iterable,
     Iterator,
     List,
     Mapping,
-    Optional,
     Sequence,
     Tuple,
 )
@@ -61,7 +57,7 @@ import networkx as nx
 from repro.errors import ConfigurationError
 from repro.types import NodeId, canonical_edge
 from repro.core.windows import default_window, window_for
-from repro.dynamics.adversary import FULLY_OBLIVIOUS, Adversary, AdversaryView, delta_emission
+from repro.dynamics.adversary import FULLY_OBLIVIOUS, Adversary, AdversaryView
 from repro.dynamics.generators import gnp_edge_arrays
 from repro.dynamics.topology import Topology, topology_from_networkx
 from repro.runtime.algorithm import DistributedAlgorithm
@@ -72,13 +68,13 @@ from repro.scenarios.executor import _build_context, _execute_seed, run_scenario
 from repro.scenarios.registry import (
     ADVERSARIES,
     ALGORITHMS,
-    METRICS,
     PROBES,
     REGISTRIES,
     STOP_CONDITIONS,
     TOPOLOGIES,
     WAKEUPS,
     Registry,
+    accepted_parameters,
     suggestion_hint,
 )
 from repro.scenarios.spec import ComponentSpec, ScenarioSpec, component
@@ -177,97 +173,6 @@ def _first_divergence(rows_a: List[tuple], rows_b: List[tuple]) -> str:
                 parts.append("metrics")
             return f"round {a[0]} differs in {', '.join(parts) or 'unknown fields'}"
     return "metric rows differ"
-
-
-# ---------------------------------------------------------------------------
-# delta-vs-snapshot: every registered adversary
-# ---------------------------------------------------------------------------
-
-# Default parameter sets for the built-in adversaries (mirrors the
-# equivalence test matrix).  Adversaries registered later — plugins, test
-# doubles — fall back to parameter-less construction and are skipped when
-# that fails, so the contract always covers the *current* registry.
-_ADVERSARY_DEFAULTS: Dict[str, ComponentSpec] = {
-    "static": component("static"),
-    "flip-churn": component("flip-churn", flip_prob=0.1),
-    "markov-churn": component("markov-churn", p_off=0.05, p_on=0.05),
-    "burst-churn": component("burst-churn", burst_prob=0.3, drop_fraction=0.5),
-    "edge-insertion": component("edge-insertion", insertions_per_round=2, lifetime=2),
-    "targeted-coloring": component("targeted-coloring", attacks_per_round=2, lifetime=4),
-    "targeted-mis": component("targeted-mis", mode="cut_notification", attacks_per_round=3),
-    "locally-static": component("locally-static", flip_prob=0.1, protected_radius=2),
-    "freeze-after": component(
-        "freeze-after",
-        inner={"name": "flip-churn", "params": {"flip_prob": 0.2}},
-        freeze_round=12,
-    ),
-    "mobility": component("mobility", radius=0.3, speed=0.05),
-    "phase": component(
-        "phase",
-        phases=[
-            [6, {"name": "flip-churn", "params": {"flip_prob": 0.2}}],
-            [6, {"name": "edge-insertion", "params": {"insertions_per_round": 2, "lifetime": 2}}],
-            [None, "static"],
-        ],
-    ),
-    "composite-churn": component(
-        "composite-churn",
-        processes=[
-            {"kind": "flip", "flip_prob": 0.1},
-            {"kind": "edge-insertion", "insertions_per_round": 1, "lifetime": 3},
-        ],
-    ),
-}
-
-#: Adversaries that only make sense against a specific problem.
-_ALGORITHM_FOR: Dict[str, str] = {
-    "targeted-coloring": "dcolor",
-    "targeted-mis": "smis",
-}
-
-
-@CONTRACTS.register("delta-vs-snapshot")
-def _contract_delta_vs_snapshot(ctx: VerifyContext) -> Iterator[Verdict]:
-    """Every registered adversary's delta path is byte-identical to its snapshot path."""
-    name = "delta-vs-snapshot"
-    n = 24 if ctx.smoke else 40
-    rounds = 12 if ctx.smoke else 30
-    seeds = (0, 1) if ctx.smoke else (0, 1, 2)
-    for adversary_name in ADVERSARIES.available():
-        adversary = _ADVERSARY_DEFAULTS.get(adversary_name, component(adversary_name))
-        spec = ScenarioSpec(
-            n=n,
-            algorithm=_ALGORITHM_FOR.get(adversary_name, "dynamic-coloring"),
-            adversary=adversary,
-            rounds=rounds,
-            seeds=seeds,
-            # The classic full engine: the comparison isolates the
-            # adversary's emission path from delivery-path effects.
-            delivery="full",
-        )
-        try:
-            verdict = _compare_emission_paths(name, adversary_name, spec)
-        except TypeError as exc:
-            verdict = _skipped(name, adversary_name, f"needs parameters ({exc})")
-        yield verdict
-
-
-def _compare_emission_paths(contract: str, case: str, spec: ScenarioSpec) -> Verdict:
-    for seed in spec.seeds:
-        with delta_emission(True):
-            row_delta, sim_delta = _execute_seed(spec, seed)
-        with delta_emission(False):
-            row_snapshot, sim_snapshot = _execute_seed(spec, seed)
-        rows_delta = _comparable_trace_rows(sim_delta)
-        rows_snapshot = _comparable_trace_rows(sim_snapshot)
-        if rows_delta != rows_snapshot or row_delta != row_snapshot:
-            return _failed(
-                contract,
-                case,
-                f"delta path diverges from snapshot path (seed {seed}): "
-                + _first_divergence(rows_delta, rows_snapshot),
-            )
-    return _passed(contract, case, f"{len(spec.seeds)} shared seeds byte-identical")
 
 
 # ---------------------------------------------------------------------------
@@ -752,60 +657,6 @@ _COMPONENT_REGISTRY: Dict[str, Registry] = {
 }
 
 
-def _accepted_parameters(factory) -> Optional[frozenset]:
-    """Keyword parameters a component factory accepts (``None`` = unverifiable).
-
-    The leading context arguments (``ctx`` / ``n, rng``) are positional by
-    convention; a spec's ``params`` arrive as keywords, so the accepted set is
-    every keyword-only parameter plus positional-or-keyword parameters with
-    defaults.  A ``**kwargs`` factory can absorb anything — unverifiable.
-    """
-    try:
-        signature = inspect.signature(factory)
-    except (TypeError, ValueError):
-        return None
-    accepted = set()
-    for parameter in signature.parameters.values():
-        if parameter.kind is inspect.Parameter.VAR_KEYWORD:
-            return None
-        if parameter.kind is inspect.Parameter.KEYWORD_ONLY:
-            accepted.add(parameter.name)
-        elif (
-            parameter.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
-            and parameter.default is not inspect.Parameter.empty
-        ):
-            accepted.add(parameter.name)
-    return frozenset(accepted)
-
-
-def _component_param_problems(role: str, registry: Registry, ref: Optional[ComponentSpec]):
-    if ref is None or ref.name not in registry or not ref.params:
-        return
-    accepted = _accepted_parameters(registry.get(ref.name))
-    if accepted is None:
-        return
-    for key in sorted(ref.params):
-        if key not in accepted:
-            hint = suggestion_hint(key, accepted)
-            yield (
-                f"{role} {ref.name!r} does not accept parameter {key!r}{hint} "
-                f"(accepted: {sorted(accepted)}) — the manipulation silently doesn't exist"
-            )
-
-
-def _spec_param_problems(spec: ScenarioSpec) -> List[str]:
-    problems: List[str] = []
-    problems.extend(_component_param_problems("topology", TOPOLOGIES, spec.topology))
-    problems.extend(_component_param_problems("adversary", ADVERSARIES, spec.adversary))
-    problems.extend(_component_param_problems("algorithm", ALGORITHMS, spec.algorithm))
-    problems.extend(_component_param_problems("wakeup", WAKEUPS, spec.wakeup))
-    problems.extend(_component_param_problems("probe", PROBES, spec.probe))
-    problems.extend(_component_param_problems("stop condition", STOP_CONDITIONS, spec.stop))
-    for index, metric in enumerate(spec.metrics):
-        problems.extend(_component_param_problems(f"metrics[{index}]", METRICS, metric))
-    return problems
-
-
 def _sweep_axis_problems(spec: ScenarioSpec, over: Mapping[str, Sequence[Any]]) -> List[str]:
     problems: List[str] = []
     for axis in over:
@@ -823,7 +674,7 @@ def _sweep_axis_problems(spec: ScenarioSpec, over: Mapping[str, Sequence[Any]]) 
             ref = getattr(spec, parts[0])
             if ref is None or ref.name not in registry:
                 continue  # validate_config already reports the broken slot
-            accepted = _accepted_parameters(registry.get(ref.name))
+            accepted = accepted_parameters(registry.get(ref.name))
             if accepted is not None and parts[2] not in accepted:
                 hint = suggestion_hint(parts[2], accepted)
                 problems.append(
@@ -852,13 +703,11 @@ def _contract_manipulation_exists(ctx: VerifyContext) -> Iterator[Verdict]:
         except ConfigurationError as exc:
             yield _failed(name, case, f"does not load: {exc}")
             continue
+        # Loading already rejects a spec parameter no component accepts.
         problems = list(validate_config(config))
-        spec = getattr(config, "spec", None)
-        if spec is not None:
-            problems.extend(_spec_param_problems(spec))
         over = getattr(config, "over", None)
         if over:
-            problems.extend(_sweep_axis_problems(spec, over))
+            problems.extend(_sweep_axis_problems(config.spec, over))
         if problems:
             yield _failed(name, case, "; ".join(problems))
         else:

@@ -1,4 +1,4 @@
-"""Unit tests for the churn processes."""
+"""Unit tests for the churn processes, driven through ``step_delta``."""
 
 import pytest
 
@@ -19,44 +19,58 @@ def base(rng_factory):
     return generators.gnp(20, 0.3, rng_factory.stream("churn-base"))
 
 
+def replay(churn, rng, rounds, start=1):
+    """``(added, removed, present)`` of each round, replayed from ``G_0 = ∅``.
+
+    Checks that every delta is exact against the replayed edge set.
+    """
+    present = frozenset()
+    out = []
+    for r in range(start, start + rounds):
+        added, removed = churn.step_delta(r, rng)
+        assert not added & present and removed <= present
+        present = (present - removed) | added
+        out.append((added, removed, present))
+    return out
+
+
+def edge_sets(churn, rng, rounds, start=1):
+    """The edge set of each round, replayed from ``G_0 = ∅``."""
+    return [present for _, _, present in replay(churn, rng, rounds, start)]
+
+
 class TestStaticChurn:
     def test_returns_base_every_round(self, base, rng_factory):
         churn = StaticChurn(base)
-        rng = rng_factory.stream("static")
-        for r in range(1, 5):
-            assert churn.step(r, rng) == base.edges
+        rounds = replay(churn, rng_factory.stream("static"), 4)
+        assert rounds[0] == (base.edges, frozenset(), base.edges)
+        for added, removed, present in rounds[1:]:
+            assert not added and not removed and present == base.edges
 
 
 class TestMarkovAndFlip:
     def test_zero_probabilities_keep_edges(self, base, rng_factory):
         churn = MarkovEdgeChurn(base, p_off=0.0, p_on=0.0)
-        assert churn.step(1, rng_factory.stream("m")) == base.edges
+        assert edge_sets(churn, rng_factory.stream("m"), 1) == [base.edges]
 
     def test_always_off(self, base, rng_factory):
         churn = MarkovEdgeChurn(base, p_off=1.0, p_on=0.0)
-        rng = rng_factory.stream("m2")
-        assert churn.step(1, rng) == frozenset()
-        assert churn.step(2, rng) == frozenset()
+        assert edge_sets(churn, rng_factory.stream("m2"), 2) == [frozenset(), frozenset()]
 
     def test_oscillation_with_full_probabilities(self, base, rng_factory):
         churn = MarkovEdgeChurn(base, p_off=1.0, p_on=1.0)
-        rng = rng_factory.stream("m3")
-        assert churn.step(1, rng) == frozenset()
-        assert churn.step(2, rng) == base.edges
+        assert edge_sets(churn, rng_factory.stream("m3"), 2) == [frozenset(), base.edges]
 
     def test_edges_stay_within_base(self, base, rng_factory):
         churn = FlipChurn(base, 0.3)
-        rng = rng_factory.stream("flip")
-        for r in range(1, 20):
-            assert churn.step(r, rng) <= base.edges
+        for edges in edge_sets(churn, rng_factory.stream("flip"), 19):
+            assert edges <= base.edges
 
     def test_reset_restores_initial_state(self, base, rng_factory):
         churn = FlipChurn(base, 0.5)
-        rng = rng_factory.stream("flip-reset")
-        first = churn.step(1, rng)
+        first = replay(churn, rng_factory.stream("flip-reset"), 3)
         churn.reset()
-        again = churn.step(1, rng_factory.stream("flip-reset"))
-        assert first == again
+        assert replay(churn, rng_factory.stream("flip-reset"), 3) == first
 
     def test_flip_prob_accessor(self, base):
         assert FlipChurn(base, 0.25).flip_prob == 0.25
@@ -67,50 +81,79 @@ class TestMarkovAndFlip:
 
     def test_empty_base_graph(self, rng_factory):
         churn = MarkovEdgeChurn(generators.empty(5), p_off=0.5, p_on=0.5)
-        assert churn.step(1, rng_factory.stream("e")) == frozenset()
+        assert edge_sets(churn, rng_factory.stream("e"), 1) == [frozenset()]
 
 
 class TestBurstChurn:
     def test_no_burst_keeps_all_edges(self, base, rng_factory):
         churn = BurstChurn(base, burst_prob=0.0, drop_fraction=0.5)
-        assert churn.step(1, rng_factory.stream("b")) == base.edges
+        assert edge_sets(churn, rng_factory.stream("b"), 1) == [base.edges]
 
     def test_burst_drops_expected_fraction(self, base, rng_factory):
         churn = BurstChurn(base, burst_prob=1.0, drop_fraction=0.5)
-        edges = churn.step(1, rng_factory.stream("b2"))
+        (edges,) = edge_sets(churn, rng_factory.stream("b2"), 1)
         assert len(edges) == round(base.num_edges * 0.5)
         assert edges <= base.edges
 
     def test_full_drop(self, base, rng_factory):
         churn = BurstChurn(base, burst_prob=1.0, drop_fraction=1.0)
-        assert churn.step(1, rng_factory.stream("b3")) == frozenset()
+        assert edge_sets(churn, rng_factory.stream("b3"), 1) == [frozenset()]
+
+    def test_calm_after_calm_is_an_empty_delta(self, base, rng_factory):
+        churn = BurstChurn(base, burst_prob=0.0, drop_fraction=0.5)
+        rounds = replay(churn, rng_factory.stream("b4"), 5)
+        assert rounds[0][0] == base.edges
+        assert all(not added and not removed for added, removed, _ in rounds[1:])
+
+    def test_burst_then_calm_restores_the_base(self, base, rng_factory):
+        churn = BurstChurn(base, burst_prob=0.5, drop_fraction=0.5)
+        rounds = replay(churn, rng_factory.stream("b5"), 40)
+        restored = 0
+        for (_, _, before), (added, removed, after) in zip(rounds, rounds[1:]):
+            if before != base.edges and after == base.edges:
+                # burst -> calm: exactly the dropped edges come back
+                assert added == base.edges - before and not removed
+                restored += 1
+            elif before == after == base.edges:
+                assert not added and not removed
+        assert restored > 0
+
+    def test_reset_restores_initial_state(self, base, rng_factory):
+        churn = BurstChurn(base, burst_prob=0.5, drop_fraction=0.5)
+        first = replay(churn, rng_factory.stream("b6"), 6)
+        churn.reset()
+        assert replay(churn, rng_factory.stream("b6"), 6) == first
 
 
 class TestEdgeInsertionChurn:
     def test_keeps_base_and_adds_extras(self, base, rng_factory):
         churn = EdgeInsertionChurn(base, insertions_per_round=3, lifetime=2)
-        rng = rng_factory.stream("ins")
-        edges = churn.step(1, rng)
-        assert base.edges <= edges
+        (edges,) = edge_sets(churn, rng_factory.stream("ins"), 1)
+        assert base.edges < edges
 
     def test_inserted_edges_expire(self, base, rng_factory):
         churn = EdgeInsertionChurn(base, insertions_per_round=5, lifetime=1)
-        rng = rng_factory.stream("ins2")
-        first = churn.step(1, rng)
+        (_, _, first), (_, removed, second) = replay(churn, rng_factory.stream("ins2"), 2)
         inserted = first - base.edges
-        later = churn.step(3, rng)
-        # Lifetime 1 starting at round 1 expires before round 3.
-        assert not (inserted & (later - base.edges)) or inserted <= base.edges
+        assert inserted
+        # Lifetime 1: every round-1 insertion leaves in round 2 unless drawn again.
+        assert inserted == removed | (inserted & second)
 
     def test_invalid_lifetime_rejected(self, base):
         with pytest.raises(ConfigurationError):
             EdgeInsertionChurn(base, insertions_per_round=1, lifetime=0)
 
+    def test_non_integer_insertions_rejected(self, base):
+        with pytest.raises(ConfigurationError, match="insertions_per_round"):
+            EdgeInsertionChurn(base, insertions_per_round=1.5, lifetime=2)
+
     def test_reset_clears_active_edges(self, base, rng_factory):
+        fresh = EdgeInsertionChurn(base, insertions_per_round=5, lifetime=10)
+        expected = fresh.step_delta(1, rng_factory.stream("ins4"))
         churn = EdgeInsertionChurn(base, insertions_per_round=5, lifetime=10)
-        churn.step(1, rng_factory.stream("ins3"))
+        churn.step_delta(1, rng_factory.stream("ins3"))
         churn.reset()
-        assert churn.step(1, rng_factory.stream("ins4")) - base.edges is not None
+        assert churn.step_delta(1, rng_factory.stream("ins4")) == expected
 
 
 class TestCompositeChurn:
@@ -118,7 +161,24 @@ class TestCompositeChurn:
         half_a = FlipChurn(base, 1.0)  # toggles everything off in round 1
         keep = StaticChurn(base)
         churn = CompositeChurn([half_a, keep])
-        assert churn.step(1, rng_factory.stream("c")) == base.edges
+        assert edge_sets(churn, rng_factory.stream("c"), 1) == [base.edges]
+
+    def test_edge_held_twice_survives_one_drop(self, base, rng_factory):
+        # The flip process drops every edge in rounds 1 and 3 and restores
+        # them in round 2; the static process holds them throughout.
+        churn = CompositeChurn([FlipChurn(base, 1.0), StaticChurn(base)])
+        rounds = replay(churn, rng_factory.stream("c2"), 3)
+        assert rounds[0] == (base.edges, frozenset(), base.edges)
+        for added, removed, present in rounds[1:]:
+            assert not added and not removed and present == base.edges
+
+    def test_edge_leaves_with_its_last_holder(self, base, rng_factory):
+        churn = CompositeChurn([FlipChurn(base, 1.0), FlipChurn(base, 1.0)])
+        assert edge_sets(churn, rng_factory.stream("c3"), 3) == [
+            frozenset(),
+            base.edges,
+            frozenset(),
+        ]
 
     def test_requires_processes(self):
         with pytest.raises(ConfigurationError):

@@ -8,6 +8,7 @@ import pytest
 from repro.errors import ConfigurationError, RegistryError
 from repro.analysis.experiments.catalog import EXPERIMENTS, experiment_defaults
 from repro.scenarios import ScenarioSpec, component
+from repro.scenarios.cli import main
 from repro.scenarios.configs import (
     ExperimentConfig,
     ScenarioConfig,
@@ -17,6 +18,7 @@ from repro.scenarios.configs import (
     validate_config,
     validate_spec,
 )
+from repro.scenarios.executor import run_scenario_seed
 from repro.scenarios.registry import ALGORITHMS
 from repro.scenarios.store import canonical_json
 
@@ -116,6 +118,66 @@ class TestLoadConfig:
         path.write_text("{not json")
         with pytest.raises(ConfigurationError, match="not valid JSON"):
             load_config(path)
+
+
+UNKNOWN_CHURN_KEY = {"processes": [{"kind": "burst", "foo": 1}]}
+UNKNOWN_INNER_KEY = {"inner": {"name": "flip-churn", "params": {"foo": 1}}, "freeze_round": 2}
+
+#: ``(spec override, field the error must name)`` for each bad component parameter.
+BAD_PARAMETERS = {
+    "adversary-param": (
+        {"adversary": {"name": "burst-churn", "params": {"foo": 1}}},
+        "spec.adversary.params.foo",
+    ),
+    "algorithm-param": (
+        {"algorithm": {"name": "smis", "params": {"foo": 1}}},
+        "spec.algorithm.params.foo",
+    ),
+    "composite-entry": (
+        {"adversary": {"name": "composite-churn", "params": {"processes": ["flip"]}}},
+        "spec.adversary.params.processes[0]",
+    ),
+    "composite-key": (
+        {"adversary": {"name": "composite-churn", "params": UNKNOWN_CHURN_KEY}},
+        "spec.adversary.params.processes[0].foo",
+    ),
+    "nested-adversary": (
+        {"adversary": {"name": "freeze-after", "params": UNKNOWN_INNER_KEY}},
+        "spec.adversary.params.inner.params.foo",
+    ),
+}
+
+
+def scenario_file(tmp_path, **override):
+    spec = {"n": 12, "algorithm": "smis", "adversary": "static", "rounds": 3, **override}
+    return write(tmp_path, "scenario.json", {"kind": "scenario", "spec": spec})
+
+
+class TestComponentParameters:
+    @pytest.mark.parametrize("case", sorted(BAD_PARAMETERS))
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_bad_parameter_is_named_without_traceback(self, tmp_path, capsys, command, case):
+        override, field = BAD_PARAMETERS[case]
+        path = scenario_file(tmp_path, **override)
+        args = [command, str(path)] + (["--no-store"] if command == "run" else [])
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert field in err
+        assert "Traceback" not in err
+
+    def test_non_integer_insertions_rejected(self, tmp_path, capsys):
+        adversary = {"name": "edge-insertion", "params": {"insertions_per_round": 1.5}}
+        path = scenario_file(tmp_path, adversary=adversary)
+        assert main(["run", str(path), "--no-store"]) == 1
+        err = capsys.readouterr().err
+        assert "insertions_per_round must be an integer, got 1.5" in err
+        assert "Traceback" not in err
+
+    def test_composite_entries_checked_outside_configs(self):
+        adversary = component("composite-churn", processes=[{"kind": "flip", "foo": 1}])
+        spec = ScenarioSpec(n=12, algorithm="smis", adversary=adversary, rounds=3)
+        with pytest.raises(ConfigurationError, match=r"processes\[0\]\.foo"):
+            run_scenario_seed(spec, 0)
 
 
 class TestValidateSpec:

@@ -1,9 +1,8 @@
-"""The delta engine: TopologyDelta, incremental storage, and path equivalence.
+"""The delta engine: TopologyDelta, incremental storage, simulator handling.
 
-The hard gate of the delta refactor is that the delta path is *observably
-identical* to the snapshot path: every registered adversary must produce
-byte-identical trace rows under both, and ``Topology.apply(delta)`` must
-round-trip against from-scratch construction for arbitrary change sequences.
+``Topology.apply(delta)`` must round-trip against from-scratch construction
+for arbitrary change sequences.  That every registered adversary's deltas
+are exact is checked by the oracle in ``test_property_based.py``.
 """
 
 import numpy as np
@@ -11,16 +10,11 @@ import pytest
 
 from repro.errors import SimulationError, TopologyError
 from repro.dynamics import generators
-from repro.dynamics.adversary import (
-    Adversary,
-    FULLY_OBLIVIOUS,
-    delta_emission,
-)
+from repro.dynamics.adversary import Adversary, FULLY_OBLIVIOUS
 from repro.dynamics.dynamic_graph import DynamicGraph
 from repro.dynamics.topology import EMPTY_DELTA, Topology, TopologyDelta, empty_topology
 from repro.runtime.simulator import Simulator
-from repro.scenarios import ScenarioSpec, available, component
-from repro.scenarios.executor import _build_context
+from repro.scenarios import ScenarioSpec, available
 from repro.types import Interval, canonical_edge
 
 
@@ -186,110 +180,6 @@ class TestDeltaStorage:
         latest = graph.latest_topology()
         assert latest == Topology(range(3), [(0, 1)])
         assert graph.topology(1) is latest
-
-
-# ---------------------------------------------------------------------------
-# full-trace equivalence: delta path vs snapshot path
-# ---------------------------------------------------------------------------
-
-#: Workable parameters for every registered adversary (small but non-trivial).
-_ADVERSARY_SPECS = {
-    "static": component("static"),
-    "flip-churn": component("flip-churn", flip_prob=0.1),
-    "markov-churn": component("markov-churn", p_off=0.05, p_on=0.05),
-    "burst-churn": component("burst-churn", burst_prob=0.3, drop_fraction=0.5),
-    "edge-insertion": component("edge-insertion", insertions_per_round=2, lifetime=2),
-    "targeted-coloring": component("targeted-coloring", attacks_per_round=2, lifetime=4),
-    "targeted-mis": component("targeted-mis", mode="cut_notification", attacks_per_round=3),
-    "locally-static": component("locally-static", flip_prob=0.1, protected_radius=2),
-    "freeze-after": component(
-        "freeze-after", inner={"name": "flip-churn", "params": {"flip_prob": 0.2}}, freeze_round=12
-    ),
-    "mobility": component("mobility", radius=0.3, speed=0.05),
-    "phase": component(
-        "phase",
-        phases=[
-            [6, {"name": "flip-churn", "params": {"flip_prob": 0.2}}],
-            [6, {"name": "edge-insertion", "params": {"insertions_per_round": 2, "lifetime": 2}}],
-            [None, "static"],
-        ],
-    ),
-    "composite-churn": component(
-        "composite-churn",
-        processes=[
-            {"kind": "flip", "flip_prob": 0.1},
-            {"kind": "edge-insertion", "insertions_per_round": 1, "lifetime": 3},
-        ],
-    ),
-}
-
-_ALGORITHM_FOR = {
-    "targeted-coloring": "dcolor",
-    "targeted-mis": "smis",
-}
-
-
-def _trace_rows(spec: ScenarioSpec, seed: int, emit: bool):
-    """Run one seed in-process and flatten the trace into comparable rows."""
-    with delta_emission(emit):
-        ctx = _build_context(spec, seed)
-        sim = Simulator(
-            n=ctx.n, algorithm=ctx.algorithm, adversary=ctx.adversary, seed=ctx.seed
-        )
-        sim.run(ctx.rounds)
-    return [
-        (
-            record.round_index,
-            record.topology.nodes,
-            record.topology.edges,
-            dict(record.outputs),
-            record.metrics.as_dict(),
-        )
-        for record in sim.trace
-    ]
-
-
-class TestPathEquivalence:
-    def test_every_registered_adversary_is_covered(self):
-        assert set(available("adversaries")) == set(_ADVERSARY_SPECS)
-
-    @pytest.mark.parametrize("name", sorted(_ADVERSARY_SPECS))
-    @pytest.mark.parametrize("wakeup", [None, "staggered"])
-    def test_delta_and_snapshot_traces_identical(self, name, wakeup):
-        spec = ScenarioSpec(
-            n=30,
-            algorithm=_ALGORITHM_FOR.get(name, "dynamic-coloring"),
-            adversary=_ADVERSARY_SPECS[name],
-            topology="gnp",
-            rounds=25,
-            wakeup=wakeup,
-        )
-        assert _trace_rows(spec, seed=5, emit=True) == _trace_rows(spec, seed=5, emit=False)
-
-    def test_scenario_rows_identical_for_mis_suite(self):
-        spec = ScenarioSpec(
-            n=24,
-            algorithm="dynamic-mis",
-            adversary=component("markov-churn", p_off=0.03, p_on=0.03),
-            topology="gnp_sparse",
-            rounds="2*T1",
-            metrics=("stability", "validity"),
-        )
-        spec = spec.replace(metrics=(component("stability"), component("validity", problem="mis")))
-        assert _trace_rows(spec, seed=0, emit=True) == _trace_rows(spec, seed=0, emit=False)
-
-    def test_experiment_e01_rows_identical(self):
-        from repro.analysis import experiments as E
-
-        with delta_emission(True):
-            delta_rows = E.experiment_e01_coloring_convergence(
-                sizes=(16,), seeds=(0,), max_round_factor=15
-            )
-        with delta_emission(False):
-            snapshot_rows = E.experiment_e01_coloring_convergence(
-                sizes=(16,), seeds=(0,), max_round_factor=15
-            )
-        assert delta_rows == snapshot_rows
 
 
 # ---------------------------------------------------------------------------

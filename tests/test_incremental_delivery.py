@@ -52,7 +52,12 @@ _ADVERSARY_SPECS = {
         phases=[[5, {"name": "flip-churn", "params": {"flip_prob": 0.2}}], [None, "static"]],
     ),
     "composite-churn": component(
-        "composite-churn", processes=[{"kind": "flip", "flip_prob": 0.1}]
+        "composite-churn",
+        processes=[
+            {"kind": "flip", "flip_prob": 0.1},
+            {"kind": "burst", "burst_prob": 0.3, "drop_fraction": 0.5},
+            {"kind": "edge-insertion", "insertions_per_round": 1, "lifetime": 3},
+        ],
     ),
 }
 

@@ -27,7 +27,7 @@ import repro.kernel as kernel_pkg
 from repro.errors import ConfigurationError
 from repro.dynamics import generators
 from repro.dynamics.adversaries.scripted import StaticAdversary
-from repro.dynamics.churn import MarkovEdgeChurn, StaticChurn, quiescence_skip
+from repro.dynamics.churn import MarkovEdgeChurn, StaticChurn
 from repro.kernel import EdgeUniverse
 from repro.kernel.mis import SMisKernel
 from repro.runtime.algorithm import DistributedAlgorithm
@@ -287,21 +287,33 @@ class TestQuiescence:
         assert not live.quiescent()
 
     @pytest.mark.parametrize("mode", ["full", "incremental", "kernel"])
-    def test_skip_is_invisible_in_the_trace(self, mode):
+    def test_skip_is_invisible_in_the_trace(self, mode, monkeypatch):
         """Skipping the RNG draw of an absorbed process must not change rows."""
-        for adversary in (
-            component("static"),
-            component("markov-churn", p_off=0.0, p_on=0.0),
-            component("markov-churn", p_off=0.05, p_on=0.05),
-        ):
-            spec = ScenarioSpec(
-                n=16, algorithm="smis", adversary=adversary, topology="gnp", rounds=10
+        specs = [
+            ScenarioSpec(n=16, algorithm="smis", adversary=adversary, topology="gnp", rounds=10)
+            for adversary in (
+                component("static"),
+                component("markov-churn", p_off=0.0, p_on=0.0),
+                component("markov-churn", p_off=0.05, p_on=0.05),
             )
-            with quiescence_skip(True):
-                skipped_rows, _ = _trace_rows(spec, seed=5, mode=mode)
-            with quiescence_skip(False):
-                stepped_rows, _ = _trace_rows(spec, seed=5, mode=mode)
-            assert skipped_rows == stepped_rows
+        ]
+        draws = []
+        advance = MarkovEdgeChurn._advance
+
+        def counted_advance(self, rng):
+            draws.append(1)
+            return advance(self, rng)
+
+        monkeypatch.setattr(MarkovEdgeChurn, "_advance", counted_advance)
+        skipped_rows = [_trace_rows(spec, seed=5, mode=mode)[0] for spec in specs]
+        skipped_draws = len(draws)
+        # The "stepped" run: no process ever reports quiescent.
+        monkeypatch.setattr(StaticChurn, "quiescent", lambda self: False)
+        monkeypatch.setattr(MarkovEdgeChurn, "quiescent", lambda self: False)
+        stepped_rows = [_trace_rows(spec, seed=5, mode=mode)[0] for spec in specs]
+        # The frozen Markov chain draws once, then is skipped for 9 rounds.
+        assert len(draws) - skipped_draws == skipped_draws + 9
+        assert skipped_rows == stepped_rows
 
 
 # ---------------------------------------------------------------------------

@@ -646,7 +646,7 @@ class TestVerifyProgress:
         stream = io.StringIO()
         verdicts = run_verify(
             suite="smoke",
-            contracts=["delta-vs-snapshot"],
+            contracts=["time-scaling"],
             progress=True,
             progress_stream=stream,
         )

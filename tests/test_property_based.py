@@ -1,15 +1,34 @@
 """Property-based tests (hypothesis) for the core data structures and problem invariants."""
 
+import copy
+
+import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.types import canonical_edge
+from repro.dynamics import generators
+from repro.dynamics.adversary import Adversary, IncrementalAdversary
+from repro.dynamics.churn import (
+    BurstChurn,
+    CompositeChurn,
+    EdgeInsertionChurn,
+    FlipChurn,
+    MarkovEdgeChurn,
+    StaticChurn,
+    advance_churn,
+)
 from repro.dynamics.dynamic_graph import DynamicGraph
-from repro.dynamics.topology import Topology
+from repro.dynamics.topology import Topology, TopologyDelta, empty_topology
+from repro.runtime.simulator import Simulator
+from repro.scenarios import ScenarioSpec
+from repro.scenarios.executor import _build_context
 from repro.problems.coloring import coloring_problem_pair, is_proper_coloring
 from repro.problems.mis import mis_assignment_from_set, mis_problem_pair
 from repro.runtime.messages import estimate_bits
 from repro.algorithms.coloring.greedy import greedy_coloring
 from repro.algorithms.mis.greedy import greedy_mis
+from test_incremental_delivery import _ADVERSARY_SPECS
 
 # ---------------------------------------------------------------------------
 # Strategies
@@ -106,6 +125,202 @@ def test_window_graphs_match_bruteforce(sequence):
                 assert inter == expected_inter
                 assert union == expected_union
                 assert inter.nodes <= union.nodes and inter.edges <= union.edges
+
+
+# ---------------------------------------------------------------------------
+# The delta oracle: churn processes and adversaries emit exact deltas
+# ---------------------------------------------------------------------------
+
+
+def _brute_static(base, rng):
+    while True:
+        yield base.edges
+
+
+def _brute_markov(base, rng, p_off, p_on, start_present=True):
+    edges = sorted(base.edges)
+    present = [start_present] * len(edges)
+    while True:
+        if edges:
+            draws = rng.random(len(edges))
+            present = [
+                (was and not u < p_off) or (not was and u < p_on)
+                for was, u in zip(present, draws)
+            ]
+        yield frozenset(e for e, now in zip(edges, present) if now)
+
+
+def _brute_burst(base, rng, burst_prob, drop_fraction):
+    edges = sorted(base.edges)
+    m = len(edges)
+    while True:
+        keep = max(0, int(round(m * (1.0 - drop_fraction))))
+        if not m or rng.random() >= burst_prob or keep >= m:
+            yield frozenset(edges)
+        else:
+            yield frozenset(edges[int(i)] for i in rng.choice(m, size=keep, replace=False))
+
+
+def _brute_insertion(base, rng, insertions_per_round, lifetime):
+    nodes = sorted(base.nodes)
+    expiry = {}
+    r = 0
+    while True:
+        r += 1
+        expiry = {e: last for e, last in expiry.items() if last > r}
+        for _ in range(insertions_per_round if len(nodes) >= 2 else 0):
+            u, v = rng.choice(len(nodes), size=2, replace=False)
+            e = canonical_edge(nodes[int(u)], nodes[int(v)])
+            if e not in base.edges:
+                expiry[e] = r + lifetime
+        yield base.edges | frozenset(expiry)
+
+
+def _brute_composite(base, rng, processes):
+    parts = [_BRUTE[kind](base, rng, **params) for kind, params in processes]
+    while True:
+        yield frozenset().union(*[next(part) for part in parts])
+
+
+#: kind -> brute-force per-round edge sets, making the process's draws
+_BRUTE = {
+    "static": _brute_static,
+    "markov": _brute_markov,
+    "flip": lambda base, rng, flip_prob: _brute_markov(base, rng, flip_prob, flip_prob),
+    "burst": _brute_burst,
+    "edge-insertion": _brute_insertion,
+    "composite": _brute_composite,
+}
+
+
+def _process(base, kind, params):
+    if kind == "static":
+        return StaticChurn(base)
+    if kind == "markov":
+        return MarkovEdgeChurn(base, **params)
+    if kind == "flip":
+        return FlipChurn(base, **params)
+    if kind == "burst":
+        return BurstChurn(base, **params)
+    if kind == "edge-insertion":
+        return EdgeInsertionChurn(base, **params)
+    return CompositeChurn([_process(base, k, p) for k, p in params["processes"]])
+
+
+_PROBABILITY = st.sampled_from([0.0, 0.05, 0.3, 0.5, 1.0])
+
+_LEAF_PARAMS = {
+    "static": st.just({}),
+    "markov": st.fixed_dictionaries(
+        {"p_off": _PROBABILITY, "p_on": _PROBABILITY, "start_present": st.booleans()}
+    ),
+    "flip": st.fixed_dictionaries({"flip_prob": _PROBABILITY}),
+    "burst": st.fixed_dictionaries({"burst_prob": _PROBABILITY, "drop_fraction": _PROBABILITY}),
+    "edge-insertion": st.fixed_dictionaries(
+        {"insertions_per_round": st.integers(0, 4), "lifetime": st.integers(1, 4)}
+    ),
+}
+
+_LEAF = st.sampled_from(sorted(_LEAF_PARAMS)).flatmap(
+    lambda kind: _LEAF_PARAMS[kind].map(lambda params: (kind, params))
+)
+
+_PARAMS = dict(
+    _LEAF_PARAMS,
+    composite=st.fixed_dictionaries({"processes": st.lists(_LEAF, min_size=1, max_size=3)}),
+)
+
+
+@pytest.mark.parametrize("kind", sorted(_BRUTE))
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_churn_deltas_replay_the_brute_force_edge_sets(kind, data):
+    """Cumulative ``step_delta`` sets from ``G_0 = ∅`` equal a from-scratch per-round set."""
+    n = data.draw(st.integers(2, 14), label="n")
+    p = data.draw(st.sampled_from([0.0, 0.3, 0.7]), label="p")
+    seed = data.draw(st.integers(0, 2**16), label="seed")
+    rounds = data.draw(st.integers(1, 12), label="rounds")
+    params = data.draw(_PARAMS[kind], label="params")
+    base = generators.gnp(n, p, np.random.default_rng(seed))
+    churn = _process(base, kind, params)
+    for _ in range(2):  # the second pass replays after reset()
+        brute = _BRUTE[kind](base, np.random.default_rng(seed + 1), **params)
+        rng = np.random.default_rng(seed + 1)
+        present = frozenset()
+        for r in range(1, rounds + 1):
+            before = present
+            added, removed, present = advance_churn(churn, present, r, rng)
+            assert not added & before and removed <= before, f"inexact delta in round {r}"
+            assert present == next(brute), f"round {r}"
+        churn.reset()
+
+
+#: Adversaries that only make sense against a specific problem.
+_ORACLE_ALGORITHM = {"targeted-coloring": "dcolor", "targeted-mis": "smis"}
+
+
+def _adversaries_in(value):
+    if isinstance(value, Adversary):
+        yield value
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            yield from _adversaries_in(item)
+
+
+def _force_resync(adversary):
+    """Break the delta chain of ``adversary`` and of every adversary it wraps."""
+    if isinstance(adversary, IncrementalAdversary):
+        adversary._last_step_round = None
+    for value in vars(adversary).values():
+        for inner in _adversaries_in(value):
+            _force_resync(inner)
+
+
+class _ResyncOracle(Adversary):
+    """Checks each round of ``inner`` against its own resync snapshot.
+
+    Before every step a deep copy of ``inner`` with a broken delta chain
+    takes the same step, so it emits the full snapshot of the round.
+    """
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.obliviousness = inner.obliviousness
+        self.rounds_checked = 0
+
+    def step(self, view):
+        twin = copy.deepcopy(self._inner)
+        _force_resync(twin)
+        snapshot = twin.step(view)
+        result = self._inner.step(view)
+        assert isinstance(snapshot, Topology)
+        graph = result
+        if isinstance(result, TopologyDelta):
+            graph = (view.previous_topology() or empty_topology()).apply(result)
+        assert graph == snapshot, f"round {view.round_index}"
+        self.rounds_checked += 1
+        return result
+
+
+@pytest.mark.parametrize("wakeup", [None, "staggered"])
+@pytest.mark.parametrize("name", sorted(_ADVERSARY_SPECS))
+@settings(max_examples=4, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**16))
+def test_adversary_deltas_match_their_resync_snapshots(name, wakeup, seed):
+    """``G_{r-1}.apply(delta)`` equals the snapshot the adversary's resync branch emits."""
+    spec = ScenarioSpec(
+        n=24,
+        algorithm=_ORACLE_ALGORITHM.get(name, "dynamic-coloring"),
+        adversary=_ADVERSARY_SPECS[name],
+        topology="gnp",
+        rounds=16,
+        wakeup=wakeup,
+    )
+    ctx = _build_context(spec, seed)
+    oracle = _ResyncOracle(ctx.adversary)
+    sim = Simulator(n=ctx.n, algorithm=ctx.algorithm, adversary=oracle, seed=ctx.seed)
+    sim.run(ctx.rounds)
+    assert oracle.rounds_checked == ctx.rounds
 
 
 # ---------------------------------------------------------------------------

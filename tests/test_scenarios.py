@@ -118,7 +118,7 @@ class TestRegistry:
             "contracts",
         }
         assert "dynamic-mis" in available("algorithms")
-        assert "delta-vs-snapshot" in available("contracts")
+        assert "delivery-equivalence" in available("contracts")
         with pytest.raises(RegistryError):
             available("bogus")
 

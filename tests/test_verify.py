@@ -11,14 +11,16 @@ Two layers under test:
   passing on every committed scenario config.
 """
 
+import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.scenarios import executor
 from repro.scenarios.cli import main
-from repro.scenarios.registry import ADVERSARIES, available
+from repro.scenarios.registry import available
 from repro.scenarios.spec import ScenarioSpec, component
 from repro.verify.harness import run_verify
 from test_incremental_delivery import _scenario_tree
@@ -73,7 +75,7 @@ class TestRetiredSwitches:
 class TestContractSuite:
     def test_contracts_join_the_discovery_surface(self):
         docs = available("contracts", docs=True)
-        assert "delta-vs-snapshot" in docs
+        assert "delivery-equivalence" in docs
         assert "manipulation-exists" in docs
         # Surfacing contract docstrings is part of the API: every contract
         # must explain itself in one line.
@@ -85,9 +87,18 @@ class TestContractSuite:
         )
         assert verdicts and all(v.status == "pass" for v in verdicts)
 
+    def test_manipulation_exists_fails_on_an_unknown_parameter(self, tmp_path):
+        adversary = {"name": "flip-churn", "params": {"flip_prb": 0.1}}
+        spec = {"n": 8, "algorithm": "smis", "adversary": adversary}
+        (tmp_path / "bad.json").write_text(json.dumps({"kind": "scenario", "spec": spec}))
+        (verdict,) = run_verify(contracts=["manipulation-exists"], configs_dir=tmp_path)
+        assert verdict.status == "fail"
+        assert "spec.adversary.params.flip_prb" in verdict.detail
+        assert "did you mean flip_prob" in verdict.detail
+
     def test_unknown_contract_fails_with_suggestion(self):
         with pytest.raises(Exception, match="did you mean"):
-            run_verify(suite="smoke", contracts=["delta-vs-snapshots"])
+            run_verify(suite="smoke", contracts=["delivery-equivalance"])
 
     def test_unknown_suite_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown verify suite"):
@@ -222,48 +233,49 @@ class TestMutationRehearsal:
     """A gate that cannot fail is not a gate: break a contract, watch it fire."""
 
     @pytest.fixture()
-    def broken_delta_adversary(self):
-        from repro.dynamics.adversary import (
-            Adversary,
-            FULLY_OBLIVIOUS,
-            default_delta_emission,
+    def broken_smis_kernel(self, monkeypatch):
+        """The SMis kernel flips node 0's output from its third round on."""
+        from repro.kernel.mis import SMisKernel
+
+        post_round = SMisKernel.post_round
+
+        def flipping_post_round(self, ids):
+            changed, values = post_round(self, ids)
+            self.rehearsal_rounds = getattr(self, "rehearsal_rounds", 0) + 1
+            if self.rehearsal_rounds < 3:
+                return changed, values
+            flipped = 0 if int(self._out_code[0]) == 1 else 1
+            return np.append(changed, 0), [*values, flipped]
+
+        monkeypatch.setattr(SMisKernel, "post_round", flipping_post_round)
+
+    def test_broken_contract_fails_loudly(self, broken_smis_kernel, tmp_path, capsys):
+        code = main(
+            [
+                "verify",
+                "--contracts",
+                "delivery-equivalence",
+                "--configs",
+                str(tmp_path),
+                "--no-store",
+            ]
         )
-        from repro.dynamics.topology import Topology
-
-        class _BrokenDeltaAdversary(Adversary):
-            """Drops one edge from round 3 on — but only on the delta path."""
-
-            obliviousness = FULLY_OBLIVIOUS
-
-            def __init__(self, base):
-                self._base = base
-                self._delta_path = default_delta_emission()
-
-            def step(self, view):
-                if self._delta_path and view.round_index >= 3:
-                    edges = sorted(self._base.edges)
-                    return Topology(self._base.nodes, edges[:-1])
-                return self._base
-
-            def describe(self):
-                return "BrokenDeltaAdversary"
-
-        @ADVERSARIES.register("broken-delta")
-        def _build(ctx):
-            """Test double whose delta path diverges from its snapshot path."""
-            return _BrokenDeltaAdversary(ctx.base)
-
-        yield "broken-delta"
-        ADVERSARIES.unregister("broken-delta")
-
-    def test_broken_contract_fails_loudly(self, broken_delta_adversary, capsys):
-        code = main(["verify", "--suite", "smoke", "--contracts", "delta-vs-snapshot", "--no-store"])
         captured = capsys.readouterr()
         assert code == 1
-        assert "FAIL: contract 'delta-vs-snapshot' case 'broken-delta'" in captured.err
-        assert "diverges from snapshot path" in captured.err
+        assert "FAIL: contract 'delivery-equivalence' case 'smis/flip-churn:kernel'" in captured.err
+        assert "kernel delivery diverges from the full path" in captured.err
+        assert "round 3 differs in outputs" in captured.err
 
     def test_committed_tree_passes(self, capsys):
-        code = main(["verify", "--suite", "smoke", "--contracts", "delta-vs-snapshot", "--no-store"])
+        code = main(
+            [
+                "verify",
+                "--contracts",
+                "delivery-equivalence",
+                "--configs",
+                str(CONFIGS_DIR),
+                "--no-store",
+            ]
+        )
         assert code == 0
         assert "0 failed" in capsys.readouterr().out
