@@ -50,7 +50,7 @@ from repro.problems import (
     mis_problem_pair,
     TDynamicSpec,
 )
-from repro.core import Concat, default_window, run_combined
+from repro.core import Concat, default_window
 from repro import scenarios
 from repro.exec import BACKENDS, ExecutionPolicy, use_policy
 from repro.scenarios import (
@@ -78,7 +78,6 @@ __all__ = [
     "TDynamicSpec",
     "Concat",
     "default_window",
-    "run_combined",
     "scenarios",
     "ScenarioSpec",
     "component",

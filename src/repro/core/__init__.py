@@ -11,7 +11,6 @@
 * :mod:`repro.core.windows` — practical window-size defaults (``Θ(log n)``).
 * :mod:`repro.core.properties` — trace-based verification of A.1/A.2/B.1/B.2,
   the T-dynamic guarantee and the locally-static guarantee.
-* :mod:`repro.core.runner` — one-call experiment execution helpers.
 """
 
 from repro.core.interfaces import DynamicAlgorithm, NetworkStaticAlgorithm
@@ -26,7 +25,6 @@ from repro.core.properties import (
     verify_partial_solution_every_round,
     verify_t_dynamic,
 )
-from repro.core.runner import run_combined, run_dynamic_problem
 
 __all__ = [
     "DynamicAlgorithm",
@@ -41,6 +39,4 @@ __all__ = [
     "verify_partial_solution_every_round",
     "verify_locally_static",
     "verify_t_dynamic",
-    "run_combined",
-    "run_dynamic_problem",
 ]

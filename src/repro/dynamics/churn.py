@@ -27,7 +27,6 @@ Awake-node filtering is the adversary layer's job.
 
 from __future__ import annotations
 
-import numbers
 from abc import ABC, abstractmethod
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
@@ -35,7 +34,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.types import Edge, canonical_edge
-from repro.utils.validation import check_non_negative, check_probability
+from repro.utils.validation import check_non_negative_int, check_probability
 from repro.dynamics.topology import Topology
 
 __all__ = [
@@ -340,18 +339,12 @@ class EdgeInsertionChurn(ChurnProcess):
         insertions_per_round: int,
         lifetime: int,
     ) -> None:
-        if isinstance(insertions_per_round, bool) or not isinstance(
-            insertions_per_round, numbers.Integral
-        ):
-            raise ConfigurationError(
-                f"insertions_per_round must be an integer, got {insertions_per_round!r}"
-            )
-        check_non_negative("insertions_per_round", insertions_per_round)
+        insertions = check_non_negative_int("insertions_per_round", insertions_per_round)
         if lifetime < 1:
             raise ConfigurationError(f"lifetime must be >= 1, got {lifetime}")
         self._base = base
         self._nodes: Sequence[int] = tuple(sorted(base.nodes))
-        self._insertions = int(insertions_per_round)
+        self._insertions = insertions
         self._lifetime = int(lifetime)
         self._active: Dict[Edge, int] = {}
         self._primed = False

@@ -600,10 +600,6 @@ class Topology:
         successor._sorted_edges = None
         return successor
 
-    def delta_to(self, other: "Topology") -> TopologyDelta:
-        """The exact delta with ``self.apply(delta) == other``."""
-        return TopologyDelta.between(self, other)
-
     # -- comparisons ------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:

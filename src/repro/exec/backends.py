@@ -22,8 +22,9 @@ Registered backends (``BACKENDS``):
     workers that speak *only* the JSON wire form of the work-unit contract
     (:meth:`~repro.exec.units.Chunk.to_wire`), behind a pluggable transport
     (``loopback`` subprocesses or ``ssh``), with fault-tolerant re-dispatch,
-    heartbeats, per-worker in-flight limits and adaptive chunk re-sizing.
-    Registered on import of :mod:`repro.exec.remote`.
+    heartbeats and per-worker in-flight limits.  Like every backend it
+    executes exactly the chunks the runner built.  Registered on import of
+    :mod:`repro.exec.remote`.
 
 New backends register with the usual decorator::
 
@@ -140,20 +141,14 @@ class ProcessBackend(Backend):
                 future.cancel()
 
 
-def make_backend(
-    name: str,
-    max_workers: int,
-    options: Optional[Dict] = None,
-    extras: Optional[Dict] = None,
-) -> Backend:
+def make_backend(name: str, max_workers: int, options: Optional[Dict] = None) -> Backend:
     """Instantiate the backend registered under ``name``.
 
     ``options`` are user-facing transport options (an
     :meth:`~repro.exec.policy.ExecutionPolicy.backend_options` dict) and must
     be consumed: passing them to a backend that declares no
     ``accepts_options`` fails loudly instead of silently ignoring a
-    ``--transport``/``--hosts`` flag.  ``extras`` are runner-internal hooks
-    (e.g. the shared rate estimator) that option-less backends drop.
+    ``--transport``/``--hosts`` flag.
     """
     builder = BACKENDS.get(name)
     accepts = bool(getattr(builder, "accepts_options", False))
@@ -163,5 +158,5 @@ def make_backend(
             f"(got {sorted(options)}); use --backend remote"
         )
     if accepts:
-        return builder(max_workers, **{**(extras or {}), **(options or {})})
+        return builder(max_workers, **(options or {}))
     return builder(max_workers)

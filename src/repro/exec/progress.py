@@ -8,9 +8,7 @@ display and the committed benchmark speak the same unit.
 
 When the runner hands over its :class:`~repro.exec.stats.RateEstimator`
 (``rate_source``), the displayed rows/sec and ETA come from the estimator's
-smoothed per-unit cost instead of the raw wall-clock average — the same
-number the remote dispatcher uses to size chunks, so the live display and
-the adaptive dispatcher agree — and the line gains a ``~X ms/unit`` figure.
+smoothed throughput instead of the raw wall-clock average.
 """
 
 from __future__ import annotations
@@ -55,9 +53,9 @@ class ProgressReporter:
     stream:
         Defaults to ``sys.stderr``; parameterised for tests.
     rate_source:
-        Optional :class:`~repro.exec.stats.RateEstimator` shared with the
-        runner/dispatcher; when it has observations its smoothed rate wins
-        over the wall-clock average.
+        Optional :class:`~repro.exec.stats.RateEstimator` fed by the caller;
+        when it has observations its smoothed rate wins over the wall-clock
+        average.
     """
 
     def __init__(
@@ -113,24 +111,16 @@ class ProgressReporter:
         elapsed = max(time.perf_counter() - self._started, 1e-9)
         return (self._done - self._restored) / elapsed
 
-    def _per_unit_ms(self) -> Optional[float]:
-        if self._rate_source is None:
-            return None
-        cost = self._rate_source.seconds_per_unit
-        return cost * 1000.0 if cost is not None else None
-
     def _paint(self, *, force: bool = False) -> None:
         now = time.perf_counter()
         if not force and now - self._last_paint < _MIN_INTERVAL and self._done < self.total:
             return
         self._last_paint = now
         rate = self._rate()
-        per_unit_ms = self._per_unit_ms()
         parts = [
             f"{self.label}: " if self.label else "",
             f"{self._done}/{self.total} units",
             f" | {rate:.1f} rows/s" if rate > 0 else "",
-            f" | ~{per_unit_ms:.1f} ms/unit" if per_unit_ms is not None else "",
         ]
         if self._restored and self._done == self._restored:
             parts.append(f" | {self._restored} restored from journal")

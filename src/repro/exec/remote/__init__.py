@@ -4,8 +4,8 @@ The ``remote`` execution backend ships work-unit chunks, in the JSON wire
 form of :meth:`~repro.exec.units.Chunk.to_wire`, to a fleet of long-lived
 workers on the far side of a pluggable :class:`~.transport.Transport`
 (``loopback`` subprocesses for tests/CI, ``ssh`` for real machines), with
-fault-tolerant re-dispatch, per-worker in-flight limits, adaptive chunk
-re-sizing and worker-side phase timing reports.  See
+fault-tolerant re-dispatch, per-worker in-flight limits and worker-side
+phase timing reports.  Each request is one of the runner's chunks, unchanged.  See
 :mod:`repro.exec.remote.dispatcher` for the dispatch model and
 :mod:`repro.exec.remote.worker` for the worker loop and its fault-injection
 hooks.

@@ -8,14 +8,13 @@ newline-delimited JSON responses to stdout:
   so the dispatcher can separate cold-start from dispatch latency;
 * :meth:`~repro.exec.units.Chunk.to_wire` request →
   ``{"index", "rows", "units", "seconds", "phases"}`` response, where
-  ``seconds`` is the worker-side wall time of the chunk (what adaptive
-  chunk sizing feeds on) and ``phases`` is the units' recorder table
-  ``{name: [seconds, count]}`` (setup / rounds / metrics phases and the
-  ``unit_begin`` / ``unit_end`` event counts) — the same form
-  :func:`~repro.exec.units.execute_chunk` returns to the local backends.  The
-  first chunk of each spec also carries ``prewarm_seconds``: the spec parse
-  and base-topology build are paid *before* the timed window (see
-  :func:`_prewarm_chunk`), so ``seconds`` stays a steady-state cost;
+  ``seconds`` is the worker-side wall time of the chunk (what the
+  dispatcher's wedged-worker deadline scales with) and ``phases`` is the
+  units' recorder table ``{name: [seconds, count]}`` (setup / rounds /
+  metrics phases and the ``unit_begin`` / ``unit_end`` event counts) — the
+  same form :func:`~repro.exec.units.execute_chunk` returns to the local
+  backends.  Spec parsing and the base-topology build fall inside the timed
+  window (the build in its unit's ``unit_setup``), as on every backend;
 * ``{"ping": k}`` → ``{"pong": k}`` — the dispatcher's idle heartbeat;
 * ``{"stop": true}`` → clean exit.
 
@@ -47,39 +46,9 @@ from typing import Optional, TextIO
 
 from repro.exec.remote.transport import WORKER_HANG_ENV, WORKER_INTERRUPT_ENV
 from repro.exec.stats import collect_stats
-from repro.exec.units import Chunk, execute_unit, _cached_spec
+from repro.exec.units import Chunk, execute_unit
 
 __all__ = ["WORKER_HANG_ENV", "WORKER_INTERRUPT_ENV", "main"]
-
-#: Spec keys this worker has already pre-warmed (see :func:`_prewarm_chunk`).
-_PREWARMED: set = set()
-
-
-def _prewarm_chunk(chunk: Chunk) -> float:
-    """Warm the spec/topology caches for a chunk's first unit; returns seconds.
-
-    The first chunk of every new spec pays two fixed costs no later chunk
-    sees: parsing the spec dict and generating (or shm-attaching) the base
-    topology.  Paying them *before* the timed window keeps the reported
-    ``seconds`` a steady-state per-unit cost, so the dispatcher's adaptive
-    chunk sizing is not skewed by one cold chunk — and a shm-published graph
-    is mapped before the first unit's setup phase starts.  Failures are
-    swallowed: a genuinely broken spec raises identically (with its real
-    message) from ``execute_unit``.
-    """
-    if chunk.spec_key in _PREWARMED or not chunk.seeds:
-        return 0.0
-    _PREWARMED.add(chunk.spec_key)
-    started = time.perf_counter()
-    try:
-        spec = _cached_spec(chunk.spec_key, chunk.spec_dict)
-        from repro.exec.cache import cached_base_topology
-
-        topology = spec.topology
-        cached_base_topology(topology.name, topology.params, spec.n, int(chunk.seeds[0]))
-    except Exception:  # noqa: BLE001 - see docstring
-        pass
-    return time.perf_counter() - started
 
 #: Exit code of an injected worker kill (distinguishable from real crashes).
 _INJECTED_EXIT_CODE = 23
@@ -128,7 +97,6 @@ def main(stdin: Optional[TextIO] = None, stdout: Optional[TextIO] = None) -> int
         try:
             chunk = Chunk.from_wire(line)
             rows = []
-            prewarm_seconds = _prewarm_chunk(chunk)
             started = time.perf_counter()
             with collect_stats() as stats:
                 for seed in chunk.seeds:
@@ -142,8 +110,6 @@ def main(stdin: Optional[TextIO] = None, stdout: Optional[TextIO] = None) -> int
                 "seconds": time.perf_counter() - started,
                 "phases": stats.phase_totals(),
             }
-            if prewarm_seconds:
-                response["prewarm_seconds"] = prewarm_seconds
             _send(out, response)
         except Exception as exc:  # noqa: BLE001 - reported to the dispatcher
             _send(out, {"index": message.get("index"), "error": f"{type(exc).__name__}: {exc}"})

@@ -177,17 +177,11 @@ def run_units(
             )
 
     try:
-        # An explicit chunk size is a promise: the remote dispatcher must not
-        # re-split it adaptively behind the caller's back.  Both hooks travel
-        # as extras so option-less backends simply ignore them.
-        extras = {"cost_estimator": estimator}
-        if policy.chunk_size is not None:
-            extras["adaptive"] = False
         # When the batch was downgraded away from the policy's backend (one
         # pending unit, single-CPU host), the policy's transport options belong
         # to the backend that was overridden — serial rejects them by design.
         options = policy.backend_options() if backend_name == policy.backend else {}
-        backend: Backend = make_backend(backend_name, workers, options or None, extras=extras)
+        backend: Backend = make_backend(backend_name, workers, options or None)
         try:
             with backend, timed_phase(EXEC_DISPATCH):
                 for chunk_index, chunk_rows in backend.submit_batch(chunks):

@@ -11,13 +11,12 @@ its units under its own collector and returns the :meth:`table
 the caller's collector with :func:`replay_phases`.  ``serial``, ``process``
 and ``remote`` therefore report the same phase and event counts.
 
-:class:`RateEstimator` is not telemetry: it is the runner's ETA and the
-remote dispatcher's chunk-sizing estimate.
+:class:`RateEstimator` is not telemetry: it is the progress display's
+smoothed throughput.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from typing import Optional
 
@@ -58,62 +57,30 @@ EXEC_DISPATCH = "exec_dispatch"
 
 
 class RateEstimator:
-    """EMA model of observed unit throughput and per-unit cost.
+    """EMA of observed unit throughput: the progress display's rows/sec and ETA.
 
-    The runner feeds it completion events (:meth:`observe_batch`) and remote
-    workers feed it their measured wall time per dispatch
-    (:meth:`observe_cost`); the progress reporter reads :attr:`rate` /
-    :attr:`seconds_per_unit` for a stats-derived ETA that settles quickly
-    and tracks load changes, instead of the raw cumulative average, and the
-    remote dispatcher reads :attr:`seconds_per_unit` to size outgoing
-    chunks.  Thread-safe: reader threads and the dispatch loop may report
-    concurrently.
+    The runner (and ``repro verify``) feed it completion events
+    (:meth:`observe_batch`); :class:`~repro.exec.progress.ProgressReporter`
+    reads :attr:`rate`, which settles quickly and tracks load changes where
+    the raw cumulative average would lag.
     """
 
     def __init__(self, alpha: float = 0.3) -> None:
         self._alpha = float(alpha)
-        self._lock = threading.Lock()
         self._rate: Optional[float] = None
-        self._cost: Optional[float] = None
         self._last_batch = time.perf_counter()
-
-    def _blend(self, previous: Optional[float], sample: float) -> float:
-        return sample if previous is None else previous + self._alpha * (sample - previous)
 
     def observe_batch(self, units: int) -> None:
         """``units`` more completions arrived (wall interval measured here)."""
         now = time.perf_counter()
-        with self._lock:
-            interval = now - self._last_batch
-            self._last_batch = now
-            if units > 0 and interval > 0:
-                self._rate = self._blend(self._rate, units / interval)
-
-    def observe_cost(self, units: int, seconds: float) -> None:
-        """A worker reports ``units`` computed in ``seconds`` of its wall time."""
-        if units > 0 and seconds > 0:
-            with self._lock:
-                self._cost = self._blend(self._cost, seconds / units)
+        interval = now - self._last_batch
+        self._last_batch = now
+        if units > 0 and interval > 0:
+            sample = units / interval
+            previous = self._rate
+            self._rate = sample if previous is None else previous + self._alpha * (sample - previous)
 
     @property
     def rate(self) -> Optional[float]:
-        """Smoothed units/second throughput (``None`` before any observation).
-
-        Falls back to the inverse worker-side cost when only workers have
-        reported — a single-worker approximation, but better than showing
-        nothing before the first dispatcher-side completion.
-        """
-        if self._rate is not None:
-            return self._rate
-        return (1.0 / self._cost) if self._cost else None
-
-    @property
-    def seconds_per_unit(self) -> Optional[float]:
-        """Smoothed worker-side cost of one unit (``None`` without reports).
-
-        Falls back to the inverse throughput when no worker-side cost has
-        been reported (only remote workers report one).
-        """
-        if self._cost is not None:
-            return self._cost
-        return (1.0 / self._rate) if self._rate else None
+        """Smoothed units/second throughput (``None`` before any observation)."""
+        return self._rate

@@ -348,7 +348,6 @@ def summarize_trace(events: Sequence[Mapping[str, Any]]) -> str:
                     {
                         "dispatched": len(dispatches),
                         "redispatched": counts.get("redispatch", 0),
-                        "splits": counts.get("split", 0),
                         "workers_lost": sum(losses.values()),
                         "loss_reasons": ",".join(
                             f"{k}={v}" for k, v in sorted(losses.items())

@@ -107,13 +107,11 @@ EVENT_SCHEMA: Dict[str, Dict[str, type]] = {
     "shm_publish": {"segments": int, "bytes": int},
     "serial_fallback": {"error": str, "chunks_left": int},
     # remote dispatcher decisions
-    "dispatch": {"task": int, "chunk": int, "units": int, "worker": str, "attempt": int},
-    "redispatch": {"task": int, "chunk": int, "attempt": int, "backoff": float},
+    "dispatch": {"chunk": int, "units": int, "worker": str, "attempt": int},
+    "redispatch": {"chunk": int, "attempt": int, "backoff": float},
     "worker_lost": {"worker": str, "reason": str, "inflight": int},
-    "split": {"chunk": int, "pieces": int, "per_piece": int},
     "ping": {"worker": str},
     "chunk_result": {
-        "task": int,
         "chunk": int,
         "worker": str,
         "units": int,

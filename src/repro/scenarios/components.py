@@ -87,7 +87,7 @@ from repro.problems.coloring import coloring_problem_pair
 from repro.problems.dynamic_problem import TDynamicSpec
 from repro.problems.mis import mis_problem_pair
 from repro.types import Interval
-from repro.utils.validation import check_probability
+from repro.utils.validation import check_non_negative_int, check_probability
 from repro.scenarios.registry import (
     ADVERSARIES,
     ALGORITHMS,
@@ -242,7 +242,18 @@ def _adversary_burst(ctx, *, burst_prob: float = 0.1, drop_fraction: float = 0.5
     return ChurnAdversary(ctx.n, churn, ctx.stream("adversary", "burst"), wakeup=ctx.wakeup)
 
 
-@ADVERSARIES.register("edge-insertion")
+def _insertion_problems(params: Mapping[str, Any], where: str) -> List[str]:
+    """``insertions_per_round`` checked by :class:`EdgeInsertionChurn`'s own rule."""
+    if "insertions_per_round" not in params:
+        return []
+    try:
+        check_non_negative_int("insertions_per_round", params["insertions_per_round"])
+    except ConfigurationError as exc:
+        return [f"{where}.insertions_per_round: {exc}"]
+    return []
+
+
+@ADVERSARIES.register("edge-insertion", check=_insertion_problems)
 def _adversary_insertion(ctx, *, insertions_per_round: int = 3, lifetime: int = 3):
     """Random short-lived extra edges on top of the stable base graph."""
     churn = EdgeInsertionChurn(
@@ -411,6 +422,7 @@ _CHURN_KINDS.register(
     lambda base, *, insertions_per_round=3, lifetime=3: EdgeInsertionChurn(
         base, insertions_per_round=insertions_per_round, lifetime=lifetime
     ),
+    check=_insertion_problems,
 )
 
 

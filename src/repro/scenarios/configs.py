@@ -52,6 +52,7 @@ __all__ = [
     "ExperimentConfig",
     "ScenarioConfig",
     "SweepConfig",
+    "check_spec_params",
     "load_config",
     "load_experiment_configs",
     "validate_config",
@@ -227,9 +228,7 @@ def load_config(path: Union[str, Path]) -> Config:
 def _load_spec(path: Path, data: Any) -> ScenarioSpec:
     """Build a config's spec, rejecting component parameters nothing accepts."""
     spec = ScenarioSpec.from_dict(data)
-    problems = _spec_param_problems(spec)
-    if problems:
-        raise ConfigurationError(f"config {path}: " + "; ".join(problems))
+    check_spec_params(spec, f"config {path}: ")
     return spec
 
 
@@ -299,12 +298,15 @@ def validate_spec(spec: ScenarioSpec) -> List[str]:
     return problems
 
 
-def _spec_param_problems(spec: ScenarioSpec) -> List[str]:
-    """Parameter problems of every registered component ``spec`` names.
+def check_spec_params(spec: ScenarioSpec, context: str = "") -> None:
+    """Raise :class:`ConfigurationError` if a component of ``spec`` gets a bad parameter.
 
-    Each problem names its field as ``spec.<slot>.params.<key>`` (see
-    :meth:`Registry.param_problems`); unknown component names are left to
-    :func:`validate_spec`.
+    The one parameter gate for specs: :func:`load_config` runs it on every
+    config and :func:`~repro.scenarios.executor.run_scenario_seed` on every
+    spec built in Python, before any factory is called.  Each problem names
+    its field as ``spec.<slot>.params.<key>`` (see
+    :meth:`Registry.param_problems`), prefixed by ``context``; unknown
+    component names are left to :func:`validate_spec` and the registry lookup.
     """
     slots = [
         ("topology", TOPOLOGIES, spec.topology),
@@ -319,7 +321,8 @@ def _spec_param_problems(spec: ScenarioSpec) -> List[str]:
     for slot, registry, ref in slots:
         if ref is not None and ref.name in registry:
             problems.extend(registry.param_problems(ref.name, ref.params, f"spec.{slot}.params"))
-    return problems
+    if problems:
+        raise ConfigurationError(context + "; ".join(problems))
 
 
 def _validate_execution(config: Config, where: str) -> List[str]:

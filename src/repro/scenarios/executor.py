@@ -35,6 +35,7 @@ from repro.errors import ConfigurationError
 from repro.utils.rng import RngFactory
 from repro.analysis.sweep import Replication, aggregate_rows
 from repro.runtime.simulator import Simulator
+from repro.scenarios.configs import check_spec_params
 from repro.scenarios.registry import (
     ADVERSARIES,
     ALGORITHMS,
@@ -207,9 +208,12 @@ def run_scenario_seed(spec: ScenarioSpec, seed: int) -> Row:
     ``(spec, seed)`` pair always yields the same row, in any process.  The
     delivery path is the spec's ``delivery`` field; whether a fast path
     reproduces the full one is checked by the ``delivery-equivalence``
-    contract of ``repro verify``, not per seed.
+    contract of ``repro verify``, not per seed.  A component parameter no
+    factory accepts is a :class:`ConfigurationError` naming its field, as it
+    is from :func:`~repro.scenarios.configs.load_config`.
     """
     _reject_retired_env()
+    check_spec_params(spec)
     row, _ = _execute_seed(spec, seed)
     return row
 

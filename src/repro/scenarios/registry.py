@@ -118,6 +118,9 @@ class Registry:
         self._entries: Dict[str, Callable] = {}
         self._docs: Dict[str, str] = {}
         self._checks: Dict[str, Callable[[Mapping[str, Any], str], List[str]]] = {}
+        #: ``(accepted, required)`` keyword sets per name, inspected on first
+        #: use: :meth:`param_problems` runs once per work unit.
+        self._signatures: Dict[str, Tuple[Optional[FrozenSet[str]], FrozenSet[str]]] = {}
 
     @property
     def kind(self) -> str:
@@ -157,6 +160,7 @@ class Registry:
                 )
             self._entries[name] = target
             self._checks.pop(name, None)
+            self._signatures.pop(name, None)
             if check is not None:
                 self._checks[name] = check
             if doc is not None:
@@ -175,6 +179,7 @@ class Registry:
         self._entries.pop(name, None)
         self._docs.pop(name, None)
         self._checks.pop(name, None)
+        self._signatures.pop(name, None)
 
     def param_problems(self, name: str, params: Mapping[str, Any], where: str) -> List[str]:
         """Problems with ``params`` for component ``name``, each naming ``where.<key>``.
@@ -184,16 +189,20 @@ class Registry:
         :meth:`register` reports.  Run before the factory is called, so a bad
         parameter is a message rather than a ``TypeError`` deep inside it.
         """
-        factory = self.get(name)
+        signature = self._signatures.get(name)
+        if signature is None:
+            factory = self.get(name)
+            signature = (accepted_parameters(factory), _required_parameters(factory))
+            self._signatures[name] = signature
+        accepted, required = signature
         problems: List[str] = []
-        accepted = accepted_parameters(factory)
         if accepted is not None:
             for key in sorted(set(params) - accepted):
                 problems.append(
                     f"{where}.{key}: {self._kind} {name!r} accepts no parameter {key!r}"
                     f"{suggestion_hint(key, accepted)} (accepted: {sorted(accepted) or 'none'})"
                 )
-        for key in sorted(_required_parameters(factory) - set(params)):
+        for key in sorted(required - set(params)):
             problems.append(f"{where}.{key}: {self._kind} {name!r} requires this parameter")
         check = self._checks.get(name)
         if check is not None and not problems:

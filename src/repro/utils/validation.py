@@ -7,6 +7,7 @@ parameters, keeping constructors short and uniform.
 
 from __future__ import annotations
 
+import numbers
 from typing import Any
 
 from repro.errors import ConfigurationError
@@ -14,6 +15,7 @@ from repro.errors import ConfigurationError
 __all__ = [
     "check_positive",
     "check_non_negative",
+    "check_non_negative_int",
     "check_probability",
     "check_type",
 ]
@@ -35,6 +37,15 @@ def check_non_negative(name: str, value: Any) -> int | float:
     if value < 0:
         raise ConfigurationError(f"{name} must be >= 0, got {value}")
     return value
+
+
+def check_non_negative_int(name: str, value: Any) -> int:
+    """Validate that ``value`` is a non-negative integer (not a bool) and return it."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+    if value < 0:
+        raise ConfigurationError(f"{name} must be >= 0, got {value}")
+    return int(value)
 
 
 def check_probability(name: str, value: Any) -> float:

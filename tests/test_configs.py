@@ -1,13 +1,14 @@
 """Config loading and validation (including the near-miss suggestion bugfix)."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
 
 from repro.errors import ConfigurationError, RegistryError
 from repro.analysis.experiments.catalog import EXPERIMENTS, experiment_defaults
-from repro.scenarios import ScenarioSpec, component
+from repro.scenarios import ScenarioSpec, component, run_scenario, sweep
 from repro.scenarios.cli import main
 from repro.scenarios.configs import (
     ExperimentConfig,
@@ -122,6 +123,7 @@ class TestLoadConfig:
 
 UNKNOWN_CHURN_KEY = {"processes": [{"kind": "burst", "foo": 1}]}
 UNKNOWN_INNER_KEY = {"inner": {"name": "flip-churn", "params": {"foo": 1}}, "freeze_round": 2}
+FRACTIONAL_INSERTIONS = {"insertions_per_round": 1.5}
 
 #: ``(spec override, field the error must name)`` for each bad component parameter.
 BAD_PARAMETERS = {
@@ -144,6 +146,31 @@ BAD_PARAMETERS = {
     "nested-adversary": (
         {"adversary": {"name": "freeze-after", "params": UNKNOWN_INNER_KEY}},
         "spec.adversary.params.inner.params.foo",
+    ),
+    "insertion-value": (
+        {"adversary": {"name": "edge-insertion", "params": FRACTIONAL_INSERTIONS}},
+        "spec.adversary.params.insertions_per_round",
+    ),
+    "composite-insertion-value": (
+        {
+            "adversary": {
+                "name": "composite-churn",
+                "params": {"processes": [{"kind": "edge-insertion", **FRACTIONAL_INSERTIONS}]},
+            }
+        },
+        "spec.adversary.params.processes[0].insertions_per_round",
+    ),
+}
+
+#: Specs built in Python, each with a parameter its factory does not accept.
+PYTHON_BAD_PARAMETERS = {
+    "nested-adversary": (
+        {"adversary": component("freeze-after", **UNKNOWN_INNER_KEY)},
+        "spec.adversary.params.inner.params.foo",
+    ),
+    "algorithm-param": (
+        {"algorithm": component("smis", bogus=2)},
+        "spec.algorithm.params.bogus",
     ),
 }
 
@@ -172,6 +199,22 @@ class TestComponentParameters:
         err = capsys.readouterr().err
         assert "insertions_per_round must be an integer, got 1.5" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("case", sorted(PYTHON_BAD_PARAMETERS))
+    @pytest.mark.parametrize("entry", ["run_scenario", "sweep", "run_scenario_seed"])
+    def test_python_specs_get_the_config_check(self, entry, case):
+        """Specs that never pass through ``load_config`` fail with the same
+        field-naming ConfigurationError, not a TypeError from the factory."""
+        override, field = PYTHON_BAD_PARAMETERS[case]
+        spec = ScenarioSpec(n=12, algorithm="smis", adversary="static", rounds=3, seeds=(0, 1))
+        spec = spec.replace(**override)
+        runs = {
+            "run_scenario": lambda: run_scenario(spec),
+            "sweep": lambda: sweep(spec, over={"n": [10, 12]}),
+            "run_scenario_seed": lambda: run_scenario_seed(spec, 0),
+        }
+        with pytest.raises(ConfigurationError, match=re.escape(field)):
+            runs[entry]()
 
     def test_composite_entries_checked_outside_configs(self):
         adversary = component("composite-churn", processes=[{"kind": "flip", "foo": 1}])

@@ -1,4 +1,4 @@
-"""Tests of the core framework: window defaults, Concat mechanics, runner helpers."""
+"""Tests of the core framework: window defaults, Concat mechanics, validity summaries."""
 
 import math
 
@@ -7,9 +7,9 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.dynamics import generators
 from repro.dynamics.adversaries import StaticAdversary
-from repro.problems import coloring_problem_pair, mis_problem_pair
+from repro.problems import TDynamicSpec, coloring_problem_pair, mis_problem_pair
 from repro.runtime.simulator import run_simulation
-from repro.core import Concat, default_window, run_combined, run_dynamic_problem, window_for
+from repro.core import Concat, default_window, window_for
 from repro.algorithms.common import NullBackbone
 from repro.algorithms.coloring import DColor, SColor, DynamicColoring
 from repro.algorithms.mis import DMis, SMis, DynamicMIS
@@ -87,34 +87,32 @@ class TestConcatMechanics:
         assert backbone.problem_pair().name == coloring_problem_pair().name
 
 
-class TestRunnerHelpers:
-    def test_run_combined_returns_validity(self):
+class TestValiditySummary:
+    def test_concat_run_summarises_validity(self):
         n = 24
         base = generators.gnp(n, 0.2, __import__("numpy").random.default_rng(0))
-        result = run_combined(
+        algorithm = Concat(SColor, DColor, 12)
+        trace = run_simulation(
             n=n,
-            static_factory=SColor,
-            dynamic_factory=DColor,
+            algorithm=algorithm,
             adversary=churn_adversary(base, 1, flip_prob=0.02),
             rounds=40,
             seed=1,
-            window=12,
         )
-        assert result.window == 12
-        assert result.trace.num_rounds == 40
-        assert 0.0 <= result.valid_fraction <= 1.0
-        assert result.validity["rounds_checked"] == 40.0
+        validity = TDynamicSpec(algorithm.problem_pair(), 12).validity_summary(trace)
+        assert trace.num_rounds == 40
+        assert 0.0 <= validity["valid_fraction"] <= 1.0
+        assert validity["rounds_checked"] == 40.0
 
-    def test_run_dynamic_problem_accepts_any_algorithm(self):
+    def test_any_algorithm_is_judged_by_the_same_checker(self):
         n = 16
-        base = generators.ring(n)
-        result = run_dynamic_problem(
+        trace = run_simulation(
             n=n,
             algorithm=SColor(),
-            pair=coloring_problem_pair(),
-            adversary=StaticAdversary(base),
+            adversary=StaticAdversary(generators.ring(n)),
             rounds=25,
             seed=2,
         )
-        assert result.trace.algorithm_name == "scolor"
-        assert result.valid_fraction > 0.0
+        validity = TDynamicSpec(coloring_problem_pair(), default_window(n)).validity_summary(trace)
+        assert trace.algorithm_name == "scolor"
+        assert validity["valid_fraction"] > 0.0

@@ -7,7 +7,7 @@ import pytest
 from repro.errors import ConfigurationError, TopologyError
 from repro.types import Interval
 from repro.dynamics.dynamic_graph import DynamicGraph
-from repro.dynamics.topology import Topology
+from repro.dynamics.topology import Topology, TopologyDelta
 from repro.problems import TDynamicSpec, coloring_problem_pair
 
 
@@ -107,7 +107,7 @@ def _record(topologies, path, n=8):
     graph = DynamicGraph(n, checkpoint_interval=int(interval or 1))
     previous = Topology([], [])
     for topology in topologies:
-        delta = previous.delta_to(topology)
+        delta = TopologyDelta.between(previous, topology)
         if kind == "lazy":
             graph.append_lazy(delta)
         else:

@@ -391,7 +391,7 @@ class TestPipelineEvents:
 
 #: Events only some transports emit: the shared-memory publication of pooled
 #: batches and the remote dispatcher's decisions.
-_TRANSPORT_EVENTS = {"shm_publish", "dispatch", "chunk_result", "ping", "split"}
+_TRANSPORT_EVENTS = {"shm_publish", "dispatch", "chunk_result", "ping"}
 
 
 @pytest.mark.parametrize("backend", ["serial", "process", "remote"])
@@ -446,7 +446,7 @@ class TestRemoteTimings:
 
         path = tmp_path / "remote.ndjson"
         monkeypatch.setenv(WORKER_INTERRUPT_ENV, "2")
-        backend = RemoteBackend(2, adaptive=False)
+        backend = RemoteBackend(2)
         with trace_to(path), collect_stats() as stats, backend:
             fleet_ready(backend)
             got = dict(backend.submit_batch(build_chunks(units, 3)))
@@ -482,7 +482,7 @@ class TestRemoteTimings:
         backend = RemoteBackend(1)
         message = {"index": 99, "rows": [], "phases": {UNIT_ROUNDS: [1.0, 1]}}
         with trace_to(path), collect_stats() as stats:
-            outcome = backend._absorb_result(None, message, tasks={}, assemblies={})
+            outcome = backend._absorb_result(None, message, tasks={})
         assert outcome is None
         assert stats.events(UNIT_ROUNDS) == 0
         assert _events(path, "chunk_result") == []
@@ -495,7 +495,7 @@ class TestRemoteTimings:
         units = units_for_spec(tiny_spec(seeds=tuple(range(8))))
         path = tmp_path / "fleet.ndjson"
         monkeypatch.setenv(WORKER_INTERRUPT_ENV, "2")
-        backend = RemoteBackend(2, adaptive=False)
+        backend = RemoteBackend(2)
         with trace_to(path), collect_stats() as stats, backend:
             fleet_ready(backend)
             list(backend.submit_batch(build_chunks(units, 2)))

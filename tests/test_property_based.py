@@ -98,7 +98,7 @@ def _recorded(sequence, checkpoint_interval=None):
     graph = DynamicGraph(8, checkpoint_interval=checkpoint_interval)
     previous = Topology([], [])
     for topo in sequence:
-        graph.append_delta(previous.delta_to(topo))
+        graph.append_delta(TopologyDelta.between(previous, topo))
         previous = topo
     return graph
 

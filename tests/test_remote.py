@@ -10,6 +10,7 @@ byte-identical-store loop the CI fabric-smoke job gates on.
 """
 
 import json
+import time
 
 import pytest
 
@@ -30,6 +31,7 @@ from repro.exec.remote import (
     RemoteBackend,
     parse_hosts,
 )
+from repro.exec.remote.dispatcher import _Task, _WorkerState
 from repro.exec.remote.transport import SshTransport, worker_fault_env
 from repro.exec.runner import INTERRUPT_ENV
 from repro.exec.stats import collect_stats
@@ -37,6 +39,24 @@ from repro.exec.units import execute_chunk
 from repro.scenarios import ScenarioSpec, component
 from repro.scenarios.audit import Finding, audit_store, journal_status
 from repro.scenarios.store import ResultsStore, canonical_json, content_key
+
+
+class _SilentLink:
+    """A worker link that records what is sent to it and never answers."""
+
+    worker_id, name, slots = 0, "silent", 1
+
+    def __init__(self):
+        self.sent = []
+
+    def alive(self):
+        return True
+
+    def send(self, text):
+        self.sent.append(text)
+
+    def kill(self):
+        pass
 
 
 def tiny_spec(**overrides):
@@ -110,32 +130,27 @@ class TestRemoteByteIdentity:
         policy = ExecutionPolicy(backend="remote", hosts=("fast=3", "slow"))
         assert canonical_json(run_units(units, policy)) == expected
 
-    def test_adaptive_split_keeps_rows_identical(self, reference):
-        """A near-zero target forces every task down to single-unit pieces;
-        reassembly must still hand the runner whole original chunks."""
+    def test_chunks_are_dispatched_whole(self, reference):
+        """Each runner chunk is one dispatch and one result, never re-sized."""
         units, expected = reference
         chunks = build_chunks(units, 6)
-        estimator = RateEstimator()
-        estimator.observe_cost(1, 1.0)  # known cost: splitting kicks in at once
-        backend = RemoteBackend(2, target_seconds=1e-9, cost_estimator=estimator)
+        backend = RemoteBackend(2)
         with collect_stats() as stats, backend:
             got = dict(backend.submit_batch(chunks))
-        assert stats.events("split") > 0
+        assert stats.events("dispatch") == stats.events("chunk_result") == len(chunks)
+        assert {index: len(rows) for index, rows in got.items()} == {0: 6, 1: 6}
         rows = [row for index in sorted(got) for row in got[index]]
         assert canonical_json(rows) == expected
 
-    def test_split_ids_survive_noncontiguous_chunk_indices(self, reference):
-        """Split-task ids are seeded past the *max* chunk index, so a subset
-        batch that preserves original indices (the runner's fallback shape)
-        cannot collide with them."""
+    def test_noncontiguous_chunk_indices_round_trip(self, reference):
+        """A subset batch that keeps its original chunk indices (the runner's
+        fallback shape) comes back keyed by those indices."""
         units, _ = reference
         chunks = build_chunks(units, 3)[2:]  # indices 2 and 3, not 0..len-1
-        estimator = RateEstimator()
-        estimator.observe_cost(1, 1.0)  # known cost: splitting kicks in at once
-        backend = RemoteBackend(2, target_seconds=1e-9, cost_estimator=estimator)
-        with collect_stats() as stats, backend:
+        backend = RemoteBackend(2)
+        with backend:
             got = dict(backend.submit_batch(chunks))
-        assert stats.events("split") > 0
+        assert sorted(got) == [2, 3]
         for chunk in chunks:
             serial, _ = execute_chunk((chunk.spec_key, chunk.spec_dict, chunk.seeds))
             assert canonical_json(got[chunk.index]) == canonical_json(serial)
@@ -200,25 +215,8 @@ class TestFaultTolerance:
     def test_idle_wedged_worker_is_reaped_on_missed_pong(self):
         """A ping leaves a pong deadline; a worker that never answers (and
         sends nothing else) is reaped instead of being pinged forever."""
-        from repro.exec.remote.dispatcher import _WorkerState
-
-        class _WedgedLink:
-            worker_id, name, slots = 0, "wedged", 1
-
-            def __init__(self):
-                self.sent = []
-
-            def alive(self):
-                return True
-
-            def send(self, text):
-                self.sent.append(text)
-
-            def kill(self):
-                pass
-
         backend = RemoteBackend(1, heartbeat_interval=0.0)
-        link = _WedgedLink()
+        link = _SilentLink()
         state = _WorkerState(link)
         state.ready = True
         backend._workers = {0: state}
@@ -272,10 +270,6 @@ class TestPolicyPlumbing:
         with pytest.raises(ConfigurationError, match="transport options"):
             make_backend("process", 2, {"transport": "loopback"})
 
-    def test_extras_are_dropped_by_local_backends(self):
-        backend = make_backend("serial", 1, None, extras={"cost_estimator": RateEstimator()})
-        assert backend is not None
-
     def test_single_unit_downgrade_drops_transport_options(self):
         """A one-unit batch under a remote policy downgrades to serial inside
         run_units; the policy's transport/hosts must not reach
@@ -293,35 +287,122 @@ class TestPolicyPlumbing:
 # ---------------------------------------------------------------------------
 
 
+class _Clock:
+    """A hand-advanced stand-in for ``time.perf_counter``."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def perf_counter(self):
+        return self.now
+
+
 class TestRateEstimator:
-    def test_observed_cost_sets_rate_and_per_unit(self):
-        estimator = RateEstimator()
-        assert estimator.rate is None and estimator.seconds_per_unit is None
-        estimator.observe_cost(10, 1.0)
-        assert estimator.seconds_per_unit == pytest.approx(0.1)
-        assert estimator.rate == pytest.approx(10.0)
+    """The runner's throughput estimate: completions in, rows/sec out."""
 
-    def test_smoothing_tracks_recent_cost(self):
+    def test_observed_batches_set_rate(self, monkeypatch):
+        from repro.exec import stats
+
+        clock = _Clock()
+        monkeypatch.setattr(stats, "time", clock)
         estimator = RateEstimator()
-        estimator.observe_cost(10, 1.0)
+        assert estimator.rate is None
+        clock.now = 2.0
+        estimator.observe_batch(10)
+        assert estimator.rate == pytest.approx(5.0)
+
+    def test_smoothing_tracks_recent_rate(self, monkeypatch):
+        from repro.exec import stats
+
+        clock = _Clock()
+        monkeypatch.setattr(stats, "time", clock)
+        estimator = RateEstimator()
+        clock.now += 1.0
+        estimator.observe_batch(10)
         for _ in range(50):
-            estimator.observe_cost(10, 2.0)
-        assert estimator.seconds_per_unit == pytest.approx(0.2, rel=0.05)
+            clock.now += 1.0
+            estimator.observe_batch(20)
+        assert estimator.rate == pytest.approx(20.0, rel=0.05)
 
-    def test_progress_uses_estimator_rate(self):
+    def test_progress_uses_estimator_rate(self, monkeypatch):
         import io
 
+        from repro.exec import stats
+
+        clock = _Clock()
+        monkeypatch.setattr(stats, "time", clock)
         estimator = RateEstimator()
-        estimator.observe_cost(100, 1.0)  # 10 ms/unit
+        clock.now = 0.1
+        estimator.observe_batch(10)  # 100 units/s
         stream = io.StringIO()
         reporter = ProgressReporter(
             10, label="demo", enabled=True, stream=stream, rate_source=estimator
         )
         reporter.update(10)
         reporter.finish()
-        output = stream.getvalue()
-        assert "100.0 rows/s" in output
-        assert "~10.0 ms/unit" in output
+        assert "100.0 rows/s" in stream.getvalue()
+
+
+class TestDeadlineCost:
+    """The dispatcher's private per-unit cost: worker seconds in, deadlines out."""
+
+    @staticmethod
+    def _absorb(backend, seconds, units=2):
+        chunk = build_chunks(units_for_spec(tiny_spec(seeds=tuple(range(units)))), units)[0]
+        state = _WorkerState(_SilentLink())
+        message = {"index": chunk.index, "rows": [{}] * units, "seconds": seconds}
+        assert backend._absorb_result(state, message, {chunk.index: _Task(chunk)})
+
+    def test_default_deadline_before_any_report(self):
+        backend = RemoteBackend(1)
+        before = time.monotonic()
+        assert backend._deadline_for(5) - before == pytest.approx(60.0, abs=1.0)
+
+    def test_reported_cost_scales_the_deadline(self):
+        backend = RemoteBackend(1)
+        self._absorb(backend, seconds=40.0)  # 20 s/unit
+        before = time.monotonic()
+        assert backend._deadline_for(3) - before == pytest.approx(600.0, abs=1.0)
+        self._absorb(backend, seconds=80.0)  # 40 s/unit sample, EMA -> 26 s/unit
+        before = time.monotonic()
+        assert backend._deadline_for(1) - before == pytest.approx(260.0, abs=1.0)
+
+    def test_task_timeout_overrides_the_cost(self):
+        backend = RemoteBackend(1, task_timeout=5.0)
+        self._absorb(backend, seconds=40.0)
+        before = time.monotonic()
+        assert backend._deadline_for(3) - before == pytest.approx(5.0, abs=1.0)
+
+
+class TestWorkerSetupTiming:
+    def test_worker_times_the_topology_build_as_unit_setup(self, monkeypatch):
+        """The worker times spec parsing and the base-topology build inside
+        the units' window, as every local backend does: a 0.2 s build shows
+        up in ``unit_setup`` and nothing is reported beside it."""
+        import io
+
+        from repro.exec.cache import topology_cache_clear
+        from repro.exec.remote import worker as worker_mod
+        from repro.scenarios.registry import TOPOLOGIES
+
+        build = TOPOLOGIES.get("gnp_sparse")
+
+        def slow_build(*args, **kwargs):
+            time.sleep(0.2)
+            return build(*args, **kwargs)
+
+        monkeypatch.setitem(TOPOLOGIES._entries, "gnp_sparse", slow_build)
+        topology_cache_clear()
+        (chunk,) = build_chunks(units_for_spec(tiny_spec(seeds=(7,))), 1)
+        out = io.StringIO()
+        worker_mod.main(io.StringIO(chunk.to_wire() + "\n"), out)
+        ready, response = [json.loads(line) for line in out.getvalue().splitlines()]
+        assert ready["ready"] is True
+        assert "prewarm_seconds" not in response
+        setup_seconds, setup_events = response["phases"]["unit_setup"]
+        assert setup_events == 1
+        assert setup_seconds >= 0.2
+        assert response["seconds"] >= setup_seconds
 
 
 # ---------------------------------------------------------------------------

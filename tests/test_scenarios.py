@@ -390,22 +390,6 @@ class TestInputAssignmentRename:
         with pytest.raises(TypeError, match="'input'"):
             self._run(input={0: 2})
 
-    def test_old_name_raises_in_combined_runner(self):
-        from repro.core.runner import run_combined
-        from repro.algorithms.coloring import DColor, SColor
-        from repro.dynamics import generators
-        from repro.dynamics.adversaries import StaticAdversary
-
-        with pytest.raises(TypeError, match="'input'"):
-            run_combined(
-                n=4,
-                static_factory=SColor,
-                dynamic_factory=DColor,
-                adversary=StaticAdversary(generators.ring(4)),
-                rounds=4,
-                input={0: 2},
-            )
-
     def test_both_names_rejected(self):
         with pytest.raises(TypeError, match="'input'"):
             self._run(input={0: 2}, input_assignment={0: 2})
