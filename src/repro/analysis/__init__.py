@@ -5,7 +5,7 @@
 * :mod:`repro.analysis.convergence` — rounds-to-completion measurements.
 * :mod:`repro.analysis.quality` — solution-quality yardsticks (colour counts,
   MIS size) against sequential greedy references.
-* :mod:`repro.analysis.sweep` — replicated parameter sweeps with aggregation.
+* :mod:`repro.analysis.sweep` — aggregation of per-seed rows.
 * :mod:`repro.analysis.report` — plain-text tables for experiment rows.
 * :mod:`repro.analysis.experiments` — the E1–E13 experiment implementations
   indexed in :mod:`repro.analysis.experiments.catalog` (each returns
@@ -29,7 +29,7 @@ from repro.analysis.convergence import (
     completion_round_for_nodes,
 )
 from repro.analysis.quality import coloring_quality, mis_quality
-from repro.analysis.sweep import Replication, aggregate_rows, replicate
+from repro.analysis.sweep import Replication, aggregate_rows
 from repro.analysis.report import format_table, rows_to_csv
 
 __all__ = [
@@ -46,7 +46,6 @@ __all__ = [
     "coloring_quality",
     "mis_quality",
     "Replication",
-    "replicate",
     "aggregate_rows",
     "format_table",
     "rows_to_csv",

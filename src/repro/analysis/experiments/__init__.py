@@ -1,8 +1,8 @@
 """The E1–E13 experiment implementations (indexed in :mod:`.catalog`).
 
 Every experiment is an ordinary function that returns a list of row dicts;
-``repro experiments``/``repro bench`` run each one from its committed config,
-and ``repro bench`` checks its catalog claim on the benchmark-scale rows.
+``repro experiments`` runs each one from its committed config and, at full
+scale, checks its catalog claim on the stored rows.
 Default parameters are sized so the whole
 suite completes on a laptop in minutes; every knob (sizes, rounds, seeds,
 churn rates) is exposed so larger runs just pass bigger values.

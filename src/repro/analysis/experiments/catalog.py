@@ -10,8 +10,9 @@ for components.
 tests) goes through it, so config-driven runs are byte-identical to direct
 function calls by construction.  Each entry also carries a *claim*: a
 predicate over the experiment's rows that returns one message per violated
-paper guarantee (``[]`` when the guarantee holds).  ``repro bench`` checks
-it on the benchmark-scale rows it stores and exits 1 when any claim fails.
+paper guarantee (``[]`` when the guarantee holds).  A full-scale ``repro
+experiments`` run checks it on the rows it stores and exits 1 when any claim
+fails.
 """
 
 from __future__ import annotations

@@ -1,37 +1,17 @@
-"""Shared workload builders for the experiment suite.
+"""Shared constants and helpers for the experiment suite.
 
-Every experiment derives its randomness from an experiment-level seed through
+Every experiment builds its workloads as :class:`~repro.scenarios.ScenarioSpec`
+values; the registries of :mod:`repro.scenarios.components` construct the
+topology, adversary and algorithm from named
 :class:`~repro.utils.rng.RngFactory` streams, so rows are reproducible and the
-adversary, topology and algorithm randomness never alias.
-
-Since the experiments moved onto the declarative scenario API
-(:mod:`repro.scenarios`), the builders here are no longer on the experiment
-hot path — the registries of :mod:`repro.scenarios.components` construct the
-same objects from the same streams.  They remain the convenient imperative
-shortcuts for tests and ad-hoc scripts.
+three kinds of randomness never alias.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional
 
-from repro.utils.rng import RngFactory
-from repro.dynamics.adversary import Adversary
-from repro.dynamics.adversaries.random_churn import ChurnAdversary
-from repro.dynamics.adversaries.scripted import StaticAdversary
-from repro.dynamics.churn import FlipChurn, MarkovEdgeChurn, StaticChurn
-from repro.dynamics.generators import by_name
-from repro.dynamics.topology import Topology
-from repro.dynamics.wakeup import WakeupSchedule
-
-__all__ = [
-    "base_topology",
-    "churn_adversary",
-    "static_adversary",
-    "log2",
-    "DEFAULT_FAMILY",
-]
+__all__ = ["log2", "DEFAULT_FAMILY"]
 
 #: Topology family used by default throughout the experiments: a sparse
 #: Erdős–Rényi graph with expected average degree 8, the regime the paper's
@@ -42,38 +22,3 @@ DEFAULT_FAMILY = "gnp_sparse"
 def log2(n: int) -> float:
     """``log₂ n`` (the yardstick every O(log n) claim is measured against)."""
     return math.log2(max(n, 2))
-
-
-def base_topology(n: int, seed: int, *, family: str = DEFAULT_FAMILY) -> Topology:
-    """The base graph of a configuration (derived from the experiment seed)."""
-    rng = RngFactory(seed).stream("topology", family, n)
-    return by_name(family, n, rng)
-
-
-def churn_adversary(
-    base: Topology,
-    seed: int,
-    *,
-    flip_prob: float = 0.01,
-    p_off: Optional[float] = None,
-    p_on: Optional[float] = None,
-    wakeup: Optional[WakeupSchedule] = None,
-) -> Adversary:
-    """A fully oblivious churn adversary over ``base``.
-
-    By default every base edge flips state with probability ``flip_prob`` per
-    round; passing ``p_off`` / ``p_on`` switches to the asymmetric Markov
-    model.
-    """
-    n = max(base.nodes) + 1 if base.nodes else 0
-    rng = RngFactory(seed).stream("adversary", "churn")
-    if p_off is None and p_on is None:
-        churn = FlipChurn(base, flip_prob) if flip_prob > 0 else StaticChurn(base)
-    else:
-        churn = MarkovEdgeChurn(base, p_off=p_off or 0.0, p_on=p_on or 0.0)
-    return ChurnAdversary(n, churn, rng, wakeup=wakeup)
-
-
-def static_adversary(base: Topology, *, wakeup: Optional[WakeupSchedule] = None) -> Adversary:
-    """A static adversary that repeats ``base`` every round."""
-    return StaticAdversary(base, wakeup=wakeup)

@@ -1,20 +1,19 @@
-"""Replicated parameter sweeps and row aggregation.
+"""Aggregation of per-seed rows.
 
 Every experiment in :mod:`repro.analysis.experiments` repeats each
-configuration over several seeds and reports means (and standard deviations
-where meaningful).  The helpers here keep that boilerplate in one place and
-make the aggregation rules explicit and testable.
+configuration over several seeds (a :class:`~repro.scenarios.ScenarioResult`
+holds one row per seed) and reports means (and standard deviations where
+meaningful).  The helpers here keep that boilerplate in one place and make
+the aggregation rules explicit and testable.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Mapping, Sequence
+from typing import Dict, Mapping, Sequence
 
-from repro.errors import ConfigurationError
-
-__all__ = ["Replication", "replicate", "aggregate_rows"]
+__all__ = ["Replication", "aggregate_rows"]
 
 Row = Dict[str, float]
 
@@ -43,19 +42,6 @@ class Replication:
         """Maximum of ``key`` over the replicas."""
         values = [row[key] for row in self.rows if key in row and not math.isnan(row[key])]
         return max(values) if values else float("nan")
-
-
-def replicate(
-    run: Callable[[int], Row],
-    seeds: Iterable[int],
-    *,
-    label: str = "",
-) -> Replication:
-    """Run ``run(seed)`` for every seed and collect the per-seed rows."""
-    rows = [run(int(seed)) for seed in seeds]
-    if not rows:
-        raise ConfigurationError("replicate() needs at least one seed")
-    return Replication(label=label, rows=tuple(rows))
 
 
 def aggregate_rows(

@@ -34,7 +34,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.types import Edge, canonical_edge
-from repro.utils.validation import check_non_negative_int, check_probability
+from repro.utils.validation import check_non_negative_int, check_positive_int, check_probability
 from repro.dynamics.topology import Topology
 
 __all__ = [
@@ -340,12 +340,10 @@ class EdgeInsertionChurn(ChurnProcess):
         lifetime: int,
     ) -> None:
         insertions = check_non_negative_int("insertions_per_round", insertions_per_round)
-        if lifetime < 1:
-            raise ConfigurationError(f"lifetime must be >= 1, got {lifetime}")
+        self._lifetime = check_positive_int("lifetime", lifetime)
         self._base = base
         self._nodes: Sequence[int] = tuple(sorted(base.nodes))
         self._insertions = insertions
-        self._lifetime = int(lifetime)
         self._active: Dict[Edge, int] = {}
         self._primed = False
 

@@ -45,7 +45,8 @@ __all__ = [
 ]
 
 #: Phase names the pipeline reports (others are allowed; these are the
-#: conventional ones surfaced by ``repro bench``): component building per
+#: conventional ones ``repro log`` / ``repro report`` render from an entry's
+#: provenance): component building per
 #: work unit, the simulated round loop, metric/probe extraction,
 #: sweep-journal resume reads + record writes, and backend dispatch wall
 #: time (including pooled workers).

@@ -6,7 +6,9 @@ State layout:
 
 * ``color[v]`` — adopted color, ``-1`` while uncolored.
 * ``pal[v] = (degree, excluded)`` — the palette recorded at the node's last
-  delivery while uncolored: the palette *set* is
+  delivery while uncolored (or the one where it adopted a color, so a
+  per-round ``palette_of`` reads what the classic path would): the palette
+  *set* is
   ``{1..degree+1} - set(excluded)`` with ``excluded`` a sorted tuple.
   Storing the complement keeps the common case (few fixed neighbors) tiny
   and makes the classic ``sorted(palette)[rng.integers(0, len)]`` draw
@@ -199,13 +201,15 @@ class ColoringKernel(AlgorithmKernel):
             self._uncolored += int(uncolor_ids.size)
             self._uncolor_events += int(uncolor_ids.size)
 
-        # palettes only matter for nodes that are uncolored going into the
-        # next compose (classic writes them for every delivered node, but
-        # only uncolored nodes ever read them before the next delivery)
-        now_uncolored = (uncolored & ~adopt) | uncolor
-        if not now_uncolored.any():
+        # classic writes a palette for every delivered node; record it for
+        # the nodes that are uncolored going into the next compose (the only
+        # ones compose reads) and for those that adopted a color this round,
+        # whose palette a per-round probe compares against the last round's
+        # (E2's palette-shrink)
+        record = uncolored | uncolor
+        if not record.any():
             return
-        sub = np.flatnonzero(now_uncolored[seg] & fixed_slots)
+        sub = np.flatnonzero(record[seg] & fixed_slots)
         seg_sub = seg[sub]
         nval_sub = nval[sub]
         keep_sub = nval_sub <= deg_p1[seg_sub]
@@ -219,7 +223,7 @@ class ColoringKernel(AlgorithmKernel):
         else:
             keys = raw
         key_seg = keys // self._stride
-        idxs = np.flatnonzero(now_uncolored)
+        idxs = np.flatnonzero(record)
         starts = np.searchsorted(key_seg, idxs, side="left").tolist()
         ends = np.searchsorted(key_seg, idxs, side="right").tolist()
         pal = self._pal

@@ -12,9 +12,8 @@ Subcommands::
     repro run configs/scenarios/quickstart-coloring.json
     repro sweep configs/sweeps/churn-rate.json --backend process --progress
     repro sweep configs/sweeps/churn-rate.json --resume   # continue a killed run
-    repro experiments --all            # regenerate every E1–E13 table
-    repro experiments e01 e07 --smoke  # CI-sized parameter sets
-    repro bench --all                  # benchmark-scale runs, timings, claim checks
+    repro experiments --all            # every E1–E13 table; exit 1 on a failed claim
+    repro experiments e01 e07 --smoke  # CI-sized parameter sets, no claim checks
     repro validate                     # check every committed config
     repro verify --suite smoke         # run the validation-contract suite
     repro diff results /tmp/fresh      # exit 1 on any row drift
@@ -44,7 +43,7 @@ provenance (``repro log`` / ``repro report`` show them).  ``--trace PATH``
 also writes the run's NDJSON event trace, worker processes included: it
 truncates ``PATH`` and sets ``REPRO_TRACE`` for the run (see
 :mod:`repro.obs.trace`).  For a function-level profile use the stdlib:
-``python -m cProfile -s cumtime -m repro bench e04 --backend serial``.
+``python -m cProfile -s cumtime -m repro experiments e04 --backend serial``.
 
 A scenario's delivery path is its spec's ``delivery`` field.  ``repro
 verify`` runs the contract suite; its ``delivery-equivalence`` contract runs
@@ -60,7 +59,6 @@ import functools
 import json
 import os
 import sys
-import time
 from contextlib import nullcontext
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence
@@ -78,7 +76,6 @@ from repro.exec import (
     units_for_spec,
     use_policy,
 )
-from repro.exec.stats import EXEC_DISPATCH, EXEC_JOURNAL, UNIT_METRICS, UNIT_ROUNDS, UNIT_SETUP
 from repro.obs.trace import trace_to
 from repro.scenarios.audit import audit_store, journal_status
 from repro.scenarios.configs import (
@@ -103,7 +100,7 @@ DEFAULT_CONFIGS_DIR = Path("configs")
 DEFAULT_STORE_DIR = Path("results")
 
 #: Store kind each experiment scale writes under.
-_SCALE_KINDS = {"full": "experiments", "bench": "bench", "smoke": "smoke"}
+_SCALE_KINDS = {"full": "experiments", "smoke": "smoke"}
 
 
 def _print(message: str = "") -> None:
@@ -148,7 +145,7 @@ def _build_policy(
     """The effective policy: defaults < config ``execution`` block < CLI flags.
 
     ``backend`` is the command's default (``serial`` for run/sweep/repair,
-    ``process`` for experiments/bench); the block's and ``--backend``'s
+    ``process`` for experiments); the block's and ``--backend``'s
     choice win over it.
     """
     policy = policy_from_mapping(
@@ -284,12 +281,13 @@ def _cmd_execute(args: argparse.Namespace, config_type: type) -> int:
 
 
 # ---------------------------------------------------------------------------
-# experiments / bench
+# experiments
 # ---------------------------------------------------------------------------
 
 
-def _select_experiments(args: argparse.Namespace) -> Dict[str, ExperimentConfig]:
-    configs = load_experiment_configs(Path(args.configs) / "experiments")
+def _select_experiments(
+    args: argparse.Namespace, configs: Dict[str, ExperimentConfig]
+) -> Dict[str, ExperimentConfig]:
     if args.all or not args.ids:
         return configs
     selected: Dict[str, ExperimentConfig] = {}
@@ -303,10 +301,23 @@ def _select_experiments(args: argparse.Namespace) -> Dict[str, ExperimentConfig]
     return selected
 
 
-def _run_experiments(args: argparse.Namespace, *, scale: str, timings: bool) -> int:
+def _cmd_experiments(args: argparse.Namespace) -> int:
+    """Run the selected experiments at one scale and store their rows.
+
+    A full-scale run then checks each selected catalog claim on the stored
+    rows and exits 1 naming every failed one; ``--smoke`` checks none.
+    """
     from repro.analysis.experiments.catalog import EXPERIMENTS, run_experiment
 
-    configs = _select_experiments(args)
+    configs = load_experiment_configs(Path(args.configs) / "experiments")
+    if args.list:
+        listing = [
+            {"experiment": experiment_id, "title": config.title}
+            for experiment_id, config in sorted(configs.items())
+        ]
+        _print(format_table(listing, title="committed experiment configs").rstrip())
+        return 0
+    configs = _select_experiments(args, configs)
     code = 0
     for config in configs.values():
         problems = validate_config(config)
@@ -317,50 +328,20 @@ def _run_experiments(args: argparse.Namespace, *, scale: str, timings: bool) -> 
     if code:
         return code
 
+    scale = "smoke" if args.smoke else "full"
     store = ResultsStore(args.store)
     tables: List[str] = []
-    summary: List[Dict[str, Any]] = []
     failed_claims: List[str] = []
     for experiment_id, config in sorted(configs.items()):
-        params = config.params_for(scale)
         policy = _build_policy(args, config.execution, backend="process")
-        started = time.perf_counter()
         with collect_stats() as stats, use_policy(policy):
-            rows = run_experiment(experiment_id, params)
-        elapsed = time.perf_counter() - started
-        store_started = time.perf_counter()
+            rows = run_experiment(experiment_id, config.params_for(scale))
         entry, status = _put_with_telemetry(store, config, rows, stats.as_provenance(), scale=scale)
         stored = store.load(entry.path)
-        store_elapsed = time.perf_counter() - store_started
         title = f"{config.title}  [{scale}]"
         tables.append(_emit_entry(stored, title=title, columns=config.columns, status=status))
-        if scale == "bench":
+        if scale == "full":
             failed_claims += EXPERIMENTS[experiment_id].check(stored.rows)
-        summary.append(
-            {
-                "experiment": experiment_id,
-                "rows": float(len(stored.rows)),
-                "status": status,
-                "seconds": round(elapsed, 2),
-                # Phase splits (see repro.exec.stats): unit phases are summed
-                # over every unit, wherever it ran; dispatch_s is the
-                # backend's wall time around them.
-                "setup_s": round(stats.seconds(UNIT_SETUP), 2),
-                "rounds_s": round(stats.seconds(UNIT_ROUNDS), 2),
-                "metrics_s": round(stats.seconds(UNIT_METRICS), 2),
-                "dispatch_s": round(stats.seconds(EXEC_DISPATCH), 2),
-                "journal_s": round(stats.seconds(EXEC_JOURNAL), 3),
-                "store_s": round(store_elapsed, 3),
-            }
-        )
-    if timings and summary:
-        _print(format_table(summary, title=f"{len(summary)} experiments ({scale} scale)").rstrip())
-        _print(
-            "[timing splits: setup/rounds/metrics are unit phases summed over "
-            "every worker; dispatch is backend wall time incl. pooled workers; "
-            "journal/store are checkpoint + results-store writes]"
-        )
-        _print()
     if args.tables:
         Path(args.tables).parent.mkdir(parents=True, exist_ok=True)
         Path(args.tables).write_text("\n".join(tables), encoding="utf-8")
@@ -368,24 +349,6 @@ def _run_experiments(args: argparse.Namespace, *, scale: str, timings: bool) -> 
     for problem in failed_claims:
         print(f"claim failed: {problem}", file=sys.stderr)
     return 1 if failed_claims else 0
-
-
-def _cmd_experiments(args: argparse.Namespace) -> int:
-    if args.list:
-        configs = load_experiment_configs(Path(args.configs) / "experiments")
-        listing = [
-            {"experiment": experiment_id, "title": config.title}
-            for experiment_id, config in sorted(configs.items())
-        ]
-        _print(format_table(listing, title="committed experiment configs").rstrip())
-        return 0
-    scale = "smoke" if args.smoke else "full"
-    return _run_experiments(args, scale=scale, timings=False)
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    scale = "smoke" if args.smoke else "bench"
-    return _run_experiments(args, scale=scale, timings=True)
 
 
 # ---------------------------------------------------------------------------
@@ -928,7 +891,7 @@ def _add_execution_options(parser: argparse.ArgumentParser) -> None:
         "--backend",
         choices=list(BACKENDS.available()),
         help="execution backend (default: from the config's 'execution' block, else "
-        "process for experiments/bench and serial otherwise)",
+        "process for experiments and serial otherwise)",
     )
     parser.add_argument(
         "--chunk-size",
@@ -1004,12 +967,15 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_cmd.set_defaults(fn=functools.partial(_cmd_execute, config_type=SweepConfig))
 
     experiments = sub.add_parser(
-        "experiments", help="regenerate E1–E13 tables from committed configs"
+        "experiments",
+        help="regenerate E1–E13 tables from committed configs; exit 1 on a failed paper claim",
     )
     experiments.add_argument("ids", nargs="*", help="experiment ids (e01 … e13)")
     experiments.add_argument("--all", action="store_true", help="run every committed experiment")
     experiments.add_argument(
-        "--smoke", action="store_true", help="use the CI-sized smoke parameter sets"
+        "--smoke",
+        action="store_true",
+        help="use the CI-sized smoke parameter sets (claims are not checked)",
     )
     experiments.add_argument("--list", action="store_true", help="list committed experiments")
     experiments.add_argument("--tables", help="also write all tables to this file")
@@ -1022,28 +988,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_execution_options(experiments)
     _add_telemetry_options(experiments)
     experiments.set_defaults(fn=_cmd_experiments)
-
-    bench = sub.add_parser(
-        "bench",
-        help="benchmark-scale experiment runs with wall times; exit 1 on a failed paper claim",
-    )
-    bench.add_argument("ids", nargs="*", help="experiment ids (e01 … e13)")
-    bench.add_argument("--all", action="store_true", help="run every committed experiment")
-    bench.add_argument(
-        "--smoke",
-        action="store_true",
-        help="smoke-sized dry run of the harness (claims are checked at bench scale only)",
-    )
-    bench.add_argument("--tables", help="also write all tables to this file")
-    bench.add_argument(
-        "--configs",
-        default=str(DEFAULT_CONFIGS_DIR),
-        help=f"config tree root (default: {DEFAULT_CONFIGS_DIR})",
-    )
-    _add_store_options(bench)
-    _add_execution_options(bench)
-    _add_telemetry_options(bench)
-    bench.set_defaults(fn=_cmd_bench)
 
     validate = sub.add_parser("validate", help="validate committed configs without running them")
     validate.add_argument(

@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 import numbers
 from collections.abc import Mapping, Sequence
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.errors import ConfigurationError
 from repro.dynamics import generators
@@ -87,7 +87,7 @@ from repro.problems.coloring import coloring_problem_pair
 from repro.problems.dynamic_problem import TDynamicSpec
 from repro.problems.mis import mis_problem_pair
 from repro.types import Interval
-from repro.utils.validation import check_non_negative_int, check_probability
+from repro.utils.validation import check_non_negative_int, check_positive_int, check_probability
 from repro.scenarios.registry import (
     ADVERSARIES,
     ALGORITHMS,
@@ -220,7 +220,46 @@ def _adversary_static(ctx):
     return StaticAdversary(ctx.base, wakeup=ctx.wakeup)
 
 
-@ADVERSARIES.register("flip-churn")
+def _value_checks(**rules: Callable[[str, Any], Any]) -> Callable[..., List[str]]:
+    """A registry ``check`` that runs each constructor's rule on the parameter it names.
+
+    ``rules`` maps a parameter to the :mod:`repro.utils.validation` rule its
+    constructor calls, so ``repro validate`` rejects exactly what a run would;
+    an absent parameter keeps its (valid) default.
+    """
+
+    def check(params: Mapping[str, Any], where: str) -> List[str]:
+        problems = []
+        for key, rule in rules.items():
+            if key in params:
+                try:
+                    rule(key, params[key])
+                except ConfigurationError as exc:
+                    problems.append(f"{where}.{key}: {exc}")
+        return problems
+
+    return check
+
+
+def _literal_lifetime(name: str, value: Any) -> None:
+    """A literal ``lifetime`` must be an integer >= 1; ``"2*T1"`` resolves at run time."""
+    if not isinstance(value, str):
+        check_positive_int(name, value)
+
+
+_flip_problems = _value_checks(flip_prob=check_probability)
+_markov_problems = _value_checks(p_off=check_probability, p_on=check_probability)
+_burst_problems = _value_checks(burst_prob=check_probability, drop_fraction=check_probability)
+_insertion_problems = _value_checks(
+    insertions_per_round=check_non_negative_int, lifetime=_literal_lifetime
+)
+#: A composite entry's ``lifetime`` goes to the constructor unresolved.
+_churn_insertion_problems = _value_checks(
+    insertions_per_round=check_non_negative_int, lifetime=check_positive_int
+)
+
+
+@ADVERSARIES.register("flip-churn", check=_flip_problems)
 def _adversary_flip(ctx, *, flip_prob: float = 0.01):
     """Every base edge flips its presence with probability `flip_prob` per round."""
     flip_prob = check_probability("flip_prob", flip_prob)
@@ -228,29 +267,18 @@ def _adversary_flip(ctx, *, flip_prob: float = 0.01):
     return ChurnAdversary(ctx.n, churn, ctx.stream("adversary", "churn"), wakeup=ctx.wakeup)
 
 
-@ADVERSARIES.register("markov-churn")
+@ADVERSARIES.register("markov-churn", check=_markov_problems)
 def _adversary_markov(ctx, *, p_off: float = 0.0, p_on: float = 0.0):
     """Per-edge two-state Markov churn with `p_off` / `p_on` transition probabilities."""
     churn = MarkovEdgeChurn(ctx.base, p_off=p_off, p_on=p_on)
     return ChurnAdversary(ctx.n, churn, ctx.stream("adversary", "churn"), wakeup=ctx.wakeup)
 
 
-@ADVERSARIES.register("burst-churn")
+@ADVERSARIES.register("burst-churn", check=_burst_problems)
 def _adversary_burst(ctx, *, burst_prob: float = 0.1, drop_fraction: float = 0.5):
     """Occasional single-round bursts deleting a random fraction of the edges."""
     churn = BurstChurn(ctx.base, burst_prob, drop_fraction)
     return ChurnAdversary(ctx.n, churn, ctx.stream("adversary", "burst"), wakeup=ctx.wakeup)
-
-
-def _insertion_problems(params: Mapping[str, Any], where: str) -> List[str]:
-    """``insertions_per_round`` checked by :class:`EdgeInsertionChurn`'s own rule."""
-    if "insertions_per_round" not in params:
-        return []
-    try:
-        check_non_negative_int("insertions_per_round", params["insertions_per_round"])
-    except ConfigurationError as exc:
-        return [f"{where}.insertions_per_round: {exc}"]
-    return []
 
 
 @ADVERSARIES.register("edge-insertion", check=_insertion_problems)
@@ -288,7 +316,7 @@ def _adversary_targeted_mis(
     )
 
 
-@ADVERSARIES.register("locally-static")
+@ADVERSARIES.register("locally-static", check=_flip_problems)
 def _adversary_locally_static(
     ctx, *, flip_prob: float = 0.05, protected_radius: int = 3, center=None
 ):
@@ -406,23 +434,26 @@ _CHURN_KINDS.register(
     lambda base, *, flip_prob=0.01, start_present=True: FlipChurn(
         base, flip_prob, start_present=start_present
     ),
+    check=_flip_problems,
 )
 _CHURN_KINDS.register(
     "markov",
     lambda base, *, p_off=0.0, p_on=0.0, start_present=True: MarkovEdgeChurn(
         base, p_off=p_off, p_on=p_on, start_present=start_present
     ),
+    check=_markov_problems,
 )
 _CHURN_KINDS.register(
     "burst",
     lambda base, *, burst_prob=0.1, drop_fraction=0.5: BurstChurn(base, burst_prob, drop_fraction),
+    check=_burst_problems,
 )
 _CHURN_KINDS.register(
     "edge-insertion",
     lambda base, *, insertions_per_round=3, lifetime=3: EdgeInsertionChurn(
         base, insertions_per_round=insertions_per_round, lifetime=lifetime
     ),
-    check=_insertion_problems,
+    check=_churn_insertion_problems,
 )
 
 

@@ -12,7 +12,7 @@ Three config kinds live under ``configs/`` (see ``configs/README.md``):
 ``experiment``
     A catalogued E1–E13 experiment plus its parameter sets — ``{"kind":
     "experiment", "experiment": "e01", "title": …, "params": {…},
-    "bench_params": {…}, "smoke_params": {…}}``.
+    "smoke_params": {…}}``.
 
 :func:`validate_config` checks a config *without running it*: every component
 name must exist in its registry (unknown names produce a message listing
@@ -93,12 +93,11 @@ class SweepConfig:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """A committed E1–E13 experiment config with its three parameter scales."""
+    """A committed E1–E13 experiment config with its two parameter scales."""
 
     experiment: str
     title: str
     params: Mapping[str, Any] = field(default_factory=dict)
-    bench_params: Optional[Mapping[str, Any]] = None
     smoke_params: Optional[Mapping[str, Any]] = None
     columns: Optional[Tuple[str, ...]] = None
     path: Optional[Path] = None
@@ -111,14 +110,12 @@ class ExperimentConfig:
         return self.experiment
 
     def params_for(self, scale: str) -> Dict[str, Any]:
-        """The parameter set for one scale (smoke/bench fall back to full)."""
+        """The parameter set for one scale (smoke falls back to full)."""
         if scale == "full":
             return dict(self.params)
-        if scale == "bench":
-            return dict(self.bench_params if self.bench_params is not None else self.params)
         if scale == "smoke":
             return dict(self.smoke_params if self.smoke_params is not None else self.params)
-        raise ConfigurationError(f"unknown experiment scale {scale!r} (full/bench/smoke)")
+        raise ConfigurationError(f"unknown experiment scale {scale!r} (full/smoke)")
 
 
 Config = Union[ScenarioConfig, SweepConfig, ExperimentConfig]
@@ -203,7 +200,6 @@ def load_config(path: Union[str, Path]) -> Config:
                 "experiment",
                 "title",
                 "params",
-                "bench_params",
                 "smoke_params",
                 "columns",
                 "execution",
@@ -214,7 +210,6 @@ def load_config(path: Union[str, Path]) -> Config:
             experiment=str(data["experiment"]),
             title=str(data["title"]),
             params=dict(data.get("params", {})),
-            bench_params=None if data.get("bench_params") is None else dict(data["bench_params"]),
             smoke_params=None if data.get("smoke_params") is None else dict(data["smoke_params"]),
             columns=None if columns is None else tuple(columns),
             path=path,
@@ -374,7 +369,7 @@ def validate_config(config: Config) -> List[str]:
             )
             return problems
         known = experiment_defaults(config.experiment)
-        for scale in ("full", "bench", "smoke"):
+        for scale in ("full", "smoke"):
             for name in config.params_for(scale):
                 if name not in known:
                     hint = suggestion_hint(name, known)

@@ -123,8 +123,8 @@ def _execute_seed(spec: ScenarioSpec, seed: int) -> Tuple[Row, Simulator]:
 
     Records per-phase timings (setup / round loop / metric extraction) and
     the ``unit_begin`` / ``unit_end`` events with the run recorder
-    (:mod:`repro.obs.trace`) — that is where ``repro bench``'s timing splits
-    come from.
+    (:mod:`repro.obs.trace`) — that is where the phase splits ``repro log``
+    and ``repro report`` show come from.
     """
     from repro.exec.stats import UNIT_METRICS, UNIT_ROUNDS, UNIT_SETUP, timed_phase
     from repro.obs.trace import emit

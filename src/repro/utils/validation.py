@@ -16,6 +16,7 @@ __all__ = [
     "check_positive",
     "check_non_negative",
     "check_non_negative_int",
+    "check_positive_int",
     "check_probability",
     "check_type",
 ]
@@ -45,6 +46,15 @@ def check_non_negative_int(name: str, value: Any) -> int:
         raise ConfigurationError(f"{name} must be an integer, got {value!r}")
     if value < 0:
         raise ConfigurationError(f"{name} must be >= 0, got {value}")
+    return int(value)
+
+
+def check_positive_int(name: str, value: Any) -> int:
+    """Validate that ``value`` is an integer >= 1 (not a bool) and return it."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ConfigurationError(f"{name} must be >= 1, got {value}")
     return int(value)
 
 

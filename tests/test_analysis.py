@@ -27,8 +27,8 @@ from repro.analysis.stability import (
     region_change_count,
     stability_summary,
 )
-from repro.analysis.sweep import Replication, aggregate_rows, replicate
-from repro.errors import ConfigurationError
+from repro.analysis.sweep import Replication, aggregate_rows
+from repro.scenarios import ScenarioResult, ScenarioSpec
 
 
 def _metrics(r, changed=0):
@@ -127,17 +127,16 @@ class TestQuality:
 
 
 class TestSweep:
-    def test_replicate_and_aggregate(self):
-        replication = replicate(lambda seed: {"value": float(seed)}, seeds=[1, 2, 3], label="demo")
+    def test_seed_rows_aggregate(self):
+        spec = ScenarioSpec(n=4, algorithm="smis", name="demo", seeds=(1, 2, 3))
+        result = ScenarioResult(spec, tuple({"value": float(seed)} for seed in spec.seeds))
+        replication = result.replication()
+        assert replication.label == "demo"
         assert replication.mean("value") == 2.0
         assert replication.max("value") == 3.0
         assert replication.std("value") == pytest.approx(math.sqrt(2 / 3))
         row = aggregate_rows(replication, mean_keys=("value",), std_keys=("value",), max_keys=("value",), extra={"n": 5.0})
         assert row["value_mean"] == 2.0 and row["replicas"] == 3.0 and row["n"] == 5.0
-
-    def test_replicate_requires_seeds(self):
-        with pytest.raises(ConfigurationError):
-            replicate(lambda seed: {"x": 1.0}, seeds=[])
 
     def test_nan_values_skipped(self):
         replication = Replication("x", ({"v": float("nan")}, {"v": 4.0}))

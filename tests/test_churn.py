@@ -139,9 +139,10 @@ class TestEdgeInsertionChurn:
         # Lifetime 1: every round-1 insertion leaves in round 2 unless drawn again.
         assert inserted == removed | (inserted & second)
 
-    def test_invalid_lifetime_rejected(self, base):
-        with pytest.raises(ConfigurationError):
-            EdgeInsertionChurn(base, insertions_per_round=1, lifetime=0)
+    @pytest.mark.parametrize("lifetime", [0, 1.5])
+    def test_invalid_lifetime_rejected(self, base, lifetime):
+        with pytest.raises(ConfigurationError, match="lifetime"):
+            EdgeInsertionChurn(base, insertions_per_round=1, lifetime=lifetime)
 
     def test_non_integer_insertions_rejected(self, base):
         with pytest.raises(ConfigurationError, match="insertions_per_round"):

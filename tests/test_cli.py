@@ -147,23 +147,29 @@ class TestRun:
             ["run", "config.json", "--parallel"],
             ["sweep", "config.json", "--parallel"],
             ["experiments", "e04", "--serial"],
-            ["bench", "e04", "--serial"],
             ["run", "config.json", "--verify", "kernel"],
             ["sweep", "config.json", "--verify", "kernel"],
             ["experiments", "e04", "--verify", "kernel"],
-            ["bench", "e04", "--verify", "kernel"],
             ["repair", "--verify", "incremental"],
-            ["bench", "e04", "--profile"],
+            ["experiments", "e04", "--profile"],
         ],
     )
     def test_deleted_backend_switches_are_rejected(self, argv, capsys):
         # --backend is the one backend selector and a spec's "delivery" the
         # one path selector; the old switches (in-run --verify, and --profile,
-        # which `python -m cProfile -m repro bench` replaces) are gone.
+        # which `python -m cProfile -m repro experiments` replaces) are gone.
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_bench_command_is_gone(self):
+        # `repro experiments` is the one experiment command: a full run checks
+        # the claims, and phase timings live in provenance (`repro log`).
+        proc = run_cli("bench", "e04")
+        assert proc.returncode == 2
+        assert "invalid choice: 'bench'" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_verification_block_is_rejected(self, tmp_path, command):
@@ -275,59 +281,51 @@ class TestExperiments:
         assert main(cmd) == 0
         assert "E4" in tables.read_text()
 
-
-class TestBench:
-    def test_smoke_bench_reports_timings(self, tmp_path, capsys):
-        assert (
-            main(
-                [
-                    "bench",
-                    "e04",
-                    "--smoke",
-                    "--backend",
-                    "serial",
-                    "--configs",
-                    str(CONFIGS_DIR),
-                    "--store",
-                    str(tmp_path / "store"),
-                ]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "seconds" in out
-        assert list(ResultsStore(tmp_path / "store").entries("smoke"))
-
     @staticmethod
-    def _e04_tree(tmp_path, **overrides):
-        """A config tree holding only e04, with some parameter sets replaced."""
-        payload = json.loads((CONFIGS_DIR / "experiments" / "e04.json").read_text())
-        payload.update(overrides)
-        (tmp_path / "configs" / "experiments").mkdir(parents=True)
-        write_config(tmp_path / "configs" / "experiments", payload, name="e04.json")
-        return tmp_path / "configs"
-
-    def test_failed_claim_exits_1_naming_it_and_keeps_the_rows(self, tmp_path, capsys, monkeypatch):
+    def _failing_e04(monkeypatch):
         from repro.analysis.experiments.catalog import EXPERIMENTS
 
-        smoke = json.loads((CONFIGS_DIR / "experiments" / "e04.json").read_text())
-        configs = self._e04_tree(tmp_path, bench_params=smoke["smoke_params"])
-        store = tmp_path / "store"
-        argv = ["bench", "e04", "--backend", "serial", "--configs", str(configs)]
-        argv += ["--store", str(store)]
         failing = dataclasses.replace(
             EXPERIMENTS["e04"], claim=lambda rows: ["row 0 valid_fraction_mean = 0.5"]
         )
         monkeypatch.setitem(EXPERIMENTS, "e04", failing)
+
+    def test_full_run_failed_claim_exits_1_naming_it_and_keeps_the_rows(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # A config tree holding only e04, whose full-scale params are its smoke ones.
+        payload = json.loads((CONFIGS_DIR / "experiments" / "e04.json").read_text())
+        payload["params"] = payload["smoke_params"]
+        (tmp_path / "configs" / "experiments").mkdir(parents=True)
+        write_config(tmp_path / "configs" / "experiments", payload, name="e04.json")
+        store = tmp_path / "store"
+        argv = ["experiments", "e04", "--backend", "serial"]
+        argv += ["--configs", str(tmp_path / "configs"), "--store", str(store)]
+        self._failing_e04(monkeypatch)
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert "claim failed: e04: row 0 valid_fraction_mean = 0.5" in captured.err
         assert "[created:" in captured.out  # the rows are stored before the check
-        (entry,) = ResultsStore(store).entries("bench")
+        (entry,) = ResultsStore(store).entries("experiments")
         assert entry.rows and entry.rows[0]["valid_fraction_mean"] == 1.0
 
         monkeypatch.undo()
         assert main(argv) == 0  # the real claim holds on these rows
+
+    def test_phase_times_show_in_the_store_log(self, tmp_path, capsys):
+        # Per-experiment phase times live in the entry's provenance; `repro log` renders them.
+        store = tmp_path / "store"
+        assert main(experiments_cmd("e04", store=store)) == 0
+        capsys.readouterr()
+        assert main(["log", "--store", str(store), "--kind", "smoke"]) == 0
+        out = capsys.readouterr().out
+        assert "e04" in out and "unit_rounds=" in out and "exec_dispatch=" in out
+
+    def test_smoke_run_checks_no_claims(self, tmp_path, capsys, monkeypatch):
+        self._failing_e04(monkeypatch)
+        assert main(experiments_cmd("e04", store=tmp_path / "store")) == 0
+        assert "claim failed" not in capsys.readouterr().err
+        assert list(ResultsStore(tmp_path / "store").entries("smoke"))
 
 
 class TestDriftGate:

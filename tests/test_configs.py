@@ -96,9 +96,9 @@ class TestLoadConfig:
         assert isinstance(config, ExperimentConfig)
         assert config.params_for("full") == {"n": 128}
         assert config.params_for("smoke") == {"n": 24}
-        assert config.params_for("bench") == {"n": 128}  # falls back to full
-        with pytest.raises(ConfigurationError, match="unknown experiment scale"):
-            config.params_for("huge")
+        for scale in ("bench", "huge"):  # two scales: full and smoke
+            with pytest.raises(ConfigurationError, match="unknown experiment scale"):
+                config.params_for(scale)
 
     def test_unknown_kind_rejected(self, tmp_path):
         path = write(tmp_path, "bad.json", {"kind": "wat"})
@@ -119,6 +119,16 @@ class TestLoadConfig:
         path.write_text("{not json")
         with pytest.raises(ConfigurationError, match="not valid JSON"):
             load_config(path)
+
+    def test_leftover_bench_params_fail_validate(self, tmp_path, capsys):
+        # Two scales remain (params, smoke_params); a retired bench block is unknown.
+        payload = json.loads((CONFIGS_DIR / "experiments" / "e04.json").read_text())
+        payload["bench_params"] = payload["smoke_params"]
+        path = write(tmp_path, "e04.json", payload)
+        assert main(["validate", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "unknown keys ['bench_params']" in err
+        assert "Traceback" not in err
 
 
 UNKNOWN_CHURN_KEY = {"processes": [{"kind": "burst", "foo": 1}]}
@@ -162,6 +172,36 @@ BAD_PARAMETERS = {
     ),
 }
 
+#: ``(adversary, churn kind, parameter, bad value)``: a value only the
+#: constructor rejected before, each also tried inside ``composite-churn``.
+BAD_VALUES = [
+    ("flip-churn", "flip", "flip_prob", 1.5),
+    ("markov-churn", "markov", "p_off", 2),
+    ("markov-churn", "markov", "p_on", -0.1),
+    ("burst-churn", "burst", "burst_prob", 1.5),
+    ("burst-churn", "burst", "drop_fraction", -1),
+    ("edge-insertion", "edge-insertion", "lifetime", 0),
+    ("edge-insertion", "edge-insertion", "lifetime", 1.5),  # was truncated to 1
+]
+for _adversary, _kind, _key, _value in BAD_VALUES:
+    BAD_PARAMETERS[f"{_adversary}-{_key}={_value}"] = (
+        {"adversary": {"name": _adversary, "params": {_key: _value}}},
+        f"spec.adversary.params.{_key}",
+    )
+    BAD_PARAMETERS[f"composite-{_kind}-{_key}={_value}"] = (
+        {
+            "adversary": {
+                "name": "composite-churn",
+                "params": {"processes": [{"kind": _kind, _key: _value}]},
+            }
+        },
+        f"spec.adversary.params.processes[0].{_key}",
+    )
+BAD_PARAMETERS["locally-static-flip_prob=1.5"] = (
+    {"adversary": {"name": "locally-static", "params": {"flip_prob": 1.5}}},
+    "spec.adversary.params.flip_prob",
+)
+
 #: Specs built in Python, each with a parameter its factory does not accept.
 PYTHON_BAD_PARAMETERS = {
     "nested-adversary": (
@@ -191,6 +231,12 @@ class TestComponentParameters:
         err = capsys.readouterr().err
         assert field in err
         assert "Traceback" not in err
+
+    def test_lifetime_expression_is_resolved_at_run_time(self, tmp_path, capsys):
+        adversary = {"name": "edge-insertion", "params": {"lifetime": "2*T1"}}
+        path = scenario_file(tmp_path, adversary=adversary)
+        assert main(["validate", str(path)]) == 0
+        assert main(["run", str(path), "--no-store"]) == 0
 
     def test_non_integer_insertions_rejected(self, tmp_path, capsys):
         adversary = {"name": "edge-insertion", "params": {"insertions_per_round": 1.5}}
@@ -323,9 +369,8 @@ class TestCommittedConfigs:
                 experiment_id
             )
 
-    def test_bench_and_smoke_params_are_subsets_of_the_signature(self):
+    def test_smoke_params_are_subsets_of_the_signature(self):
         configs = load_experiment_configs(CONFIGS_DIR / "experiments")
         for experiment_id, config in configs.items():
             known = set(experiment_defaults(experiment_id))
-            for scale in ("bench", "smoke"):
-                assert set(config.params_for(scale)) <= known, (experiment_id, scale)
+            assert set(config.params_for("smoke")) <= known, experiment_id

@@ -13,7 +13,8 @@ from repro.core import Concat, default_window, window_for
 from repro.algorithms.common import NullBackbone
 from repro.algorithms.coloring import DColor, SColor, DynamicColoring
 from repro.algorithms.mis import DMis, SMis, DynamicMIS
-from repro.analysis.experiments.common import churn_adversary
+from repro.scenarios import ScenarioSpec, component
+from repro.scenarios.executor import _build_context
 
 
 class TestWindowDefaults:
@@ -90,12 +91,19 @@ class TestConcatMechanics:
 class TestValiditySummary:
     def test_concat_run_summarises_validity(self):
         n = 24
-        base = generators.gnp(n, 0.2, __import__("numpy").random.default_rng(0))
+        spec = ScenarioSpec(
+            n=n,
+            topology=component("gnp", p=0.2),
+            algorithm="smis",
+            adversary=component("flip-churn", flip_prob=0.02),
+            rounds=40,
+            seeds=(1,),
+        )
         algorithm = Concat(SColor, DColor, 12)
         trace = run_simulation(
             n=n,
             algorithm=algorithm,
-            adversary=churn_adversary(base, 1, flip_prob=0.02),
+            adversary=_build_context(spec, 1).adversary,
             rounds=40,
             seed=1,
         )

@@ -1,7 +1,7 @@
 """Cross-cutting invariants that tie several layers together.
 
 These tests check relationships *between* components (problem duality, window
-algebra against the checker, experiment workload builders, adversary
+algebra against the checker, scenario workload builders, adversary
 descriptions) rather than any single module in isolation.
 """
 
@@ -26,8 +26,16 @@ from repro.problems import (
 from repro.problems.mis import mis_assignment_from_set
 from repro.algorithms.mis.greedy import greedy_mis
 from repro.algorithms.coloring.greedy import greedy_coloring
-from repro.analysis.experiments.common import base_topology, churn_adversary, log2, static_adversary
+from repro.analysis.experiments.common import log2
 from repro.dynamics.dynamic_graph import DynamicGraph
+from repro.scenarios import ScenarioSpec, component
+from repro.scenarios.executor import _build_context
+
+
+def scenario_context(n, seed, adversary="static"):
+    """The seed's components as the scenario registries build them."""
+    spec = ScenarioSpec(n=n, algorithm="smis", adversary=adversary, rounds=1, seeds=(seed,))
+    return _build_context(spec, seed)
 
 
 @st.composite
@@ -98,14 +106,14 @@ class TestWindowCheckerConsistency:
 
 class TestWorkloadBuilders:
     def test_base_topology_is_seed_deterministic(self):
-        assert base_topology(32, 7) == base_topology(32, 7)
-        assert base_topology(32, 7) != base_topology(32, 8)
+        assert scenario_context(32, 7).base == scenario_context(32, 7).base
+        assert scenario_context(32, 7).base != scenario_context(32, 8).base
 
     def test_churn_adversary_modes(self):
-        base = base_topology(24, 1)
-        flip = churn_adversary(base, 1, flip_prob=0.1)
-        markov = churn_adversary(base, 1, p_off=0.2, p_on=0.1)
-        static = static_adversary(base)
+        flip = scenario_context(24, 1, component("flip-churn", flip_prob=0.1)).adversary
+        markov = component("markov-churn", p_off=0.2, p_on=0.1)
+        markov = scenario_context(24, 1, markov).adversary
+        static = scenario_context(24, 1).adversary
         assert isinstance(flip, ChurnAdversary) and isinstance(markov, ChurnAdversary)
         assert isinstance(static, StaticAdversary)
 

@@ -1,9 +1,10 @@
 """Smoke tests for the E1–E13 experiment implementations (tiny parameters).
 
-These do not validate the scientific claims (``repro bench`` checks each
-catalog claim on benchmark-scale rows; :class:`TestClaims` checks them on the
-committed full-scale rows); they pin down the row schema every experiment
-returns and make sure the experiment code paths stay runnable.
+These do not validate the scientific claims (a full-scale ``repro
+experiments`` run checks each catalog claim on the rows it stores;
+:class:`TestClaims` checks them on the committed full-scale rows); they pin
+down the row schema every experiment returns and make sure the experiment
+code paths stay runnable.
 """
 
 import math

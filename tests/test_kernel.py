@@ -32,7 +32,7 @@ from repro.kernel import EdgeUniverse
 from repro.kernel.mis import SMisKernel
 from repro.runtime.algorithm import DistributedAlgorithm
 from repro.runtime.simulator import Simulator
-from repro.scenarios import ScenarioSpec, component
+from repro.scenarios import ScenarioSpec, component, run_scenario
 from repro.scenarios.cli import main
 from repro.scenarios.executor import _build_context
 from repro.verify.harness import run_verify
@@ -121,6 +121,28 @@ class TestKernelEquivalenceMatrix:
             for record in sim.trace
         ]
         assert chunk_rows == whole_rows
+
+    @pytest.mark.parametrize("algorithm", ["basic-coloring", "scolor"])
+    def test_palette_probe_rows_identical(self, algorithm):
+        """A probe reading ``palette_of`` every round sees the classic palettes.
+
+        E2's ``palette-shrink`` compares a node's palette before and after
+        each round, including the round it adopts a color.
+        """
+        rows = {}
+        for mode in ("full", "kernel"):
+            spec = ScenarioSpec(
+                n=32,
+                algorithm=algorithm,
+                adversary=component("flip-churn", flip_prob=0.05),
+                topology="gnp_sparse",
+                rounds=20,
+                seeds=(0, 1),
+                probe="palette-shrink",
+                delivery=mode,
+            )
+            rows[mode] = run_scenario(spec).rows
+        assert rows["kernel"] == rows["full"]
 
 
 # ---------------------------------------------------------------------------
