@@ -18,14 +18,23 @@ The ``scale`` group times the kernel alone at n=10^5..10^6, where the
 python paths would need hours; its rows gate completion (and, in smoke
 mode, a throughput floor and a peak-RSS ceiling).
 
+The ``concat`` group times the paper's own ``Concat`` combiners of
+Theorem 1.1 (DynamicColoring, DynamicMIS).  They declare no message
+stability and have no kernel, so ``full`` is their only path; each run goes
+through the executor's ``run_scenario_seed`` with a cold topology cache,
+and every timed run's row must be byte-identical to an untimed reference
+run's row.  Its rows report ``e2e_s`` (wall time of the whole unit, setup
+and metrics included) and ``full_rps`` (rounds over the executor's own
+round-loop phase); they have no speed gate.
+
 The ``exec`` group times the execution backends (``serial`` / ``process``
 / ``remote``) over many-tiny-unit batches; every backend's rows must be
 byte-identical to ``serial`` before any timing is reported.
 
 Every row carries the keys of :func:`row_keys`: ``workload``
 (``<group>/<name>``), ``paths``, ``algorithm``, ``n``, ``rounds``,
-``churn_prob``, ``units``, one ``<path>_rps`` per path in ``paths`` and
-``speedup``; a key that does not apply is ``null``.
+``churn_prob``, ``units``, ``e2e_s``, one ``<path>_rps`` per path in
+``paths`` and ``speedup``; a key that does not apply is ``null``.
 
 Usage::
 
@@ -62,6 +71,8 @@ from repro.dynamics import generators
 from repro.dynamics.adversaries.random_churn import ChurnAdversary
 from repro.dynamics.churn import MarkovEdgeChurn
 from repro.exec import build_chunks, make_backend, units_for_spec
+from repro.exec.cache import topology_cache_clear
+from repro.exec.stats import UNIT_ROUNDS, collect_stats
 from repro.exec.units import WorkUnit, auto_chunk_size
 from repro.runtime.algorithm import DistributedAlgorithm
 from repro.runtime.simulator import Simulator
@@ -193,6 +204,13 @@ GROUPS = (
     ),
 )
 
+#: The concat group: the combiners, ``(full-mode n, smoke n)``, the flip
+#: churn rate and the timed runs per row ``(full mode, smoke)``.
+CONCAT_ALGORITHMS = ("dynamic-coloring", "dynamic-mis")
+CONCAT_N = (512, 64)
+CONCAT_FLIP_PROB = 0.01
+CONCAT_REPEATS = (3, 2)
+
 #: exec workloads: ``name -> (full-mode size, smoke size)``; the size is
 #: the seed count for ``replication-tail``, seeds per adversary for
 #: ``grid-matrix``.
@@ -225,6 +243,7 @@ def row_keys(paths: Sequence[str]) -> List[str]:
         "rounds",
         "churn_prob",
         "units",
+        "e2e_s",
         *(f"{path}_rps" for path in paths),
         "speedup",
     ]
@@ -263,6 +282,7 @@ def cells(group: Group, smoke: bool) -> Iterator[Cell]:
 def workload_names(smoke: bool = False) -> List[str]:
     """Every workload the harness writes, in file order."""
     names = [cell.workload for group in GROUPS for cell in cells(group, smoke)]
+    names += [f"concat/{algorithm}" for algorithm in CONCAT_ALGORITHMS]
     return names + [f"exec/{name}" for name in EXEC_WORKLOADS]
 
 
@@ -374,6 +394,53 @@ def _check_gates(rows: List[Dict[str, object]], gates: Sequence[Gate], group: st
     return failures
 
 
+def _concat_spec(algorithm: str, n: int) -> ScenarioSpec:
+    """A Concat combiner for ``4*T1`` rounds under flip churn, on ``full``."""
+    problem = "coloring" if algorithm == "dynamic-coloring" else "mis"
+    return ScenarioSpec(
+        n=n,
+        topology=component("gnp_degree", degree=8),
+        algorithm=algorithm,
+        adversary=component("flip-churn", flip_prob=CONCAT_FLIP_PROB),
+        rounds="4*T1",
+        delivery="full",
+        metrics=(component("validity", problem=problem), component("stability")),
+        name=f"concat/{algorithm}",
+    )
+
+
+def run_concat(algorithm: str, smoke: bool, seed: int = 1) -> Dict[str, object]:
+    """Time one combiner end to end; every run's row must match the reference."""
+    spec = _concat_spec(algorithm, CONCAT_N[smoke])
+    workload = f"concat/{algorithm}"
+    topology_cache_clear()
+    reference = canonical_json(run_scenario_seed(spec, seed))
+    rounds = spec.resolved_rounds()
+    e2e: List[float] = []
+    best = 0.0
+    for _ in range(CONCAT_REPEATS[smoke]):
+        topology_cache_clear()
+        gc.collect()
+        with collect_stats() as stats:
+            started = time.perf_counter()
+            row = run_scenario_seed(spec, seed)
+            e2e.append(time.perf_counter() - started)
+        if canonical_json(row) != reference:
+            raise AssertionError(f"{workload}: row differs from the reference run's")
+        best = max(best, rounds / stats.seconds(UNIT_ROUNDS))
+    row = _row(
+        workload,
+        {"full": best},
+        algorithm=algorithm,
+        n=spec.n,
+        rounds=rounds,
+        churn_prob=CONCAT_FLIP_PROB,
+        e2e_s=round(statistics.median(e2e), 3),
+    )
+    print(f"{workload:<32} n={spec.n:<7} full={best:9.2f} r/s  e2e={row['e2e_s']:.3f} s")
+    return row
+
+
 def _replication_spec(n_seeds: int) -> ScenarioSpec:
     """The many-tiny-unit workload: 1-round ring scenarios, one per seed."""
     return ScenarioSpec(
@@ -466,6 +533,7 @@ def run_all(smoke: bool) -> Tuple[List[Dict[str, object]], List[str]]:
         gates = group.smoke_gates if smoke else group.gates
         failures += _check_gates(group_rows, gates, group.name)
         rows += group_rows
+    rows += [run_concat(algorithm, smoke) for algorithm in CONCAT_ALGORITHMS]
     replications = EXEC_WORKLOADS["replication-tail"][smoke]
     grid_seeds = EXEC_WORKLOADS["grid-matrix"][smoke]
     rows.append(run_workload("replication-tail", units_for_spec(_replication_spec(replications))))
@@ -491,7 +559,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     if out_path is not None:
         payload = {
             "benchmark": "paths",
-            "unit": "<path>_rps: rounds/sec on round paths, units/sec on exec backends",
+            "unit": "<path>_rps: rounds/sec on round paths, units/sec on exec backends; "
+            "e2e_s: seconds per unit, setup and metrics included",
             "rows": rows,
         }
         out_path.parent.mkdir(parents=True, exist_ok=True)

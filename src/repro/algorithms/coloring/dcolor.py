@@ -21,7 +21,7 @@ its palette to ``[d_j(v) + 1]`` minus the input colours of its neighbours.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Mapping, Optional, Set
+from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Set
 
 from repro.types import Color, NodeId, Value
 from repro.problems.coloring import coloring_problem_pair
@@ -108,30 +108,31 @@ class DColor(DynamicAlgorithm):
         live = self._live[v]
         assert live is not None
         if self._restrict:
-            live = frozenset(live & inbox.keys())
+            live = live.intersection(inbox)
             self._live[v] = live
-            relevant = {u: inbox[u] for u in live}
+            messages: Iterable[Message] = map(inbox.__getitem__, live)
         else:
-            relevant = dict(inbox)
+            messages = inbox.values()
 
-        fixed: Set[Color] = set()
-        tentative: Set[Color] = set()
-        for message in relevant.values():
+        palette = self._palette[v]
+        choice = self._tentative[v] if self._color[v] is None else None
+        clash = False
+        for message in messages:
             if not isinstance(message, tuple) or len(message) != 2:
                 continue
             tag, value = message
-            if tag in (FIXED, INIT) and value is not None:
-                fixed.add(value)
-            elif tag == TENTATIVE and value is not None:
-                tentative.add(value)
+            if value is None:
+                continue
+            if tag == TENTATIVE:
+                if value == choice:
+                    clash = True
+            elif tag == FIXED or tag == INIT:
+                # Line 5: the palette only shrinks.
+                palette.discard(value)
 
-        # Line 5: the palette only shrinks.
-        self._palette[v] -= fixed
-        if self._color[v] is None:
-            choice = self._tentative[v]
-            if choice is not None and choice in self._palette[v] and choice not in tentative:
-                self._color[v] = choice
-                self._uncolored_count -= 1
+        if choice is not None and not clash and choice in palette:
+            self._color[v] = choice
+            self._uncolored_count -= 1
 
     def _deliver_start(self, v: NodeId, inbox: Mapping[NodeId, Message]) -> None:
         """The start communication round: learn neighbours, initialise the palette."""

@@ -5,10 +5,20 @@ shipped algorithms.  The paper notes that all presented algorithms can be
 implemented with ``poly log n`` bits per message; :func:`estimate_bits`
 provides the size estimate that experiment E12 uses to verify this for the
 implementations (colour values, random numbers, desire levels, marks).
+
+:func:`estimate_bits` runs once per composed message, and a ``Concat``
+bundle nests ``T1`` sub-messages, so it dispatches on the *exact* type
+first: ``int``, ``str``, ``float``, ``bool``, ``None`` and the plain
+containers are costed without an ``isinstance`` chain, and container leaves
+of those types are costed inline.  Subclasses (``IntEnum`` members, numpy
+scalars that subclass ``float``, ``str`` subclasses, namedtuples,
+``OrderedDict``) and exotic payloads take the general ``isinstance`` rule
+below it, which charges the same sizes.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Any, Hashable
 
 __all__ = ["Message", "estimate_bits"]
@@ -32,22 +42,49 @@ def estimate_bits(message: Any) -> int:
     The estimate is intentionally simple and conservative: integers cost
     their binary length (+1 sign bit), floats 64 bits, booleans and ``None``
     1 bit, strings 8 bits per character, and containers the sum of their
-    elements plus a small structural overhead.  The absolute constants do not
-    matter for experiment E12 — only the growth with ``n`` does.
+    elements (a dict: its keys and values) plus a small structural overhead.
+    Anything else is charged 8 bits per character of its ``repr``.  The
+    absolute constants do not matter for experiment E12 — only the growth
+    with ``n`` does.
     """
-    if message is None or isinstance(message, bool):
+    kind = type(message)
+    if kind is tuple or kind is list or kind is set or kind is frozenset:
+        items = message
+    elif kind is dict:
+        items = chain(message, message.values())
+    elif kind is int:
+        return (message.bit_length() or 1) + 1
+    elif kind is str:
+        return _CHAR_BITS * (len(message) or 1)
+    elif message is None or kind is bool:
         return 1
-    if isinstance(message, int):
-        return max(1, int(message).bit_length()) + 1
-    if isinstance(message, float):
+    elif kind is float:
         return _FLOAT_BITS
-    if isinstance(message, str):
+    # The general rule, for subclasses and exotic payloads.
+    elif isinstance(message, int):
+        return max(1, int(message).bit_length()) + 1
+    elif isinstance(message, float):
+        return _FLOAT_BITS
+    elif isinstance(message, str):
         return _CHAR_BITS * max(1, len(message))
-    if isinstance(message, (tuple, list, set, frozenset)):
-        return _CONTAINER_OVERHEAD + sum(estimate_bits(item) for item in message)
-    if isinstance(message, dict):
-        return _CONTAINER_OVERHEAD + sum(
-            estimate_bits(k) + estimate_bits(v) for k, v in message.items()
-        )
-    # Fallback for exotic payloads: charge the repr length.
-    return _CHAR_BITS * max(1, len(repr(message)))
+    elif isinstance(message, (tuple, list, set, frozenset)):
+        items = message
+    elif isinstance(message, dict):
+        items = chain.from_iterable(message.items())
+    else:
+        return _CHAR_BITS * max(1, len(repr(message)))
+
+    total = _CONTAINER_OVERHEAD
+    for item in items:
+        item_kind = type(item)
+        if item_kind is int:
+            total += (item.bit_length() or 1) + 1
+        elif item_kind is str:
+            total += _CHAR_BITS * (len(item) or 1)
+        elif item is None or item_kind is bool:
+            total += 1
+        elif item_kind is float:
+            total += _FLOAT_BITS
+        else:
+            total += estimate_bits(item)
+    return total

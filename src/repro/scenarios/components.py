@@ -88,6 +88,7 @@ from repro.problems.dynamic_problem import TDynamicSpec
 from repro.problems.mis import mis_problem_pair
 from repro.types import Interval
 from repro.utils.validation import check_non_negative_int, check_positive_int, check_probability
+from repro.scenarios.spec import resolve_expression
 from repro.scenarios.registry import (
     ADVERSARIES,
     ALGORITHMS,
@@ -105,6 +106,39 @@ __all__ = ["problem_pair_by_name"]
 def _resolve(ctx, value, **extra):
     """Evaluate a duration parameter against the scenario's variables."""
     return ctx.resolve(value, **extra)
+
+
+def _value_checks(**rules: Callable[[str, Any], Any]) -> Callable[..., List[str]]:
+    """A registry ``check`` that runs each constructor's rule on the parameter it names.
+
+    ``rules`` maps a parameter to the :mod:`repro.utils.validation` rule its
+    constructor calls, so ``repro validate`` rejects exactly what a run would;
+    an absent parameter keeps its (valid) default.
+    """
+
+    def check(params: Mapping[str, Any], where: str) -> List[str]:
+        problems = []
+        for key, rule in rules.items():
+            if key in params:
+                try:
+                    rule(key, params[key])
+                except ConfigurationError as exc:
+                    problems.append(f"{where}.{key}: {exc}")
+        return problems
+
+    return check
+
+
+def _literal_duration(name: str, value: Any) -> None:
+    """A literal duration must be integral; ``None`` keeps the default and an
+    expression such as ``"2*T1"`` resolves at run time."""
+    if value is not None and not isinstance(value, str):
+        resolve_expression(value)
+
+
+def _durations(*keys: str) -> Callable[..., List[str]]:
+    """A registry ``check`` for parameters the factory resolves as durations."""
+    return _value_checks(**dict.fromkeys(keys, _literal_duration))
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +223,7 @@ def _wakeup_all(ctx):
     return AllAwake(ctx.n)
 
 
-@WAKEUPS.register("staggered")
+@WAKEUPS.register("staggered", check=_durations("batch_size"))
 def _wakeup_staggered(ctx, *, batch_size=None, interval: int = 1):
     """Contiguous batches of nodes wake every `interval` rounds."""
     if batch_size is None:
@@ -197,7 +231,7 @@ def _wakeup_staggered(ctx, *, batch_size=None, interval: int = 1):
     return StaggeredWakeup(ctx.n, batch_size=int(_resolve(ctx, batch_size)), interval=interval)
 
 
-@WAKEUPS.register("uniform-random")
+@WAKEUPS.register("uniform-random", check=_durations("spread"))
 def _wakeup_uniform(ctx, *, spread="2*T1"):
     """Each node wakes at an independent uniform round in [1, spread]."""
     return UniformRandomWakeup(ctx.n, spread=_resolve(ctx, spread), rng=ctx.stream("wakeup"))
@@ -218,27 +252,6 @@ def _wakeup_explicit(ctx, *, wake_rounds):
 def _adversary_static(ctx):
     """The base topology, unchanged every round (optionally gated by the wake-up schedule)."""
     return StaticAdversary(ctx.base, wakeup=ctx.wakeup)
-
-
-def _value_checks(**rules: Callable[[str, Any], Any]) -> Callable[..., List[str]]:
-    """A registry ``check`` that runs each constructor's rule on the parameter it names.
-
-    ``rules`` maps a parameter to the :mod:`repro.utils.validation` rule its
-    constructor calls, so ``repro validate`` rejects exactly what a run would;
-    an absent parameter keeps its (valid) default.
-    """
-
-    def check(params: Mapping[str, Any], where: str) -> List[str]:
-        problems = []
-        for key, rule in rules.items():
-            if key in params:
-                try:
-                    rule(key, params[key])
-                except ConfigurationError as exc:
-                    problems.append(f"{where}.{key}: {exc}")
-        return problems
-
-    return check
 
 
 def _literal_lifetime(name: str, value: Any) -> None:
@@ -290,7 +303,7 @@ def _adversary_insertion(ctx, *, insertions_per_round: int = 3, lifetime: int = 
     return ChurnAdversary(ctx.n, churn, ctx.stream("adversary", "insert"), wakeup=ctx.wakeup)
 
 
-@ADVERSARIES.register("targeted-coloring")
+@ADVERSARIES.register("targeted-coloring", check=_durations("lifetime"))
 def _adversary_targeted_coloring(ctx, *, attacks_per_round: int = 2, lifetime="2*T1"):
     """Adaptive attacker inserting monochromatic conflict edges against the latest visible colouring."""
     return TargetedColoringAdversary(
@@ -301,7 +314,7 @@ def _adversary_targeted_coloring(ctx, *, attacks_per_round: int = 2, lifetime="2
     )
 
 
-@ADVERSARIES.register("targeted-mis")
+@ADVERSARIES.register("targeted-mis", check=_durations("lifetime"))
 def _adversary_targeted_mis(
     ctx, *, mode: str = "cut_notification", attacks_per_round: int = 4, lifetime=2
 ):
@@ -347,7 +360,8 @@ def _adversary_ref_problems(ref: Any, where: str) -> List[str]:
 
 
 def _freeze_after_problems(params: Mapping[str, Any], where: str) -> List[str]:
-    return _adversary_ref_problems(params["inner"], f"{where}.inner")
+    problems = _adversary_ref_problems(params["inner"], f"{where}.inner")
+    return problems + _durations("freeze_round")(params, where)
 
 
 def _phase_problems(params: Mapping[str, Any], where: str) -> List[str]:
@@ -357,6 +371,10 @@ def _phase_problems(params: Mapping[str, Any], where: str) -> List[str]:
         if not isinstance(entry, (list, tuple)) or len(entry) != 2:
             problems.append(f"{at}: must be a [duration, adversary] pair, got {entry!r}")
         else:
+            try:
+                _literal_duration("duration", entry[0])
+            except ConfigurationError as exc:
+                problems.append(f"{at}[0]: {exc}")
             problems.extend(_adversary_ref_problems(entry[1], f"{at}[1]"))
     return problems
 
@@ -540,38 +558,38 @@ def _algorithm_dmis(ctx, *, revalidate_dominated: bool = False):
     return DMis(revalidate_dominated=revalidate_dominated)
 
 
-@ALGORITHMS.register("dynamic-coloring")
+@ALGORITHMS.register("dynamic-coloring", check=_durations("window"))
 def _algorithm_dynamic_coloring(ctx, *, window=None):
     """Concat(SColor, DColor): the paper's dynamic (deg+1)-colouring."""
     return DynamicColoring(ctx.T1 if window is None else _resolve(ctx, window))
 
 
-@ALGORITHMS.register("dynamic-mis")
+@ALGORITHMS.register("dynamic-mis", check=_durations("window"))
 def _algorithm_dynamic_mis(ctx, *, window=None, revalidate_dominated: bool = False):
     """Concat(SMis, DMis): the paper's dynamic MIS."""
     T1 = ctx.T1 if window is None else _resolve(ctx, window)
     return DynamicMIS(T1, revalidate_dominated=revalidate_dominated)
 
 
-@ALGORITHMS.register("restart-coloring")
+@ALGORITHMS.register("restart-coloring", check=_durations("period"))
 def _algorithm_restart_coloring(ctx, *, period=None):
     """Baseline: restart a static colouring every `period` rounds."""
     return RestartColoring(ctx.T1 if period is None else _resolve(ctx, period))
 
 
-@ALGORITHMS.register("restart-mis")
+@ALGORITHMS.register("restart-mis", check=_durations("period"))
 def _algorithm_restart_mis(ctx, *, period=None):
     """Baseline: restart a static MIS every `period` rounds."""
     return RestartMis(ctx.T1 if period is None else _resolve(ctx, period))
 
 
-@ALGORITHMS.register("coloring-no-backbone")
+@ALGORITHMS.register("coloring-no-backbone", check=_durations("window"))
 def _algorithm_coloring_no_backbone(ctx, *, window=None):
     """Ablation: Concat colouring without the intersection-graph backbone."""
     return concat_without_backbone(ctx.T1 if window is None else _resolve(ctx, window))
 
 
-@ALGORITHMS.register("mis-no-backbone")
+@ALGORITHMS.register("mis-no-backbone", check=_durations("window"))
 def _algorithm_mis_no_backbone(ctx, *, window=None):
     """Ablation: Concat MIS without the intersection-graph backbone."""
     return concat_without_backbone_mis(ctx.T1 if window is None else _resolve(ctx, window))
@@ -631,7 +649,7 @@ def _stop_all_decided(ctx):
     return lambda trace: rounds_to_completion(trace) is not None
 
 
-@STOP_CONDITIONS.register("after-round")
+@STOP_CONDITIONS.register("after-round", check=_durations("round"))
 def _stop_after_round(ctx, *, round):
     """Stop once the trace reaches `round` rounds."""
     limit = _resolve(ctx, round)
@@ -658,7 +676,7 @@ def problem_pair_by_name(problem: str):
         ) from None
 
 
-@METRICS.register("validity")
+@METRICS.register("validity", check=_durations("start_round", "window"))
 def _metric_validity(ctx, *, problem: str, start_round=1, window=None):
     """Sliding-window T-dynamic validity summary (Theorem 1.1(1))."""
     T = ctx.T1 if window is None else _resolve(ctx, window)
@@ -666,7 +684,7 @@ def _metric_validity(ctx, *, problem: str, start_round=1, window=None):
     return spec.validity_summary(ctx.trace, start_round=_resolve(ctx, start_round))
 
 
-@METRICS.register("stability")
+@METRICS.register("stability", check=_durations("warmup"))
 def _metric_stability(ctx, *, warmup=0):
     """Output-change statistics after a warm-up prefix."""
     return stability_summary(ctx.trace, warmup=_resolve(ctx, warmup))
@@ -718,7 +736,7 @@ def _metric_trace_summary(ctx):
     return {"trace_rounds": float(ctx.trace.num_rounds)}
 
 
-@METRICS.register("output-activity")
+@METRICS.register("output-activity", check=_durations("warmup"))
 def _metric_output_activity(ctx, *, warmup=0):
     """Output-churn totals from the trace's stored changed-node sets.
 
@@ -739,7 +757,7 @@ def _metric_output_activity(ctx, *, warmup=0):
     }
 
 
-@METRICS.register("region-stability")
+@METRICS.register("region-stability", check=_durations("grace"))
 def _metric_region_stability(ctx, *, grace="2*T1+2"):
     """Output changes inside vs outside a locally-static adversary's protected ball (E5)."""
     protected = ctx.adversary.protected_nodes
@@ -754,7 +772,7 @@ def _metric_region_stability(ctx, *, grace="2*T1+2"):
     }
 
 
-@METRICS.register("conflict-durations")
+@METRICS.register("conflict-durations", check=_durations("max_wait"))
 def _metric_conflict_durations(ctx, *, max_wait="2*T1"):
     """Resolution times of adversarially inserted conflicts (E3)."""
     durations = conflict_resolution_times(

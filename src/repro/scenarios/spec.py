@@ -41,13 +41,17 @@ _EXPR_SAFE = re.compile(r"^[\d\s+\-*/().]*$")
 def resolve_expression(value: Union[int, float, str], **names: float) -> int:
     """Resolve an integer duration that may be an arithmetic expression.
 
-    ``value`` is either a number (returned as ``int``) or a string expression
-    over the supplied variables, e.g. ``resolve_expression("6*T1 + 2", T1=24)``.
+    ``value`` is either an integral number (returned as ``int``) or a string
+    expression over the supplied variables, e.g.
+    ``resolve_expression("6*T1 + 2", T1=24)``, whose value is truncated.
     Only the variables passed as keyword arguments plus literals and
-    ``+ - * / ( )`` are allowed.
+    ``+ - * / ( )`` are allowed.  A non-integral literal such as ``1.5`` is
+    rejected rather than truncated.
     """
     if isinstance(value, bool):
         raise ConfigurationError(f"expected an integer or expression, got {value!r}")
+    if isinstance(value, float) and not value.is_integer():
+        raise ConfigurationError(f"expected an integral duration or expression, got {value!r}")
     if isinstance(value, (int, float)):
         return int(value)
     if not isinstance(value, str):

@@ -48,6 +48,7 @@ from typing import (
     Iterator,
     List,
     Mapping,
+    Optional,
     Sequence,
     Tuple,
 )
@@ -194,15 +195,21 @@ def _contract_delivery_equivalence(ctx: VerifyContext) -> Iterator[Verdict]:
     n = 24 if ctx.smoke else 48
     rounds = 10 if ctx.smoke else 24
     seeds = (0, 1) if ctx.smoke else (0, 1, 2)
-    cases: List[Tuple[str, ComponentSpec]] = [
-        ("scolor", component("markov-churn", p_off=0.05, p_on=0.05)),
-        ("smis", component("flip-churn", flip_prob=0.1)),
+    markov = component("markov-churn", p_off=0.05, p_on=0.05)
+    palettes = component("palette-shrink")
+    cases: List[Tuple[str, ComponentSpec, Optional[ComponentSpec]]] = [
+        ("scolor", markov, None),
+        ("smis", component("flip-churn", flip_prob=0.1), None),
+        # E2's probe reads every palette every round, which no trace row shows.
+        ("basic-coloring", markov, palettes),
+        ("scolor", markov, palettes),
     ]
-    for algorithm, adversary in cases:
+    for algorithm, adversary, probe in cases:
         spec = ScenarioSpec(
-            n=n, algorithm=algorithm, adversary=adversary, rounds=rounds, seeds=seeds
+            n=n, algorithm=algorithm, adversary=adversary, rounds=rounds, seeds=seeds, probe=probe
         )
-        yield from _compare_delivery(name, f"{algorithm}/{adversary.name}", spec)
+        label = f"{algorithm}/{adversary.name}" + (f"+{probe.name}" if probe else "")
+        yield from _compare_delivery(name, label, spec)
     # Every committed scenario config, at its own size and seeds.
     configs_dir = Path(ctx.configs_dir)
     if not configs_dir.is_dir():
@@ -267,16 +274,22 @@ def _compare_path(
         row_full, rows_full = full_run(seed)
         row_fast, sim_fast = _execute_seed(candidate, seed)
         rows_fast = _comparable_trace_rows(sim_fast)
-        # Metric rows are compared only without a probe: a probe may report
-        # the engine's own per-round activity (the "activity" probe reads the
-        # dirty set), which differs between paths by design.
-        if rows_full != rows_fast or (candidate.probe is None and row_full != row_fast):
+        # The metric row holds the probe's figures too; only the "activity"
+        # probe's differ between paths by design (it reads the dirty set).
+        compare_row = candidate.probe is None or candidate.probe.name != "activity"
+        if rows_full != rows_fast or (compare_row and row_full != row_fast):
+            if rows_full == rows_fast:
+                keys = sorted(
+                    k for k in {**row_full, **row_fast} if row_full.get(k) != row_fast.get(k)
+                )
+                where = f"metric row differs in {keys}"
+            else:
+                where = _first_divergence(rows_fast, rows_full)
             return _failed(
                 contract,
                 case,
                 f"{candidate.delivery} delivery diverges from the full path for algorithm "
-                f"{candidate.algorithm.name!r} (seed {seed}): "
-                f"{_first_divergence(rows_fast, rows_full)}; {blame}",
+                f"{candidate.algorithm.name!r} (seed {seed}): {where}; {blame}",
             )
     return _passed(contract, case, f"{len(candidate.seeds)} shared seeds byte-identical")
 

@@ -21,6 +21,7 @@ from repro.algorithms.coloring import (
     dynamic_coloring,
     greedy_coloring,
 )
+from repro.algorithms.coloring.dcolor import FIXED, INIT, TENTATIVE
 from repro.analysis.convergence import rounds_to_completion
 
 
@@ -196,6 +197,86 @@ class TestDColor:
                 current = algorithm.palette_of(v)
                 assert current <= previous[v]
                 previous[v] = current
+
+
+class _InboxCopyingDColor(DColor):
+    """DColor with the deliver that copied the inbox into a ``relevant`` dict
+    and tested tags by tuple membership: the reference for the lean one."""
+
+    def deliver(self, v, inbox):
+        if not self._started[v]:
+            self._deliver_start(v, inbox)
+            return
+
+        live = self._live[v]
+        assert live is not None
+        if self._restrict:
+            live = frozenset(live & inbox.keys())
+            self._live[v] = live
+            relevant = {u: inbox[u] for u in live}
+        else:
+            relevant = dict(inbox)
+
+        fixed = set()
+        tentative = set()
+        for message in relevant.values():
+            if not isinstance(message, tuple) or len(message) != 2:
+                continue
+            tag, value = message
+            if tag in (FIXED, INIT) and value is not None:
+                fixed.add(value)
+            elif tag == TENTATIVE and value is not None:
+                tentative.add(value)
+
+        self._palette[v] -= fixed
+        if self._color[v] is None:
+            choice = self._tentative[v]
+            if choice is not None and choice in self._palette[v] and choice not in tentative:
+                self._color[v] = choice
+                self._uncolored_count -= 1
+
+
+def _dcolor_state_trace(algorithm, topology, adversary, rounds=12, seed=21):
+    """Per round: every node's palette, live set and output, on the full path."""
+    from repro.runtime.simulator import Simulator
+
+    n = topology.num_nodes
+    sim = Simulator(n=n, algorithm=algorithm, adversary=adversary, seed=seed, delivery="full")
+    states = []
+    for _ in range(rounds):
+        sim.run(1)
+        states.append(
+            {
+                v: (algorithm.palette_of(v), algorithm.live_neighbors_of(v), algorithm.output(v))
+                for v in range(n)
+            }
+        )
+    return states
+
+
+class TestDColorDeliver:
+    @pytest.mark.parametrize("restrict", [True, False])
+    def test_matches_the_inbox_copying_reference_under_churn(self, small_gnp, restrict):
+        def churn():
+            n = small_gnp.num_nodes
+            return ChurnAdversary(n, FlipChurn(small_gnp, 0.1), RngFactory(5).stream("adv"))
+
+        lean = _dcolor_state_trace(DColor(restrict_to_intersection=restrict), small_gnp, churn())
+        reference = _dcolor_state_trace(
+            _InboxCopyingDColor(restrict_to_intersection=restrict), small_gnp, churn()
+        )
+        assert lean == reference
+
+    def test_restriction_is_invisible_on_a_static_graph(self, small_gnp):
+        """With no edge ever inserted or removed, the intersection graph is
+        the current graph, so both switches read the same palettes and sets."""
+        restricted = _dcolor_state_trace(
+            DColor(restrict_to_intersection=True), small_gnp, StaticAdversary(small_gnp)
+        )
+        unrestricted = _dcolor_state_trace(
+            DColor(restrict_to_intersection=False), small_gnp, StaticAdversary(small_gnp)
+        )
+        assert restricted == unrestricted
 
 
 class TestDynamicColoring:

@@ -201,6 +201,15 @@ BAD_PARAMETERS["locally-static-flip_prob=1.5"] = (
     {"adversary": {"name": "locally-static", "params": {"flip_prob": 1.5}}},
     "spec.adversary.params.flip_prob",
 )
+# Fractional literal durations, each once truncated to an integer.
+BAD_PARAMETERS["targeted-coloring-lifetime=1.5"] = (
+    {"adversary": {"name": "targeted-coloring", "params": {"lifetime": 1.5}}},
+    "spec.adversary.params.lifetime",
+)
+BAD_PARAMETERS["freeze-after-freeze_round=2.5"] = (
+    {"adversary": {"name": "freeze-after", "params": {"inner": "flip-churn", "freeze_round": 2.5}}},
+    "spec.adversary.params.freeze_round",
+)
 
 #: Specs built in Python, each with a parameter its factory does not accept.
 PYTHON_BAD_PARAMETERS = {
@@ -234,6 +243,16 @@ class TestComponentParameters:
 
     def test_lifetime_expression_is_resolved_at_run_time(self, tmp_path, capsys):
         adversary = {"name": "edge-insertion", "params": {"lifetime": "2*T1"}}
+        path = scenario_file(tmp_path, adversary=adversary)
+        assert main(["validate", str(path)]) == 0
+        assert main(["run", str(path), "--no-store"]) == 0
+
+    @pytest.mark.parametrize("freeze_round", [2, 2.0, "n/5"])
+    def test_integral_durations_still_resolve(self, tmp_path, capsys, freeze_round):
+        adversary = {
+            "name": "freeze-after",
+            "params": {"inner": "flip-churn", "freeze_round": freeze_round},
+        }
         path = scenario_file(tmp_path, adversary=adversary)
         assert main(["validate", str(path)]) == 0
         assert main(["run", str(path), "--no-store"]) == 0

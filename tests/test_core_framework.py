@@ -8,7 +8,9 @@ from repro.errors import ConfigurationError
 from repro.dynamics import generators
 from repro.dynamics.adversaries import StaticAdversary
 from repro.problems import TDynamicSpec, coloring_problem_pair, mis_problem_pair
+from repro.runtime.algorithm import AlgorithmSetup
 from repro.runtime.simulator import run_simulation
+from repro.utils.rng import RngFactory
 from repro.core import Concat, default_window, window_for
 from repro.algorithms.common import NullBackbone
 from repro.algorithms.coloring import DColor, SColor, DynamicColoring
@@ -86,6 +88,54 @@ class TestConcatMechanics:
         trace = run_simulation(n=n, algorithm=backbone, adversary=StaticAdversary(topo), rounds=3, seed=0)
         assert all(value is None for value in trace.outputs(3).values())
         assert backbone.problem_pair().name == coloring_problem_pair().name
+
+
+class TestConcatInboxSplit:
+    """``Concat.deliver`` hands every sub-algorithm the sub-inbox the
+    per-instance comprehensions built, key order included."""
+
+    def test_sub_inboxes_match_the_per_instance_comprehensions(self):
+        received = []
+
+        class RecordingSColor(SColor):
+            def deliver(self, v, inbox):
+                received.append((v, list(inbox.items())))
+
+        class RecordingDColor(DColor):
+            def deliver(self, v, inbox):
+                received.append((v, list(inbox.items())))
+
+        algorithm = Concat(RecordingSColor, RecordingDColor, T1=4)
+        algorithm.setup(AlgorithmSetup(n=8, rng_factory=RngFactory(0)))
+        for v in range(8):
+            algorithm.wake(v)
+        for round_index in (1, 2, 3, 4):
+            algorithm.begin_round(round_index)
+        live = algorithm.state_summary()["live_instances"]
+        assert live == [2, 3, 4]  # the instance started in round 1 is retired
+
+        inbox = {
+            5: {"s": ("fixed", 1), 2: ("tent", 3), 3: ("tent", 4), 4: ("init", None)},
+            1: None,
+            7: {"s": ("fixed", 2), 4: ("tent", 1), 2: ("fixed", 5)},  # no key 3
+            3: {"s": ("tent", 2), 1: ("fixed", 9), 2: ("init", 1), 3: ("fixed", 6), 4: ("tent", 2)},
+            6: ("fixed", 3),  # not a bundle
+        }
+        algorithm.deliver(0, inbox)
+
+        expected = [(0, [(u, msg["s"]) for u, msg in inbox.items() if isinstance(msg, dict)])]
+        for start_round in live:
+            expected.append(
+                (
+                    0,
+                    [
+                        (u, msg[start_round])
+                        for u, msg in inbox.items()
+                        if isinstance(msg, dict) and start_round in msg
+                    ],
+                )
+            )
+        assert received == expected
 
 
 class TestValiditySummary:

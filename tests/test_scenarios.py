@@ -224,7 +224,13 @@ class TestScenarioSpec:
 class TestResolveExpression:
     def test_plain_ints_pass_through(self):
         assert resolve_expression(7) == 7
-        assert resolve_expression(7.9) == 7
+        assert resolve_expression(7.0) == 7
+
+    def test_fractional_literals_are_rejected(self):
+        with pytest.raises(ConfigurationError, match="7.9"):
+            resolve_expression(7.9)
+        with pytest.raises(ConfigurationError):
+            resolve_expression(float("inf"))
 
     def test_variables(self):
         assert resolve_expression("2*T1 + 1", T1=12) == 25

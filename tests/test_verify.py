@@ -216,7 +216,12 @@ class TestDeliveryEquivalenceConfigScan:
         # Only the built-in matrix cases: the sweep contributes no case.
         assert {v.case for v in verdicts} == {
             f"{pair}:{path}"
-            for pair in ("scolor/markov-churn", "smis/flip-churn")
+            for pair in (
+                "scolor/markov-churn",
+                "smis/flip-churn",
+                "basic-coloring/markov-churn+palette-shrink",
+                "scolor/markov-churn+palette-shrink",
+            )
             for path in ("incremental", "kernel")
         }
         assert "fail" not in {v.status for v in verdicts}
