@@ -4,9 +4,9 @@
   basic static randomized colouring (Algorithm 6), ``DColor`` (Algorithm 2),
   ``SColor`` (Algorithm 3), the combined ``DynamicColoring`` (Corollary 1.2),
   baselines and ablations.
-* :mod:`repro.algorithms.mis` — Section 5 (MIS): pipelined Luby, a Ghaffari
-  style static algorithm, ``DMis`` (Algorithm 4), ``SMis`` (Algorithm 5), the
-  combined ``DynamicMIS`` (Corollary 1.3), baselines and ablations.
+* :mod:`repro.algorithms.mis` — Section 5 (MIS): a Ghaffari style static
+  algorithm, ``DMis`` (Algorithm 4, pipelined Luby), ``SMis`` (Algorithm 5),
+  the combined ``DynamicMIS`` (Corollary 1.3), a baseline and an ablation.
 * :mod:`repro.algorithms.common` — shared helpers (the ⊥-backbone used by the
   Concat ablation).
 """

@@ -2,27 +2,19 @@
 
 from repro.algorithms.mis.dmis import DMis
 from repro.algorithms.mis.smis import SMis
-from repro.algorithms.mis.luby import LubyMIS
 from repro.algorithms.mis.ghaffari import GhaffariMIS
 from repro.algorithms.mis.dynamic_mis import DynamicMIS, dynamic_mis
 from repro.algorithms.mis.greedy import greedy_mis
 from repro.algorithms.mis.baselines import RestartMis
-from repro.algorithms.mis.ablations import (
-    DMisCurrentGraphAblation,
-    SMisNoUndecideAblation,
-    concat_without_backbone_mis,
-)
+from repro.algorithms.mis.ablations import SMisNoUndecideAblation
 
 __all__ = [
     "DMis",
     "SMis",
-    "LubyMIS",
     "GhaffariMIS",
     "DynamicMIS",
     "dynamic_mis",
     "greedy_mis",
     "RestartMis",
-    "DMisCurrentGraphAblation",
     "SMisNoUndecideAblation",
-    "concat_without_backbone_mis",
 ]

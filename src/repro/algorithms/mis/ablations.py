@@ -1,41 +1,16 @@
-"""Ablated MIS variants (experiment E13).
+"""Ablated MIS variant (experiment E13).
 
-* :class:`DMisCurrentGraphAblation` — DMis listening to all *current*
-  neighbours instead of intersection-graph neighbours.  Against an adversary
-  that keeps inserting edges between undecided nodes, progress can be delayed
-  arbitrarily (a node that would have been a local minimum keeps acquiring
-  smaller-valued neighbours), so the finalizing property A.2 degrades; the
-  experiment measures the number of undecided nodes left after the window.
 * :class:`SMisNoUndecideAblation` — SMis without the un-decide rules.  A new
   edge between two MIS nodes, or the loss of a dominator, is never repaired,
   so the per-round output stops being a partial solution for the current graph
-  (property B.1 fails).
-* :func:`concat_without_backbone_mis` — the Concat combiner with a ⊥ backbone
-  (the naive Section 1.1 scheme): still T-dynamic but maximally unstable.
+  (property B.1 fails).  E13b measures the fraction of rounds that violate it.
 """
 
 from __future__ import annotations
 
-from repro.problems.mis import mis_problem_pair
-from repro.core.concat import Concat
-from repro.algorithms.common import NullBackbone
-from repro.algorithms.mis.dmis import DMis
 from repro.algorithms.mis.smis import SMis
 
-__all__ = [
-    "DMisCurrentGraphAblation",
-    "SMisNoUndecideAblation",
-    "concat_without_backbone_mis",
-]
-
-
-class DMisCurrentGraphAblation(DMis):
-    """DMis without the restriction to the running intersection graph."""
-
-    name = "dmis-current-graph"
-
-    def __init__(self) -> None:
-        super().__init__(restrict_to_intersection=False)
+__all__ = ["SMisNoUndecideAblation"]
 
 
 class SMisNoUndecideAblation(SMis):
@@ -45,14 +20,3 @@ class SMisNoUndecideAblation(SMis):
 
     def __init__(self) -> None:
         super().__init__(undecide_enabled=False)
-
-
-def concat_without_backbone_mis(T1: int) -> Concat:
-    """The Section 1.1 naive scheme for MIS: fresh DMis instances over a ⊥ backbone."""
-    combiner = Concat(
-        static_factory=lambda: NullBackbone(mis_problem_pair),
-        dynamic_factory=DMis,
-        T1=T1,
-    )
-    combiner.name = "mis-no-backbone"
-    return combiner

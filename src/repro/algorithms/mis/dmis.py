@@ -43,9 +43,6 @@ class DMis(DynamicAlgorithm):
 
     Parameters
     ----------
-    restrict_to_intersection:
-        When false, listens to all current neighbours (ablation E13; the
-        paper's algorithm corresponds to the default ``True``).
     revalidate_dominated:
         **Extension beyond the paper** (disabled by default).  The paper's
         combiner can be fed a backbone snapshot containing a *transient
@@ -68,14 +65,8 @@ class DMis(DynamicAlgorithm):
     # inbox keys, so an unchanged inbox makes it a no-op.
     message_stability = "pure"
 
-    def __init__(
-        self,
-        *,
-        restrict_to_intersection: bool = True,
-        revalidate_dominated: bool = False,
-    ) -> None:
+    def __init__(self, *, revalidate_dominated: bool = False) -> None:
         super().__init__()
-        self._restrict = restrict_to_intersection
         self._revalidate_dominated = revalidate_dominated
         self._state: Dict[NodeId, MisState] = {}
         self._live: Dict[NodeId, Optional[FrozenSet[NodeId]]] = {}
@@ -122,10 +113,8 @@ class DMis(DynamicAlgorithm):
         if live is None:
             # First round of this instance: the intersection graph so far is G_j.
             live = frozenset(inbox.keys())
-        elif self._restrict:
-            live = frozenset(live & inbox.keys())
         else:
-            live = frozenset(inbox.keys())
+            live = frozenset(live & inbox.keys())
         self._live[v] = live
 
         if v in self._needs_revalidation:
@@ -176,7 +165,7 @@ class DMis(DynamicAlgorithm):
             return None
         from repro.kernel.mis import DMisKernel
 
-        return lambda: DMisKernel(self, restrict_to_intersection=self._restrict)
+        return lambda: DMisKernel(self)
 
     # -- introspection --------------------------------------------------------------
 

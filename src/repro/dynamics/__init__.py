@@ -11,12 +11,12 @@ This subpackage provides everything "below" the distributed algorithms:
   only implementation).
 * :mod:`repro.dynamics.generators` — static base topologies.
 * :mod:`repro.dynamics.churn` — edge-churn processes (Markov, flip, burst,
-  edge insertion and their union), each stepped as a per-round edge delta.
+  edge insertion), each stepped as a per-round edge delta.
 * :mod:`repro.dynamics.mobility` — random-waypoint mobility over a unit square.
 * :mod:`repro.dynamics.adversary` — the adversary interface (obliviousness,
   adaptive-offline) and the :class:`AdversaryView` handed to adversaries.
 * :mod:`repro.dynamics.adversaries` — concrete adversaries (scripted, churn,
-  mobility, locally-static, targeted-colouring, targeted-MIS, composite).
+  mobility, locally-static, targeted-colouring, targeted-MIS, freeze-after).
 """
 
 from repro.dynamics.topology import (
@@ -36,7 +36,6 @@ from repro.dynamics.adversary import (
 )
 from repro.dynamics.wakeup import (
     AllAwake,
-    ExplicitWakeup,
     StaggeredWakeup,
     UniformRandomWakeup,
     WakeupSchedule,
@@ -59,7 +58,6 @@ __all__ = [
     "AllAwake",
     "StaggeredWakeup",
     "UniformRandomWakeup",
-    "ExplicitWakeup",
     "generators",
     "churn",
     "mobility",

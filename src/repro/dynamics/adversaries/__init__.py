@@ -5,7 +5,7 @@ range from fully oblivious replay (:class:`ScriptedAdversary`) over stochastic
 churn (:class:`ChurnAdversary`, :class:`MobilityAdversary`) to adaptive,
 output-aware attackers (:class:`TargetedColoringAdversary`,
 :class:`TargetedMisAdversary`) and structured scenarios used by specific
-experiments (:class:`LocallyStaticAdversary`, :class:`PhaseAdversary`).
+experiments (:class:`LocallyStaticAdversary`, :class:`FreezeAfterAdversary`).
 """
 
 from repro.dynamics.adversaries.scripted import ScriptedAdversary, StaticAdversary
@@ -13,7 +13,7 @@ from repro.dynamics.adversaries.random_churn import ChurnAdversary, MobilityAdve
 from repro.dynamics.adversaries.locally_static import LocallyStaticAdversary
 from repro.dynamics.adversaries.targeted_coloring import TargetedColoringAdversary
 from repro.dynamics.adversaries.targeted_mis import TargetedMisAdversary
-from repro.dynamics.adversaries.composite import PhaseAdversary, FreezeAfterAdversary
+from repro.dynamics.adversaries.composite import FreezeAfterAdversary
 
 __all__ = [
     "ScriptedAdversary",
@@ -23,6 +23,5 @@ __all__ = [
     "LocallyStaticAdversary",
     "TargetedColoringAdversary",
     "TargetedMisAdversary",
-    "PhaseAdversary",
     "FreezeAfterAdversary",
 ]

@@ -1,8 +1,8 @@
-"""Adversaries built by composing other adversaries in time."""
+"""An adversary built by wrapping another one: :class:`FreezeAfterAdversary`."""
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Optional
 
 from repro.errors import ConfigurationError
 from repro.dynamics.adversary import (
@@ -13,7 +13,7 @@ from repro.dynamics.adversary import (
 )
 from repro.dynamics.topology import EMPTY_DELTA, Topology, TopologyDelta, empty_topology
 
-__all__ = ["PhaseAdversary", "FreezeAfterAdversary"]
+__all__ = ["FreezeAfterAdversary"]
 
 
 def _materialise(view: AdversaryView, result: StepResult) -> Topology:
@@ -24,58 +24,6 @@ def _materialise(view: AdversaryView, result: StepResult) -> Topology:
             previous = empty_topology()
         return previous.apply(result)
     return result
-
-
-class PhaseAdversary(Adversary):
-    """Switches between adversaries at fixed round boundaries.
-
-    ``phases`` is a sequence of ``(duration, adversary)`` pairs; the last
-    phase may have duration ``None`` meaning "until the end of the run".
-    The declared obliviousness is the minimum over the phases (the adversary
-    is only as oblivious as its least oblivious phase).
-
-    Step results (snapshots or deltas) are forwarded verbatim: each inner
-    adversary's own delta-chain tracking notices that it did not produce the
-    previous round's topology right after a phase switch and resynchronises
-    with a full snapshot (see
-    :class:`~repro.dynamics.adversary.IncrementalAdversary`).
-    """
-
-    def __init__(self, phases: Sequence[Tuple[Optional[int], Adversary]]) -> None:
-        if not phases:
-            raise ConfigurationError("PhaseAdversary needs at least one phase")
-        for duration, _ in phases[:-1]:
-            if duration is None or duration < 1:
-                raise ConfigurationError(
-                    "all phases except the last need a positive duration"
-                )
-        last_duration = phases[-1][0]
-        if last_duration is not None and last_duration < 1:
-            raise ConfigurationError("the last phase duration must be positive or None")
-        self._phases = list(phases)
-        self.obliviousness = min(adv.obliviousness for _, adv in phases)
-
-    def reset(self) -> None:
-        for _, adv in self._phases:
-            adv.reset()
-
-    def _phase_for(self, round_index: int) -> Adversary:
-        remaining = round_index
-        for duration, adv in self._phases:
-            if duration is None or remaining <= duration:
-                return adv
-            remaining -= duration
-        return self._phases[-1][1]
-
-    def step(self, view: AdversaryView) -> StepResult:
-        return self._phase_for(view.round_index).step(view)
-
-    def describe(self) -> str:
-        inner = ", ".join(
-            f"{duration if duration is not None else '∞'}×{adv.describe()}"
-            for duration, adv in self._phases
-        )
-        return f"PhaseAdversary({inner})"
 
 
 class FreezeAfterAdversary(IncrementalAdversary):

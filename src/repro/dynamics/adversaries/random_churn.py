@@ -2,8 +2,7 @@
 
 Both adversaries emit :class:`~repro.dynamics.topology.TopologyDelta` change
 sets, with a full snapshot only where the delta chain is broken: on round 1
-and right after a phase switch (see
-:class:`~repro.dynamics.adversary.IncrementalAdversary`).
+(see :class:`~repro.dynamics.adversary.IncrementalAdversary`).
 """
 
 from __future__ import annotations

@@ -18,6 +18,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from repro.types import Edge, NodeId, canonical_edge
+from repro.utils.validation import check_non_negative_int, check_positive_int
 from repro.dynamics.adversary import AdversaryView, IncrementalAdversary, StepResult
 from repro.dynamics.topology import Topology, TopologyDelta
 
@@ -57,8 +58,8 @@ class TargetedColoringAdversary(IncrementalAdversary):
     ) -> None:
         super().__init__()
         self._base = base
-        self._attacks = max(0, int(attacks_per_round))
-        self._lifetime = max(1, int(lifetime))
+        self._attacks = check_non_negative_int("attacks_per_round", attacks_per_round)
+        self._lifetime = check_positive_int("lifetime", lifetime)
         self._rng = rng
         self._color_of = color_of if color_of is not None else (lambda value: value)
         self._active: Dict[Edge, int] = {}

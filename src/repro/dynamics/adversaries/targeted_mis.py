@@ -27,6 +27,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.types import Edge, NodeId, canonical_edge
+from repro.utils.validation import check_non_negative_int, check_positive_int
 from repro.dynamics.adversary import AdversaryView, IncrementalAdversary, StepResult
 from repro.dynamics.topology import Topology, TopologyDelta
 
@@ -69,8 +70,8 @@ class TargetedMisAdversary(IncrementalAdversary):
             raise ConfigurationError(f"mode must be one of {_MODES}, got {mode!r}")
         self._base = base
         self._mode = mode
-        self._attacks = max(0, int(attacks_per_round))
-        self._lifetime = max(1, int(lifetime))
+        self._attacks = check_non_negative_int("attacks_per_round", attacks_per_round)
+        self._lifetime = check_positive_int("lifetime", lifetime)
         self._rng = rng
         self._inserted: Dict[Edge, int] = {}
         self._cut: Dict[Edge, int] = {}

@@ -22,8 +22,7 @@ round.  Its power is graded by *obliviousness* (Section 2):
 adversary is proportional to the amount of change, not the graph size.  A
 full :class:`~repro.dynamics.topology.Topology` snapshot is returned only
 where no delta can be sound: by an adversary that did not produce
-``G_{r-1}`` itself (round 1, or right after a
-:class:`~repro.dynamics.adversaries.composite.PhaseAdversary` switch — see
+``G_{r-1}`` itself (round 1, or when driven out of order — see
 :class:`IncrementalAdversary`), and by the replay adversaries of
 :mod:`repro.dynamics.adversaries.scripted`, whose topologies are
 precomputed objects.
@@ -180,8 +179,7 @@ class Adversary(ABC):
         Adversaries that keep incremental state should derive from
         :class:`IncrementalAdversary`, which tracks whether the delta chain to
         the previous round is intact (and falls back to a full snapshot when
-        it is not, e.g. on round 1 or right after a
-        :class:`~repro.dynamics.adversaries.composite.PhaseAdversary` switch).
+        it is not, e.g. on round 1).
         """
 
     def reset(self) -> None:
@@ -219,8 +217,8 @@ class IncrementalAdversary(Adversary):
     round's topology exactly — i.e. when *it* produced that topology one round
     earlier.  This base class tracks that "delta chain": subclasses call
     :meth:`_delta_chain_intact` exactly once at the top of :meth:`step` and
-    emit a full snapshot whenever it returns ``False`` (round 1, after a
-    phase switch, or when driven out of order by a test).  That resync
+    emit a full snapshot whenever it returns ``False`` (round 1, or when
+    driven out of order by a test).  That resync
     snapshot is the only way an adversary that did not produce ``G_{r-1}``
     can emit a round.
     """

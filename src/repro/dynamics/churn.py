@@ -15,7 +15,6 @@ that the churn *rate* is a controllable experiment parameter:
   currently present edges for one round (models link-failure bursts).
 * :class:`EdgeInsertionChurn` — repeatedly inserts a batch of random
   *non-base* edges for a configurable lifetime (models fleeting contacts).
-* :class:`CompositeChurn` — the union of several processes.
 
 Each process is a :class:`ChurnProcess`: it is stepped once per round and
 returns the round's edge *change* ``(added, removed)`` relative to the
@@ -28,11 +27,10 @@ Awake-node filtering is the adversary layer's job.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.errors import ConfigurationError
 from repro.types import Edge, canonical_edge
 from repro.utils.validation import check_non_negative_int, check_positive_int, check_probability
 from repro.dynamics.topology import Topology
@@ -46,7 +44,6 @@ __all__ = [
     "FlipChurn",
     "BurstChurn",
     "EdgeInsertionChurn",
-    "CompositeChurn",
 ]
 
 #: The ``(added, removed)`` edge change of one churn round.
@@ -381,55 +378,3 @@ class EdgeInsertionChurn(ChurnProcess):
         added = frozenset(e for e in fresh if e not in expired)
         removed = frozenset(e for e in expired if e not in self._active)
         return added, removed
-
-
-class CompositeChurn(ChurnProcess):
-    """Union of the edge sets produced by several churn processes.
-
-    The sub-processes are stepped in order on the shared ``rng``.  A per-edge
-    count of the sub-processes holding each edge turns their deltas into the
-    union's delta: an edge is added when its count leaves zero and removed
-    when it returns to zero, so an edge two processes hold survives while
-    one of them drops it.
-    """
-
-    def __init__(self, processes: Sequence[ChurnProcess]) -> None:
-        if not processes:
-            raise ConfigurationError("CompositeChurn needs at least one process")
-        self._processes: List[ChurnProcess] = list(processes)
-        self._holders: Dict[Edge, int] = {}
-
-    def reset(self) -> None:
-        for proc in self._processes:
-            proc.reset()
-        self._holders.clear()
-
-    def quiescent(self) -> bool:
-        # Only the composite as a whole may be skipped: skipping a single
-        # quiescent sub-process would shift the shared RNG stream consumed by
-        # its non-quiescent siblings.
-        return all(proc.quiescent() for proc in self._processes)
-
-    def step_delta(self, round_index: int, rng: np.random.Generator) -> EdgeDelta:
-        holders = self._holders
-        # Whether each edge touched this round was in the union before it.
-        was_present: Dict[Edge, bool] = {}
-        for proc in self._processes:
-            added, removed = proc.step_delta(round_index, rng)
-            for e in removed:
-                was_present.setdefault(e, True)
-                count = holders[e] - 1
-                if count:
-                    holders[e] = count
-                else:
-                    del holders[e]
-            for e in added:
-                count = holders.get(e, 0)
-                was_present.setdefault(e, count > 0)
-                holders[e] = count + 1
-        if not was_present:
-            return _NO_EDGES, _NO_EDGES
-        return (
-            frozenset(e for e, was in was_present.items() if not was and e in holders),
-            frozenset(e for e, was in was_present.items() if was and e not in holders),
-        )

@@ -7,12 +7,14 @@ none for deterministic families) and return a
 
 The families cover the settings the paper motivates (wireless/ad-hoc networks
 → random geometric graphs; overlay / peer-to-peer networks → Gnp, power-law;
-structured testbeds → rings, grids, tori, cliques, stars, regular graphs).
+structured testbeds → rings, paths, grids, tori, cliques, stars).  The names a
+scenario can select are registered in :mod:`repro.scenarios.components`; the
+plain functions here also serve as test fixtures.
 
 :func:`gnp` builds no networkx graph: it replays networkx's own draws for
 ``fast_gnp_random_graph`` straight into int64 edge arrays and hands them to
 :meth:`Topology.from_arrays`, so its graphs are networkx's, edge for edge and
-in iteration order.  The other random families still go through networkx.
+in iteration order.  Only :func:`barabasi_albert` still goes through networkx.
 """
 
 from __future__ import annotations
@@ -20,20 +22,19 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from typing import Callable, Dict, FrozenSet, Optional, Tuple
+from typing import FrozenSet, Tuple
 
 import networkx as nx
 import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.types import Edge
-from repro.utils.validation import check_positive, check_probability
+from repro.utils.validation import check_positive, check_positive_int, check_probability
 from repro.dynamics.topology import Topology, topology_from_networkx
 
 __all__ = [
     "gnp",
     "gnp_edge_arrays",
-    "random_regular",
     "random_geometric",
     "barabasi_albert",
     "ring",
@@ -43,8 +44,6 @@ __all__ = [
     "grid",
     "torus",
     "empty",
-    "by_name",
-    "GENERATORS",
 ]
 
 
@@ -117,17 +116,6 @@ def gnp_edge_arrays(n: int, p: float, seed: int) -> Tuple[np.ndarray, np.ndarray
     return w[order], v[order]
 
 
-def random_regular(n: int, degree: int, rng: np.random.Generator) -> Topology:
-    """Random ``degree``-regular graph (``n * degree`` must be even)."""
-    _require_n(n)
-    if degree < 0 or degree >= n:
-        raise ConfigurationError(f"degree must be in [0, n), got {degree}")
-    if (n * degree) % 2 != 0:
-        raise ConfigurationError("n * degree must be even for a regular graph")
-    seed = int(rng.integers(0, 2**31 - 1))
-    return topology_from_networkx(nx.random_regular_graph(degree, n, seed=seed))
-
-
 def random_geometric(n: int, radius: float, rng: np.random.Generator) -> Topology:
     """Random geometric graph on the unit square with connection ``radius``."""
     _require_n(n)
@@ -169,7 +157,7 @@ def geometric_from_positions(positions: np.ndarray, radius: float) -> Topology:
 def barabasi_albert(n: int, m: int, rng: np.random.Generator) -> Topology:
     """Barabási–Albert preferential-attachment graph with ``m`` edges per new node."""
     _require_n(n)
-    if m < 1 or m >= n:
+    if check_positive_int("m", m) >= n:
         raise ConfigurationError(f"m must be in [1, n), got {m}")
     seed = int(rng.integers(0, 2**31 - 1))
     return topology_from_networkx(nx.barabasi_albert_graph(n, m, seed=seed))
@@ -233,59 +221,3 @@ def torus(rows: int, cols: int) -> Topology:
             if down != v:
                 edges.add((v, down))
     return Topology(range(rows * cols), edges)
-
-
-def _regular8(n: int, rng: np.random.Generator) -> Topology:
-    """Random regular graph of degree ≈ 8, adjusting degree so ``n·d`` is even."""
-    if n <= 9:
-        return gnp(n, 0.5, rng)
-    degree = 8
-    if (n * degree) % 2 != 0:  # n odd and degree odd cannot happen for degree=8
-        degree -= 1
-    return random_regular(n, degree, rng)
-
-
-def _square_grid(n: int, rng: np.random.Generator) -> Topology:
-    """Largest square grid with at most ``n`` nodes, padded with isolated nodes to ``n``."""
-    side = max(1, int(math.isqrt(n)))
-    base = grid(side, side)
-    return base.with_nodes(range(side * side, n))
-
-
-#: Registry of named generator factories used by the experiment harness.
-#: Each entry maps a name to a callable ``(n, rng) -> Topology`` with sensible
-#: default parameters for that family.
-GENERATORS: Dict[str, Callable[[int, np.random.Generator], Topology]] = {
-    "gnp_sparse": lambda n, rng: gnp(n, min(1.0, 8.0 / max(n - 1, 1)), rng),
-    "gnp_dense": lambda n, rng: gnp(n, min(1.0, 0.2), rng),
-    "regular8": _regular8,
-    "geometric": lambda n, rng: random_geometric(n, math.sqrt(10.0 / max(n, 1) / math.pi), rng),
-    "ba3": lambda n, rng: barabasi_albert(n, min(3, max(1, n - 1)), rng) if n > 3 else clique(n),
-    "ring": lambda n, rng: ring(n),
-    "grid": _square_grid,
-    "star": lambda n, rng: star(n),
-    "clique": lambda n, rng: clique(n),
-    "empty": lambda n, rng: empty(n),
-}
-
-
-def by_name(name: str, n: int, rng: Optional[np.random.Generator] = None) -> Topology:
-    """Generate the named topology family at size ``n``.
-
-    Parameters
-    ----------
-    name:
-        A key of :data:`GENERATORS`.
-    n:
-        Number of nodes.
-    rng:
-        Randomness source; required for the random families, defaults to a
-        fixed-seed generator so analysis scripts stay reproducible.
-    """
-    if name not in GENERATORS:
-        raise ConfigurationError(
-            f"unknown generator {name!r}; available: {sorted(GENERATORS)}"
-        )
-    if rng is None:
-        rng = np.random.default_rng(0)
-    return GENERATORS[name](n, rng)

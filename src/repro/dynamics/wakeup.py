@@ -12,19 +12,19 @@ so they support any schedule produced here.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Dict, FrozenSet, Iterable, Mapping
+from typing import Dict, FrozenSet
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.types import NodeId, Round
+from repro.utils.validation import check_positive_int
 
 __all__ = [
     "WakeupSchedule",
     "AllAwake",
     "StaggeredWakeup",
     "UniformRandomWakeup",
-    "ExplicitWakeup",
 ]
 
 
@@ -67,11 +67,9 @@ class StaggeredWakeup(WakeupSchedule):
             raise ConfigurationError(f"n must be >= 0, got {n}")
         if batch_size < 1:
             raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
-        if interval < 1:
-            raise ConfigurationError(f"interval must be >= 1, got {interval}")
         self._n = n
         self._batch = batch_size
-        self._interval = interval
+        self._interval = check_positive_int("interval", interval)
 
     def awake_at(self, round_index: Round) -> FrozenSet[NodeId]:
         if round_index < 1:
@@ -90,25 +88,6 @@ class UniformRandomWakeup(WakeupSchedule):
             raise ConfigurationError(f"spread must be >= 1, got {spread}")
         rounds = rng.integers(1, spread + 1, size=n)
         self._wake_round: Dict[NodeId, int] = {v: int(rounds[v]) for v in range(n)}
-
-    def awake_at(self, round_index: Round) -> FrozenSet[NodeId]:
-        if round_index < 1:
-            return frozenset()
-        return frozenset(v for v, w in self._wake_round.items() if w <= round_index)
-
-    def wake_round(self, node: NodeId, max_round: int = 10_000) -> int | None:
-        return self._wake_round.get(node)
-
-
-class ExplicitWakeup(WakeupSchedule):
-    """Wake rounds given explicitly as a mapping ``node -> wake round``."""
-
-    def __init__(self, wake_rounds: Mapping[NodeId, Round] | Iterable[tuple[NodeId, Round]]) -> None:
-        items = dict(wake_rounds)
-        for node, r in items.items():
-            if r < 1:
-                raise ConfigurationError(f"wake round for node {node} must be >= 1, got {r}")
-        self._wake_round: Dict[NodeId, Round] = {int(v): int(r) for v, r in items.items()}
 
     def awake_at(self, round_index: Round) -> FrozenSet[NodeId]:
         if round_index < 1:

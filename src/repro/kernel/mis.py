@@ -202,10 +202,9 @@ class SMisKernel(AlgorithmKernel):
 
 
 class DMisKernel(AlgorithmKernel):
-    def __init__(self, algorithm, *, restrict_to_intersection: bool) -> None:
+    def __init__(self, algorithm) -> None:
         super().__init__(algorithm)
         n = self.n
-        self._restrict = bool(restrict_to_intersection)
         self._state = np.zeros(n, dtype=np.int64)
         self._drawn = np.zeros(n, dtype=np.float64)
         self._mtag = np.zeros(n, dtype=np.int64)
@@ -296,19 +295,14 @@ class DMisKernel(AlgorithmKernel):
             return
         live = self._live_dir
         eff_d = ctx.eff_d
-        if self._restrict:
-            # Global restrict: a no-op for untouched rows (their effective
-            # slots did not change this round), exact for delivered rows.
-            np.logical_and(live, eff_d, out=live)
-            uninit = ids[~self._live_init[ids]]
-            if uninit.size:
-                slots, _ = ctx.universe.row_slots(uninit)
-                live[slots] = eff_d[slots]
-                self._live_init[uninit] = True
-        else:
-            slots, _ = ctx.universe.row_slots(ids)
+        # Global restrict: a no-op for untouched rows (their effective slots
+        # did not change this round), exact for delivered rows.
+        np.logical_and(live, eff_d, out=live)
+        uninit = ids[~self._live_init[ids]]
+        if uninit.size:
+            slots, _ = ctx.universe.row_slots(uninit)
             live[slots] = eff_d[slots]
-            self._live_init[ids] = True
+            self._live_init[uninit] = True
 
         s = self._state[ids]
         undm = s == _S_UND

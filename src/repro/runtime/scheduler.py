@@ -7,7 +7,6 @@ so they are re-exported here for discoverability.
 
 from repro.dynamics.wakeup import (
     AllAwake,
-    ExplicitWakeup,
     StaggeredWakeup,
     UniformRandomWakeup,
     WakeupSchedule,
@@ -18,5 +17,4 @@ __all__ = [
     "AllAwake",
     "StaggeredWakeup",
     "UniformRandomWakeup",
-    "ExplicitWakeup",
 ]

@@ -30,12 +30,12 @@ from __future__ import annotations
 
 import math
 import numbers
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.errors import ConfigurationError
 from repro.dynamics import generators
-from repro.dynamics.adversaries.composite import FreezeAfterAdversary, PhaseAdversary
+from repro.dynamics.adversaries.composite import FreezeAfterAdversary
 from repro.dynamics.adversaries.locally_static import LocallyStaticAdversary
 from repro.dynamics.adversaries.random_churn import ChurnAdversary, MobilityAdversary
 from repro.dynamics.adversaries.scripted import StaticAdversary
@@ -43,7 +43,6 @@ from repro.dynamics.adversaries.targeted_coloring import TargetedColoringAdversa
 from repro.dynamics.adversaries.targeted_mis import TargetedMisAdversary
 from repro.dynamics.churn import (
     BurstChurn,
-    CompositeChurn,
     EdgeInsertionChurn,
     FlipChurn,
     MarkovEdgeChurn,
@@ -52,7 +51,6 @@ from repro.dynamics.churn import (
 from repro.dynamics.mobility import RandomWaypointMobility
 from repro.dynamics.wakeup import (
     AllAwake,
-    ExplicitWakeup,
     StaggeredWakeup,
     UniformRandomWakeup,
 )
@@ -66,16 +64,11 @@ from repro.algorithms.coloring.basic_static import BasicColoring
 from repro.algorithms.coloring.dcolor import DColor
 from repro.algorithms.coloring.dynamic_coloring import DynamicColoring
 from repro.algorithms.coloring.scolor import SColor
-from repro.algorithms.mis.ablations import (
-    DMisCurrentGraphAblation,
-    SMisNoUndecideAblation,
-    concat_without_backbone_mis,
-)
+from repro.algorithms.mis.ablations import SMisNoUndecideAblation
 from repro.algorithms.mis.baselines import RestartMis
 from repro.algorithms.mis.dmis import DMis
 from repro.algorithms.mis.dynamic_mis import DynamicMIS
 from repro.algorithms.mis.ghaffari import GhaffariMIS
-from repro.algorithms.mis.luby import LubyMIS
 from repro.algorithms.mis.smis import SMis
 from repro.core.concat import Concat
 from repro.analysis.conflicts import conflict_resolution_times
@@ -97,7 +90,6 @@ from repro.scenarios.registry import (
     STOP_CONDITIONS,
     TOPOLOGIES,
     WAKEUPS,
-    Registry,
     suggestion_hint,
 )
 __all__ = ["problem_pair_by_name"]
@@ -142,44 +134,8 @@ def _durations(*keys: str) -> Callable[..., List[str]]:
 
 
 # ---------------------------------------------------------------------------
-# topologies — every named generator family, plus parameterised variants
+# topologies
 # ---------------------------------------------------------------------------
-
-#: One-line descriptions for the lambda-based generator families (the
-#: function-backed ones fall back to their docstrings).
-_FAMILY_DOCS = {
-    "gnp_sparse": "Erdős–Rényi G(n, p) with expected degree 8.",
-    "gnp_dense": "Erdős–Rényi G(n, 0.2).",
-    "geometric": "Random geometric graph with ~10 expected neighbours.",
-    "ba3": "Barabási–Albert preferential attachment with m=3.",
-    "ring": "Cycle C_n.",
-    "star": "Star with centre 0.",
-    "clique": "Complete graph K_n.",
-    "empty": "n awake nodes, no edges.",
-}
-
-
-def _register_family(family_name: str):
-    generator = generators.GENERATORS[family_name]
-    doc = _FAMILY_DOCS.get(family_name)
-    if doc is None:
-        lines = (generator.__doc__ or "").strip().splitlines()
-        doc = lines[0] if lines else ""
-    TOPOLOGIES.register(
-        family_name,
-        lambda n, rng, _f=family_name: generators.GENERATORS[_f](n, rng),
-        doc=doc,
-    )
-
-
-for _family in generators.GENERATORS:
-    _register_family(_family)
-
-
-@TOPOLOGIES.register("gnp")
-def _topology_gnp(n, rng, *, p: float = 0.1):
-    """Erdős–Rényi G(n, p) with explicit edge probability p."""
-    return generators.gnp(n, p, rng)
 
 
 @TOPOLOGIES.register("gnp_degree")
@@ -190,10 +146,23 @@ def _topology_gnp_degree(n, rng, *, degree: float = 8.0):
     return generators.gnp(n, min(1.0, degree / max(n - 1, 1)), rng)
 
 
-@TOPOLOGIES.register("random_regular")
-def _topology_regular(n, rng, *, degree: int = 4):
-    """Random degree-regular graph."""
-    return generators.random_regular(n, degree, rng)
+@TOPOLOGIES.register("gnp_sparse")
+def _topology_gnp_sparse(n, rng):
+    """Erdős–Rényi G(n, p) with expected degree 8 (`gnp_degree` at its default)."""
+    return _topology_gnp_degree(n, rng)
+
+
+@TOPOLOGIES.register("ring")
+def _topology_ring(n, rng):
+    """Cycle C_n."""
+    return generators.ring(n)
+
+
+@TOPOLOGIES.register("grid")
+def _topology_grid(n, rng):
+    """Largest square grid with at most ``n`` nodes, padded with isolated nodes to ``n``."""
+    side = max(1, math.isqrt(n))
+    return generators.grid(side, side).with_nodes(range(side * side, n))
 
 
 @TOPOLOGIES.register("random_geometric")
@@ -204,10 +173,10 @@ def _topology_geometric(n, rng, *, radius: Optional[float] = None):
     return generators.random_geometric(n, radius, rng)
 
 
-@TOPOLOGIES.register("barabasi_albert")
+@TOPOLOGIES.register("barabasi_albert", check=_value_checks(m=check_positive_int))
 def _topology_ba(n, rng, *, m: int = 3):
     """Barabási–Albert preferential-attachment graph (clique when n <= m)."""
-    if n <= m:
+    if n <= check_positive_int("m", m):
         return generators.clique(n)
     return generators.barabasi_albert(n, m, rng)
 
@@ -223,7 +192,9 @@ def _wakeup_all(ctx):
     return AllAwake(ctx.n)
 
 
-@WAKEUPS.register("staggered", check=_durations("batch_size"))
+@WAKEUPS.register(
+    "staggered", check=_value_checks(batch_size=_literal_duration, interval=check_positive_int)
+)
 def _wakeup_staggered(ctx, *, batch_size=None, interval: int = 1):
     """Contiguous batches of nodes wake every `interval` rounds."""
     if batch_size is None:
@@ -235,12 +206,6 @@ def _wakeup_staggered(ctx, *, batch_size=None, interval: int = 1):
 def _wakeup_uniform(ctx, *, spread="2*T1"):
     """Each node wakes at an independent uniform round in [1, spread]."""
     return UniformRandomWakeup(ctx.n, spread=_resolve(ctx, spread), rng=ctx.stream("wakeup"))
-
-
-@WAKEUPS.register("explicit")
-def _wakeup_explicit(ctx, *, wake_rounds):
-    """Explicit node -> wake-round mapping."""
-    return ExplicitWakeup({int(v): int(r) for v, r in dict(wake_rounds).items()})
 
 
 # ---------------------------------------------------------------------------
@@ -266,9 +231,8 @@ _burst_problems = _value_checks(burst_prob=check_probability, drop_fraction=chec
 _insertion_problems = _value_checks(
     insertions_per_round=check_non_negative_int, lifetime=_literal_lifetime
 )
-#: A composite entry's ``lifetime`` goes to the constructor unresolved.
-_churn_insertion_problems = _value_checks(
-    insertions_per_round=check_non_negative_int, lifetime=check_positive_int
+_targeted_problems = _value_checks(
+    attacks_per_round=check_non_negative_int, lifetime=_literal_lifetime
 )
 
 
@@ -303,7 +267,7 @@ def _adversary_insertion(ctx, *, insertions_per_round: int = 3, lifetime: int = 
     return ChurnAdversary(ctx.n, churn, ctx.stream("adversary", "insert"), wakeup=ctx.wakeup)
 
 
-@ADVERSARIES.register("targeted-coloring", check=_durations("lifetime"))
+@ADVERSARIES.register("targeted-coloring", check=_targeted_problems)
 def _adversary_targeted_coloring(ctx, *, attacks_per_round: int = 2, lifetime="2*T1"):
     """Adaptive attacker inserting monochromatic conflict edges against the latest visible colouring."""
     return TargetedColoringAdversary(
@@ -314,7 +278,7 @@ def _adversary_targeted_coloring(ctx, *, attacks_per_round: int = 2, lifetime="2
     )
 
 
-@ADVERSARIES.register("targeted-mis", check=_durations("lifetime"))
+@ADVERSARIES.register("targeted-mis", check=_targeted_problems)
 def _adversary_targeted_mis(
     ctx, *, mode: str = "cut_notification", attacks_per_round: int = 4, lifetime=2
 ):
@@ -364,21 +328,6 @@ def _freeze_after_problems(params: Mapping[str, Any], where: str) -> List[str]:
     return problems + _durations("freeze_round")(params, where)
 
 
-def _phase_problems(params: Mapping[str, Any], where: str) -> List[str]:
-    problems = []
-    for index, entry in enumerate(params["phases"]):
-        at = f"{where}.phases[{index}]"
-        if not isinstance(entry, (list, tuple)) or len(entry) != 2:
-            problems.append(f"{at}: must be a [duration, adversary] pair, got {entry!r}")
-        else:
-            try:
-                _literal_duration("duration", entry[0])
-            except ConfigurationError as exc:
-                problems.append(f"{at}[0]: {exc}")
-            problems.extend(_adversary_ref_problems(entry[1], f"{at}[1]"))
-    return problems
-
-
 @ADVERSARIES.register("freeze-after", check=_freeze_after_problems)
 def _adversary_freeze_after(ctx, *, inner, freeze_round):
     """Runs `inner` until `freeze_round`, then repeats the last graph forever."""
@@ -404,125 +353,6 @@ def _adversary_mobility(
     return MobilityAdversary(mobility, wakeup=ctx.wakeup)
 
 
-@ADVERSARIES.register("phase", check=_phase_problems)
-def _adversary_phase(ctx, *, phases):
-    """Phase script: switch between registered adversaries at fixed round boundaries.
-
-    ``phases`` is a list of ``[duration, adversary]`` pairs — duration an int,
-    a duration expression (``"2*T1"``), or ``None`` for the final open-ended
-    phase; ``adversary`` any component reference (name or
-    ``{"name", "params"}``)::
-
-        component("phase", phases=[
-            [ "2*T1", {"name": "flip-churn", "params": {"flip_prob": 0.1}} ],
-            [ None,   "static" ],
-        ])
-
-    Each phase's adversary is built against a phase-indexed child rng factory,
-    so two phases of the same kind draw independent randomness instead of
-    replaying each other's streams.
-    """
-    import dataclasses
-
-    from repro.scenarios.spec import ComponentSpec
-
-    built = []
-    for index, entry in enumerate(phases):
-        if not isinstance(entry, (list, tuple)) or len(entry) != 2:
-            raise ConfigurationError(
-                f"each phase must be a [duration, adversary] pair, got {entry!r}"
-            )
-        duration, inner = entry
-        inner_spec = ComponentSpec.coerce(inner)
-        phase_ctx = dataclasses.replace(
-            ctx, rng_factory=ctx.rng_factory.child("phase", index)
-        )
-        inner_adversary = ADVERSARIES.get(inner_spec.name)(phase_ctx, **inner_spec.params)
-        built.append(
-            (None if duration is None else _resolve(ctx, duration), inner_adversary)
-        )
-    return PhaseAdversary(built)
-
-
-#: Churn-process kinds available to the "composite-churn" adversary.
-_CHURN_KINDS = Registry("churn kind")
-_CHURN_KINDS.register("static", lambda base: StaticChurn(base))
-_CHURN_KINDS.register(
-    "flip",
-    lambda base, *, flip_prob=0.01, start_present=True: FlipChurn(
-        base, flip_prob, start_present=start_present
-    ),
-    check=_flip_problems,
-)
-_CHURN_KINDS.register(
-    "markov",
-    lambda base, *, p_off=0.0, p_on=0.0, start_present=True: MarkovEdgeChurn(
-        base, p_off=p_off, p_on=p_on, start_present=start_present
-    ),
-    check=_markov_problems,
-)
-_CHURN_KINDS.register(
-    "burst",
-    lambda base, *, burst_prob=0.1, drop_fraction=0.5: BurstChurn(base, burst_prob, drop_fraction),
-    check=_burst_problems,
-)
-_CHURN_KINDS.register(
-    "edge-insertion",
-    lambda base, *, insertions_per_round=3, lifetime=3: EdgeInsertionChurn(
-        base, insertions_per_round=insertions_per_round, lifetime=lifetime
-    ),
-    check=_churn_insertion_problems,
-)
-
-
-def _churn_process_problems(params: Mapping[str, Any], where: str) -> List[str]:
-    """Problems with composite-churn's ``processes`` list, each naming ``processes[i]``."""
-    processes = params["processes"]
-    if isinstance(processes, (str, bytes)) or not isinstance(processes, Sequence) or not processes:
-        return [f"{where}.processes: must be a non-empty list of mappings with a 'kind'"]
-    problems = []
-    for index, entry in enumerate(processes):
-        at = f"{where}.processes[{index}]"
-        if not isinstance(entry, Mapping):
-            problems.append(f"{at}: must be a mapping with a 'kind', got {entry!r}")
-            continue
-        kind = entry.get("kind")
-        if not isinstance(kind, str) or kind not in _CHURN_KINDS:
-            problems.append(
-                f"{at}.kind: unknown churn kind {kind!r}{suggestion_hint(kind, _CHURN_KINDS)}; "
-                f"available: {list(_CHURN_KINDS)}"
-            )
-            continue
-        kind_params = {key: value for key, value in entry.items() if key != "kind"}
-        problems.extend(_CHURN_KINDS.param_problems(kind, kind_params, at))
-    return problems
-
-
-@ADVERSARIES.register("composite-churn", check=_churn_process_problems)
-def _adversary_composite_churn(ctx, *, processes):
-    """Union of several churn processes animating the base topology.
-
-    ``processes`` is a list of ``{"kind": ..., **params}`` mappings with kinds
-    ``static`` / ``flip`` / ``markov`` / ``burst`` / ``edge-insertion``::
-
-        component("composite-churn", processes=[
-            {"kind": "flip", "flip_prob": 0.02},
-            {"kind": "edge-insertion", "insertions_per_round": 2, "lifetime": 3},
-        ])
-    """
-    problems = _churn_process_problems({"processes": processes}, "composite-churn")
-    if problems:
-        raise ConfigurationError("; ".join(problems))
-    built = []
-    for entry in processes:
-        params = dict(entry)
-        kind = params.pop("kind")
-        built.append(_CHURN_KINDS.get(kind)(ctx.base, **params))
-    return ChurnAdversary(
-        ctx.n, CompositeChurn(built), ctx.stream("adversary", "composite"), wakeup=ctx.wakeup
-    )
-
-
 # ---------------------------------------------------------------------------
 # algorithms
 # ---------------------------------------------------------------------------
@@ -545,8 +375,6 @@ for _name, _cls in (
     ("scolor-no-uncolor", SColorNoUncolorAblation),
     ("smis", SMis),
     ("smis-no-undecide", SMisNoUndecideAblation),
-    ("dmis-current-graph", DMisCurrentGraphAblation),
-    ("luby-mis", LubyMIS),
     ("ghaffari-mis", GhaffariMIS),
 ):
     _register_plain_algorithm(_name, _cls)
@@ -589,12 +417,6 @@ def _algorithm_coloring_no_backbone(ctx, *, window=None):
     return concat_without_backbone(ctx.T1 if window is None else _resolve(ctx, window))
 
 
-@ALGORITHMS.register("mis-no-backbone", check=_durations("window"))
-def _algorithm_mis_no_backbone(ctx, *, window=None):
-    """Ablation: Concat MIS without the intersection-graph backbone."""
-    return concat_without_backbone_mis(ctx.T1 if window is None else _resolve(ctx, window))
-
-
 #: The implementation class behind each registered algorithm name — the
 #: source of the per-component delivery-contract annotation below.
 _ALGORITHM_CLASSES = {
@@ -605,8 +427,6 @@ _ALGORITHM_CLASSES = {
     "scolor-no-uncolor": SColorNoUncolorAblation,
     "smis": SMis,
     "smis-no-undecide": SMisNoUndecideAblation,
-    "dmis-current-graph": DMisCurrentGraphAblation,
-    "luby-mis": LubyMIS,
     "ghaffari-mis": GhaffariMIS,
     "dmis": DMis,
     "dynamic-coloring": DynamicColoring,
@@ -614,7 +434,6 @@ _ALGORITHM_CLASSES = {
     "restart-coloring": RestartColoring,
     "restart-mis": RestartMis,
     "coloring-no-backbone": Concat,
-    "mis-no-backbone": Concat,
 }
 
 # Surface each algorithm's audited message-stability contract in
@@ -647,13 +466,6 @@ for _algo_name in ALGORITHMS:
 def _stop_all_decided(ctx):
     """Stop as soon as every awake node has produced an output."""
     return lambda trace: rounds_to_completion(trace) is not None
-
-
-@STOP_CONDITIONS.register("after-round", check=_durations("round"))
-def _stop_after_round(ctx, *, round):
-    """Stop once the trace reaches `round` rounds."""
-    limit = _resolve(ctx, round)
-    return lambda trace: trace.num_rounds >= limit
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ from repro.dynamics.adversaries import (
     ChurnAdversary,
     FreezeAfterAdversary,
     LocallyStaticAdversary,
-    PhaseAdversary,
     ScriptedAdversary,
     StaticAdversary,
     TargetedColoringAdversary,
@@ -197,22 +196,6 @@ class TestTargetedAdversaries:
 
 
 class TestCompositeAdversaries:
-    def test_phase_adversary_switches(self):
-        first = StaticAdversary(Topology([0, 1], [(0, 1)]))
-        second = StaticAdversary(Topology([0, 1], []))
-        adversary = PhaseAdversary([(2, first), (None, second)])
-        assert adversary.step(make_view(1)).num_edges == 1
-        assert adversary.step(make_view(2)).num_edges == 1
-        assert adversary.step(make_view(3)).num_edges == 0
-        assert adversary.step(make_view(99)).num_edges == 0
-
-    def test_phase_adversary_validation(self):
-        adv = StaticAdversary(Topology([0], []))
-        with pytest.raises(ConfigurationError):
-            PhaseAdversary([])
-        with pytest.raises(ConfigurationError):
-            PhaseAdversary([(None, adv), (2, adv)])
-
     def test_freeze_after(self, rng_factory):
         base = generators.gnp(12, 0.3, rng_factory.stream("fa"))
         inner = ChurnAdversary(12, FlipChurn(base, 0.5), rng_factory.stream("fa2"))

@@ -6,7 +6,6 @@ from repro.errors import ConfigurationError
 from repro.dynamics import generators
 from repro.dynamics.churn import (
     BurstChurn,
-    CompositeChurn,
     EdgeInsertionChurn,
     FlipChurn,
     MarkovEdgeChurn,
@@ -155,32 +154,3 @@ class TestEdgeInsertionChurn:
         churn.step_delta(1, rng_factory.stream("ins3"))
         churn.reset()
         assert churn.step_delta(1, rng_factory.stream("ins4")) == expected
-
-
-class TestCompositeChurn:
-    def test_union_of_processes(self, base, rng_factory):
-        half_a = FlipChurn(base, 1.0)  # toggles everything off in round 1
-        keep = StaticChurn(base)
-        churn = CompositeChurn([half_a, keep])
-        assert edge_sets(churn, rng_factory.stream("c"), 1) == [base.edges]
-
-    def test_edge_held_twice_survives_one_drop(self, base, rng_factory):
-        # The flip process drops every edge in rounds 1 and 3 and restores
-        # them in round 2; the static process holds them throughout.
-        churn = CompositeChurn([FlipChurn(base, 1.0), StaticChurn(base)])
-        rounds = replay(churn, rng_factory.stream("c2"), 3)
-        assert rounds[0] == (base.edges, frozenset(), base.edges)
-        for added, removed, present in rounds[1:]:
-            assert not added and not removed and present == base.edges
-
-    def test_edge_leaves_with_its_last_holder(self, base, rng_factory):
-        churn = CompositeChurn([FlipChurn(base, 1.0), FlipChurn(base, 1.0)])
-        assert edge_sets(churn, rng_factory.stream("c3"), 3) == [
-            frozenset(),
-            base.edges,
-            frozenset(),
-        ]
-
-    def test_requires_processes(self):
-        with pytest.raises(ConfigurationError):
-            CompositeChurn([])

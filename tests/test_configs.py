@@ -131,7 +131,6 @@ class TestLoadConfig:
         assert "Traceback" not in err
 
 
-UNKNOWN_CHURN_KEY = {"processes": [{"kind": "burst", "foo": 1}]}
 UNKNOWN_INNER_KEY = {"inner": {"name": "flip-churn", "params": {"foo": 1}}, "freeze_round": 2}
 FRACTIONAL_INSERTIONS = {"insertions_per_round": 1.5}
 
@@ -145,14 +144,6 @@ BAD_PARAMETERS = {
         {"algorithm": {"name": "smis", "params": {"foo": 1}}},
         "spec.algorithm.params.foo",
     ),
-    "composite-entry": (
-        {"adversary": {"name": "composite-churn", "params": {"processes": ["flip"]}}},
-        "spec.adversary.params.processes[0]",
-    ),
-    "composite-key": (
-        {"adversary": {"name": "composite-churn", "params": UNKNOWN_CHURN_KEY}},
-        "spec.adversary.params.processes[0].foo",
-    ),
     "nested-adversary": (
         {"adversary": {"name": "freeze-after", "params": UNKNOWN_INNER_KEY}},
         "spec.adversary.params.inner.params.foo",
@@ -161,51 +152,47 @@ BAD_PARAMETERS = {
         {"adversary": {"name": "edge-insertion", "params": FRACTIONAL_INSERTIONS}},
         "spec.adversary.params.insertions_per_round",
     ),
-    "composite-insertion-value": (
-        {
-            "adversary": {
-                "name": "composite-churn",
-                "params": {"processes": [{"kind": "edge-insertion", **FRACTIONAL_INSERTIONS}]},
-            }
-        },
-        "spec.adversary.params.processes[0].insertions_per_round",
+    "barabasi_albert-m=2.5": (
+        {"topology": {"name": "barabasi_albert", "params": {"m": 2.5}}},
+        "spec.topology.params.m",
+    ),
+    "staggered-interval=x": (
+        {"wakeup": {"name": "staggered", "params": {"interval": "x"}}},
+        "spec.wakeup.params.interval",
+    ),
+    # A registration closure's default once leaked as a parameter: this
+    # built a clique.
+    "ring-_f=clique": (
+        {"topology": {"name": "ring", "params": {"_f": "clique"}}},
+        "spec.topology.params._f",
     ),
 }
 
-#: ``(adversary, churn kind, parameter, bad value)``: a value only the
-#: constructor rejected before, each also tried inside ``composite-churn``.
+#: ``(adversary, parameter, bad value)``: a value only the constructor
+#: rejected, or silently clamped, before.
 BAD_VALUES = [
-    ("flip-churn", "flip", "flip_prob", 1.5),
-    ("markov-churn", "markov", "p_off", 2),
-    ("markov-churn", "markov", "p_on", -0.1),
-    ("burst-churn", "burst", "burst_prob", 1.5),
-    ("burst-churn", "burst", "drop_fraction", -1),
-    ("edge-insertion", "edge-insertion", "lifetime", 0),
-    ("edge-insertion", "edge-insertion", "lifetime", 1.5),  # was truncated to 1
+    ("flip-churn", "flip_prob", 1.5),
+    ("markov-churn", "p_off", 2),
+    ("markov-churn", "p_on", -0.1),
+    ("burst-churn", "burst_prob", 1.5),
+    ("burst-churn", "drop_fraction", -1),
+    ("edge-insertion", "lifetime", 0),
+    ("edge-insertion", "lifetime", 1.5),  # was truncated to 1
+    ("locally-static", "flip_prob", 1.5),
+    ("targeted-coloring", "attacks_per_round", -1),  # was clamped to 0
+    ("targeted-coloring", "attacks_per_round", 1.5),  # was truncated to 1
+    ("targeted-coloring", "lifetime", 0),  # was clamped to 1
+    ("targeted-coloring", "lifetime", 1.5),  # was truncated to 1
+    ("targeted-mis", "attacks_per_round", -1),
+    ("targeted-mis", "attacks_per_round", 1.5),
+    ("targeted-mis", "lifetime", 0),
 ]
-for _adversary, _kind, _key, _value in BAD_VALUES:
+for _adversary, _key, _value in BAD_VALUES:
     BAD_PARAMETERS[f"{_adversary}-{_key}={_value}"] = (
         {"adversary": {"name": _adversary, "params": {_key: _value}}},
         f"spec.adversary.params.{_key}",
     )
-    BAD_PARAMETERS[f"composite-{_kind}-{_key}={_value}"] = (
-        {
-            "adversary": {
-                "name": "composite-churn",
-                "params": {"processes": [{"kind": _kind, _key: _value}]},
-            }
-        },
-        f"spec.adversary.params.processes[0].{_key}",
-    )
-BAD_PARAMETERS["locally-static-flip_prob=1.5"] = (
-    {"adversary": {"name": "locally-static", "params": {"flip_prob": 1.5}}},
-    "spec.adversary.params.flip_prob",
-)
-# Fractional literal durations, each once truncated to an integer.
-BAD_PARAMETERS["targeted-coloring-lifetime=1.5"] = (
-    {"adversary": {"name": "targeted-coloring", "params": {"lifetime": 1.5}}},
-    "spec.adversary.params.lifetime",
-)
+# A fractional literal duration, once truncated to an integer.
 BAD_PARAMETERS["freeze-after-freeze_round=2.5"] = (
     {"adversary": {"name": "freeze-after", "params": {"inner": "flip-churn", "freeze_round": 2.5}}},
     "spec.adversary.params.freeze_round",
@@ -280,12 +267,6 @@ class TestComponentParameters:
         }
         with pytest.raises(ConfigurationError, match=re.escape(field)):
             runs[entry]()
-
-    def test_composite_entries_checked_outside_configs(self):
-        adversary = component("composite-churn", processes=[{"kind": "flip", "foo": 1}])
-        spec = ScenarioSpec(n=12, algorithm="smis", adversary=adversary, rounds=3)
-        with pytest.raises(ConfigurationError, match=r"processes\[0\]\.foo"):
-            run_scenario_seed(spec, 0)
 
 
 class TestValidateSpec:

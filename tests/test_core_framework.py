@@ -143,7 +143,7 @@ class TestValiditySummary:
         n = 24
         spec = ScenarioSpec(
             n=n,
-            topology=component("gnp", p=0.2),
+            topology=component("gnp_degree", degree=4.6),
             algorithm="smis",
             adversary=component("flip-churn", flip_prob=0.02),
             rounds=40,

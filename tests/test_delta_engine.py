@@ -274,13 +274,13 @@ class TestRegistrySatellites:
         for family, members in docs.items():
             for name, doc in members.items():
                 assert doc, f"{family}:{name} has no doc string"
-        assert "phase" in docs["adversaries"]
-        assert "composite-churn" in docs["adversaries"]
+        assert "freeze-after" in docs["adversaries"]
+        assert "edge-insertion" in docs["adversaries"]
 
     def test_registry_doc_lookup(self):
         from repro.scenarios import ADVERSARIES
 
-        assert ADVERSARIES.doc("phase")
+        assert ADVERSARIES.doc("freeze-after")
         with pytest.raises(Exception):
             ADVERSARIES.doc("not-a-component")
 

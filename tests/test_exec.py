@@ -106,8 +106,6 @@ class TestUnitsAndChunks:
 #: Parameters for the adversaries that are not default-constructible.
 _ADVERSARY_PARAMS = {
     "freeze-after": {"inner": "flip-churn", "freeze_round": 3},
-    "phase": {"phases": [[3, "flip-churn"], [None, "static"]]},
-    "composite-churn": {"processes": [{"kind": "flip", "flip_prob": 0.02}]},
 }
 
 

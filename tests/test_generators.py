@@ -6,6 +6,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.dynamics import generators
 from repro.dynamics.topology import Topology, topology_from_networkx
+from repro.scenarios import TOPOLOGIES
 
 
 class TestDeterministicFamilies:
@@ -68,14 +69,6 @@ class TestRandomFamilies:
         with pytest.raises(ConfigurationError):
             generators.gnp(10, 1.5, rng_factory.stream("g"))
 
-    def test_random_regular_degrees(self, rng_factory):
-        topo = generators.random_regular(20, 4, rng_factory.stream("r"))
-        assert all(topo.degree(v) == 4 for v in topo.nodes)
-
-    def test_random_regular_parity_check(self, rng_factory):
-        with pytest.raises(ConfigurationError):
-            generators.random_regular(5, 3, rng_factory.stream("r"))
-
     def test_random_geometric_radius(self, rng_factory):
         topo = generators.random_geometric(40, 0.3, rng_factory.stream("geo"))
         assert topo.num_nodes == 40
@@ -87,15 +80,12 @@ class TestRandomFamilies:
 
 
 class TestRegistry:
-    @pytest.mark.parametrize("name", sorted(generators.GENERATORS))
+    @pytest.mark.parametrize("name", sorted(TOPOLOGIES))
     def test_every_family_generates(self, name, rng_factory):
-        topo = generators.by_name(name, 20, rng_factory.stream("byname", name))
-        assert 1 <= topo.num_nodes <= 20
+        topo = TOPOLOGIES.get(name)(20, rng_factory.stream("byname", name))
+        assert topo.num_nodes == 20
         assert all(0 <= v < 20 for v in topo.nodes)
 
-    def test_unknown_name_rejected(self):
-        with pytest.raises(ConfigurationError):
-            generators.by_name("nope", 10)
-
-    def test_default_rng_is_deterministic(self):
-        assert generators.by_name("gnp_sparse", 16) == generators.by_name("gnp_sparse", 16)
+    def test_barabasi_albert_rejects_a_fractional_m(self, rng_factory):
+        with pytest.raises(ConfigurationError, match="m must be an integer"):
+            generators.barabasi_albert(30, 2.5, rng_factory.stream("ba"))

@@ -47,19 +47,8 @@ _ADVERSARY_SPECS = {
         "freeze-after", inner={"name": "flip-churn", "params": {"flip_prob": 0.2}}, freeze_round=8
     ),
     "mobility": component("mobility", radius=0.3, speed=0.05),
-    "phase": component(
-        "phase",
-        phases=[[5, {"name": "flip-churn", "params": {"flip_prob": 0.2}}], [None, "static"]],
-    ),
-    "composite-churn": component(
-        "composite-churn",
-        processes=[
-            {"kind": "flip", "flip_prob": 0.1},
-            {"kind": "burst", "burst_prob": 0.3, "drop_fraction": 0.5},
-            {"kind": "edge-insertion", "insertions_per_round": 1, "lifetime": 3},
-        ],
-    ),
 }
+SPARSE_GNP = component("gnp_degree", degree=2)
 
 
 def _trace_rows(spec: ScenarioSpec, seed: int, mode: str):
@@ -102,7 +91,7 @@ class TestEquivalenceMatrix:
                 n=16,
                 algorithm=algorithm,
                 adversary=_ADVERSARY_SPECS[adversary],
-                topology="gnp",
+                topology=SPARSE_GNP,
                 rounds=12,
             )
             full_rows, _ = _trace_rows(spec, seed=7, mode="full")
@@ -118,7 +107,7 @@ class TestEquivalenceMatrix:
                 n=24,
                 algorithm=algorithm,
                 adversary=component("flip-churn", flip_prob=0.08),
-                topology="gnp",
+                topology=SPARSE_GNP,
                 rounds=20,
                 wakeup=wakeup,
             )
@@ -146,7 +135,7 @@ class TestEquivalenceMatrix:
         # The paper's standalone algorithms are all pure; the Concat
         # combiners and the restart baselines are audited "none".
         assert "dcolor" in pure and "smis" in pure
-        assert len(pure) == 11
+        assert len(pure) == 9
         # The four array-kernel algorithms must actually select the kernel
         # under the default (static) adversary.
         for name in ("basic-coloring", "scolor", "smis", "dmis"):
@@ -435,11 +424,11 @@ class TestTopologyCache:
 
         topology_cache_clear()
         for seed in (0, 1, 5):
-            direct = TOPOLOGIES.get("gnp")(
-                24, spawn_generator(seed, "topology", "gnp", 24), p=0.2
+            direct = TOPOLOGIES.get("gnp_degree")(
+                24, spawn_generator(seed, "topology", "gnp_degree", 24), degree=4.6
             )
             for _ in range(2):  # second call exercises the hit path
-                cached = cached_base_topology("gnp", {"p": 0.2}, 24, seed)
+                cached = cached_base_topology("gnp_degree", {"degree": 4.6}, 24, seed)
                 assert cached == direct
         topology_cache_clear()
 

@@ -37,7 +37,7 @@ from repro.scenarios.cli import main
 from repro.scenarios.executor import _build_context
 from repro.verify.harness import run_verify
 
-from test_incremental_delivery import _ADVERSARY_SPECS, _scenario_tree, _trace_rows
+from test_incremental_delivery import SPARSE_GNP, _ADVERSARY_SPECS, _scenario_tree, _trace_rows
 
 #: the four algorithms that ship a hand-vectorised kernel (``as_kernel()``).
 KERNEL_ALGORITHMS = ("basic-coloring", "scolor", "smis", "dmis")
@@ -64,7 +64,7 @@ class TestKernelEquivalenceMatrix:
                 n=16,
                 algorithm=algorithm,
                 adversary=_ADVERSARY_SPECS[adversary],
-                topology="gnp",
+                topology=SPARSE_GNP,
                 rounds=12,
             )
             full_rows, _ = _trace_rows(spec, seed=7, mode="full")
@@ -82,7 +82,7 @@ class TestKernelEquivalenceMatrix:
                 n=24,
                 algorithm=algorithm,
                 adversary=component("flip-churn", flip_prob=0.08),
-                topology="gnp",
+                topology=SPARSE_GNP,
                 rounds=20,
                 wakeup=wakeup,
             )
@@ -96,7 +96,7 @@ class TestKernelEquivalenceMatrix:
             n=16,
             algorithm="scolor",
             adversary=component("markov-churn", p_off=0.05, p_on=0.05),
-            topology="gnp",
+            topology=SPARSE_GNP,
             rounds=12,
         )
         whole_rows, _ = _trace_rows(spec, seed=3, mode="kernel")
@@ -312,7 +312,7 @@ class TestQuiescence:
     def test_skip_is_invisible_in_the_trace(self, mode, monkeypatch):
         """Skipping the RNG draw of an absorbed process must not change rows."""
         specs = [
-            ScenarioSpec(n=16, algorithm="smis", adversary=adversary, topology="gnp", rounds=10)
+            ScenarioSpec(n=16, algorithm="smis", adversary=adversary, topology=SPARSE_GNP, rounds=10)
             for adversary in (
                 component("static"),
                 component("markov-churn", p_off=0.0, p_on=0.0),
@@ -347,7 +347,7 @@ class TestCSRProperties:
     """The edge-universe CSR layout the array engine gathers rows from."""
 
     @pytest.mark.parametrize("wakeup", [None, "staggered"])
-    @pytest.mark.parametrize("topology", ["gnp", "ring", "geometric"])
+    @pytest.mark.parametrize("topology", ["gnp_sparse", "ring", "random_geometric"])
     @pytest.mark.parametrize("adversary", sorted(PLAN_ADVERSARIES))
     def test_plan_masks_match_the_step_stream(self, adversary, topology, wakeup):
         """Presence masks over the universe, cut to awake nodes, == ``step`` topologies."""
@@ -432,7 +432,7 @@ class TestKernelActivity:
             n=16,
             algorithm="smis",
             adversary=component("markov-churn", p_off=0.05, p_on=0.05),
-            topology="gnp",
+            topology=SPARSE_GNP,
             rounds=5,
         )
         ctx = _build_context(spec, 4)

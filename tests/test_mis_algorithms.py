@@ -1,4 +1,4 @@
-"""Tests of the MIS algorithms (Algorithms 4, 5, Luby, Ghaffari, combined, baselines)."""
+"""Tests of the MIS algorithms (Algorithms 4, 5, Ghaffari, combined, baselines)."""
 
 import pytest
 
@@ -15,7 +15,6 @@ from repro.algorithms.mis import (
     DMis,
     DynamicMIS,
     GhaffariMIS,
-    LubyMIS,
     RestartMis,
     SMis,
     SMisNoUndecideAblation,
@@ -42,7 +41,7 @@ class TestGreedyMis:
 
 
 class TestLubyAndGhaffari:
-    @pytest.mark.parametrize("factory", [LubyMIS, GhaffariMIS])
+    @pytest.mark.parametrize("factory", [DMis, GhaffariMIS])
     def test_computes_mis_on_static_graph(self, factory, medium_gnp):
         n = medium_gnp.num_nodes
         trace = run_simulation(
@@ -55,7 +54,7 @@ class TestLubyAndGhaffari:
     def test_luby_completion_within_window(self, medium_gnp):
         n = medium_gnp.num_nodes
         trace = run_simulation(
-            n=n, algorithm=LubyMIS(), adversary=StaticAdversary(medium_gnp), rounds=80, seed=2
+            n=n, algorithm=DMis(), adversary=StaticAdversary(medium_gnp), rounds=80, seed=2
         )
         done = rounds_to_completion(trace)
         assert done is not None and done <= default_window(n)

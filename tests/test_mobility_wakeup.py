@@ -7,7 +7,6 @@ from repro.errors import ConfigurationError
 from repro.dynamics.mobility import RandomWaypointMobility
 from repro.dynamics.wakeup import (
     AllAwake,
-    ExplicitWakeup,
     StaggeredWakeup,
     UniformRandomWakeup,
 )
@@ -66,16 +65,6 @@ class TestWakeupSchedules:
             previous = awake
         assert schedule.awake_at(6) == frozenset(range(20))
         assert 1 <= schedule.wake_round(0) <= 6
-
-    def test_explicit(self):
-        schedule = ExplicitWakeup({0: 1, 1: 3})
-        assert schedule.awake_at(1) == frozenset({0})
-        assert schedule.awake_at(3) == frozenset({0, 1})
-        assert schedule.wake_round(1) == 3
-
-    def test_explicit_rejects_round_zero(self):
-        with pytest.raises(ConfigurationError):
-            ExplicitWakeup({0: 0})
 
     def test_staggered_invalid_parameters(self):
         with pytest.raises(ConfigurationError):

@@ -13,7 +13,6 @@ from repro.dynamics import generators
 from repro.dynamics.adversary import Adversary, IncrementalAdversary
 from repro.dynamics.churn import (
     BurstChurn,
-    CompositeChurn,
     EdgeInsertionChurn,
     FlipChurn,
     MarkovEdgeChurn,
@@ -23,7 +22,7 @@ from repro.dynamics.churn import (
 from repro.dynamics.dynamic_graph import DynamicGraph
 from repro.dynamics.topology import Topology, TopologyDelta, empty_topology
 from repro.runtime.simulator import Simulator
-from repro.scenarios import ScenarioSpec
+from repro.scenarios import ScenarioSpec, component
 from repro.scenarios.executor import _build_context
 from repro.problems.coloring import coloring_problem_pair, is_proper_coloring
 from repro.problems.mis import mis_assignment_from_set, mis_problem_pair
@@ -178,12 +177,6 @@ def _brute_insertion(base, rng, insertions_per_round, lifetime):
         yield base.edges | frozenset(expiry)
 
 
-def _brute_composite(base, rng, processes):
-    parts = [_BRUTE[kind](base, rng, **params) for kind, params in processes]
-    while True:
-        yield frozenset().union(*[next(part) for part in parts])
-
-
 #: kind -> brute-force per-round edge sets, making the process's draws
 _BRUTE = {
     "static": _brute_static,
@@ -191,7 +184,6 @@ _BRUTE = {
     "flip": lambda base, rng, flip_prob: _brute_markov(base, rng, flip_prob, flip_prob),
     "burst": _brute_burst,
     "edge-insertion": _brute_insertion,
-    "composite": _brute_composite,
 }
 
 
@@ -204,14 +196,12 @@ def _process(base, kind, params):
         return FlipChurn(base, **params)
     if kind == "burst":
         return BurstChurn(base, **params)
-    if kind == "edge-insertion":
-        return EdgeInsertionChurn(base, **params)
-    return CompositeChurn([_process(base, k, p) for k, p in params["processes"]])
+    return EdgeInsertionChurn(base, **params)
 
 
 _PROBABILITY = st.sampled_from([0.0, 0.05, 0.3, 0.5, 1.0])
 
-_LEAF_PARAMS = {
+_PARAMS = {
     "static": st.just({}),
     "markov": st.fixed_dictionaries(
         {"p_off": _PROBABILITY, "p_on": _PROBABILITY, "start_present": st.booleans()}
@@ -223,14 +213,6 @@ _LEAF_PARAMS = {
     ),
 }
 
-_LEAF = st.sampled_from(sorted(_LEAF_PARAMS)).flatmap(
-    lambda kind: _LEAF_PARAMS[kind].map(lambda params: (kind, params))
-)
-
-_PARAMS = dict(
-    _LEAF_PARAMS,
-    composite=st.fixed_dictionaries({"processes": st.lists(_LEAF, min_size=1, max_size=3)}),
-)
 
 
 @pytest.mark.parametrize("kind", sorted(_BRUTE))
@@ -261,21 +243,13 @@ def test_churn_deltas_replay_the_brute_force_edge_sets(kind, data):
 _ORACLE_ALGORITHM = {"targeted-coloring": "dcolor", "targeted-mis": "smis"}
 
 
-def _adversaries_in(value):
-    if isinstance(value, Adversary):
-        yield value
-    elif isinstance(value, (list, tuple)):
-        for item in value:
-            yield from _adversaries_in(item)
-
-
 def _force_resync(adversary):
     """Break the delta chain of ``adversary`` and of every adversary it wraps."""
     if isinstance(adversary, IncrementalAdversary):
         adversary._last_step_round = None
     for value in vars(adversary).values():
-        for inner in _adversaries_in(value):
-            _force_resync(inner)
+        if isinstance(value, Adversary):
+            _force_resync(value)
 
 
 class _ResyncOracle(Adversary):
@@ -314,7 +288,7 @@ def test_adversary_deltas_match_their_resync_snapshots(name, wakeup, seed):
         n=24,
         algorithm=_ORACLE_ALGORITHM.get(name, "dynamic-coloring"),
         adversary=_ADVERSARY_SPECS[name],
-        topology="gnp",
+        topology=component("gnp_degree", degree=2.3),
         rounds=16,
         wakeup=wakeup,
     )

@@ -46,7 +46,7 @@ def _spec(algorithm: str, seeds=(1, 2)) -> ScenarioSpec:
         n=48,
         algorithm=component(algorithm),
         adversary=component("markov-churn", p_off=0.1, p_on=0.1),
-        topology=component("gnp", p=0.15),
+        topology=component("gnp_degree", degree=7),
         rounds=8,
         seeds=seeds,
         metrics=(),
@@ -60,15 +60,15 @@ def _segments_on_disk():
 
 class TestPublishAttach:
     def test_round_trip_is_content_identical(self):
-        built = cached_base_topology("gnp", {"p": 0.1}, 200, 7)
-        key = shm.topology_key("gnp", {"p": 0.1}, 200, 7)
+        built = cached_base_topology("gnp_degree", {"degree": 20}, 200, 7)
+        key = shm.topology_key("gnp_degree", {"degree": 20}, 200, 7)
         with shm.SharedTopologyPool() as pool:
             assert pool.publish(key, built, 200)
             # a fresh worker: local caches empty, registry inherited via env
             shm._ATTACHED.clear()
             shm._UNIVERSE_CACHE.clear()
             topology_cache_clear()
-            attached = cached_base_topology("gnp", {"p": 0.1}, 200, 7)
+            attached = cached_base_topology("gnp_degree", {"degree": 20}, 200, 7)
             assert attached is not built
             assert attached.nodes == built.nodes
             assert attached.adjacency() == built.adjacency()
@@ -79,8 +79,8 @@ class TestPublishAttach:
             assert shm.shm_info()["attach_hits"] == 1
 
     def test_attach_primes_zero_copy_universe(self):
-        built = cached_base_topology("gnp", {"p": 0.1}, 150, 3)
-        key = shm.topology_key("gnp", {"p": 0.1}, 150, 3)
+        built = cached_base_topology("gnp_degree", {"degree": 15}, 150, 3)
+        key = shm.topology_key("gnp_degree", {"degree": 15}, 150, 3)
         with shm.SharedTopologyPool() as pool:
             assert pool.publish(key, built, 150)
             shm._ATTACHED.clear()
@@ -96,10 +96,10 @@ class TestPublishAttach:
                 )
 
     def test_inexact_build_publishes_the_universe_only(self):
-        # geometric inserts edges in frozenset order, which from_arrays
+        # random_geometric inserts edges in frozenset order, which from_arrays
         # cannot replay: workers regenerate it but still map its universe
-        built = cached_base_topology("geometric", {}, 120, 4)
-        key = shm.topology_key("geometric", {}, 120, 4)
+        built = cached_base_topology("random_geometric", {}, 120, 4)
+        key = shm.topology_key("random_geometric", {}, 120, 4)
         with shm.SharedTopologyPool() as pool:
             assert pool.publish(key, built, 120)
             shm._ATTACHED.clear()
@@ -119,8 +119,8 @@ class TestPublishAttach:
         assert first is second
 
     def test_close_unlinks_and_clears_registry(self):
-        built = cached_base_topology("gnp", {"p": 0.1}, 100, 1)
-        key = shm.topology_key("gnp", {"p": 0.1}, 100, 1)
+        built = cached_base_topology("gnp_degree", {"degree": 10}, 100, 1)
+        key = shm.topology_key("gnp_degree", {"degree": 10}, 100, 1)
         pool = shm.SharedTopologyPool()
         assert pool.publish(key, built, 100)
         assert _segments_on_disk()
@@ -142,7 +142,7 @@ class TestRunnerIntegration:
         assert pool is not None
         try:
             assert pool.segments == 2  # seeds 1 and 2, shared by smis+dmis
-            unique = shm.topology_key("gnp", {"p": 0.15}, 48, 9)
+            unique = shm.topology_key("gnp_degree", {"degree": 7}, 48, 9)
             assert unique not in shm._registry()
         finally:
             pool.close()
@@ -173,12 +173,12 @@ def _spawn_pool(monkeypatch):
 
 
 class TestStartMethods:
-    # gnp is rebuilt from its arrays; geometric's build order is not
+    # gnp is rebuilt from its arrays; random_geometric's build order is not
     # reproducible, so its segment carries the edge universe only.
     @pytest.mark.parametrize(
         "topology",
-        [component("gnp_degree", degree=8), component("geometric")],
-        ids=["gnp_degree", "geometric"],
+        [component("gnp_degree", degree=8), component("random_geometric")],
+        ids=["gnp_degree", "random_geometric"],
     )
     def test_spawned_workers_match_serial_rows(self, monkeypatch, topology):
         # targeted-mis iterates base.neighbors(v) before it shuffles, so an

@@ -29,7 +29,7 @@ def _spec(algorithm: str, adversary, *, n: int = 24, rounds: int = 12) -> Scenar
         n=n,
         algorithm=component(algorithm),
         adversary=adversary,
-        topology=component("gnp", p=0.25),
+        topology=component("gnp_degree", degree=6),
         rounds=rounds,
         seeds=(3,),
         metrics=(),
@@ -116,7 +116,7 @@ class TestStoreRowByteIdentity:
             n=32,
             algorithm=component("smis"),
             adversary=component("markov-churn", p_off=0.1, p_on=0.1),
-            topology=component("gnp", p=0.2),
+            topology=component("gnp_degree", degree=6),
             rounds=20,
             seeds=(5,),
             metrics=(
