@@ -154,6 +154,12 @@ class TestLocallyStaticAdversary:
             LocallyStaticAdversary(base, center=99, protected_radius=1, churn=StaticChurn(base), rng=rng_factory.stream("x"))
 
 
+def _targeted(kind, base, rng, **params):
+    if kind == "coloring":
+        return TargetedColoringAdversary(base, rng=rng, **params)
+    return TargetedMisAdversary(base, mode="join_mis", rng=rng, **params)
+
+
 class TestTargetedAdversaries:
     def test_coloring_adversary_inserts_monochromatic_edges(self, rng_factory):
         base = generators.empty(6)
@@ -193,6 +199,30 @@ class TestTargetedAdversaries:
     def test_mis_adversary_invalid_mode(self, rng_factory):
         with pytest.raises(ConfigurationError):
             TargetedMisAdversary(generators.empty(3), mode="bogus", attacks_per_round=1, rng=rng_factory.stream("x"))
+
+    @pytest.mark.parametrize("kind", ["coloring", "mis"])
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("attacks_per_round", -1, "attacks_per_round must be >= 0"),  # was clamped to 0
+            ("attacks_per_round", 1.5, "attacks_per_round must be an integer"),  # was truncated to 1
+            ("lifetime", 0, "lifetime must be >= 1"),  # was clamped to 1
+        ],
+        ids=["attacks_per_round=-1", "attacks_per_round=1.5", "lifetime=0"],
+    )
+    def test_bad_values_are_rejected_not_clamped(self, rng_factory, kind, key, value, message):
+        params = {"attacks_per_round": 1, "lifetime": 2, key: value}
+        with pytest.raises(ConfigurationError, match=message):
+            _targeted(kind, generators.empty(3), rng_factory.stream("x"), **params)
+
+    @pytest.mark.parametrize("kind", ["coloring", "mis"])
+    def test_zero_attacks_keep_the_base_topology(self, rng_factory, kind):
+        base = generators.ring(6)
+        adversary = _targeted(kind, base, rng_factory.stream("t0"), attacks_per_round=0, lifetime=1)
+        outputs = [{v: 1 for v in range(6)}]
+        topo = step_topology(adversary, make_view(2, outputs=outputs, obliviousness=1))
+        assert topo.edges == base.edges
+        assert not adversary.attack_log
 
 
 class TestCompositeAdversaries:

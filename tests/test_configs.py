@@ -156,8 +156,24 @@ BAD_PARAMETERS = {
         {"topology": {"name": "barabasi_albert", "params": {"m": 2.5}}},
         "spec.topology.params.m",
     ),
+    "barabasi_albert-m=0": (
+        {"topology": {"name": "barabasi_albert", "params": {"m": 0}}},
+        "spec.topology.params.m",
+    ),
+    "barabasi_albert-m='2'": (
+        {"topology": {"name": "barabasi_albert", "params": {"m": "2"}}},
+        "spec.topology.params.m",
+    ),
     "staggered-interval=x": (
         {"wakeup": {"name": "staggered", "params": {"interval": "x"}}},
+        "spec.wakeup.params.interval",
+    ),
+    "staggered-interval=0": (
+        {"wakeup": {"name": "staggered", "params": {"interval": 0}}},
+        "spec.wakeup.params.interval",
+    ),
+    "staggered-interval=1.5": (
+        {"wakeup": {"name": "staggered", "params": {"interval": 1.5}}},
         "spec.wakeup.params.interval",
     ),
     # A registration closure's default once leaked as a parameter: this
@@ -186,6 +202,7 @@ BAD_VALUES = [
     ("targeted-mis", "attacks_per_round", -1),
     ("targeted-mis", "attacks_per_round", 1.5),
     ("targeted-mis", "lifetime", 0),
+    ("targeted-mis", "lifetime", 1.5),
 ]
 for _adversary, _key, _value in BAD_VALUES:
     BAD_PARAMETERS[f"{_adversary}-{_key}={_value}"] = (

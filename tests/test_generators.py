@@ -3,7 +3,7 @@
 import networkx as nx
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, RegistryError
 from repro.dynamics import generators
 from repro.dynamics.topology import Topology, topology_from_networkx
 from repro.scenarios import TOPOLOGIES
@@ -86,6 +86,29 @@ class TestRegistry:
         assert topo.num_nodes == 20
         assert all(0 <= v < 20 for v in topo.nodes)
 
+    @pytest.mark.parametrize("name", sorted(TOPOLOGIES))
+    def test_same_stream_builds_the_same_graph(self, name, rng_factory):
+        first = TOPOLOGIES.get(name)(20, rng_factory.stream("byname", name))
+        second = TOPOLOGIES.get(name)(20, rng_factory.stream("byname", name))
+        assert first == second
+        assert first.iterates_like(second)
+
+    def test_unknown_name_rejected(self):
+        # `clique` is a generator function only, not a registered topology.
+        with pytest.raises(RegistryError, match="unknown topology 'clique'"):
+            TOPOLOGIES.get("clique")
+
+    def test_gnp_sparse_is_gnp_degree_at_its_default(self, rng_factory):
+        sparse = TOPOLOGIES.get("gnp_sparse")(60, rng_factory.stream("g"))
+        degree = TOPOLOGIES.get("gnp_degree")(60, rng_factory.stream("g"))
+        assert sparse == degree
+        assert sparse.iterates_like(degree)
+
     def test_barabasi_albert_rejects_a_fractional_m(self, rng_factory):
         with pytest.raises(ConfigurationError, match="m must be an integer"):
             generators.barabasi_albert(30, 2.5, rng_factory.stream("ba"))
+
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_barabasi_albert_rejects_a_non_positive_m(self, m, rng_factory):
+        with pytest.raises(ConfigurationError, match="m must be >= 1"):
+            generators.barabasi_albert(30, m, rng_factory.stream("ba"))

@@ -71,3 +71,8 @@ class TestWakeupSchedules:
             StaggeredWakeup(5, batch_size=0)
         with pytest.raises(ConfigurationError):
             StaggeredWakeup(5, batch_size=1, interval=0)
+
+    @pytest.mark.parametrize("interval", ["x", 0, -1, 1.5])
+    def test_staggered_interval_must_be_a_positive_integer(self, interval):
+        with pytest.raises(ConfigurationError, match="interval must be"):
+            StaggeredWakeup(5, batch_size=1, interval=interval)
