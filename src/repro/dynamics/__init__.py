@@ -30,7 +30,6 @@ from repro.dynamics.dynamic_graph import DynamicGraph
 from repro.dynamics.adversary import (
     Adversary,
     AdversaryView,
-    IncrementalAdversary,
     ADAPTIVE_OFFLINE,
     FULLY_OBLIVIOUS,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "DynamicGraph",
     "Adversary",
     "AdversaryView",
-    "IncrementalAdversary",
     "ADAPTIVE_OFFLINE",
     "FULLY_OBLIVIOUS",
     "WakeupSchedule",

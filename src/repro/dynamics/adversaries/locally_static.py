@@ -20,19 +20,15 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.types import Edge
-from repro.dynamics.adversary import (
-    AdversaryView,
-    FULLY_OBLIVIOUS,
-    IncrementalAdversary,
-    StepResult,
-)
+from repro.utils.validation import check_non_negative_int
+from repro.dynamics.adversary import Adversary, AdversaryView, FULLY_OBLIVIOUS
 from repro.dynamics.churn import ChurnProcess, advance_churn
 from repro.dynamics.topology import Topology, TopologyDelta
 
 __all__ = ["LocallyStaticAdversary"]
 
 
-class LocallyStaticAdversary(IncrementalAdversary):
+class LocallyStaticAdversary(Adversary):
     """Freeze a ball around ``center``; churn every edge outside it.
 
     Parameters
@@ -65,11 +61,10 @@ class LocallyStaticAdversary(IncrementalAdversary):
         churn: ChurnProcess,
         rng: np.random.Generator,
     ) -> None:
-        super().__init__()
+        center = check_non_negative_int("center", center)
         if center not in base.nodes:
             raise ConfigurationError(f"center {center} is not a node of the base topology")
-        if protected_radius < 0:
-            raise ConfigurationError("protected_radius must be >= 0")
+        protected_radius = check_non_negative_int("protected_radius", protected_radius)
         self._base = base
         self._center = center
         self._protected = base.ball(center, protected_radius)
@@ -87,26 +82,27 @@ class LocallyStaticAdversary(IncrementalAdversary):
         return self._protected
 
     def reset(self) -> None:
-        super().reset()
         self._churn.reset()
         self._present = frozenset()
 
     def _outside(self, e: Edge) -> bool:
         return e[0] not in self._protected and e[1] not in self._protected
 
-    def step(self, view: AdversaryView) -> StepResult:
-        chain_intact = self._delta_chain_intact(view)
+    def step(self, view: AdversaryView) -> TopologyDelta:
         added, removed, self._present = advance_churn(
             self._churn, self._present, view.round_index, self._rng
         )
-        if not chain_intact:
-            outside = frozenset(e for e in self._present if self._outside(e))
-            return Topology(self._base.nodes, self._frozen_edges | outside)
         # The frozen edges all touch the protected set, so churn changes to
         # edges outside it never collide with them; only those changes are
         # visible in the emitted graph.
+        added = frozenset(e for e in added if self._outside(e))
+        if view.round_index == 1:
+            # G_0 is empty: every node and every frozen edge arrives now.
+            return TopologyDelta(
+                added_nodes=self._base.nodes, added_edges=self._frozen_edges | added
+            )
         return TopologyDelta(
-            added_edges=frozenset(e for e in added if self._outside(e)),
+            added_edges=added,
             removed_edges=frozenset(e for e in removed if self._outside(e)),
         )
 

@@ -1,8 +1,8 @@
 """Stochastic (oblivious) adversaries: edge churn and mobility.
 
 Both adversaries emit :class:`~repro.dynamics.topology.TopologyDelta` change
-sets, with a full snapshot only where the delta chain is broken: on round 1
-(see :class:`~repro.dynamics.adversary.IncrementalAdversary`).
+sets relative to the previous round's graph; round 1 is the change from the
+empty ``G_0``, so it adds every awake node and its edges.
 """
 
 from __future__ import annotations
@@ -12,24 +12,23 @@ from typing import FrozenSet, Optional, Set
 import numpy as np
 
 from repro.types import Edge, NodeId
-from repro.dynamics.adversary import (
-    AdversaryView,
-    FULLY_OBLIVIOUS,
-    IncrementalAdversary,
-    StepResult,
-)
+from repro.dynamics.adversary import Adversary, AdversaryView, FULLY_OBLIVIOUS
 from repro.dynamics.churn import ChurnProcess, advance_churn
 from repro.dynamics.mobility import RandomWaypointMobility
-from repro.dynamics.topology import Topology, TopologyDelta
+from repro.dynamics.topology import TopologyDelta
 from repro.dynamics.wakeup import WakeupSchedule
 
 __all__ = ["ChurnAdversary", "MobilityAdversary"]
 
-_NO_EDGES: FrozenSet[Edge] = frozenset()
 _NO_NODES: FrozenSet[NodeId] = frozenset()
 
 
-class ChurnAdversary(IncrementalAdversary):
+def _woken(awake: FrozenSet[NodeId], before: FrozenSet[NodeId]) -> FrozenSet[NodeId]:
+    """The nodes of ``awake`` not in ``before`` (``awake`` contains ``before``)."""
+    return awake - before if len(awake) != len(before) else _NO_NODES
+
+
+class ChurnAdversary(Adversary):
     """Animates a base node set with a :class:`~repro.dynamics.churn.ChurnProcess`.
 
     The churn process decides which edges exist each round; the (optional)
@@ -53,7 +52,6 @@ class ChurnAdversary(IncrementalAdversary):
         *,
         wakeup: Optional[WakeupSchedule] = None,
     ) -> None:
-        super().__init__()
         self._n = int(nodes)
         self._all_nodes = frozenset(range(self._n))
         self._churn = churn
@@ -63,34 +61,18 @@ class ChurnAdversary(IncrementalAdversary):
         self._present: FrozenSet[Edge] = frozenset()
 
     def reset(self) -> None:
-        super().reset()
         self._churn.reset()
         self._present = frozenset()
 
-    def step(self, view: AdversaryView) -> StepResult:
-        chain_intact = self._delta_chain_intact(view)
+    def step(self, view: AdversaryView) -> TopologyDelta:
         added, removed, self._present = advance_churn(
             self._churn, self._present, view.round_index, self._rng
         )
-
-        if self._wakeup is None:
-            awake = self._all_nodes
-        else:
-            awake = self._wakeup.awake_at(view.round_index) & self._all_nodes
-            prev = view.previous_topology()
-            if prev is not None:
-                awake = awake | prev.nodes
-
-        if not chain_intact:
-            kept = [e for e in self._present if e[0] in awake and e[1] in awake]
-            return Topology(awake, kept)
-
         old_awake = view.previous_topology().nodes
-        if self._wakeup is None:
-            # Every node has been awake since round 1.
-            newly_awake = _NO_NODES
-        else:
-            newly_awake = awake - old_awake
+        awake = self._all_nodes
+        if self._wakeup is not None:
+            awake = (self._wakeup.awake_at(view.round_index) & awake) | old_awake
+        newly_awake = _woken(awake, old_awake)
         # Only changes among previously awake endpoints were visible last round.
         removed_emitted = frozenset(
             e for e in removed if e[0] in old_awake and e[1] in old_awake
@@ -148,7 +130,7 @@ class ChurnAdversary(IncrementalAdversary):
         return f"ChurnAdversary(n={self._n}, churn={type(self._churn).__name__})"
 
 
-class MobilityAdversary(IncrementalAdversary):
+class MobilityAdversary(Adversary):
     """Random-waypoint mobility: the graph is the geometric graph of moving nodes.
 
     Each round advances the mobility model, computes the new edge set and
@@ -164,34 +146,21 @@ class MobilityAdversary(IncrementalAdversary):
         *,
         wakeup: Optional[WakeupSchedule] = None,
     ) -> None:
-        super().__init__()
         self._mobility = mobility
         self._all_nodes = frozenset(range(mobility.n))
         self._wakeup = wakeup
 
-    def step(self, view: AdversaryView) -> StepResult:
-        chain_intact = self._delta_chain_intact(view)
+    def step(self, view: AdversaryView) -> TopologyDelta:
         edges = self._mobility.step_edges()
-
-        if self._wakeup is None:
-            awake = self._all_nodes
-            emitted = edges
-        else:
-            awake = self._wakeup.awake_at(view.round_index) & self._all_nodes
-            prev = view.previous_topology()
-            if prev is not None:
-                awake = awake | prev.nodes
-            emitted = frozenset(e for e in edges if e[0] in awake and e[1] in awake)
-
-        if not chain_intact:
-            return Topology(awake, emitted)
-
         prev = view.previous_topology()
-        newly_awake = _NO_NODES if self._wakeup is None else awake - prev.nodes
+        awake = self._all_nodes
+        if self._wakeup is not None:
+            awake = (self._wakeup.awake_at(view.round_index) & awake) | prev.nodes
+            edges = frozenset(e for e in edges if e[0] in awake and e[1] in awake)
         return TopologyDelta(
-            added_nodes=newly_awake,
-            added_edges=emitted - prev.edges,
-            removed_edges=prev.edges - emitted,
+            added_nodes=_woken(awake, prev.nodes),
+            added_edges=edges - prev.edges,
+            removed_edges=prev.edges - edges,
         )
 
     def describe(self) -> str:

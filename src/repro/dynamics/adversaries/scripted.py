@@ -1,9 +1,10 @@
 """Oblivious adversaries that replay pre-computed graph sequences.
 
-These stay on the snapshot side of the :meth:`~repro.dynamics.adversary.Adversary.step`
-contract: their topologies are precomputed objects, so re-returning them costs
-nothing — and when the *same* object is returned twice in a row the simulator
-recognises it as an empty delta and stores the round incrementally anyway.
+Like every adversary they emit one :class:`~repro.dynamics.topology.TopologyDelta`
+per round.  :class:`ScriptedAdversary` diffs its script once, at construction;
+:class:`StaticAdversary` adds its base graph in round 1 (or, under a wake-up
+schedule, each node as it wakes, with its base edges to awake nodes) and
+changes nothing afterwards.
 """
 
 from __future__ import annotations
@@ -13,9 +14,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.errors import AdversaryError
+from repro.types import canonical_edge
 from repro.dynamics.adversary import Adversary, AdversaryView, FULLY_OBLIVIOUS
-from repro.dynamics.topology import Topology
-from repro.dynamics.wakeup import AllAwake, WakeupSchedule
+from repro.dynamics.topology import EMPTY_DELTA, Topology, TopologyDelta, empty_topology
+from repro.dynamics.wakeup import WakeupSchedule
 
 __all__ = ["ScriptedAdversary", "StaticAdversary"]
 
@@ -38,44 +40,54 @@ class ScriptedAdversary(Adversary):
     def __init__(self, topologies: Sequence[Topology], *, repeat_last: bool = True) -> None:
         if not topologies:
             raise AdversaryError("ScriptedAdversary needs at least one topology")
-        self._topologies = tuple(topologies)
+        previous = [empty_topology(), *topologies[:-1]]
+        self._deltas = tuple(map(TopologyDelta.between, previous, topologies))
         self._repeat_last = repeat_last
 
-    def step(self, view: AdversaryView) -> Topology:
+    def step(self, view: AdversaryView) -> TopologyDelta:
         index = view.round_index - 1
-        if index < len(self._topologies):
-            return self._topologies[index]
+        if index < len(self._deltas):
+            return self._deltas[index]
         if self._repeat_last:
-            return self._topologies[-1]
+            return EMPTY_DELTA
         raise AdversaryError(
-            f"script exhausted: round {view.round_index} > {len(self._topologies)} scripted rounds"
+            f"script exhausted: round {view.round_index} > {len(self._deltas)} scripted rounds"
         )
 
     def describe(self) -> str:
-        return f"ScriptedAdversary(len={len(self._topologies)})"
+        return f"ScriptedAdversary(len={len(self._deltas)})"
 
 
 class StaticAdversary(Adversary):
     """Keeps a single topology forever (optionally with gradual wake-up).
 
     With a wake-up schedule the round-``r`` graph is the base topology induced
-    on the currently awake nodes; without one, the base graph is returned
-    unchanged every round — the classic *static network* special case in which
-    the dynamic guarantees must collapse to the static ones.
+    on the currently awake nodes; without one, the base graph is unchanged
+    every round — the classic *static network* special case in which the
+    dynamic guarantees must collapse to the static ones.
     """
 
     obliviousness = FULLY_OBLIVIOUS
 
     def __init__(self, base: Topology, *, wakeup: Optional[WakeupSchedule] = None) -> None:
         self._base = base
-        self._wakeup = wakeup if wakeup is not None else AllAwake(0)
-        self._use_wakeup = wakeup is not None
+        self._wakeup = wakeup
 
-    def step(self, view: AdversaryView) -> Topology:
-        if not self._use_wakeup:
-            return self._base
-        awake = self._wakeup.awake_at(view.round_index) & self._base.nodes
-        return self._base.subgraph(awake)
+    def step(self, view: AdversaryView) -> TopologyDelta:
+        base = self._base
+        if self._wakeup is None:
+            if view.round_index > 1:
+                return EMPTY_DELTA
+            return TopologyDelta(added_nodes=base.nodes, added_edges=base.edges)
+        before = view.previous_topology().nodes
+        woken = (self._wakeup.awake_at(view.round_index) & base.nodes) - before
+        if not woken:
+            return EMPTY_DELTA
+        awake = before | woken
+        edges = frozenset(
+            canonical_edge(v, u) for v in woken for u in base.neighbors(v) if u in awake
+        )
+        return TopologyDelta(added_nodes=woken, added_edges=edges)
 
     def kernel_plan(self):
         """Array-engine plan: fixed universe, constant all-present mask.
@@ -93,7 +105,7 @@ class StaticAdversary(Adversary):
             nodes=self._base.nodes,
             universe_edges=self._base.sorted_edges(),
             advance=lambda round_index: mask,
-            wakeup=self._wakeup if self._use_wakeup else None,
+            wakeup=self._wakeup,
             cumulative_awake=False,
         )
 

@@ -19,13 +19,13 @@ import numpy as np
 
 from repro.types import Edge, NodeId, canonical_edge
 from repro.utils.validation import check_non_negative_int, check_positive_int
-from repro.dynamics.adversary import AdversaryView, IncrementalAdversary, StepResult
+from repro.dynamics.adversary import Adversary, AdversaryView
 from repro.dynamics.topology import Topology, TopologyDelta
 
 __all__ = ["TargetedColoringAdversary"]
 
 
-class TargetedColoringAdversary(IncrementalAdversary):
+class TargetedColoringAdversary(Adversary):
     """Insert up to ``attacks_per_round`` monochromatic edges each round.
 
     Parameters
@@ -56,7 +56,6 @@ class TargetedColoringAdversary(IncrementalAdversary):
         *,
         color_of=None,
     ) -> None:
-        super().__init__()
         self._base = base
         self._attacks = check_non_negative_int("attacks_per_round", attacks_per_round)
         self._lifetime = check_positive_int("lifetime", lifetime)
@@ -67,7 +66,6 @@ class TargetedColoringAdversary(IncrementalAdversary):
         self.attack_log: List[Tuple[int, Edge]] = []
 
     def reset(self) -> None:
-        super().reset()
         self._active.clear()
         self.attack_log.clear()
 
@@ -101,8 +99,7 @@ class TargetedColoringAdversary(IncrementalAdversary):
 
     # -- Adversary interface ---------------------------------------------------
 
-    def step(self, view: AdversaryView) -> StepResult:
-        chain_intact = self._delta_chain_intact(view)
+    def step(self, view: AdversaryView) -> TopologyDelta:
         r = view.round_index
         expired = [e for e, expiry in self._active.items() if expiry < r]
         for e in expired:
@@ -118,9 +115,9 @@ class TargetedColoringAdversary(IncrementalAdversary):
                 self._active[e] = r + self._lifetime - 1
                 self.attack_log.append((r, e))
                 attacked.append(e)
-        if not chain_intact:
-            edges = frozenset(self._base.edges) | frozenset(self._active)
-            return Topology(self._base.nodes, edges)
+        if r == 1:
+            # G_0 is empty and no output is visible yet: the backbone arrives.
+            return TopologyDelta(added_nodes=self._base.nodes, added_edges=self._base.edges)
         # An edge that expired and was re-attacked in the same round never
         # left the graph; keep it out of both sides of the delta.
         expired_set = set(expired)

@@ -21,22 +21,29 @@ which is exactly the point of experiment E10.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Any, Dict, List, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.types import Edge, NodeId, canonical_edge
 from repro.utils.validation import check_non_negative_int, check_positive_int
-from repro.dynamics.adversary import AdversaryView, IncrementalAdversary, StepResult
+from repro.dynamics.adversary import Adversary, AdversaryView
 from repro.dynamics.topology import Topology, TopologyDelta
 
-__all__ = ["TargetedMisAdversary"]
+__all__ = ["TargetedMisAdversary", "check_mode"]
 
 _MODES = ("cut_notification", "join_mis")
 
 
-class TargetedMisAdversary(IncrementalAdversary):
+def check_mode(name: str, value: Any) -> str:
+    """Validate that ``value`` is one of the attack modes and return it."""
+    if not isinstance(value, str) or value not in _MODES:
+        raise ConfigurationError(f"{name} must be one of {_MODES}, got {value!r}")
+    return value
+
+
+class TargetedMisAdversary(Adversary):
     """Adaptive attacker against MIS algorithms.
 
     Parameters
@@ -65,11 +72,8 @@ class TargetedMisAdversary(IncrementalAdversary):
         *,
         lifetime: int = 1,
     ) -> None:
-        super().__init__()
-        if mode not in _MODES:
-            raise ConfigurationError(f"mode must be one of {_MODES}, got {mode!r}")
         self._base = base
-        self._mode = mode
+        self._mode = check_mode("mode", mode)
         self._attacks = check_non_negative_int("attacks_per_round", attacks_per_round)
         self._lifetime = check_positive_int("lifetime", lifetime)
         self._rng = rng
@@ -80,7 +84,6 @@ class TargetedMisAdversary(IncrementalAdversary):
         self._previous_outputs = None
 
     def reset(self) -> None:
-        super().reset()
         self._inserted.clear()
         self._cut.clear()
         self.attack_log.clear()
@@ -126,8 +129,7 @@ class TargetedMisAdversary(IncrementalAdversary):
 
     # -- Adversary interface ------------------------------------------------------
 
-    def step(self, view: AdversaryView) -> StepResult:
-        chain_intact = self._delta_chain_intact(view)
+    def step(self, view: AdversaryView) -> TopologyDelta:
         r = view.round_index
         expired_inserted = [e for e, expiry in self._inserted.items() if expiry < r]
         for e in expired_inserted:
@@ -158,11 +160,9 @@ class TargetedMisAdversary(IncrementalAdversary):
                     self.attack_log.append((r, "insert", e))
             self._previous_outputs = dict(outputs)
 
-        if not chain_intact:
-            edges = (frozenset(self._base.edges) - frozenset(self._cut)) | frozenset(
-                self._inserted
-            )
-            return Topology(self._base.nodes, edges)
+        if r == 1:
+            # G_0 is empty and no output is visible yet: the backbone arrives.
+            return TopologyDelta(added_nodes=self._base.nodes, added_edges=self._base.edges)
         # Inserted edges are never base edges and cut edges always are, so the
         # two books cannot collide.  An edge that expired and was re-attacked
         # in the same round never changed state and stays out of the delta.

@@ -18,14 +18,12 @@ round.  Its power is graded by *obliviousness* (Section 2):
   this online power, so the distinction does not weaken the experiments.
 
 :meth:`Adversary.step` returns the change from ``G_{r-1}`` as a
-:class:`~repro.dynamics.topology.TopologyDelta`, so the round-cost of an
-adversary is proportional to the amount of change, not the graph size.  A
-full :class:`~repro.dynamics.topology.Topology` snapshot is returned only
-where no delta can be sound: by an adversary that did not produce
-``G_{r-1}`` itself (round 1, or when driven out of order — see
-:class:`IncrementalAdversary`), and by the replay adversaries of
-:mod:`repro.dynamics.adversaries.scripted`, whose topologies are
-precomputed objects.
+:class:`~repro.dynamics.topology.TopologyDelta` — a round is a set of node
+wake-ups plus edge insertions and deletions, and ``G_0`` is the empty graph,
+so round 1 adds every node and edge of ``G_1``.  The round cost of an
+adversary is therefore proportional to the amount of change, not to the
+graph size.  The simulator drives :meth:`Adversary.step` once per round, in
+order, so an adversary always knows the graph its previous step produced.
 
 Concrete adversaries live in :mod:`repro.dynamics.adversaries`.
 """
@@ -41,20 +39,14 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle / optional-dep guard
 from repro.errors import AdversaryError
 from repro.types import Assignment, Round
 from repro.dynamics.dynamic_graph import DynamicGraph
-from repro.dynamics.topology import Topology, TopologyDelta
+from repro.dynamics.topology import Topology, TopologyDelta, empty_topology
 
 __all__ = [
     "Adversary",
     "AdversaryView",
-    "IncrementalAdversary",
-    "StepResult",
     "ADAPTIVE_OFFLINE",
     "FULLY_OBLIVIOUS",
 ]
-
-#: What :meth:`Adversary.step` may return: a full snapshot, or the change set
-#: relative to the previous round's topology.
-StepResult = Union[Topology, TopologyDelta]
 
 #: Obliviousness value meaning "the adversary sees everything available"
 #: (the strongest adversary the simulator can emulate; see module docstring).
@@ -110,11 +102,13 @@ class AdversaryView:
 
     # -- topology history (the adversary chose these itself) ----------------
 
-    def previous_topology(self) -> Optional[Topology]:
-        """``G_{r-1}`` or ``None`` before the first round (O(1))."""
+    def previous_topology(self) -> Topology:
+        """``G_{r-1}``; the empty graph ``G_0`` before the first round (O(1))."""
         if isinstance(self._topologies, DynamicGraph):
-            return self._topologies.latest_topology()
-        return self._topologies[-1] if self._topologies else None
+            previous = self._topologies.latest_topology()
+        else:
+            previous = self._topologies[-1] if self._topologies else None
+        return previous if previous is not None else empty_topology()
 
     # -- output history (filtered by obliviousness) --------------------------
 
@@ -164,22 +158,13 @@ class Adversary(ABC):
     obliviousness: int = 2
 
     @abstractmethod
-    def step(self, view: AdversaryView) -> StepResult:
-        """Return ``G_r`` for ``r = view.round_index``.
+    def step(self, view: AdversaryView) -> TopologyDelta:
+        """Return the change from ``G_{r-1}`` to ``G_r`` for ``r = view.round_index``.
 
-        The result is either a full :class:`~repro.dynamics.topology.Topology`
-        snapshot, or a :class:`~repro.dynamics.topology.TopologyDelta` that the
-        simulator applies to the previous round's topology (``G_0`` is the
-        empty graph).  A delta must be *exact* relative to ``G_{r-1}``: added
-        edges/nodes absent before, removed edges present before (the simulator
-        rejects inexact deltas).  Either way the resulting awake node set must
-        contain every node that was awake in the previous round (checked by
-        the simulator's dynamic graph).
-
-        Adversaries that keep incremental state should derive from
-        :class:`IncrementalAdversary`, which tracks whether the delta chain to
-        the previous round is intact (and falls back to a full snapshot when
-        it is not, e.g. on round 1).
+        ``G_0`` is the empty graph.  The delta must be *exact* relative to
+        ``G_{r-1}``: added edges/nodes absent before, removed edges present
+        before, and no awake node removed (the simulator rejects anything
+        else, and any return value that is not a delta).
         """
 
     def reset(self) -> None:
@@ -203,42 +188,3 @@ class Adversary(ABC):
     def describe(self) -> str:
         """One-line human-readable description for experiment reports."""
         return f"{type(self).__name__}(rho={self.obliviousness})"
-
-
-# ---------------------------------------------------------------------------
-# the delta chain
-# ---------------------------------------------------------------------------
-
-
-class IncrementalAdversary(Adversary):
-    """Base class for adversaries that can emit :class:`TopologyDelta` rounds.
-
-    Emitting a delta is only sound when the adversary knows the previous
-    round's topology exactly — i.e. when *it* produced that topology one round
-    earlier.  This base class tracks that "delta chain": subclasses call
-    :meth:`_delta_chain_intact` exactly once at the top of :meth:`step` and
-    emit a full snapshot whenever it returns ``False`` (round 1, or when
-    driven out of order by a test).  That resync
-    snapshot is the only way an adversary that did not produce ``G_{r-1}``
-    can emit a round.
-    """
-
-    def __init__(self) -> None:
-        self._last_step_round: Optional[Round] = None
-
-    def reset(self) -> None:
-        """Reset the delta chain (subclasses must call ``super().reset()``)."""
-        self._last_step_round = None
-
-    def _delta_chain_intact(self, view: AdversaryView) -> bool:
-        """Whether a delta relative to ``view.previous_topology()`` is sound.
-
-        Must be called exactly once per :meth:`step` (it records the round as
-        this adversary's most recent step).
-        """
-        intact = (
-            self._last_step_round == view.round_index - 1
-            and view.previous_topology() is not None
-        )
-        self._last_step_round = view.round_index
-        return intact

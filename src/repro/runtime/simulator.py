@@ -63,7 +63,7 @@ from repro.obs.trace import active_sink
 from repro.types import Assignment, NodeId, Value
 from repro.utils.rng import RngFactory
 from repro.dynamics.adversary import Adversary, AdversaryView, ADAPTIVE_OFFLINE
-from repro.dynamics.topology import EMPTY_DELTA, Topology, TopologyDelta, empty_topology
+from repro.dynamics.topology import Topology, TopologyDelta, empty_topology
 from repro.runtime.algorithm import AlgorithmSetup, DistributedAlgorithm, VOLATILE
 from repro.runtime.messages import Message, estimate_bits
 from repro.runtime.metrics import RoundMetrics
@@ -90,8 +90,7 @@ class RoundActivity:
     ``deliver`` ran), ``composed`` the nodes whose ``compose`` ran, and
     ``changed_outputs`` the nodes whose output differs from the previous
     round.  On the full path ``composed``/``delivered`` are simply the awake
-    node set.  ``delta`` is the topology change set the adversary emitted
-    (``None`` when it returned a fresh snapshot).
+    node set.  ``delta`` is the topology change set of the round.
 
     The array kernel engine passes ``composed``/``delivered``/
     ``changed_outputs`` as int64 id arrays; the frozenset views materialise
@@ -105,7 +104,7 @@ class RoundActivity:
         self,
         round_index: int,
         mode: str,
-        delta: Optional[TopologyDelta],
+        delta: TopologyDelta,
         composed: Any,
         delivered: Any,
         changed_outputs: Any,
@@ -358,40 +357,34 @@ class Simulator:
         round_index = self._trace.num_rounds + 1
         previous = self._current_topology
 
-        # (1) The adversary changes the graph — either as a full topology or
-        #     as a delta relative to the previous round (see Adversary.step).
-        result = self._adversary.step(self._adversary_view(round_index))
-        delta: Optional[TopologyDelta]
-        if isinstance(result, TopologyDelta):
-            delta = result
-            try:
-                topology = previous.apply(delta)
-            except TopologyError as exc:
-                raise SimulationError(
-                    f"adversary {self._adversary.describe()} emitted an invalid delta "
-                    f"for round {round_index}: {exc}"
-                ) from exc
-        elif isinstance(result, Topology):
-            topology = result
-            # Re-returning the previous round's topology object (static /
-            # frozen adversaries) is an empty delta: store it incrementally.
-            delta = EMPTY_DELTA if result is previous else None
-        else:
+        # (1) The adversary changes the graph by a delta (see Adversary.step).
+        delta = self._adversary.step(self._adversary_view(round_index))
+        if not isinstance(delta, TopologyDelta):
             raise SimulationError(
-                f"adversary {self._adversary.describe()} returned {type(result).__name__},"
-                " expected a Topology or TopologyDelta"
+                f"adversary {self._adversary.describe()} returned {type(delta).__name__},"
+                " expected a TopologyDelta"
             )
+        if delta.removed_nodes:
+            raise SimulationError(
+                f"adversary {self._adversary.describe()} removed awake nodes in round "
+                f"{round_index}: {sorted(delta.removed_nodes)[:10]} (the awake set never shrinks)"
+            )
+        try:
+            topology = previous.apply(delta)
+        except TopologyError as exc:
+            raise SimulationError(
+                f"adversary {self._adversary.describe()} emitted an invalid delta "
+                f"for round {round_index}: {exc}"
+            ) from exc
 
         # (2) Wake-ups — nodes awake for the first time initialise their state.
-        #     On the delta path only the newly added nodes are visited.
-        newly_awake = delta.added_nodes if delta is not None else topology.nodes - previous.nodes
-        for v in sorted(newly_awake):
+        for v in sorted(delta.added_nodes):
             self._algorithm.wake(v)
         self._algorithm.begin_round(round_index)
 
         if self._delivery == "incremental":
             outputs, metrics, changed, activity = self._incremental_round(
-                round_index, previous, topology, delta, newly_awake
+                round_index, topology, delta
             )
         else:
             outputs, metrics, changed, activity = self._full_round(
@@ -425,7 +418,7 @@ class Simulator:
         self,
         round_index: int,
         topology: Topology,
-        delta: Optional[TopologyDelta],
+        delta: TopologyDelta,
     ) -> tuple[Dict[NodeId, Value], RoundMetrics, FrozenSet[NodeId], RoundActivity]:
         # (3) Compose — strictly before any delivery.
         messages: Dict[NodeId, Message] = {}
@@ -501,46 +494,20 @@ class Simulator:
         elif old == self._bits_max and old not in hist:
             self._bits_max = max(hist) if hist else 0
 
-    def _drop_node(self, v: NodeId) -> None:
-        """Forget every cache entry of a node that left the graph."""
-        self._messages.pop(v, None)
-        old = self._bits.pop(v, None)
-        if old is not None:
-            count = self._bits_hist[old] - 1
-            if count:
-                self._bits_hist[old] = count
-            else:
-                del self._bits_hist[old]
-                if old == self._bits_max:
-                    self._bits_max = max(self._bits_hist) if self._bits_hist else 0
-            self._bits_total -= old
-        self._volatile.discard(v)
-        self._recompose.discard(v)
-        self._fingerprints.pop(v, None)
-        self._running_outputs.pop(v, None)
-
     def _incremental_round(
         self,
         round_index: int,
-        previous: Topology,
         topology: Topology,
-        delta: Optional[TopologyDelta],
-        newly_awake: FrozenSet[NodeId],
+        delta: TopologyDelta,
     ) -> tuple[Dict[NodeId, Value], RoundMetrics, FrozenSet[NodeId], RoundActivity]:
         algorithm = self._algorithm
         nodes = topology.nodes
-        # A snapshot-returning adversary still gets incremental treatment:
-        # the exact diff is a C-speed set operation, far cheaper than a full
-        # python-level round (the snapshot itself is stored unchanged).
-        effective_delta = delta if delta is not None else TopologyDelta.between(previous, topology)
-        for v in effective_delta.removed_nodes:
-            self._drop_node(v)
 
         # (3) Compose — only nodes whose message may differ from the cache:
         # volatile nodes (fresh randomness), nodes whose fingerprint moved
         # after their last deliver, and nodes that just woke up.
         recompose = (self._volatile | self._recompose) & nodes
-        recompose |= newly_awake & nodes
+        recompose |= delta.added_nodes & nodes
         self._recompose = set()
         messages = self._messages
         compose = algorithm.compose
@@ -564,7 +531,7 @@ class Simulator:
         if 4 * len(changed_messages) >= len(nodes):
             dirty = set(nodes)
         else:
-            dirty = set(effective_delta.touched_nodes())
+            dirty = set(delta.touched_nodes())
             dirty |= self._volatile
             dirty.update(changed_messages)
             for v in changed_messages:

@@ -23,9 +23,9 @@ __all__ = ["RoundRecord", "ExecutionTrace"]
 class RoundRecord:
     """Everything recorded about one round.
 
-    The topology is not stored per record: rounds recorded through the delta
-    path live in the trace's :class:`~repro.dynamics.dynamic_graph.DynamicGraph`
-    as change sets plus periodic checkpoint snapshots, and :attr:`topology`
+    The topology is not stored per record: rounds live in the trace's
+    :class:`~repro.dynamics.dynamic_graph.DynamicGraph` as change sets plus
+    periodic checkpoint snapshots, and :attr:`topology`
     materialises transparently (sequential scans cost one delta application
     per round).
 
@@ -154,22 +154,19 @@ class ExecutionTrace:
         outputs: Mapping[NodeId, Value],
         metrics: RoundMetrics,
         *,
-        delta: Optional[TopologyDelta] = None,
+        delta: TopologyDelta,
         changed_nodes: Optional[frozenset] = None,
     ) -> None:
-        """Append one round's record (topology is validated by the dynamic graph).
+        """Append one round's record, stored as ``delta`` from the previous round.
 
-        When ``delta`` is given it must be the exact change set from the
-        previous round to ``topology``; the round is then stored incrementally
-        (validation and storage cost O(#changes) instead of O(n + m)).
-        ``changed_nodes`` is the exact set of nodes whose output differs from
-        the previous round (the simulator computes it while recording
-        outputs); storing it makes :meth:`changed_nodes` O(1).
+        ``delta`` must be the exact change set from the previous round (``G_0``
+        is empty) to the already-materialised ``topology``; validation and
+        storage cost O(#changes) instead of O(n + m).  ``changed_nodes`` is
+        the exact set of nodes whose output differs from the previous round
+        (the simulator computes it while recording outputs); storing it makes
+        :meth:`changed_nodes` O(1).
         """
-        if delta is not None:
-            self._graph.append_delta(delta, topology)
-        else:
-            self._graph.append(topology)
+        self._graph.append_delta(delta, topology)
         stored = dict(outputs)
         record = RoundRecord(
             round_index=self._graph.last_round,

@@ -40,7 +40,7 @@ from repro.dynamics.adversaries.locally_static import LocallyStaticAdversary
 from repro.dynamics.adversaries.random_churn import ChurnAdversary, MobilityAdversary
 from repro.dynamics.adversaries.scripted import StaticAdversary
 from repro.dynamics.adversaries.targeted_coloring import TargetedColoringAdversary
-from repro.dynamics.adversaries.targeted_mis import TargetedMisAdversary
+from repro.dynamics.adversaries.targeted_mis import TargetedMisAdversary, check_mode
 from repro.dynamics.churn import (
     BurstChurn,
     EdgeInsertionChurn,
@@ -80,7 +80,12 @@ from repro.problems.coloring import coloring_problem_pair
 from repro.problems.dynamic_problem import TDynamicSpec
 from repro.problems.mis import mis_problem_pair
 from repro.types import Interval
-from repro.utils.validation import check_non_negative_int, check_positive_int, check_probability
+from repro.utils.validation import (
+    check_non_negative_int,
+    check_positive,
+    check_positive_int,
+    check_probability,
+)
 from repro.scenarios.spec import resolve_expression
 from repro.scenarios.registry import (
     ADVERSARIES,
@@ -231,9 +236,13 @@ _burst_problems = _value_checks(burst_prob=check_probability, drop_fraction=chec
 _insertion_problems = _value_checks(
     insertions_per_round=check_non_negative_int, lifetime=_literal_lifetime
 )
-_targeted_problems = _value_checks(
-    attacks_per_round=check_non_negative_int, lifetime=_literal_lifetime
-)
+_targeted_rules = {"attacks_per_round": check_non_negative_int, "lifetime": _literal_lifetime}
+
+
+def _literal_center(name: str, value: Any) -> None:
+    """``center`` is a node id; ``None`` picks the highest-degree node."""
+    if value is not None:
+        check_non_negative_int(name, value)
 
 
 @ADVERSARIES.register("flip-churn", check=_flip_problems)
@@ -267,7 +276,7 @@ def _adversary_insertion(ctx, *, insertions_per_round: int = 3, lifetime: int = 
     return ChurnAdversary(ctx.n, churn, ctx.stream("adversary", "insert"), wakeup=ctx.wakeup)
 
 
-@ADVERSARIES.register("targeted-coloring", check=_targeted_problems)
+@ADVERSARIES.register("targeted-coloring", check=_value_checks(**_targeted_rules))
 def _adversary_targeted_coloring(ctx, *, attacks_per_round: int = 2, lifetime="2*T1"):
     """Adaptive attacker inserting monochromatic conflict edges against the latest visible colouring."""
     return TargetedColoringAdversary(
@@ -278,7 +287,7 @@ def _adversary_targeted_coloring(ctx, *, attacks_per_round: int = 2, lifetime="2
     )
 
 
-@ADVERSARIES.register("targeted-mis", check=_targeted_problems)
+@ADVERSARIES.register("targeted-mis", check=_value_checks(**_targeted_rules, mode=check_mode))
 def _adversary_targeted_mis(
     ctx, *, mode: str = "cut_notification", attacks_per_round: int = 4, lifetime=2
 ):
@@ -293,7 +302,14 @@ def _adversary_targeted_mis(
     )
 
 
-@ADVERSARIES.register("locally-static", check=_flip_problems)
+@ADVERSARIES.register(
+    "locally-static",
+    check=_value_checks(
+        flip_prob=check_probability,
+        protected_radius=check_non_negative_int,
+        center=_literal_center,
+    ),
+)
 def _adversary_locally_static(
     ctx, *, flip_prob: float = 0.05, protected_radius: int = 3, center=None
 ):
@@ -302,7 +318,7 @@ def _adversary_locally_static(
         center = max(ctx.base.nodes, key=lambda v: ctx.base.degree(v))
     return LocallyStaticAdversary(
         ctx.base,
-        center=int(center),
+        center=center,
         protected_radius=protected_radius,
         churn=FlipChurn(ctx.base, flip_prob),
         rng=ctx.stream("adversary", "locally-static"),
@@ -338,7 +354,12 @@ def _adversary_freeze_after(ctx, *, inner, freeze_round):
     return FreezeAfterAdversary(inner_adversary, freeze_round=_resolve(ctx, freeze_round))
 
 
-@ADVERSARIES.register("mobility")
+@ADVERSARIES.register(
+    "mobility",
+    check=_value_checks(
+        radius=check_positive, speed=check_positive, pause_probability=check_probability
+    ),
+)
 def _adversary_mobility(
     ctx, *, radius: float = 0.18, speed: float = 0.02, pause_probability: float = 0.0
 ):
@@ -804,19 +825,16 @@ class _ActivityProbe:
         activity = sim.last_round_activity
         self._active.append(activity.num_active)
         self._changed.append(len(activity.changed_outputs))
-        self._churn.append(activity.delta.num_changes if activity.delta is not None else -1)
+        self._churn.append(activity.delta.num_changes)
         return False
 
     def finish(self) -> Dict[str, float]:
         rounds = max(1, len(self._active))
         total_active = float(sum(self._active))
-        churn_known = [c for c in self._churn if c >= 0]
         return {
             "mean_active": total_active / rounds,
             "max_active": float(max(self._active, default=0)),
             "active_node_round_fraction": total_active / (rounds * max(1, self._ctx.n)),
             "mean_changed_outputs": float(sum(self._changed)) / rounds,
-            "mean_topology_churn": float(sum(churn_known)) / len(churn_known)
-            if churn_known
-            else float("nan"),
+            "mean_topology_churn": float(sum(self._churn)) / rounds,
         }

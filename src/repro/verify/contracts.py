@@ -58,7 +58,7 @@ import networkx as nx
 from repro.errors import ConfigurationError
 from repro.types import NodeId, canonical_edge
 from repro.core.windows import default_window, window_for
-from repro.dynamics.adversary import FULLY_OBLIVIOUS, Adversary, AdversaryView
+from repro.dynamics.adversaries import ScriptedAdversary
 from repro.dynamics.generators import gnp_edge_arrays
 from repro.dynamics.topology import Topology, topology_from_networkx
 from repro.runtime.algorithm import DistributedAlgorithm
@@ -267,17 +267,23 @@ def _compare_delivery(contract: str, label: str, spec: ScenarioSpec) -> Iterator
         yield _compare_path(contract, case, candidate, full_run, blame)
 
 
+#: The "activity" probe's keys that read the engine's dirty set: bookkeeping
+#: that differs between delivery paths by design.
+_DIRTY_SET_KEYS = ("mean_active", "max_active", "active_node_round_fraction")
+
+
 def _compare_path(
     contract: str, case: str, candidate: ScenarioSpec, full_run: Callable, blame: str
 ) -> Verdict:
+    activity = candidate.probe is not None and candidate.probe.name == "activity"
+    exempt = _DIRTY_SET_KEYS if activity else ()
     for seed in candidate.seeds:
         row_full, rows_full = full_run(seed)
         row_fast, sim_fast = _execute_seed(candidate, seed)
         rows_fast = _comparable_trace_rows(sim_fast)
-        # The metric row holds the probe's figures too; only the "activity"
-        # probe's differ between paths by design (it reads the dirty set).
-        compare_row = candidate.probe is None or candidate.probe.name != "activity"
-        if rows_full != rows_fast or (compare_row and row_full != row_fast):
+        row_full = {k: v for k, v in row_full.items() if k not in exempt}
+        row_fast = {k: v for k, v in row_fast.items() if k not in exempt}
+        if rows_full != rows_fast or row_full != row_fast:
             if rows_full == rows_fast:
                 keys = sorted(
                     k for k in {**row_full, **row_fast} if row_full.get(k) != row_fast.get(k)
@@ -360,21 +366,6 @@ def _compare_gnp(contract: str, n: int, p: float, seed: int) -> Verdict:
 # ---------------------------------------------------------------------------
 # relabel-isomorphism (metamorphic)
 # ---------------------------------------------------------------------------
-
-
-class _ReplayAdversary(Adversary):
-    """Replays a prerecorded topology sequence (already relabeled)."""
-
-    obliviousness = FULLY_OBLIVIOUS
-
-    def __init__(self, topologies: Sequence[Topology]) -> None:
-        self._topologies = list(topologies)
-
-    def step(self, view: AdversaryView) -> Topology:
-        return self._topologies[view.round_index - 1]
-
-    def describe(self) -> str:
-        return f"ReplayAdversary({len(self._topologies)} rounds)"
 
 
 class _RelabeledAlgorithm(DistributedAlgorithm):
@@ -489,7 +480,7 @@ def _compare_relabeled(contract: str, case: str, spec: ScenarioSpec) -> Verdict:
         relabeled_sim = Simulator(
             n=spec.n,
             algorithm=_RelabeledAlgorithm(replay_ctx.algorithm, to_original),
-            adversary=_ReplayAdversary(relabeled_topologies),
+            adversary=ScriptedAdversary(relabeled_topologies),
             seed=seed,
             delivery="full",
         )

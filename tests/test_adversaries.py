@@ -15,7 +15,7 @@ from repro.dynamics.adversaries import (
     TargetedMisAdversary,
 )
 from repro.dynamics.churn import FlipChurn, StaticChurn
-from repro.dynamics.topology import Topology, TopologyDelta, empty_topology
+from repro.dynamics.topology import EMPTY_DELTA, Topology, TopologyDelta, empty_topology
 from repro.dynamics.wakeup import StaggeredWakeup
 
 
@@ -30,13 +30,20 @@ def make_view(round_index, outputs=(), topologies=(), obliviousness=FULLY_OBLIVI
     )
 
 
-def step_topology(adversary, view):
-    """Drive one adversary step and materialise the result (delta or snapshot)."""
-    result = adversary.step(view)
-    if isinstance(result, TopologyDelta):
-        previous = view.previous_topology() or empty_topology()
-        return previous.apply(result)
-    return result
+def replay(adversary, rounds, outputs=(), obliviousness=FULLY_OBLIVIOUS):
+    """Step ``adversary`` through rounds ``1 … rounds`` and return ``[G_1, …]``.
+
+    Round ``r`` sees the outputs of rounds ``1 … r-1`` (``outputs[:r-1]``,
+    filtered by ``obliviousness``) and ``G_{r-1}``; each emitted delta is
+    applied to the previous round's graph.
+    """
+    graphs = [empty_topology()]
+    for r in range(1, rounds + 1):
+        view = make_view(
+            r, outputs=outputs[: r - 1], topologies=graphs[-1:], obliviousness=obliviousness
+        )
+        graphs.append(graphs[-1].apply(adversary.step(view)))
+    return graphs[1:]
 
 
 class TestAdversaryView:
@@ -74,16 +81,16 @@ class TestAdversaryView:
         topo = Topology([0, 1], [(0, 1)])
         view = make_view(2, topologies=[topo])
         assert view.previous_topology() == topo
-        assert make_view(1).previous_topology() is None
+        assert make_view(1).previous_topology() == empty_topology()  # G_0
 
 
 class TestScriptedAndStatic:
     def test_scripted_replays(self):
         topologies = [Topology([0, 1], [(0, 1)]), Topology([0, 1], [])]
         adversary = ScriptedAdversary(topologies)
-        assert adversary.step(make_view(1)) == topologies[0]
-        assert adversary.step(make_view(2)) == topologies[1]
-        assert adversary.step(make_view(5)) == topologies[1]  # repeat_last
+        graphs = replay(adversary, 5)
+        assert graphs == [topologies[0]] + [topologies[1]] * 4  # repeat_last
+        assert adversary.step(make_view(5)) is EMPTY_DELTA
 
     def test_scripted_exhaustion_raises_without_repeat(self):
         adversary = ScriptedAdversary([Topology([0], [])], repeat_last=False)
@@ -97,10 +104,26 @@ class TestScriptedAndStatic:
     def test_static_with_wakeup(self):
         base = generators.path(4)
         adversary = StaticAdversary(base, wakeup=StaggeredWakeup(4, batch_size=2))
-        first = adversary.step(make_view(1))
-        assert first.nodes == frozenset({0, 1})
-        later = adversary.step(make_view(5))
-        assert later == base
+        graphs = replay(adversary, 5)
+        assert graphs[0] == base.subgraph({0, 1})
+        assert graphs[1] == graphs[4] == base
+
+    def test_static_staggered_wakeup_adds_only_the_woken_nodes(self):
+        base = generators.ring(6)
+        schedule = StaggeredWakeup(6, batch_size=2, interval=2)
+        adversary = StaticAdversary(base, wakeup=schedule)
+        previous = empty_topology()
+        for r in range(1, 9):  # nodes wake in rounds 1, 3 and 5
+            delta = adversary.step(make_view(r, topologies=[previous]))
+            woken = schedule.awake_at(r) - previous.nodes
+            awake = previous.nodes | woken
+            if not woken:
+                assert delta is EMPTY_DELTA, f"round {r}"
+            else:
+                expected = {e for e in base.edges if set(e) & woken and set(e) <= awake}
+                assert delta == TopologyDelta(added_nodes=woken, added_edges=expected), f"round {r}"
+            previous = previous.apply(delta)
+        assert previous == base
 
 
 class TestChurnAdversary:
@@ -113,20 +136,16 @@ class TestChurnAdversary:
             wakeup=StaggeredWakeup(6, batch_size=2),
         )
         previous_nodes = frozenset()
-        previous_topo = None
-        for r in range(1, 6):
-            view = make_view(r, topologies=[previous_topo] if previous_topo else [])
-            topo = step_topology(adversary, view)
+        for topo in replay(adversary, 5):
             assert previous_nodes <= topo.nodes
             previous_nodes = topo.nodes
-            previous_topo = topo
 
     def test_edges_only_between_awake_nodes(self, rng_factory):
         base = generators.clique(6)
         adversary = ChurnAdversary(
             6, FlipChurn(base, 0.2), rng_factory.stream("adv2"), wakeup=StaggeredWakeup(6, batch_size=3)
         )
-        topo = adversary.step(make_view(1))
+        (topo,) = replay(adversary, 1)
         for u, v in topo.edges:
             assert u in topo.nodes and v in topo.nodes
         assert topo.nodes == frozenset({0, 1, 2})
@@ -141,8 +160,7 @@ class TestLocallyStaticAdversary:
         )
         protected = adversary.protected_nodes
         reference = None
-        for r in range(1, 15):
-            topo = adversary.step(make_view(r))
+        for topo in replay(adversary, 14):
             incident = frozenset(e for e in topo.edges if e[0] in protected or e[1] in protected)
             if reference is None:
                 reference = incident
@@ -165,8 +183,7 @@ class TestTargetedAdversaries:
         base = generators.empty(6)
         adversary = TargetedColoringAdversary(base, attacks_per_round=2, lifetime=3, rng=rng_factory.stream("t"))
         outputs = [{v: 1 for v in range(6)}]  # everyone has colour 1
-        view = make_view(2, outputs=outputs, obliviousness=1)
-        topo = adversary.step(view)
+        topo = replay(adversary, 2, outputs=outputs, obliviousness=1)[-1]
         assert topo.num_edges >= 1
         assert adversary.attack_log
         for _, (u, v) in adversary.attack_log:
@@ -175,7 +192,7 @@ class TestTargetedAdversaries:
     def test_coloring_adversary_without_outputs_keeps_base(self, rng_factory):
         base = generators.ring(5)
         adversary = TargetedColoringAdversary(base, attacks_per_round=2, lifetime=2, rng=rng_factory.stream("t2"))
-        topo = adversary.step(make_view(1, obliviousness=1))
+        (topo,) = replay(adversary, 1, obliviousness=1)
         assert topo.edges == base.edges
 
     def test_mis_adversary_cut_mode(self, rng_factory):
@@ -184,7 +201,7 @@ class TestTargetedAdversaries:
             base, mode="cut_notification", attacks_per_round=3, rng=rng_factory.stream("t3")
         )
         outputs = [{0: 1, 1: None, 2: None, 3: None, 4: None}]
-        topo = adversary.step(make_view(2, outputs=outputs, obliviousness=1))
+        topo = replay(adversary, 2, outputs=outputs, obliviousness=1)[-1]
         # All notification edges from the fresh MIS node 0 to undecided leaves are cut candidates.
         assert topo.num_edges < base.num_edges
         assert all(action == "cut" for _, action, _ in adversary.attack_log)
@@ -193,7 +210,7 @@ class TestTargetedAdversaries:
         base = generators.empty(6)
         adversary = TargetedMisAdversary(base, mode="join_mis", attacks_per_round=2, rng=rng_factory.stream("t4"))
         outputs = [{v: 1 for v in range(6)}]
-        topo = adversary.step(make_view(2, outputs=outputs, obliviousness=1))
+        topo = replay(adversary, 2, outputs=outputs, obliviousness=1)[-1]
         assert topo.num_edges >= 1
 
     def test_mis_adversary_invalid_mode(self, rng_factory):
@@ -220,7 +237,7 @@ class TestTargetedAdversaries:
         base = generators.ring(6)
         adversary = _targeted(kind, base, rng_factory.stream("t0"), attacks_per_round=0, lifetime=1)
         outputs = [{v: 1 for v in range(6)}]
-        topo = step_topology(adversary, make_view(2, outputs=outputs, obliviousness=1))
+        topo = replay(adversary, 2, outputs=outputs, obliviousness=1)[-1]
         assert topo.edges == base.edges
         assert not adversary.attack_log
 
@@ -230,8 +247,10 @@ class TestCompositeAdversaries:
         base = generators.gnp(12, 0.3, rng_factory.stream("fa"))
         inner = ChurnAdversary(12, FlipChurn(base, 0.5), rng_factory.stream("fa2"))
         adversary = FreezeAfterAdversary(inner, freeze_round=3)
-        topologies = [adversary.step(make_view(r)) for r in range(1, 8)]
-        assert topologies[2] == topologies[3] == topologies[6]
+        topologies = replay(adversary, 7)
+        assert topologies[0] != topologies[1]  # the inner churn still moves
+        assert topologies[1] == topologies[2] == topologies[6]  # frozen from round 3 on
+        assert adversary.step(make_view(8, topologies=topologies[-1:])) is EMPTY_DELTA
 
     def test_freeze_after_validation(self):
         with pytest.raises(ConfigurationError):

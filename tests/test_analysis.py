@@ -29,6 +29,7 @@ from repro.analysis.stability import (
 )
 from repro.analysis.sweep import Replication, aggregate_rows
 from repro.scenarios import ScenarioResult, ScenarioSpec
+from helpers import record_round
 
 
 def _metrics(r, changed=0):
@@ -40,7 +41,7 @@ def build_trace(outputs_list, topo=None, n=3):
     trace = ExecutionTrace(n, "alg", "adv")
     for i, outputs in enumerate(outputs_list):
         changed = 0 if i == 0 else sum(1 for v in outputs if outputs[v] != outputs_list[i - 1].get(v))
-        trace.record(topo, outputs, _metrics(i + 1, changed))
+        record_round(trace, topo, outputs, _metrics(i + 1, changed))
     return trace
 
 

@@ -203,6 +203,14 @@ BAD_VALUES = [
     ("targeted-mis", "attacks_per_round", 1.5),
     ("targeted-mis", "lifetime", 0),
     ("targeted-mis", "lifetime", 1.5),
+    ("targeted-mis", "mode", "bogus"),
+    ("locally-static", "protected_radius", "x"),  # was a TypeError traceback
+    ("locally-static", "protected_radius", 1.5),
+    ("locally-static", "center", "x"),  # was a ValueError traceback
+    ("locally-static", "center", 2.5),  # was truncated to node 2
+    ("mobility", "radius", -1),
+    ("mobility", "speed", -0.5),
+    ("mobility", "pause_probability", 2),
 ]
 for _adversary, _key, _value in BAD_VALUES:
     BAD_PARAMETERS[f"{_adversary}-{_key}={_value}"] = (

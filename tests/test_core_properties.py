@@ -16,6 +16,7 @@ from repro.core.properties import (
     verify_partial_solution_every_round,
     verify_t_dynamic,
 )
+from helpers import record_round
 
 
 def _metrics(r):
@@ -27,7 +28,7 @@ def _trace(outputs_per_round, topologies=None, n=4):
     default_topo = Topology(range(n), [(0, 1), (1, 2)])
     for i, outputs in enumerate(outputs_per_round):
         topo = topologies[i] if topologies else default_topo
-        trace.record(topo, outputs, _metrics(i + 1))
+        record_round(trace, topo, outputs, _metrics(i + 1))
     return trace
 
 

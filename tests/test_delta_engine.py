@@ -190,7 +190,7 @@ class TestDeltaStorage:
 
 
 class _DeltaScript(Adversary):
-    """Emits a scripted mix of snapshots and deltas."""
+    """Emits a scripted list of per-round deltas (or, to test rejection, anything)."""
 
     obliviousness = FULLY_OBLIVIOUS
 
@@ -223,10 +223,10 @@ def _null_algorithm():
 
 
 class TestSimulatorDeltaPath:
-    def test_mixed_snapshot_and_delta_script(self):
+    def test_delta_script(self):
         base = Topology(range(4), [(0, 1), (1, 2)])
         script = [
-            base,
+            TopologyDelta.between(empty_topology(), base),
             TopologyDelta(added_edges=[(2, 3)]),
             TopologyDelta(removed_edges=[(0, 1)]),
             EMPTY_DELTA,
@@ -247,19 +247,28 @@ class TestSimulatorDeltaPath:
         assert trace.topology(1) == Topology(range(3), [(0, 1)])
 
     def test_invalid_delta_is_a_simulation_error(self):
-        script = [Topology(range(3), [(0, 1)]), TopologyDelta(added_edges=[(0, 1)])]
+        script = [
+            TopologyDelta(added_nodes=range(3), added_edges=[(0, 1)]),
+            TopologyDelta(added_edges=[(0, 1)]),
+        ]
         sim = Simulator(n=3, algorithm=_null_algorithm(), adversary=_DeltaScript(script))
-        with pytest.raises(SimulationError):
+        with pytest.raises(SimulationError, match="invalid delta for round 2"):
             sim.run(2)
 
-    def test_same_topology_object_is_stored_as_empty_delta(self):
+    def test_node_removal_is_rejected_before_the_round_runs(self):
+        script = [TopologyDelta(added_nodes=range(3)), TopologyDelta(removed_nodes=[2])]
+        sim = Simulator(n=3, algorithm=_null_algorithm(), adversary=_DeltaScript(script))
+        with pytest.raises(SimulationError, match=r"removed awake nodes in round 2: \[2\]"):
+            sim.run(2)
+        assert sim.trace.num_rounds == 1
+
+    def test_empty_delta_rounds_share_the_topology_object(self):
         base = generators.ring(5)
-        script = [base, base, base]
+        script = [TopologyDelta.between(empty_topology(), base), EMPTY_DELTA, EMPTY_DELTA]
         sim = Simulator(n=5, algorithm=_null_algorithm(), adversary=_DeltaScript(script))
         trace = sim.run(3)
-        # Rounds 2 and 3 re-returned the identical object: stored incrementally.
         assert trace.graph.edge_changes(2) == (frozenset(), frozenset())
-        assert trace.topology(2) is trace.topology(3)
+        assert trace.topology(1) is trace.topology(2) is trace.topology(3)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from repro.dynamics.topology import Topology
 from repro.problems import TDynamicSpec, coloring_problem_pair, mis_problem_pair
 from repro.runtime.metrics import RoundMetrics
 from repro.runtime.trace import ExecutionTrace
+from helpers import record_round
 
 
 def _metrics(r):
@@ -76,9 +77,9 @@ class TestTraceChecks:
     def _trace(self):
         trace = ExecutionTrace(3, "alg", "adv")
         topo = Topology([0, 1, 2], [(0, 1), (1, 2)])
-        trace.record(topo, {0: 1, 1: 2, 2: 1}, _metrics(1))
-        trace.record(topo, {0: 1, 1: 2, 2: 1}, _metrics(2))
-        trace.record(topo, {0: 1, 1: 1, 2: 1}, _metrics(3))  # conflict in round 3
+        record_round(trace, topo, {0: 1, 1: 2, 2: 1}, _metrics(1))
+        record_round(trace, topo, {0: 1, 1: 2, 2: 1}, _metrics(2))
+        record_round(trace, topo, {0: 1, 1: 1, 2: 1}, _metrics(3))  # conflict in round 3
         return trace
 
     def test_check_trace_and_summary(self):

@@ -536,7 +536,7 @@ class TestEngineInternals:
 
             def step(self, view):
                 if view.round_index == 1:
-                    return base
+                    return TopologyDelta(added_nodes=base.nodes, added_edges=base.edges)
                 if view.round_index == 2:
                     return TopologyDelta(removed_edges=[(0, 1)])
                 return EMPTY_DELTA

@@ -1,7 +1,6 @@
 """Property-based tests (hypothesis) for the core data structures and problem invariants."""
 
 import collections
-import copy
 import enum
 
 import numpy as np
@@ -10,7 +9,16 @@ from hypothesis import given, settings, strategies as st
 
 from repro.types import canonical_edge
 from repro.dynamics import generators
-from repro.dynamics.adversary import Adversary, IncrementalAdversary
+from repro.dynamics.adversary import Adversary
+from repro.dynamics.adversaries import (
+    ChurnAdversary,
+    FreezeAfterAdversary,
+    LocallyStaticAdversary,
+    MobilityAdversary,
+    StaticAdversary,
+    TargetedColoringAdversary,
+    TargetedMisAdversary,
+)
 from repro.dynamics.churn import (
     BurstChurn,
     EdgeInsertionChurn,
@@ -20,7 +28,7 @@ from repro.dynamics.churn import (
     advance_churn,
 )
 from repro.dynamics.dynamic_graph import DynamicGraph
-from repro.dynamics.topology import Topology, TopologyDelta, empty_topology
+from repro.dynamics.topology import Topology, TopologyDelta
 from repro.runtime.simulator import Simulator
 from repro.scenarios import ScenarioSpec, component
 from repro.scenarios.executor import _build_context
@@ -243,47 +251,90 @@ def test_churn_deltas_replay_the_brute_force_edge_sets(kind, data):
 _ORACLE_ALGORITHM = {"targeted-coloring": "dcolor", "targeted-mis": "smis"}
 
 
-def _force_resync(adversary):
-    """Break the delta chain of ``adversary`` and of every adversary it wraps."""
-    if isinstance(adversary, IncrementalAdversary):
-        adversary._last_step_round = None
-    for value in vars(adversary).values():
-        if isinstance(value, Adversary):
-            _force_resync(value)
+def _awake(schedule, nodes, r):
+    """``V_r`` under an optional (non-decreasing) wake-up schedule."""
+    return nodes if schedule is None else schedule.awake_at(r) & nodes
 
 
-class _ResyncOracle(Adversary):
-    """Checks each round of ``inner`` against its own resync snapshot.
+def _rebuilt_graph(adversary, r, awake):
+    """``(V_r, E_r)`` rebuilt from the adversary's own state after its round-``r`` step.
 
-    Before every step a deep copy of ``inner`` with a broken delta chain
-    takes the same step, so it emits the full snapshot of the round.
+    ``awake`` is the replayed node set; it filters the edges of the
+    adversaries whose wake-up schedule hides sleeping nodes' edges.
+    """
+    if isinstance(adversary, ChurnAdversary):
+        nodes = _awake(adversary._wakeup, adversary._all_nodes, r)
+        return nodes, frozenset(e for e in adversary._present if e[0] in awake and e[1] in awake)
+    if isinstance(adversary, MobilityAdversary):
+        nodes = _awake(adversary._wakeup, adversary._all_nodes, r)
+        edges = adversary._mobility.current_edges()
+        return nodes, frozenset(e for e in edges if e[0] in awake and e[1] in awake)
+    if isinstance(adversary, TargetedColoringAdversary):
+        return adversary._base.nodes, adversary._base.edges | frozenset(adversary._active)
+    if isinstance(adversary, TargetedMisAdversary):
+        edges = (adversary._base.edges - frozenset(adversary._cut)) | frozenset(adversary._inserted)
+        return adversary._base.nodes, edges
+    if isinstance(adversary, LocallyStaticAdversary):
+        outside = frozenset(e for e in adversary._present if adversary._outside(e))
+        return adversary._base.nodes, adversary._frozen_edges | outside
+    if isinstance(adversary, StaticAdversary):
+        nodes = _awake(adversary._wakeup, adversary._base.nodes, r)
+        return nodes, adversary._base.induced_edges(nodes)
+    raise AssertionError(f"no rebuild rule for {type(adversary).__name__}")
+
+
+class _ReplayOracle(Adversary):
+    """Replays the deltas of ``inner`` on plain Python node and edge sets.
+
+    Every round it asserts that the delta is exact (added edges absent,
+    removed edges present, endpoints awake, the awake set never shrinks) and
+    that the replayed graph equals the one rebuilt from the adversary's own
+    state.  A frozen :class:`FreezeAfterAdversary` must repeat its last
+    unfrozen graph.
     """
 
     def __init__(self, inner):
         self._inner = inner
         self.obliviousness = inner.obliviousness
-        self.rounds_checked = 0
+        self._nodes = set()
+        self._edges = set()
+        self.graphs = []
 
     def step(self, view):
-        twin = copy.deepcopy(self._inner)
-        _force_resync(twin)
-        snapshot = twin.step(view)
-        result = self._inner.step(view)
-        assert isinstance(snapshot, Topology)
-        graph = result
-        if isinstance(result, TopologyDelta):
-            graph = (view.previous_topology() or empty_topology()).apply(result)
-        assert graph == snapshot, f"round {view.round_index}"
-        self.rounds_checked += 1
-        return result
+        r = view.round_index
+        delta = self._inner.step(view)
+        assert isinstance(delta, TopologyDelta), f"round {r}"
+        assert not delta.removed_nodes, f"round {r}: the awake set shrank"
+        assert not delta.added_nodes & self._nodes, f"round {r}: woke an awake node"
+        assert not delta.added_edges & self._edges, f"round {r}: added a present edge"
+        assert delta.removed_edges <= self._edges, f"round {r}: removed an absent edge"
+        self._nodes |= delta.added_nodes
+        self._edges -= delta.removed_edges
+        self._edges |= delta.added_edges
+        assert all(u in self._nodes and v in self._nodes for u, v in self._edges), f"round {r}"
+        graph = (frozenset(self._nodes), frozenset(self._edges))
+        inner = self._inner
+        if isinstance(inner, FreezeAfterAdversary):
+            if r > 1 and r >= inner.freeze_round:
+                assert graph == self.graphs[-1], f"round {r}: the frozen graph moved"
+            else:
+                assert graph == _rebuilt_graph(inner._inner, r, graph[0]), f"round {r}"
+        else:
+            assert graph == _rebuilt_graph(inner, r, graph[0]), f"round {r}"
+        self.graphs.append(graph)
+        return delta
 
 
-@pytest.mark.parametrize("wakeup", [None, "staggered"])
+#: Three nodes wake per round, so nodes woken together can share an edge.
+_BATCHED_WAKEUP = component("staggered", batch_size=3)
+
+
+@pytest.mark.parametrize("wakeup", [None, _BATCHED_WAKEUP], ids=["no-wakeup", "staggered"])
 @pytest.mark.parametrize("name", sorted(_ADVERSARY_SPECS))
 @settings(max_examples=4, derandomize=True, deadline=None)
 @given(seed=st.integers(0, 2**16))
-def test_adversary_deltas_match_their_resync_snapshots(name, wakeup, seed):
-    """``G_{r-1}.apply(delta)`` equals the snapshot the adversary's resync branch emits."""
+def test_adversary_deltas_replay_to_the_graph_of_their_state(name, wakeup, seed):
+    """Cumulative deltas from ``G_0 = ∅`` give each round's graph, in the trace too."""
     spec = ScenarioSpec(
         n=24,
         algorithm=_ORACLE_ALGORITHM.get(name, "dynamic-coloring"),
@@ -293,10 +344,13 @@ def test_adversary_deltas_match_their_resync_snapshots(name, wakeup, seed):
         wakeup=wakeup,
     )
     ctx = _build_context(spec, seed)
-    oracle = _ResyncOracle(ctx.adversary)
+    oracle = _ReplayOracle(ctx.adversary)
     sim = Simulator(n=ctx.n, algorithm=ctx.algorithm, adversary=oracle, seed=ctx.seed)
-    sim.run(ctx.rounds)
-    assert oracle.rounds_checked == ctx.rounds
+    trace = sim.run(ctx.rounds)
+    assert len(oracle.graphs) == ctx.rounds
+    for r, (nodes, edges) in enumerate(oracle.graphs, start=1):
+        topology = trace.topology(r)
+        assert (topology.nodes, topology.edges) == (nodes, edges), f"round {r}"
 
 
 # ---------------------------------------------------------------------------

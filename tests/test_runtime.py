@@ -10,6 +10,7 @@ from repro.runtime.algorithm import AlgorithmSetup, DistributedAlgorithm
 from repro.runtime.messages import estimate_bits
 from repro.runtime.metrics import RoundMetrics
 from repro.runtime.trace import ExecutionTrace
+from helpers import record_round
 
 
 class TestEstimateBits:
@@ -125,8 +126,8 @@ class TestExecutionTrace:
     def test_record_and_access(self):
         trace = ExecutionTrace(3, "alg", "adv")
         topo = Topology([0, 1], [(0, 1)])
-        trace.record(topo, {0: "a", 1: "b"}, _metrics(1))
-        trace.record(topo, {0: "a", 1: "c"}, _metrics(2))
+        record_round(trace, topo, {0: "a", 1: "b"}, _metrics(1))
+        record_round(trace, topo, {0: "a", 1: "c"}, _metrics(2))
         assert trace.num_rounds == 2
         assert trace.outputs(1) == {0: "a", 1: "b"}
         assert trace.output_of(1, 2) == "c"
@@ -137,8 +138,8 @@ class TestExecutionTrace:
     def test_changed_nodes(self):
         trace = ExecutionTrace(3, "alg", "adv")
         topo = Topology([0, 1], [])
-        trace.record(topo, {0: 1, 1: 1}, _metrics(1))
-        trace.record(topo, {0: 1, 1: 2}, _metrics(2))
+        record_round(trace, topo, {0: 1, 1: 1}, _metrics(1))
+        record_round(trace, topo, {0: 1, 1: 2}, _metrics(2))
         assert trace.changed_nodes(1) == frozenset({0, 1})
         assert trace.changed_nodes(2) == frozenset({1})
 
@@ -146,7 +147,7 @@ class TestExecutionTrace:
         trace = ExecutionTrace(3, "alg", "adv")
         topo = Topology([0], [])
         for value in (1, 1, 2, 2, 3):
-            trace.record(topo, {0: value}, _metrics(1))
+            record_round(trace, topo, {0: value}, _metrics(1))
         assert trace.output_changes_in(0, Interval(1, 5)) == 2
         assert trace.output_changes_in(0, Interval(3, 4)) == 0
 
@@ -158,7 +159,7 @@ class TestExecutionTrace:
     def test_metric_series_and_summary(self):
         trace = ExecutionTrace(3, "alg", "adv")
         topo = Topology([0, 1], [(0, 1)])
-        trace.record(topo, {0: 1, 1: 1}, _metrics(1))
+        record_round(trace, topo, {0: 1, 1: 1}, _metrics(1))
         assert trace.metric_series("num_edges") == [1.0]
         summary = trace.summary()
         assert summary["rounds"] == 1.0 and summary["n"] == 3.0
@@ -166,7 +167,7 @@ class TestExecutionTrace:
     def test_first_round_where(self):
         trace = ExecutionTrace(3, "alg", "adv")
         topo = Topology([0], [])
-        trace.record(topo, {0: None}, _metrics(1))
-        trace.record(topo, {0: 5}, _metrics(2))
+        record_round(trace, topo, {0: None}, _metrics(1))
+        record_round(trace, topo, {0: 5}, _metrics(2))
         assert trace.first_round_where(lambda rec: rec.outputs[0] is not None) == 2
         assert trace.first_round_where(lambda rec: rec.outputs[0] == 99) is None

@@ -127,15 +127,19 @@ class TestSimulatorControl:
         with pytest.raises(ConfigurationError):
             sim.run(-1)
 
-    def test_adversary_returning_garbage_rejected(self):
+    @pytest.mark.parametrize(
+        "result", ["not a topology", Topology([0, 1], [(0, 1)])], ids=["str", "Topology"]
+    )
+    def test_adversary_returning_a_non_delta_rejected(self, result):
         class Bad(Adversary):
             obliviousness = 5
 
             def step(self, view: AdversaryView):
-                return "not a topology"
+                return result
 
         sim = Simulator(n=3, algorithm=_Probe(), adversary=Bad())
-        with pytest.raises(SimulationError):
+        expected = rf"adversary Bad\(rho=5\) returned {type(result).__name__}"
+        with pytest.raises(SimulationError, match=expected):
             sim.run(1)
 
     def test_determinism_same_seed(self):
