@@ -123,7 +123,6 @@ class ChurnAdversary(Adversary):
             universe_edges=universe_of(),
             advance=lambda round_index: advance(round_index, rng),
             wakeup=self._wakeup,
-            cumulative_awake=True,
         )
 
     def describe(self) -> str:

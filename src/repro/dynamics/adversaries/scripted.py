@@ -94,9 +94,8 @@ class StaticAdversary(Adversary):
 
         The same mask object is returned every round so the engine's identity
         short-circuit recognises fully-static rounds; wake-up filtering is the
-        engine's job (``cumulative_awake=False`` reproduces the exact
-        ``awake_at(r) & base.nodes`` induced-subgraph semantics of
-        :meth:`step`).
+        engine's job (it accumulates ``awake_at(r) & base.nodes`` exactly as
+        :meth:`step` does).
         """
         from repro.kernel.plan import KernelPlan
 
@@ -106,7 +105,6 @@ class StaticAdversary(Adversary):
             universe_edges=self._base.sorted_edges(),
             advance=lambda round_index: mask,
             wakeup=self._wakeup,
-            cumulative_awake=False,
         )
 
     def describe(self) -> str:

@@ -81,13 +81,14 @@ class TargetedMisAdversary(Adversary):
         self._cut: Dict[Edge, int] = {}
         #: Log of (round, action, edge), consumed by experiment E10.
         self.attack_log: List[Tuple[int, str, Edge]] = []
-        self._previous_outputs = None
+        #: the output vector the last attack was chosen from (the trace owns it)
+        self._attacked_outputs = None
 
     def reset(self) -> None:
         self._inserted.clear()
         self._cut.clear()
         self.attack_log.clear()
-        self._previous_outputs = None
+        self._attacked_outputs = None
 
     # -- candidate selection ----------------------------------------------------
 
@@ -99,9 +100,9 @@ class TargetedMisAdversary(Adversary):
 
     def _fresh_mis_nodes(self, outputs) -> List[NodeId]:
         """MIS nodes that were not MIS nodes in the previous visible output."""
-        if self._previous_outputs is None:
+        if self._attacked_outputs is None:
             return self._mis_nodes(outputs)
-        before = {v for v, value in self._previous_outputs.items() if value == 1}
+        before = {v for v, value in self._attacked_outputs.items() if value == 1}
         return sorted(v for v, value in outputs.items() if value == 1 and v not in before)
 
     def _cut_candidates(self, outputs) -> List[Edge]:
@@ -158,7 +159,7 @@ class TargetedMisAdversary(Adversary):
                         fresh_inserted.append(e)
                     self._inserted[e] = r + self._lifetime - 1
                     self.attack_log.append((r, "insert", e))
-            self._previous_outputs = dict(outputs)
+            self._attacked_outputs = outputs
 
         if r == 1:
             # G_0 is empty and no output is visible yet: the backbone arrives.

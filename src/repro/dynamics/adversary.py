@@ -31,15 +31,14 @@ Concrete adversaries live in :mod:`repro.dynamics.adversaries`.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle / optional-dep guard
     from repro.kernel.plan import KernelPlan
 
 from repro.errors import AdversaryError
 from repro.types import Assignment, Round
-from repro.dynamics.dynamic_graph import DynamicGraph
-from repro.dynamics.topology import Topology, TopologyDelta, empty_topology
+from repro.dynamics.topology import Topology, TopologyDelta
 
 __all__ = [
     "Adversary",
@@ -61,8 +60,12 @@ class AdversaryView:
 
     Instances are created by the simulator once per round and handed to
     :meth:`Adversary.step`.  ``round_index`` is the round whose graph the
-    adversary is about to provide; outputs are available only up to round
-    ``round_index - obliviousness`` (and never beyond ``round_index - 1``).
+    adversary is about to provide; ``previous`` is ``G_{r-1}`` (the empty
+    ``G_0`` before round 1) and ``outputs`` the output vectors of rounds
+    ``1 … r-1``, round 1 first — the simulator passes a live view of its
+    trace, so building a view copies nothing.  Outputs are available only up
+    to round ``round_index - obliviousness`` (and never beyond
+    ``round_index - 1``).
     """
 
     def __init__(
@@ -71,17 +74,14 @@ class AdversaryView:
         n: int,
         round_index: Round,
         obliviousness: int,
-        topologies: Union[Sequence[Topology], DynamicGraph],
+        previous: Topology,
         outputs: Sequence[Assignment],
         state_provider: Optional[Callable[[], Any]] = None,
     ) -> None:
         self._n = n
         self._round_index = round_index
         self._obliviousness = max(0, int(obliviousness))
-        # Either an in-memory sequence (tests, ad-hoc views) or the trace's
-        # DynamicGraph, which the simulator passes so building a view is O(1)
-        # instead of copying the full history every round.
-        self._topologies = topologies
+        self._previous = previous
         self._outputs = outputs
         self._state_provider = state_provider
 
@@ -103,12 +103,8 @@ class AdversaryView:
     # -- topology history (the adversary chose these itself) ----------------
 
     def previous_topology(self) -> Topology:
-        """``G_{r-1}``; the empty graph ``G_0`` before the first round (O(1))."""
-        if isinstance(self._topologies, DynamicGraph):
-            previous = self._topologies.latest_topology()
-        else:
-            previous = self._topologies[-1] if self._topologies else None
-        return previous if previous is not None else empty_topology()
+        """``G_{r-1}``; the empty graph ``G_0`` before the first round."""
+        return self._previous
 
     # -- output history (filtered by obliviousness) --------------------------
 

@@ -7,17 +7,17 @@ graph sequence.  It enforces the model constraints of Section 2:
 * every node id stays within the potential node set ``{0, …, n-1}`` where
   ``n`` is the globally known upper bound on the number of nodes.
 
-Rounds are stored either as full :class:`~repro.dynamics.topology.Topology`
-snapshots (:meth:`DynamicGraph.append`) or as
-:class:`~repro.dynamics.topology.TopologyDelta` change sets relative to the
-previous round (:meth:`DynamicGraph.append_delta`).  Delta storage keeps the
-per-round memory and validation cost proportional to the amount of change; a
-full snapshot is additionally materialised every ``checkpoint_interval``
-rounds so that any round can be reconstructed by replaying at most
-``checkpoint_interval - 1`` deltas.  All accessors (``topology(r)``, window
-queries, change statistics) materialise transparently, and a one-entry cursor
-cache makes sequential scans — by far the dominant access pattern of the
-checkers — cost one delta application per step.
+Every round is recorded by :meth:`DynamicGraph.append` as the
+:class:`~repro.dynamics.topology.TopologyDelta` from the previous round, so
+validation and storage cost O(#changes).  When the caller already holds the
+round's graph (the classic simulator loops), it is kept as the latest graph
+and, every :data:`CHECKPOINT_INTERVAL`-th round, stored as a full snapshot
+instead of the delta, so any round is reconstructed by replaying at most
+``CHECKPOINT_INTERVAL - 1`` deltas.  Array-kernel rounds are delta-only: no
+graph is built while the run records them.  All accessors (``topology(r)``,
+window queries, change statistics) materialise transparently, and a
+one-entry cursor cache makes sequential scans — by far the dominant access
+pattern of the checkers — cost one delta application per step.
 
 On top of the raw sequence it offers the sliding-window queries of
 Definition 2.1 (``G^{T∩}_r``, ``G^{T∪}_r``), recomputed from the stored
@@ -32,10 +32,10 @@ from repro.errors import TopologyError
 from repro.types import Edge, Interval, NodeId
 from repro.dynamics.topology import Topology, TopologyDelta, empty_topology
 
-__all__ = ["DynamicGraph", "DEFAULT_CHECKPOINT_INTERVAL"]
+__all__ = ["DynamicGraph", "CHECKPOINT_INTERVAL"]
 
-#: Default number of rounds between materialised checkpoint snapshots.
-DEFAULT_CHECKPOINT_INTERVAL = 32
+#: Rounds between the snapshots stored when rounds are appended with their graph.
+CHECKPOINT_INTERVAL = 32
 
 
 class DynamicGraph:
@@ -48,23 +48,15 @@ class DynamicGraph:
     ----------
     n:
         Upper bound on the number of nodes; all node ids must be ``< n``.
-    checkpoint_interval:
-        How often :meth:`append_delta` stores a full snapshot instead of the
-        delta (``1`` stores every round as a snapshot; rounds appended via
-        :meth:`append` are always snapshots).
     """
 
-    def __init__(self, n: int, *, checkpoint_interval: int = DEFAULT_CHECKPOINT_INTERVAL) -> None:
+    def __init__(self, n: int) -> None:
         if not isinstance(n, int) or n < 1:
             raise TopologyError(f"n must be a positive integer, got {n!r}")
-        if not isinstance(checkpoint_interval, int) or checkpoint_interval < 1:
-            raise TopologyError(
-                f"checkpoint_interval must be a positive integer, got {checkpoint_interval!r}"
-            )
         self._n = n
-        self._checkpoint_interval = checkpoint_interval
-        #: Per round: a Topology snapshot or a TopologyDelta relative to r-1.
+        #: Per round: a Topology checkpoint or a TopologyDelta relative to r-1.
         self._entries: List[Union[Topology, TopologyDelta]] = []
+        #: ``G_{last_round}`` when known (``None`` after a delta-only append).
         self._latest: Optional[Topology] = None
         # One-entry materialisation cursor (round, topology) for sequential scans.
         self._cursor_round = 0
@@ -78,46 +70,25 @@ class DynamicGraph:
         return self._n
 
     @property
-    def checkpoint_interval(self) -> int:
-        """Rounds between full snapshots on the delta storage path."""
-        return self._checkpoint_interval
-
-    @property
     def last_round(self) -> int:
         """The index of the most recently recorded round (0 if none)."""
         return len(self._entries)
 
-    def append(self, topology: Topology) -> None:
-        """Record the next round's topology (as a snapshot).
+    def append(self, delta: TopologyDelta, topology: Optional[Topology] = None) -> None:
+        """Record the next round as ``delta`` from the previous round (``G_0`` is empty).
+
+        Validation is O(#changes): only the added nodes are range-checked and
+        the model's non-decreasing awake set is enforced by rejecting node
+        removals.  ``topology`` is the round's graph if the caller already
+        holds it (``previous.apply(delta)``); it is then kept as the latest
+        graph and stored as a checkpoint every :data:`CHECKPOINT_INTERVAL`
+        rounds.  Without it the round is stored as the delta alone and
+        materialised only when someone asks for it.
 
         Raises
         ------
         TopologyError
-            If the topology uses node ids ``>= n`` or if the awake node set
-            shrank compared to the previous round.
-        """
-        for v in topology.nodes:
-            if not 0 <= v < self._n:
-                raise TopologyError(f"node id {v} outside potential node set [0, {self._n})")
-        latest = self._ensure_latest()
-        if latest is not None and not latest.nodes <= topology.nodes:
-            missing = latest.nodes - topology.nodes
-            raise TopologyError(
-                "awake node set must be non-decreasing; nodes disappeared: "
-                f"{sorted(missing)[:10]}"
-            )
-        self._entries.append(topology)
-        self._latest = topology
-
-    def append_delta(self, delta: TopologyDelta, topology: Optional[Topology] = None) -> None:
-        """Record the next round as a delta relative to the previous round.
-
-        Validation is O(#changes): only the added nodes are range-checked and
-        the model's non-decreasing awake set is enforced by rejecting node
-        removals.  ``topology`` is the already-materialised round graph if the
-        caller (the simulator) has it; otherwise it is materialised here.
-        Every ``checkpoint_interval``-th round stores the materialised
-        snapshot instead of the delta.
+            If the delta wakes a node id ``>= n`` or removes an awake node.
         """
         for v in delta.added_nodes:
             if not 0 <= v < self._n:
@@ -127,36 +98,12 @@ class DynamicGraph:
                 "awake node set must be non-decreasing; nodes disappeared: "
                 f"{sorted(delta.removed_nodes)[:10]}"
             )
-        previous = self._ensure_latest()
-        if previous is None:
-            previous = empty_topology()
-        if topology is None:
-            topology = previous.apply(delta)
-        if len(self._entries) % self._checkpoint_interval == 0:
-            self._entries.append(topology)
+        entries = self._entries
+        if topology is not None and len(entries) % CHECKPOINT_INTERVAL == 0:
+            entries.append(topology)
         else:
-            self._entries.append(delta)
+            entries.append(delta)
         self._latest = topology
-
-    def append_lazy(self, delta: TopologyDelta) -> None:
-        """Record the next round as a delta *without* materialising it.
-
-        The array kernel's recording path: validation stays O(#changes) but
-        no Topology object is built and no checkpoint snapshots are stored —
-        the round graph is only materialised when someone asks for it
-        (``topology(r)`` walks the delta chain; sequential scans are O(1)
-        per round thanks to the cursor, cold random access is O(r)).
-        """
-        for v in delta.added_nodes:
-            if not 0 <= v < self._n:
-                raise TopologyError(f"node id {v} outside potential node set [0, {self._n})")
-        if delta.removed_nodes:
-            raise TopologyError(
-                "awake node set must be non-decreasing; nodes disappeared: "
-                f"{sorted(delta.removed_nodes)[:10]}"
-            )
-        self._entries.append(delta)
-        self._latest = None
 
     # -- access to recorded rounds -------------------------------------------
 
@@ -193,20 +140,6 @@ class DynamicGraph:
         if not 1 <= r <= len(self._entries):
             raise TopologyError(f"round {r} has not been recorded (last = {self.last_round})")
         return self._materialise(r)
-
-    def _ensure_latest(self) -> Optional[Topology]:
-        """``self._latest``, materialising it after lazy (kernel) appends."""
-        if self._latest is None and self._entries:
-            self._latest = self._materialise(len(self._entries))
-        return self._latest
-
-    def latest_topology(self) -> Optional[Topology]:
-        """The most recently recorded topology (``None`` before round 1).
-
-        O(1) on the eager recording paths; after lazy kernel appends the
-        first call materialises the pending delta chain.
-        """
-        return self._ensure_latest()
 
     def iter_topologies(self) -> Iterator[Topology]:
         """Materialise all recorded topologies in round order, one delta apply per step."""

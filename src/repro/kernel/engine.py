@@ -2,7 +2,8 @@
 
 :class:`ArrayKernelEngine` requires a :class:`~repro.kernel.plan.KernelPlan`
 from the adversary: the round loop never materialises python topologies,
-never calls ``Adversary.step`` and records the trace lazily (deltas only).
+never calls ``Adversary.step`` and records each round's delta alone (no
+graph, so no checkpoint snapshot).
 Topology evolution is a boolean presence mask over a static edge universe;
 the engine diffs successive masks to recover the exact deltas the classic
 path would have stored.  Adversaries without a plan run on the classic
@@ -20,8 +21,6 @@ from typing import Dict, FrozenSet, Optional
 
 import numpy as np
 
-from repro.errors import SimulationError
-from repro.obs.trace import active_sink
 from repro.dynamics.topology import (
     EMPTY_DELTA,
     ArrayDelta,
@@ -29,6 +28,7 @@ from repro.dynamics.topology import (
 )
 from repro.runtime.metrics import RoundMetrics
 from repro.runtime.simulator import RoundActivity
+from repro.runtime.trace import ExecutionTrace
 
 from .base import AlgorithmKernel, DeliverContext
 from .plan import KernelPlan
@@ -83,14 +83,17 @@ class _BitsAccounting:
 
 
 class ArrayKernelEngine:
-    """Plan-driven array execution: no python topologies in the round loop."""
+    """Plan-driven array execution: no python topologies in the round loop.
 
-    def __init__(self, simulator, kernel: AlgorithmKernel, plan: KernelPlan) -> None:
-        self._sim = simulator
+    :meth:`run_round` runs one round and records it into ``trace``; the
+    simulator's shared epilogue does the rest.
+    """
+
+    def __init__(self, trace: ExecutionTrace, kernel: AlgorithmKernel, plan: KernelPlan) -> None:
+        self._trace = trace
         self._kernel = kernel
         self._plan = plan
-        n = simulator._n
-        self._n = n
+        n = trace.n
         # Routed through the shm/universe cache: a published base graph (or a
         # previous run over the same universe in this process) hands back the
         # mapped CSR arrays instead of re-sorting them.  Imported lazily —
@@ -122,7 +125,7 @@ class ArrayKernelEngine:
         self._bits = _BitsAccounting()
         self._running: Dict[int, Optional[int]] = {}
         self._outputs_obj: Dict[int, Optional[int]] = {}
-        self._stats_mode = simulator._trace.retention == "stats"
+        self._stats_mode = trace.retention == "stats"
         if hasattr(kernel, "set_array_mode"):
             kernel.set_array_mode(self._universe)
 
@@ -136,12 +139,8 @@ class ArrayKernelEngine:
             current = self._unodes
         else:
             current = frozenset(wakeup.awake_at(round_index)) & self._unodes
+        # wake-ups accumulate, as in every adversary's ``step``
         newly = current - self._awake_set
-        if not self._plan.cumulative_awake and not self._awake_set <= current:
-            raise SimulationError(
-                "kernel delivery requires a non-decreasing wake-up schedule; "
-                f"round {round_index} lost awake nodes"
-            )
         if not newly:
             return _EMPTY_I8
         arr = np.fromiter(sorted(newly), dtype=np.int64, count=len(newly))
@@ -161,10 +160,9 @@ class ArrayKernelEngine:
 
     # -- the round ---------------------------------------------------------------
 
-    def run_round(self) -> None:
-        sim = self._sim
-        trace = sim._trace
-        round_index = trace.num_rounds + 1
+    def run_round(self, round_index: int) -> tuple[RoundMetrics, RoundActivity]:
+        """Run and record round ``round_index``."""
+        trace = self._trace
         kernel = self._kernel
         uni = self._universe
 
@@ -284,8 +282,7 @@ class ArrayKernelEngine:
         if self._stats_mode:
             # O(#changes) retention: the trace keeps only this round's
             # update; the running vector is mutated in place and the O(n)
-            # per-round copy (plus the adversary-view history, which the
-            # plan-driven path never reads) is skipped entirely.
+            # per-round copy is skipped entirely.
             update: Dict[int, Optional[int]] = (
                 dict(zip(changed_out.tolist(), values)) if changed_out.size else {}
             )
@@ -300,14 +297,12 @@ class ArrayKernelEngine:
             else:
                 outputs = self._outputs_obj
             self._outputs_obj = outputs
-            trace.record_lazy(delta, outputs, metrics, changed_out)
-            sim._output_history.append(outputs)
-            sim._previous_outputs = outputs
-        # the activity object is cheap now: its frozenset views materialise
+            trace.record(delta, outputs, metrics, changed_out)
+        # the activity object is cheap: its frozenset views materialise
         # lazily, so rounds nobody inspects never pay the conversions
         # (``recompose_ids``/``dirty_ids``/``changed_out`` are never mutated
         # after this point)
-        sim._last_activity = RoundActivity(
+        activity = RoundActivity(
             round_index=round_index,
             mode="kernel",
             delta=delta,
@@ -315,22 +310,7 @@ class ArrayKernelEngine:
             delivered=dirty_ids,
             changed_outputs=changed_out,
         )
-
-        sink = active_sink()
-        if sink is not None:
-            # ``_run_round`` never runs on this path, so the engine emits
-            # its own round event (numpy scalars coerced for json).
-            sink.emit(
-                "round",
-                round=round_index,
-                mode="kernel",
-                awake=int(self._awake_count),
-                edges=int(self._num_edges),
-                composed=int(recompose_ids.size),
-                frontier=int(dirty_ids.size),
-                changed=int(changed_out.size),
-                quiescent=int(dirty_ids.size) == 0,
-            )
+        return metrics, activity
 
     def finalize(self) -> None:
         self._kernel.finalize()

@@ -3,10 +3,12 @@
 A :class:`KernelPlan` is the contract an adversary offers the array engine:
 a *static edge universe* (every edge that can ever exist), a per-round
 ``advance`` callable returning a boolean presence mask over that universe,
-and the wake-up schedule governing which nodes participate.  The engine
+and the wake-up schedule governing which nodes participate (wake-ups
+accumulate, as in every adversary's :meth:`Adversary.step`).  The engine
 diffs successive presence masks to recover the exact ``TopologyDelta`` the
 classic :meth:`Adversary.step` path would have emitted, without ever
-materialising python ``frozenset`` topologies.
+materialising python ``frozenset`` topologies, and the trace records those
+deltas alone.
 
 Adversaries that cannot express their behaviour this way simply return
 ``None`` from :meth:`Adversary.kernel_plan` and the simulator falls back to
@@ -45,20 +47,15 @@ class KernelPlan:
         return the same object on quiescent rounds.
     wakeup:
         The wake-up schedule (``awake_at(round)``), or ``None`` when every
-        node in :attr:`nodes` is awake from round 1.
-    cumulative_awake:
-        ``True`` when the adversary accumulates wake-ups
-        (``awake |= awake_at(r)``, the churn-adversary behaviour); ``False``
-        when it exposes exactly ``awake_at(r)`` each round (the static
-        adversary behaviour).  Non-cumulative plans require a
-        non-decreasing schedule; the engine raises otherwise.
+        node in :attr:`nodes` is awake from round 1.  The awake set of
+        round ``r`` is the union of ``awake_at(r') & nodes`` over
+        ``r' <= r``.
     """
 
     nodes: FrozenSet[int]
     universe_edges: Tuple[Tuple[int, int], ...]
     advance: Callable[[int], np.ndarray]
     wakeup: Optional[object] = None
-    cumulative_awake: bool = True
 
     def validate(self, n: int) -> bool:
         """Whether the plan's id space fits the array engine (ints in [0, n))."""

@@ -40,8 +40,19 @@ Two delivery paths implement that structure:
     hand-vectorised kernel for the algorithm
     (:meth:`~repro.runtime.algorithm.DistributedAlgorithm.as_kernel`) and a
     :class:`~repro.kernel.plan.KernelPlan` from the adversary.  The round
-    loop never materialises python topologies at all and the trace is
-    recorded lazily (deltas only).  Byte-identical to both classic paths.
+    loop never materialises python topologies at all.  Byte-identical to
+    both classic paths.
+
+Every path records a round once: one :meth:`ExecutionTrace.record
+<repro.runtime.trace.ExecutionTrace.record>` call (``record_stats`` for
+kernel rounds under ``"stats"`` retention) stores the round's delta (plus,
+on the classic paths, the graph they built anyway, which the dynamic graph
+keeps as a checkpoint every 32nd round), the output vector by reference and
+the changed-output set.  The shared epilogue
+(:meth:`Simulator._end_round`) then publishes the round's
+:class:`RoundActivity` and emits the one ``round`` trace event.  The
+adversary's view reads the previous graph and the output vectors straight
+from that record, so the simulator keeps no second history.
 
 The default mode ``"auto"`` selects the kernel path when algorithm,
 adversary and wake-up schedule are all kernel-eligible, incremental delivery
@@ -142,6 +153,11 @@ class RoundActivity:
     def num_active(self) -> int:
         """Number of nodes the engine ran ``deliver`` for this round."""
         return len(self._delivered)
+
+    @property
+    def num_composed(self) -> int:
+        """Number of nodes the engine ran ``compose`` for this round."""
+        return len(self._composed)
 
 
 class Simulator:
@@ -260,8 +276,6 @@ class Simulator:
             adversary.describe(),
             retention=trace_retention,
         )
-        self._output_history: list[Assignment] = []
-        self._previous_outputs: Dict[NodeId, Value] = {}
         self._current_topology: Topology = empty_topology()
         self._started = False
         self._last_activity: Optional[RoundActivity] = None
@@ -321,13 +335,13 @@ class Simulator:
             from repro.kernel.engine import ArrayKernelEngine
 
             self._kernel_engine = ArrayKernelEngine(
-                self, self._kernel_factory(), self._kernel_plan
+                self._trace, self._kernel_factory(), self._kernel_plan
             )
         engine = self._kernel_engine
-        # On the kernel path the engine owns the whole round.
-        run_round = engine.run_round if engine is not None else self._run_round
+        # On the kernel path the engine runs and records the whole round.
+        run_round = engine.run_round if engine is not None else self._classic_round
         for _ in range(rounds):
-            run_round()
+            self._end_round(*run_round(self._trace.num_rounds + 1))
             if self._stop_when is not None and self._stop_when(self._trace):
                 break
         if engine is not None:
@@ -346,15 +360,34 @@ class Simulator:
             n=self._n,
             round_index=round_index,
             obliviousness=self._adversary.obliviousness,
-            # The view pulls lazily from the dynamic graph and the (read-only)
-            # output list, so building it is O(1) regardless of the history.
-            topologies=self._trace.graph,
-            outputs=self._output_history,
+            previous=self._current_topology,
+            # a live view of the trace's output vectors: O(1) to build
+            outputs=self._trace.output_vectors,
             state_provider=state_provider,
         )
 
-    def _run_round(self) -> None:
-        round_index = self._trace.num_rounds + 1
+    def _end_round(self, metrics: RoundMetrics, activity: RoundActivity) -> None:
+        """The epilogue of every recorded round, whichever path ran it."""
+        self._last_activity = activity
+        # Trace-only, never counted: an untraced round pays one active_sink() call.
+        sink = active_sink()
+        if sink is not None:
+            # lengths only: the kernel's id arrays are never materialised here
+            frontier = activity.num_active
+            sink.emit(
+                "round",
+                round=activity.round_index,
+                mode=activity.mode,
+                awake=metrics.num_awake,
+                edges=metrics.num_edges,
+                composed=activity.num_composed,
+                frontier=frontier,
+                changed=metrics.outputs_changed,
+                quiescent=frontier == 0,
+            )
+
+    def _classic_round(self, round_index: int) -> tuple[RoundMetrics, RoundActivity]:
+        """Run and record one round on the full or incremental path."""
         previous = self._current_topology
 
         # (1) The adversary changes the graph by a delta (see Adversary.step).
@@ -391,26 +424,9 @@ class Simulator:
                 round_index, topology, delta
             )
 
-        self._trace.record(topology, outputs, metrics, delta=delta, changed_nodes=changed)
-        self._output_history.append(outputs)
-        self._previous_outputs = outputs
+        self._trace.record(delta, outputs, metrics, changed, topology=topology)
         self._current_topology = topology
-        self._last_activity = activity
-
-        # Trace-only, never counted: an untraced round pays one active_sink() call.
-        sink = active_sink()
-        if sink is not None:
-            sink.emit(
-                "round",
-                round=round_index,
-                mode=activity.mode,
-                awake=metrics.num_awake,
-                edges=metrics.num_edges,
-                composed=len(activity.composed),
-                frontier=len(activity.delivered),
-                changed=len(changed),
-                quiescent=len(activity.delivered) == 0,
-            )
+        return metrics, activity
 
     # -- the legacy O(n + m) path ------------------------------------------------
 
@@ -444,7 +460,7 @@ class Simulator:
 
         # (5) Outputs.
         outputs: Dict[NodeId, Value] = {v: self._algorithm.output(v) for v in topology.nodes}
-        previous_outputs = self._previous_outputs
+        previous_outputs = self._trace.outputs(round_index - 1) if round_index > 1 else {}
         changed = frozenset(
             v
             for v, value in outputs.items()

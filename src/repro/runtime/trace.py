@@ -24,18 +24,17 @@ class RoundRecord:
     """Everything recorded about one round.
 
     The topology is not stored per record: rounds live in the trace's
-    :class:`~repro.dynamics.dynamic_graph.DynamicGraph` as change sets plus
-    periodic checkpoint snapshots, and :attr:`topology`
+    :class:`~repro.dynamics.dynamic_graph.DynamicGraph` as change sets (plus a
+    checkpoint snapshot every 32nd classic round), and :attr:`topology`
     materialises transparently (sequential scans cost one delta application
     per round).
 
     ``changed`` is the set of nodes whose output differs from the previous
     round (newly awake nodes included) — the simulator knows it as a
     byproduct of recording, so consumers get it in O(1) instead of
-    re-scanning two output vectors (``None`` for records appended by legacy
-    callers; :meth:`ExecutionTrace.changed_nodes` then falls back to the
-    scan).  The array kernel hands it over as an int64 id array; the
-    frozenset view materialises (and is cached) on first access.
+    re-scanning two output vectors.  The array kernel hands it over as an
+    int64 id array; the frozenset view materialises (and is cached) on first
+    access.
 
     Under ``"stats"`` trace retention (see :class:`ExecutionTrace`) the
     record stores no output vector of its own: :attr:`outputs` reconstructs
@@ -51,8 +50,8 @@ class RoundRecord:
         outputs: Optional[Mapping[NodeId, Value]],
         metrics: RoundMetrics,
         graph: DynamicGraph,
-        changed: Optional[Any] = None,
-        trace: Optional["ExecutionTrace"] = None,
+        changed: Any,
+        trace: "ExecutionTrace",
     ) -> None:
         self.round_index = round_index
         self._outputs = outputs
@@ -70,10 +69,10 @@ class RoundRecord:
         return self._trace._materialised_outputs(self.round_index)
 
     @property
-    def changed(self) -> Optional[frozenset]:
+    def changed(self) -> frozenset:
         """Nodes whose output changed this round (lazy for array-backed records)."""
         stored = self._changed
-        if stored is None or isinstance(stored, frozenset):
+        if isinstance(stored, frozenset):
             return stored
         materialised = frozenset(stored.tolist())
         self._changed = materialised
@@ -88,6 +87,23 @@ class RoundRecord:
         return f"RoundRecord(round={self.round_index})"
 
 
+class _OutputVectors(Sequence):
+    """The trace's output vectors as a read-only sequence over its records."""
+
+    __slots__ = ("_records",)
+
+    def __init__(self, records: List[RoundRecord]) -> None:
+        self._records = records
+
+    def __len__(self) -> int:
+        return len(self._records)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [record.outputs for record in self._records[index]]
+        return self._records[index].outputs
+
+
 #: Valid trace retention modes (``ScenarioSpec`` validates against this).
 RETENTION_MODES = ("full", "stats")
 
@@ -95,9 +111,11 @@ RETENTION_MODES = ("full", "stats")
 class ExecutionTrace:
     """The chronological record of a simulation run.
 
-    The underlying dynamic graph materialises a full snapshot every 32
-    rounds (``DEFAULT_CHECKPOINT_INTERVAL``) between delta-encoded rounds
-    (see :class:`~repro.dynamics.dynamic_graph.DynamicGraph`).
+    Every round is recorded once, by :meth:`record` (``record_stats`` is
+    the array kernel's ``"stats"``-retention variant).  The dynamic graph
+    stores the round's delta, plus a snapshot every 32 classic rounds (see
+    :class:`~repro.dynamics.dynamic_graph.DynamicGraph`), and the output
+    vector is kept by reference.
 
     ``retention`` bounds the memory of the per-round output vectors:
 
@@ -109,12 +127,12 @@ class ExecutionTrace:
         engine) keep only the O(#changes) output *updates*; full vectors are
         reconstructed lazily by replaying updates forward, with a small
         rolling cache so the sequential scans of the metric/stability
-        consumers stay O(total changes) overall.  Classic-path rounds
-        (:meth:`record`) still store their vectors — the mode pays off on
-        the array path, where million-node runs would otherwise hold
-        hundreds of n-sized dicts.  All derived metrics are byte-identical
-        to ``"full"`` (consumers only ever count/sort, and the replay is
-        exact).
+        consumers stay O(total changes) overall.  Rounds recorded through
+        :meth:`record` (the classic paths) still store their vectors — the
+        mode pays off on the array path, where million-node runs would
+        otherwise hold hundreds of n-sized dicts.  All derived metrics are
+        byte-identical to ``"full"`` (consumers only ever count/sort, and
+        the replay is exact).
     """
 
     def __init__(
@@ -134,10 +152,11 @@ class ExecutionTrace:
         self._algorithm_name = algorithm_name
         self._adversary_description = adversary_description
         self._retention = retention
-        #: per-round output updates (``"stats"`` mode only; index = round - 1)
-        self._updates: Optional[List[Mapping[NodeId, Value]]] = (
-            [] if retention == "stats" else None
+        #: round -> output update of that :meth:`record_stats` round (``"stats"`` only)
+        self._updates: Optional[Dict[Round, Mapping[NodeId, Value]]] = (
+            {} if retention == "stats" else None
         )
+        self._output_vectors = _OutputVectors(self._records)
         #: rolling replay cache: round -> reconstructed full output vector
         self._replay_cache: Dict[int, Dict[NodeId, Value]] = {}
 
@@ -150,96 +169,57 @@ class ExecutionTrace:
 
     def record(
         self,
-        topology: Topology,
-        outputs: Mapping[NodeId, Value],
+        delta: TopologyDelta,
+        outputs: Optional[Mapping[NodeId, Value]],
         metrics: RoundMetrics,
+        changed: Any,
         *,
-        delta: TopologyDelta,
-        changed_nodes: Optional[frozenset] = None,
+        topology: Optional[Topology] = None,
     ) -> None:
-        """Append one round's record, stored as ``delta`` from the previous round.
+        """Append one round's record.
 
-        ``delta`` must be the exact change set from the previous round (``G_0``
-        is empty) to the already-materialised ``topology``; validation and
-        storage cost O(#changes) instead of O(n + m).  ``changed_nodes`` is
-        the exact set of nodes whose output differs from the previous round
-        (the simulator computes it while recording outputs); storing it makes
-        :meth:`changed_nodes` O(1).
+        ``delta`` is the exact change set from the previous round (``G_0`` is
+        empty); ``topology`` is the round's graph if the caller already
+        holds it (see :meth:`DynamicGraph.append`).  ``outputs`` is stored
+        *by reference*: the caller transfers ownership of a dict it never
+        mutates afterwards (``None`` only from :meth:`record_stats`, whose
+        rounds replay their vector).  ``changed`` is the exact set of nodes
+        whose output differs from the previous round, as a frozenset or an
+        int64 id array (the :attr:`RoundRecord.changed` view materialises
+        lazily).
         """
-        self._graph.append_delta(delta, topology)
-        stored = dict(outputs)
-        record = RoundRecord(
-            round_index=self._graph.last_round,
-            outputs=stored,
-            metrics=metrics,
-            graph=self._graph,
-            changed=changed_nodes,
-            trace=self,
+        self._graph.append(delta, topology)
+        self._records.append(
+            RoundRecord(
+                round_index=self._graph.last_round,
+                outputs=outputs,
+                metrics=metrics,
+                graph=self._graph,
+                changed=changed,
+                trace=self,
+            )
         )
-        self._records.append(record)
-        if self._updates is not None:
-            # keep the replay chain intact for stats-mode traces even when a
-            # classic-path round lands in between (a full vector is a valid
-            # update: it overwrites every key)
-            self._updates.append(stored)
-
-    def record_lazy(
-        self,
-        delta: TopologyDelta,
-        outputs: Mapping[NodeId, Value],
-        metrics: RoundMetrics,
-        changed_nodes: Optional[Any] = None,
-    ) -> None:
-        """Append one round from the array kernel without materialising it.
-
-        ``delta`` is stored as-is (see :meth:`DynamicGraph.append_lazy`) and
-        ``outputs`` is stored *by reference*: the kernel engine transfers
-        ownership of a dict it never mutates afterwards (it builds a fresh
-        one whenever any output changes), so the per-round defensive copy of
-        :meth:`record` would be pure overhead at kernel scale.
-        ``changed_nodes`` may be a frozenset or an int64 id array (the
-        :attr:`RoundRecord.changed` view materialises lazily).
-        """
-        self._graph.append_lazy(delta)
-        record = RoundRecord(
-            round_index=self._graph.last_round,
-            outputs=outputs,
-            metrics=metrics,
-            graph=self._graph,
-            changed=changed_nodes,
-            trace=self,
-        )
-        self._records.append(record)
-        if self._updates is not None:
-            self._updates.append(outputs)
 
     def record_stats(
         self,
         delta: TopologyDelta,
         update: Mapping[NodeId, Value],
         metrics: RoundMetrics,
-        changed_nodes: Optional[Any] = None,
+        changed: Any,
     ) -> None:
         """Append one array-kernel round keeping only its output *update*.
 
         ``update`` maps exactly the nodes whose output changed this round to
-        their new values (ownership transfers; never mutated afterwards).
+        their new values (ownership transfers; never mutated afterwards);
+        ``changed`` is as in :meth:`record`.
         Requires ``retention="stats"``; the full vector of any round is
         reconstructed on demand by :meth:`RoundRecord.outputs`.
         """
         if self._updates is None:
             raise SimulationError('record_stats requires a retention="stats" trace')
-        self._graph.append_lazy(delta)
-        record = RoundRecord(
-            round_index=self._graph.last_round,
-            outputs=None,
-            metrics=metrics,
-            graph=self._graph,
-            changed=changed_nodes,
-            trace=self,
-        )
-        self._records.append(record)
-        self._updates.append(update)
+        # no vector of its own: RoundRecord.outputs replays the updates
+        self.record(delta, None, metrics, changed)
+        self._updates[self._graph.last_round] = update
 
     def _materialised_outputs(self, r: Round) -> Dict[NodeId, Value]:
         """Replay the stored updates up to round ``r`` (stats retention).
@@ -269,7 +249,7 @@ class ExecutionTrace:
         current = dict(base)
         updates = self._updates
         for rr in range(base_round + 1, r + 1):
-            current.update(updates[rr - 1])
+            current.update(updates[rr])
         cache[r] = current
         for stale in [k for k in cache if not r - 1 <= k <= r + 1]:
             del cache[stale]
@@ -324,6 +304,11 @@ class ExecutionTrace:
         """The output vector at the end of round ``r``."""
         return self.record_at(r).outputs
 
+    @property
+    def output_vectors(self) -> Sequence[Assignment]:
+        """Every recorded output vector, round 1 at index 0 (a live view, no copy)."""
+        return self._output_vectors
+
     def output_of(self, v: NodeId, r: Round) -> Value:
         """Output of node ``v`` at the end of round ``r`` (⊥ if not awake)."""
         return self.record_at(r).outputs.get(v)
@@ -349,22 +334,9 @@ class ExecutionTrace:
     def changed_nodes(self, r: Round) -> frozenset[NodeId]:
         """Nodes whose output at round ``r`` differs from round ``r - 1``.
 
-        O(1) for simulator-recorded rounds (the engine stores the change set
-        it computed anyway); falls back to the two-vector scan for records
-        appended without one.
+        O(1): every round is recorded with the change set its engine computed.
         """
-        record = self.record_at(r)
-        if record.changed is not None:
-            return record.changed
-        current = record.outputs
-        previous: Mapping[NodeId, Value]
-        previous = self.record_at(r - 1).outputs if r > 1 else {}
-        changed = {
-            v
-            for v in current
-            if v not in previous or previous[v] != current[v]
-        }
-        return frozenset(changed)
+        return self.record_at(r).changed
 
     def output_changes_in(self, v: NodeId, interval: Interval) -> int:
         """Number of rounds in ``interval`` (excluding its first round) where ``v``'s output changed."""

@@ -17,14 +17,18 @@ from repro.dynamics.adversaries import (
 from repro.dynamics.churn import FlipChurn, StaticChurn
 from repro.dynamics.topology import EMPTY_DELTA, Topology, TopologyDelta, empty_topology
 from repro.dynamics.wakeup import StaggeredWakeup
+from repro.algorithms.coloring import BasicColoring
+from repro.runtime.metrics import RoundMetrics
+from repro.runtime.simulator import Simulator
+from repro.runtime.trace import ExecutionTrace
 
 
-def make_view(round_index, outputs=(), topologies=(), obliviousness=FULLY_OBLIVIOUS, state=None):
+def make_view(round_index, outputs=(), previous=None, obliviousness=FULLY_OBLIVIOUS, state=None):
     return AdversaryView(
         n=10,
         round_index=round_index,
         obliviousness=obliviousness,
-        topologies=tuple(topologies),
+        previous=previous if previous is not None else empty_topology(),
         outputs=tuple(outputs),
         state_provider=state,
     )
@@ -40,7 +44,7 @@ def replay(adversary, rounds, outputs=(), obliviousness=FULLY_OBLIVIOUS):
     graphs = [empty_topology()]
     for r in range(1, rounds + 1):
         view = make_view(
-            r, outputs=outputs[: r - 1], topologies=graphs[-1:], obliviousness=obliviousness
+            r, outputs=outputs[: r - 1], previous=graphs[-1], obliviousness=obliviousness
         )
         graphs.append(graphs[-1].apply(adversary.step(view)))
     return graphs[1:]
@@ -79,9 +83,76 @@ class TestAdversaryView:
 
     def test_previous_topology(self):
         topo = Topology([0, 1], [(0, 1)])
-        view = make_view(2, topologies=[topo])
+        view = make_view(2, previous=topo)
         assert view.previous_topology() == topo
         assert make_view(1).previous_topology() == empty_topology()  # G_0
+
+    def test_visible_rounds_are_capped_by_the_recorded_ones(self):
+        view = make_view(10, outputs=[{0: 1}, {0: 2}, {0: 3}], obliviousness=1)
+        assert view.visible_rounds() == 3
+        assert view.latest_visible_outputs() == {0: 3}
+
+    def test_output_history_holds_the_trace_vectors(self):
+        trace = ExecutionTrace(4, "alg", "adv")
+        vectors = [{0: r} for r in range(1, 4)]
+        for r, outputs in enumerate(vectors, start=1):
+            delta = TopologyDelta(added_nodes=[0]) if r == 1 else EMPTY_DELTA
+            trace.record(delta, outputs, RoundMetrics(r, 1, 0, 1, 0, 0, 0, 0), frozenset())
+        view = AdversaryView(
+            n=4,
+            round_index=4,
+            obliviousness=2,
+            previous=trace.topology(3),
+            outputs=trace.output_vectors,
+        )
+        history = view.output_history()
+        assert len(history) == 2
+        assert history[0] is vectors[0] and history[1] is vectors[1]
+        assert view.latest_visible_outputs() is vectors[1]
+
+
+class _SpyingColoringAdversary(TargetedColoringAdversary):
+    """The targeted colouring attack at a chosen ρ, keeping every view it is handed."""
+
+    def __init__(self, *args, obliviousness, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.obliviousness = obliviousness
+        self.seen = []
+
+    def step(self, view):
+        self.seen.append(
+            (view.round_index, view.visible_rounds(), view.latest_visible_outputs(), view.previous_topology())
+        )
+        return super().step(view)
+
+
+class TestSimulatorView:
+    """The view a real run hands the adversary reads the trace and copies nothing."""
+
+    @pytest.mark.parametrize("obliviousness", [1, 2])
+    @pytest.mark.parametrize("delivery", ["full", "incremental"])
+    def test_view_is_read_from_the_trace(self, rng_factory, delivery, obliviousness):
+        base = generators.gnp(16, 0.25, rng_factory.stream("view-base"))
+        adversary = _SpyingColoringAdversary(
+            base,
+            attacks_per_round=2,
+            lifetime=2,
+            rng=rng_factory.stream("view-attacks"),
+            obliviousness=obliviousness,
+        )
+        sim = Simulator(n=16, algorithm=BasicColoring(), adversary=adversary, seed=3, delivery=delivery)
+        trace = sim.run(8)
+        assert sim.delivery == delivery
+        assert [r for r, *_ in adversary.seen] == list(range(1, 9))
+        for r, visible, outputs, previous in adversary.seen:
+            assert visible == max(0, r - obliviousness)
+            if visible:
+                # the trace's own vector, not a copy the simulator keeps beside it
+                assert outputs is trace.outputs(r - obliviousness)
+            else:
+                assert outputs is None
+            assert previous == trace.topology(r - 1)
+        assert adversary.attack_log  # the attacks were chosen from those outputs
 
 
 class TestScriptedAndStatic:
@@ -114,7 +185,7 @@ class TestScriptedAndStatic:
         adversary = StaticAdversary(base, wakeup=schedule)
         previous = empty_topology()
         for r in range(1, 9):  # nodes wake in rounds 1, 3 and 5
-            delta = adversary.step(make_view(r, topologies=[previous]))
+            delta = adversary.step(make_view(r, previous=previous))
             woken = schedule.awake_at(r) - previous.nodes
             awake = previous.nodes | woken
             if not woken:
@@ -250,7 +321,7 @@ class TestCompositeAdversaries:
         topologies = replay(adversary, 7)
         assert topologies[0] != topologies[1]  # the inner churn still moves
         assert topologies[1] == topologies[2] == topologies[6]  # frozen from round 3 on
-        assert adversary.step(make_view(8, topologies=topologies[-1:])) is EMPTY_DELTA
+        assert adversary.step(make_view(8, previous=topologies[-1])) is EMPTY_DELTA
 
     def test_freeze_after_validation(self):
         with pytest.raises(ConfigurationError):

@@ -30,6 +30,7 @@ from repro.analysis.experiments.common import log2
 from repro.dynamics.dynamic_graph import DynamicGraph
 from repro.scenarios import ScenarioSpec, component
 from repro.scenarios.executor import _build_context
+from helpers import record_graph
 
 
 def scenario_context(n, seed, adversary="static"):
@@ -88,7 +89,7 @@ class TestWindowCheckerConsistency:
             union_nodes |= topo.nodes
             normalised.append(Topology(union_nodes, [e for e in topo.edges]))
         for topo in normalised:
-            graph.append(topo)
+            record_graph(graph, topo)
         r = len(normalised)
         spec = TDynamicSpec(coloring_problem_pair(), T)
         intersection = graph.intersection_graph(r, T)

@@ -145,42 +145,58 @@ def _random_evolution(rounds: int, seed: int):
 
 
 class TestDeltaStorage:
-    @pytest.mark.parametrize("checkpoint_interval", [1, 3, 8, 64])
-    def test_delta_storage_matches_snapshot_storage(self, checkpoint_interval):
-        evolution = _random_evolution(rounds=40, seed=11)
-        snap = DynamicGraph(32)
-        incr = DynamicGraph(32, checkpoint_interval=checkpoint_interval)
+    @pytest.mark.parametrize("with_graphs", [True, False], ids=["checkpointed", "delta-only"])
+    def test_delta_storage_matches_snapshot_storage(self, with_graphs):
+        """Rounds appended as deltas, with or without their graphs, give the recorded graphs back."""
+        evolution = _random_evolution(rounds=70, seed=11)
+        expected = [topo for _, topo in evolution]
+        graph = DynamicGraph(32)
         for delta, topo in evolution:
-            snap.append(topo)
-            incr.append_delta(delta)
-        assert incr.last_round == snap.last_round == 40
-        assert incr.topologies() == snap.topologies()
+            graph.append(delta, topo if with_graphs else None)
+        assert graph.last_round == 70
+        # Rounds appended with their graph keep one as a checkpoint every
+        # 32nd round; delta-only rounds replay from G_0.
+        stored = [r for r, entry in enumerate(graph._entries, start=1) if isinstance(entry, Topology)]
+        assert stored == ([1, 33, 65] if with_graphs else [])
+        assert list(graph.topologies()) == expected
         # Random access (exercises the checkpoint walk, not just the cursor).
-        for r in (40, 1, 17, 5, 33, 17):
-            assert incr.topology(r) == snap.topology(r)
-        for r in range(1, 41):
-            assert incr.edge_changes(r) == snap.edge_changes(r)
-            assert incr.intersection_graph(r, 5) == snap.intersection_graph(r, 5)
-            assert incr.union_graph(r, 5) == snap.union_graph(r, 5)
-        assert incr.churn_per_round() == snap.churn_per_round()
+        for r in (70, 1, 17, 5, 33, 40, 65, 17):
+            assert graph.topology(r) == expected[r - 1]
+        previous = empty_topology()
+        for r, topo in enumerate(expected, start=1):
+            assert graph.edge_changes(r) == (topo.edges - previous.edges, previous.edges - topo.edges)
+            previous = topo
+            for T in (1, 5):
+                if r < T:
+                    continue
+                window = expected[r - T : r]
+                assert graph.intersection_graph(r, T).edges == frozenset.intersection(
+                    *(t.edges for t in window)
+                )
+                assert graph.union_graph(r, T).edges == frozenset().union(
+                    *(t.edges for t in window)
+                )
+        assert graph.churn_per_round() == [
+            len(cur.edges ^ prev.edges) for prev, cur in zip([empty_topology()] + expected, expected)
+        ]
         interval = Interval(10, 20)
-        keep = incr.topology(10).nodes
-        assert incr.is_static_on(keep, interval) == snap.is_static_on(keep, interval)
+        keep = expected[9].nodes
+        assert graph.is_static_on(keep, interval) == all(
+            t.subgraph(keep) == expected[9].subgraph(keep) for t in expected[9:20]
+        )
 
-    def test_append_delta_rejects_node_removal_and_out_of_range(self):
+    def test_append_rejects_node_removal_and_out_of_range(self):
         graph = DynamicGraph(8)
-        graph.append_delta(TopologyDelta(added_nodes=range(4)))
+        graph.append(TopologyDelta(added_nodes=range(4)))
         with pytest.raises(TopologyError):
-            graph.append_delta(TopologyDelta(removed_nodes=[0]))
+            graph.append(TopologyDelta(removed_nodes=[0]))
         with pytest.raises(TopologyError):
-            graph.append_delta(TopologyDelta(added_nodes=[9]))
+            graph.append(TopologyDelta(added_nodes=[9]))
 
-    def test_latest_topology_is_o1_and_current(self):
+    def test_appended_graph_is_the_latest_round(self):
         graph = DynamicGraph(8)
-        assert graph.latest_topology() is None
-        graph.append_delta(TopologyDelta(added_nodes=range(3), added_edges=[(0, 1)]))
-        latest = graph.latest_topology()
-        assert latest == Topology(range(3), [(0, 1)])
+        latest = Topology(range(3), [(0, 1)])
+        graph.append(TopologyDelta.between(empty_topology(), latest), latest)
         assert graph.topology(1) is latest
 
 

@@ -9,6 +9,7 @@ from repro.types import Interval
 from repro.dynamics.dynamic_graph import DynamicGraph
 from repro.dynamics.topology import Topology, TopologyDelta
 from repro.problems import TDynamicSpec, coloring_problem_pair
+from helpers import record_graph
 
 
 def topo(edges, nodes=range(4)):
@@ -23,13 +24,13 @@ class TestRecording:
     def test_rejects_node_outside_range(self):
         graph = DynamicGraph(3)
         with pytest.raises(TopologyError):
-            graph.append(Topology([0, 5], []))
+            record_graph(graph, Topology([0, 5], []))
 
     def test_rejects_shrinking_node_set(self):
         graph = DynamicGraph(4)
-        graph.append(Topology([0, 1, 2], []))
+        record_graph(graph, Topology([0, 1, 2], []))
         with pytest.raises(TopologyError):
-            graph.append(Topology([0, 1], []))
+            record_graph(graph, Topology([0, 1], []))
 
     def test_round_zero_is_empty(self):
         graph = DynamicGraph(4)
@@ -37,8 +38,8 @@ class TestRecording:
 
     def test_round_indexing(self):
         graph = DynamicGraph(4)
-        graph.append(topo([(0, 1)]))
-        graph.append(topo([(1, 2)]))
+        record_graph(graph, topo([(0, 1)]))
+        record_graph(graph, topo([(1, 2)]))
         assert graph.last_round == 2
         assert graph.topology(1).edges == frozenset({(0, 1)})
         assert graph.topology(2).edges == frozenset({(1, 2)})
@@ -50,20 +51,20 @@ class TestWindowQueries:
     def test_definition_21_round_zero_convention(self):
         """For r <= T - 1 the window includes the empty G_0, so both graphs are empty."""
         graph = DynamicGraph(4)
-        graph.append(topo([(0, 1)]))
-        graph.append(topo([(0, 1)]))
+        record_graph(graph, topo([(0, 1)]))
+        record_graph(graph, topo([(0, 1)]))
         T = 3
         assert graph.intersection_graph(1, T).num_nodes == 0
         assert graph.intersection_graph(2, T).num_nodes == 0
         assert graph.union_graph(2, T).num_nodes == 0
-        graph.append(topo([(0, 1)]))
+        record_graph(graph, topo([(0, 1)]))
         # Round 3 is the first round with a full window of T = 3 real rounds.
         assert graph.intersection_graph(3, T).edges == frozenset({(0, 1)})
 
     def test_intersection_and_union_content(self):
         graph = DynamicGraph(4)
-        graph.append(topo([(0, 1), (1, 2)]))
-        graph.append(topo([(0, 1), (2, 3)]))
+        record_graph(graph, topo([(0, 1), (1, 2)]))
+        record_graph(graph, topo([(0, 1), (2, 3)]))
         inter = graph.intersection_graph(2, 2)
         union = graph.union_graph(2, 2)
         assert inter.edges == frozenset({(0, 1)})
@@ -74,8 +75,8 @@ class TestWindowQueries:
         # still counts, so the union edge set is the plain union of the rounds.
         for second_round in ([(0, 1), (1, 2)], [(1, 2)]):
             graph = DynamicGraph(5)
-            graph.append(Topology([0, 1], [(0, 1)]))
-            graph.append(Topology([0, 1, 2], second_round))
+            record_graph(graph, Topology([0, 1], [(0, 1)]))
+            record_graph(graph, Topology([0, 1, 2], second_round))
             union = graph.union_graph(2, 2)
             # Node 2 woke mid-window: it is not constrained (not in V^{T∩}), but the
             # edge it contributed counts towards node 1's union degree.
@@ -86,7 +87,7 @@ class TestWindowQueries:
     @pytest.mark.parametrize("T", [0, -1, 2.5, True])
     def test_window_size_must_be_a_positive_int(self, T):
         graph = DynamicGraph(4)
-        graph.append(topo([(0, 1)]))
+        record_graph(graph, topo([(0, 1)]))
         names_value = re.escape(f"T={T!r}")
         for query in (graph.intersection_graph, graph.union_graph):
             with pytest.raises(TopologyError, match=names_value):
@@ -97,21 +98,12 @@ class TestWindowQueries:
 
 
 def _record(topologies, path, n=8):
-    """``topologies`` recorded by ``append``, ``append_delta`` or ``append_lazy``."""
-    if path == "append":
-        graph = DynamicGraph(n)
-        for topology in topologies:
-            graph.append(topology)
-        return graph
-    kind, _, interval = path.partition("-")
-    graph = DynamicGraph(n, checkpoint_interval=int(interval or 1))
+    """``topologies`` recorded as deltas, with their graphs (``"graph"``) or without."""
+    graph = DynamicGraph(n)
     previous = Topology([], [])
     for topology in topologies:
         delta = TopologyDelta.between(previous, topology)
-        if kind == "lazy":
-            graph.append_lazy(delta)
-        else:
-            graph.append_delta(delta)
+        graph.append(delta, topology if path == "graph" else None)
         previous = topology
     return graph
 
@@ -128,7 +120,7 @@ def _growing_topologies(rng, *, n=8, rounds=16):
     return topologies
 
 
-STORAGE_PATHS = ["append", "delta-1", "delta-3", "delta-32", "lazy"]
+STORAGE_PATHS = ["graph", "delta"]
 
 
 @pytest.mark.parametrize("path", STORAGE_PATHS)
@@ -160,7 +152,8 @@ class TestWindowStoragePaths:
 
     @pytest.mark.parametrize("T", [1, 2, 3, 5])
     def test_matches_direct_computation(self, rng_factory, path, T):
-        topologies = _growing_topologies(rng_factory.stream("window-brute", T))
+        # 70 rounds: checkpoints at rounds 1, 33 and 65 on the "graph" path
+        topologies = _growing_topologies(rng_factory.stream("window-brute", T), rounds=70)
         graph = _record(topologies, path)
         for r in range(1, len(topologies) + 1):
             inter, union = graph.intersection_graph(r, T), graph.union_graph(r, T)
@@ -177,16 +170,16 @@ class TestWindowStoragePaths:
 class TestStabilityPredicates:
     def test_is_static_on(self):
         graph = DynamicGraph(4)
-        graph.append(topo([(0, 1), (2, 3)]))
-        graph.append(topo([(0, 1), (1, 2)]))
-        graph.append(topo([(0, 1), (1, 2)]))
+        record_graph(graph, topo([(0, 1), (2, 3)]))
+        record_graph(graph, topo([(0, 1), (1, 2)]))
+        record_graph(graph, topo([(0, 1), (1, 2)]))
         assert graph.is_static_on({0, 1}, Interval(1, 3))
         assert not graph.is_static_on({1, 2, 3}, Interval(1, 2))
         assert graph.is_static_on({1, 2, 3}, Interval(2, 3))
 
     def test_is_static_interval_bounds_checked(self):
         graph = DynamicGraph(4)
-        graph.append(topo([]))
+        record_graph(graph, topo([]))
         with pytest.raises(TopologyError):
             graph.is_static_on({0}, Interval(1, 5))
 
@@ -194,8 +187,8 @@ class TestStabilityPredicates:
         graph = DynamicGraph(6)
         base = Topology(range(6), [(0, 1), (1, 2), (3, 4), (4, 5)])
         changed = Topology(range(6), [(0, 1), (1, 2), (3, 4)])
-        graph.append(base)
-        graph.append(changed)
+        record_graph(graph, base)
+        record_graph(graph, changed)
         # Ball around 0 (radius 2) = {0,1,2}; its induced edges never change.
         assert graph.static_ball_interval(0, 2, Interval(1, 2))
         # Ball around 5 loses its only edge.
@@ -205,8 +198,8 @@ class TestStabilityPredicates:
 class TestChangeStatistics:
     def test_edge_changes(self):
         graph = DynamicGraph(4)
-        graph.append(topo([(0, 1)]))
-        graph.append(topo([(1, 2)]))
+        record_graph(graph, topo([(0, 1)]))
+        record_graph(graph, topo([(1, 2)]))
         inserted, deleted = graph.edge_changes(2)
         assert inserted == frozenset({(1, 2)})
         assert deleted == frozenset({(0, 1)})
@@ -215,6 +208,6 @@ class TestChangeStatistics:
 
     def test_churn_per_round(self):
         graph = DynamicGraph(4)
-        graph.append(topo([(0, 1)]))
-        graph.append(topo([(1, 2)]))
+        record_graph(graph, topo([(0, 1)]))
+        record_graph(graph, topo([(1, 2)]))
         assert graph.churn_per_round() == [1, 2]

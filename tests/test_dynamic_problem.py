@@ -8,7 +8,7 @@ from repro.dynamics.topology import Topology
 from repro.problems import TDynamicSpec, coloring_problem_pair, mis_problem_pair
 from repro.runtime.metrics import RoundMetrics
 from repro.runtime.trace import ExecutionTrace
-from helpers import record_round
+from helpers import record_graph, record_round
 
 
 def _metrics(r):
@@ -23,7 +23,7 @@ class TestCheckRound:
     def test_early_rounds_unconstrained(self):
         """Per Definition 2.1, rounds r < T have an empty window (G_0 included)."""
         graph = DynamicGraph(3)
-        graph.append(Topology([0, 1], [(0, 1)]))
+        record_graph(graph, Topology([0, 1], [(0, 1)]))
         spec = TDynamicSpec(coloring_problem_pair(), T=3)
         result = spec.check_round(graph, {0: None, 1: None}, 1)
         assert result.constrained_nodes == 0
@@ -32,8 +32,8 @@ class TestCheckRound:
     def test_packing_checked_on_intersection(self):
         graph = DynamicGraph(3)
         # Edge (0,1) present in round 1 only; (1,2) present in both.
-        graph.append(Topology([0, 1, 2], [(0, 1), (1, 2)]))
-        graph.append(Topology([0, 1, 2], [(1, 2)]))
+        record_graph(graph, Topology([0, 1, 2], [(0, 1), (1, 2)]))
+        record_graph(graph, Topology([0, 1, 2], [(1, 2)]))
         spec = TDynamicSpec(coloring_problem_pair(), T=2)
         # Same colour on 0 and 1 is fine (edge not in intersection), same on 1, 2 is not.
         ok = spec.check_round(graph, {0: 1, 1: 1, 2: 2}, 2)
@@ -43,8 +43,8 @@ class TestCheckRound:
 
     def test_covering_checked_on_union(self):
         graph = DynamicGraph(3)
-        graph.append(Topology([0, 1, 2], [(0, 1), (0, 2)]))
-        graph.append(Topology([0, 1, 2], []))
+        record_graph(graph, Topology([0, 1, 2], [(0, 1), (0, 2)]))
+        record_graph(graph, Topology([0, 1, 2], []))
         spec = TDynamicSpec(coloring_problem_pair(), T=2)
         # Node 0 has union degree 2, so colour 3 is allowed; colour 4 is not.
         assert spec.check_round(graph, {0: 3, 1: 1, 2: 1}, 2).is_valid
@@ -53,7 +53,7 @@ class TestCheckRound:
 
     def test_undecided_constrained_node_is_violation(self):
         graph = DynamicGraph(2)
-        graph.append(Topology([0, 1], [(0, 1)]))
+        record_graph(graph, Topology([0, 1], [(0, 1)]))
         spec = TDynamicSpec(mis_problem_pair(), T=1)
         result = spec.check_round(graph, {0: 1, 1: None}, 1)
         assert result.undecided_nodes == (1,)
@@ -62,8 +62,8 @@ class TestCheckRound:
 
     def test_mis_pair_on_windows(self):
         graph = DynamicGraph(3)
-        graph.append(Topology([0, 1, 2], [(0, 1)]))
-        graph.append(Topology([0, 1, 2], [(1, 2)]))
+        record_graph(graph, Topology([0, 1, 2], [(0, 1)]))
+        record_graph(graph, Topology([0, 1, 2], [(1, 2)]))
         spec = TDynamicSpec(mis_problem_pair(), T=2)
         # 0 and 2 in the MIS, 1 dominated: intersection graph has no edges, so
         # independence is trivial; union graph gives node 1 a dominator.

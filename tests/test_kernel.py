@@ -369,7 +369,7 @@ class TestCSRProperties:
                 current = set(plan.nodes)
             else:
                 current = set(plan.wakeup.awake_at(r)) & plan.nodes
-            awake = awake | current if plan.cumulative_awake else current
+            awake = awake | current
             present = universe[plan.advance(r)].tolist()
             edges = {(u, v) for u, v in present if u in awake and v in awake}
             assert set(record.topology.nodes) == awake, f"round {r}"

@@ -314,7 +314,7 @@ class TestPipelineEvents:
         (begin,) = _events(path, "batch_begin")
         assert begin["units"] == 3 and begin["backend"] == "serial"
         rounds = _events(path, "round")
-        assert all(event["mode"] in ("full", "delta", "kernel") for event in rounds)
+        assert all(event["mode"] in ("full", "incremental", "kernel") for event in rounds)
         for unit in _events(path, "unit_begin"):
             assert unit["algorithm"] == "dynamic-coloring"
             assert unit["adversary"] == "flip-churn"

@@ -152,7 +152,7 @@ class TestValidation:
     def test_record_stats_requires_stats_mode(self):
         trace = ExecutionTrace(4, "alg", "adv")
         with pytest.raises(SimulationError):
-            trace.record_stats(None, {}, None)
+            trace.record_stats(None, {}, None, frozenset())
 
 
 class TestActivityLaziness:
