@@ -19,13 +19,14 @@ python paths would need hours; its rows gate completion (and, in smoke
 mode, a throughput floor and a peak-RSS ceiling).
 
 The ``concat`` group times the paper's own ``Concat`` combiners of
-Theorem 1.1 (DynamicColoring, DynamicMIS).  They declare no message
-stability and have no kernel, so ``full`` is their only path; each run goes
-through the executor's ``run_scenario_seed`` with a cold topology cache,
-and every timed run's row must be byte-identical to an untimed reference
-run's row.  Its rows report ``e2e_s`` (wall time of the whole unit, setup
-and metrics included) and ``full_rps`` (rounds over the executor's own
-round-loop phase); they have no speed gate.
+Theorem 1.1 (DynamicColoring, DynamicMIS) on ``full``, the path every
+combiner has; a group's ``combiners`` time the same scenario on the group's
+last path (``kernel/dynamic-coloring``: the stacked Concat kernel).  Each
+run goes through the executor's ``run_scenario_seed`` with a cold topology
+cache, and every timed run's row must be byte-identical to an untimed
+reference run's row on ``full``.  These rows report ``e2e_s`` (wall time of
+the whole unit, setup and metrics included) and ``<path>_rps`` (rounds over
+the executor's own round-loop phase); they have no speed gate.
 
 The ``exec`` group times the execution backends (``serial`` / ``process``
 / ``remote``) over many-tiny-unit batches; every backend's rows must be
@@ -41,10 +42,13 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_paths.py            # full grid
     PYTHONPATH=src python benchmarks/bench_paths.py --smoke    # CI gates
     PYTHONPATH=src python benchmarks/bench_paths.py --json out.json
+    PYTHONPATH=src python benchmarks/bench_paths.py --group kernel
 
 Full mode writes ``benchmarks/results/BENCH.json``; ``--smoke`` runs small
-sizes and writes nothing unless ``--json`` is given.  Either mode exits 1
-when a gate fails and raises on any identity mismatch.
+sizes and writes nothing unless ``--json`` is given.  ``--group G`` runs
+group ``G`` alone and replaces only its rows in the output file, leaving
+every other row as it was.  Every mode exits 1 when a gate fails and raises
+on any identity mismatch.
 """
 
 from __future__ import annotations
@@ -152,6 +156,8 @@ class Group:
     name_fmt: str
     #: smoke-mode peak-RSS ceiling (MiB), read right after the group's rows
     smoke_rss_mib: Optional[float] = None
+    #: ``Concat`` combiners timed on the group's last path (see ``run_concat``)
+    combiners: Tuple[str, ...] = ()
 
 
 GROUPS = (
@@ -186,6 +192,7 @@ GROUPS = (
         gates=(("*-dense", "speedup", 10.0), ("*-sparse", "speedup", 0.95)),
         smoke_gates=(("*-dense", "speedup", 1.0),),
         name_fmt="{algorithm}-{churn}",
+        combiners=("dynamic-coloring",),
     ),
     # completion rows only the kernel can finish; the 10^6 row (and the
     # smoke row) keep O(#changes) trace state under "stats" retention
@@ -279,11 +286,24 @@ def cells(group: Group, smoke: bool) -> Iterator[Cell]:
                 yield Cell(f"{group.name}/{name}", algorithm, size, churn)
 
 
+def group_workloads(group: str, smoke: bool = False) -> List[str]:
+    """The workloads of group ``group``, in file order."""
+    if group == "concat":
+        return [f"concat/{algorithm}" for algorithm in CONCAT_ALGORITHMS]
+    if group == "exec":
+        return [f"exec/{name}" for name in EXEC_WORKLOADS]
+    (found,) = [g for g in GROUPS if g.name == group]
+    names = [cell.workload for cell in cells(found, smoke)]
+    return names + [f"{group}/{algorithm}" for algorithm in found.combiners]
+
+
+#: every group, in file order
+GROUP_NAMES = tuple(group.name for group in GROUPS) + ("concat", "exec")
+
+
 def workload_names(smoke: bool = False) -> List[str]:
     """Every workload the harness writes, in file order."""
-    names = [cell.workload for group in GROUPS for cell in cells(group, smoke)]
-    names += [f"concat/{algorithm}" for algorithm in CONCAT_ALGORITHMS]
-    return names + [f"exec/{name}" for name in EXEC_WORKLOADS]
+    return [name for group in GROUP_NAMES for name in group_workloads(group, smoke)]
 
 
 def _run(
@@ -394,8 +414,8 @@ def _check_gates(rows: List[Dict[str, object]], gates: Sequence[Gate], group: st
     return failures
 
 
-def _concat_spec(algorithm: str, n: int) -> ScenarioSpec:
-    """A Concat combiner for ``4*T1`` rounds under flip churn, on ``full``."""
+def _concat_spec(algorithm: str, n: int, path: str = "full") -> ScenarioSpec:
+    """A Concat combiner for ``4*T1`` rounds under flip churn, on ``path``."""
     problem = "coloring" if algorithm == "dynamic-coloring" else "mis"
     return ScenarioSpec(
         n=n,
@@ -403,18 +423,18 @@ def _concat_spec(algorithm: str, n: int) -> ScenarioSpec:
         algorithm=algorithm,
         adversary=component("flip-churn", flip_prob=CONCAT_FLIP_PROB),
         rounds="4*T1",
-        delivery="full",
+        delivery=path,
         metrics=(component("validity", problem=problem), component("stability")),
         name=f"concat/{algorithm}",
     )
 
 
-def run_concat(algorithm: str, smoke: bool, seed: int = 1) -> Dict[str, object]:
-    """Time one combiner end to end; every run's row must match the reference."""
-    spec = _concat_spec(algorithm, CONCAT_N[smoke])
-    workload = f"concat/{algorithm}"
+def run_concat(algorithm: str, smoke: bool, seed: int = 1, path: str = "full") -> Dict[str, object]:
+    """Time one combiner end to end on ``path``; every run's row must match ``full``'s."""
+    spec = _concat_spec(algorithm, CONCAT_N[smoke], path)
+    workload = f"{'concat' if path == 'full' else path}/{algorithm}"
     topology_cache_clear()
-    reference = canonical_json(run_scenario_seed(spec, seed))
+    reference = canonical_json(run_scenario_seed(spec.replace(delivery="full"), seed))
     rounds = spec.resolved_rounds()
     e2e: List[float] = []
     best = 0.0
@@ -426,18 +446,18 @@ def run_concat(algorithm: str, smoke: bool, seed: int = 1) -> Dict[str, object]:
             row = run_scenario_seed(spec, seed)
             e2e.append(time.perf_counter() - started)
         if canonical_json(row) != reference:
-            raise AssertionError(f"{workload}: row differs from the reference run's")
+            raise AssertionError(f"{workload}: row differs from the full path's reference run")
         best = max(best, rounds / stats.seconds(UNIT_ROUNDS))
     row = _row(
         workload,
-        {"full": best},
+        {path: best},
         algorithm=algorithm,
         n=spec.n,
         rounds=rounds,
         churn_prob=CONCAT_FLIP_PROB,
         e2e_s=round(statistics.median(e2e), 3),
     )
-    print(f"{workload:<32} n={spec.n:<7} full={best:9.2f} r/s  e2e={row['e2e_s']:.3f} s")
+    print(f"{workload:<32} n={spec.n:<7} {path}={best:9.2f} r/s  e2e={row['e2e_s']:.3f} s")
     return row
 
 
@@ -517,28 +537,51 @@ def run_workload(
     return _row(f"exec/{label}", rates, units=len(units))
 
 
+def run_group(name: str, smoke: bool) -> Tuple[List[Dict[str, object]], List[str]]:
+    """The rows and gate failures of group ``name``."""
+    if name == "concat":
+        return [run_concat(algorithm, smoke) for algorithm in CONCAT_ALGORITHMS], []
+    if name == "exec":
+        replications = EXEC_WORKLOADS["replication-tail"][smoke]
+        grid_seeds = EXEC_WORKLOADS["grid-matrix"][smoke]
+        return [
+            run_workload("replication-tail", units_for_spec(_replication_spec(replications))),
+            run_workload("grid-matrix", _grid_units(grid_seeds)),
+        ], []
+    (group,) = [g for g in GROUPS if g.name == name]
+    rows = [run_cell(group, cell, smoke) for cell in cells(group, smoke)]
+    rows += [run_concat(algorithm, smoke, path=group.paths[-1]) for algorithm in group.combiners]
+    failures: List[str] = []
+    if smoke and group.smoke_rss_mib is not None:
+        peak = _peak_rss_mib()
+        print(f"{group.name}: peak RSS {peak:.0f} MiB")
+        if peak > group.smoke_rss_mib:
+            failures.append(f"{group.name}: peak RSS {peak:.0f} MiB > {group.smoke_rss_mib} MiB")
+    failures += _check_gates(rows, group.smoke_gates if smoke else group.gates, group.name)
+    return rows, failures
+
+
 def run_all(smoke: bool) -> Tuple[List[Dict[str, object]], List[str]]:
     """Every row and every gate failure of one mode."""
     rows: List[Dict[str, object]] = []
     failures: List[str] = []
-    for group in GROUPS:
-        group_rows = [run_cell(group, cell, smoke) for cell in cells(group, smoke)]
-        if smoke and group.smoke_rss_mib is not None:
-            peak = _peak_rss_mib()
-            print(f"{group.name}: peak RSS {peak:.0f} MiB")
-            if peak > group.smoke_rss_mib:
-                failures.append(
-                    f"{group.name}: peak RSS {peak:.0f} MiB > {group.smoke_rss_mib} MiB"
-                )
-        gates = group.smoke_gates if smoke else group.gates
-        failures += _check_gates(group_rows, gates, group.name)
+    for name in GROUP_NAMES:
+        group_rows, group_failures = run_group(name, smoke)
         rows += group_rows
-    rows += [run_concat(algorithm, smoke) for algorithm in CONCAT_ALGORITHMS]
-    replications = EXEC_WORKLOADS["replication-tail"][smoke]
-    grid_seeds = EXEC_WORKLOADS["grid-matrix"][smoke]
-    rows.append(run_workload("replication-tail", units_for_spec(_replication_spec(replications))))
-    rows.append(run_workload("grid-matrix", _grid_units(grid_seeds)))
+        failures += group_failures
     return rows, failures
+
+
+def merge_group(
+    previous: Sequence[Dict[str, object]], rows: Sequence[Dict[str, object]], smoke: bool
+) -> List[Dict[str, object]]:
+    """``previous`` with one group's rows replaced by ``rows``, in file order."""
+    by_name = {row["workload"]: row for row in previous}
+    by_name.update({row["workload"]: row for row in rows})
+    missing = [name for name in workload_names(smoke) if name not in by_name]
+    if missing:
+        raise SystemExit(f"--group: the output file lacks rows {missing}; run every group")
+    return [by_name[name] for name in workload_names(smoke)]
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -552,11 +595,23 @@ def main(argv: Optional[List[str]] = None) -> int:
         default=None,
         help=f"output path for the result JSON (default: {RESULTS_PATH} in full mode)",
     )
+    parser.add_argument(
+        "--group",
+        choices=GROUP_NAMES,
+        default=None,
+        help="run one group and replace only its rows in the output file",
+    )
     args = parser.parse_args(argv)
 
-    rows, failures = run_all(args.smoke)
+    if args.group is None:
+        rows, failures = run_all(args.smoke)
+    else:
+        rows, failures = run_group(args.group, args.smoke)
     out_path = args.json or (None if args.smoke else RESULTS_PATH)
     if out_path is not None:
+        if args.group is not None and out_path.exists():
+            previous = json.loads(out_path.read_text(encoding="utf-8"))["rows"]
+            rows = merge_group(previous, rows, args.smoke)
         payload = {
             "benchmark": "paths",
             "unit": "<path>_rps: rounds/sec on round paths, units/sec on exec backends; "

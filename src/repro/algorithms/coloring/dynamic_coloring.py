@@ -32,6 +32,13 @@ class DynamicColoring(Concat):
     def __init__(self, T1: int) -> None:
         super().__init__(static_factory=SColor, dynamic_factory=DColor, T1=T1)
 
+    def as_kernel(self):
+        if type(self) is not DynamicColoring:
+            return None
+        from repro.kernel.concat import ConcatColoringKernel
+
+        return lambda: ConcatColoringKernel(self)
+
 
 def dynamic_coloring(n: int, *, window: Optional[int] = None) -> DynamicColoring:
     """Build the combined colouring algorithm with the practical default window.

@@ -73,8 +73,10 @@ class Concat(DistributedAlgorithm):
     # fresh DAlg instance, so the broadcast bundle gains a new start-round
     # key each round (every node's message changes every round by
     # construction) and ``end_round`` snapshots the SAlg output of every
-    # awake node.  The combiner is inherently O(n) per round — exactly the
-    # paper's T1-parallel-instances blow-up.
+    # awake node.  Every round therefore touches every awake node in all
+    # T1 - 1 instances — the paper's T1-parallel-instances blow-up.  An
+    # array kernel runs those dense rounds vectorised
+    # (``DynamicColoring.as_kernel``, :mod:`repro.kernel.concat`).
     message_stability = "none"
 
     def __init__(

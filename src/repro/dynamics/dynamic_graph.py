@@ -21,12 +21,15 @@ pattern of the checkers — cost one delta application per step.
 
 On top of the raw sequence it offers the sliding-window queries of
 Definition 2.1 (``G^{T∩}_r``, ``G^{T∪}_r``), recomputed from the stored
-history; they are the only implementation of that definition.
+history; they are the only implementation of that definition.  Per round
+they materialise the window's ``T`` graphs; :meth:`DynamicGraph.windows`
+answers a run of consecutive rounds in one forward walk instead.
 """
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, Iterator, List, Optional, Sequence, Union
+from collections import deque
+from typing import FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import TopologyError
 from repro.types import Edge, Interval, NodeId
@@ -168,14 +171,16 @@ class DynamicGraph:
         TopologyError
             If ``T`` is not an integer ``>= 1`` or round ``r`` is not recorded.
         """
-        if not isinstance(T, int) or isinstance(T, bool) or T < 1:
-            raise TopologyError(f"window size T must be an integer >= 1, got T={T!r}")
-        if not 1 <= r <= len(self._entries):
-            raise TopologyError(f"round {r} has not been recorded (last = {self.last_round})")
+        _check_window_size(T)
+        self._check_recorded(r)
         r0 = max(0, r - T + 1)
         includes_zero = r0 == 0
         first = max(1, r0)
         return includes_zero, [self._materialise(i) for i in range(first, r + 1)]
+
+    def _check_recorded(self, r: int) -> None:
+        if not 1 <= r <= len(self._entries):
+            raise TopologyError(f"round {r} has not been recorded (last = {self.last_round})")
 
     def intersection_graph(self, r: int, T: int) -> Topology:
         """``G^{T∩}_r``: nodes and edges present in every round of the window.
@@ -185,15 +190,7 @@ class DynamicGraph:
         the intersection is empty — no node has been awake for ``T`` rounds yet.
         """
         includes_zero, rounds = self._window_rounds(r, T)
-        if includes_zero:
-            return empty_topology()
-        nodes: FrozenSet[NodeId] = rounds[0].nodes
-        edges: FrozenSet[Edge] = rounds[0].edges
-        for topo in rounds[1:]:
-            nodes &= topo.nodes
-            edges &= topo.edges
-        edges = frozenset(e for e in edges if e[0] in nodes and e[1] in nodes)
-        return Topology(nodes, edges)
+        return empty_topology() if includes_zero else _intersection(rounds)
 
     def union_graph(self, r: int, T: int) -> Topology:
         """``G^{T∪}_r``: every edge present at least once in the window.
@@ -208,19 +205,33 @@ class DynamicGraph:
         *constrained* by the T-dynamic checker.
         """
         includes_zero, rounds = self._window_rounds(r, T)
-        if includes_zero:
-            return empty_topology()
-        nodes: FrozenSet[NodeId] = rounds[0].nodes
-        for topo in rounds[1:]:
-            nodes &= topo.nodes
-        edges: set[Edge] = set()
-        for topo in rounds:
-            edges.update(topo.edges)
-        node_set = set(nodes)
-        for u, v in edges:
-            node_set.add(u)
-            node_set.add(v)
-        return Topology(node_set, edges)
+        return empty_topology() if includes_zero else _union(rounds)
+
+    def windows(
+        self, T: int, start: int = 1, end: Optional[int] = None
+    ) -> Iterator[Tuple[int, Topology, Topology]]:
+        """Yield ``(r, G^{T∩}_r, G^{T∪}_r)`` for ``r = start … end`` (default: the last round).
+
+        The same graphs as :meth:`intersection_graph` and :meth:`union_graph`
+        round by round, from one forward walk: each recorded graph is
+        materialised once (one delta apply per round) and the window slides
+        over a queue of its ``T`` graphs, so a delta-only (array-kernel)
+        record is never replayed from ``G_0`` per round.
+        """
+        _check_window_size(T)
+        end = self.last_round if end is None else min(end, self.last_round)
+        if start > end:
+            return
+        self._check_recorded(start)
+        window: deque = deque(maxlen=T)
+        for r in range(max(1, start - T + 1), end + 1):
+            window.append(self._materialise(r))
+            if r < start:
+                continue
+            if r < T:  # the window reaches back to the empty G_0
+                yield r, empty_topology(), empty_topology()
+            else:
+                yield r, _intersection(window), _union(window)
 
     # -- stability predicates ---------------------------------------------
 
@@ -277,3 +288,37 @@ class DynamicGraph:
             ins, dele = self.edge_changes(r)
             counts.append(len(ins) + len(dele))
         return counts
+
+
+def _check_window_size(T: int) -> None:
+    if not isinstance(T, int) or isinstance(T, bool) or T < 1:
+        raise TopologyError(f"window size T must be an integer >= 1, got T={T!r}")
+
+
+def _intersection(rounds: Iterable[Topology]) -> Topology:
+    """The nodes and edges present in every graph of a (non-empty) window."""
+    it = iter(rounds)
+    first = next(it)
+    nodes: FrozenSet[NodeId] = first.nodes
+    edges: FrozenSet[Edge] = first.edges
+    for topo in it:
+        nodes &= topo.nodes
+        edges &= topo.edges
+    edges = frozenset(e for e in edges if e[0] in nodes and e[1] in nodes)
+    return Topology(nodes, edges)
+
+
+def _union(rounds: Iterable[Topology]) -> Topology:
+    """The intersection's nodes plus every edge (and endpoint) seen in a window."""
+    it = iter(rounds)
+    nodes: FrozenSet[NodeId] = next(it).nodes
+    for topo in it:
+        nodes &= topo.nodes
+    edges: set[Edge] = set()
+    for topo in rounds:
+        edges.update(topo.edges)
+    node_set = set(nodes)
+    for u, v in edges:
+        node_set.add(u)
+        node_set.add(v)
+    return Topology(node_set, edges)

@@ -1,4 +1,4 @@
-"""The round engine executing pure algorithms over numpy state arrays.
+"""The round engine executing algorithm kernels over numpy state arrays.
 
 :class:`ArrayKernelEngine` requires a :class:`~repro.kernel.plan.KernelPlan`
 from the adversary: the round loop never materialises python topologies,
@@ -7,7 +7,9 @@ graph, so no checkpoint snapshot).
 Topology evolution is a boolean presence mask over a static edge universe;
 the engine diffs successive masks to recover the exact deltas the classic
 path would have stored.  Adversaries without a plan run on the classic
-incremental loop instead.
+incremental (or, without the pure contract, full) loop instead.  A kernel
+that keeps every awake node volatile gets dense every-node rounds: the
+frontier estimate saturates and every awake node is composed and delivered.
 
 The engine is byte-identical to the classic full/incremental loops — the
 ``delivery-equivalence`` contract (:mod:`repro.verify.contracts`) checks it

@@ -23,6 +23,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.errors import ConfigurationError
 from repro.types import Assignment, NodeId, Round
 from repro.dynamics.dynamic_graph import DynamicGraph
+from repro.dynamics.topology import Topology
 from repro.problems.packing_covering import ProblemPair
 
 __all__ = ["TDynamicCheckResult", "TDynamicSpec"]
@@ -88,8 +89,13 @@ class TDynamicSpec:
 
     def check_round(self, graph: DynamicGraph, outputs: Assignment, r: Round) -> TDynamicCheckResult:
         """Check the round-``r`` output recorded in ``graph`` against the definition."""
-        intersection = graph.intersection_graph(r, self._T)
-        union = graph.union_graph(r, self._T)
+        return self._check(
+            graph.intersection_graph(r, self._T), graph.union_graph(r, self._T), outputs, r
+        )
+
+    def _check(
+        self, intersection: Topology, union: Topology, outputs: Assignment, r: Round
+    ) -> TDynamicCheckResult:
         constrained = intersection.nodes
         undecided = tuple(sorted(v for v in constrained if outputs.get(v) is None))
         packing_bad = tuple(
@@ -115,12 +121,16 @@ class TDynamicSpec:
     # -- whole-trace checks ------------------------------------------------------
 
     def check_trace(self, trace, *, start_round: int = 1, end_round: Optional[int] = None) -> List[TDynamicCheckResult]:
-        """Check every recorded round of an :class:`~repro.runtime.trace.ExecutionTrace`."""
+        """Check every recorded round of an :class:`~repro.runtime.trace.ExecutionTrace`.
+
+        Equal to :meth:`check_round` per round, from one forward walk over
+        the recorded graphs (:meth:`DynamicGraph.windows`).
+        """
         end = trace.num_rounds if end_round is None else min(end_round, trace.num_rounds)
-        results = []
-        for r in range(start_round, end + 1):
-            results.append(self.check_round(trace.graph, trace.outputs(r), r))
-        return results
+        return [
+            self._check(intersection, union, trace.outputs(r), r)
+            for r, intersection, union in trace.graph.windows(self._T, start_round, end)
+        ]
 
     def validity_summary(self, trace, *, start_round: int = 1, end_round: Optional[int] = None) -> Dict[str, float]:
         """Aggregate validity statistics over a trace (used by experiments E4/E7/E9)."""

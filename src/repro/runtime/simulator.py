@@ -36,12 +36,14 @@ Two delivery paths implement that structure:
 ``kernel``
     The array-native path (see :mod:`repro.kernel`): dense numpy state
     arrays, CSR adjacency over a static edge universe, vectorised
-    compose/deliver/output.  Requires the ``"pure"`` contract plus a
-    hand-vectorised kernel for the algorithm
-    (:meth:`~repro.runtime.algorithm.DistributedAlgorithm.as_kernel`) and a
-    :class:`~repro.kernel.plan.KernelPlan` from the adversary.  The round
-    loop never materialises python topologies at all.  Byte-identical to
-    both classic paths.
+    compose/deliver/output.  Requires a hand-vectorised kernel for the
+    algorithm (:meth:`~repro.runtime.algorithm.DistributedAlgorithm.as_kernel`)
+    and a :class:`~repro.kernel.plan.KernelPlan` from the adversary, but not
+    the ``"pure"`` contract: a kernel that keeps every awake node volatile
+    (the ``Concat`` kernel for DynamicColoring) gets dense every-node rounds,
+    and a pure algorithm's kernel gets the dirty frontier.  The round loop
+    never materialises python topologies at all.  Byte-identical to the
+    classic paths.
 
 Every path records a round once: one :meth:`ExecutionTrace.record
 <repro.runtime.trace.ExecutionTrace.record>` call (``record_stats`` for
@@ -54,11 +56,12 @@ the changed-output set.  The shared epilogue
 adversary's view reads the previous graph and the output vectors straight
 from that record, so the simulator keeps no second history.
 
-The default mode ``"auto"`` selects the kernel path when algorithm,
-adversary and wake-up schedule are all kernel-eligible, incremental delivery
-when only the algorithm's ``"pure"`` contract holds, and the full path
-otherwise.  An explicit ``"kernel"`` request follows the same rule: without
-a kernel or a plan it degrades to incremental (or full).  The ``delivery``
+The default mode ``"auto"`` selects the kernel path when the algorithm has
+a kernel and the adversary a plan (with no input vector and no adaptive
+state exposure), incremental delivery when only the algorithm's ``"pure"``
+contract holds, and the full path otherwise.  An explicit ``"kernel"``
+request follows the same rule: without a kernel or a plan it degrades to
+incremental (or full, without the contract).  The ``delivery``
 argument (a scenario's ``delivery`` field) is the only way to pick a path;
 ``repro verify --contracts delivery-equivalence --configs configs`` checks
 that every fast path reproduces the full path's trace for the built-in cases
@@ -194,8 +197,8 @@ class Simulator:
         strongest available one (the engine cannot skip work the algorithm
         has not declared skippable); ``"kernel"`` without an algorithm
         kernel or an adversary :class:`~repro.kernel.plan.KernelPlan`
-        degrades to ``"incremental"``.  This argument is the only path
-        selector.
+        degrades to ``"incremental"`` (``"full"`` without the pure
+        contract).  This argument is the only path selector.
     trace_retention:
         ``"full"`` (default) keeps every round's complete output vector in
         the trace; ``"stats"`` keeps only O(#changes) per-round output
@@ -231,15 +234,15 @@ class Simulator:
         if delivery not in _DELIVERY_MODES:
             raise ConfigurationError(f"delivery must be one of {_DELIVERY_MODES}, got {delivery!r}")
         pure = algorithm.message_stability == "pure"
-        # Kernel eligibility: the pure contract, a hand-vectorised kernel for
-        # the exact algorithm type, no input vector (kernels initialise wake
-        # state vectorised for the ⊥-input case only), and no adaptive state
+        # Kernel eligibility: a hand-vectorised kernel for the exact
+        # algorithm type, no input vector (kernels initialise wake state
+        # vectorised for the ⊥-input case only), and no adaptive state
         # exposure (state_summary would read stale instance state mid-run —
-        # kernels write back only at the end of a run).
-        kernel_ok = (
-            pure
-            and self._input is None
-            and not (expose_state_to_adversary and adversary.obliviousness == ADAPTIVE_OFFLINE)
+        # kernels write back only at the end of a run).  The pure contract
+        # is not needed: a kernel that keeps every awake node volatile gets
+        # dense every-node rounds.
+        kernel_ok = self._input is None and not (
+            expose_state_to_adversary and adversary.obliviousness == ADAPTIVE_OFFLINE
         )
         kernel_factory = None
         kernel_plan = None
@@ -292,8 +295,10 @@ class Simulator:
         #: nodes scheduled for a re-compose check next round.
         self._recompose: set[NodeId] = set()
         self._fingerprints: Dict[NodeId, Any] = {}
-        #: the running output vector (mutated in place, copied per round).
+        #: the running output vector (mutated in place, copied per round
+        #: that changed an output into ``_outputs_obj``).
         self._running_outputs: Dict[NodeId, Value] = {}
+        self._outputs_obj: Dict[NodeId, Value] = {}
 
     # -- public API -------------------------------------------------------------
 
@@ -594,7 +599,11 @@ class Simulator:
             elif running[v] != value:
                 running[v] = value
                 changed_add(v)
-        outputs = dict(running)
+        # the trace keeps outputs by reference: a round that changed no
+        # output shares the previous round's vector
+        if changed:
+            self._outputs_obj = dict(running)
+        outputs = self._outputs_obj
 
         metrics = RoundMetrics(
             round_index=round_index,

@@ -8,6 +8,9 @@ from repro.dynamics.topology import Topology
 from repro.problems import TDynamicSpec, coloring_problem_pair, mis_problem_pair
 from repro.runtime.metrics import RoundMetrics
 from repro.runtime.trace import ExecutionTrace
+from repro.runtime.simulator import Simulator
+from repro.scenarios import ScenarioSpec, component
+from repro.scenarios.executor import _build_context
 from helpers import record_graph, record_round
 
 
@@ -100,3 +103,43 @@ class TestTraceChecks:
     def test_describe(self):
         spec = TDynamicSpec(coloring_problem_pair(), T=4)
         assert "T=4" in spec.describe()
+
+
+class TestCheckTraceWindowWalk:
+    """``check_trace`` walks the trace once; its results equal per-round checks."""
+
+    ROUNDS = 40
+
+    @pytest.mark.parametrize("delivery", ["full", "kernel"])
+    @pytest.mark.parametrize("wakeup", [None, "staggered"])
+    def test_equals_per_round_check_round(self, delivery, wakeup):
+        spec = ScenarioSpec(
+            n=30,
+            algorithm="scolor",
+            adversary=component("flip-churn", flip_prob=0.1),
+            rounds=self.ROUNDS,
+            wakeup=wakeup,
+        )
+        ctx = _build_context(spec, 3)
+        sim = Simulator(
+            n=ctx.n, algorithm=ctx.algorithm, adversary=ctx.adversary, seed=3, delivery=delivery
+        )
+        trace = sim.run(ctx.rounds)
+        assert sim.delivery == delivery
+        graph = trace.graph
+        checked = 0
+        # T = 37 reaches G_0 up to round 36 and spans the 32-round checkpoint
+        for T in (1, 5, 37):
+            tspec = TDynamicSpec(coloring_problem_pair(), T)
+            for start, end in ((1, None), (7, 25), (T + 2, None), (30, 12)):
+                last = self.ROUNDS if end is None else end
+                expected = [
+                    tspec.check_round(graph, trace.outputs(r), r) for r in range(start, last + 1)
+                ]
+                got = tspec.check_trace(trace, start_round=start, end_round=end)
+                assert got == expected, (T, start, end)
+                checked += sum(res.constrained_nodes for res in got)
+            for r, intersection, union in graph.windows(T, 1):
+                assert intersection == graph.intersection_graph(r, T)
+                assert union == graph.union_graph(r, T)
+        assert checked > 0

@@ -8,8 +8,10 @@ Hard gates of the kernel PR:
   :class:`KernelPlan`; a plan-less adversary degrades to incremental);
 * the ``delivery-equivalence`` contract of ``repro verify`` catches a
   kernel whose semantics drift from the python algorithm it claims to mirror;
-* kernel selection honours the eligibility rules (pure contract, no input
-  vector, explicit requests degrade — never silently corrupt);
+* kernel selection honours the eligibility rules (a kernel and a plan, no
+  input vector, explicit requests degrade — never silently corrupt);
+* the stacked ``Concat`` kernel sizes bundles like ``estimate_bits`` and
+  writes back the combiner's post-run state;
 * the satellites: quiescence-aware churn skipping is observationally
   invisible, every plan's presence masks reproduce the classic ``step``
   topologies round by round, the edge-universe CSR layout enumerates every
@@ -39,8 +41,8 @@ from repro.verify.harness import run_verify
 
 from test_incremental_delivery import SPARSE_GNP, _ADVERSARY_SPECS, _scenario_tree, _trace_rows
 
-#: the four algorithms that ship a hand-vectorised kernel (``as_kernel()``).
-KERNEL_ALGORITHMS = ("basic-coloring", "scolor", "smis", "dmis")
+#: the algorithms that ship a hand-vectorised kernel (``as_kernel()``).
+KERNEL_ALGORITHMS = ("basic-coloring", "scolor", "smis", "dmis", "dynamic-coloring")
 
 #: the adversaries that ship a :class:`KernelPlan` (the others degrade).
 PLAN_ADVERSARIES = {"static", "markov-churn", "flip-churn"}
@@ -57,7 +59,8 @@ class TestKernelEquivalenceMatrix:
         """Every kernel algorithm × every registered adversary: byte-identical.
 
         Forcing ``delivery="kernel"`` runs the array engine exactly for the
-        plan-capable adversaries and degrades to incremental for the rest.
+        plan-capable adversaries and degrades to incremental (full for an
+        algorithm without the pure contract) for the rest.
         """
         for adversary in sorted(_ADVERSARY_SPECS):
             spec = ScenarioSpec(
@@ -69,7 +72,8 @@ class TestKernelEquivalenceMatrix:
             )
             full_rows, _ = _trace_rows(spec, seed=7, mode="full")
             kernel_rows, sim = _trace_rows(spec, seed=7, mode="kernel")
-            expected = "kernel" if adversary in PLAN_ADVERSARIES else "incremental"
+            fallback = "incremental" if sim.algorithm.message_stability == "pure" else "full"
+            expected = "kernel" if adversary in PLAN_ADVERSARIES else fallback
             assert sim.delivery == expected, f"{algorithm} × {adversary} ran {sim.delivery}"
             assert kernel_rows == full_rows, (
                 f"kernel delivery diverged for {algorithm} × {adversary}"
@@ -90,11 +94,12 @@ class TestKernelEquivalenceMatrix:
             kernel_rows, _ = _trace_rows(spec, seed=2, mode="kernel")
             assert kernel_rows == full_rows
 
-    def test_chunked_runs_match_single_run(self):
+    @pytest.mark.parametrize("algorithm", KERNEL_ALGORITHMS)
+    def test_chunked_runs_match_single_run(self, algorithm):
         """``run(1)`` in a loop must equal one ``run(12)`` on the kernel path."""
         spec = ScenarioSpec(
             n=16,
-            algorithm="scolor",
+            algorithm=algorithm,
             adversary=component("markov-churn", p_off=0.05, p_on=0.05),
             topology=SPARSE_GNP,
             rounds=12,
@@ -143,6 +148,86 @@ class TestKernelEquivalenceMatrix:
             )
             rows[mode] = run_scenario(spec).rows
         assert rows["kernel"] == rows["full"]
+
+
+# ---------------------------------------------------------------------------
+# the stacked Concat kernel (DynamicColoring)
+# ---------------------------------------------------------------------------
+
+
+class TestConcatColoringKernel:
+    def test_closed_form_bits_equal_estimate_bits_on_the_dict_bundle(self):
+        from repro.algorithms.coloring import dcolor, scolor
+        from repro.kernel import concat as concat_kernel
+        from repro.runtime.messages import estimate_bits
+
+        codes = {
+            dcolor.INIT: concat_kernel._T_INIT,
+            dcolor.FIXED: concat_kernel._T_FIXED,
+            dcolor.TENTATIVE: concat_kernel._T_TENT,
+        }
+        rng = np.random.default_rng(29)
+        top = 2**20
+        for trial in range(300):
+            starts = sorted({int(r) for r in rng.integers(1, top + 1, size=int(rng.integers(1, 40)))})
+            if trial == 0:
+                starts = [1, 2, 3, top - 1, top]
+            names = [list(codes)[int(i)] for i in rng.integers(0, 3, size=len(starts))]
+            values = [
+                None if name != dcolor.FIXED and rng.random() < 0.3 else int(rng.integers(1, top + 1))
+                for name in names
+            ]
+            backbone = (
+                (scolor.FIXED, int(rng.integers(1, top + 1)))
+                if rng.random() < 0.5
+                else (scolor.TENTATIVE, None if rng.random() < 0.3 else int(rng.integers(1, top + 1)))
+            )
+            bundle = {"s": backbone, **{r: (name, value) for r, name, value in zip(starts, names, values)}}
+            tag = np.asarray([codes[name] for name in names], dtype=np.int64)
+            val = np.asarray([-1 if value is None else value for value in values], dtype=np.int64)
+            per_message = concat_kernel.sub_message_bits(tag, val)
+            assert per_message.tolist() == [estimate_bits(m) for m in zip(names, values)]
+            assert estimate_bits(bundle) == (
+                concat_kernel.bundle_frame_bits(starts)
+                + estimate_bits(backbone)
+                + int(per_message.sum())
+            )
+
+    def test_post_run_introspection_matches_the_full_run(self):
+        spec = ScenarioSpec(
+            n=40,
+            algorithm="dynamic-coloring",
+            adversary=component("flip-churn", flip_prob=0.05),
+            topology=component("gnp_degree", degree=6),
+            rounds="2*T1",
+            wakeup="staggered",
+        )
+        views = {}
+        for mode in ("full", "kernel"):
+            _, sim = _trace_rows(spec, seed=4, mode=mode)
+            assert sim.delivery == mode
+            alg = sim.algorithm
+            instances = {
+                start: (
+                    instance.outputs(),
+                    {v: instance.palette_of(v) for v in range(spec.n)},
+                    {v: instance.live_neighbors_of(v) for v in range(spec.n)},
+                    dict(instance.metrics()),
+                    instance.config.input,
+                    # each instance's streams resume where the run left them
+                    {v: int(instance.rng(v).integers(0, 2**30)) for v in sorted(instance.awake_nodes)},
+                )
+                for start, instance in alg._instances.items()
+            }
+            views[mode] = (
+                alg.outputs(),
+                {v: alg.backbone_output(v) for v in range(spec.n)},
+                alg.state_summary(),
+                alg.live_instances,
+                instances,
+            )
+        assert views["kernel"] == views["full"]
+        assert views["kernel"][3] == spec.resolved_window() - 1
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +280,22 @@ class TestKernelSelection:
         # Kernels initialise wake state vectorised for the ⊥-input case only.
         sim = self._sim(SMis(), delivery="kernel", input_assignment={0: 1})
         assert sim.delivery == "incremental"
+
+    def test_a_kernel_needs_no_pure_contract(self):
+        from repro.algorithms.coloring.dynamic_coloring import DynamicColoring
+
+        # Concat declares no message stability: the kernel path runs it on
+        # dense every-node rounds, and everything else falls back to full.
+        assert DynamicColoring(4).message_stability == "none"
+        assert self._sim(DynamicColoring(4)).delivery == "kernel"
+        assert self._sim(DynamicColoring(4), delivery="kernel").delivery == "kernel"
+        assert self._sim(DynamicColoring(4), delivery="incremental").delivery == "full"
+        sim = self._sim(DynamicColoring(4), delivery="kernel", input_assignment={0: 1})
+        assert sim.delivery == "full"
+        # DynamicMIS has no kernel yet
+        from repro.algorithms.mis.dynamic_mis import DynamicMIS
+
+        assert self._sim(DynamicMIS(4), delivery="kernel").delivery == "full"
 
     def test_spec_rejects_bogus_delivery(self):
         with pytest.raises(ConfigurationError, match="delivery"):

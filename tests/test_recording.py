@@ -105,6 +105,24 @@ class TestTraceRecord:
         ]
 
 
+class TestOutputSharing:
+    def test_quiet_rounds_reuse_the_previous_output_vector(self):
+        # A round that changes no output stores the previous round's vector
+        # on the incremental path, as on the kernel path; rows do not move.
+        topo = generators.gnp(2000, 0.004, np.random.default_rng(0))
+        vectors = {}
+        for delivery in ("incremental", "kernel"):
+            sim = Simulator(
+                n=2000, algorithm=SMis(), adversary=StaticAdversary(topo), seed=0, delivery=delivery
+            )
+            sim.run(80)
+            assert sim.delivery == delivery
+            vectors[delivery] = [record.outputs for record in sim.trace]
+        distinct = {mode: len({id(v) for v in vs}) for mode, vs in vectors.items()}
+        assert distinct["incremental"] == distinct["kernel"] < 80
+        assert vectors["incremental"] == vectors["kernel"]
+
+
 class TestStorageForm:
     @pytest.mark.parametrize("delivery", ["full", "incremental"])
     def test_classic_rounds_checkpoint_every_32nd_round(self, delivery):

@@ -186,9 +186,10 @@ class TestDeliveryEquivalenceConfigScan:
         }
 
     def test_degraded_path_is_skipped_naming_the_fallback(self, tmp_path):
+        # DynamicMIS declares no message stability and has no kernel.
         spec = ScenarioSpec(
             n=12,
-            algorithm="dynamic-coloring",
+            algorithm="dynamic-mis",
             adversary=component("flip-churn", flip_prob=0.05),
             rounds=4,
             seeds=(0,),
@@ -229,6 +230,8 @@ class TestDeliveryEquivalenceConfigScan:
                 "smis/flip-churn",
                 "basic-coloring/markov-churn+palette-shrink",
                 "scolor/markov-churn+palette-shrink",
+                "dynamic-coloring/flip-churn",
+                "dynamic-coloring/markov-churn",
             )
             for path in ("incremental", "kernel")
         }
