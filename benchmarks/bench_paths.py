@@ -21,7 +21,8 @@ mode, a throughput floor and a peak-RSS ceiling).
 The ``concat`` group times the paper's own ``Concat`` combiners of
 Theorem 1.1 (DynamicColoring, DynamicMIS) on ``full``, the path every
 combiner has; a group's ``combiners`` time the same scenario on the group's
-last path (``kernel/dynamic-coloring``: the stacked Concat kernel).  Each
+last path (``kernel/dynamic-coloring`` and ``kernel/dynamic-mis``: the
+stacked Concat kernels).  Each
 run goes through the executor's ``run_scenario_seed`` with a cold topology
 cache, and every timed run's row must be byte-identical to an untimed
 reference run's row on ``full``.  These rows report ``e2e_s`` (wall time of
@@ -192,7 +193,7 @@ GROUPS = (
         gates=(("*-dense", "speedup", 10.0), ("*-sparse", "speedup", 0.95)),
         smoke_gates=(("*-dense", "speedup", 1.0),),
         name_fmt="{algorithm}-{churn}",
-        combiners=("dynamic-coloring",),
+        combiners=("dynamic-coloring", "dynamic-mis"),
     ),
     # completion rows only the kernel can finish; the 10^6 row (and the
     # smoke row) keep O(#changes) trace state under "stats" retention

@@ -9,6 +9,12 @@ Corollary 1.3 (restated for the implementation): with ``T1 = Θ(log n)`` the
 output is a ``T1``-dynamic MIS every round w.h.p., and the output of a node
 whose 2-neighbourhood is static during ``[r, r2]`` is unchanged during
 ``[r + 2·T1, r2]``.
+
+The combiner runs on the array kernel
+(:class:`~repro.kernel.concat.ConcatMisKernel`: the ``T1 - 1`` live DMis
+instances as one ring over the SMis kernel).  With
+``revalidate_dominated=True`` it has no kernel and stays on the ``full``
+path: the revalidation's first-round special case is not vectorised.
 """
 
 from __future__ import annotations
@@ -46,6 +52,15 @@ class DynamicMIS(Concat):
             T1=T1,
         )
         self.revalidate_dominated = revalidate_dominated
+
+    def as_kernel(self):
+        # the revalidation extension's first-round special case is not
+        # vectorised: such a combiner stays on the full path
+        if type(self) is not DynamicMIS or self.revalidate_dominated:
+            return None
+        from repro.kernel.concat import ConcatMisKernel
+
+        return lambda: ConcatMisKernel(self)
 
 
 def dynamic_mis(

@@ -74,9 +74,10 @@ class Concat(DistributedAlgorithm):
     # key each round (every node's message changes every round by
     # construction) and ``end_round`` snapshots the SAlg output of every
     # awake node.  Every round therefore touches every awake node in all
-    # T1 - 1 instances — the paper's T1-parallel-instances blow-up.  An
-    # array kernel runs those dense rounds vectorised
-    # (``DynamicColoring.as_kernel``, :mod:`repro.kernel.concat`).
+    # T1 - 1 instances — the paper's T1-parallel-instances blow-up.  Both
+    # of the paper's combiners run those dense rounds vectorised on an array
+    # kernel (``DynamicColoring.as_kernel`` and ``DynamicMIS.as_kernel``,
+    # :mod:`repro.kernel.concat`); any other combiner stays on full.
     message_stability = "none"
 
     def __init__(

@@ -1,8 +1,8 @@
 """Array-native round kernel.
 
 ``repro.kernel`` executes algorithms that ship a hand-vectorised kernel
-(the ``"pure"`` standalone algorithms and the ``Concat`` combiner
-DynamicColoring) over dense numpy state arrays and a CSR adjacency,
+(the ``"pure"`` standalone algorithms and the ``Concat`` combiners
+DynamicColoring and DynamicMIS) over dense numpy state arrays and a CSR adjacency,
 byte-identical to the classic per-node loops (see
 ``delivery="kernel"`` on :class:`repro.runtime.simulator.Simulator` and the
 ``delivery-equivalence`` contract, :mod:`repro.verify.contracts`).

@@ -6,13 +6,14 @@ State layout:
 
 * ``color[v]`` — adopted color, ``-1`` while uncolored.
 * ``pal[v] = (degree, excluded)`` — the palette recorded at the node's last
-  delivery while uncolored (or the one where it adopted a color, so a
-  per-round ``palette_of`` reads what the classic path would): the palette
+  delivery while uncolored, the only palette compose reads: the palette
   *set* is
   ``{1..degree+1} - set(excluded)`` with ``excluded`` a sorted tuple.
   Storing the complement keeps the common case (few fixed neighbors) tiny
   and makes the classic ``sorted(palette)[rng.integers(0, len)]`` draw
-  reproducible via an order-statistic walk.
+  reproducible via an order-statistic walk.  ``finalize`` writes back every
+  node's palette as its last delivery left it, recomputed from the last
+  round's neighbourhood and messages.
 * message cache ``mtag``/``mval``: ``FIXED`` carries the color, ``TENT``
   carries the tentative choice (``-1`` encodes the classic ``None`` choice
   from an empty palette).
@@ -54,6 +55,8 @@ class ColoringKernel(AlgorithmKernel):
         self._stride = n + 2
         #: cached bound ``rng(v).integers`` per node (the compose hot loop)
         self._draw: List[Optional[object]] = [None] * n
+        #: the last round's deliver context, for the palettes ``finalize`` writes
+        self._last_ctx: Optional[DeliverContext] = None
 
     # -- round hooks ---------------------------------------------------------
 
@@ -158,6 +161,7 @@ class ColoringKernel(AlgorithmKernel):
         nbrs: np.ndarray,
         ctx: DeliverContext,
     ) -> None:
+        self._last_ctx = ctx
         k = ids.size
         if k == 0:
             return
@@ -203,13 +207,19 @@ class ColoringKernel(AlgorithmKernel):
 
         # classic writes a palette for every delivered node; record it for
         # the nodes that are uncolored going into the next compose (the only
-        # ones compose reads) and for those that adopted a color this round,
-        # whose palette a per-round probe compares against the last round's
-        # (E2's palette-shrink)
-        record = uncolored | uncolor
-        if not record.any():
-            return
-        sub = np.flatnonzero(record[seg] & fixed_slots)
+        # ones compose reads)
+        record = (uncolored & ~adopt) | uncolor
+        if record.any():
+            idxs = np.flatnonzero(record)
+            entries = self._palettes(idxs, seg, nval, fixed_slots, deg)
+            self._pal.update(zip(ids[idxs].tolist(), entries))
+
+    def _palettes(self, idxs, seg, nval, fixed_slots, deg) -> List[Tuple[int, Tuple[int, ...]]]:
+        """``(degree, excluded)`` of rows ``idxs``: ``[deg + 1]`` minus fixed neighbour colours."""
+        deg_p1 = deg + 1
+        chosen = np.zeros(deg.size, dtype=bool)
+        chosen[idxs] = True
+        sub = np.flatnonzero(chosen[seg] & fixed_slots)
         seg_sub = seg[sub]
         nval_sub = nval[sub]
         keep_sub = nval_sub <= deg_p1[seg_sub]
@@ -223,15 +233,12 @@ class ColoringKernel(AlgorithmKernel):
         else:
             keys = raw
         key_seg = keys // self._stride
-        idxs = np.flatnonzero(record)
         starts = np.searchsorted(key_seg, idxs, side="left").tolist()
         ends = np.searchsorted(key_seg, idxs, side="right").tolist()
-        pal = self._pal
-        sel_ids = ids[idxs].tolist()
-        sel_deg = deg[idxs].tolist()
         key_col = (keys % self._stride).tolist()
-        for j, v in enumerate(sel_ids):
-            pal[v] = (sel_deg[j], tuple(key_col[starts[j] : ends[j]]))
+        return [
+            (d, tuple(key_col[lo:hi])) for d, lo, hi in zip(deg[idxs].tolist(), starts, ends)
+        ]
 
     def post_round(self, ids: np.ndarray) -> Tuple[np.ndarray, List[object]]:
         color_rows = self._color[ids]
@@ -248,11 +255,14 @@ class ColoringKernel(AlgorithmKernel):
 
     def finalize(self) -> None:
         alg = self._algorithm
-        woken = np.flatnonzero(self.woken).tolist()
+        woken_ids = np.flatnonzero(self.woken)
+        woken = woken_ids.tolist()
         alg._awake = set(woken)
         color: Dict[int, Optional[int]] = {}
         tentative: Dict[int, Optional[int]] = {}
         palette: Dict[int, set] = {}
+        for v, (degree, excluded) in zip(woken, self._last_palettes(woken_ids)):
+            palette[v] = set(range(1, degree + 2)) - set(excluded)
         for v in woken:
             c = int(self._color[v])
             color[v] = c if c >= 0 else None
@@ -263,11 +273,27 @@ class ColoringKernel(AlgorithmKernel):
                 # classic keeps the stale pre-coloring tentative; nothing
                 # reads it while the node is colored, so None is safe
                 tentative[v] = None
-            degree, excluded = self._pal.get(v, (0, ()))
-            palette[v] = set(range(1, degree + 2)) - set(excluded)
         alg._color = color
         alg._tentative = tentative
         alg._palette = palette
         alg._uncolored_count = int(self._uncolored)
         if self._track_uncolor_events:
             alg._uncolor_events = int(self._uncolor_events)
+
+    def _last_palettes(self, woken_ids: np.ndarray) -> List[Tuple[int, Tuple[int, ...]]]:
+        """The palettes the last round's delivery left on ``woken_ids`` (all awake).
+
+        A node the frontier skipped has the same inbox as at its last
+        delivery, and the message cache holds every node's last broadcast.
+        """
+        if woken_ids.size == 0:
+            return []
+        ctx = self._last_ctx
+        uni = ctx.universe
+        slots = np.flatnonzero(ctx.eff_d)
+        # ``woken_ids`` is every awake node, so every effective slot is in a row
+        seg = np.searchsorted(woken_ids, uni.usrc[slots])
+        nbrs = uni.udst[slots]
+        deg = np.bincount(seg, minlength=woken_ids.size)
+        idxs = np.arange(woken_ids.size)
+        return self._palettes(idxs, seg, self._mval[nbrs], self._mtag[nbrs] == _T_FIXED, deg)

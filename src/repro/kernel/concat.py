@@ -1,13 +1,33 @@
-"""Array kernel for ``DynamicColoring`` = ``Concat(SColor, DColor)``.
+"""Array kernels for the paper's ``Concat`` combiners.
 
-``Concat`` (Algorithm 1) keeps ``T1 - 1`` live ``DColor`` instances and
-starts a new one every round on the ``SColor`` backbone's previous output.
-:class:`ConcatColoringKernel` holds those instances as one ring of
-``(T1 - 1) × n`` state arrays and advances them together; the backbone is
-the existing :class:`~repro.kernel.coloring.ColoringKernel` over
-``Concat``'s own ``SColor`` instance, driven on every awake node.
+``Concat`` (Algorithm 1) keeps ``T1 - 1`` live ``DAlg`` instances and starts
+a new one every round on the ``SAlg`` backbone's previous output.  Both
+combiners of the paper run here as one ring of ``(T1 - 1) × n`` state arrays
+that advances all instances together, with the standalone kernel of
+``Concat``'s own ``SAlg`` instance, driven on every awake node, as the
+backbone:
 
-Per instance and node the ring keeps:
+* :class:`ConcatColoringKernel` — ``DynamicColoring = Concat(SColor,
+  DColor)`` over :class:`~repro.kernel.coloring.ColoringKernel`;
+* :class:`ConcatMisKernel` — ``DynamicMIS = Concat(SMis, DMis)`` over
+  :class:`~repro.kernel.mis.SMisKernel`.
+
+:class:`ConcatRingKernel` is what both share: the slot order (the ring fills
+slots ``0 .. rows-1`` first, then the oldest slot is reused), starting and
+retiring instances, the bundle size, the live-set upkeep and ``Concat``'s
+write-back.  Each instance's live intersection-graph neighbourhood is a
+``(T1 - 1) × 2m`` boolean mask over the doubled edge-universe slots, ANDed
+with ``eff_d`` every round; a node's first delivery in an instance — every
+awake node in the instance's start round, a node woken later in its wake
+round — sets its slots to the current neighbourhood.
+
+Every node recomposes and is delivered to every round (the kernel marks all
+awake nodes volatile): the bundle gains a new start-round key each round.
+Its size is the dict bundle's :func:`~repro.runtime.messages.estimate_bits`
+in closed form: :func:`bundle_frame_bits` plus the backbone's message plus
+one :func:`dcolor_message_bits` / :func:`dmis_message_bits` per instance.
+
+DColor ring, per instance and node:
 
 * ``color`` (``-1`` = ⊥) and ``started`` (the start communication round has
   run);
@@ -16,10 +36,7 @@ Per instance and node the ring keeps:
   encodes ``None``);
 * the palette complement ``(start degree, excluded)`` of every node that was
   uncoloured at its start round (a node coloured by its input keeps the
-  empty palette), as :class:`ColoringKernel` keeps SColor's;
-* the live intersection-graph neighbourhood as a ``(T1 - 1) × 2m`` boolean
-  mask over the doubled edge-universe slots, ANDed with ``eff_d`` every
-  round.
+  empty palette), as :class:`ColoringKernel` keeps SColor's.
 
 A started node's live neighbours send only ``FIXED`` or ``TENT``, and a
 ``FIXED`` colour is never retracted, so a node adopts its choice iff no live
@@ -29,26 +46,45 @@ node-instances draw from their instance's own per-node streams
 (``rng_factory.child("dalg", r)``) in a python loop; they are few once the
 backbone has coloured the graph.
 
-Every node recomposes and is delivered to every round (the kernel marks all
-awake nodes volatile): the bundle gains a new start-round key each round.
-Its size is the dict bundle's :func:`~repro.runtime.messages.estimate_bits`
-in closed form.
+DMis ring, per instance and node: the state (undecided / MIS / dominated,
+:mod:`repro.kernel.mis`'s codes) and this round's draw.  The broadcast is
+``(state, draw)``: the state at compose time is the message tag (``MARK``,
+``RAND``, silent), and deliver evaluates both rules before it moves any
+state.  All undecided node-instances draw in one batch from a
+:class:`~repro.kernel.nodestreams.NodeStreamPool` with one row per ring
+slot, lane ``slot * n + v``, seeded with the instance's
+``rng_factory.child("dalg", r)``.  Both rules — a live ``MARK`` makes an
+undecided node dominated; a draw strictly below every live undecided
+neighbour's makes it MIS — are one pass over the live slots of the undecided
+node-instances, scattered by their ``row * n + node`` position.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.algorithms.coloring.dcolor import DColor
+from repro.algorithms.mis.dmis import DMis
 from repro.runtime.algorithm import AlgorithmSetup
 
 from .base import AlgorithmKernel, DeliverContext
 from .coloring import ColoringKernel
+from .mis import SMisKernel, _OUT_LOOKUP, _S_DOM, _S_MIS, _S_UND, _STATE_ENUMS
+from .nodestreams import NodeStreamPool
 
-__all__ = ["ConcatColoringKernel", "bundle_frame_bits", "sub_message_bits"]
+__all__ = [
+    "ConcatColoringKernel",
+    "ConcatMisKernel",
+    "ConcatRingKernel",
+    "bundle_frame_bits",
+    "dcolor_message_bits",
+    "dmis_message_bits",
+]
+
+_EMPTY_I8 = np.empty(0, dtype=np.int64)
 
 _T_INIT = 0
 _T_FIXED = 1
@@ -57,13 +93,16 @@ _T_TENT = 2
 #: ``estimate_bits`` of a bundle's frame: the dict overhead plus the SAlg key ``"s"``.
 _FRAME_BITS = 2 + 8
 
+#: ``estimate_bits`` of a DMis message by state: ``("rand", x)``, ``("mark",)``, ``None``
+_DMIS_BITS = np.array([98, 34, 1], dtype=np.int64)
+
 
 def bundle_frame_bits(start_rounds) -> int:
     """The bits of a bundle's keys and overhead: ``"s"`` plus one int key per instance."""
     return _FRAME_BITS + sum(r.bit_length() + 1 for r in start_rounds)
 
 
-def sub_message_bits(tag: np.ndarray, val: np.ndarray) -> np.ndarray:
+def dcolor_message_bits(tag: np.ndarray, val: np.ndarray) -> np.ndarray:
     """``estimate_bits`` of ``(tag, val)`` DColor messages, ``val == -1`` for ``None``.
 
     ``("init" | "tent", x)`` costs ``2 + 32 + bits(x)`` and ``("fixed", c)``
@@ -75,32 +114,40 @@ def sub_message_bits(tag: np.ndarray, val: np.ndarray) -> np.ndarray:
     return np.where(tag == _T_FIXED, 43, 35) + length
 
 
-class ConcatColoringKernel(AlgorithmKernel):
-    """The ``T1 - 1`` live DColor instances of ``DynamicColoring`` as one ring."""
+def dmis_message_bits(state: np.ndarray) -> np.ndarray:
+    """``estimate_bits`` of the DMis messages that nodes in ``state`` broadcast.
 
-    def __init__(self, algorithm) -> None:
+    An undecided node sends ``("rand", float)`` (``2 + 32 + 64``), a MIS node
+    ``("mark",)`` (``2 + 32``) and a dominated node ``None`` (1).
+    """
+    return _DMIS_BITS[state]
+
+
+class ConcatRingKernel(AlgorithmKernel):
+    """The ``T1 - 1`` live ``DAlg`` instances of a ``Concat`` as one ring.
+
+    A ring implements the per-instance hooks: :meth:`_backbone_codes`,
+    :meth:`_seed_row`, :meth:`_compose_rows`, :meth:`_deliver_rows`,
+    :meth:`_output_codes` and :meth:`_fill_instance`.
+    """
+
+    def __init__(self, algorithm, backbone: AlgorithmKernel) -> None:
         super().__init__(algorithm)
         n = self.n
         k = algorithm.T1 - 1
         self._k = k
-        self._backbone = ColoringKernel(
-            algorithm._salg, uncolor_enabled=True, track_uncolor_events=True
-        )
+        self._backbone = backbone
         self._rng_factory = algorithm.config.rng_factory
-        self._color = np.full((k, n), -1, dtype=np.int64)
-        #: the backbone colours each instance started on (its input vector)
+        #: the backbone output codes each instance started on (its input vector)
         self._seed = np.full((k, n), -1, dtype=np.int64)
+        #: the node's first delivery in the instance has run
         self._started = np.zeros((k, n), dtype=bool)
-        self._tag = np.zeros((k, n), dtype=np.int64)
-        self._val = np.full((k, n), -1, dtype=np.int64)
-        #: adopted last round, so broadcasting ``FIXED`` for the first time
-        self._fresh = np.zeros((k, n), dtype=bool)
         self._live = np.zeros((k, 0), dtype=bool)  # sized by ``set_array_mode``
-        self._pal: List[Dict[int, Tuple[int, Tuple[int, ...]]]] = [{} for _ in range(k)]
-        self._gens: List[Dict[int, np.random.Generator]] = [{} for _ in range(k)]
         self._factories: list = [None] * k
         self._starts = [0] * k
         self._wake_round = np.zeros(n, dtype=np.int64)
+        #: nodes woken this round: they join every live instance in its deliver
+        self._joining = _EMPTY_I8
         self._round = 0
         #: live instances; the ring fills slots ``0 .. rows-1`` first
         self._rows = 0
@@ -126,11 +173,165 @@ class ConcatColoringKernel(AlgorithmKernel):
         self._rows = min(self._rows + 1, self._k)
         self._starts[slot] = r
         self._factories[slot] = self._rng_factory.child("dalg", r)
-        self._color[slot] = self._backbone._color
-        self._seed[slot] = self._backbone._color
+        self._seed[slot] = self._backbone_codes()
         self._started[slot] = False
-        self._fresh[slot] = False
         self._live[slot] = False
+        self._seed_row(slot)
+
+    # -- round hooks ----------------------------------------------------------
+
+    def wake(self, ids: np.ndarray) -> None:
+        fresh = ids[~self.woken[ids]]
+        self.woken[fresh] = True
+        self.volatile[fresh] = True
+        self._wake_round[fresh] = self._round + 1
+        self._joining = fresh
+        self._backbone.wake(ids)
+
+    def compose(self, ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        # compose runs once per round, after the wake-ups: the round starts here
+        self._round += 1
+        self._start_instance()
+        self._backbone.compose(ids)
+        sub = self._compose_rows()
+        frame = bundle_frame_bits(self._starts[slot] for slot in range(self._rows))
+        new_bits = frame + self._backbone.bits[ids] + sub[ids]
+        old_bits = self.bits[ids]
+        moved = new_bits != old_bits
+        changed = ids[moved]
+        self.bits[changed] = new_bits[moved]
+        return changed, old_bits[moved]
+
+    def deliver(
+        self,
+        ids: np.ndarray,
+        seg: np.ndarray,
+        nbrs: np.ndarray,
+        ctx: DeliverContext,
+    ) -> None:
+        self._backbone.deliver(ids, seg, nbrs, ctx)
+        if ids.size == 0:
+            return
+        rows = self._rows
+        eff_d = ctx.eff_d
+        live = self._live[:rows]
+        np.logical_and(live, eff_d, out=live)
+        # first deliveries: the new instance's every awake node (all awake
+        # nodes are delivered, so its live set is the whole effective mask),
+        # and in every instance the nodes woken this round
+        newest = (self._round - 1) % self._k
+        live[newest] = eff_d
+        self._started[newest] = self.woken
+        joining = self._joining
+        if joining.size:
+            slots, _ = ctx.universe.row_slots(joining)
+            live[:, slots] = eff_d[slots]
+            self._started[:rows, joining] = True
+            self._joining = _EMPTY_I8
+        self._deliver_rows(ids, seg, nbrs, ctx)
+
+    def post_round(self, ids: np.ndarray) -> Tuple[np.ndarray, List[object]]:
+        # Line 7: the output is the oldest instance's
+        return self._post_outputs(ids, self._output_codes(self._oldest_slot(), ids))
+
+    def counters(self) -> Dict[str, float]:
+        return {"live_instances": float(self._rows)}
+
+    # -- write-back -----------------------------------------------------------
+
+    def finalize(self) -> None:
+        alg = self._algorithm
+        self._backbone.finalize()
+        woken = np.flatnonzero(self.woken).tolist()
+        alg._awake = set(woken)
+        alg._round_index = self._round
+        backbone = self._backbone_codes()
+        alg._salg_output = {v: _value(backbone[v]) for v in woken}
+        instances = OrderedDict()
+        for slot in self._slots_oldest_first():
+            start = self._starts[slot]
+            seed = self._seed[slot]
+            instance = alg._dynamic_factory()
+            instance.setup(
+                AlgorithmSetup(
+                    n=self.n,
+                    rng_factory=self._factories[slot],
+                    # φ_{start-1} covers the nodes awake before the start round
+                    input={v: _value(seed[v]) for v in woken if self._wake_round[v] < start},
+                )
+            )
+            instance._awake = set(woken)
+            instance._live = self._live_sets(slot, woken)
+            self._fill_instance(instance, slot, woken)
+            instances[start] = instance
+        alg._instances = instances
+
+    def _live_sets(self, slot: int, woken: List[int]) -> Dict[int, Optional[frozenset]]:
+        """Each woken node's live neighbour set in ``slot`` (``None`` before its first delivery)."""
+        live: Dict[int, Optional[frozenset]] = dict.fromkeys(woken)
+        started = self._started[slot]
+        started_ids = np.asarray([v for v in woken if started[v]], dtype=np.int64)
+        if started_ids.size:
+            uni = self._universe
+            row_slots, seg = uni.row_slots(started_ids)
+            kept = self._live[slot, row_slots]
+            kept_dst = uni.udst[row_slots[kept]]
+            bounds = np.searchsorted(seg[kept], np.arange(started_ids.size + 1))
+            for j, v in enumerate(started_ids.tolist()):
+                live[v] = frozenset(kept_dst[bounds[j] : bounds[j + 1]].tolist())
+        return live
+
+    # -- per-ring hooks ---------------------------------------------------------
+
+    def _backbone_codes(self) -> np.ndarray:  # pragma: no cover - abstract
+        """The backbone's current output per node as codes (``-1`` is ⊥)."""
+        raise NotImplementedError
+
+    def _seed_row(self, slot: int) -> None:  # pragma: no cover - abstract
+        """Reset ``slot``'s state for the instance that starts in it this round."""
+        raise NotImplementedError
+
+    def _compose_rows(self) -> np.ndarray:  # pragma: no cover - abstract
+        """Compose every live instance; the summed sub-message bits per node."""
+        raise NotImplementedError
+
+    def _deliver_rows(self, ids, seg, nbrs, ctx) -> None:  # pragma: no cover - abstract
+        """Deliver to every live instance (the live masks are current)."""
+        raise NotImplementedError
+
+    def _output_codes(self, slot: int, ids: np.ndarray) -> np.ndarray:  # pragma: no cover
+        """The output codes of the instance in ``slot`` for ``ids``."""
+        raise NotImplementedError
+
+    def _fill_instance(self, instance, slot: int, woken: List[int]) -> None:  # pragma: no cover
+        """Write ``slot``'s per-node state into the rebuilt instance."""
+        raise NotImplementedError
+
+
+class ConcatColoringKernel(ConcatRingKernel):
+    """The ``T1 - 1`` live DColor instances of ``DynamicColoring`` as one ring."""
+
+    def __init__(self, algorithm) -> None:
+        super().__init__(
+            algorithm,
+            ColoringKernel(algorithm._salg, uncolor_enabled=True, track_uncolor_events=True),
+        )
+        n = self.n
+        k = self._k
+        self._color = np.full((k, n), -1, dtype=np.int64)
+        self._tag = np.zeros((k, n), dtype=np.int64)
+        self._val = np.full((k, n), -1, dtype=np.int64)
+        #: adopted last round, so broadcasting ``FIXED`` for the first time
+        self._fresh = np.zeros((k, n), dtype=bool)
+        self._pal: List[Dict[int, Tuple[int, Tuple[int, ...]]]] = [{} for _ in range(k)]
+        self._gens: List[Dict[int, np.random.Generator]] = [{} for _ in range(k)]
+
+    def _backbone_codes(self) -> np.ndarray:
+        return self._backbone._color
+
+    def _seed_row(self, slot: int) -> None:
+        self._color[slot] = self._seed[slot]
+        self._fresh[slot] = False
         self._pal[slot] = {}
         self._gens[slot] = {}
 
@@ -151,20 +352,7 @@ class ConcatColoringKernel(AlgorithmKernel):
                 break
         return choice
 
-    # -- round hooks ----------------------------------------------------------
-
-    def wake(self, ids: np.ndarray) -> None:
-        fresh = ids[~self.woken[ids]]
-        self.woken[fresh] = True
-        self.volatile[fresh] = True
-        self._wake_round[fresh] = self._round + 1
-        self._backbone.wake(ids)
-
-    def compose(self, ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        # compose runs once per round, after the wake-ups: the round starts here
-        self._round += 1
-        self._start_instance()
-        self._backbone.compose(ids)
+    def _compose_rows(self) -> np.ndarray:
         rows = self._rows
         color = self._color[:rows]
         started = self._started[:rows]
@@ -178,50 +366,25 @@ class ConcatColoringKernel(AlgorithmKernel):
             ]
         self._tag[:rows] = tag
         self._val[:rows] = val
+        return dcolor_message_bits(tag, val).sum(axis=0)
 
-        frame = bundle_frame_bits(self._starts[slot] for slot in range(rows))
-        sub = sub_message_bits(tag, val).sum(axis=0)
-        new_bits = frame + self._backbone.bits[ids] + sub[ids]
-        old_bits = self.bits[ids]
-        moved = new_bits != old_bits
-        changed = ids[moved]
-        self.bits[changed] = new_bits[moved]
-        return changed, old_bits[moved]
-
-    def deliver(
-        self,
-        ids: np.ndarray,
-        seg: np.ndarray,
-        nbrs: np.ndarray,
-        ctx: DeliverContext,
-    ) -> None:
-        self._backbone.deliver(ids, seg, nbrs, ctx)
-        if ids.size == 0:
-            return
+    def _deliver_rows(self, ids, seg, nbrs, ctx) -> None:
         n = self.n
         rows = self._rows
         src = ids[seg]
-        slots = ctx.slots
-        live = self._live[:rows]
-        np.logical_and(live, ctx.eff_d, out=live)
         tag = self._tag[:rows]
         val = self._val[:rows]
         color = self._color[:rows]
         ntag = tag[:, nbrs]
         nval = val[:, nbrs]
+        lv = self._live[:rows][:, ctx.slots]
 
-        # the start round: the live set is the current neighbourhood, and an
-        # uncoloured node's palette is [deg + 1] minus its neighbours' INIT /
-        # FIXED colours
+        # the start round: an uncoloured node's palette is [deg + 1] minus its
+        # neighbours' INIT / FIXED colours
         starting = (tag == _T_INIT) & self.woken
-        lv = live[:, slots]
-        if starting.any():
-            lv |= starting[:, src]
-            live[:, slots] = lv
-            fresh_start = starting & (color < 0)
-            if fresh_start.any():
-                self._start_palettes(fresh_start, src, ntag, nval)
-            self._started[:rows] |= starting
+        fresh_start = starting & (color < 0)
+        if fresh_start.any():
+            self._start_palettes(fresh_start, src, ntag, nval)
 
         # a choice sticks unless a live neighbour sends the same value
         tent = tag == _T_TENT
@@ -273,47 +436,14 @@ class ConcatColoringKernel(AlgorithmKernel):
         for j, (i, v) in enumerate(zip(start_rows.tolist(), start_nodes.tolist())):
             pal[i][v] = (degrees[j], tuple(colours[lo[j] : hi[j]]))
 
-    def post_round(self, ids: np.ndarray) -> Tuple[np.ndarray, List[object]]:
-        # Line 7: the output is the oldest instance's
-        return self._post_outputs(ids, self._color[self._oldest_slot(), ids])
+    def _output_codes(self, slot: int, ids: np.ndarray) -> np.ndarray:
+        return self._color[slot, ids]
 
-    def counters(self) -> Dict[str, float]:
-        return {"live_instances": float(self._rows)}
-
-    # -- write-back -----------------------------------------------------------
-
-    def finalize(self) -> None:
-        alg = self._algorithm
-        self._backbone.finalize()
-        woken = np.flatnonzero(self.woken).tolist()
-        alg._awake = set(woken)
-        alg._round_index = self._round
-        backbone = self._backbone._color
-        alg._salg_output = {v: _value(backbone[v]) for v in woken}
-        instances = OrderedDict()
-        for slot in self._slots_oldest_first():
-            start = self._starts[slot]
-            instances[start] = self._instance(slot, start, woken)
-        alg._instances = instances
-
-    def _instance(self, slot: int, start: int, woken: List[int]) -> DColor:
-        """Rebuild the DColor instance that ring slot ``slot`` holds."""
-        n = self.n
-        seed = self._seed[slot]
-        before = [v for v in woken if self._wake_round[v] < start]
-        instance = self._algorithm._dynamic_factory()
-        instance.setup(
-            AlgorithmSetup(
-                n=n,
-                rng_factory=self._factories[slot],
-                input={v: _value(seed[v]) for v in before} if start > 1 else {},
-            )
-        )
+    def _fill_instance(self, instance, slot: int, woken: List[int]) -> None:
         color = self._color[slot]
         started = self._started[slot]
         val = self._val[slot]
         pal = self._pal[slot]
-        instance._awake = set(woken)
         instance._color = {v: _value(color[v]) for v in woken}
         instance._started = {v: bool(started[v]) for v in woken}
         instance._palette = {}
@@ -326,22 +456,82 @@ class ConcatColoringKernel(AlgorithmKernel):
             else:
                 instance._palette[v] = set(range(1, entry[0] + 2)) - set(entry[1])
                 instance._tentative[v] = _value(val[v])
-        instance._live = dict.fromkeys(woken)
-        started_ids = np.asarray([v for v in woken if started[v]], dtype=np.int64)
-        if started_ids.size:
-            uni = self._universe
-            row_slots, seg = uni.row_slots(started_ids)
-            kept = self._live[slot, row_slots]
-            kept_dst = uni.udst[row_slots[kept]]
-            bounds = np.searchsorted(seg[kept], np.arange(started_ids.size + 1))
-            for j, v in enumerate(started_ids.tolist()):
-                instance._live[v] = frozenset(kept_dst[bounds[j] : bounds[j + 1]].tolist())
         instance._uncolored_count = sum(1 for v in woken if color[v] < 0)
         instance._node_rngs = dict(self._gens[slot])
-        return instance
+
+
+class ConcatMisKernel(ConcatRingKernel):
+    """The ``T1 - 1`` live DMis instances of ``DynamicMIS`` as one ring."""
+
+    def __init__(self, algorithm) -> None:
+        salg = algorithm._salg
+        super().__init__(algorithm, SMisKernel(salg, undecide_enabled=salg._undecide_enabled))
+        n = self.n
+        k = self._k
+        self._state = np.zeros((k, n), dtype=np.int64)
+        self._drawn = np.full((k, n), np.inf)
+        #: one row per slot, re-seeded from the instance's factory when it starts
+        self._pool = NodeStreamPool(n, 0, DMis.name, rows=k)
+        #: this round's undecided node-instances: ``(slot, node)``, flat-key order
+        self._und_rows = _EMPTY_I8
+        self._und_nodes = _EMPTY_I8
+
+    def _backbone_codes(self) -> np.ndarray:
+        return _OUT_LOOKUP[self._backbone._state]
+
+    def _seed_row(self, slot: int) -> None:
+        # a node woken later joins undecided: the backbone's code for it is 0
+        self._state[slot] = self._backbone._state
+        self._drawn[slot] = np.inf
+        self._pool.reset_row(slot, self._factories[slot].seed)
+
+    def _compose_rows(self) -> np.ndarray:
+        rows = self._rows
+        state = self._state[:rows]
+        und_rows, und_nodes = np.nonzero((state == _S_UND) & self.woken)
+        if und_rows.size:
+            self._drawn[und_rows, und_nodes] = self._pool.random(und_rows * self.n + und_nodes)
+        self._und_rows = und_rows
+        self._und_nodes = und_nodes
+        return dmis_message_bits(state).sum(axis=0)
+
+    def _deliver_rows(self, ids, seg, nbrs, ctx) -> None:
+        und_rows = self._und_rows
+        und_nodes = self._und_nodes
+        if und_rows.size == 0:
+            return
+        uni = ctx.universe
+        slots, pair = uni.row_slots(und_nodes)
+        rows_of = und_rows[pair]
+        kept = self._live[rows_of, slots]
+        pair = pair[kept]
+        rows_of = rows_of[kept]
+        nb = uni.udst[slots[kept]]
+        state = self._state
+        drawn = self._drawn
+        # the states are this round's broadcast tags until both rules are in
+        nstate = state[rows_of, nb]
+        beaten = (nstate == _S_UND) & (drawn[rows_of, nb] <= drawn[rows_of, und_nodes[pair]])
+        marked = np.zeros(und_rows.size, dtype=bool)
+        marked[pair[nstate == _S_MIS]] = True
+        blocked = marked.copy()
+        blocked[pair[beaten]] = True
+        state[und_rows[marked], und_nodes[marked]] = _S_DOM
+        state[und_rows[~blocked], und_nodes[~blocked]] = _S_MIS
+
+    def _output_codes(self, slot: int, ids: np.ndarray) -> np.ndarray:
+        return _OUT_LOOKUP[self._state[slot, ids]]
+
+    def _fill_instance(self, instance, slot: int, woken: List[int]) -> None:
+        state = self._state[slot]
+        drawn = self._drawn[slot]
+        instance._state = {v: _STATE_ENUMS[int(state[v])] for v in woken}
+        instance._drawn = {v: float(drawn[v]) for v in woken}
+        instance._undecided_n = sum(1 for v in woken if state[v] == _S_UND)
+        instance._node_rng_skips = self._pool.draw_skips(slot)
 
 
 def _value(code) -> object:
-    """A colour code as the algorithm's value (``-1`` is ⊥)."""
+    """An output code as the algorithm's value (``-1`` is ⊥)."""
     code = int(code)
     return code if code >= 0 else None

@@ -15,7 +15,7 @@ whole batches of ``random()`` values in a handful of numpy passes.  It is
 **byte-identical** to the classic path — the SeedSequence entropy-mixing
 loop and the PCG64 seeding/step/output functions are reimplemented here in
 vectorised 32/64-bit limb arithmetic, and the equivalence is property-tested
-against ``numpy.random.default_rng`` (``tests/test_scale_path.py``).  The
+against ``numpy.random.default_rng`` (``tests/test_nodestreams.py``).  The
 mixing-constant schedules are data-independent, so they are precomputed once
 at import time.
 
@@ -30,12 +30,28 @@ Two subtleties:
   finalises.  A post-run ``alg.rng(v)`` then spawns the classic generator
   and fast-forwards it by the recorded count, keeping post-run introspection
   byte-identical to the object-per-node path.
+
+A batch of fewer than ``_SCALAR_SEEDING_LANES`` fresh lanes is seeded lane by
+lane through ``numpy.random.PCG64`` itself: the vectorised seeding is about
+a hundred array passes whatever the batch size, which costs more than a
+few scalar constructions (the array kernels seed a handful of lanes in most
+rounds after the first).  Likewise a draw over fewer than
+``_SCALAR_STEP_LANES`` lanes steps each lane as one python int (about 1 µs a
+lane) rather than through some thirty passes over the 64-bit limb arrays
+(about 30 µs whatever the batch size).
+
+Lanes are keyed ``row * n + v``: each row is the node streams of one
+algorithm instance under its own master seed.  A standalone kernel uses the
+one-row pool (lane ``v``); the ``Concat`` MIS ring
+(:mod:`repro.kernel.concat`) keeps one row per live ``DMis`` instance and
+re-seeds a row with :meth:`NodeStreamPool.reset_row` when a new instance
+takes its slot, so every undecided node-instance draws in one batch.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Dict
+from typing import Dict, List
 
 import numpy as np
 
@@ -53,6 +69,9 @@ _XSHIFT = 16
 # PCG64 (setseq_128 / XSL-RR) multiplier, split into 64-bit halves.
 _PCG_MUL_HI = 0x2360ED051FC65DA4
 _PCG_MUL_LO = 0x4385DF649FCCF645
+_PCG_MUL = (_PCG_MUL_HI << 64) | _PCG_MUL_LO
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
 #: ``next64 >> 11`` scaled to [0, 1) — numpy's ``random_standard_double``.
 _DOUBLE_SCALE = 1.0 / 9007199254740992.0  # 1 / 2**53
 
@@ -186,52 +205,119 @@ def _seed_states(seeds: np.ndarray):
     return hi, lo, inc_hi, inc_lo
 
 
+#: below this many lanes, a draw steps python ints faster than the limb arrays
+_SCALAR_STEP_LANES = 20
+
+#: below this many fresh lanes, ``numpy.random.PCG64`` seeds faster than
+#: :func:`_seed_states` (about 15 µs a lane against about 250 µs a batch)
+_SCALAR_SEEDING_LANES = 16
+
+
+def _seed_states_scalar(seeds: np.ndarray):
+    """:func:`_seed_states` lane by lane, read off ``numpy.random.PCG64``."""
+    states = [np.random.PCG64(seed).state["state"] for seed in seeds.tolist()]
+    mask = (1 << 64) - 1
+    words = [
+        (s["state"] >> 64, s["state"] & mask, s["inc"] >> 64, s["inc"] & mask) for s in states
+    ]
+    return tuple(np.array(column, dtype=np.uint64) for column in zip(*words))
+
+
 class NodeStreamPool:
     """Per-node PCG64 streams over shared uint64 state arrays.
 
-    ``random(ids)`` draws one double per lane — the exact values the classic
-    ``alg.rng(v).random()`` loop would produce, in any batching.  Lanes are
-    seeded on first use (vectorised over each batch); per-node draw counts
-    are tracked so a finalising kernel can hand them to the algorithm for
-    lazy generator fast-forwarding (``DistributedAlgorithm.rng``).
+    ``random(lanes)`` draws one double per lane — the exact values the
+    classic ``alg.rng(v).random()`` loop would produce, in any batching.
+    Lane ``row * n + v`` is node ``v``'s stream under row ``row``'s master
+    seed.  Lanes are seeded on first use (vectorised over each batch);
+    per-lane draw counts are tracked so a finalising kernel can hand them to
+    the algorithm for lazy generator fast-forwarding
+    (``DistributedAlgorithm.rng``).
     """
 
-    def __init__(self, n: int, master_seed: int, component: str) -> None:
+    def __init__(self, n: int, master_seed: int, component: str, rows: int = 1) -> None:
         self._n = n
-        self._master_seed = int(master_seed)
+        self._master_seeds = [int(master_seed)] * rows
         self._component = component
-        self._state_hi = np.zeros(n, dtype=np.uint64)
-        self._state_lo = np.zeros(n, dtype=np.uint64)
-        self._inc_hi = np.zeros(n, dtype=np.uint64)
-        self._inc_lo = np.zeros(n, dtype=np.uint64)
-        self._ready = np.zeros(n, dtype=bool)
-        self._draws = np.zeros(n, dtype=np.int64)
+        size = rows * n
+        self._state_hi = np.zeros(size, dtype=np.uint64)
+        self._state_lo = np.zeros(size, dtype=np.uint64)
+        self._inc_hi = np.zeros(size, dtype=np.uint64)
+        self._inc_lo = np.zeros(size, dtype=np.uint64)
+        self._ready = np.zeros(size, dtype=bool)
+        self._draws = np.zeros(size, dtype=np.int64)
 
-    def ensure(self, ids: np.ndarray) -> None:
-        """Seed the streams of ``ids`` that have not drawn yet (vectorised)."""
-        fresh = ids[~self._ready[ids]]
+    def reset_row(self, row: int, master_seed: int) -> None:
+        """Give row ``row`` a new master seed; its lanes re-seed on their next draw."""
+        self._master_seeds[row] = int(master_seed)
+        lanes = slice(row * self._n, (row + 1) * self._n)
+        self._ready[lanes] = False
+        self._draws[lanes] = 0
+
+    def ensure(self, lanes: np.ndarray) -> None:
+        """Seed the streams of ``lanes`` that have not drawn yet (vectorised)."""
+        fresh = lanes[~self._ready[lanes]]
         if fresh.size == 0:
             return
-        seeds = derive_node_seeds(self._master_seed, self._component, fresh)
-        hi, lo, ihi, ilo = _seed_states(seeds)
+        component = self._component
+        if len(self._master_seeds) == 1:
+            seeds = derive_node_seeds(self._master_seeds[0], component, fresh)
+        else:
+            n = self._n
+            row_of = fresh // n
+            seeds = np.empty(fresh.size, dtype=np.uint64)
+            for row in np.unique(row_of).tolist():
+                sel = row_of == row
+                seeds[sel] = derive_node_seeds(
+                    self._master_seeds[row], component, fresh[sel] - row * n
+                )
+        seed_states = _seed_states_scalar if fresh.size < _SCALAR_SEEDING_LANES else _seed_states
+        hi, lo, ihi, ilo = seed_states(seeds)
         self._state_hi[fresh] = hi
         self._state_lo[fresh] = lo
         self._inc_hi[fresh] = ihi
         self._inc_lo[fresh] = ilo
         self._ready[fresh] = True
 
-    def random(self, ids: np.ndarray) -> np.ndarray:
+    def random(self, lanes: np.ndarray) -> np.ndarray:
         """One ``Generator.random()`` draw per lane, as a float64 array."""
-        self.ensure(ids)
-        shi = self._state_hi[ids]
-        slo = self._state_lo[ids]
-        shi, slo = _step128(shi, slo, self._inc_hi[ids], self._inc_lo[ids])
-        self._state_hi[ids] = shi
-        self._state_lo[ids] = slo
-        self._draws[ids] += 1
+        self.ensure(lanes)
+        if lanes.size < _SCALAR_STEP_LANES:
+            return self._random_scalar(lanes)
+        shi = self._state_hi[lanes]
+        slo = self._state_lo[lanes]
+        shi, slo = _step128(shi, slo, self._inc_hi[lanes], self._inc_lo[lanes])
+        self._state_hi[lanes] = shi
+        self._state_lo[lanes] = slo
+        self._draws[lanes] += 1
         return (_output_xsl_rr(shi, slo) >> np.uint64(11)) * _DOUBLE_SCALE
 
-    def draw_skips(self) -> Dict[int, int]:
-        """``{node: #draws}`` for every lane that drew at least once."""
-        drawn = np.flatnonzero(self._draws)
-        return dict(zip(drawn.tolist(), self._draws[drawn].tolist()))
+    def _random_scalar(self, lanes: np.ndarray) -> np.ndarray:
+        """:meth:`random` lane by lane on python ints (``_step128`` + ``_output_xsl_rr``)."""
+        his: List[int] = []
+        los: List[int] = []
+        out: List[int] = []
+        for hi, lo, inc_hi, inc_lo in zip(
+            self._state_hi[lanes].tolist(),
+            self._state_lo[lanes].tolist(),
+            self._inc_hi[lanes].tolist(),
+            self._inc_lo[lanes].tolist(),
+        ):
+            state = (((hi << 64) | lo) * _PCG_MUL + ((inc_hi << 64) | inc_lo)) & _MASK128
+            hi = state >> 64
+            lo = state & _MASK64
+            x = hi ^ lo
+            rot = hi >> 58
+            out.append((((x >> rot) | (x << (64 - rot))) & _MASK64) >> 11)
+            his.append(hi)
+            los.append(lo)
+        self._state_hi[lanes] = np.array(his, dtype=np.uint64)
+        self._state_lo[lanes] = np.array(los, dtype=np.uint64)
+        self._draws[lanes] += 1
+        return np.array(out, dtype=np.float64) * _DOUBLE_SCALE
+
+    def draw_skips(self, row: int = 0) -> Dict[int, int]:
+        """``{node: #draws}`` for every lane of ``row`` that drew at least once."""
+        draws = self._draws[row * self._n : (row + 1) * self._n]
+        drawn = np.flatnonzero(draws)
+        return dict(zip(drawn.tolist(), draws[drawn].tolist()))

@@ -40,8 +40,8 @@ Two delivery paths implement that structure:
     algorithm (:meth:`~repro.runtime.algorithm.DistributedAlgorithm.as_kernel`)
     and a :class:`~repro.kernel.plan.KernelPlan` from the adversary, but not
     the ``"pure"`` contract: a kernel that keeps every awake node volatile
-    (the ``Concat`` kernel for DynamicColoring) gets dense every-node rounds,
-    and a pure algorithm's kernel gets the dirty frontier.  The round loop
+    (the ``Concat`` kernels of DynamicColoring and DynamicMIS) gets dense
+    every-node rounds, and a pure algorithm's kernel gets the dirty frontier.  The round loop
     never materialises python topologies at all.  Byte-identical to the
     classic paths.
 

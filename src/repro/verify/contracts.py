@@ -203,9 +203,11 @@ def _contract_delivery_equivalence(ctx: VerifyContext) -> Iterator[Verdict]:
         # E2's probe reads every palette every round, which no trace row shows.
         ("basic-coloring", markov, palettes),
         ("scolor", markov, palettes),
-        # Theorem 1.1's combiner: no pure contract, so only the kernel path.
+        # Theorem 1.1's combiners: no pure contract, so only the kernel path.
         ("dynamic-coloring", component("flip-churn", flip_prob=0.1), None),
         ("dynamic-coloring", markov, None),
+        ("dynamic-mis", component("flip-churn", flip_prob=0.1), None),
+        ("dynamic-mis", markov, None),
     ]
     for algorithm, adversary, probe in cases:
         spec = ScenarioSpec(

@@ -377,7 +377,7 @@ class TestBenchDiff:
 
     def test_committed_bench_files_diff_clean_against_themselves(self, capsys):
         assert self._diff(self.COMMITTED, self.COMMITTED) == 0
-        assert "bench diff clean: 20 workloads" in capsys.readouterr().out
+        assert "bench diff clean: 21 workloads" in capsys.readouterr().out
 
     def test_committed_bench_rows_match_harness_schema(self, monkeypatch):
         # The harness's comparison table and the committed file must not
@@ -390,16 +390,17 @@ class TestBenchDiff:
         assert names == bench_paths.workload_names()
         for row in rows:
             assert set(row) == set(bench_paths.row_keys(row["paths"])), row["workload"]
-        # the groups partition the file, and the stacked Concat kernel's row
-        # times the concat/dynamic-coloring scenario on the kernel path
+        # the groups partition the file, and each stacked Concat kernel's row
+        # times its concat/* scenario on the kernel path
         by_group = [bench_paths.group_workloads(group) for group in bench_paths.GROUP_NAMES]
         assert [name for names in by_group for name in names] == names
         by_name = {row["workload"]: row for row in rows}
-        kernel_row = by_name["kernel/dynamic-coloring"]
-        full_row = by_name["concat/dynamic-coloring"]
-        assert kernel_row["paths"] == ["kernel"]
-        for key in ("algorithm", "n", "rounds", "churn_prob"):
-            assert kernel_row[key] == full_row[key], key
+        for combiner in ("dynamic-coloring", "dynamic-mis"):
+            kernel_row = by_name[f"kernel/{combiner}"]
+            full_row = by_name[f"concat/{combiner}"]
+            assert kernel_row["paths"] == ["kernel"]
+            for key in ("algorithm", "n", "rounds", "churn_prob"):
+                assert kernel_row[key] == full_row[key], (combiner, key)
 
     def test_group_rerun_replaces_only_that_groups_rows(self, monkeypatch):
         monkeypatch.syspath_prepend(str(REPO_ROOT / "benchmarks"))

@@ -51,7 +51,7 @@ _ADVERSARY_SPECS = {
 SPARSE_GNP = component("gnp_degree", degree=2)
 
 #: the registered algorithms whose exact class ships an array kernel
-_KERNEL_TAGGED = ("basic-coloring", "scolor", "smis", "dmis", "dynamic-coloring")
+_KERNEL_TAGGED = ("basic-coloring", "scolor", "smis", "dmis", "dynamic-coloring", "dynamic-mis")
 
 
 def _trace_rows(spec: ScenarioSpec, seed: int, mode: str):

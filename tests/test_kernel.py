@@ -42,7 +42,14 @@ from repro.verify.harness import run_verify
 from test_incremental_delivery import SPARSE_GNP, _ADVERSARY_SPECS, _scenario_tree, _trace_rows
 
 #: the algorithms that ship a hand-vectorised kernel (``as_kernel()``).
-KERNEL_ALGORITHMS = ("basic-coloring", "scolor", "smis", "dmis", "dynamic-coloring")
+KERNEL_ALGORITHMS = (
+    "basic-coloring",
+    "scolor",
+    "smis",
+    "dmis",
+    "dynamic-coloring",
+    "dynamic-mis",
+)
 
 #: the adversaries that ship a :class:`KernelPlan` (the others degrade).
 PLAN_ADVERSARIES = {"static", "markov-churn", "flip-churn"}
@@ -149,6 +156,28 @@ class TestKernelEquivalenceMatrix:
             rows[mode] = run_scenario(spec).rows
         assert rows["kernel"] == rows["full"]
 
+    @pytest.mark.parametrize("algorithm", ["scolor", "dynamic-coloring"])
+    def test_post_run_palettes_match_the_full_run(self, algorithm):
+        """After a run every node's palette is the one its last delivery left.
+
+        That includes coloured nodes, whose palettes the kernel does not need
+        between rounds; DynamicColoring's is its SColor backbone's.
+        """
+        spec = ScenarioSpec(
+            n=64,
+            algorithm=algorithm,
+            adversary=component("flip-churn", flip_prob=0.01),
+            topology=component("gnp_degree", degree=8),
+            rounds=112,
+        )
+        palettes = {}
+        for mode in ("full", "kernel"):
+            _, sim = _trace_rows(spec, seed=0, mode=mode)
+            assert sim.delivery == mode
+            alg = sim.algorithm if algorithm == "scolor" else sim.algorithm._salg
+            palettes[mode] = {v: alg.palette_of(v) for v in range(spec.n)}
+        assert palettes["kernel"] == palettes["full"]
+
 
 # ---------------------------------------------------------------------------
 # the stacked Concat kernel (DynamicColoring)
@@ -185,7 +214,7 @@ class TestConcatColoringKernel:
             bundle = {"s": backbone, **{r: (name, value) for r, name, value in zip(starts, names, values)}}
             tag = np.asarray([codes[name] for name in names], dtype=np.int64)
             val = np.asarray([-1 if value is None else value for value in values], dtype=np.int64)
-            per_message = concat_kernel.sub_message_bits(tag, val)
+            per_message = concat_kernel.dcolor_message_bits(tag, val)
             assert per_message.tolist() == [estimate_bits(m) for m in zip(names, values)]
             assert estimate_bits(bundle) == (
                 concat_kernel.bundle_frame_bits(starts)
@@ -228,6 +257,86 @@ class TestConcatColoringKernel:
             )
         assert views["kernel"] == views["full"]
         assert views["kernel"][3] == spec.resolved_window() - 1
+
+
+# ---------------------------------------------------------------------------
+# the stacked Concat kernel (DynamicMIS)
+# ---------------------------------------------------------------------------
+
+
+class TestConcatMisKernel:
+    def test_closed_form_bits_equal_estimate_bits_on_the_dict_bundle(self):
+        from repro.algorithms.mis import dmis, smis
+        from repro.kernel import concat as concat_kernel
+        from repro.kernel import mis as mis_kernel
+        from repro.runtime.messages import estimate_bits
+
+        def dmis_message(state):
+            if state == mis_kernel._S_UND:
+                return (dmis.RAND, float(rng.random()))
+            return (dmis.MARK,) if state == mis_kernel._S_MIS else None
+
+        rng = np.random.default_rng(30)
+        top = 2**20
+        for trial in range(300):
+            starts = sorted({int(r) for r in rng.integers(1, top + 1, size=int(rng.integers(1, 40)))})
+            if trial == 0:
+                starts = [1, 2, 3, top - 1, top]
+            states = rng.integers(0, 3, size=len(starts))
+            messages = [dmis_message(state) for state in states.tolist()]
+            backbone = [
+                (smis.MARK,),
+                None,
+                (smis.UNDECIDED_MSG, float(rng.random()), bool(rng.random() < 0.5)),
+            ][int(rng.integers(0, 3))]
+            bundle = {"s": backbone, **dict(zip(starts, messages))}
+            per_message = concat_kernel.dmis_message_bits(states)
+            assert per_message.tolist() == [estimate_bits(m) for m in messages]
+            assert estimate_bits(bundle) == (
+                concat_kernel.bundle_frame_bits(starts)
+                + estimate_bits(backbone)
+                + int(per_message.sum())
+            )
+
+    def test_post_run_introspection_matches_the_full_run(self):
+        spec = ScenarioSpec(
+            n=40,
+            algorithm="dynamic-mis",
+            adversary=component("flip-churn", flip_prob=0.05),
+            topology=component("gnp_degree", degree=6),
+            rounds="2*T1",
+            wakeup="staggered",
+        )
+        views = {}
+        for mode in ("full", "kernel"):
+            _, sim = _trace_rows(spec, seed=4, mode=mode)
+            assert sim.delivery == mode
+            alg = sim.algorithm
+            instances = {
+                start: (
+                    instance.outputs(),
+                    {v: instance.state_of(v) for v in range(spec.n)},
+                    {v: instance.live_neighbors_of(v) for v in range(spec.n)},
+                    dict(instance.metrics()),
+                    instance.config.input,
+                    # each instance's streams resume where the run left them
+                    {v: instance.rng(v).random() for v in sorted(instance.awake_nodes)},
+                )
+                for start, instance in alg._instances.items()
+            }
+            views[mode] = (
+                alg.outputs(),
+                {v: alg.backbone_output(v) for v in range(spec.n)},
+                alg.state_summary(),
+                alg.live_instances,
+                instances,
+                {v: alg._salg.rng(v).random() for v in sorted(alg.awake_nodes)},
+            )
+        assert views["kernel"] == views["full"]
+        assert views["kernel"][3] == spec.resolved_window() - 1
+        # staggered wake-up: some live instance started before a node woke
+        inputs = [view[4] for view in views["kernel"][4].values()]
+        assert any(len(given) < spec.n for given in inputs)
 
 
 # ---------------------------------------------------------------------------
@@ -292,10 +401,15 @@ class TestKernelSelection:
         assert self._sim(DynamicColoring(4), delivery="incremental").delivery == "full"
         sim = self._sim(DynamicColoring(4), delivery="kernel", input_assignment={0: 1})
         assert sim.delivery == "full"
-        # DynamicMIS has no kernel yet
+        # DynamicMIS runs on its ring kernel; the revalidation extension has
+        # no kernel and stays on full
         from repro.algorithms.mis.dynamic_mis import DynamicMIS
 
-        assert self._sim(DynamicMIS(4), delivery="kernel").delivery == "full"
+        assert self._sim(DynamicMIS(4)).delivery == "kernel"
+        assert self._sim(DynamicMIS(4), delivery="kernel").delivery == "kernel"
+        assert DynamicMIS(4, revalidate_dominated=True).as_kernel() is None
+        revalidating = DynamicMIS(4, revalidate_dominated=True)
+        assert self._sim(revalidating, delivery="kernel").delivery == "full"
 
     def test_spec_rejects_bogus_delivery(self):
         with pytest.raises(ConfigurationError, match="delivery"):

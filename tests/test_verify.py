@@ -186,10 +186,11 @@ class TestDeliveryEquivalenceConfigScan:
         }
 
     def test_degraded_path_is_skipped_naming_the_fallback(self, tmp_path):
-        # DynamicMIS declares no message stability and has no kernel.
+        # DynamicMIS declares no message stability, and with the revalidation
+        # extension it has no kernel.
         spec = ScenarioSpec(
             n=12,
-            algorithm="dynamic-mis",
+            algorithm=component("dynamic-mis", revalidate_dominated=True),
             adversary=component("flip-churn", flip_prob=0.05),
             rounds=4,
             seeds=(0,),
@@ -232,6 +233,8 @@ class TestDeliveryEquivalenceConfigScan:
                 "scolor/markov-churn+palette-shrink",
                 "dynamic-coloring/flip-churn",
                 "dynamic-coloring/markov-churn",
+                "dynamic-mis/flip-churn",
+                "dynamic-mis/markov-churn",
             )
             for path in ("incremental", "kernel")
         }
