@@ -48,7 +48,9 @@ Usage::
 Full mode writes ``benchmarks/results/BENCH.json``; ``--smoke`` runs small
 sizes and writes nothing unless ``--json`` is given.  ``--group G`` runs
 group ``G`` alone and replaces only its rows in the output file, leaving
-every other row as it was.  Every mode exits 1 when a gate fails and raises
+every other row as it was.  The file's ``hosts`` object names, per group,
+the host that last measured it (:func:`host_description`); a group measured
+before hosts were recorded has no entry.  Every mode exits 1 when a gate fails and raises
 on any identity mismatch.
 """
 
@@ -58,7 +60,9 @@ import argparse
 import fnmatch
 import gc
 import json
+import os
 import pathlib
+import platform
 import resource
 import statistics
 import sys
@@ -395,6 +399,23 @@ def run_cell(group: Group, cell: Cell, smoke: bool, seed: int = 1) -> Dict[str, 
     return row
 
 
+def host_description() -> str:
+    """The measuring host in one line: CPU model, vCPUs, Python and numpy versions."""
+    model = platform.processor() or platform.machine()
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as cpuinfo:
+            for line in cpuinfo:
+                if line.startswith("model name"):
+                    model = line.split(":", 1)[1].strip()
+                    break
+    except OSError:
+        pass
+    return (
+        f"{model}, {os.cpu_count()} vCPUs, Python {platform.python_version()}, "
+        f"numpy {np.__version__}"
+    )
+
+
 def _peak_rss_mib() -> float:
     # ru_maxrss is KiB on Linux, bytes on macOS
     rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
@@ -610,13 +631,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         rows, failures = run_group(args.group, args.smoke)
     out_path = args.json or (None if args.smoke else RESULTS_PATH)
     if out_path is not None:
+        measured = GROUP_NAMES if args.group is None else (args.group,)
+        hosts = {name: host_description() for name in measured}
         if args.group is not None and out_path.exists():
-            previous = json.loads(out_path.read_text(encoding="utf-8"))["rows"]
-            rows = merge_group(previous, rows, args.smoke)
+            previous = json.loads(out_path.read_text(encoding="utf-8"))
+            rows = merge_group(previous["rows"], rows, args.smoke)
+            hosts = {**previous.get("hosts", {}), **hosts}
         payload = {
             "benchmark": "paths",
             "unit": "<path>_rps: rounds/sec on round paths, units/sec on exec backends; "
             "e2e_s: seconds per unit, setup and metrics included",
+            "hosts": {name: hosts[name] for name in GROUP_NAMES if name in hosts},
             "rows": rows,
         }
         out_path.parent.mkdir(parents=True, exist_ok=True)

@@ -14,28 +14,32 @@ round's graph (the classic simulator loops), it is kept as the latest graph
 and, every :data:`CHECKPOINT_INTERVAL`-th round, stored as a full snapshot
 instead of the delta, so any round is reconstructed by replaying at most
 ``CHECKPOINT_INTERVAL - 1`` deltas.  Array-kernel rounds are delta-only: no
-graph is built while the run records them.  All accessors (``topology(r)``,
-window queries, change statistics) materialise transparently, and a
-one-entry cursor cache makes sequential scans — by far the dominant access
-pattern of the checkers — cost one delta application per step.
+graph is built while the run records them.  The round accessors
+(``topology(r)``, change statistics) materialise transparently, and a
+one-entry cursor cache makes sequential scans cost one delta application
+per step.
 
-On top of the raw sequence it offers the sliding-window queries of
-Definition 2.1 (``G^{T∩}_r``, ``G^{T∪}_r``), recomputed from the stored
-history; they are the only implementation of that definition.  Per round
-they materialise the window's ``T`` graphs; :meth:`DynamicGraph.windows`
-answers a run of consecutive rounds in one forward walk instead.
+On top of the raw sequence it answers the sliding-window queries of
+Definition 2.1 (``G^{T∩}_r``, ``G^{T∪}_r``); they are the only
+implementation of that definition.  A :class:`WindowWalk` replays the
+stored rounds forward once and keeps a few round stamps per node and per
+edge, updated in O(#changes) a round; for every window size ``T`` the
+window's node and edge sets are then array masks over those stamps.  No
+window graph is built unless a caller asks for one
+(:meth:`DynamicGraph.intersection_graph` / :meth:`DynamicGraph.union_graph`).
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from repro.errors import TopologyError
 from repro.types import Edge, Interval, NodeId
 from repro.dynamics.topology import Topology, TopologyDelta, empty_topology
 
-__all__ = ["DynamicGraph", "CHECKPOINT_INTERVAL"]
+__all__ = ["DynamicGraph", "WindowWalk", "CHECKPOINT_INTERVAL"]
 
 #: Rounds between the snapshots stored when rounds are appended with their graph.
 CHECKPOINT_INTERVAL = 32
@@ -64,6 +68,8 @@ class DynamicGraph:
         # One-entry materialisation cursor (round, topology) for sequential scans.
         self._cursor_round = 0
         self._cursor_topo = empty_topology()
+        #: The walk behind the window queries (see :meth:`window_at`).
+        self._walk: Optional[WindowWalk] = None
 
     # -- recording ---------------------------------------------------------
 
@@ -159,24 +165,23 @@ class DynamicGraph:
 
     # -- window queries (Definition 2.1) --------------------------------------
 
-    def _window_rounds(self, r: int, T: int) -> tuple[bool, Sequence[Topology]]:
-        """Return ``(includes_round_zero, topologies of rounds max(1, r-T+1) … r)``.
+    def window_at(self, r: int) -> "WindowWalk":
+        """The graph's own :class:`WindowWalk`, advanced to round ``r``.
 
-        Definition 2.1 sets ``r0 = max(0, r - T + 1)`` and ``G_0`` is the empty
-        graph (all nodes asleep, ``V_0 = ∅``).  Whenever the window reaches
-        back to round 0 the intersection node set is therefore empty.
+        Ascending queries share one forward walk; a query behind it starts
+        a new walk from round 1.
 
         Raises
         ------
         TopologyError
-            If ``T`` is not an integer ``>= 1`` or round ``r`` is not recorded.
+            If round ``r`` is not recorded.
         """
-        _check_window_size(T)
         self._check_recorded(r)
-        r0 = max(0, r - T + 1)
-        includes_zero = r0 == 0
-        first = max(1, r0)
-        return includes_zero, [self._materialise(i) for i in range(first, r + 1)]
+        walk = self._walk
+        if walk is None or walk.round > r:
+            walk = self._walk = WindowWalk(self)
+        walk.advance_to(r)
+        return walk
 
     def _check_recorded(self, r: int) -> None:
         if not 1 <= r <= len(self._entries):
@@ -189,8 +194,13 @@ class DynamicGraph:
         that is ``<= 0`` the (empty) graph ``G_0`` is part of the window and
         the intersection is empty — no node has been awake for ``T`` rounds yet.
         """
-        includes_zero, rounds = self._window_rounds(r, T)
-        return empty_topology() if includes_zero else _intersection(rounds)
+        _check_window_size(T)
+        walk = self.window_at(r)
+        nodes = walk.constrained(T)
+        if nodes is None:
+            return empty_topology()
+        u, v = walk.intersection_edges(T)
+        return Topology.from_arrays(np.flatnonzero(nodes), u, v)
 
     def union_graph(self, r: int, T: int) -> Topology:
         """``G^{T∪}_r``: every edge present at least once in the window.
@@ -204,34 +214,13 @@ class DynamicGraph:
         a union edge; only the nodes of :meth:`intersection_graph` are
         *constrained* by the T-dynamic checker.
         """
-        includes_zero, rounds = self._window_rounds(r, T)
-        return empty_topology() if includes_zero else _union(rounds)
-
-    def windows(
-        self, T: int, start: int = 1, end: Optional[int] = None
-    ) -> Iterator[Tuple[int, Topology, Topology]]:
-        """Yield ``(r, G^{T∩}_r, G^{T∪}_r)`` for ``r = start … end`` (default: the last round).
-
-        The same graphs as :meth:`intersection_graph` and :meth:`union_graph`
-        round by round, from one forward walk: each recorded graph is
-        materialised once (one delta apply per round) and the window slides
-        over a queue of its ``T`` graphs, so a delta-only (array-kernel)
-        record is never replayed from ``G_0`` per round.
-        """
         _check_window_size(T)
-        end = self.last_round if end is None else min(end, self.last_round)
-        if start > end:
-            return
-        self._check_recorded(start)
-        window: deque = deque(maxlen=T)
-        for r in range(max(1, start - T + 1), end + 1):
-            window.append(self._materialise(r))
-            if r < start:
-                continue
-            if r < T:  # the window reaches back to the empty G_0
-                yield r, empty_topology(), empty_topology()
-            else:
-                yield r, _intersection(window), _union(window)
+        walk = self.window_at(r)
+        nodes = walk.constrained(T)
+        if nodes is None:
+            return empty_topology()
+        u, v = walk.union_edges(T)
+        return Topology.from_arrays(np.union1d(np.flatnonzero(nodes), np.union1d(u, v)), u, v)
 
     # -- stability predicates ---------------------------------------------
 
@@ -295,30 +284,122 @@ def _check_window_size(T: int) -> None:
         raise TopologyError(f"window size T must be an integer >= 1, got T={T!r}")
 
 
-def _intersection(rounds: Iterable[Topology]) -> Topology:
-    """The nodes and edges present in every graph of a (non-empty) window."""
-    it = iter(rounds)
-    first = next(it)
-    nodes: FrozenSet[NodeId] = first.nodes
-    edges: FrozenSet[Edge] = first.edges
-    for topo in it:
-        nodes &= topo.nodes
-        edges &= topo.edges
-    edges = frozenset(e for e in edges if e[0] in nodes and e[1] in nodes)
-    return Topology(nodes, edges)
+#: ``woke`` of a node that has not woken up (later than any round).
+_ASLEEP = np.iinfo(np.int64).max
 
 
-def _union(rounds: Iterable[Topology]) -> Topology:
-    """The intersection's nodes plus every edge (and endpoint) seen in a window."""
-    it = iter(rounds)
-    nodes: FrozenSet[NodeId] = next(it).nodes
-    for topo in it:
-        nodes &= topo.nodes
-    edges: set[Edge] = set()
-    for topo in rounds:
-        edges.update(topo.edges)
-    node_set = set(nodes)
-    for u, v in edges:
-        node_set.add(u)
-        node_set.add(v)
-    return Topology(node_set, edges)
+class WindowWalk:
+    """Definition 2.1's windows from one forward walk over a :class:`DynamicGraph`.
+
+    Every edge gets an id the first time it appears.  After :meth:`advance`
+    has replayed rounds ``1 … r`` the walk holds
+
+    * ``woke[v]``: the round node ``v`` woke up (:data:`_ASLEEP` if it has not);
+    * ``born[e]``: the round edge ``e`` was last inserted;
+    * ``last[e]``: the last round edge ``e`` was present before its latest
+      removal;
+    * ``present[e]``: whether edge ``e`` is present in ``G_r``,
+
+    each updated in O(#changes) per round from the stored delta (a
+    checkpoint round is diffed against ``present``).  For any window size
+    ``T`` with ``r0 = r - T + 1 >= 1`` (awake sets never shrink, and an edge
+    present throughout ``[r0, r]`` was last inserted by ``r0``):
+
+    * ``V^{T∩}_r = {v : woke[v] <= r0}``;
+    * ``E^{T∩}_r = {e : present[e] and born[e] <= r0}``;
+    * ``E^{T∪}_r = {e : present[e] or last[e] >= r0}``.
+
+    When ``r0 <= 0`` the window reaches the empty ``G_0`` and all three are
+    empty.
+    """
+
+    __slots__ = ("_graph", "round", "woke", "_ids", "_eu", "_ev", "_born", "_last", "_present")
+
+    def __init__(self, graph: DynamicGraph) -> None:
+        self._graph = graph
+        #: The last replayed round (0 before the first :meth:`advance`).
+        self.round = 0
+        self.woke = np.full(graph.n, _ASLEEP, dtype=np.int64)
+        self._ids: Dict[Edge, int] = {}
+        self._eu = np.empty(0, dtype=np.int64)
+        self._ev = np.empty(0, dtype=np.int64)
+        self._born = np.empty(0, dtype=np.int64)
+        self._last = np.empty(0, dtype=np.int64)
+        self._present = np.empty(0, dtype=bool)
+
+    def advance(self) -> None:
+        """Replay the next recorded round."""
+        r = self.round + 1
+        self._graph._check_recorded(r)
+        entry = self._graph._entries[r - 1]
+        if isinstance(entry, Topology):
+            added_nodes, added, removed = self._checkpoint_changes(entry)
+        else:
+            added_nodes, added, removed = entry.added_nodes, entry.added_edges, entry.removed_edges
+        if len(added_nodes):
+            self.woke[np.fromiter(added_nodes, np.int64, len(added_nodes))] = r
+        ids = self._ids
+        if removed:
+            gone = np.fromiter((ids[e] for e in removed), np.int64, len(removed))
+            self._present[gone] = False
+            self._last[gone] = r - 1
+        if added:
+            seen = len(ids)
+            got = np.fromiter((ids.setdefault(e, len(ids)) for e in added), np.int64, len(added))
+            if len(ids) > seen:
+                self._register([e for e, i in zip(added, got.tolist()) if i >= seen])
+            self._born[got] = r
+            self._present[got] = True
+        self.round = r
+
+    def advance_to(self, r: int) -> None:
+        """Replay rounds up to ``r`` (no-op if the walk is already there)."""
+        while self.round < r:
+            self.advance()
+
+    def _register(self, edges: List[Edge]) -> None:
+        """Give ``edges`` (new, in id order) their endpoint slots."""
+        m = len(self._ids)
+        if m > self._eu.size:
+            grow = max(m, 2 * self._eu.size) - self._eu.size
+            self._eu = np.concatenate((self._eu, np.empty(grow, np.int64)))
+            self._ev = np.concatenate((self._ev, np.empty(grow, np.int64)))
+            self._born = np.concatenate((self._born, np.empty(grow, np.int64)))
+            self._last = np.concatenate((self._last, np.zeros(grow, np.int64)))
+            self._present = np.concatenate((self._present, np.zeros(grow, bool)))
+        first = m - len(edges)
+        self._eu[first:m] = [u for u, _ in edges]
+        self._ev[first:m] = [v for _, v in edges]
+
+    def _checkpoint_changes(self, topology: Topology):
+        """``(added nodes, added edges, removed edges)`` from the walk's round to ``topology``."""
+        nodes = np.fromiter(topology.nodes, np.int64, topology.num_nodes)
+        added_nodes = nodes[self.woke[nodes] == _ASLEEP]
+        ids, present, edges = self._ids, self._present, topology.edges
+        added = [e for e in edges if e not in ids or not present[ids[e]]]
+        live = np.flatnonzero(present[: len(ids)])
+        removed = [
+            e for e in zip(self._eu[live].tolist(), self._ev[live].tolist()) if e not in edges
+        ]
+        return added_nodes, added, removed
+
+    # -- Definition 2.1 over the current round --------------------------------
+
+    def constrained(self, T: int) -> Optional[np.ndarray]:
+        """``V^{T∩}_r`` as a bool mask over the ``n`` node ids (``None`` when ``r0 <= 0``)."""
+        r0 = self.round - T + 1
+        if r0 <= 0:
+            return None
+        return self.woke <= r0
+
+    def intersection_edges(self, T: int) -> Tuple[np.ndarray, np.ndarray]:
+        """``E^{T∩}_r`` as canonical endpoint arrays ``(u, v)`` (requires ``r0 >= 1``)."""
+        m = len(self._ids)
+        mask = self._present[:m] & (self._born[:m] <= self.round - T + 1)
+        return self._eu[:m][mask], self._ev[:m][mask]
+
+    def union_edges(self, T: int) -> Tuple[np.ndarray, np.ndarray]:
+        """``E^{T∪}_r`` as canonical endpoint arrays ``(u, v)`` (requires ``r0 >= 1``)."""
+        m = len(self._ids)
+        mask = self._present[:m] | (self._last[:m] >= self.round - T + 1)
+        return self._eu[:m][mask], self._ev[:m][mask]

@@ -39,6 +39,7 @@ __all__ = [
     "UNIT_ROUNDS",
     "UNIT_SETUP",
     "collect_stats",
+    "metric_phase",
     "record_phase",
     "replay_phases",
     "timed_phase",
@@ -47,7 +48,8 @@ __all__ = [
 #: Phase names the pipeline reports (others are allowed; these are the
 #: conventional ones ``repro log`` / ``repro report`` render from an entry's
 #: provenance): component building per
-#: work unit, the simulated round loop, metric/probe extraction,
+#: work unit, the simulated round loop, metric/probe extraction (and each
+#: metric's own share of it, under :func:`metric_phase`),
 #: sweep-journal resume reads + record writes, and backend dispatch wall
 #: time (including pooled workers).
 UNIT_SETUP = "unit_setup"
@@ -55,6 +57,12 @@ UNIT_ROUNDS = "unit_rounds"
 UNIT_METRICS = "unit_metrics"
 EXEC_JOURNAL = "exec_journal"
 EXEC_DISPATCH = "exec_dispatch"
+
+
+def metric_phase(name: str) -> str:
+    """The phase one registered metric's own time is recorded under, inside
+    :data:`UNIT_METRICS` (``unit_metrics:validity``)."""
+    return f"{UNIT_METRICS}:{name}"
 
 
 class RateEstimator:

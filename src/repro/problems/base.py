@@ -9,17 +9,26 @@ and colouring need radius 1.
 :class:`DistributedGraphProblem` captures exactly that: subclasses implement
 the per-node LCL condition :meth:`check_node`, and the generic methods derive
 full-solution checks, violation listings and partial-assignment handling.
+A problem the T-dynamic checker evaluates also states its condition over
+arrays (:meth:`array_encoder` / :meth:`array_violations`), so a whole
+round is checked with a few numpy reductions instead of one
+:meth:`check_node` call per node.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import List, Mapping
+from typing import Callable, List, Mapping
+
+import numpy as np
 
 from repro.types import Assignment, NodeId, Value
 from repro.dynamics.topology import Topology
 
-__all__ = ["DistributedGraphProblem"]
+__all__ = ["DistributedGraphProblem", "UNDECIDED"]
+
+#: The array code of ⊥ in every :meth:`DistributedGraphProblem.array_encoder`.
+UNDECIDED = -1
 
 
 class DistributedGraphProblem(ABC):
@@ -48,6 +57,26 @@ class DistributedGraphProblem(ABC):
         the job of :mod:`repro.problems.packing_covering`, not of this method;
         here neighbours are expected to carry real values).
         """
+
+    # -- the condition over arrays -------------------------------------------------
+
+    def array_encoder(self) -> Callable[[Value], int]:
+        """A function mapping an output value to the int :meth:`array_violations` reads.
+
+        ⊥ maps to :data:`UNDECIDED`, every other value to a code ``>= 0``.
+        An encoder may keep state (an intern table), so one output vector is
+        encoded by one encoder.
+        """
+        raise NotImplementedError(f"{type(self).__name__} has no array check")
+
+    def array_violations(self, codes: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Bool mask over node ids: decided nodes whose LCL condition fails.
+
+        ``codes`` is the encoded output vector of all ``n`` node ids and the
+        graph has the node set ``range(n)`` and the edges ``(u[i], v[i])``.
+        At every node with an output the mask is ``not check_node(...)``.
+        """
+        raise NotImplementedError(f"{type(self).__name__} has no array check")
 
     # -- whole-graph checks --------------------------------------------------------
 

@@ -20,8 +20,13 @@ Partial solutions (Section 4.1, discussion before the proof of Lemma 4.1):
 
 from __future__ import annotations
 
-from repro.types import Assignment, NodeId
+from typing import Callable, Dict
+
+import numpy as np
+
+from repro.types import Assignment, NodeId, Value
 from repro.dynamics.topology import Topology
+from repro.problems.base import UNDECIDED
 from repro.problems.packing_covering import CoveringProblem, PackingProblem, ProblemPair
 
 __all__ = [
@@ -55,6 +60,38 @@ class ProperColoringProblem(PackingProblem):
                 return False
         return True
 
+    def array_encoder(self) -> Callable[[Value], int]:
+        """Intern each colour: equal colours (as dict keys: hash and ``==``) share a code."""
+        codes: Dict[Value, int] = {}
+
+        def encode(color: Value) -> int:
+            if color is None:
+                return UNDECIDED
+            return codes.setdefault(color, len(codes))
+
+        return encode
+
+    def array_violations(self, codes: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Both endpoints of an edge joining two equal colours."""
+        clash = (codes[u] == codes[v]) & (codes[u] != UNDECIDED)
+        bad = np.zeros(codes.size, dtype=bool)
+        bad[u[clash]] = True
+        bad[v[clash]] = True
+        return bad
+
+
+#: Range codes above this never pass: a degree is below ``n``.
+_MAX_RANGE_CODE = 2**62
+
+
+def _range_code(color: Value) -> int:
+    """The colour itself when it is an int in ``[1, 2**62]``, else 0 (never in range)."""
+    if color is None:
+        return UNDECIDED
+    if isinstance(color, int) and 1 <= color <= _MAX_RANGE_CODE:
+        return int(color)
+    return 0
+
 
 class DegreePlusOneRangeProblem(CoveringProblem):
     """Every coloured node's colour must lie in ``{1, …, deg(v) + 1}`` (covering)."""
@@ -73,6 +110,15 @@ class DegreePlusOneRangeProblem(CoveringProblem):
         if color is None:
             return True
         return isinstance(color, int) and 1 <= color <= graph.degree(v) + 1
+
+    def array_encoder(self) -> Callable[[Value], int]:
+        return _range_code
+
+    def array_violations(self, codes: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Decided nodes whose colour is not an int in ``[1, deg + 1]``."""
+        n = codes.size
+        degree = np.bincount(u, minlength=n) + np.bincount(v, minlength=n)
+        return (codes != UNDECIDED) & ((codes < 1) | (codes > degree + 1))
 
 
 def coloring_problem_pair() -> ProblemPair:

@@ -13,8 +13,11 @@ no quantification over completions is needed.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.types import Assignment, NodeId
 from repro.dynamics.topology import Topology
+from repro.problems.independent_set import membership_code
 from repro.problems.packing_covering import CoveringProblem
 
 __all__ = ["DominatingSetProblem"]
@@ -37,3 +40,13 @@ class DominatingSetProblem(CoveringProblem):
         if value != 0:
             return True
         return any(assignment.get(u) == 1 for u in graph.neighbors(v))
+
+    def array_encoder(self):
+        return membership_code
+
+    def array_violations(self, codes: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Decided non-members without a member neighbour."""
+        dominated = np.zeros(codes.size, dtype=bool)
+        dominated[u[codes[v] == 1]] = True
+        dominated[v[codes[u] == 1]] = True
+        return (codes == 0) & ~dominated

@@ -12,11 +12,21 @@ completed to ``0`` (dominated) without violating anyone's condition.
 
 from __future__ import annotations
 
-from repro.types import Assignment, NodeId
+import numpy as np
+
+from repro.types import Assignment, NodeId, Value
 from repro.dynamics.topology import Topology
+from repro.problems.base import UNDECIDED
 from repro.problems.packing_covering import PackingProblem
 
-__all__ = ["IndependentSetProblem"]
+__all__ = ["IndependentSetProblem", "membership_code"]
+
+
+def membership_code(value: Value) -> int:
+    """MIS array code: ``1`` for an output ``== 1``, ``0`` for any other output, ⊥ -> UNDECIDED."""
+    if value is None:
+        return UNDECIDED
+    return 1 if value == 1 else 0
 
 
 class IndependentSetProblem(PackingProblem):
@@ -33,6 +43,17 @@ class IndependentSetProblem(PackingProblem):
     def check_node_partial(self, graph: Topology, assignment: Assignment, v: NodeId) -> bool:
         """Partial packing: identical to the full condition (⊥ neighbours are harmless)."""
         return self.check_node(graph, assignment, v)
+
+    def array_encoder(self):
+        return membership_code
+
+    def array_violations(self, codes: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Both endpoints of an edge joining two members."""
+        both = (codes[u] == 1) & (codes[v] == 1)
+        bad = np.zeros(codes.size, dtype=bool)
+        bad[u[both]] = True
+        bad[v[both]] = True
+        return bad
 
     # -- helpers ------------------------------------------------------------------
 

@@ -33,6 +33,8 @@ import numbers
 from collections.abc import Mapping
 from typing import Any, Callable, Dict, List, Optional
 
+import numpy as np
+
 from repro.errors import ConfigurationError
 from repro.dynamics import generators
 from repro.dynamics.adversaries.composite import FreezeAfterAdversary
@@ -48,6 +50,7 @@ from repro.dynamics.churn import (
     MarkovEdgeChurn,
     StaticChurn,
 )
+from repro.dynamics.dynamic_graph import WindowWalk
 from repro.dynamics.mobility import RandomWaypointMobility
 from repro.dynamics.wakeup import (
     AllAwake,
@@ -657,15 +660,18 @@ def _metric_mis_edge_decay(ctx, *, min_edges: int = 4):
     exactly like the pre-scenario implementation did.
     """
     trace = ctx.trace
+    # Round r counts the edges present in every round 1 … r (the intersection
+    # over [1, r]) whose endpoints were both undecided after round r - 1.
+    walk = WindowWalk(trace.graph)
+    undecided = np.ones(trace.n, dtype=bool)
     edge_counts = []
     for r in range(1, trace.num_rounds + 1):
-        intersection = trace.graph.intersection_graph(r, r)
-        if r == 1:
-            undecided = set(intersection.nodes)
-        else:
-            previous = trace.outputs(r - 1)
-            undecided = {v for v in intersection.nodes if previous.get(v) is None}
-        edge_counts.append(len(intersection.induced_edges(undecided)))
+        walk.advance()
+        u, v = walk.intersection_edges(r)
+        edge_counts.append(int(np.count_nonzero(undecided[u] & undecided[v])))
+        update = trace.output_update(r)
+        if update:
+            undecided[[v for v, _ in update]] = [value is None for _, value in update]
     ratios = [
         edge_counts[i + 2] / edge_counts[i]
         for i in range(len(edge_counts) - 2)

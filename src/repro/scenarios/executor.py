@@ -121,12 +121,13 @@ def _build_context(spec: ScenarioSpec, seed: int) -> ScenarioContext:
 def _execute_seed(spec: ScenarioSpec, seed: int) -> Tuple[Row, Simulator]:
     """Run one seed-replication and return its metric row plus the simulator.
 
-    Records per-phase timings (setup / round loop / metric extraction) and
+    Records per-phase timings (setup / round loop / metric extraction, and
+    each metric's own time under :func:`~repro.exec.stats.metric_phase`) and
     the ``unit_begin`` / ``unit_end`` events with the run recorder
     (:mod:`repro.obs.trace`) — that is where the phase splits ``repro log``
     and ``repro report`` show come from.
     """
-    from repro.exec.stats import UNIT_METRICS, UNIT_ROUNDS, UNIT_SETUP, timed_phase
+    from repro.exec.stats import UNIT_METRICS, UNIT_ROUNDS, UNIT_SETUP, metric_phase, timed_phase
     from repro.obs.trace import emit
 
     emit(
@@ -171,7 +172,8 @@ def _execute_seed(spec: ScenarioSpec, seed: int) -> Tuple[Row, Simulator]:
     row: Row = {}
     with timed_phase(UNIT_METRICS):
         for metric in spec.metrics:
-            row.update(METRICS.get(metric.name)(ctx, **metric.params))
+            with timed_phase(metric_phase(metric.name)):
+                row.update(METRICS.get(metric.name)(ctx, **metric.params))
         if probe is not None:
             row.update(probe.finish())
     emit("unit_end", seed=int(seed), rounds=sim.trace.num_rounds, delivery=sim.delivery)

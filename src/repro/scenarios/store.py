@@ -30,8 +30,10 @@ different commit with identical rows is "unchanged".
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
+import os
 import re
 import subprocess
 from dataclasses import dataclass, field
@@ -84,8 +86,19 @@ def _slug(label: str) -> str:
 def _git_sha() -> Optional[str]:
     """Best-effort commit hash of the working tree the run happened in."""
     try:
+        directory = os.getcwd()
+    except OSError:  # the working directory was removed
+        return None
+    return _git_sha_in(directory)
+
+
+@functools.lru_cache(maxsize=None)
+def _git_sha_in(directory: str) -> Optional[str]:
+    """``git rev-parse HEAD`` in ``directory``, asked once per process and directory."""
+    try:
         out = subprocess.run(
             ["git", "rev-parse", "HEAD"],
+            cwd=directory,
             capture_output=True,
             text=True,
             timeout=5,

@@ -402,6 +402,13 @@ class TestBenchDiff:
             for key in ("algorithm", "n", "rounds", "churn_prob"):
                 assert kernel_row[key] == full_row[key], (combiner, key)
 
+    def test_committed_bench_names_its_hosts_per_group(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(REPO_ROOT / "benchmarks"))
+        bench_paths = importlib.import_module("bench_paths")
+        hosts = json.loads(self.COMMITTED.read_text())["hosts"]
+        assert {"kernel", "concat"} <= set(hosts) <= set(bench_paths.GROUP_NAMES)
+        assert all(isinstance(host, str) and "vCPUs" in host for host in hosts.values())
+
     def test_group_rerun_replaces_only_that_groups_rows(self, monkeypatch):
         monkeypatch.syspath_prepend(str(REPO_ROOT / "benchmarks"))
         bench_paths = importlib.import_module("bench_paths")

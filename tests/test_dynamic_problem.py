@@ -10,8 +10,9 @@ from repro.runtime.metrics import RoundMetrics
 from repro.runtime.trace import ExecutionTrace
 from repro.runtime.simulator import Simulator
 from repro.scenarios import ScenarioSpec, component
+from repro.scenarios.components import problem_pair_by_name
 from repro.scenarios.executor import _build_context
-from helpers import record_graph, record_round
+from helpers import oracle_check_trace, record_graph, record_round, windows
 
 
 def _metrics(r):
@@ -106,7 +107,8 @@ class TestTraceChecks:
 
 
 class TestCheckTraceWindowWalk:
-    """``check_trace`` walks the trace once; its results equal per-round checks."""
+    """``check_trace`` walks the trace once; its results equal per-round checks
+    and the brute-force oracle's."""
 
     ROUNDS = 40
 
@@ -133,13 +135,87 @@ class TestCheckTraceWindowWalk:
             tspec = TDynamicSpec(coloring_problem_pair(), T)
             for start, end in ((1, None), (7, 25), (T + 2, None), (30, 12)):
                 last = self.ROUNDS if end is None else end
-                expected = [
+                expected = oracle_check_trace(tspec.pair, T, trace, start, end)
+                assert [
                     tspec.check_round(graph, trace.outputs(r), r) for r in range(start, last + 1)
-                ]
+                ] == expected
                 got = tspec.check_trace(trace, start_round=start, end_round=end)
                 assert got == expected, (T, start, end)
                 checked += sum(res.constrained_nodes for res in got)
-            for r, intersection, union in graph.windows(T, 1):
+            for r, intersection, union in windows(graph, T):
                 assert intersection == graph.intersection_graph(r, T)
                 assert union == graph.union_graph(r, T)
         assert checked > 0
+
+
+class TestCheckTraceCost:
+    """The check of a kernel trace builds no graph and reads each round's
+    output update once."""
+
+    @pytest.mark.parametrize(
+        "algorithm, problem, retention",
+        [("dynamic-mis", "mis", "full"), ("dynamic-coloring", "coloring", "stats")],
+    )
+    def test_kernel_trace_check_builds_no_topology(
+        self, monkeypatch, algorithm, problem, retention
+    ):
+        spec = ScenarioSpec(
+            n=40,
+            algorithm=algorithm,
+            adversary=component("flip-churn", flip_prob=0.05),
+            rounds=30,
+            wakeup="staggered",
+        )
+        ctx = _build_context(spec, 1)
+        sim = Simulator(
+            n=ctx.n,
+            algorithm=ctx.algorithm,
+            adversary=ctx.adversary,
+            seed=1,
+            delivery="kernel",
+            trace_retention=retention,
+        )
+        trace = sim.run(ctx.rounds)
+        assert sim.delivery == "kernel"
+
+        built = []
+        init, apply, from_arrays = Topology.__init__, Topology.apply, Topology.from_arrays
+
+        def counting_init(self, *args, **kwargs):
+            built.append("__init__")
+            init(self, *args, **kwargs)
+
+        def counting_apply(self, delta):
+            built.append("apply")
+            return apply(self, delta)
+
+        def counting_from_arrays(cls, *args, **kwargs):
+            built.append("from_arrays")
+            return from_arrays(*args, **kwargs)
+
+        monkeypatch.setattr(Topology, "__init__", counting_init)
+        monkeypatch.setattr(Topology, "apply", counting_apply)
+        monkeypatch.setattr(Topology, "from_arrays", classmethod(counting_from_arrays))
+        reads = []
+        output_update = ExecutionTrace.output_update
+
+        def counting_update(self, r):
+            reads.append(r)
+            return output_update(self, r)
+
+        monkeypatch.setattr(ExecutionTrace, "output_update", counting_update)
+
+        pair = problem_pair_by_name(problem)
+        for T in (1, 6, 12):
+            tspec = TDynamicSpec(pair, T)
+            results = tspec.check_trace(trace)
+            assert reads == list(range(1, trace.num_rounds + 1))
+            reads.clear()
+            tspec.validity_summary(trace, start_round=10, end_round=20)
+            assert reads == list(range(1, 21))
+            reads.clear()
+            assert sum(res.constrained_nodes for res in results) > 0
+        assert built == []
+        # the counters see a graph that is built: the union-graph view
+        trace.graph.union_graph(trace.num_rounds, 6)
+        assert built == ["from_arrays"]

@@ -28,6 +28,7 @@ from repro.exec.stats import (
     UNIT_SETUP,
     StatsCollector,
     collect_stats,
+    metric_phase,
     record_phase,
     replay_phases,
 )
@@ -404,9 +405,12 @@ def test_backend_telemetry_parity(backend):
         run_units(units, policy)
     block = stats.as_provenance()
     phases, events = block["phases"], block["events"]
-    assert set(phases) == {UNIT_SETUP, UNIT_ROUNDS, UNIT_METRICS, EXEC_DISPATCH}
-    for phase in (UNIT_SETUP, UNIT_ROUNDS, UNIT_METRICS):
+    validity = metric_phase("validity")
+    assert set(phases) == {UNIT_SETUP, UNIT_ROUNDS, UNIT_METRICS, validity, EXEC_DISPATCH}
+    for phase in (UNIT_SETUP, UNIT_ROUNDS, UNIT_METRICS, validity):
         assert phases[phase]["events"] == len(units)
+    # a metric's own phase is a share of the unit's metric phase
+    assert phases[validity]["seconds"] <= phases[UNIT_METRICS]["seconds"]
     # No serial_fallback: the named backend did the work.
     assert set(events) - _TRANSPORT_EVENTS == {
         "batch_begin",

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.scenarios import store as store_module
 from repro.scenarios.store import (
     FORMAT_VERSION,
     ResultsStore,
@@ -67,6 +68,32 @@ class TestPut:
         assert data["provenance"]["repro_version"] == __version__
         assert "git_sha" in data["provenance"]  # best-effort: a sha or null
         assert data["row_schema"] == ["n", "setting", "valid_fraction_mean"]
+
+    def test_git_sha_asked_once_per_working_directory(self, tmp_path, monkeypatch):
+        """Writes reuse one ``git rev-parse`` per directory; a new cwd asks again."""
+        calls = []
+        real_run = store_module.subprocess.run
+
+        def counting_run(*args, **kwargs):
+            calls.append(kwargs.get("cwd"))
+            return real_run(*args, **kwargs)
+
+        monkeypatch.setattr(store_module.subprocess, "run", counting_run)
+        store_module._git_sha_in.cache_clear()
+        try:
+            store = ResultsStore(tmp_path / "store")
+            shas = [
+                store.put("smoke", "e99", {**KEY, "i": i}, ROWS)[0].provenance["git_sha"]
+                for i in range(3)
+            ]
+            assert len(calls) == 1 and len(set(shas)) == 1
+            elsewhere = tmp_path / "elsewhere"
+            elsewhere.mkdir()
+            monkeypatch.chdir(elsewhere)
+            store.put("smoke", "e99", {**KEY, "i": 3}, ROWS)
+            assert calls == [calls[0], str(elsewhere)]
+        finally:
+            store_module._git_sha_in.cache_clear()
 
     def test_file_name_embeds_label_and_hash(self, tmp_path):
         store = ResultsStore(tmp_path)
