@@ -1,6 +1,6 @@
 """Analysis and experiment harness.
 
-* :mod:`repro.analysis.conflicts` — colour-conflict and MIS-violation counting.
+* :mod:`repro.analysis.conflicts` — how long adversarial colour conflicts last.
 * :mod:`repro.analysis.stability` — output-change statistics over traces.
 * :mod:`repro.analysis.convergence` — rounds-to-completion measurements.
 * :mod:`repro.analysis.quality` — solution-quality yardsticks (colour counts,
@@ -12,11 +12,7 @@
   structured rows; the catalog pairs each with its paper claim).
 """
 
-from repro.analysis.conflicts import (
-    count_monochromatic_edges,
-    count_mis_violations,
-    conflict_resolution_times,
-)
+from repro.analysis.conflicts import conflict_resolution_times
 from repro.analysis.stability import (
     output_change_counts,
     changes_per_round,
@@ -33,8 +29,6 @@ from repro.analysis.sweep import Replication, aggregate_rows
 from repro.analysis.report import format_table, rows_to_csv
 
 __all__ = [
-    "count_monochromatic_edges",
-    "count_mis_violations",
     "conflict_resolution_times",
     "output_change_counts",
     "changes_per_round",

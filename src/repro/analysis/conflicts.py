@@ -1,4 +1,4 @@
-"""Conflict counting and conflict-resolution timing.
+"""Conflict-resolution timing.
 
 The colouring guarantee of Corollary 1.2 is often summarised as: "any conflict
 between two nodes caused by a newly inserted edge is resolved within
@@ -11,45 +11,10 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.types import Assignment, Edge
-from repro.dynamics.topology import Topology
+from repro.types import Edge
 from repro.runtime.trace import ExecutionTrace
 
-__all__ = [
-    "count_monochromatic_edges",
-    "count_mis_violations",
-    "conflict_resolution_times",
-]
-
-
-def count_monochromatic_edges(graph: Topology, assignment: Assignment) -> int:
-    """Number of edges whose two endpoints carry the same (non-⊥) colour."""
-    count = 0
-    for u, v in graph.edges:
-        cu = assignment.get(u)
-        cv = assignment.get(v)
-        if cu is not None and cu == cv:
-            count += 1
-    return count
-
-
-def count_mis_violations(graph: Topology, assignment: Assignment) -> Tuple[int, int]:
-    """Return ``(independence violations, domination violations)`` on ``graph``.
-
-    Independence violations are edges with both endpoints in the MIS;
-    domination violations are non-MIS, non-⊥ nodes without an MIS neighbour.
-    """
-    independence = 0
-    for u, v in graph.edges:
-        if assignment.get(u) == 1 and assignment.get(v) == 1:
-            independence += 1
-    domination = 0
-    for v in graph.nodes:
-        if assignment.get(v) == 0 and not any(
-            assignment.get(u) == 1 for u in graph.neighbors(v)
-        ):
-            domination += 1
-    return independence, domination
+__all__ = ["conflict_resolution_times"]
 
 
 def conflict_resolution_times(

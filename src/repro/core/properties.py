@@ -8,7 +8,10 @@ experiment harness:
 * :func:`verify_extension` — property A.1 (the output always extends the input);
 * :func:`verify_never_retracts` — the stronger monotonicity all shipped dynamic
   algorithms satisfy (an output, once ≠ ⊥, never changes);
-* :func:`verify_partial_solution_every_round` — property B.1;
+* :func:`verify_partial_solution_every_round` — property B.1, the
+  :class:`~repro.problems.dynamic_problem.TDynamicSpec` check with ``T = 1``
+  (``G_r`` is the window of one round), so B.1 and the T-dynamic guarantee
+  run on the same array predicates;
 * :func:`verify_locally_static` — property B.2 / Theorem 1.1(2): wherever an
   α-neighbourhood is static for an interval, the node's output is fixed from
   ``T`` rounds into the interval;
@@ -92,14 +95,19 @@ def verify_never_retracts(trace: ExecutionTrace) -> List[str]:
 def verify_partial_solution_every_round(
     trace: ExecutionTrace, pair: ProblemPair, *, start_round: int = 1
 ) -> List[str]:
-    """Check property B.1: every round's output is a partial solution for ``G_r``."""
+    """Check property B.1: every round's output is a partial solution for ``G_r``.
+
+    ``G_r`` is the ``T = 1`` window, so this is :class:`TDynamicSpec`'s check
+    with ``T = 1``: a round fails at the nodes of its packing and covering
+    violations; ⊥ nodes are allowed (Definition 3.2).
+    """
     problems: List[str] = []
-    for r in range(start_round, trace.num_rounds + 1):
-        topo = trace.topology(r)
-        outputs = trace.outputs(r)
-        bad = pair.partial_violations(topo, outputs)
+    for result in TDynamicSpec(pair, 1).check_trace(trace, start_round=start_round):
+        bad = sorted(set(result.packing_violations) | set(result.covering_violations))
         if bad:
-            problems.append(f"round {r}: partial-solution violations at nodes {bad[:10]}")
+            problems.append(
+                f"round {result.round_index}: partial-solution violations at nodes {bad[:10]}"
+            )
     return problems
 
 

@@ -8,14 +8,6 @@
   enlarges the allowed range, so the problem is covering.
 
 Their intersection is the standard (degree+1) list-free colouring problem.
-
-Partial solutions (Section 4.1, discussion before the proof of Lemma 4.1):
-
-* partial packing ⇔ the coloured nodes form a proper colouring (the remaining
-  nodes can always be completed greedily with fresh colours);
-* partial covering ⇔ every coloured node's colour is within ``deg(v) + 1``
-  (the condition depends only on ``v`` itself, so it must hold for every
-  completion).
 """
 
 from __future__ import annotations
@@ -24,8 +16,7 @@ from typing import Callable, Dict
 
 import numpy as np
 
-from repro.types import Assignment, NodeId, Value
-from repro.dynamics.topology import Topology
+from repro.types import Assignment, Value
 from repro.problems.base import UNDECIDED
 from repro.problems.packing_covering import CoveringProblem, PackingProblem, ProblemPair
 
@@ -33,7 +24,6 @@ __all__ = [
     "ProperColoringProblem",
     "DegreePlusOneRangeProblem",
     "coloring_problem_pair",
-    "is_proper_coloring",
     "num_colors_used",
 ]
 
@@ -42,23 +32,6 @@ class ProperColoringProblem(PackingProblem):
     """No two adjacent coloured nodes may share a colour (packing)."""
 
     name = "proper-coloring"
-
-    def check_node(self, graph: Topology, assignment: Assignment, v: NodeId) -> bool:
-        color = assignment.get(v)
-        if color is None:
-            return False
-        return all(assignment.get(u) != color for u in graph.neighbors(v))
-
-    def check_node_partial(self, graph: Topology, assignment: Assignment, v: NodeId) -> bool:
-        """Partial packing: coloured nodes must not clash with coloured neighbours."""
-        color = assignment.get(v)
-        if color is None:
-            return True
-        for u in graph.neighbors(v):
-            other = assignment.get(u)
-            if other is not None and other == color:
-                return False
-        return True
 
     def array_encoder(self) -> Callable[[Value], int]:
         """Intern each colour: equal colours (as dict keys: hash and ``==``) share a code."""
@@ -72,7 +45,12 @@ class ProperColoringProblem(PackingProblem):
         return encode
 
     def array_violations(self, codes: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Both endpoints of an edge joining two equal colours."""
+        """Both endpoints of an edge joining two equal colours.
+
+        Partial packing (Section 4.1, before the proof of Lemma 4.1): the
+        coloured nodes form a proper colouring — the ⊥ nodes can always be
+        completed greedily with fresh colours.
+        """
         clash = (codes[u] == codes[v]) & (codes[u] != UNDECIDED)
         bad = np.zeros(codes.size, dtype=bool)
         bad[u[clash]] = True
@@ -85,12 +63,21 @@ _MAX_RANGE_CODE = 2**62
 
 
 def _range_code(color: Value) -> int:
-    """The colour itself when it is an int in ``[1, 2**62]``, else 0 (never in range)."""
+    """``k`` for a colour equal to an int ``k`` in ``[1, 2**62]``, else 0 (never in range).
+
+    Equal colours get equal codes (``2``, ``2.0``, ``numpy.int64(2)``; ``True``
+    is ``1``), so the verdict depends only on what ``!=`` tells apart, as
+    the change sets of a recorded trace do.
+    """
+    if type(color) is int:  # every committed algorithm's colours
+        return color if 1 <= color <= _MAX_RANGE_CODE else 0
     if color is None:
         return UNDECIDED
-    if isinstance(color, int) and 1 <= color <= _MAX_RANGE_CODE:
-        return int(color)
-    return 0
+    try:
+        k = int(getattr(color, "real", color))
+    except (TypeError, ValueError, OverflowError):
+        return 0
+    return k if 1 <= k <= _MAX_RANGE_CODE and color == k else 0
 
 
 class DegreePlusOneRangeProblem(CoveringProblem):
@@ -98,24 +85,16 @@ class DegreePlusOneRangeProblem(CoveringProblem):
 
     name = "degree-plus-one-range"
 
-    def check_node(self, graph: Topology, assignment: Assignment, v: NodeId) -> bool:
-        color = assignment.get(v)
-        if color is None:
-            return False
-        return isinstance(color, int) and 1 <= color <= graph.degree(v) + 1
-
-    def check_node_partial(self, graph: Topology, assignment: Assignment, v: NodeId) -> bool:
-        """Partial covering: identical condition, but only for coloured nodes."""
-        color = assignment.get(v)
-        if color is None:
-            return True
-        return isinstance(color, int) and 1 <= color <= graph.degree(v) + 1
-
     def array_encoder(self) -> Callable[[Value], int]:
         return _range_code
 
     def array_violations(self, codes: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Decided nodes whose colour is not an int in ``[1, deg + 1]``."""
+        """Decided nodes whose colour is not equal to an int in ``[1, deg + 1]``.
+
+        Partial covering (Section 4.1): the condition depends only on the
+        node itself, so it must hold at every coloured node, whatever the
+        completion.
+        """
         n = codes.size
         degree = np.bincount(u, minlength=n) + np.bincount(v, minlength=n)
         return (codes != UNDECIDED) & ((codes < 1) | (codes > degree + 1))
@@ -124,25 +103,6 @@ class DegreePlusOneRangeProblem(CoveringProblem):
 def coloring_problem_pair() -> ProblemPair:
     """The (proper colouring, degree+1 range) pair defining (degree+1)-colouring."""
     return ProblemPair(packing=ProperColoringProblem(), covering=DegreePlusOneRangeProblem())
-
-
-def is_proper_coloring(graph: Topology, assignment: Assignment, *, require_complete: bool = True) -> bool:
-    """Direct check that ``assignment`` properly colours ``graph``.
-
-    With ``require_complete`` (default) every node must be coloured; otherwise
-    only coloured nodes are checked against coloured neighbours.
-    """
-    for v in graph.nodes:
-        color = assignment.get(v)
-        if color is None:
-            if require_complete:
-                return False
-            continue
-        for u in graph.neighbors(v):
-            other = assignment.get(u)
-            if other is not None and other == color:
-                return False
-    return True
 
 
 def num_colors_used(assignment: Assignment) -> int:

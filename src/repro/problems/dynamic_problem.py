@@ -12,7 +12,10 @@ round ``r`` is a *T-dynamic solution* (Section 1.1 / end of Section 3) iff
 are unconstrained).  :class:`TDynamicSpec` evaluates this per round on a
 recorded trace and aggregates per-run statistics; the checker is entirely
 independent of the algorithms (it only looks at recorded topologies and
-outputs), so the test-suite can use it as ground truth.
+outputs), so the test-suite can use it as ground truth.  With ``T = 1`` both
+window graphs are ``G_r`` and the node set is the awake set, so the packing
+and covering violations of ``TDynamicSpec(pair, 1)`` are the partial-solution
+violations of property B.1.
 
 A trace is checked in one forward walk: a
 :class:`~repro.dynamics.dynamic_graph.WindowWalk` keeps the window as round
@@ -54,10 +57,11 @@ class TDynamicCheckResult:
     constrained_nodes:
         ``|V^{T∩}_r|`` — the number of nodes actually constrained this round.
     packing_violations:
-        Nodes violating the packing LCL on the intersection graph (includes
-        constrained nodes with ⊥ output).
+        Decided constrained nodes violating the packing LCL on the
+        intersection graph (never a ⊥ node: those are ``undecided_nodes``).
     covering_violations:
-        Nodes violating the covering LCL on the union graph.
+        Decided constrained nodes violating the covering LCL on the union
+        graph (never a ⊥ node either).
     undecided_nodes:
         Constrained nodes whose output is ⊥ (counted separately because a
         ⊥ output violates *both* halves by definition of a solution).
@@ -155,9 +159,9 @@ class TDynamicSpec:
             walk.advance()
             update = trace.output_update(r)
             if update:
-                nodes = np.fromiter((v for v, _ in update), np.int64, len(update))
+                nodes = np.fromiter(update, np.int64, len(update))
                 for encode, codes in zip(encoders, (packing_codes, covering_codes)):
-                    codes[nodes] = [encode(value) for _, value in update]
+                    codes[nodes] = list(map(encode, update.values()))
             if r >= start_round:
                 yield r, self._verdict(walk, packing_codes, covering_codes)
 

@@ -7,41 +7,13 @@ a neighbour inside it.
 
 from __future__ import annotations
 
-from typing import AbstractSet
-
-from repro.types import Assignment, NodeId
-from repro.dynamics.topology import Topology
 from repro.problems.dominating_set import DominatingSetProblem
 from repro.problems.independent_set import IndependentSetProblem
 from repro.problems.packing_covering import ProblemPair
 
-__all__ = ["mis_problem_pair", "is_maximal_independent_set", "mis_assignment_from_set"]
+__all__ = ["mis_problem_pair"]
 
 
 def mis_problem_pair() -> ProblemPair:
     """The (independent set, dominating set) pair defining MIS."""
     return ProblemPair(packing=IndependentSetProblem(), covering=DominatingSetProblem())
-
-
-def is_maximal_independent_set(graph: Topology, members: AbstractSet[NodeId]) -> bool:
-    """Direct set-based check that ``members`` is an MIS of ``graph``.
-
-    Useful for tests and for validating the static baselines without going
-    through the assignment encoding.
-    """
-    member_set = frozenset(members)
-    if not member_set <= graph.nodes:
-        return False
-    for v in member_set:
-        if any(u in member_set for u in graph.neighbors(v)):
-            return False
-    for v in graph.nodes - member_set:
-        if not any(u in member_set for u in graph.neighbors(v)):
-            return False
-    return True
-
-
-def mis_assignment_from_set(graph: Topology, members: AbstractSet[NodeId]) -> Assignment:
-    """Encode a node set as the paper's 1/0 output vector over ``graph``'s nodes."""
-    member_set = frozenset(members)
-    return {v: (1 if v in member_set else 0) for v in graph.nodes}

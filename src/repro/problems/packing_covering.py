@@ -12,23 +12,21 @@ Partial solutions (Definition 3.2) allow ⊥ outputs:
 * ``φ`` is *partial covering* if **every** completion of ``φ`` satisfies the
   LCL condition at every node that already has an output.
 
-Quantifying over all completions is not tractable generically, but for every
-problem the paper uses (and every problem shipped here) there is a simple
-direct characterisation — e.g. for colouring, partial packing ⇔ the coloured
-nodes form a proper colouring (Section 4), and for MIS, partial packing ⇔ no
-two adjacent MIS nodes, partial covering ⇔ every dominated node has an MIS
-neighbour (Section 5.2).  Subclasses therefore implement the characterisation
-directly via :meth:`PackingProblem.is_partial_packing` /
-:meth:`CoveringProblem.is_partial_covering`.
+Quantifying over all completions is not tractable generically, but every
+problem shipped here has a direct characterisation, and its
+``array_violations`` states exactly that one: a decided node is marked iff
+its condition fails against its decided neighbours (the characterisations
+are spelled out next to each ``array_violations``).  So one predicate
+serves both guarantees: a T-dynamic solution (Section 3) is a partial
+solution with no ⊥ node on the window graphs ``G^{T∩}_r`` / ``G^{T∪}_r``,
+and property B.1 asks for a partial solution on ``G_r``, the ``T = 1``
+window (:func:`repro.core.properties.verify_partial_solution_every_round`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
 
-from repro.types import Assignment, NodeId
-from repro.dynamics.topology import Topology
 from repro.problems.base import DistributedGraphProblem
 
 __all__ = ["PackingProblem", "CoveringProblem", "ProblemPair"]
@@ -37,50 +35,9 @@ __all__ = ["PackingProblem", "CoveringProblem", "ProblemPair"]
 class PackingProblem(DistributedGraphProblem):
     """A problem whose solutions survive edge deletions (Definition 3.1)."""
 
-    def is_partial_packing(self, graph: Topology, assignment: Assignment) -> bool:
-        """Whether ``assignment`` (with ⊥ entries) is partial packing on ``graph``.
-
-        Default implementation: the LCL condition must hold at every node with
-        an output, evaluated only against neighbours that also have an output.
-        Subclasses override when their characterisation differs.
-        """
-        return not self.partial_packing_violations(graph, assignment)
-
-    def partial_packing_violations(self, graph: Topology, assignment: Assignment) -> List[NodeId]:
-        """Nodes with an output whose partial-packing condition fails."""
-        bad: List[NodeId] = []
-        for v in graph.nodes:
-            if assignment.get(v) is None:
-                continue
-            if not self.check_node_partial(graph, assignment, v):
-                bad.append(v)
-        return sorted(bad)
-
-    def check_node_partial(self, graph: Topology, assignment: Assignment, v: NodeId) -> bool:
-        """Per-node partial-packing condition (defaults to :meth:`check_node`)."""
-        return self.check_node(graph, assignment, v)
-
 
 class CoveringProblem(DistributedGraphProblem):
     """A problem whose solutions survive edge insertions (Definition 3.1)."""
-
-    def is_partial_covering(self, graph: Topology, assignment: Assignment) -> bool:
-        """Whether ``assignment`` (with ⊥ entries) is partial covering on ``graph``."""
-        return not self.partial_covering_violations(graph, assignment)
-
-    def partial_covering_violations(self, graph: Topology, assignment: Assignment) -> List[NodeId]:
-        """Nodes with an output whose partial-covering condition fails."""
-        bad: List[NodeId] = []
-        for v in graph.nodes:
-            if assignment.get(v) is None:
-                continue
-            if not self.check_node_partial(graph, assignment, v):
-                bad.append(v)
-        return sorted(bad)
-
-    def check_node_partial(self, graph: Topology, assignment: Assignment, v: NodeId) -> bool:
-        """Per-node partial-covering condition (defaults to :meth:`check_node`)."""
-        return self.check_node(graph, assignment, v)
 
 
 @dataclass(frozen=True)
@@ -98,21 +55,3 @@ class ProblemPair:
     def name(self) -> str:
         """Combined name, e.g. ``"independent-set ∧ dominating-set"``."""
         return f"{self.packing.name} ∧ {self.covering.name}"
-
-    def is_partial_solution(self, graph: Topology, assignment: Assignment) -> bool:
-        """Partial solution for the pair (Definition 3.2): partial packing *and* partial covering."""
-        return self.packing.is_partial_packing(graph, assignment) and self.covering.is_partial_covering(
-            graph, assignment
-        )
-
-    def partial_violations(self, graph: Topology, assignment: Assignment) -> List[NodeId]:
-        """Union of partial-packing and partial-covering violations."""
-        bad = set(self.packing.partial_packing_violations(graph, assignment))
-        bad.update(self.covering.partial_covering_violations(graph, assignment))
-        return sorted(bad)
-
-    def is_full_solution(self, graph: Topology, assignment: Assignment) -> bool:
-        """Complete solution for both problems (all nodes decided, both LCLs hold)."""
-        return self.packing.is_solution(graph, assignment) and self.covering.is_solution(
-            graph, assignment
-        )

@@ -9,7 +9,7 @@ checkers cannot be fooled by an algorithm that misreports its own state.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.types import Assignment, Interval, NodeId, Round, Value
@@ -338,20 +338,21 @@ class ExecutionTrace:
         """
         return self.record_at(r).changed
 
-    def output_update(self, r: Round) -> List[Tuple[NodeId, Value]]:
-        """``(v, output)`` for every node whose output changed in round ``r``.
+    def output_update(self, r: Round) -> Mapping[NodeId, Value]:
+        """``v -> output`` for every node whose output changed in round ``r``.
 
         O(#changes) under either retention: the stored update of a
-        :meth:`record_stats` round, else the round's change set looked up in
-        its output vector.  Nothing is cached on the record.
+        :meth:`record_stats` round (not a copy: read it, never mutate it),
+        else the round's change set looked up in its output vector.
+        Nothing is cached on the record.
         """
         record = self.record_at(r)
         outputs = record._outputs
         if outputs is None:
-            return list(self._updates[r].items())
+            return self._updates[r]
         changed = record._changed
         nodes = changed if isinstance(changed, frozenset) else changed.tolist()
-        return [(v, outputs.get(v)) for v in nodes]
+        return dict(zip(nodes, map(outputs.get, nodes)))
 
     def output_changes_in(self, v: NodeId, interval: Interval) -> int:
         """Number of rounds in ``interval`` (excluding its first round) where ``v``'s output changed."""

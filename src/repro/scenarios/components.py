@@ -75,7 +75,11 @@ from repro.algorithms.mis.ghaffari import GhaffariMIS
 from repro.algorithms.mis.smis import SMis
 from repro.core.concat import Concat
 from repro.analysis.conflicts import conflict_resolution_times
-from repro.analysis.convergence import completion_round_for_nodes, rounds_to_completion
+from repro.analysis.convergence import (
+    DecisionWalk,
+    completion_round_for_nodes,
+    rounds_to_completion,
+)
 from repro.analysis.quality import coloring_quality, mis_quality
 from repro.analysis.stability import region_change_count, stability_summary
 from repro.core.properties import verify_partial_solution_every_round
@@ -488,8 +492,21 @@ for _algo_name in ALGORITHMS:
 
 @STOP_CONDITIONS.register("all-decided")
 def _stop_all_decided(ctx):
-    """Stop as soon as every awake node has produced an output."""
-    return lambda trace: rounds_to_completion(trace) is not None
+    """Stop as soon as every awake node has produced an output.
+
+    The predicate runs after every round, so it checks the latest round
+    only, from one walk over the trace's output updates.
+    """
+    walk = None
+
+    def stop(trace):
+        nonlocal walk
+        walk = walk or DecisionWalk(trace)
+        while walk.round < trace.num_rounds:
+            walk.advance()
+        return bool(walk.outputs) and walk.all_decided
+
+    return stop
 
 
 # ---------------------------------------------------------------------------
@@ -631,19 +648,14 @@ def _metric_freeze_decision(ctx, *, churn_rounds):
     trace = ctx.trace
     frozen_at = _resolve(ctx, churn_rounds)
     decided_round = None
-    for r in range(frozen_at + 1, trace.num_rounds + 1):
-        outputs = trace.outputs(r)
-        if all(outputs.get(v) is not None for v in trace.topology(r).nodes):
-            decided_round = r
-            break
     changes_after = 0
-    if decided_round is not None:
-        for r in range(decided_round + 1, trace.num_rounds + 1):
-            changes_after += sum(
-                1
-                for v in trace.topology(r).nodes
-                if trace.output_of(v, r) != trace.output_of(v, r - 1)
-            )
+    walk = DecisionWalk(trace)
+    for r in range(1, trace.num_rounds + 1):
+        walk.advance()
+        if decided_round is not None:
+            changes_after += walk.changes
+        elif r > frozen_at and walk.all_decided:
+            decided_round = r
     return {
         "rounds_after_freeze": float(decided_round - frozen_at)
         if decided_round is not None
@@ -671,7 +683,7 @@ def _metric_mis_edge_decay(ctx, *, min_edges: int = 4):
         edge_counts.append(int(np.count_nonzero(undecided[u] & undecided[v])))
         update = trace.output_update(r)
         if update:
-            undecided[[v for v, _ in update]] = [value is None for _, value in update]
+            undecided[list(update)] = [value is None for value in update.values()]
     ratios = [
         edge_counts[i + 2] / edge_counts[i]
         for i in range(len(edge_counts) - 2)
@@ -703,12 +715,15 @@ def _metric_last_wakers(ctx, *, tail: int = 8):
     """Wake and decision rounds of the last ``tail`` nodes to wake up (examples)."""
     trace = ctx.trace
     last_batch = list(range(ctx.n - tail, ctx.n))
-    last_batch_wake = max(
-        next(r for r in trace.rounds() if v in trace.topology(r).nodes) for v in last_batch
-    )
-    converged = completion_round_for_nodes(trace, last_batch, start_round=last_batch_wake)
+    walk = WindowWalk(trace.graph)
+    walk.advance_to(trace.num_rounds)
+    last_batch_wake = float(walk.woke[last_batch].max())
+    if last_batch_wake > trace.num_rounds:  # part of the batch never woke
+        last_batch_wake = float("nan")
+    # a decided node is awake, so the batch never decides before it wakes
+    converged = completion_round_for_nodes(trace, last_batch)
     return {
-        "last_batch_wake_round": float(last_batch_wake),
+        "last_batch_wake_round": last_batch_wake,
         "last_batch_decided_round": float(converged) if converged is not None else float("nan"),
         "rounds_to_decide_after_wake": float(converged - last_batch_wake)
         if converged

@@ -9,12 +9,9 @@ from repro.dynamics import generators
 from repro.dynamics.topology import Topology
 from repro.runtime.metrics import RoundMetrics
 from repro.runtime.trace import ExecutionTrace
-from repro.analysis.conflicts import (
-    conflict_resolution_times,
-    count_mis_violations,
-    count_monochromatic_edges,
-)
+from repro.analysis.conflicts import conflict_resolution_times
 from repro.analysis.convergence import (
+    DecisionWalk,
     completion_round_for_nodes,
     first_round_all_decided,
     rounds_to_completion,
@@ -28,8 +25,9 @@ from repro.analysis.stability import (
     stability_summary,
 )
 from repro.analysis.sweep import Replication, aggregate_rows
-from repro.scenarios import ScenarioResult, ScenarioSpec
-from helpers import record_round
+from repro.scenarios import ScenarioResult, ScenarioSpec, component
+from repro.scenarios.registry import METRICS
+from helpers import record_round, simulate
 
 
 def _metrics(r, changed=0):
@@ -46,16 +44,6 @@ def build_trace(outputs_list, topo=None, n=3):
 
 
 class TestConflicts:
-    def test_monochromatic_edges(self, triangle):
-        assert count_monochromatic_edges(triangle, {0: 1, 1: 1, 2: 2}) == 1
-        assert count_monochromatic_edges(triangle, {0: 1, 1: 2, 2: 3}) == 0
-        assert count_monochromatic_edges(triangle, {0: None, 1: None, 2: None}) == 0
-
-    def test_mis_violations(self, path4):
-        independence, domination = count_mis_violations(path4, {0: 1, 1: 1, 2: 0, 3: 0})
-        assert independence == 1
-        assert domination == 1  # node 3 dominated by nobody
-
     def test_conflict_resolution_times(self):
         outputs = [
             {0: 1, 1: 1},
@@ -113,6 +101,92 @@ class TestConvergence:
         trace = build_trace([{0: None, 1: 1, 2: None}, {0: None, 1: 1, 2: 2}])
         assert completion_round_for_nodes(trace, [1, 2]) == 2
         assert completion_round_for_nodes(trace, [0]) is None
+
+
+def _run(spec, seed, delivery, retention="full"):
+    ctx, sim = simulate(spec, seed, delivery, retention)
+    ctx.trace = sim.run(ctx.rounds)
+    assert sim.delivery == delivery
+    return ctx
+
+
+_STAGGERED = ScenarioSpec(
+    n=40,
+    algorithm="smis",
+    adversary=component("flip-churn", flip_prob=0.05),
+    rounds=40,
+    wakeup=component("staggered", batch_size=8, interval=3),
+)
+
+
+class TestDecisionWalk:
+    """The convergence measurements read the awake set from the recorded
+    output updates: a round's output-vector keys are its awake set."""
+
+    @pytest.mark.parametrize(
+        "delivery, retention",
+        [("full", "full"), ("incremental", "full"), ("kernel", "full"), ("kernel", "stats")],
+    )
+    def test_walk_matches_the_round_graphs(self, delivery, retention):
+        trace = _run(_STAGGERED, 3, delivery, retention).trace
+        walk, woke_in = DecisionWalk(trace), set()
+        for r in trace.rounds():
+            walk.advance()
+            nodes = trace.topology(r).nodes
+            outputs = trace.outputs(r)
+            assert set(outputs) == nodes
+            assert walk.outputs == outputs
+            assert walk.decided == sum(1 for v in nodes if outputs[v] is not None)
+            assert walk.all_decided == (None not in outputs.values())
+            previous = trace.outputs(r - 1) if r > 1 else {}
+            assert walk.changes == sum(1 for v in nodes if outputs[v] != previous.get(v))
+            if len(nodes) > len(previous):
+                woke_in.add(r)
+        assert len(woke_in) > 1  # nodes woke in several rounds
+
+    @staticmethod
+    def _frozen(freeze_round):
+        return ScenarioSpec(
+            n=40,
+            algorithm="smis",
+            adversary=component(
+                "freeze-after", inner=_STAGGERED.adversary, freeze_round=freeze_round
+            ),
+            rounds=70,
+            wakeup=_STAGGERED.wakeup,
+        )
+
+    def test_last_wakers_of_a_batch_that_never_woke_are_nan(self):
+        ctx = _run(self._frozen(9), 2, "full")  # the freeze stops the wake-ups too
+        row = METRICS.get("last-wakers-convergence")(ctx, tail=8)
+        assert all(math.isnan(value) for value in row.values())
+
+    @pytest.mark.parametrize("delivery", ["full", "incremental"])
+    def test_freeze_and_last_wakers_match_the_round_graphs(self, delivery):
+        ctx = _run(self._frozen(16), 2, delivery)
+        trace = ctx.trace
+
+        def first(rounds, nodes_of):
+            return next(
+                r for r in rounds if all(trace.output_of(v, r) is not None for v in nodes_of(r))
+            )
+
+        decided = first(range(16, trace.num_rounds + 1), lambda r: trace.topology(r).nodes)
+        changes = sum(
+            trace.output_of(v, r) != trace.output_of(v, r - 1)
+            for r in range(decided + 1, trace.num_rounds + 1)
+            for v in trace.topology(r).nodes
+        )
+        row = METRICS.get("freeze-decision")(ctx, churn_rounds=15)
+        assert row == {"rounds_after_freeze": decided - 15.0, "changes_after_decided": changes}
+        batch = range(ctx.n - 8, ctx.n)
+        wake = max(next(r for r in trace.rounds() if v in trace.topology(r).nodes) for v in batch)
+        done = first(range(wake, trace.num_rounds + 1), lambda r: batch)
+        assert METRICS.get("last-wakers-convergence")(ctx, tail=8) == {
+            "last_batch_wake_round": float(wake),
+            "last_batch_decided_round": float(done),
+            "rounds_to_decide_after_wake": float(done - wake),
+        }
 
 
 class TestQuality:

@@ -6,8 +6,7 @@ from repro.dynamics import generators
 from repro.dynamics.adversaries import ChurnAdversary, ScriptedAdversary, StaticAdversary, TargetedColoringAdversary
 from repro.dynamics.churn import FlipChurn
 from repro.dynamics.topology import Topology
-from repro.problems import coloring_problem_pair
-from repro.problems.coloring import is_proper_coloring
+from repro.problems import ProperColoringProblem, coloring_problem_pair
 from repro.runtime.simulator import run_simulation
 from repro.utils.rng import RngFactory
 from repro.core import default_window, verify_never_retracts, verify_partial_solution_every_round, verify_t_dynamic
@@ -23,18 +22,19 @@ from repro.algorithms.coloring import (
 )
 from repro.algorithms.coloring.dcolor import FIXED, INIT, TENTATIVE
 from repro.analysis.convergence import rounds_to_completion
+from helpers import array_violations_on
 
 
 class TestGreedyColoring:
     def test_valid_and_within_degree_bound(self, medium_gnp):
         colors = greedy_coloring(medium_gnp)
-        assert is_proper_coloring(medium_gnp, colors)
+        assert not array_violations_on(ProperColoringProblem(), medium_gnp, colors)
         for v, c in colors.items():
             assert 1 <= c <= medium_gnp.degree(v) + 1
 
     def test_respects_precoloring(self, path4):
         colors = greedy_coloring(path4, precolored={0: 2})
-        assert colors[0] == 2 and is_proper_coloring(path4, colors)
+        assert colors[0] == 2 and not array_violations_on(ProperColoringProblem(), path4, colors)
 
     def test_conflicting_precoloring_rejected(self, path4):
         with pytest.raises(ValueError):
@@ -42,7 +42,7 @@ class TestGreedyColoring:
 
     def test_custom_order(self, path4):
         colors = greedy_coloring(path4, order=[3, 2, 1, 0])
-        assert is_proper_coloring(path4, colors)
+        assert not array_violations_on(ProperColoringProblem(), path4, colors)
 
 
 class TestBasicColoring:
@@ -52,7 +52,7 @@ class TestBasicColoring:
             n=n, algorithm=BasicColoring(), adversary=StaticAdversary(medium_gnp), rounds=60, seed=1
         )
         final = trace.outputs(trace.num_rounds)
-        assert is_proper_coloring(medium_gnp, final)
+        assert not array_violations_on(ProperColoringProblem(), medium_gnp, final)
         for v, c in final.items():
             assert 1 <= c <= medium_gnp.degree(v) + 1
 
@@ -88,7 +88,7 @@ class TestBasicColoring:
         )
         final = trace.outputs(trace.num_rounds)
         assert final[0] == 2 and final[1] == 1
-        assert is_proper_coloring(path4, final)
+        assert not array_violations_on(ProperColoringProblem(), path4, final)
 
     def test_isolated_node_gets_color_one(self):
         topo = Topology([0], [])
@@ -142,7 +142,7 @@ class TestSColor:
         n = medium_gnp.num_nodes
         trace = run_simulation(n=n, algorithm=SColor(), adversary=StaticAdversary(medium_gnp), rounds=60, seed=8)
         final = trace.outputs(trace.num_rounds)
-        assert is_proper_coloring(medium_gnp, final)
+        assert not array_violations_on(ProperColoringProblem(), medium_gnp, final)
 
 
 class TestDColor:
@@ -170,7 +170,7 @@ class TestDColor:
         trace = run_simulation(n=n, algorithm=DColor(), adversary=adversary, rounds=40, seed=11)
         final = trace.outputs(trace.num_rounds)
         intersection = trace.graph.intersection_graph(trace.num_rounds, trace.num_rounds)
-        assert is_proper_coloring(intersection, final, require_complete=False)
+        assert not array_violations_on(ProperColoringProblem(), intersection, final, partial=True)
 
     def test_covering_bound_on_union_degree(self, medium_gnp):
         n = medium_gnp.num_nodes

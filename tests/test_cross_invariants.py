@@ -23,14 +23,13 @@ from repro.problems import (
     coloring_problem_pair,
     mis_problem_pair,
 )
-from repro.problems.mis import mis_assignment_from_set
 from repro.algorithms.mis.greedy import greedy_mis
 from repro.algorithms.coloring.greedy import greedy_coloring
 from repro.analysis.experiments.common import log2
 from repro.dynamics.dynamic_graph import DynamicGraph
 from repro.scenarios import ScenarioSpec, component
 from repro.scenarios.executor import _build_context
-from helpers import record_graph
+from helpers import array_violations_on, mis_vector, record_graph
 
 
 def scenario_context(n, seed, adversary="static"):
@@ -55,8 +54,8 @@ class TestProblemDuality:
         but adding it to the MIS checker's packing half must always succeed."""
         colors = greedy_coloring(topo)
         class_one = {v for v, c in colors.items() if c == 1}
-        assignment = mis_assignment_from_set(topo, class_one)
-        assert mis_problem_pair().packing.is_solution(topo, assignment)
+        assignment = mis_vector(topo, class_one)
+        assert not array_violations_on(mis_problem_pair().packing, topo, assignment)
 
     @settings(max_examples=40)
     @given(small_topologies())
@@ -69,11 +68,11 @@ class TestProblemDuality:
         invariant discussed in the problems-layer docstrings.)
         """
         pair = mis_problem_pair()
-        assignment = dict(mis_assignment_from_set(topo, greedy_mis(topo)))
+        assignment = mis_vector(topo, greedy_mis(topo))
         dominated = [v for v, value in assignment.items() if value == 0]
         for v in dominated[:: 2]:
             assignment[v] = None
-        assert pair.is_partial_solution(topo, assignment)
+        assert not array_violations_on(pair, topo, assignment, partial=True)
 
 
 class TestWindowCheckerConsistency:

@@ -8,11 +8,11 @@ from repro.dynamics.topology import Topology
 from repro.problems import TDynamicSpec, coloring_problem_pair, mis_problem_pair
 from repro.runtime.metrics import RoundMetrics
 from repro.runtime.trace import ExecutionTrace
-from repro.runtime.simulator import Simulator
 from repro.scenarios import ScenarioSpec, component
+from repro.core.properties import verify_partial_solution_every_round
 from repro.scenarios.components import problem_pair_by_name
-from repro.scenarios.executor import _build_context
-from helpers import oracle_check_trace, record_graph, record_round, windows
+from repro.scenarios.registry import METRICS, STOP_CONDITIONS
+from helpers import oracle_check_trace, record_graph, record_round, simulate, windows
 
 
 def _metrics(r):
@@ -122,10 +122,7 @@ class TestCheckTraceWindowWalk:
             rounds=self.ROUNDS,
             wakeup=wakeup,
         )
-        ctx = _build_context(spec, 3)
-        sim = Simulator(
-            n=ctx.n, algorithm=ctx.algorithm, adversary=ctx.adversary, seed=3, delivery=delivery
-        )
+        ctx, sim = simulate(spec, 3, delivery)
         trace = sim.run(ctx.rounds)
         assert sim.delivery == delivery
         graph = trace.graph
@@ -148,8 +145,46 @@ class TestCheckTraceWindowWalk:
         assert checked > 0
 
 
+def _count_graphs_and_reads(monkeypatch):
+    """Count ``Topology`` builds and ``ExecutionTrace.output_update`` reads.
+
+    Returns ``(built, reads)``: the names of the ``Topology`` constructors
+    called, and the rounds whose output update was read, in call order.
+    """
+    built, reads = [], []
+
+    def counted(name, method):
+        def wrapper(*args, **kwargs):
+            built.append(name)
+            return method(*args, **kwargs)
+
+        return wrapper
+
+    output_update = ExecutionTrace.output_update
+    monkeypatch.setattr(Topology, "__init__", counted("__init__", Topology.__init__))
+    monkeypatch.setattr(Topology, "apply", counted("apply", Topology.apply))
+    monkeypatch.setattr(
+        Topology, "from_arrays", staticmethod(counted("from_arrays", Topology.from_arrays))
+    )
+    monkeypatch.setattr(
+        ExecutionTrace, "output_update", lambda self, r: reads.append(r) or output_update(self, r)
+    )
+    return built, reads
+
+
+def _kernel_context(algorithm, retention, rounds=30):
+    spec = ScenarioSpec(
+        n=40,
+        algorithm=algorithm,
+        adversary=component("flip-churn", flip_prob=0.05),
+        rounds=rounds,
+        wakeup="staggered",
+    )
+    return simulate(spec, 1, "kernel", retention)
+
+
 class TestCheckTraceCost:
-    """The check of a kernel trace builds no graph and reads each round's
+    """The checks of a kernel trace build no graph and read each round's
     output update once."""
 
     @pytest.mark.parametrize(
@@ -159,52 +194,11 @@ class TestCheckTraceCost:
     def test_kernel_trace_check_builds_no_topology(
         self, monkeypatch, algorithm, problem, retention
     ):
-        spec = ScenarioSpec(
-            n=40,
-            algorithm=algorithm,
-            adversary=component("flip-churn", flip_prob=0.05),
-            rounds=30,
-            wakeup="staggered",
-        )
-        ctx = _build_context(spec, 1)
-        sim = Simulator(
-            n=ctx.n,
-            algorithm=ctx.algorithm,
-            adversary=ctx.adversary,
-            seed=1,
-            delivery="kernel",
-            trace_retention=retention,
-        )
+        ctx, sim = _kernel_context(algorithm, retention)
         trace = sim.run(ctx.rounds)
         assert sim.delivery == "kernel"
 
-        built = []
-        init, apply, from_arrays = Topology.__init__, Topology.apply, Topology.from_arrays
-
-        def counting_init(self, *args, **kwargs):
-            built.append("__init__")
-            init(self, *args, **kwargs)
-
-        def counting_apply(self, delta):
-            built.append("apply")
-            return apply(self, delta)
-
-        def counting_from_arrays(cls, *args, **kwargs):
-            built.append("from_arrays")
-            return from_arrays(*args, **kwargs)
-
-        monkeypatch.setattr(Topology, "__init__", counting_init)
-        monkeypatch.setattr(Topology, "apply", counting_apply)
-        monkeypatch.setattr(Topology, "from_arrays", classmethod(counting_from_arrays))
-        reads = []
-        output_update = ExecutionTrace.output_update
-
-        def counting_update(self, r):
-            reads.append(r)
-            return output_update(self, r)
-
-        monkeypatch.setattr(ExecutionTrace, "output_update", counting_update)
-
+        built, reads = _count_graphs_and_reads(monkeypatch)
         pair = problem_pair_by_name(problem)
         for T in (1, 6, 12):
             tspec = TDynamicSpec(pair, T)
@@ -215,7 +209,37 @@ class TestCheckTraceCost:
             assert reads == list(range(1, 21))
             reads.clear()
             assert sum(res.constrained_nodes for res in results) > 0
+        verify_partial_solution_every_round(trace, pair, start_round=5)
+        assert reads == list(range(1, trace.num_rounds + 1))
         assert built == []
         # the counters see a graph that is built: the union-graph view
         trace.graph.union_graph(trace.num_rounds, 6)
         assert built == ["from_arrays"]
+
+    @pytest.mark.parametrize("retention", ["full", "stats"])
+    def test_all_decided_stop_and_convergence_build_no_topology(self, monkeypatch, retention):
+        ctx, sim = _kernel_context("smis", retention, rounds=200)
+        stop = STOP_CONDITIONS.get("all-decided")(ctx)
+        built, reads = _count_graphs_and_reads(monkeypatch)
+        stop_reads = []
+        for _ in range(ctx.rounds):
+            sim.run(1)
+            reads.clear()
+            before = len(built)
+            stopped = stop(sim.trace)
+            assert len(built) == before
+            stop_reads += reads
+            if stopped:
+                break
+        trace = sim.trace
+        assert sim.delivery == "kernel" and stopped and trace.num_rounds < ctx.rounds
+        assert stop_reads == list(range(1, trace.num_rounds + 1))
+        assert None not in trace.outputs(trace.num_rounds).values()
+
+        built.clear()
+        reads.clear()
+        ctx.trace = trace
+        row = METRICS.get("convergence")(ctx)
+        assert row == {"rounds": float(trace.num_rounds), "completed": 1.0}
+        assert reads == list(range(1, trace.num_rounds + 1))
+        assert built == []

@@ -6,8 +6,7 @@ from repro.dynamics import generators
 from repro.dynamics.adversaries import ChurnAdversary, ScriptedAdversary, StaticAdversary
 from repro.dynamics.churn import FlipChurn
 from repro.dynamics.topology import Topology
-from repro.problems import mis_problem_pair
-from repro.problems.mis import is_maximal_independent_set
+from repro.problems import DominatingSetProblem, IndependentSetProblem, mis_problem_pair
 from repro.runtime.simulator import Simulator, run_simulation
 from repro.utils.rng import RngFactory
 from repro.core import default_window, verify_never_retracts, verify_t_dynamic
@@ -21,17 +20,21 @@ from repro.algorithms.mis import (
     dynamic_mis,
     greedy_mis,
 )
-from repro.analysis.conflicts import count_mis_violations
 from repro.analysis.convergence import rounds_to_completion
+from helpers import array_violations_on, mis_vector
 
 
 def mis_members(assignment):
     return {v for v, value in assignment.items() if value == 1}
 
 
+def is_mis(graph, members):
+    return not array_violations_on(mis_problem_pair(), graph, mis_vector(graph, members))
+
+
 class TestGreedyMis:
     def test_produces_mis(self, medium_gnp):
-        assert is_maximal_independent_set(medium_gnp, greedy_mis(medium_gnp))
+        assert is_mis(medium_gnp, greedy_mis(medium_gnp))
 
     def test_custom_order(self, path4):
         assert greedy_mis(path4, order=[1, 3, 0, 2]) == frozenset({1, 3})
@@ -49,7 +52,7 @@ class TestLubyAndGhaffari:
         )
         final = trace.outputs(trace.num_rounds)
         assert all(value is not None for value in final.values())
-        assert is_maximal_independent_set(medium_gnp, mis_members(final))
+        assert is_mis(medium_gnp, mis_members(final))
 
     def test_luby_completion_within_window(self, medium_gnp):
         n = medium_gnp.num_nodes
@@ -95,8 +98,7 @@ class TestDMis:
         trace = run_simulation(n=n, algorithm=DMis(), adversary=adversary, rounds=40, seed=5)
         final = trace.outputs(trace.num_rounds)
         intersection = trace.graph.intersection_graph(trace.num_rounds, trace.num_rounds)
-        independence, _ = count_mis_violations(intersection, final)
-        assert independence == 0
+        assert array_violations_on(IndependentSetProblem(), intersection, final, partial=True) == []
 
     def test_domination_on_union_graph(self, medium_gnp):
         n = medium_gnp.num_nodes
@@ -104,15 +106,14 @@ class TestDMis:
         trace = run_simulation(n=n, algorithm=DMis(), adversary=adversary, rounds=60, seed=6)
         final = trace.outputs(trace.num_rounds)
         union = trace.graph.union_graph(trace.num_rounds, trace.num_rounds)
-        _, domination = count_mis_violations(union, final)
-        assert domination == 0
+        assert array_violations_on(DominatingSetProblem(), union, final, partial=True) == []
 
     def test_static_equivalence_with_luby(self, medium_gnp):
         """On a static graph DMis's output is a correct MIS (it *is* pipelined Luby)."""
         n = medium_gnp.num_nodes
         trace = run_simulation(n=n, algorithm=DMis(), adversary=StaticAdversary(medium_gnp), rounds=60, seed=7)
         final = trace.outputs(trace.num_rounds)
-        assert is_maximal_independent_set(medium_gnp, mis_members(final))
+        assert is_mis(medium_gnp, mis_members(final))
 
     def test_undecided_count_metric(self, small_gnp):
         n = small_gnp.num_nodes
@@ -130,8 +131,10 @@ class TestSMis:
         adversary = ChurnAdversary(n, FlipChurn(medium_gnp, 0.05), RngFactory(9).stream("adv"))
         trace = run_simulation(n=n, algorithm=SMis(), adversary=adversary, rounds=60, seed=9)
         for r in trace.rounds():
-            independence, _ = count_mis_violations(trace.topology(r), trace.outputs(r))
-            assert independence == 0
+            outputs = trace.outputs(r)
+            assert array_violations_on(
+                IndependentSetProblem(), trace.topology(r), outputs, partial=True
+            ) == []
 
     def test_decides_static_graph_and_stays(self, medium_gnp):
         n = medium_gnp.num_nodes
@@ -139,7 +142,7 @@ class TestSMis:
         done = rounds_to_completion(trace)
         assert done is not None
         final = trace.outputs(trace.num_rounds)
-        assert is_maximal_independent_set(medium_gnp, mis_members(final))
+        assert is_mis(medium_gnp, mis_members(final))
         # No output changes after the decision round.
         for r in range(done + 1, trace.num_rounds + 1):
             assert trace.outputs(r) == final
@@ -207,7 +210,7 @@ class TestDynamicMIS:
         )
         assert verify_t_dynamic(trace, mis_problem_pair(), T1) == []
         final = trace.outputs(trace.num_rounds)
-        assert is_maximal_independent_set(small_gnp, mis_members(final))
+        assert is_mis(small_gnp, mis_members(final))
 
     def test_stable_on_static_graph(self, small_gnp):
         n = small_gnp.num_nodes

@@ -12,11 +12,11 @@ from repro.dynamics import generators
 from repro.dynamics.adversaries import ChurnAdversary, StaticAdversary
 from repro.dynamics.churn import FlipChurn
 from repro.problems import TDynamicSpec, mis_problem_pair
-from repro.problems.mis import is_maximal_independent_set
 from repro.runtime.simulator import run_simulation
 from repro.utils.rng import RngFactory
 from repro.core import default_window
 from repro.algorithms.mis import DMis, DynamicMIS, dynamic_mis
+from helpers import array_violations_on, mis_vector
 
 
 class TestRevalidateDominatedInputs:
@@ -38,8 +38,9 @@ class TestRevalidateDominatedInputs:
         final = trace.outputs(trace.num_rounds)
         for v, value in input_assignment.items():
             assert final[v] == value
-        assert is_maximal_independent_set(
-            medium_gnp, {v for v, value in final.items() if value == 1}
+        members = {v for v, value in final.items() if value == 1}
+        assert not array_violations_on(
+            mis_problem_pair(), medium_gnp, mis_vector(medium_gnp, members)
         )
 
     def test_stale_dominated_input_is_dropped(self, path4):
@@ -53,7 +54,8 @@ class TestRevalidateDominatedInputs:
             input_assignment={0: 0},  # claims to be dominated but has no MIS neighbour
         )
         final = trace.outputs(trace.num_rounds)
-        assert is_maximal_independent_set(path4, {v for v, value in final.items() if value == 1})
+        members = {v for v, value in final.items() if value == 1}
+        assert not array_violations_on(mis_problem_pair(), path4, mis_vector(path4, members))
 
     def test_faithful_variant_keeps_stale_input(self, path4):
         """Contrast: without the extension the stale value survives (property A.1)."""

@@ -1,113 +1,102 @@
-"""Tests of the problem framework: LCL base, MIS pair, colouring pair."""
+"""Tests of the problem framework: the MIS and colouring pairs' array conditions."""
 
+import numpy as np
 import pytest
 
+from repro.core.properties import verify_partial_solution_every_round
 from repro.dynamics import generators
+from repro.dynamics.topology import Topology
 from repro.problems import (
     DominatingSetProblem,
     IndependentSetProblem,
     DegreePlusOneRangeProblem,
     ProperColoringProblem,
+    TDynamicSpec,
     coloring_problem_pair,
-    is_maximal_independent_set,
-    is_proper_coloring,
     mis_problem_pair,
 )
-from repro.problems.mis import mis_assignment_from_set
 from repro.problems.coloring import num_colors_used
+from repro.runtime.metrics import RoundMetrics
+from repro.runtime.trace import ExecutionTrace
+from helpers import array_violations_on, mis_vector, oracle_check_trace, record_round
 
 
-@pytest.fixture
-def path5():
-    return generators.path(5)
+IS, DS = IndependentSetProblem(), DominatingSetProblem()
+CP, CC = ProperColoringProblem(), DegreePlusOneRangeProblem()
+MIS_GOOD = {0: 1, 1: 0, 2: 1, 3: 0, 4: 1}
+PROPER = {0: 1, 1: 2, 2: 1, 3: 2, 4: 1}
 
 
-class TestIndependentSet:
-    def test_solution_check(self, path5):
-        problem = IndependentSetProblem()
-        good = {0: 1, 1: 0, 2: 1, 3: 0, 4: 1}
-        bad = {0: 1, 1: 1, 2: 0, 3: 0, 4: 1}
-        assert problem.is_solution(path5, good)
-        assert not problem.is_solution(path5, bad)
-        assert problem.violations(path5, bad) == [0, 1]
-
-    def test_partial_packing(self, path5):
-        problem = IndependentSetProblem()
-        assert problem.is_partial_packing(path5, {0: 1, 2: 1})
-        assert not problem.is_partial_packing(path5, {0: 1, 1: 1})
-
-    def test_undecided_nodes_reported(self, path5):
-        problem = IndependentSetProblem()
-        assert problem.undecided_nodes(path5, {0: 1}) == [1, 2, 3, 4]
-
-    def test_members_helper(self):
-        assert IndependentSetProblem.members({0: 1, 1: 0, 2: None}) == frozenset({0})
+def _mis(members):
+    return mis_vector(generators.path(5), members)
 
 
-class TestDominatingSet:
-    def test_solution_check(self, path5):
-        problem = DominatingSetProblem()
-        good = {0: 1, 1: 0, 2: 1, 3: 0, 4: 1}
-        assert problem.is_solution(path5, good)
-        bad = {0: 0, 1: 0, 2: 1, 3: 0, 4: 1}
-        assert not problem.is_solution(path5, bad)
+@pytest.mark.parametrize(
+    "problem, outputs, partial, expected",
+    [
+        # independent set: no two adjacent members; ⊥ counts unless partial
+        (IS, MIS_GOOD, False, []),
+        (IS, {0: 1, 1: 1, 2: 0, 3: 0, 4: 1}, False, [0, 1]),
+        (IS, {0: 1, 2: 1}, True, []),
+        (IS, {0: 1, 1: 1}, True, [0, 1]),
+        (IS, {0: 1}, False, [1, 2, 3, 4]),
+        # dominating set: a decided non-member needs a member neighbour
+        (DS, MIS_GOOD, False, []),
+        (DS, {0: 0, 1: 0, 2: 1, 3: 0, 4: 1}, False, [0]),
+        (DS, {4: 0}, True, [4]),
+        (DS, {2: 1, 3: 0}, True, []),
+        # the MIS pair
+        (mis_problem_pair(), _mis({0, 2, 4}), False, []),
+        (mis_problem_pair(), _mis({0}), False, [2, 3, 4]),
+        (mis_problem_pair(), _mis({0, 1}), False, [0, 1, 3, 4]),
+        (mis_problem_pair(), {0: 1, 3: 0}, True, [3]),
+        (mis_problem_pair(), {0: 1, 1: 0}, True, []),
+        # proper colouring: no two adjacent equal colours
+        (CP, PROPER, False, []),
+        (CP, {0: 1, 1: 1, 2: 2, 3: 1, 4: 2}, False, [0, 1]),
+        (CP, {0: 1}, False, [1, 2, 3, 4]),
+        (CP, {0: 1}, True, []),
+        (CP, {0: 1, 1: 2}, True, []),
+        (CP, {0: 1, 1: 1}, True, [0, 1]),
+        # degree+1 range: a colour in {1, ..., deg + 1}; deg(0) + 1 = 2
+        (CC, {0: 2}, True, []),
+        (CC, {0: 3}, True, [0]),
+        (CC, {0: 0}, True, [0]),
+        (CC, {1: 3}, True, []),
+        (CC, {0: 5}, True, [0]),
+        (coloring_problem_pair(), PROPER, False, []),
+    ],
+)
+def test_array_conditions_on_a_path(problem, outputs, partial, expected):
+    assert array_violations_on(problem, generators.path(5), outputs, partial=partial) == expected
 
-    def test_partial_covering_only_checks_declared_dominated(self, path5):
-        problem = DominatingSetProblem()
-        # Node 4 declared dominated without a dominator -> not partial covering.
-        assert not problem.is_partial_covering(path5, {4: 0})
-        # Node 4 undecided -> fine; node 3 dominated by 2.
-        assert problem.is_partial_covering(path5, {2: 1, 3: 0})
+
+def test_pair_name_and_colour_count():
+    assert "proper-coloring" in coloring_problem_pair().name
+    assert num_colors_used({0: 1, 1: 2, 2: 1, 3: None}) == 2
 
 
-class TestMisPair:
-    def test_pair_full_solution(self, path5):
-        pair = mis_problem_pair()
-        mis = {0, 2, 4}
-        assignment = mis_assignment_from_set(path5, mis)
-        assert pair.is_full_solution(path5, assignment)
-        assert is_maximal_independent_set(path5, mis)
+class TestRangeByEqualityClass:
+    """A colour equal to an int ``k`` is coded ``k``: the range verdict
+    depends only on what ``!=`` (and so a round's change set) tells apart."""
 
-    def test_not_maximal(self, path5):
-        assert not is_maximal_independent_set(path5, {0})
-        assert not is_maximal_independent_set(path5, {0, 1})
+    @pytest.mark.parametrize(
+        "color, code",
+        [(2, 2), (2.0, 2), (np.int64(2), 2), (True, 1), (False, 0), (2.5, 0), ("2", 0), (0, 0)],
+    )
+    def test_code_of_equal_values(self, color, code):
+        assert DegreePlusOneRangeProblem().array_encoder()(color) == code
 
-    def test_partial_solution_characterisation(self, path5):
-        pair = mis_problem_pair()
-        # Independent but with an undominated declared-dominated node.
-        assert not pair.is_partial_solution(path5, {0: 1, 3: 0})
-        assert pair.is_partial_solution(path5, {0: 1, 1: 0})
-
-    def test_members_outside_graph_rejected(self, triangle):
-        assert not is_maximal_independent_set(triangle, {99})
-
-
-class TestColoringPair:
-    def test_proper_coloring_check(self, path5):
-        assert is_proper_coloring(path5, {0: 1, 1: 2, 2: 1, 3: 2, 4: 1})
-        assert not is_proper_coloring(path5, {0: 1, 1: 1, 2: 2, 3: 1, 4: 2})
-        assert not is_proper_coloring(path5, {0: 1})  # incomplete
-        assert is_proper_coloring(path5, {0: 1}, require_complete=False)
-
-    def test_degree_plus_one_range(self, path5):
-        problem = DegreePlusOneRangeProblem()
-        assert problem.check_node(path5, {0: 2}, 0)   # deg(0)+1 = 2
-        assert not problem.check_node(path5, {0: 3}, 0)
-        assert not problem.check_node(path5, {0: 0}, 0)
-
-    def test_partial_characterisations(self, path5):
-        packing = ProperColoringProblem()
-        covering = DegreePlusOneRangeProblem()
-        assert packing.is_partial_packing(path5, {0: 1, 1: 2})
-        assert not packing.is_partial_packing(path5, {0: 1, 1: 1})
-        assert covering.is_partial_covering(path5, {1: 3})
-        assert not covering.is_partial_covering(path5, {0: 5})
-
-    def test_pair_name_and_full_solution(self, path5):
+    @pytest.mark.parametrize("retention", ["full", "stats"])
+    def test_two_to_two_point_zero_keeps_its_verdict(self, retention):
+        """Node 0 (degree 1) goes ``2 -> 2.0``: the change set misses it,
+        and neither verdict may depend on which of the two was read."""
+        topo = Topology([0, 1], [(0, 1)])
+        trace = ExecutionTrace(2, "alg", "adv", retention=retention)
+        record_round(trace, topo, {0: 2, 1: 1}, RoundMetrics(1, 2, 1, 2, 2, 4, 8, 2))
+        record_round(trace, topo, {0: 2.0, 1: 1}, RoundMetrics(2, 2, 1, 2, 2, 4, 8, 0))
+        assert trace.changed_nodes(2) == frozenset()
         pair = coloring_problem_pair()
-        assignment = {0: 1, 1: 2, 2: 1, 3: 2, 4: 1}
-        assert pair.is_full_solution(path5, assignment)
-        assert "proper-coloring" in pair.name
-
-    def test_num_colors_used(self):
-        assert num_colors_used({0: 1, 1: 2, 2: 1, 3: None}) == 2
+        assert TDynamicSpec(pair, 1).check_trace(trace) == oracle_check_trace(pair, 1, trace)
+        assert all(res.is_valid for res in TDynamicSpec(pair, 1).check_trace(trace))
+        assert verify_partial_solution_every_round(trace, pair) == []

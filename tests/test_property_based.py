@@ -32,12 +32,12 @@ from repro.dynamics.topology import Topology, TopologyDelta
 from repro.runtime.simulator import Simulator
 from repro.scenarios import ScenarioSpec, component
 from repro.scenarios.executor import _build_context
-from repro.problems.coloring import coloring_problem_pair, is_proper_coloring
-from repro.problems.mis import mis_assignment_from_set, mis_problem_pair
+from repro.problems import coloring_problem_pair, mis_problem_pair
 from repro.runtime.messages import estimate_bits
 from repro.algorithms.coloring.greedy import greedy_coloring
 from repro.algorithms.mis.greedy import greedy_mis
 from test_incremental_delivery import _ADVERSARY_SPECS
+from helpers import array_violations_on, mis_vector
 
 # ---------------------------------------------------------------------------
 # Strategies
@@ -357,13 +357,13 @@ def test_adversary_deltas_replay_to_the_graph_of_their_state(name, wakeup, seed)
 def test_greedy_coloring_solves_pair_and_survives_edge_removal(topo):
     pair = coloring_problem_pair()
     colors = greedy_coloring(topo)
-    assert pair.packing.is_solution(topo, colors)
-    assert pair.covering.is_solution(topo, colors)
+    assert not array_violations_on(pair.packing, topo, colors)
+    assert not array_violations_on(pair.covering, topo, colors)
     # Packing survives removing an arbitrary edge.
     if topo.edges:
         edge = sorted(topo.edges)[0]
         smaller = topo.with_edges(remove=[edge])
-        assert pair.packing.is_solution(smaller, colors)
+        assert not array_violations_on(pair.packing, smaller, colors)
 
 
 @settings(max_examples=40)
@@ -380,20 +380,20 @@ def test_degree_range_covering_survives_edge_addition(topo):
     ]
     if missing:
         bigger = topo.with_edges(add=[missing[0]])
-        assert pair.covering.is_solution(bigger, colors)
+        assert not array_violations_on(pair.covering, bigger, colors)
 
 
 @settings(max_examples=40)
 @given(topologies())
 def test_greedy_mis_solves_pair_with_expected_monotonicity(topo):
     pair = mis_problem_pair()
-    assignment = mis_assignment_from_set(topo, greedy_mis(topo))
-    assert pair.packing.is_solution(topo, assignment)
-    assert pair.covering.is_solution(topo, assignment)
+    assignment = mis_vector(topo, greedy_mis(topo))
+    assert not array_violations_on(pair.packing, topo, assignment)
+    assert not array_violations_on(pair.covering, topo, assignment)
     # Independence survives edge removal.
     if topo.edges:
         smaller = topo.with_edges(remove=[sorted(topo.edges)[0]])
-        assert pair.packing.is_solution(smaller, assignment)
+        assert not array_violations_on(pair.packing, smaller, assignment)
     # Domination survives edge addition.
     nodes = sorted(topo.nodes)
     missing = [
@@ -404,15 +404,7 @@ def test_greedy_mis_solves_pair_with_expected_monotonicity(topo):
     ]
     if missing:
         bigger = topo.with_edges(add=[missing[0]])
-        assert pair.covering.is_solution(bigger, assignment)
-
-
-@settings(max_examples=40)
-@given(topologies())
-def test_greedy_coloring_is_proper_and_degree_bounded(topo):
-    colors = greedy_coloring(topo)
-    assert is_proper_coloring(topo, colors)
-    assert all(1 <= colors[v] <= topo.degree(v) + 1 for v in topo.nodes)
+        assert not array_violations_on(pair.covering, bigger, assignment)
 
 
 # ---------------------------------------------------------------------------

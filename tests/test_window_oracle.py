@@ -1,13 +1,14 @@
 """The array window and both pairs' array checks against the brute-force oracle.
 
-``DynamicGraph``'s window views and ``TDynamicSpec``'s verdicts come from
-one :class:`~repro.dynamics.dynamic_graph.WindowWalk` and numpy reductions;
-the oracle in ``helpers`` materialises every window's ``T`` graphs and calls
-``check_node`` per node.  Random runs cover staggered wake-ups, ``T = 1``,
+``DynamicGraph``'s window views, ``TDynamicSpec``'s verdicts and property
+B.1 (its ``T = 1`` check) come from one
+:class:`~repro.dynamics.dynamic_graph.WindowWalk` and numpy reductions; the
+oracle in ``helpers`` materialises every window's ``T`` graphs and checks
+each node by hand.  Random runs cover staggered wake-ups, ``T = 1``,
 windows that reach ``G_0``, edges re-inserted inside a window, 32-round
 checkpoint entries, start/end slices, ⊥ outputs, MIS values other than 0/1
-and colours that are not ints (bools among them), on each way a round can
-be recorded.
+and colours that are not ints (bools, ``2.0`` and ``numpy.int64`` among
+them), on each way a round can be recorded.
 """
 
 import numpy as np
@@ -17,21 +18,19 @@ from hypothesis import given, seed, settings, strategies as st
 from repro.dynamics.dynamic_graph import CHECKPOINT_INTERVAL
 from repro.dynamics.topology import Topology, TopologyDelta
 from repro.errors import TopologyError
+from repro.core.properties import verify_partial_solution_every_round
 from repro.problems import TDynamicSpec, coloring_problem_pair, mis_problem_pair
 from repro.runtime.metrics import RoundMetrics
-from repro.runtime.simulator import Simulator
 from repro.runtime.trace import ExecutionTrace
 from repro.scenarios import ScenarioSpec, component
-from repro.scenarios.executor import _build_context
 from repro.scenarios.registry import METRICS
-from helpers import oracle_check_trace, windows
+from helpers import oracle_check_trace, simulate, windows
 
 N = 7
-#: Output values.  Values that are equal but differ in a check (``2`` and
-#: ``2.0`` for the colour range) are left out on purpose: an output that
-#: changes between equal values is not in the round's change set, so no
-#: reader of the recorded updates (the "stats" replay included) sees it.
-VALUES = (None, 0, 1, 2, 3, 9, -1, True, False, 2.5, "x")
+#: Output values.  ``2``, ``2.0`` and ``numpy.int64(2)`` are equal: an output
+#: that changes between them is not in the round's change set (the "stats"
+#: replay keeps the earlier one), so every check must give them one verdict.
+VALUES = (None, 0, 1, 2, 3, 9, -1, True, False, 2.5, "x", 2.0, np.int64(2), np.int64(1))
 #: How a round is stored: with its graph (32-round checkpoints), as a delta
 #: only (the array kernel), or as a delta plus an output update ("stats").
 PATHS = ("graph", "delta", "stats")
@@ -130,6 +129,17 @@ def test_array_window_and_verdicts_match_the_oracle(rounds, data):
                     assert [spec.check_round(graph, trace.outputs(r), r)] == (
                         oracle_check_trace(spec.pair, T, trace, r, r)
                     )
+        for name, make_pair in PAIRS.items():  # B.1: the oracle's T = 1 verdicts, ⊥ allowed
+            pair = make_pair()
+            for lo in (1, start):
+                expected = [
+                    f"round {res.round_index}: partial-solution violations at nodes {bad[:10]}"
+                    for res in oracle_check_trace(pair, 1, trace, lo)
+                    if (bad := sorted({*res.packing_violations, *res.covering_violations}))
+                ]
+                assert verify_partial_solution_every_round(trace, pair, start_round=lo) == (
+                    expected
+                ), (path, name, lo)
 
 
 def test_start_before_round_one_is_rejected():
@@ -150,10 +160,8 @@ def test_mis_edge_decay_matches_the_oracle(delivery):
         rounds=36,
         delivery=delivery,
     )
-    ctx = _build_context(spec, 2)
-    ctx.trace = Simulator(
-        n=ctx.n, algorithm=ctx.algorithm, adversary=ctx.adversary, seed=2, delivery=delivery
-    ).run(ctx.rounds)
+    ctx, sim = simulate(spec, 2, delivery)
+    ctx.trace = sim.run(ctx.rounds)
     trace = ctx.trace
     counts = []
     for r in range(1, trace.num_rounds + 1):
