@@ -47,9 +47,5 @@ class AlgorithmError(ReproError):
     """
 
 
-class ProblemDefinitionError(ReproError):
-    """Raised when a graph-problem definition is used inconsistently."""
-
-
 class VerificationError(ReproError):
     """Raised by property verifiers when a trace violates a stated guarantee."""

@@ -72,13 +72,6 @@ class WorkUnit:
     def unit_key(self) -> str:
         return f"{self.spec_key[:12]}:{self.seed}"
 
-    @classmethod
-    def for_spec(cls, spec: ScenarioSpec, seed: int, spec_key: Optional[str] = None) -> "WorkUnit":
-        spec_dict = spec.to_dict()
-        if spec_key is None:
-            spec_key = content_key(spec_dict)
-        return cls(spec_dict=spec_dict, seed=int(seed), spec_key=spec_key)
-
 
 def units_for_spec(spec: ScenarioSpec) -> List[WorkUnit]:
     """One work unit per seed of ``spec`` (the spec dict/key built once)."""
@@ -243,8 +236,3 @@ def execute_chunk(
     with collect_stats() as stats:
         rows = [run_scenario_seed(spec, seed) for seed in seeds]
     return rows, stats.phase_totals()
-
-
-def spec_cache_info() -> Tuple[int, int]:
-    """``(entries, capacity)`` of this process's spec cache (for tests/metrics)."""
-    return len(_SPEC_CACHE), _SPEC_CACHE_MAX

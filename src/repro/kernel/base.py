@@ -13,15 +13,19 @@ to integer/float compares.  Fingerprints reuse the same idea: a node is
 either volatile (``fset`` cleared) or carries an integer fingerprint token
 whose change schedules a recompose — exactly the classic
 ``compose_fingerprint`` protocol.
+
+:class:`LiveSets` is the running intersection graph of the ``DAlg``
+instances (DColor, DMis): the standalone DMis kernel keeps one row, the
+``Concat`` rings one per live instance.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-__all__ = ["AlgorithmKernel", "DeliverContext"]
+__all__ = ["AlgorithmKernel", "DeliverContext", "LiveSets"]
 
 _EMPTY_I8 = np.empty(0, dtype=np.int64)
 
@@ -29,8 +33,8 @@ _EMPTY_I8 = np.empty(0, dtype=np.int64)
 class DeliverContext:
     """Per-round extras handed to :meth:`AlgorithmKernel.deliver`.
 
-    Kernels that keep per-edge state (DMis) use the universe layout carried
-    here.
+    Kernels that keep per-edge state (:class:`LiveSets`) use the universe
+    layout carried here.
     """
 
     __slots__ = ("universe", "eff_d", "slots")
@@ -132,3 +136,73 @@ class AlgorithmKernel:
         self._has_out[changed_ids] = True
         values = [None if c < 0 else int(c) for c in new_codes.tolist()]
         return changed_ids, values
+
+
+class LiveSets:
+    """The live intersection-graph neighbourhoods of ``k`` instances.
+
+    Row ``i``'s live set is a boolean mask over the doubled edge-universe
+    slots, ANDed with ``eff_d`` every round.  A node's first delivery in an
+    instance — every awake node when the instance starts, a node woken later
+    in its wake round — sets its slots to its current neighbourhood; until
+    then its live set is ``None`` (``started`` is ``False``).
+    """
+
+    def __init__(self, n: int, k: int) -> None:
+        self._k = k
+        #: the node's first delivery in the instance has run
+        self.started = np.zeros((k, n), dtype=bool)
+        self.mask = np.zeros((k, 0), dtype=bool)  # sized by ``set_universe``
+        #: nodes woken this round: they join every live instance in :meth:`update`
+        self._joining = _EMPTY_I8
+        #: the row whose instance starts this round: every awake node joins it
+        self._starting: Optional[int] = None
+
+    def set_universe(self, universe) -> None:
+        """Size the masks to the engine's edge universe."""
+        self._universe = universe
+        self.mask = np.zeros((self._k, universe.usrc.size), dtype=bool)
+
+    def wake(self, fresh: np.ndarray) -> None:
+        """``fresh`` woke this round: they join the live instances at the next :meth:`update`."""
+        self._joining = fresh
+
+    def start(self, row: int) -> None:
+        """An instance starts in ``row`` this round; its nodes join in :meth:`update`."""
+        self.started[row] = False
+        self._starting = row
+
+    def update(self, rows: int, eff_d: np.ndarray, awake: np.ndarray) -> None:
+        """Deliver: restrict rows ``0 .. rows-1`` to this round's edges, then join.
+
+        Every ``awake`` node joins the row started this round, and the nodes
+        woken this round join every row.
+        """
+        live = self.mask[:rows]
+        np.logical_and(live, eff_d, out=live)
+        if self._starting is not None:
+            # unwoken nodes have no effective edges, so the row is ``eff_d`` itself
+            live[self._starting] = eff_d
+            self.started[self._starting] = awake
+            self._starting = None
+        joining = self._joining
+        if joining.size:
+            slots, _ = self._universe.row_slots(joining)
+            live[:, slots] = eff_d[slots]
+            self.started[:rows, joining] = True
+            self._joining = _EMPTY_I8
+
+    def sets(self, row: int, woken: List[int]) -> Dict[int, Optional[frozenset]]:
+        """Each woken node's live neighbour set in ``row`` (``None`` before its first delivery)."""
+        live: Dict[int, Optional[frozenset]] = dict.fromkeys(woken)
+        started = self.started[row]
+        started_ids = np.asarray([v for v in woken if started[v]], dtype=np.int64)
+        if started_ids.size:
+            uni = self._universe
+            row_slots, seg = uni.row_slots(started_ids)
+            kept = self.mask[row, row_slots]
+            kept_dst = uni.udst[row_slots[kept]]
+            bounds = np.searchsorted(seg[kept], np.arange(started_ids.size + 1))
+            for j, v in enumerate(started_ids.tolist()):
+                live[v] = frozenset(kept_dst[bounds[j] : bounds[j + 1]].tolist())
+        return live

@@ -11,9 +11,10 @@ State layout:
   ``{1..degree+1} - set(excluded)`` with ``excluded`` a sorted tuple.
   Storing the complement keeps the common case (few fixed neighbors) tiny
   and makes the classic ``sorted(palette)[rng.integers(0, len)]`` draw
-  reproducible via an order-statistic walk.  ``finalize`` writes back every
-  node's palette as its last delivery left it, recomputed from the last
-  round's neighbourhood and messages.
+  reproducible via an order-statistic walk (:func:`palette_draw`, which
+  the DColor ring of :mod:`repro.kernel.concat` shares).  ``finalize``
+  writes back every node's palette as its last delivery left it,
+  recomputed from the last round's neighbourhood and messages.
 * message cache ``mtag``/``mval``: ``FIXED`` carries the color, ``TENT``
   carries the tentative choice (``-1`` encodes the classic ``None`` choice
   from an empty palette).
@@ -31,12 +32,32 @@ import numpy as np
 
 from .base import AlgorithmKernel, DeliverContext
 
-__all__ = ["ColoringKernel"]
+__all__ = ["ColoringKernel", "palette_draw"]
 
 _EMPTY_I8 = np.empty(0, dtype=np.int64)
 
 _T_FIXED = 1
 _T_TENT = 2
+
+
+def palette_draw(degree: int, excluded: Tuple[int, ...], integers_of, *key) -> int:
+    """``sorted(palette)[rng.integers(0, len(palette))]``; ``-1`` for an empty palette.
+
+    The palette is ``{1..degree+1} - set(excluded)`` with ``excluded`` sorted,
+    so the draw walks the order statistic past the excluded colours.
+    ``integers_of(*key)`` returns the node's bound ``Generator.integers`` and
+    is called only for a non-empty palette.
+    """
+    size = degree + 1 - len(excluded)
+    if size <= 0:
+        return -1
+    choice = int(integers_of(*key)(0, size)) + 1
+    for e in excluded:
+        if e <= choice:
+            choice += 1
+        else:
+            break
+    return choice
 
 
 class ColoringKernel(AlgorithmKernel):
@@ -78,7 +99,6 @@ class ColoringKernel(AlgorithmKernel):
         # uncolored nodes walk their palette and draw from their per-node
         # stream, in a python loop with the bound ``rng(v).integers``
         # cached; the draw order per node is untouched.
-        alg = self._algorithm
         c_all = self._color[ids]
         fixed_sel = c_all >= 0
         fixed_ids = ids[fixed_sel]
@@ -103,7 +123,7 @@ class ColoringKernel(AlgorithmKernel):
 
         unc_ids = ids[~fixed_sel]
         if unc_ids.size:
-            draw_cache = self._draw
+            integers = self._integers
             pal = self._pal
             id_list = unc_ids.tolist()
             has_rows = self._has_msg[unc_ids].tolist()
@@ -115,24 +135,8 @@ class ColoringKernel(AlgorithmKernel):
             new_val: List[int] = []
             new_bits: List[int] = []
             for i, v in enumerate(id_list):
-                degree, excluded = pal[v]
-                size = degree + 1 - len(excluded)
-                if size <= 0:
-                    val_i = -1
-                    b_i = 35
-                else:
-                    # classic: sorted(palette)[rng.integers(0, len(palette))]
-                    draw = draw_cache[v]
-                    if draw is None:
-                        draw = draw_cache[v] = alg.rng(v).integers
-                    choice = int(draw(0, size)) + 1
-                    for e in excluded:
-                        if e <= choice:
-                            choice += 1
-                        else:
-                            break
-                    val_i = choice
-                    b_i = 35 + choice.bit_length()
+                val_i = palette_draw(*pal[v], integers, v)
+                b_i = 35 + max(val_i, 0).bit_length()
                 if has_rows[i] and tag_rows[i] == _T_TENT and mval_rows[i] == val_i:
                     continue
                 changed.append(v)
@@ -153,6 +157,13 @@ class ColoringKernel(AlgorithmKernel):
         if len(chg_parts) == 1:
             return chg_parts[0], old_parts[0]
         return np.concatenate(chg_parts), np.concatenate(old_parts)
+
+    def _integers(self, v: int):
+        """``rng(v).integers``, bound once per node."""
+        draw = self._draw[v]
+        if draw is None:
+            draw = self._draw[v] = self._algorithm.rng(v).integers
+        return draw
 
     def deliver(
         self,

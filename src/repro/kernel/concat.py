@@ -14,12 +14,10 @@ backbone:
 
 :class:`ConcatRingKernel` is what both share: the slot order (the ring fills
 slots ``0 .. rows-1`` first, then the oldest slot is reused), starting and
-retiring instances, the bundle size, the live-set upkeep and ``Concat``'s
-write-back.  Each instance's live intersection-graph neighbourhood is a
-``(T1 - 1) × 2m`` boolean mask over the doubled edge-universe slots, ANDed
-with ``eff_d`` every round; a node's first delivery in an instance — every
-awake node in the instance's start round, a node woken later in its wake
-round — sets its slots to the current neighbourhood.
+retiring instances, the bundle size and ``Concat``'s write-back.  The
+instances' intersection graphs are one :class:`~repro.kernel.base.LiveSets`
+with a row per slot: a row starts when its instance does, and every awake
+node joins it in that round's delivery.
 
 Every node recomposes and is delivered to every round (the kernel marks all
 awake nodes volatile): the bundle gains a new start-round key each round.
@@ -46,34 +44,25 @@ node-instances draw from their instance's own per-node streams
 (``rng_factory.child("dalg", r)``) in a python loop; they are few once the
 backbone has coloured the graph.
 
-DMis ring, per instance and node: the state (undecided / MIS / dominated,
-:mod:`repro.kernel.mis`'s codes) and this round's draw.  The broadcast is
-``(state, draw)``: the state at compose time is the message tag (``MARK``,
-``RAND``, silent), and deliver evaluates both rules before it moves any
-state.  All undecided node-instances draw in one batch from a
-:class:`~repro.kernel.nodestreams.NodeStreamPool` with one row per ring
-slot, lane ``slot * n + v``, seeded with the instance's
-``rng_factory.child("dalg", r)``.  Both rules — a live ``MARK`` makes an
-undecided node dominated; a draw strictly below every live undecided
-neighbour's makes it MIS — are one pass over the live slots of the undecided
-node-instances, scattered by their ``row * n + node`` position.
+The DMis ring is a :class:`~repro.kernel.mis.DMisRows` with a row per slot,
+each re-seeded from the SMis backbone's states and the instance's
+``rng_factory.child("dalg", r)`` when its instance starts; the standalone
+DMis kernel drives the same rows.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from repro.algorithms.coloring.dcolor import DColor
-from repro.algorithms.mis.dmis import DMis
 from repro.runtime.algorithm import AlgorithmSetup
 
-from .base import AlgorithmKernel, DeliverContext
-from .coloring import ColoringKernel
-from .mis import SMisKernel, _OUT_LOOKUP, _S_DOM, _S_MIS, _S_UND, _STATE_ENUMS
-from .nodestreams import NodeStreamPool
+from .base import AlgorithmKernel, DeliverContext, LiveSets
+from .coloring import ColoringKernel, palette_draw
+from .mis import DMisRows, SMisKernel, _OUT_LOOKUP, _S_UND, dmis_message_bits
 
 __all__ = [
     "ConcatColoringKernel",
@@ -84,17 +73,12 @@ __all__ = [
     "dmis_message_bits",
 ]
 
-_EMPTY_I8 = np.empty(0, dtype=np.int64)
-
 _T_INIT = 0
 _T_FIXED = 1
 _T_TENT = 2
 
 #: ``estimate_bits`` of a bundle's frame: the dict overhead plus the SAlg key ``"s"``.
 _FRAME_BITS = 2 + 8
-
-#: ``estimate_bits`` of a DMis message by state: ``("rand", x)``, ``("mark",)``, ``None``
-_DMIS_BITS = np.array([98, 34, 1], dtype=np.int64)
 
 
 def bundle_frame_bits(start_rounds) -> int:
@@ -114,15 +98,6 @@ def dcolor_message_bits(tag: np.ndarray, val: np.ndarray) -> np.ndarray:
     return np.where(tag == _T_FIXED, 43, 35) + length
 
 
-def dmis_message_bits(state: np.ndarray) -> np.ndarray:
-    """``estimate_bits`` of the DMis messages that nodes in ``state`` broadcast.
-
-    An undecided node sends ``("rand", float)`` (``2 + 32 + 64``), a MIS node
-    ``("mark",)`` (``2 + 32``) and a dominated node ``None`` (1).
-    """
-    return _DMIS_BITS[state]
-
-
 class ConcatRingKernel(AlgorithmKernel):
     """The ``T1 - 1`` live ``DAlg`` instances of a ``Concat`` as one ring.
 
@@ -140,22 +115,17 @@ class ConcatRingKernel(AlgorithmKernel):
         self._rng_factory = algorithm.config.rng_factory
         #: the backbone output codes each instance started on (its input vector)
         self._seed = np.full((k, n), -1, dtype=np.int64)
-        #: the node's first delivery in the instance has run
-        self._started = np.zeros((k, n), dtype=bool)
-        self._live = np.zeros((k, 0), dtype=bool)  # sized by ``set_array_mode``
+        self._live = LiveSets(n, k)
         self._factories: list = [None] * k
         self._starts = [0] * k
         self._wake_round = np.zeros(n, dtype=np.int64)
-        #: nodes woken this round: they join every live instance in its deliver
-        self._joining = _EMPTY_I8
         self._round = 0
         #: live instances; the ring fills slots ``0 .. rows-1`` first
         self._rows = 0
 
     def set_array_mode(self, universe) -> None:
-        """Size the live-neighbourhood masks to the engine's edge universe."""
-        self._universe = universe
-        self._live = np.zeros((self._k, universe.usrc.size), dtype=bool)
+        """Size the live sets to the engine's edge universe."""
+        self._live.set_universe(universe)
 
     # -- ring ---------------------------------------------------------------
 
@@ -174,8 +144,7 @@ class ConcatRingKernel(AlgorithmKernel):
         self._starts[slot] = r
         self._factories[slot] = self._rng_factory.child("dalg", r)
         self._seed[slot] = self._backbone_codes()
-        self._started[slot] = False
-        self._live[slot] = False
+        self._live.start(slot)
         self._seed_row(slot)
 
     # -- round hooks ----------------------------------------------------------
@@ -185,7 +154,7 @@ class ConcatRingKernel(AlgorithmKernel):
         self.woken[fresh] = True
         self.volatile[fresh] = True
         self._wake_round[fresh] = self._round + 1
-        self._joining = fresh
+        self._live.wake(fresh)
         self._backbone.wake(ids)
 
     def compose(self, ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -212,22 +181,7 @@ class ConcatRingKernel(AlgorithmKernel):
         self._backbone.deliver(ids, seg, nbrs, ctx)
         if ids.size == 0:
             return
-        rows = self._rows
-        eff_d = ctx.eff_d
-        live = self._live[:rows]
-        np.logical_and(live, eff_d, out=live)
-        # first deliveries: the new instance's every awake node (all awake
-        # nodes are delivered, so its live set is the whole effective mask),
-        # and in every instance the nodes woken this round
-        newest = (self._round - 1) % self._k
-        live[newest] = eff_d
-        self._started[newest] = self.woken
-        joining = self._joining
-        if joining.size:
-            slots, _ = ctx.universe.row_slots(joining)
-            live[:, slots] = eff_d[slots]
-            self._started[:rows, joining] = True
-            self._joining = _EMPTY_I8
+        self._live.update(self._rows, ctx.eff_d, self.woken)
         self._deliver_rows(ids, seg, nbrs, ctx)
 
     def post_round(self, ids: np.ndarray) -> Tuple[np.ndarray, List[object]]:
@@ -261,25 +215,10 @@ class ConcatRingKernel(AlgorithmKernel):
                 )
             )
             instance._awake = set(woken)
-            instance._live = self._live_sets(slot, woken)
+            instance._live = self._live.sets(slot, woken)
             self._fill_instance(instance, slot, woken)
             instances[start] = instance
         alg._instances = instances
-
-    def _live_sets(self, slot: int, woken: List[int]) -> Dict[int, Optional[frozenset]]:
-        """Each woken node's live neighbour set in ``slot`` (``None`` before its first delivery)."""
-        live: Dict[int, Optional[frozenset]] = dict.fromkeys(woken)
-        started = self._started[slot]
-        started_ids = np.asarray([v for v in woken if started[v]], dtype=np.int64)
-        if started_ids.size:
-            uni = self._universe
-            row_slots, seg = uni.row_slots(started_ids)
-            kept = self._live[slot, row_slots]
-            kept_dst = uni.udst[row_slots[kept]]
-            bounds = np.searchsorted(seg[kept], np.arange(started_ids.size + 1))
-            for j, v in enumerate(started_ids.tolist()):
-                live[v] = frozenset(kept_dst[bounds[j] : bounds[j + 1]].tolist())
-        return live
 
     # -- per-ring hooks ---------------------------------------------------------
 
@@ -296,7 +235,7 @@ class ConcatRingKernel(AlgorithmKernel):
         raise NotImplementedError
 
     def _deliver_rows(self, ids, seg, nbrs, ctx) -> None:  # pragma: no cover - abstract
-        """Deliver to every live instance (the live masks are current)."""
+        """Deliver to every live instance (the live sets are current)."""
         raise NotImplementedError
 
     def _output_codes(self, slot: int, ids: np.ndarray) -> np.ndarray:  # pragma: no cover
@@ -335,34 +274,26 @@ class ConcatColoringKernel(ConcatRingKernel):
         self._pal[slot] = {}
         self._gens[slot] = {}
 
-    def _draw(self, slot: int, v: int) -> int:
-        """DColor's ``sorted(palette)[rng.integers(0, len(palette))]`` (``-1``: empty)."""
-        degree, excluded = self._pal[slot][v]
-        size = degree + 1 - len(excluded)
-        if size <= 0:
-            return -1
+    def _integers(self, slot: int, v: int):
+        """The bound ``integers`` of ``v``'s DColor stream in ``slot`` (cached per instance)."""
         gen = self._gens[slot].get(v)
         if gen is None:
             gen = self._gens[slot][v] = self._factories[slot].node_stream(DColor.name, v)
-        choice = int(gen.integers(0, size)) + 1
-        for e in excluded:
-            if e <= choice:
-                choice += 1
-            else:
-                break
-        return choice
+        return gen.integers
 
     def _compose_rows(self) -> np.ndarray:
         rows = self._rows
         color = self._color[:rows]
-        started = self._started[:rows]
+        started = self._live.started[:rows]
         tag = np.where(started, np.where(color >= 0, _T_FIXED, _T_TENT), _T_INIT)
         val = color.copy()
         draw_rows, draw_nodes = np.nonzero(tag == _T_TENT)
         if draw_rows.size:
-            draw = self._draw
+            pal = self._pal
+            integers = self._integers
             val[draw_rows, draw_nodes] = [
-                draw(i, v) for i, v in zip(draw_rows.tolist(), draw_nodes.tolist())
+                palette_draw(*pal[i][v], integers, i, v)
+                for i, v in zip(draw_rows.tolist(), draw_nodes.tolist())
             ]
         self._tag[:rows] = tag
         self._val[:rows] = val
@@ -377,7 +308,7 @@ class ConcatColoringKernel(ConcatRingKernel):
         color = self._color[:rows]
         ntag = tag[:, nbrs]
         nval = val[:, nbrs]
-        lv = self._live[:rows][:, ctx.slots]
+        lv = self._live.mask[:rows][:, ctx.slots]
 
         # the start round: an uncoloured node's palette is [deg + 1] minus its
         # neighbours' INIT / FIXED colours
@@ -441,7 +372,7 @@ class ConcatColoringKernel(ConcatRingKernel):
 
     def _fill_instance(self, instance, slot: int, woken: List[int]) -> None:
         color = self._color[slot]
-        started = self._started[slot]
+        started = self._live.started[slot]
         val = self._val[slot]
         pal = self._pal[slot]
         instance._color = {v: _value(color[v]) for v in woken}
@@ -461,74 +392,33 @@ class ConcatColoringKernel(ConcatRingKernel):
 
 
 class ConcatMisKernel(ConcatRingKernel):
-    """The ``T1 - 1`` live DMis instances of ``DynamicMIS`` as one ring."""
+    """The ``T1 - 1`` live DMis instances of ``DynamicMIS`` as one ring of :class:`DMisRows`."""
 
     def __init__(self, algorithm) -> None:
         salg = algorithm._salg
         super().__init__(algorithm, SMisKernel(salg, undecide_enabled=salg._undecide_enabled))
-        n = self.n
-        k = self._k
-        self._state = np.zeros((k, n), dtype=np.int64)
-        self._drawn = np.full((k, n), np.inf)
-        #: one row per slot, re-seeded from the instance's factory when it starts
-        self._pool = NodeStreamPool(n, 0, DMis.name, rows=k)
-        #: this round's undecided node-instances: ``(slot, node)``, flat-key order
-        self._und_rows = _EMPTY_I8
-        self._und_nodes = _EMPTY_I8
+        self._dmis = DMisRows(self.n, self._k)
 
     def _backbone_codes(self) -> np.ndarray:
         return _OUT_LOOKUP[self._backbone._state]
 
     def _seed_row(self, slot: int) -> None:
         # a node woken later joins undecided: the backbone's code for it is 0
-        self._state[slot] = self._backbone._state
-        self._drawn[slot] = np.inf
-        self._pool.reset_row(slot, self._factories[slot].seed)
+        self._dmis.seed(slot, self._backbone._state, self._factories[slot].seed)
 
     def _compose_rows(self) -> np.ndarray:
-        rows = self._rows
-        state = self._state[:rows]
-        und_rows, und_nodes = np.nonzero((state == _S_UND) & self.woken)
-        if und_rows.size:
-            self._drawn[und_rows, und_nodes] = self._pool.random(und_rows * self.n + und_nodes)
-        self._und_rows = und_rows
-        self._und_nodes = und_nodes
+        state = self._dmis.state[: self._rows]
+        self._dmis.draw(*np.nonzero((state == _S_UND) & self.woken))
         return dmis_message_bits(state).sum(axis=0)
 
     def _deliver_rows(self, ids, seg, nbrs, ctx) -> None:
-        und_rows = self._und_rows
-        und_nodes = self._und_nodes
-        if und_rows.size == 0:
-            return
-        uni = ctx.universe
-        slots, pair = uni.row_slots(und_nodes)
-        rows_of = und_rows[pair]
-        kept = self._live[rows_of, slots]
-        pair = pair[kept]
-        rows_of = rows_of[kept]
-        nb = uni.udst[slots[kept]]
-        state = self._state
-        drawn = self._drawn
-        # the states are this round's broadcast tags until both rules are in
-        nstate = state[rows_of, nb]
-        beaten = (nstate == _S_UND) & (drawn[rows_of, nb] <= drawn[rows_of, und_nodes[pair]])
-        marked = np.zeros(und_rows.size, dtype=bool)
-        marked[pair[nstate == _S_MIS]] = True
-        blocked = marked.copy()
-        blocked[pair[beaten]] = True
-        state[und_rows[marked], und_nodes[marked]] = _S_DOM
-        state[und_rows[~blocked], und_nodes[~blocked]] = _S_MIS
+        self._dmis.deliver(self._live.mask, ctx.universe)
 
     def _output_codes(self, slot: int, ids: np.ndarray) -> np.ndarray:
-        return _OUT_LOOKUP[self._state[slot, ids]]
+        return self._dmis.output_codes(slot, ids)
 
     def _fill_instance(self, instance, slot: int, woken: List[int]) -> None:
-        state = self._state[slot]
-        drawn = self._drawn[slot]
-        instance._state = {v: _STATE_ENUMS[int(state[v])] for v in woken}
-        instance._drawn = {v: float(drawn[v]) for v in woken}
-        instance._undecided_n = sum(1 for v in woken if state[v] == _S_UND)
-        instance._node_rng_skips = self._pool.draw_skips(slot)
+        self._dmis.fill(instance, slot, woken)
 
 
 def _value(code) -> object:

@@ -10,22 +10,27 @@ SMis accumulates neighbor desire levels in *ascending neighbor id* order
 lexsort orders by neighbor) — the classic ``deliver`` iterates its inbox
 in sorted key order for exactly this reason.
 
-DMis keeps the per-instance intersection graph ("live" sets) as a boolean
-mask over doubled universe slots.
+DMis (Algorithm 4) has one array implementation, :class:`DMisRows`: the
+state of ``k`` instances as ``(k, n)`` rows.  The standalone
+:class:`DMisKernel` drives one row, and ``DynamicMIS``'s ring
+(:class:`~repro.kernel.concat.ConcatMisKernel`) drives ``T1 - 1``; the
+instances' intersection graphs ("live" sets) are a
+:class:`~repro.kernel.base.LiveSets`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
+from repro.algorithms.mis.dmis import DMis
 from repro.types import MisState
 
-from .base import AlgorithmKernel, DeliverContext
+from .base import AlgorithmKernel, DeliverContext, LiveSets
 from .nodestreams import NodeStreamPool
 
-__all__ = ["SMisKernel", "DMisKernel"]
+__all__ = ["SMisKernel", "DMisKernel", "DMisRows", "dmis_message_bits"]
 
 _EMPTY_I8 = np.empty(0, dtype=np.int64)
 
@@ -38,7 +43,18 @@ _OUT_LOOKUP = np.array([-1, 1, 0], dtype=np.int64)
 _T_NONE = 0
 _T_MARK = 1
 _T_UND = 2  # SMis ``(UNDECIDED_MSG, p, candidate)``
-_T_RAND = 2  # DMis ``(RAND, value)``
+
+#: ``estimate_bits`` of a DMis message by state: ``("rand", x)``, ``("mark",)``, ``None``
+_DMIS_BITS = np.array([98, 34, 1], dtype=np.int64)
+
+
+def dmis_message_bits(state: np.ndarray) -> np.ndarray:
+    """``estimate_bits`` of the DMis messages that nodes in ``state`` broadcast.
+
+    An undecided node sends ``("rand", float)`` (``2 + 32 + 64``), a MIS node
+    ``("mark",)`` (``2 + 32``) and a dominated node ``None`` (1).
+    """
+    return _DMIS_BITS[state]
 
 
 class SMisKernel(AlgorithmKernel):
@@ -201,87 +217,128 @@ class SMisKernel(AlgorithmKernel):
         alg._node_rng_skips = self._pool.draw_skips()
 
 
+class DMisRows:
+    """The state of ``k`` DMis instances, one row each.
+
+    Per row and node: the state (the codes above) and the value drawn in the
+    node's last undecided round.  The broadcast is ``(state, draw)``: the
+    state at compose time is the message tag (``MARK``, ``RAND``, silent), and
+    :meth:`deliver` evaluates both rules before it moves any state.  All
+    undecided node-instances draw in one batch from a
+    :class:`~repro.kernel.nodestreams.NodeStreamPool` with one row per
+    instance, lane ``row * n + v``, seeded with the instance's master seed.
+    Both rules — a live ``MARK`` makes an undecided node dominated; a draw
+    strictly below every live undecided neighbour's makes it MIS — are one
+    pass over the live slots of the undecided node-instances.
+    """
+
+    def __init__(self, n: int, k: int) -> None:
+        self._n = n
+        self.state = np.zeros((k, n), dtype=np.int64)
+        self.drawn = np.full((k, n), np.inf)
+        #: one row of node streams per instance, re-seeded when an instance starts
+        self._pool = NodeStreamPool(n, 0, DMis.name, rows=k)
+        #: this round's undecided node-instances: ``(row, node)``
+        self._und_rows = _EMPTY_I8
+        self._und_nodes = _EMPTY_I8
+
+    def seed(self, row: int, state, master_seed: int) -> None:
+        """Start an instance in ``row`` from the input ``state`` codes."""
+        self.state[row] = state
+        self.drawn[row] = np.inf
+        self._pool.reset_row(row, master_seed)
+
+    def draw(self, rows: np.ndarray, nodes: np.ndarray) -> None:
+        """Compose: the undecided node-instances ``(rows, nodes)`` draw this round's values."""
+        if rows.size:
+            self.drawn[rows, nodes] = self._pool.random(rows * self._n + nodes)
+        self._und_rows = rows
+        self._und_nodes = nodes
+
+    def deliver(self, live: np.ndarray, universe) -> int:
+        """Both rules for this round's drawers over the ``live`` slot masks; the number decided."""
+        und_rows = self._und_rows
+        und_nodes = self._und_nodes
+        if und_rows.size == 0:
+            return 0
+        slots, pair = universe.row_slots(und_nodes)
+        rows_of = und_rows[pair]
+        kept = live[rows_of, slots]
+        pair = pair[kept]
+        rows_of = rows_of[kept]
+        nb = universe.udst[slots[kept]]
+        state = self.state
+        drawn = self.drawn
+        # the states are this round's broadcast tags until both rules are in
+        nstate = state[rows_of, nb]
+        beaten = (nstate == _S_UND) & (drawn[rows_of, nb] <= drawn[rows_of, und_nodes[pair]])
+        marked = np.zeros(und_rows.size, dtype=bool)
+        marked[pair[nstate == _S_MIS]] = True
+        blocked = marked.copy()
+        blocked[pair[beaten]] = True
+        joined = ~blocked
+        state[und_rows[marked], und_nodes[marked]] = _S_DOM
+        state[und_rows[joined], und_nodes[joined]] = _S_MIS
+        return int(np.count_nonzero(marked)) + int(np.count_nonzero(joined))
+
+    def output_codes(self, row: int, ids: np.ndarray) -> np.ndarray:
+        """The paper's output encoding of ``row``'s states for ``ids``."""
+        return _OUT_LOOKUP[self.state[row, ids]]
+
+    def fill(self, instance, row: int, woken: List[int]) -> None:
+        """Write ``row``'s per-node state into the DMis ``instance``."""
+        state = self.state[row]
+        drawn = self.drawn[row]
+        instance._state = {v: _STATE_ENUMS[int(state[v])] for v in woken}
+        instance._drawn = {v: float(drawn[v]) for v in woken}
+        instance._undecided_n = int(np.count_nonzero(state[woken] == _S_UND))
+        instance._node_rng_skips = self._pool.draw_skips(row)
+
+
 class DMisKernel(AlgorithmKernel):
+    """Standalone DMis: one :class:`DMisRows` row that starts with every node undecided.
+
+    Each node joins the row's live sets in its wake round.  The message
+    cache is ``(state, draw)`` with the draw ``0.0`` once decided: undecided
+    nodes are volatile, decided ones carry their state as the fingerprint.
+    """
+
     def __init__(self, algorithm) -> None:
         super().__init__(algorithm)
         n = self.n
-        self._state = np.zeros(n, dtype=np.int64)
-        self._drawn = np.zeros(n, dtype=np.float64)
+        self._rows = DMisRows(n, 1)
+        self._rows.seed(0, _S_UND, algorithm.config.rng_factory.seed)
+        self._live = LiveSets(n, 1)
         self._mtag = np.zeros(n, dtype=np.int64)
         self._mp = np.zeros(n, dtype=np.float64)
         self._undecided = 0
-        #: vectorised per-node streams, byte-identical to ``alg.rng(v)``
-        self._pool = NodeStreamPool(n, algorithm.config.rng_factory.seed, algorithm.name)
-        #: live-set storage: a doubled-universe slot mask, sized by ``set_array_mode``
-        self._live_dir = np.zeros(0, dtype=bool)
-        self._live_init = np.zeros(n, dtype=bool)
 
     def set_array_mode(self, universe) -> None:
-        """Size the live-set bookkeeping to the engine's edge universe."""
-
-        self._universe = universe
-        self._live_dir = np.zeros(universe.usrc.size, dtype=bool)
+        """Size the live sets to the engine's edge universe."""
+        self._live.set_universe(universe)
 
     def wake(self, ids: np.ndarray) -> None:
         self.recompose_next[ids] = True
         fresh = ids[~self.woken[ids]]
-        if fresh.size == 0:
-            return
         self.woken[fresh] = True
-        self._state[fresh] = _S_UND
-        self._drawn[fresh] = np.inf
-        self._live_init[fresh] = False
+        self._live.wake(fresh)
         self._undecided += int(fresh.size)
 
     def compose(self, ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        # Same split as SMisKernel.compose: decided rows vectorised,
-        # undecided rows pull one batched draw from the stream pool.
-        state_rows = self._state[ids]
-        und_sel = state_rows == _S_UND
-        rest_ids = ids[~und_sel]
-        chg_parts: List[np.ndarray] = []
-        old_parts: List[np.ndarray] = []
-        if rest_ids.size:
-            mis_rows = state_rows[~und_sel] == _S_MIS
-            tag = np.where(mis_rows, _T_MARK, _T_NONE)
-            b = np.where(mis_rows, 34, 1)
-            unchanged = (
-                self._has_msg[rest_ids]
-                & (self._mtag[rest_ids] == tag)
-                & (self._mp[rest_ids] == 0.0)
-            )
-            chg = rest_ids[~unchanged]
-            if chg.size:
-                chg_parts.append(chg)
-                old_parts.append(self.bits[chg])
-                self._has_msg[chg] = True
-                self._mtag[chg] = tag[~unchanged]
-                self._mp[chg] = 0.0
-                self.bits[chg] = b[~unchanged]
-
-        und_ids_arr = ids[und_sel]
-        if und_ids_arr.size:
-            val = self._pool.random(und_ids_arr)
-            self._drawn[und_ids_arr] = val
-            keep = ~(
-                self._has_msg[und_ids_arr]
-                & (self._mtag[und_ids_arr] == _T_RAND)
-                & (self._mp[und_ids_arr] == val)
-            )
-            chg = und_ids_arr[keep]
-            if chg.size:
-                chg_parts.append(chg)
-                old_parts.append(self.bits[chg])
-                self._has_msg[chg] = True
-                self._mtag[chg] = _T_RAND
-                self._mp[chg] = val[keep]
-                self.bits[chg] = 98
-
-        if not chg_parts:
-            return _EMPTY_I8, _EMPTY_I8
-        if len(chg_parts) == 1:
-            return chg_parts[0], old_parts[0]
-        return np.concatenate(chg_parts), np.concatenate(old_parts)
+        rows = self._rows
+        state = rows.state[0, ids]
+        und = state == _S_UND
+        und_ids = ids[und]
+        rows.draw(np.zeros(und_ids.size, dtype=np.int64), und_ids)
+        val = np.where(und, rows.drawn[0, ids], 0.0)
+        keep = ~(self._has_msg[ids] & (self._mtag[ids] == state) & (self._mp[ids] == val))
+        chg = ids[keep]
+        old_bits = self.bits[chg]
+        self._has_msg[chg] = True
+        self._mtag[chg] = state[keep]
+        self._mp[chg] = val[keep]
+        self.bits[chg] = dmis_message_bits(state[keep])
+        return chg, old_bits
 
     def deliver(
         self,
@@ -290,43 +347,13 @@ class DMisKernel(AlgorithmKernel):
         nbrs: np.ndarray,
         ctx: DeliverContext,
     ) -> None:
-        k = ids.size
-        if k == 0:
+        if ids.size == 0:
             return
-        live = self._live_dir
-        eff_d = ctx.eff_d
-        # Global restrict: a no-op for untouched rows (their effective slots
-        # did not change this round), exact for delivered rows.
-        np.logical_and(live, eff_d, out=live)
-        uninit = ids[~self._live_init[ids]]
-        if uninit.size:
-            slots, _ = ctx.universe.row_slots(uninit)
-            live[slots] = eff_d[slots]
-            self._live_init[uninit] = True
-
-        s = self._state[ids]
-        undm = s == _S_UND
-        if not undm.any():
-            return
-        lv = live[ctx.slots]
-        ntag = self._mtag[nbrs]
-        mark = np.zeros(k, dtype=bool)
-        mark[seg[lv & (ntag == _T_MARK)]] = True
-        rsel = lv & (ntag == _T_RAND)
-        minr = np.full(k, np.inf)
-        np.minimum.at(minr, seg[rsel], self._mp[nbrs[rsel]])
-
-        to_dom = undm & mark
-        to_mis = undm & ~mark & (self._drawn[ids] < minr)
-        self._apply_transitions(ids[to_dom], ids[to_mis])
-
-    def _apply_transitions(self, dom_ids: np.ndarray, mis_ids: np.ndarray) -> None:
-        self._state[dom_ids] = _S_DOM
-        self._state[mis_ids] = _S_MIS
-        self._undecided -= int(dom_ids.size) + int(mis_ids.size)
+        self._live.update(1, ctx.eff_d, self.woken)
+        self._undecided -= self._rows.deliver(self._live.mask, ctx.universe)
 
     def post_round(self, ids: np.ndarray) -> Tuple[np.ndarray, List[object]]:
-        s = self._state[ids]
+        s = self._rows.state[0, ids]
         self._post_fingerprints(ids, s == _S_UND, s)
         return self._post_outputs(ids, _OUT_LOOKUP[s])
 
@@ -337,19 +364,5 @@ class DMisKernel(AlgorithmKernel):
         alg = self._algorithm
         woken = np.flatnonzero(self.woken).tolist()
         alg._awake = set(woken)
-        alg._state = {v: _STATE_ENUMS[int(self._state[v])] for v in woken}
-        alg._drawn = {v: float(self._drawn[v]) for v in woken}
-        live: Dict[int, Optional[frozenset]] = {v: None for v in woken}
-        init_ids = np.asarray([v for v in woken if self._live_init[v]], dtype=np.int64)
-        if init_ids.size:
-            uni = self._universe
-            slots, seg = uni.row_slots(init_ids)
-            kept = self._live_dir[slots]
-            kept_seg = seg[kept]
-            kept_dst = uni.udst[slots[kept]]
-            bounds = np.searchsorted(kept_seg, np.arange(init_ids.size + 1))
-            for i, v in enumerate(init_ids.tolist()):
-                live[v] = frozenset(kept_dst[bounds[i] : bounds[i + 1]].tolist())
-        alg._live = live
-        alg._undecided_n = int(self._undecided)
-        alg._node_rng_skips = self._pool.draw_skips()
+        alg._live = self._live.sets(0, woken)
+        self._rows.fill(alg, 0, woken)

@@ -41,11 +41,12 @@ lane) rather than through some thirty passes over the 64-bit limb arrays
 (about 30 µs whatever the batch size).
 
 Lanes are keyed ``row * n + v``: each row is the node streams of one
-algorithm instance under its own master seed.  A standalone kernel uses the
-one-row pool (lane ``v``); the ``Concat`` MIS ring
-(:mod:`repro.kernel.concat`) keeps one row per live ``DMis`` instance and
-re-seeds a row with :meth:`NodeStreamPool.reset_row` when a new instance
-takes its slot, so every undecided node-instance draws in one batch.
+algorithm instance under its own master seed.  The SMis kernel uses the
+one-row pool (lane ``v``).  :class:`~repro.kernel.mis.DMisRows` keeps one
+row per DMis instance — one for the standalone ``dmis`` kernel, one per
+live instance in the ``Concat`` MIS ring — and re-seeds a row with
+:meth:`NodeStreamPool.reset_row` when a new instance takes it, so every
+undecided node-instance draws in one batch.
 """
 
 from __future__ import annotations

@@ -200,6 +200,9 @@ def _contract_delivery_equivalence(ctx: VerifyContext) -> Iterator[Verdict]:
     cases: List[Tuple[str, ComponentSpec, Optional[ComponentSpec]]] = [
         ("scolor", markov, None),
         ("smis", component("flip-churn", flip_prob=0.1), None),
+        # the standalone DMis kernel: live sets joined at wake, shrunk by churn
+        ("dmis", markov, None),
+        ("dmis", component("flip-churn", flip_prob=0.1), None),
         # E2's probe reads every palette every round, which no trace row shows.
         ("basic-coloring", markov, palettes),
         ("scolor", markov, palettes),

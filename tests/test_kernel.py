@@ -178,6 +178,39 @@ class TestKernelEquivalenceMatrix:
             palettes[mode] = {v: alg.palette_of(v) for v in range(spec.n)}
         assert palettes["kernel"] == palettes["full"]
 
+    def test_dmis_post_run_introspection_matches_the_full_run(self):
+        """The standalone DMis kernel writes back the full path's per-node state.
+
+        Staggered wake-up makes nodes join the live sets after round 1 (one
+        batch of eight per round, the last batch still asleep), and flip
+        churn shrinks them.
+        """
+        spec = ScenarioSpec(
+            n=40,
+            algorithm="dmis",
+            adversary=component("flip-churn", flip_prob=0.05),
+            topology=component("gnp_degree", degree=6),
+            rounds=4,
+            wakeup=component("staggered", batch_size=8),
+        )
+        views = {}
+        for mode in ("full", "kernel"):
+            _, sim = _trace_rows(spec, seed=4, mode=mode)
+            assert sim.delivery == mode
+            alg = sim.algorithm
+            views[mode] = (
+                {v: alg.state_of(v) for v in range(spec.n)},
+                {v: alg.live_neighbors_of(v) for v in range(spec.n)},
+                alg.undecided_count(),
+                # the node streams resume where the run left them
+                {v: alg.rng(v).random() for v in sorted(alg.awake_nodes)},
+            )
+        assert views["kernel"] == views["full"]
+        kernel_states, kernel_live, undecided, streams = views["kernel"]
+        assert undecided > 0 and len(streams) == 32
+        assert any(kernel_live.values())
+        assert len(set(kernel_states.values())) == 3
+
 
 # ---------------------------------------------------------------------------
 # the stacked Concat kernel (DynamicColoring)

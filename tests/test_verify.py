@@ -229,6 +229,8 @@ class TestDeliveryEquivalenceConfigScan:
             for pair in (
                 "scolor/markov-churn",
                 "smis/flip-churn",
+                "dmis/markov-churn",
+                "dmis/flip-churn",
                 "basic-coloring/markov-churn+palette-shrink",
                 "scolor/markov-churn+palette-shrink",
                 "dynamic-coloring/flip-churn",
