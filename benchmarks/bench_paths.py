@@ -73,6 +73,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.algorithms.coloring.basic_static import BasicColoring
+from repro.algorithms.coloring.dcolor import DColor
 from repro.algorithms.coloring.scolor import SColor
 from repro.algorithms.mis.dmis import DMis
 from repro.algorithms.mis.smis import SMis
@@ -119,6 +120,7 @@ ALGORITHMS = {
     "basic-coloring": BasicColoring,
     "scolor": SColor,
     "smis": SMis,
+    "dcolor": DColor,
     "dmis": DMis,
 }
 
@@ -186,7 +188,7 @@ GROUPS = (
     Group(
         name="kernel",
         paths=("incremental", "kernel"),
-        algorithms=("basic-coloring", "scolor", "smis", "dmis"),
+        algorithms=("basic-coloring", "scolor", "smis", "dcolor", "dmis"),
         degree=12.0,
         sizes=(Size("", 2000, 300),),
         smoke_sizes=(Size("", 96, 60),),

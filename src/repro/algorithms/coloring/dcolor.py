@@ -151,6 +151,16 @@ class DColor(DynamicAlgorithm):
     def output(self, v: NodeId) -> Value:
         return self._color.get(v)
 
+    def as_kernel(self):
+        # the current-graph ablation listens past the intersection graph,
+        # which the kernel's live sets do not model
+        if type(self) is not DColor or not self._restrict:
+            return None
+        from repro.kernel.base import DynamicRowKernel
+        from repro.kernel.coloring import DColorRows
+
+        return lambda: DynamicRowKernel(self, DColorRows)
+
     # -- helpers -----------------------------------------------------------------------
 
     def _pick_uniform(self, v: NodeId, palette: Set[Color]) -> Optional[Color]:

@@ -35,9 +35,10 @@ class DynamicColoring(Concat):
     def as_kernel(self):
         if type(self) is not DynamicColoring:
             return None
-        from repro.kernel.concat import ConcatColoringKernel
+        from repro.kernel.coloring import DColorRows
+        from repro.kernel.concat import ConcatRingKernel
 
-        return lambda: ConcatColoringKernel(self)
+        return lambda: ConcatRingKernel(self, DColorRows)
 
 
 def dynamic_coloring(n: int, *, window: Optional[int] = None) -> DynamicColoring:

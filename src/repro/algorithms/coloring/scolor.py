@@ -107,7 +107,10 @@ class SColor(NetworkStaticAlgorithm):
         return self._color.get(v)
 
     def as_kernel(self):
-        if type(self) is not SColor:
+        # the un-colour ablation is the same kernel with the rule switched off
+        from repro.algorithms.coloring.ablations import SColorNoUncolorAblation
+
+        if type(self) not in (SColor, SColorNoUncolorAblation):
             return None
         from repro.kernel.coloring import ColoringKernel
 

@@ -163,9 +163,10 @@ class DMis(DynamicAlgorithm):
         # vectorised; such instances stay on the classic engine.
         if type(self) is not DMis or self._revalidate_dominated:
             return None
-        from repro.kernel.mis import DMisKernel
+        from repro.kernel.base import DynamicRowKernel
+        from repro.kernel.mis import DMisRows
 
-        return lambda: DMisKernel(self)
+        return lambda: DynamicRowKernel(self, DMisRows)
 
     # -- introspection --------------------------------------------------------------
 

@@ -11,8 +11,8 @@ whose 2-neighbourhood is static during ``[r, r2]`` is unchanged during
 ``[r + 2·T1, r2]``.
 
 The combiner runs on the array kernel
-(:class:`~repro.kernel.concat.ConcatMisKernel`: the ``T1 - 1`` live DMis
-instances as one ring over the SMis kernel).  With
+(:class:`~repro.kernel.concat.ConcatRingKernel`: the ``T1 - 1`` live DMis
+instances as :class:`~repro.kernel.mis.DMisRows` rows over the SMis kernel).  With
 ``revalidate_dominated=True`` it has no kernel and stays on the ``full``
 path: the revalidation's first-round special case is not vectorised.
 """
@@ -58,9 +58,10 @@ class DynamicMIS(Concat):
         # vectorised: such a combiner stays on the full path
         if type(self) is not DynamicMIS or self.revalidate_dominated:
             return None
-        from repro.kernel.concat import ConcatMisKernel
+        from repro.kernel.concat import ConcatRingKernel
+        from repro.kernel.mis import DMisRows
 
-        return lambda: ConcatMisKernel(self)
+        return lambda: ConcatRingKernel(self, DMisRows)
 
 
 def dynamic_mis(

@@ -156,7 +156,10 @@ class SMis(NetworkStaticAlgorithm):
         return mis_state_to_value(state)
 
     def as_kernel(self):
-        if type(self) is not SMis:
+        # the un-decide ablation is the same kernel with the rules switched off
+        from repro.algorithms.mis.ablations import SMisNoUndecideAblation
+
+        if type(self) not in (SMis, SMisNoUndecideAblation):
             return None
         from repro.kernel.mis import SMisKernel
 

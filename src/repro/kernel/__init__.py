@@ -1,11 +1,19 @@
 """Array-native round kernel.
 
 ``repro.kernel`` executes algorithms that ship a hand-vectorised kernel
-(the ``"pure"`` standalone algorithms and the ``Concat`` combiners
-DynamicColoring and DynamicMIS) over dense numpy state arrays and a CSR adjacency,
-byte-identical to the classic per-node loops (see
-``delivery="kernel"`` on :class:`repro.runtime.simulator.Simulator` and the
-``delivery-equivalence`` contract, :mod:`repro.verify.contracts`).
+over dense numpy state arrays and a CSR adjacency, byte-identical to the
+classic per-node loops (see ``delivery="kernel"`` on
+:class:`repro.runtime.simulator.Simulator` and the ``delivery-equivalence``
+contract, :mod:`repro.verify.contracts`):
+
+* :mod:`.coloring` — BasicColoring and SColor (with ``scolor-no-uncolor``),
+  and the DColor rows (:class:`~repro.kernel.coloring.DColorRows`);
+* :mod:`.mis` — SMis (with ``smis-no-undecide``) and the DMis rows
+  (:class:`~repro.kernel.mis.DMisRows`);
+* :mod:`.base` — the standalone ``dcolor`` / ``dmis`` driver over one row
+  (:class:`~repro.kernel.base.DynamicRowKernel`);
+* :mod:`.concat` — the ``Concat`` combiners DynamicColoring and DynamicMIS,
+  one ring of rows over the backbone's kernel.
 
 The package requires numpy >= 1.26 (vectorised ufunc paths the kernels
 rely on); the import fails fast with a clear message otherwise.

@@ -15,8 +15,16 @@ whose change schedules a recompose — exactly the classic
 ``compose_fingerprint`` protocol.
 
 :class:`LiveSets` is the running intersection graph of the ``DAlg``
-instances (DColor, DMis): the standalone DMis kernel keeps one row, the
-``Concat`` rings one per live instance.
+instances (DColor, DMis).  Their state lives in *rows*
+(:class:`~repro.kernel.coloring.DColorRows`,
+:class:`~repro.kernel.mis.DMisRows`), each row one instance, driven through
+one protocol: ``start(row, codes, factory)``, ``compose(rows, woken)`` (the
+``(tag, val)`` broadcasts; ``message_bits(tag, val)`` sizes them),
+``deliver(rows, ids, seg, nbrs, ctx, woken)`` (the number of nodes that
+decided), ``output_codes(row, ids)``, ``fill(instance, row, woken)`` and the
+:class:`LiveSets` ``live``.  :class:`DynamicRowKernel` runs a standalone
+``DAlg`` on one row; the ``Concat`` ring
+(:class:`~repro.kernel.concat.ConcatRingKernel`) one row per live instance.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-__all__ = ["AlgorithmKernel", "DeliverContext", "LiveSets"]
+__all__ = ["AlgorithmKernel", "DeliverContext", "DynamicRowKernel", "LiveSets"]
 
 _EMPTY_I8 = np.empty(0, dtype=np.int64)
 
@@ -206,3 +214,75 @@ class LiveSets:
             for j, v in enumerate(started_ids.tolist()):
                 live[v] = frozenset(kept_dst[bounds[j] : bounds[j + 1]].tolist())
         return live
+
+
+class DynamicRowKernel(AlgorithmKernel):
+    """A standalone ``DAlg`` (DColor, DMis) with ⊥ input: one row of ``rows_cls``.
+
+    The row starts with every node pending (uncoloured / undecided), and each
+    node joins its live sets in its wake round.  The message cache is the
+    ``(tag, val)`` broadcast: pending nodes are volatile, decided ones carry
+    their output code as the fingerprint, as the classic ``compose_fingerprint``
+    does, so the dirty frontier is the incremental path's.
+    """
+
+    def __init__(self, algorithm, rows_cls) -> None:
+        super().__init__(algorithm)
+        n = self.n
+        self._rows = rows_cls(n, 1)
+        self._rows.start(0, np.full(n, -1, dtype=np.int64), algorithm.config.rng_factory)
+        self._mtag = np.zeros(n, dtype=np.int64)
+        self._mval = np.zeros(n, dtype=np.float64)
+        self._pending = 0
+
+    def set_array_mode(self, universe) -> None:
+        """Size the live sets to the engine's edge universe."""
+        self._rows.live.set_universe(universe)
+
+    def wake(self, ids: np.ndarray) -> None:
+        self.recompose_next[ids] = True
+        fresh = ids[~self.woken[ids]]
+        self.woken[fresh] = True
+        self._rows.live.wake(fresh)
+        self._pending += int(fresh.size)
+
+    def compose(self, ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        tag, val = self._rows.compose(1, self.woken)
+        tag = tag[0, ids]
+        val = val[0, ids]
+        keep = ~(self._has_msg[ids] & (self._mtag[ids] == tag) & (self._mval[ids] == val))
+        chg = ids[keep]
+        old_bits = self.bits[chg]
+        self._has_msg[chg] = True
+        self._mtag[chg] = tag[keep]
+        self._mval[chg] = val[keep]
+        self.bits[chg] = self._rows.message_bits(tag[keep], val[keep])
+        return chg, old_bits
+
+    def deliver(
+        self,
+        ids: np.ndarray,
+        seg: np.ndarray,
+        nbrs: np.ndarray,
+        ctx: DeliverContext,
+    ) -> None:
+        if ids.size == 0:
+            return
+        self._pending -= self._rows.deliver(1, ids, seg, nbrs, ctx, self.woken)
+
+    def post_round(self, ids: np.ndarray) -> Tuple[np.ndarray, List[object]]:
+        codes = self._rows.output_codes(0, ids)
+        self._post_fingerprints(ids, codes < 0, codes)
+        return self._post_outputs(ids, codes)
+
+    def counters(self) -> Dict[str, float]:
+        return {self._rows.counter: float(self._pending)}
+
+    def finalize(self) -> None:
+        self._rows.fill(self._algorithm, 0, np.flatnonzero(self.woken).tolist())
+
+
+def _value(code) -> object:
+    """An output code as the algorithm's value (``-1`` is ⊥)."""
+    code = int(code)
+    return code if code >= 0 else None

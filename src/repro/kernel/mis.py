@@ -11,11 +11,14 @@ lexsort orders by neighbor) — the classic ``deliver`` iterates its inbox
 in sorted key order for exactly this reason.
 
 DMis (Algorithm 4) has one array implementation, :class:`DMisRows`: the
-state of ``k`` instances as ``(k, n)`` rows.  The standalone
-:class:`DMisKernel` drives one row, and ``DynamicMIS``'s ring
-(:class:`~repro.kernel.concat.ConcatMisKernel`) drives ``T1 - 1``; the
-instances' intersection graphs ("live" sets) are a
+state of ``k`` instances as ``(k, n)`` rows.  The standalone ``dmis``
+kernel (:class:`~repro.kernel.base.DynamicRowKernel`) drives one row, and
+``DynamicMIS``'s ring (:class:`~repro.kernel.concat.ConcatRingKernel`)
+drives ``T1 - 1``; the instances' intersection graphs ("live" sets) are a
 :class:`~repro.kernel.base.LiveSets`.
+
+:class:`SMisKernel` also runs the ablation ``smis-no-undecide``
+(``undecide_enabled=False``).
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from repro.types import MisState
 from .base import AlgorithmKernel, DeliverContext, LiveSets
 from .nodestreams import NodeStreamPool
 
-__all__ = ["SMisKernel", "DMisKernel", "DMisRows", "dmis_message_bits"]
+__all__ = ["SMisKernel", "DMisRows", "dmis_message_bits"]
 
 _EMPTY_I8 = np.empty(0, dtype=np.int64)
 
@@ -39,6 +42,8 @@ _S_MIS = 1
 _S_DOM = 2
 _STATE_ENUMS = (MisState.UNDECIDED, MisState.MIS, MisState.DOMINATED)
 _OUT_LOOKUP = np.array([-1, 1, 0], dtype=np.int64)
+#: the state of an output code ``c`` is ``_CODE_STATE[c + 1]``
+_CODE_STATE = np.array([_S_UND, _S_DOM, _S_MIS], dtype=np.int64)
 
 _T_NONE = 0
 _T_MARK = 1
@@ -199,6 +204,10 @@ class SMisKernel(AlgorithmKernel):
         self._post_fingerprints(ids, s == _S_UND, s)
         return self._post_outputs(ids, _OUT_LOOKUP[s])
 
+    def codes(self) -> np.ndarray:
+        """Every node's current output as a code (``-1`` is ⊥)."""
+        return _OUT_LOOKUP[self._state]
+
     def counters(self) -> Dict[str, float]:
         return {
             "undecided": float(self._undecided),
@@ -229,11 +238,16 @@ class DMisRows:
     instance, lane ``row * n + v``, seeded with the instance's master seed.
     Both rules — a live ``MARK`` makes an undecided node dominated; a draw
     strictly below every live undecided neighbour's makes it MIS — are one
-    pass over the live slots of the undecided node-instances.
+    pass over the live slots of the undecided node-instances.  The
+    instances' intersection graphs are :attr:`live`.
     """
+
+    #: the ``algorithm_counters`` key of the pending (undecided) nodes
+    counter = "undecided"
 
     def __init__(self, n: int, k: int) -> None:
         self._n = n
+        self.live = LiveSets(n, k)
         self.state = np.zeros((k, n), dtype=np.int64)
         self.drawn = np.full((k, n), np.inf)
         #: one row of node streams per instance, re-seeded when an instance starts
@@ -242,28 +256,39 @@ class DMisRows:
         self._und_rows = _EMPTY_I8
         self._und_nodes = _EMPTY_I8
 
-    def seed(self, row: int, state, master_seed: int) -> None:
-        """Start an instance in ``row`` from the input ``state`` codes."""
-        self.state[row] = state
+    @staticmethod
+    def message_bits(state: np.ndarray, drawn: np.ndarray) -> np.ndarray:
+        """``estimate_bits`` of ``(state, drawn)`` broadcasts: the state decides."""
+        return dmis_message_bits(state)
+
+    def start(self, row: int, codes: np.ndarray, factory) -> None:
+        """Start an instance in ``row`` on the input ``codes`` (``-1`` is ⊥), seeded by ``factory``."""
+        self.live.start(row)
+        self.state[row] = _CODE_STATE[codes + 1]
         self.drawn[row] = np.inf
-        self._pool.reset_row(row, master_seed)
+        self._pool.reset_row(row, factory.seed)
 
-    def draw(self, rows: np.ndarray, nodes: np.ndarray) -> None:
-        """Compose: the undecided node-instances ``(rows, nodes)`` draw this round's values."""
-        if rows.size:
-            self.drawn[rows, nodes] = self._pool.random(rows * self._n + nodes)
-        self._und_rows = rows
-        self._und_nodes = nodes
+    def compose(self, rows: int, woken: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The undecided woken node-instances of rows ``0 .. rows-1`` draw; ``(state, drawn)``."""
+        state = self.state[:rows]
+        und_rows, und_nodes = np.nonzero((state == _S_UND) & woken)
+        if und_rows.size:
+            self.drawn[und_rows, und_nodes] = self._pool.random(und_rows * self._n + und_nodes)
+        self._und_rows = und_rows
+        self._und_nodes = und_nodes
+        return state, self.drawn[:rows]
 
-    def deliver(self, live: np.ndarray, universe) -> int:
-        """Both rules for this round's drawers over the ``live`` slot masks; the number decided."""
+    def deliver(self, rows: int, ids, seg, nbrs, ctx: DeliverContext, woken: np.ndarray) -> int:
+        """Both rules for this round's drawers over the live slots; the number decided."""
+        self.live.update(rows, ctx.eff_d, woken)
         und_rows = self._und_rows
         und_nodes = self._und_nodes
         if und_rows.size == 0:
             return 0
+        universe = ctx.universe
         slots, pair = universe.row_slots(und_nodes)
         rows_of = und_rows[pair]
-        kept = live[rows_of, slots]
+        kept = self.live.mask[rows_of, slots]
         pair = pair[kept]
         rows_of = rows_of[kept]
         nb = universe.udst[slots[kept]]
@@ -289,80 +314,9 @@ class DMisRows:
         """Write ``row``'s per-node state into the DMis ``instance``."""
         state = self.state[row]
         drawn = self.drawn[row]
+        instance._awake = set(woken)
+        instance._live = self.live.sets(row, woken)
         instance._state = {v: _STATE_ENUMS[int(state[v])] for v in woken}
         instance._drawn = {v: float(drawn[v]) for v in woken}
         instance._undecided_n = int(np.count_nonzero(state[woken] == _S_UND))
         instance._node_rng_skips = self._pool.draw_skips(row)
-
-
-class DMisKernel(AlgorithmKernel):
-    """Standalone DMis: one :class:`DMisRows` row that starts with every node undecided.
-
-    Each node joins the row's live sets in its wake round.  The message
-    cache is ``(state, draw)`` with the draw ``0.0`` once decided: undecided
-    nodes are volatile, decided ones carry their state as the fingerprint.
-    """
-
-    def __init__(self, algorithm) -> None:
-        super().__init__(algorithm)
-        n = self.n
-        self._rows = DMisRows(n, 1)
-        self._rows.seed(0, _S_UND, algorithm.config.rng_factory.seed)
-        self._live = LiveSets(n, 1)
-        self._mtag = np.zeros(n, dtype=np.int64)
-        self._mp = np.zeros(n, dtype=np.float64)
-        self._undecided = 0
-
-    def set_array_mode(self, universe) -> None:
-        """Size the live sets to the engine's edge universe."""
-        self._live.set_universe(universe)
-
-    def wake(self, ids: np.ndarray) -> None:
-        self.recompose_next[ids] = True
-        fresh = ids[~self.woken[ids]]
-        self.woken[fresh] = True
-        self._live.wake(fresh)
-        self._undecided += int(fresh.size)
-
-    def compose(self, ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        rows = self._rows
-        state = rows.state[0, ids]
-        und = state == _S_UND
-        und_ids = ids[und]
-        rows.draw(np.zeros(und_ids.size, dtype=np.int64), und_ids)
-        val = np.where(und, rows.drawn[0, ids], 0.0)
-        keep = ~(self._has_msg[ids] & (self._mtag[ids] == state) & (self._mp[ids] == val))
-        chg = ids[keep]
-        old_bits = self.bits[chg]
-        self._has_msg[chg] = True
-        self._mtag[chg] = state[keep]
-        self._mp[chg] = val[keep]
-        self.bits[chg] = dmis_message_bits(state[keep])
-        return chg, old_bits
-
-    def deliver(
-        self,
-        ids: np.ndarray,
-        seg: np.ndarray,
-        nbrs: np.ndarray,
-        ctx: DeliverContext,
-    ) -> None:
-        if ids.size == 0:
-            return
-        self._live.update(1, ctx.eff_d, self.woken)
-        self._undecided -= self._rows.deliver(self._live.mask, ctx.universe)
-
-    def post_round(self, ids: np.ndarray) -> Tuple[np.ndarray, List[object]]:
-        s = self._rows.state[0, ids]
-        self._post_fingerprints(ids, s == _S_UND, s)
-        return self._post_outputs(ids, _OUT_LOOKUP[s])
-
-    def counters(self) -> Dict[str, float]:
-        return {"undecided": float(self._undecided)}
-
-    def finalize(self) -> None:
-        alg = self._algorithm
-        woken = np.flatnonzero(self.woken).tolist()
-        alg._awake = set(woken)
-        alg._live = self._live.sets(0, woken)
-        self._rows.fill(alg, 0, woken)

@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 import numbers
 from collections.abc import Mapping
+from types import SimpleNamespace
 from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
@@ -73,7 +74,6 @@ from repro.algorithms.mis.dmis import DMis
 from repro.algorithms.mis.dynamic_mis import DynamicMIS
 from repro.algorithms.mis.ghaffari import GhaffariMIS
 from repro.algorithms.mis.smis import SMis
-from repro.core.concat import Concat
 from repro.analysis.conflicts import conflict_resolution_times
 from repro.analysis.convergence import (
     DecisionWalk,
@@ -445,44 +445,21 @@ def _algorithm_coloring_no_backbone(ctx, *, window=None):
     return concat_without_backbone(ctx.T1 if window is None else _resolve(ctx, window))
 
 
-#: The implementation class behind each registered algorithm name — the
-#: source of the per-component delivery-contract annotation below.
-_ALGORITHM_CLASSES = {
-    "basic-coloring": BasicColoring,
-    "scolor": SColor,
-    "dcolor": DColor,
-    "dcolor-current-graph": DColorCurrentGraphAblation,
-    "scolor-no-uncolor": SColorNoUncolorAblation,
-    "smis": SMis,
-    "smis-no-undecide": SMisNoUndecideAblation,
-    "ghaffari-mis": GhaffariMIS,
-    "dmis": DMis,
-    "dynamic-coloring": DynamicColoring,
-    "dynamic-mis": DynamicMIS,
-    "restart-coloring": RestartColoring,
-    "restart-mis": RestartMis,
-    "coloring-no-backbone": Concat,
-}
-
 # Surface each algorithm's audited message-stability contract in
 # ``available(docs=True)`` / `repro components`, so the delivery path an
-# algorithm gets is discoverable without reading its source.  Iterating the
-# *registry* keeps this loop safe under drift: a stale map entry is simply
-# never looked up, and a newly registered algorithm missing from the map is
-# caught by the tier-1 docs test (every doc must carry its contract tag)
-# rather than by an import-time crash.
+# algorithm gets is discoverable without reading its source.  Each
+# registered build runs once on a stub context (``T1 = 2``): the built
+# instance gives the contract, and ``[kernel: array]`` marks the builds whose
+# ``as_kernel()`` returns a factory (an ablation that inherits a kernel is
+# tagged exactly when the kernel accepts it).
+_DOC_CONTEXT = SimpleNamespace(T1=2)
 for _algo_name in ALGORITHMS:
-    _algo_cls = _ALGORITHM_CLASSES.get(_algo_name)
-    if _algo_cls is not None:
-        # ``as_kernel`` defined on the exact class (not inherited) marks the
-        # algorithms with an array kernel: subclass ablations inherit the
-        # method but its ``type(self)`` guard declines them at runtime.
-        _kernel_tag = " [kernel: array]" if "as_kernel" in _algo_cls.__dict__ else ""
-        ALGORITHMS.set_doc(
-            _algo_name,
-            f"{ALGORITHMS.doc(_algo_name)} "
-            f"[delivery: {_algo_cls.message_stability}]{_kernel_tag}",
-        )
+    _algo = ALGORITHMS.get(_algo_name)(_DOC_CONTEXT)
+    _kernel_tag = " [kernel: array]" if _algo.as_kernel() is not None else ""
+    ALGORITHMS.set_doc(
+        _algo_name,
+        f"{ALGORITHMS.doc(_algo_name)} [delivery: {_algo.message_stability}]{_kernel_tag}",
+    )
 
 
 # ---------------------------------------------------------------------------

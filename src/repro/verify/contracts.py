@@ -196,20 +196,27 @@ def _contract_delivery_equivalence(ctx: VerifyContext) -> Iterator[Verdict]:
     rounds = 10 if ctx.smoke else 24
     seeds = (0, 1) if ctx.smoke else (0, 1, 2)
     markov = component("markov-churn", p_off=0.05, p_on=0.05)
+    flip = component("flip-churn", flip_prob=0.1)
     palettes = component("palette-shrink")
     cases: List[Tuple[str, ComponentSpec, Optional[ComponentSpec]]] = [
         ("scolor", markov, None),
-        ("smis", component("flip-churn", flip_prob=0.1), None),
-        # the standalone DMis kernel: live sets joined at wake, shrunk by churn
+        ("smis", flip, None),
+        # the standalone DAlg kernels: live sets joined at wake, shrunk by churn
         ("dmis", markov, None),
-        ("dmis", component("flip-churn", flip_prob=0.1), None),
+        ("dmis", flip, None),
+        ("dcolor", markov, None),
+        ("dcolor", flip, None),
+        # the ablations run on their base algorithm's kernel
+        ("smis-no-undecide", flip, None),
+        ("scolor-no-uncolor", flip, None),
         # E2's probe reads every palette every round, which no trace row shows.
         ("basic-coloring", markov, palettes),
         ("scolor", markov, palettes),
+        ("dcolor", markov, palettes),
         # Theorem 1.1's combiners: no pure contract, so only the kernel path.
-        ("dynamic-coloring", component("flip-churn", flip_prob=0.1), None),
+        ("dynamic-coloring", flip, None),
         ("dynamic-coloring", markov, None),
-        ("dynamic-mis", component("flip-churn", flip_prob=0.1), None),
+        ("dynamic-mis", flip, None),
         ("dynamic-mis", markov, None),
     ]
     for algorithm, adversary, probe in cases:

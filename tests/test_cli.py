@@ -377,7 +377,7 @@ class TestBenchDiff:
 
     def test_committed_bench_files_diff_clean_against_themselves(self, capsys):
         assert self._diff(self.COMMITTED, self.COMMITTED) == 0
-        assert "bench diff clean: 21 workloads" in capsys.readouterr().out
+        assert "bench diff clean: 22 workloads" in capsys.readouterr().out
 
     def test_committed_bench_rows_match_harness_schema(self, monkeypatch):
         # The harness's comparison table and the committed file must not

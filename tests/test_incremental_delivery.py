@@ -50,8 +50,18 @@ _ADVERSARY_SPECS = {
 }
 SPARSE_GNP = component("gnp_degree", degree=2)
 
-#: the registered algorithms whose exact class ships an array kernel
-_KERNEL_TAGGED = ("basic-coloring", "scolor", "smis", "dmis", "dynamic-coloring", "dynamic-mis")
+#: the registered algorithms whose build's ``as_kernel()`` returns a factory
+_KERNEL_TAGGED = (
+    "basic-coloring",
+    "scolor",
+    "scolor-no-uncolor",
+    "smis",
+    "smis-no-undecide",
+    "dcolor",
+    "dmis",
+    "dynamic-coloring",
+    "dynamic-mis",
+)
 
 
 def _trace_rows(spec: ScenarioSpec, seed: int, mode: str):
@@ -389,9 +399,10 @@ class TestActivitySurface:
         assert "[delivery: none]" in docs["restart-mis"]
         for name, doc in docs.items():
             assert "[delivery: " in doc, f"{name} doc lacks its contract annotation"
-        # Array-kernel eligibility is surfaced per algorithm; the subclass
-        # ablations inherit the method but decline at runtime, so only the
-        # exact kernel classes carry the tag.
+        # Array-kernel eligibility is surfaced per algorithm: the tag follows
+        # what the built instance's ``as_kernel()`` returns, so an ablation
+        # that its base kernel accepts carries it and one it declines
+        # (``dcolor-current-graph``) does not.
         for name in _KERNEL_TAGGED:
             assert "[kernel: array]" in docs[name], f"{name} lacks its kernel tag"
         for name, doc in docs.items():

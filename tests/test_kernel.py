@@ -45,7 +45,10 @@ from test_incremental_delivery import SPARSE_GNP, _ADVERSARY_SPECS, _scenario_tr
 KERNEL_ALGORITHMS = (
     "basic-coloring",
     "scolor",
+    "scolor-no-uncolor",
     "smis",
+    "smis-no-undecide",
+    "dcolor",
     "dmis",
     "dynamic-coloring",
     "dynamic-mis",
@@ -211,6 +214,40 @@ class TestKernelEquivalenceMatrix:
         assert any(kernel_live.values())
         assert len(set(kernel_states.values())) == 3
 
+    def test_dcolor_post_run_introspection_matches_the_full_run(self):
+        """The standalone DColor kernel writes back the full path's per-node state.
+
+        Staggered wake-up makes nodes join the live sets and start their
+        palettes after round 1 (one batch of eight per round, the last batch
+        still asleep), and flip churn shrinks the live sets.
+        """
+        spec = ScenarioSpec(
+            n=40,
+            algorithm="dcolor",
+            adversary=component("flip-churn", flip_prob=0.05),
+            topology=component("gnp_degree", degree=6),
+            rounds=4,
+            wakeup=component("staggered", batch_size=8),
+        )
+        views = {}
+        for mode in ("full", "kernel"):
+            _, sim = _trace_rows(spec, seed=4, mode=mode)
+            assert sim.delivery == mode
+            alg = sim.algorithm
+            views[mode] = (
+                {v: alg.palette_of(v) for v in range(spec.n)},
+                {v: alg.live_neighbors_of(v) for v in range(spec.n)},
+                dict(alg._tentative),
+                alg.metrics()["uncolored"],
+                # the node streams resume where the run left them
+                {v: int(alg.rng(v).integers(0, 2**30)) for v in sorted(alg.awake_nodes)},
+            )
+        assert views["kernel"] == views["full"]
+        palettes, live, tentative, uncolored, streams = views["kernel"]
+        assert uncolored > 0 and len(streams) == 32
+        assert any(live.values()) and any(palettes.values())
+        assert any(t is not None for t in tentative.values())
+
 
 # ---------------------------------------------------------------------------
 # the stacked Concat kernel (DynamicColoring)
@@ -220,13 +257,14 @@ class TestKernelEquivalenceMatrix:
 class TestConcatColoringKernel:
     def test_closed_form_bits_equal_estimate_bits_on_the_dict_bundle(self):
         from repro.algorithms.coloring import dcolor, scolor
+        from repro.kernel import coloring as coloring_kernel
         from repro.kernel import concat as concat_kernel
         from repro.runtime.messages import estimate_bits
 
         codes = {
-            dcolor.INIT: concat_kernel._T_INIT,
-            dcolor.FIXED: concat_kernel._T_FIXED,
-            dcolor.TENTATIVE: concat_kernel._T_TENT,
+            dcolor.INIT: coloring_kernel._T_INIT,
+            dcolor.FIXED: coloring_kernel._T_FIXED,
+            dcolor.TENTATIVE: coloring_kernel._T_TENT,
         }
         rng = np.random.default_rng(29)
         top = 2**20
@@ -247,7 +285,7 @@ class TestConcatColoringKernel:
             bundle = {"s": backbone, **{r: (name, value) for r, name, value in zip(starts, names, values)}}
             tag = np.asarray([codes[name] for name in names], dtype=np.int64)
             val = np.asarray([-1 if value is None else value for value in values], dtype=np.int64)
-            per_message = concat_kernel.dcolor_message_bits(tag, val)
+            per_message = coloring_kernel.dcolor_message_bits(tag, val)
             assert per_message.tolist() == [estimate_bits(m) for m in zip(names, values)]
             assert estimate_bits(bundle) == (
                 concat_kernel.bundle_frame_bits(starts)
@@ -323,7 +361,7 @@ class TestConcatMisKernel:
                 (smis.UNDECIDED_MSG, float(rng.random()), bool(rng.random() < 0.5)),
             ][int(rng.integers(0, 3))]
             bundle = {"s": backbone, **dict(zip(starts, messages))}
-            per_message = concat_kernel.dmis_message_bits(states)
+            per_message = mis_kernel.dmis_message_bits(states)
             assert per_message.tolist() == [estimate_bits(m) for m in messages]
             assert estimate_bits(bundle) == (
                 concat_kernel.bundle_frame_bits(starts)

@@ -231,8 +231,13 @@ class TestDeliveryEquivalenceConfigScan:
                 "smis/flip-churn",
                 "dmis/markov-churn",
                 "dmis/flip-churn",
+                "dcolor/markov-churn",
+                "dcolor/flip-churn",
+                "smis-no-undecide/flip-churn",
+                "scolor-no-uncolor/flip-churn",
                 "basic-coloring/markov-churn+palette-shrink",
                 "scolor/markov-churn+palette-shrink",
+                "dcolor/markov-churn+palette-shrink",
                 "dynamic-coloring/flip-churn",
                 "dynamic-coloring/markov-churn",
                 "dynamic-mis/flip-churn",
